@@ -6,11 +6,15 @@
 // The machinery, bottom up:
 //
 //   - Every request gets a session-unique ID and stays in the pending
-//     table until its response arrives or its context dies. A
+//     window until its response arrives or its context dies. A
 //     retransmit ticker re-sends unanswered requests (the server
 //     deduplicates, so at-least-once delivery is safe), and the request
-//     piggybacks an ack watermark that licenses the server to prune its
-//     completed-request table.
+//     piggybacks an ack watermark — the window's floor — that licenses
+//     the server to retire its recorded verdicts up to there.
+//   - A steady-state round trip allocates nothing here: calls are pooled
+//     with their request and response inside them, frames are built in
+//     and read into pooled buffers (rpc.Buffer), and a response's Data is
+//     copied exactly once, for the caller, before its buffer goes back.
 //   - Connections are expendable; the session is not. When a
 //     connection dies — or a heartbeat probe times out, which is how a
 //     one-way partition is detected — the client redials and resumes
@@ -81,8 +85,9 @@ func (c *Client) handshakeTimeout() time.Duration {
 type Client struct {
 	opts Options
 
-	// mu guards the session/connection state and the pending table.
-	// Never held across dial, frame I/O on the read path, or sleeps.
+	// mu guards the session/connection state, the pending window and
+	// every call's id. Never held across dial, frame I/O on the read
+	// path, or sleeps.
 	//asset:latch order=2
 	mu      sync.Mutex
 	conn    *cliConn
@@ -90,32 +95,88 @@ type Client struct {
 	sess    uint64
 	epoch   uint64
 	ttl     time.Duration
-	nextReq uint64
-	pending map[uint64]*call
+	// pending issues the request IDs and holds the unanswered calls by ID
+	// (a nil slot is an ID already answered, abandoned or never awaited);
+	// its floor is the ack watermark: every ID at or below it is one the
+	// client will never ask about again.
+	pending rpc.Window[*call]
 	closed  bool
 
 	closeCh chan struct{}
 	wg      sync.WaitGroup
 }
 
-// call is one in-flight request.
+// call is one in-flight request, recycled through callPool with its
+// request, response and channel.
+//
+// A recycled call must never receive a previous life's verdict, and
+// several paths hold a *call outside Client.mu (the lease-expiry drains,
+// the in-doubt resolver). The rule that makes that safe: id, guarded by
+// Client.mu, is the request the call is waiting on and zero once that
+// wait is over; a verdict is handed over only under Client.mu and only
+// while id still names the request it answers (complete), and the waiter
+// recycles the call only after its wait is over. req is written by the
+// waiter before the call is published and read by others only under
+// Client.mu while the call is in the pending window.
 type call struct {
-	req  *rpc.Request
-	done chan *rpc.Response // buffered(1)
+	id   uint64
+	req  rpc.Request
+	resp rpc.Response
+	done chan struct{} // buffered(1): signalled once resp is filled
 }
 
-// cliConn serializes frame writes on one transport connection.
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+// recycle returns a call whose wait is over (id is zero, done is empty).
+func recycle(cl *call) {
+	cl.req, cl.resp = rpc.Request{}, rpc.Response{}
+	callPool.Put(cl)
+}
+
+// stranded is a call a drain took out of the pending window, with the
+// facts about its request copied under Client.mu: the call itself may be
+// recycled the moment its waiter gives up.
+type stranded struct {
+	cl  *call
+	id  uint64
+	op  rpc.Op
+	tid uint64
+}
+
+// cliConn serializes frame writes on one transport connection and owns
+// its frame reader (used by the handshake, then by the read loop).
 type cliConn struct {
 	//asset:latch order=3
 	mu sync.Mutex
 	c  net.Conn
+	fr *rpc.FrameReader
 }
 
+func newCliConn(nc net.Conn) *cliConn {
+	return &cliConn{c: nc, fr: rpc.NewFrameReader(nc)}
+}
+
+// send encodes req as one frame in a pooled buffer and writes it.
 func (c *cliConn) send(req *rpc.Request) error {
-	payload := rpc.EncodeRequest(req)
+	buf := requestFrame(req)
+	err := c.write(buf.B)
+	buf.Release()
+	return err
+}
+
+// write sends one whole frame in a single Write call.
+func (c *cliConn) write(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return rpc.WriteFrame(c.c, payload)
+	_, err := c.c.Write(frame)
+	return err
+}
+
+func requestFrame(req *rpc.Request) *rpc.Buffer {
+	buf := rpc.GetBuffer()
+	buf.B = rpc.AppendRequest(rpc.BeginFrame(buf.B), req)
+	rpc.FinishFrame(buf.B)
+	return buf
 }
 
 // Dial connects to the server and establishes a session.
@@ -128,7 +189,6 @@ func Dial(ctx context.Context, opts Options) (*Client, error) {
 	}
 	c := &Client{
 		opts:    opts,
-		pending: make(map[uint64]*call),
 		closeCh: make(chan struct{}),
 	}
 	if _, err := c.ensureConn(ctx); err != nil {
@@ -159,8 +219,8 @@ func (c *Client) Close() error {
 	if conn != nil && sess != 0 {
 		conn.send(&rpc.Request{Op: rpc.OpBye}) //nolint:errcheck
 	}
-	for _, cl := range pend {
-		failCall(cl, fmt.Errorf("client: closed: %w", core.ErrClosed))
+	for _, st := range pend {
+		c.fail(st, fmt.Errorf("client: closed: %w", core.ErrClosed))
 	}
 	if conn != nil {
 		conn.c.Close()
@@ -169,22 +229,70 @@ func (c *Client) Close() error {
 	return nil
 }
 
-func (c *Client) drainPendingLocked() []*call {
-	out := make([]*call, 0, len(c.pending))
-	for _, cl := range c.pending {
-		out = append(out, cl)
+// drainPendingLocked empties the pending window — every ID issued so far
+// is thereby acknowledged — and returns the calls that were waiting in
+// it. Their verdicts are now the drainer's to deliver (fail, complete).
+func (c *Client) drainPendingLocked() []stranded {
+	var out []stranded
+	floor := c.pending.Floor()
+	end := floor + uint64(c.pending.Len())
+	for id := floor + 1; id <= end; id++ {
+		if cl := *c.pending.Slot(id); cl != nil {
+			out = append(out, stranded{cl: cl, id: id, op: cl.req.Op, tid: cl.req.TID})
+		}
 	}
-	c.pending = make(map[uint64]*call)
+	c.pending.Reset(end)
 	return out
 }
 
-func failCall(cl *call, err error) {
+// complete hands resp to the waiter of request id, if cl is still that
+// request's call, and retires the ID. Anything else — the waiter gave up,
+// the verdict was already delivered, the call lives a new life — makes it
+// a no-op: this is the one gate a verdict passes through.
+func (c *Client) complete(cl *call, id uint64, resp *rpc.Response) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.completeLocked(cl, id, resp)
+}
+
+func (c *Client) completeLocked(cl *call, id uint64, resp *rpc.Response) {
+	if cl.id != id {
+		return
+	}
+	c.retireLocked(cl, id)
+	cl.resp = *resp
+	if len(resp.Data) > 0 {
+		// Off the wire, Data aliases a frame buffer about to be released.
+		// This copy is the one allocation a Read costs here, and the slice
+		// Tx.Read returns.
+		cl.resp.Data = append([]byte(nil), resp.Data...)
+	}
+	cl.done <- struct{}{} // buffered(1) and empty while id is set: never blocks
+}
+
+// retireLocked ends cl's wait on id: the call stops accepting a verdict,
+// the ID leaves the pending window, and the ack watermark moves up past
+// every retired ID at the window's front.
+func (c *Client) retireLocked(cl *call, id uint64) {
+	cl.id = 0
+	if slot := c.pending.Slot(id); slot != nil && *slot == cl {
+		*slot = nil
+	}
+	c.trimLocked()
+}
+
+// trimLocked pops the retired IDs at the front of the pending window.
+func (c *Client) trimLocked() {
+	for front := c.pending.Front(); front != nil && *front == nil; front = c.pending.Front() {
+		c.pending.PopFront()
+	}
+}
+
+// fail delivers err as a drained call's verdict.
+func (c *Client) fail(st stranded, err error) {
 	var resp rpc.Response
 	resp.SetError(err, 0)
-	select {
-	case cl.done <- &resp:
-	default:
-	}
+	c.complete(st.cl, st.id, &resp)
 }
 
 // Session returns the current session token (0 before the first
@@ -254,7 +362,7 @@ func (c *Client) redial(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("client: dial: %w: %w", core.ErrConnLost, err)
 	}
-	conn := &cliConn{c: nc}
+	conn := newCliConn(nc)
 	resp, err := c.hello(conn, token)
 	if err != nil {
 		if errors.Is(err, core.ErrLeaseExpired) && token != 0 {
@@ -279,10 +387,13 @@ func (c *Client) redial(ctx context.Context) error {
 // routed to their pending waiters instead.
 func (c *Client) hello(conn *cliConn, token uint64) (*rpc.Response, error) {
 	c.mu.Lock()
-	c.nextReq++
-	req := &rpc.Request{ReqID: c.nextReq, Op: rpc.OpHello, Other: token, Mode: c.epoch}
+	// The hello takes an ID from the sequence but is matched below, not
+	// through the pending window: its slot is born retired.
+	id := c.pending.Push(nil)
+	c.trimLocked()
+	req := rpc.Request{ReqID: id, Op: rpc.OpHello, Other: token, Mode: c.epoch}
 	c.mu.Unlock()
-	if err := conn.send(req); err != nil {
+	if err := conn.send(&req); err != nil {
 		return nil, fmt.Errorf("client: handshake send: %w: %w", core.ErrConnLost, err)
 	}
 	// The deadline is absolute, so the loop below is bounded even if the
@@ -290,22 +401,24 @@ func (c *Client) hello(conn *cliConn, token uint64) (*rpc.Response, error) {
 	conn.c.SetReadDeadline(time.Now().Add(c.handshakeTimeout())) //nolint:errcheck
 	defer conn.c.SetReadDeadline(time.Time{})                    //nolint:errcheck
 	for {
-		payload, err := rpc.ReadFrame(conn.c)
+		buf, err := conn.fr.Next()
 		if err != nil {
 			return nil, fmt.Errorf("client: handshake read: %w: %w", core.ErrConnLost, err)
 		}
-		resp, err := rpc.DecodeResponse(payload)
+		resp := &rpc.Response{}
+		err = rpc.DecodeResponseInto(resp, buf.B)
+		if err == nil && resp.ReqID != req.ReqID {
+			c.deliver(resp)
+			buf.Release()
+			continue
+		}
+		// A hello reply carries no Data, so nothing of resp aliases buf.
+		resp.Data = nil
+		buf.Release()
 		if err != nil {
 			return nil, fmt.Errorf("client: handshake decode: %w: %w", core.ErrConnLost, err)
 		}
-		if resp.ReqID != req.ReqID {
-			c.deliver(resp)
-			continue
-		}
-		if rerr := resp.Err(); rerr != nil {
-			return resp, rerr
-		}
-		return resp, nil
+		return resp, resp.Err()
 	}
 }
 
@@ -325,14 +438,12 @@ func (c *Client) adopt(conn *cliConn, helloResp *rpc.Response) {
 	c.epoch = helloResp.Val
 	c.ttl = time.Duration(helloResp.Aux) * time.Microsecond
 	c.conn = conn
-	resend := c.pendingSnapshotLocked()
+	resend := c.pendingFramesLocked()
 	c.mu.Unlock()
 	c.wg.Add(1)
 	//asset:goroutine joined-by=waitgroup
 	go c.readLoop(conn)
-	for _, cl := range resend {
-		conn.send(cl.req) //nolint:errcheck
-	}
+	conn.resend(resend) //nolint:errcheck
 }
 
 // resumeExpired handles a dead session: a new session is opened, and
@@ -350,7 +461,7 @@ func (c *Client) resumeExpired(ctx context.Context) error {
 		c.failAfterExpiry(pend, oldEpoch, 0)
 		return fmt.Errorf("client: dial after lease expiry: %w: %w", core.ErrConnLost, err)
 	}
-	conn := &cliConn{c: nc}
+	conn := newCliConn(nc)
 	resp, err := c.hello(conn, 0)
 	if err != nil {
 		nc.Close()
@@ -371,17 +482,17 @@ func (c *Client) resumeExpired(ctx context.Context) error {
 // failAfterExpiry resolves calls stranded by a lease expiry. Commits are
 // handled by resolveInDoubt when the epoch held; everything else — and
 // every commit whose verdict is unlearnable — fails here.
-func (c *Client) failAfterExpiry(pend []*call, oldEpoch, newEpoch uint64) {
-	for _, cl := range pend {
-		if cl.req.Op == rpc.OpCommit && newEpoch != 0 && newEpoch == oldEpoch {
+func (c *Client) failAfterExpiry(pend []stranded, oldEpoch, newEpoch uint64) {
+	for _, st := range pend {
+		if st.op == rpc.OpCommit && newEpoch != 0 && newEpoch == oldEpoch {
 			continue // resolveInDoubt owns it
 		}
-		if cl.req.Op == rpc.OpCommit {
-			failCall(cl, fmt.Errorf("client: commit verdict lost with session (server epoch changed): %w",
+		if st.op == rpc.OpCommit {
+			c.fail(st, fmt.Errorf("client: commit verdict lost with session (server epoch changed): %w",
 				core.ErrUnknownOutcome))
 			continue
 		}
-		failCall(cl, fmt.Errorf("client: request outlived its session: %w", core.ErrLeaseExpired))
+		c.fail(st, fmt.Errorf("client: request outlived its session: %w", core.ErrLeaseExpired))
 	}
 }
 
@@ -390,65 +501,81 @@ func (c *Client) failAfterExpiry(pend []*call, oldEpoch, newEpoch uint64) {
 // was made and must not be re-executed; anything else resolves to
 // ErrLeaseExpired (the transaction died with the session; a retry is a
 // fresh transaction).
-func (c *Client) resolveInDoubt(ctx context.Context, pend []*call) {
-	for _, cl := range pend {
-		if cl.req.Op != rpc.OpCommit {
+func (c *Client) resolveInDoubt(ctx context.Context, pend []stranded) {
+	for _, st := range pend {
+		if st.op != rpc.OpCommit {
 			continue
 		}
-		st, err := c.Status(ctx, xid.TID(cl.req.TID))
+		status, err := c.Status(ctx, xid.TID(st.tid))
 		switch {
 		case err != nil:
-			failCall(cl, fmt.Errorf("client: commit verdict unresolved: %w: %w", core.ErrUnknownOutcome, err))
-		case st == xid.StatusCommitted:
-			cl.done <- &rpc.Response{ReqID: cl.req.ReqID, Status: byte(st)}
+			c.fail(st, fmt.Errorf("client: commit verdict unresolved: %w: %w", core.ErrUnknownOutcome, err))
+		case status == xid.StatusCommitted:
+			c.complete(st.cl, st.id, &rpc.Response{ReqID: st.id, Status: byte(status)})
 		default:
-			failCall(cl, fmt.Errorf("client: transaction %v died with its session (status %v): %w",
-				xid.TID(cl.req.TID), st, core.ErrLeaseExpired))
+			c.fail(st, fmt.Errorf("client: transaction %v died with its session (status %v): %w",
+				xid.TID(st.tid), status, core.ErrLeaseExpired))
 		}
 	}
 }
 
-func (c *Client) pendingSnapshotLocked() []*call {
-	out := make([]*call, 0, len(c.pending))
-	for _, cl := range c.pending {
-		out = append(out, cl)
+// pendingFramesLocked encodes every pending request, in ID order, one
+// frame per pooled buffer. The encoding happens under Client.mu because a
+// call's request is only stable there; the caller sends the frames
+// outside it (resend) and thereby releases them.
+func (c *Client) pendingFramesLocked() []*rpc.Buffer {
+	var out []*rpc.Buffer
+	floor := c.pending.Floor()
+	for id := floor + 1; id <= floor+uint64(c.pending.Len()); id++ {
+		if cl := *c.pending.Slot(id); cl != nil {
+			out = append(out, requestFrame(&cl.req))
+		}
 	}
 	return out
+}
+
+// resend writes frames, one Write call each, stopping at the first
+// failure, and releases them all.
+func (c *cliConn) resend(frames []*rpc.Buffer) error {
+	var err error
+	for _, buf := range frames {
+		if err == nil {
+			err = c.write(buf.B)
+		}
+		buf.Release()
+	}
+	return err
 }
 
 // readLoop drains responses from one connection and routes them to
 // pending calls; it exits when the connection dies.
 func (c *Client) readLoop(conn *cliConn) {
 	defer c.wg.Done()
+	var resp rpc.Response // decode scratch, reused for every frame
 	for {
-		payload, err := rpc.ReadFrame(conn.c)
+		buf, err := conn.fr.Next()
 		if err != nil {
 			c.dropConn(conn)
 			return
 		}
-		resp, err := rpc.DecodeResponse(payload)
-		if err != nil {
+		if err := rpc.DecodeResponseInto(&resp, buf.B); err != nil {
+			buf.Release()
 			c.dropConn(conn)
 			return
 		}
-		c.deliver(resp)
+		c.deliver(&resp)
+		buf.Release()
 	}
 }
 
-// deliver routes a response to its pending call. Responses for unknown
-// request IDs (abandoned, duplicated, or already answered) are dropped.
+// deliver routes a response off the wire to its pending call. Responses
+// for unknown request IDs (abandoned, duplicated, or already answered)
+// are dropped.
 func (c *Client) deliver(resp *rpc.Response) {
 	c.mu.Lock()
-	cl := c.pending[resp.ReqID]
-	if cl != nil {
-		delete(c.pending, resp.ReqID)
-	}
-	c.mu.Unlock()
-	if cl != nil {
-		select {
-		case cl.done <- resp:
-		default:
-		}
+	defer c.mu.Unlock()
+	if slot := c.pending.Slot(resp.ReqID); slot != nil && *slot != nil {
+		c.completeLocked(*slot, resp.ReqID, resp)
 	}
 }
 
@@ -503,50 +630,40 @@ func (c *Client) dropConn(conn *cliConn) {
 	conn.c.Close()
 }
 
-// ackWatermarkLocked computes the highest request ID below which every
-// response has been received or abandoned — the server may prune its
-// completed table up to here.
-func (c *Client) ackWatermarkLocked() uint64 {
-	low := c.nextReq + 1
-	for id := range c.pending {
-		if id < low {
-			low = id
-		}
-	}
-	return low - 1
-}
-
 // roundTrip sends one request and waits for its response. Delivery is
 // at-least-once (the retransmit loop re-sends through redials); the
 // server's dedup table makes execution at-most-once per request ID.
-func (c *Client) roundTrip(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
+func (c *Client) roundTrip(ctx context.Context, req rpc.Request) (rpc.Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	conn, err := c.ensureConn(ctx)
 	if err != nil {
-		return nil, err
+		return rpc.Response{}, err
 	}
-	cl := &call{req: req, done: make(chan *rpc.Response, 1)}
+	cl := callPool.Get().(*call)
+	cl.req = req
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("client: closed: %w", core.ErrClosed)
+		recycle(cl)
+		return rpc.Response{}, fmt.Errorf("client: closed: %w", core.ErrClosed)
 	}
-	c.nextReq++
-	req.ReqID = c.nextReq
-	// Enter the pending table before computing the ack watermark: the
-	// request must count itself as outstanding, or it would ack its own
-	// ID and license the server to drop the very verdict it is awaiting.
-	c.pending[req.ReqID] = cl
-	req.Ack = c.ackWatermarkLocked()
+	// The call enters the pending window before the ack watermark is
+	// read: the request must count itself as outstanding, or it would ack
+	// its own ID and license the server to drop the very verdict it is
+	// awaiting.
+	id := c.pending.Push(cl)
+	cl.id, cl.req.ReqID, cl.req.Ack = id, id, c.pending.Floor()
 	c.mu.Unlock()
-	if err := conn.send(req); err != nil {
+	if err := conn.send(&cl.req); err != nil {
 		// The request stays pending; redial + retransmit will carry it.
 		c.dropConn(conn)
 	}
 	select {
-	case resp := <-cl.done:
+	case <-cl.done:
+		resp := cl.resp
+		recycle(cl)
 		if rerr := resp.Err(); rerr != nil {
 			if errors.Is(rerr, core.ErrLeaseExpired) {
 				// The session is dead on the server; forget it and drain
@@ -560,23 +677,32 @@ func (c *Client) roundTrip(ctx context.Context, req *rpc.Request) (*rpc.Response
 		}
 		return resp, nil
 	case <-ctx.Done():
-		c.abandon(req.ReqID)
-		return nil, fmt.Errorf("client: %v abandoned: %w", req.Op, ctx.Err())
+		c.abandon(cl, id)
+		return rpc.Response{}, fmt.Errorf("client: %v abandoned: %w", req.Op, ctx.Err())
 	case <-c.closeCh:
-		c.abandon(req.ReqID)
-		return nil, fmt.Errorf("client: closed: %w", core.ErrClosed)
+		c.abandon(cl, id)
+		return rpc.Response{}, fmt.Errorf("client: closed: %w", core.ErrClosed)
 	}
 }
 
-// abandon removes a call whose waiter gave up and tells the server to
-// cancel the work (best effort, fire-and-forget).
-func (c *Client) abandon(reqID uint64) {
+// abandon ends the wait of a call whose waiter gave up, recycles it, and
+// tells the server to cancel the work (best effort, fire-and-forget).
+func (c *Client) abandon(cl *call, id uint64) {
 	c.mu.Lock()
-	delete(c.pending, reqID)
+	delivered := cl.id != id
+	if !delivered {
+		c.retireLocked(cl, id)
+	}
 	conn := c.conn
 	c.mu.Unlock()
+	if delivered {
+		// A verdict raced the give-up and is already in the channel; take
+		// it out so the call's next life starts with an empty one.
+		<-cl.done
+	}
+	recycle(cl)
 	if conn != nil {
-		conn.send(&rpc.Request{Op: rpc.OpCancel, Other: reqID}) //nolint:errcheck
+		conn.send(&rpc.Request{Op: rpc.OpCancel, Other: id}) //nolint:errcheck
 	}
 }
 
@@ -594,10 +720,14 @@ func (c *Client) retransmitLoop() {
 		}
 		c.mu.Lock()
 		conn := c.conn
-		resend := c.pendingSnapshotLocked()
+		var resend []*rpc.Buffer
+		if conn != nil {
+			resend = c.pendingFramesLocked()
+		}
+		idle := c.pending.Len() == 0
 		c.mu.Unlock()
 		if conn == nil {
-			if len(resend) == 0 {
+			if idle {
 				continue
 			}
 			// Bounded single redial attempt per tick; failures roll over.
@@ -606,11 +736,8 @@ func (c *Client) retransmitLoop() {
 			cancel()
 			continue
 		}
-		for _, cl := range resend {
-			if conn.send(cl.req) != nil {
-				c.dropConn(conn)
-				break
-			}
+		if conn.resend(resend) != nil {
+			c.dropConn(conn)
 		}
 	}
 }
@@ -647,7 +774,7 @@ func (c *Client) heartbeatLoop() {
 			continue // retransmit loop owns redialing
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), probe)
-		_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpHeartbeat})
+		_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpHeartbeat})
 		cancel()
 		if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, core.ErrConnLost)) {
 			c.dropConn(conn)

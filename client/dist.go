@@ -21,7 +21,7 @@ func (c *Client) Prepare(ctx context.Context, gid uint64, tids ...xid.TID) error
 	for i, t := range tids {
 		raw[i] = uint64(t)
 	}
-	_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpPrepare, Other: gid, Data: rpc.EncodeTIDs(raw)})
+	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpPrepare, Other: gid, Data: rpc.EncodeTIDs(raw)})
 	return err
 }
 
@@ -32,7 +32,7 @@ func (c *Client) Decide(ctx context.Context, gid uint64, commit bool) error {
 	if commit {
 		mode = 1
 	}
-	_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpDecide, Other: gid, Mode: mode})
+	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpDecide, Other: gid, Mode: mode})
 	return err
 }
 
@@ -41,7 +41,7 @@ func (c *Client) Decide(ctx context.Context, gid uint64, commit bool) error {
 // durable abort decision (presumed abort), so the answer is final either
 // way — the multi-shot recovery path a restarted participant relies on.
 func (c *Client) QueryVerdict(ctx context.Context, gid uint64) (commit bool, err error) {
-	resp, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpVerdictQuery, Other: gid})
+	resp, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpVerdictQuery, Other: gid})
 	if err != nil {
 		return false, err
 	}

@@ -16,7 +16,7 @@ import (
 
 // Initiate creates a transaction on the server (paper: initiate).
 func (c *Client) Initiate(ctx context.Context) (xid.TID, error) {
-	resp, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpInitiate})
+	resp, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpInitiate})
 	if err != nil {
 		return xid.NilTID, err
 	}
@@ -25,7 +25,7 @@ func (c *Client) Initiate(ctx context.Context) (xid.TID, error) {
 
 // Begin starts tid executing (paper: begin).
 func (c *Client) Begin(ctx context.Context, tid xid.TID) error {
-	_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpBegin, TID: uint64(tid)})
+	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpBegin, TID: uint64(tid)})
 	return err
 }
 
@@ -33,26 +33,26 @@ func (c *Client) Begin(ctx context.Context, tid xid.TID) error {
 // retransmission the decision is exactly-once: a retried commit fetches
 // the recorded verdict, never re-runs the commit protocol.
 func (c *Client) Commit(ctx context.Context, tid xid.TID) error {
-	_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpCommit, TID: uint64(tid)})
+	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpCommit, TID: uint64(tid)})
 	return err
 }
 
 // Abort aborts tid (paper: abort).
 func (c *Client) Abort(ctx context.Context, tid xid.TID) error {
-	_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpAbort, TID: uint64(tid)})
+	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpAbort, TID: uint64(tid)})
 	return err
 }
 
 // Wait blocks until tid terminates (paper: wait); nil means committed or
 // completed, ErrAborted means aborted.
 func (c *Client) Wait(ctx context.Context, tid xid.TID) error {
-	_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpWait, TID: uint64(tid)})
+	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpWait, TID: uint64(tid)})
 	return err
 }
 
 // Status queries tid's status without waiting.
 func (c *Client) Status(ctx context.Context, tid xid.TID) (xid.Status, error) {
-	resp, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpStatus, TID: uint64(tid)})
+	resp, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpStatus, TID: uint64(tid)})
 	if err != nil {
 		return 0, err
 	}
@@ -62,7 +62,7 @@ func (c *Client) Status(ctx context.Context, tid xid.TID) (xid.Status, error) {
 // Delegate transfers responsibility for oid (0 = everything) from one
 // transaction to another (paper: delegate).
 func (c *Client) Delegate(ctx context.Context, from, to xid.TID, oid xid.OID) error {
-	_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpDelegate,
+	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpDelegate,
 		TID: uint64(from), Other: uint64(to), OID: uint64(oid)})
 	return err
 }
@@ -70,14 +70,14 @@ func (c *Client) Delegate(ctx context.Context, from, to xid.TID, oid xid.OID) er
 // Permit grants grantee conflict permission on grantor's locks (paper:
 // permit). oid 0 = every object; grantee NilTID = any transaction.
 func (c *Client) Permit(ctx context.Context, grantor, grantee xid.TID, oid xid.OID, ops xid.OpSet) error {
-	_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpPermit,
+	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpPermit,
 		TID: uint64(grantor), Other: uint64(grantee), OID: uint64(oid), Mode: uint64(ops)})
 	return err
 }
 
 // FormDependency records form_dependency(typ, ti, tj).
 func (c *Client) FormDependency(ctx context.Context, typ xid.DepType, ti, tj xid.TID) error {
-	_, err := c.roundTrip(ctx, &rpc.Request{Op: rpc.OpFormDep,
+	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpFormDep,
 		TID: uint64(ti), Other: uint64(tj), Mode: uint64(typ)})
 	return err
 }
@@ -96,20 +96,20 @@ func (c *Client) Tx(tid xid.TID) *Tx { return &Tx{c: c, tid: tid} }
 // ID returns the remote transaction ID.
 func (tx *Tx) ID() xid.TID { return tx.tid }
 
-func (tx *Tx) op(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
+func (tx *Tx) op(ctx context.Context, req rpc.Request) (rpc.Response, error) {
 	req.TID = uint64(tx.tid)
 	return tx.c.roundTrip(ctx, req)
 }
 
 // Lock acquires ops on oid (strict 2PL; held to termination).
 func (tx *Tx) Lock(ctx context.Context, oid xid.OID, ops xid.OpSet) error {
-	_, err := tx.op(ctx, &rpc.Request{Op: rpc.OpLock, OID: uint64(oid), Mode: uint64(ops)})
+	_, err := tx.op(ctx, rpc.Request{Op: rpc.OpLock, OID: uint64(oid), Mode: uint64(ops)})
 	return err
 }
 
 // Read returns oid's value under a read lock.
 func (tx *Tx) Read(ctx context.Context, oid xid.OID) ([]byte, error) {
-	resp, err := tx.op(ctx, &rpc.Request{Op: rpc.OpRead, OID: uint64(oid)})
+	resp, err := tx.op(ctx, rpc.Request{Op: rpc.OpRead, OID: uint64(oid)})
 	if err != nil {
 		return nil, err
 	}
@@ -118,13 +118,13 @@ func (tx *Tx) Read(ctx context.Context, oid xid.OID) ([]byte, error) {
 
 // Write replaces oid's value under a write lock.
 func (tx *Tx) Write(ctx context.Context, oid xid.OID, data []byte) error {
-	_, err := tx.op(ctx, &rpc.Request{Op: rpc.OpWrite, OID: uint64(oid), Data: data})
+	_, err := tx.op(ctx, rpc.Request{Op: rpc.OpWrite, OID: uint64(oid), Data: data})
 	return err
 }
 
 // Create allocates a new object holding data.
 func (tx *Tx) Create(ctx context.Context, data []byte) (xid.OID, error) {
-	resp, err := tx.op(ctx, &rpc.Request{Op: rpc.OpCreate, Data: data})
+	resp, err := tx.op(ctx, rpc.Request{Op: rpc.OpCreate, Data: data})
 	if err != nil {
 		return xid.NilOID, err
 	}
@@ -133,25 +133,25 @@ func (tx *Tx) Create(ctx context.Context, data []byte) (xid.OID, error) {
 
 // Delete removes oid.
 func (tx *Tx) Delete(ctx context.Context, oid xid.OID) error {
-	_, err := tx.op(ctx, &rpc.Request{Op: rpc.OpDelete, OID: uint64(oid)})
+	_, err := tx.op(ctx, rpc.Request{Op: rpc.OpDelete, OID: uint64(oid)})
 	return err
 }
 
 // Add escrow-adds delta to counter oid (commutative increment locks).
 func (tx *Tx) Add(ctx context.Context, oid xid.OID, delta int64) error {
-	_, err := tx.op(ctx, &rpc.Request{Op: rpc.OpAdd, OID: uint64(oid), Delta: delta})
+	_, err := tx.op(ctx, rpc.Request{Op: rpc.OpAdd, OID: uint64(oid), Delta: delta})
 	return err
 }
 
 // DeclareEscrow declares bounds [lo, hi] on counter oid.
 func (tx *Tx) DeclareEscrow(ctx context.Context, oid xid.OID, lo, hi uint64) error {
-	_, err := tx.op(ctx, &rpc.Request{Op: rpc.OpDeclareEscrow, OID: uint64(oid), Lo: lo, Hi: hi})
+	_, err := tx.op(ctx, rpc.Request{Op: rpc.OpDeclareEscrow, OID: uint64(oid), Lo: lo, Hi: hi})
 	return err
 }
 
 // ReadCounter reads counter oid under a read lock.
 func (tx *Tx) ReadCounter(ctx context.Context, oid xid.OID) (uint64, error) {
-	resp, err := tx.op(ctx, &rpc.Request{Op: rpc.OpReadCounter, OID: uint64(oid)})
+	resp, err := tx.op(ctx, rpc.Request{Op: rpc.OpReadCounter, OID: uint64(oid)})
 	if err != nil {
 		return 0, err
 	}

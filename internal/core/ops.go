@@ -141,15 +141,19 @@ func (tx *Tx) Write(oid xid.OID, data []byte) error {
 	obj.Lat.Lock()
 	defer obj.Lat.Unlock()
 	before := append([]byte(nil), obj.Data()...)
+	// The copy is what the object and the log record keep: nothing holds
+	// on to the caller's slice, which a server hands in straight from a
+	// pooled frame buffer.
+	after := append([]byte(nil), data...)
 	lsn, err := m.log.Append(&wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
-		Before: before, After: data,
+		Before: before, After: after,
 	})
 	if err != nil {
 		return err
 	}
 	t.undo = append(t.undo, undoRec{lsn: lsn, oid: oid, kind: wal.KindModify, before: before})
-	obj.SetData(append([]byte(nil), data...))
+	obj.SetData(after)
 	return nil
 }
 
@@ -215,7 +219,8 @@ func (tx *Tx) CreateAt(oid xid.OID, data []byte) error {
 		m.dropStrayLocksLocked(t)
 		return err
 	}
-	if !m.cache.Create(oid, append([]byte(nil), data...)) {
+	data = append([]byte(nil), data...) // as in Write: keep nothing of the caller's
+	if !m.cache.Create(oid, data) {
 		return fmt.Errorf("%w: %v", ErrObjectExists, oid)
 	}
 	lsn, err := m.log.Append(&wal.Record{

@@ -238,3 +238,29 @@ func waitForWaiters(t *testing.T, wg *waitgraph.Graph, n int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestLockCtxUncontendedAllocs: a cancellable ctx costs nothing until the
+// request has to park. An uncontended acquire under context.WithCancel
+// must allocate no more than the same acquire through Lock — the ctx
+// watcher (and the ctx's Done channel) belong to the wait, not the grant.
+func TestLockCtxUncontendedAllocs(t *testing.T) {
+	m := newTest(Options{})
+	tid, oid := xid.TID(1), xid.OID(7)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plain := testing.AllocsPerRun(200, func() {
+		if err := m.Lock(tid, oid, xid.OpWrite); err != nil {
+			t.Fatal(err)
+		}
+		m.ReleaseAll(tid)
+	})
+	withCtx := testing.AllocsPerRun(200, func() {
+		if err := m.LockCtx(ctx, tid, oid, xid.OpWrite); err != nil {
+			t.Fatal(err)
+		}
+		m.ReleaseAll(tid)
+	})
+	if withCtx > plain {
+		t.Errorf("uncontended LockCtx allocates %.1f objects per acquire/release, Lock %.1f", withCtx, plain)
+	}
+}

@@ -262,29 +262,16 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 		})
 		defer timer.Stop()
 	}
-	if done := ctx.Done(); done != nil {
-		// A watcher goroutine converts context death into a cond wake-up.
-		// It may fire after the request is already resolved (the stop and
-		// the cancellation race); setting ctxErr on a request that has left
-		// the pending queue is harmless, and the stray broadcast only makes
-		// other waiters re-evaluate.
-		stop := make(chan struct{})
-		defer close(stop)
-		//asset:goroutine joined-by=ctx
-		go func() {
-			select {
-			case <-done:
-				s.lat.Lock()
-				// Cause, not Err: a session teardown cancelling the request
-				// carries its reason (e.g. lease expiry) as the cause, and
-				// that reason must survive into the returned error.
-				req.ctxErr = context.Cause(ctx)
-				od.cond.Broadcast()
-				s.lat.Unlock()
-			case <-stop:
-			}
-		}()
-	}
+	// Context death is converted into a cond wake-up by a watcher that is
+	// registered only once the request is about to park (see the bottom
+	// of the loop): a request granted on its first pass — every
+	// uncontended lock — pays nothing for carrying a cancellable ctx.
+	var stopWatch func() bool
+	defer func() {
+		if stopWatch != nil {
+			stopWatch()
+		}
+	}()
 
 	// Wait-for edges registered for the current blocker set. Always cleared
 	// while the shard latch is still held, so an observer holding every
@@ -375,6 +362,23 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 				s.lat.Lock()
 				continue
 			}
+		}
+		if stopWatch == nil && ctx.Done() != nil {
+			// The watcher may fire after the request is already resolved
+			// (the stop and the cancellation race); setting ctxErr on a
+			// request that has left the pending queue is harmless, and the
+			// stray broadcast only makes other waiters re-evaluate. It
+			// cannot fire unseen before the Wait below: it needs the shard
+			// latch, which this goroutine holds until Wait releases it.
+			stopWatch = context.AfterFunc(ctx, func() {
+				s.lat.Lock()
+				// Cause, not Err: a session teardown cancelling the request
+				// carries its reason (e.g. lease expiry) as the cause, and
+				// that reason must survive into the returned error.
+				req.ctxErr = context.Cause(ctx)
+				od.cond.Broadcast()
+				s.lat.Unlock()
+			})
 		}
 		od.cond.Wait()
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/race"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -35,6 +36,92 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameBuiltInPlace: a message encoded after a reserved header in one
+// buffer is, byte for byte, the frame WriteFrame makes of its separately
+// encoded payload, and a FrameReader hands the payloads back out of
+// pooled buffers, one frame per Next.
+func TestFrameBuiltInPlace(t *testing.T) {
+	req := &Request{ReqID: 7, Ack: 6, Op: OpWrite, TID: 3, OID: 9, Data: []byte("value")}
+	resp := &Response{ReqID: 7, Bits: 3, Msg: "nope", Data: []byte("value")}
+	var want, stream bytes.Buffer
+	WriteFrame(&want, EncodeRequest(req))   //nolint:errcheck // a buffer write cannot fail
+	WriteFrame(&want, EncodeResponse(resp)) //nolint:errcheck
+	buf := GetBuffer()
+	buf.B = AppendRequest(BeginFrame(buf.B), req)
+	FinishFrame(buf.B)
+	stream.Write(buf.B)
+	buf.B = AppendResponse(BeginFrame(buf.B), resp)
+	FinishFrame(buf.B)
+	stream.Write(buf.B)
+	buf.Release()
+	if !bytes.Equal(stream.Bytes(), want.Bytes()) {
+		t.Fatalf("in-place frames\n %x\nwant\n %x", stream.Bytes(), want.Bytes())
+	}
+
+	fr := NewFrameReader(&stream)
+	first, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotReq Request
+	if err := DecodeRequestInto(&gotReq, first.B); err != nil {
+		t.Fatal(err)
+	}
+	// The second frame is read while the first buffer is still held: the
+	// first request's Data must not move under it.
+	second, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotResp Response
+	if err := DecodeResponseInto(&gotResp, second.B); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&gotReq, req) || !reflect.DeepEqual(&gotResp, resp) {
+		t.Fatalf("decoded %+v / %+v", gotReq, gotResp)
+	}
+	first.Release()
+	second.Release()
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("empty stream: %v", err)
+	}
+}
+
+// TestFramePathAllocFree: encode into a pooled buffer, read the frame
+// back through a FrameReader, decode in place — no allocation once the
+// pool is warm.
+func TestFramePathAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	req := &Request{ReqID: 1 << 20, Ack: 1<<20 - 1, Op: OpWrite, TID: 1 << 30, OID: 1 << 18, Data: make([]byte, 64)}
+	var pipe bytes.Buffer
+	fr := NewFrameReader(&pipe)
+	var got Request
+	trip := func() {
+		out := GetBuffer()
+		out.B = AppendRequest(BeginFrame(out.B), req)
+		FinishFrame(out.B)
+		pipe.Write(out.B)
+		out.Release()
+		in, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeRequestInto(&got, in.B); err != nil {
+			t.Fatal(err)
+		}
+		in.Release()
+	}
+	trip()
+	if n := testing.AllocsPerRun(500, trip); n != 0 {
+		t.Fatalf("frame round trip allocates %.1f objects, want 0", n)
+	}
+	if got.OID != req.OID || len(got.Data) != len(req.Data) {
+		t.Fatalf("decoded %+v", got)
+	}
+}
+
 func TestFrameRejectsCorruption(t *testing.T) {
 	frame := func() []byte {
 		var buf bytes.Buffer
@@ -49,16 +136,21 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		"truncated":    func(b []byte) []byte { return b[:len(b)-4] },
 		"short header": func(b []byte) []byte { return b[:5] },
 	}
+	readers := map[string]func(io.Reader) error{
+		"ReadFrame":   func(r io.Reader) error { _, err := ReadFrame(r); return err },
+		"FrameReader": func(r io.Reader) error { _, err := NewFrameReader(r).Next(); return err },
+	}
 	for name, corrupt := range cases {
-		b := corrupt(frame())
-		_, err := ReadFrame(bytes.NewReader(b))
-		if err == nil {
-			t.Fatalf("%s: read succeeded", name)
-		}
-		// Header cut below 9 bytes is an io error; all structural damage
-		// must be ErrBadFrame.
-		if name != "short header" && !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("%s: %v, want ErrBadFrame", name, err)
+		for reader, read := range readers {
+			err := read(bytes.NewReader(corrupt(frame())))
+			if err == nil {
+				t.Fatalf("%s: %s succeeded", name, reader)
+			}
+			// Header cut below 9 bytes is an io error; all structural damage
+			// must be ErrBadFrame.
+			if name != "short header" && !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s: %s: %v, want ErrBadFrame", name, reader, err)
+			}
 		}
 	}
 }

@@ -146,10 +146,11 @@ type Response struct {
 	Data       []byte
 }
 
-// EncodeRequest serializes r.
-func EncodeRequest(r *Request) []byte {
-	b := make([]byte, 0, 64+len(r.Data))
-	b = binary.AppendUvarint(b, r.ReqID)
+// AppendRequest appends r's encoding to dst.
+//
+//asset:noalloc
+func AppendRequest(dst []byte, r *Request) []byte {
+	b := binary.AppendUvarint(dst, r.ReqID)
 	b = binary.AppendUvarint(b, r.Ack)
 	b = append(b, byte(r.Op))
 	b = binary.AppendUvarint(b, r.TID)
@@ -163,10 +164,18 @@ func EncodeRequest(r *Request) []byte {
 	return b
 }
 
-// DecodeRequest parses a request payload.
-func DecodeRequest(b []byte) (*Request, error) {
-	d := &decoder{b: b}
-	r := &Request{
+// EncodeRequest serializes r into a slice of its own.
+func EncodeRequest(r *Request) []byte {
+	return AppendRequest(make([]byte, 0, 64+len(r.Data)), r)
+}
+
+// DecodeRequestInto parses a request payload into r, overwriting every
+// field. r.Data aliases b.
+//
+//asset:noalloc
+func DecodeRequestInto(r *Request, b []byte) error {
+	d := decoder{b: b}
+	*r = Request{
 		ReqID: d.u64(),
 		Ack:   d.u64(),
 		Op:    Op(d.byte()),
@@ -180,21 +189,32 @@ func DecodeRequest(b []byte) (*Request, error) {
 		Data:  d.bytes(),
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: request: %w", ErrBadFrame, d.err)
+		return badMessage("request", d.err)
 	}
 	if !r.Op.Valid() {
-		return nil, fmt.Errorf("%w: unknown op %d", ErrBadFrame, r.Op)
+		return badOp(r.Op)
+	}
+	return nil
+}
+
+// DecodeRequest parses a request payload into a new Request.
+func DecodeRequest(b []byte) (*Request, error) {
+	r := &Request{}
+	if err := DecodeRequestInto(r, b); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// EncodeResponse serializes r.
-func EncodeResponse(r *Response) []byte {
-	b := make([]byte, 0, 64+len(r.Data)+len(r.Msg))
-	b = binary.AppendUvarint(b, r.ReqID)
+// AppendResponse appends r's encoding to dst.
+//
+//asset:noalloc
+func AppendResponse(dst []byte, r *Response) []byte {
+	b := binary.AppendUvarint(dst, r.ReqID)
 	b = binary.AppendUvarint(b, r.Bits)
 	b = binary.AppendUvarint(b, r.RetryAfter)
-	b = appendBytes(b, []byte(r.Msg))
+	b = binary.AppendUvarint(b, uint64(len(r.Msg)))
+	b = append(b, r.Msg...)
 	b = binary.AppendUvarint(b, r.TID)
 	b = binary.AppendUvarint(b, r.OID)
 	b = binary.AppendUvarint(b, r.Val)
@@ -204,14 +224,22 @@ func EncodeResponse(r *Response) []byte {
 	return b
 }
 
-// DecodeResponse parses a response payload.
-func DecodeResponse(b []byte) (*Response, error) {
-	d := &decoder{b: b}
-	r := &Response{
+// EncodeResponse serializes r into a slice of its own.
+func EncodeResponse(r *Response) []byte {
+	return AppendResponse(make([]byte, 0, 64+len(r.Data)+len(r.Msg)), r)
+}
+
+// DecodeResponseInto parses a response payload into r, overwriting every
+// field. r.Data aliases b; r.Msg, present only on errors, is a copy.
+//
+//asset:noalloc
+func DecodeResponseInto(r *Response, b []byte) error {
+	d := decoder{b: b}
+	*r = Response{
 		ReqID:      d.u64(),
 		Bits:       d.u64(),
 		RetryAfter: d.u64(),
-		Msg:        string(d.bytes()),
+		Msg:        d.str(),
 		TID:        d.u64(),
 		OID:        d.u64(),
 		Val:        d.u64(),
@@ -220,9 +248,31 @@ func DecodeResponse(b []byte) (*Response, error) {
 		Data:       d.bytes(),
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: response: %w", ErrBadFrame, d.err)
+		return badMessage("response", d.err)
+	}
+	return nil
+}
+
+// DecodeResponse parses a response payload into a new Response.
+func DecodeResponse(b []byte) (*Response, error) {
+	r := &Response{}
+	if err := DecodeResponseInto(r, b); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// badMessage and badOp build the decoders' errors out of line: the
+// decoders' own frames stay allocation-free.
+//
+//go:noinline
+func badMessage(kind string, err error) error {
+	return fmt.Errorf("%w: %s: %w", ErrBadFrame, kind, err)
+}
+
+//go:noinline
+func badOp(op Op) error {
+	return fmt.Errorf("%w: unknown op %d", ErrBadFrame, op)
 }
 
 func appendBytes(b, p []byte) []byte {
@@ -250,6 +300,9 @@ func DecodeTIDs(b []byte) ([]uint64, error) {
 		d.err = fmt.Errorf("tid count %d exceeds %d remaining bytes", n, len(d.b))
 	}
 	var tids []uint64
+	if d.err == nil && n > 0 {
+		tids = make([]uint64, 0, n)
+	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		tids = append(tids, d.u64())
 	}
@@ -306,6 +359,12 @@ func (d *decoder) byte() byte {
 	d.b = d.b[1:]
 	return v
 }
+
+// str decodes a length-prefixed string. Out of line so the copy a
+// non-empty string costs is charged here, not to the decoder's caller.
+//
+//go:noinline
+func (d *decoder) str() string { return string(d.bytes()) }
 
 func (d *decoder) bytes() []byte {
 	n := d.u64()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rpc"
 	"repro/internal/xid"
 )
 
@@ -16,7 +17,9 @@ import (
 // only exists there). Unlike the assetsh shell's single-threaded
 // variant, every op carries its own result channel — concurrent RPC
 // dispatch must not cross-deliver results — and delivery is guarded
-// against the body being gone.
+// against the body being gone. An op is a small value (the request, the
+// response to fill, the channel its inbound already owns), so the hop
+// into the body allocates nothing.
 type itx struct {
 	tid xid.TID
 
@@ -44,10 +47,15 @@ const (
 	stDone                      // body returned or begin failed
 )
 
+// srvOp is one message to the body: a data operation to run under ctx
+// and answer on res, or the finish op that ends the body (which answers
+// by closing gone).
 type srvOp struct {
-	f      func(*core.Tx) error
-	finish bool
+	ctx    context.Context
+	req    *rpc.Request
+	resp   *rpc.Response
 	res    chan error // buffered(1): the body never blocks replying
+	finish bool
 }
 
 func newItx(sessCtx context.Context) *itx {
@@ -69,10 +77,9 @@ func (t *itx) body() core.TxnFunc {
 		defer t.closeGone()
 		for op := range t.ops {
 			if op.finish {
-				op.res <- nil
 				return nil
 			}
-			op.res <- op.f(tx)
+			op.res <- dataOp(op.ctx, tx, op.req, op.resp)
 		}
 		return nil
 	}
@@ -109,12 +116,12 @@ func (t *itx) begin(reqCtx context.Context, m *core.Manager) error {
 	return err
 }
 
-// do runs f inside the body. Cancellation before delivery leaves the
+// do runs op inside the body. Cancellation before delivery leaves the
 // transaction untouched; after delivery the op itself observes the
 // request ctx (LockCtx/AddCtx), so do waits for its result
 // unconditionally — the reply is prompt and attributes the op's true
-// outcome.
-func (t *itx) do(ctx context.Context, f func(*core.Tx) error) error {
+// outcome, and op.res is empty again when do returns.
+func (t *itx) do(op srvOp) error {
 	t.mu.Lock()
 	st := t.state
 	t.mu.Unlock()
@@ -124,14 +131,21 @@ func (t *itx) do(ctx context.Context, f func(*core.Tx) error) error {
 	case stDone:
 		return core.ErrTerminated
 	}
-	op := srvOp{f: f, res: make(chan error, 1)}
+	// The body is normally parked on t.ops, so the hand-off succeeds at
+	// once — without asking ctx for its Done channel, which a cancel
+	// context only builds (one allocation) when first asked.
+	select {
+	case t.ops <- op:
+		return <-op.res
+	default:
+	}
 	select {
 	case t.ops <- op:
 		return <-op.res
 	case <-t.gone:
 		return core.ErrTerminated
-	case <-ctx.Done():
-		return fmt.Errorf("server: op abandoned: %w", context.Cause(ctx))
+	case <-op.ctx.Done():
+		return fmt.Errorf("server: op abandoned: %w", context.Cause(op.ctx))
 	}
 }
 
@@ -164,10 +178,9 @@ func (t *itx) finishBody(ctx context.Context) error {
 			case <-time.After(time.Millisecond):
 			}
 		case stRunning:
-			op := srvOp{finish: true, res: make(chan error, 1)}
 			select {
-			case t.ops <- op:
-				<-op.res
+			case t.ops <- srvOp{finish: true}:
+				<-t.gone
 				return nil
 			case <-t.gone:
 				return nil // already finished (e.g. an earlier commit attempt)
@@ -211,7 +224,7 @@ func (t *itx) unwindWith(reason error) {
 			}
 		case stRunning:
 			select {
-			case t.ops <- srvOp{finish: true, res: make(chan error, 1)}:
+			case t.ops <- srvOp{finish: true}:
 				return
 			case <-t.gone:
 				return

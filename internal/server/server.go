@@ -19,11 +19,17 @@
 //     returns the recorded verdict instead of executing twice. Commit
 //     in particular is an exactly-once decision over at-least-once
 //     delivery: CommitCtx only ever returns final verdicts, and the
-//     table makes the verdict stable across retries.
+//     dedup window makes the verdict stable across retries.
 //   - Cancellation is a first-class request (OpCancel): it cancels the
 //     per-request context server-side, which unwinds lock waits via
 //     LockCtx and aborts pre-commit-point commits — the transaction is
 //     always left aborted or intact, never half-committed.
+//
+// The hot path allocates next to nothing: a request is read into a pooled
+// frame buffer and decoded in place into a pooled inbound, which also
+// carries the response and the reply channel for the hop into the
+// transaction body; the buffer is held until the request's dispatch has
+// finished, because the request's Data aliases it (see package rpc).
 //
 // Latch order: Server.mu (4) and session.mu (6) are acquired outside —
 // never across — core.Manager calls (Manager.mu is order 10); the
@@ -75,15 +81,27 @@ type Server struct {
 	epoch    uint64
 	verdicts VerdictResolver
 
-	// mu guards the session table and the closed flag. Held only for
-	// table surgery, never across manager calls or frame I/O.
+	// mu guards the session table, the transaction index and the closed
+	// flag. Held only for table surgery, never across manager calls or
+	// frame I/O.
 	//asset:latch order=4
 	mu       sync.Mutex
 	sessions map[uint64]*session
-	closed   bool
+	// txns finds a live interactive transaction, and the session that
+	// owns it, by TID: prepare and decide arrive on the coordinator's
+	// session for transactions other sessions built. An entry lives from
+	// OpInitiate until the session forgets the transaction or dies.
+	txns   map[xid.TID]txnRef
+	closed bool
 
 	closeCh chan struct{}
 	wg      sync.WaitGroup
+}
+
+// txnRef is one entry of the server's transaction index.
+type txnRef struct {
+	sess *session
+	t    *itx
 }
 
 // Serve starts serving m's protocol on lis. The caller owns both: Close
@@ -106,6 +124,7 @@ func Serve(m *core.Manager, lis net.Listener, cfg Config) *Server {
 		epoch:    rand.Uint64() | 1, // nonzero: 0 means "no epoch known"
 		verdicts: cfg.Verdicts,
 		sessions: make(map[uint64]*session),
+		txns:     make(map[xid.TID]txnRef),
 		closeCh:  make(chan struct{}),
 	}
 	s.wg.Add(2)
@@ -217,10 +236,11 @@ func (s *Server) expire(sess *session, reason error) {
 	sess.dead = true
 	txns := sess.txns
 	sess.txns = make(map[xid.TID]*itx)
-	// sess.completed is deliberately kept: verdicts already decided must
-	// stay fetchable by retransmission even after the session dies —
-	// expiry strands no locks, but it must also unlearn no decisions.
+	// sess.reqs is deliberately kept: verdicts already decided must stay
+	// fetchable by retransmission even after the session dies — expiry
+	// strands no locks, but it must also unlearn no decisions.
 	sess.mu.Unlock()
+	s.unindex(txns)
 	sess.cancel(reason)
 	for tid, t := range txns {
 		tid, t := tid, t
@@ -245,32 +265,32 @@ func (s *Server) expire(sess *session, reason error) {
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
 	conn := &srvConn{c: nc}
-	sess := s.handshake(conn)
+	fr := rpc.NewFrameReader(nc)
+	sess := s.handshake(conn, fr)
 	if sess == nil {
 		return
 	}
 	for {
-		payload, err := rpc.ReadFrame(nc)
-		if err != nil {
-			// Transport death or a truncated/corrupt frame: drop the
-			// connection. The session survives on its lease; a resumed
-			// connection picks the work back up.
-			return
-		}
-		req, err := rpc.DecodeRequest(payload)
+		// Transport death or a truncated/corrupt frame drops the
+		// connection. The session survives on its lease; a resumed
+		// connection picks the work back up.
+		in, err := readInbound(fr)
 		if err != nil {
 			return
 		}
-		switch req.Op {
+		switch in.req.Op {
 		case rpc.OpHeartbeat:
-			sess.heartbeat(conn, req, s.ttl)
+			sess.heartbeat(conn, in, s.ttl)
+			in.release()
 		case rpc.OpCancel:
-			sess.cancelRequest(req.Other)
+			sess.cancelRequest(in.req.Other)
+			in.release()
 		case rpc.OpBye:
 			// Handled inline, before the dispatch dedup gate: the client
 			// sends Bye fire-and-forget with no request ID, which the gate
 			// would silently drop — leaving the session to linger holding
 			// its transactions and locks until the lease lapsed.
+			in.release()
 			sess.bye()
 			return
 		default:
@@ -278,25 +298,64 @@ func (s *Server) serveConn(nc net.Conn) {
 			//asset:goroutine joined-by=waitgroup
 			go func() {
 				defer s.wg.Done()
-				sess.dispatch(conn, req)
+				sess.dispatch(conn, in)
+				in.release()
 			}()
 		}
 	}
 }
 
+// inbound is one request on its way through the server, recycled through
+// inboundPool: the frame buffer it arrived in, the request decoded in
+// place (req.Data aliases buf), the response being built, and the reply
+// channel for the one operation it may run inside a transaction body.
+// Whoever took it from readInbound releases it, once nothing reads req,
+// resp or buf any more — for a dispatched request, after the response was
+// sent; a response recorded for replay is a copy.
+type inbound struct {
+	buf  *rpc.Buffer
+	req  rpc.Request
+	resp rpc.Response
+	res  chan error // buffered(1): the body never blocks replying
+}
+
+var inboundPool = sync.Pool{New: func() any { return &inbound{res: make(chan error, 1)} }}
+
+// readInbound reads and decodes the next request frame.
+func readInbound(fr *rpc.FrameReader) (*inbound, error) {
+	buf, err := fr.Next()
+	if err != nil {
+		return nil, err
+	}
+	in := inboundPool.Get().(*inbound)
+	in.buf = buf
+	if err := rpc.DecodeRequestInto(&in.req, buf.B); err != nil {
+		in.release()
+		return nil, err
+	}
+	return in, nil
+}
+
+func (in *inbound) release() {
+	in.buf.Release()
+	in.buf, in.req, in.resp = nil, rpc.Request{}, rpc.Response{}
+	inboundPool.Put(in)
+}
+
 // handshake consumes the OpHello that must open every connection and
 // either creates a session, resumes one by token, or reports why not
 // (expired lease, unknown token, closed server).
-func (s *Server) handshake(conn *srvConn) *session {
-	payload, err := rpc.ReadFrame(conn.c)
+func (s *Server) handshake(conn *srvConn, fr *rpc.FrameReader) *session {
+	in, err := readInbound(fr)
 	if err != nil {
 		return nil
 	}
-	req, err := rpc.DecodeRequest(payload)
-	if err != nil || req.Op != rpc.OpHello {
+	defer in.release()
+	req, resp := &in.req, &in.resp
+	if req.Op != rpc.OpHello {
 		return nil
 	}
-	resp := &rpc.Response{ReqID: req.ReqID, Val: s.epoch, Aux: uint64(s.ttl / time.Microsecond)}
+	*resp = rpc.Response{ReqID: req.ReqID, Val: s.epoch, Aux: uint64(s.ttl / time.Microsecond)}
 	sess, err := s.resolveSession(req.Other)
 	if err != nil {
 		resp.SetError(err, 0)
@@ -356,11 +415,17 @@ type srvConn struct {
 	c  net.Conn
 }
 
+// send encodes resp as one frame in a pooled buffer and writes it in a
+// single Write call.
 func (c *srvConn) send(resp *rpc.Response) error {
-	payload := rpc.EncodeResponse(resp)
+	buf := rpc.GetBuffer()
+	defer buf.Release()
+	buf.B = rpc.AppendResponse(rpc.BeginFrame(buf.B), resp)
+	rpc.FinishFrame(buf.B)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return rpc.WriteFrame(c.c, payload)
+	_, err := c.c.Write(buf.B)
+	return err
 }
 
 // session is the unit of fault tolerance: it outlives connections and
@@ -380,9 +445,7 @@ type session struct {
 	leaseUntil time.Time
 	conn       *srvConn
 	txns       map[xid.TID]*itx
-	inflight   map[uint64]context.CancelCauseFunc
-	completed  map[uint64]*rpc.Response
-	acked      uint64
+	reqs       dedup
 }
 
 func newSession(s *Server) *session {
@@ -394,15 +457,14 @@ func newSession(s *Server) *session {
 		cancelCtx:  cancel,
 		leaseUntil: time.Now().Add(s.ttl),
 		txns:       make(map[xid.TID]*itx),
-		inflight:   make(map[uint64]context.CancelCauseFunc),
-		completed:  make(map[uint64]*rpc.Response),
 	}
 }
 
 func (sess *session) cancel(reason error) { sess.cancelCtx(reason) }
 
-func (sess *session) heartbeat(conn *srvConn, req *rpc.Request, ttl time.Duration) {
-	resp := &rpc.Response{ReqID: req.ReqID}
+func (sess *session) heartbeat(conn *srvConn, in *inbound, ttl time.Duration) {
+	resp := &in.resp
+	resp.ReqID = in.req.ReqID
 	sess.mu.Lock()
 	if sess.dead {
 		resp.SetError(core.ErrLeaseExpired, 0)
@@ -419,7 +481,7 @@ func (sess *session) heartbeat(conn *srvConn, req *rpc.Request, ttl time.Duratio
 // itself was lost) are a silent no-op.
 func (sess *session) cancelRequest(reqID uint64) {
 	sess.mu.Lock()
-	cancel := sess.inflight[reqID]
+	cancel := sess.reqs.cancelOf(reqID)
 	sess.mu.Unlock()
 	if cancel != nil {
 		cancel(fmt.Errorf("server: request %d cancelled by client", reqID))
@@ -430,61 +492,58 @@ func (sess *session) cancelRequest(reqID uint64) {
 // recorded response, an executing request stays deduplicated, and only a
 // genuinely new request executes — under a per-request context that
 // OpCancel (or session death) can cancel.
-func (sess *session) dispatch(conn *srvConn, req *rpc.Request) {
+func (sess *session) dispatch(conn *srvConn, in *inbound) {
+	req, resp := &in.req, &in.resp
 	sess.mu.Lock()
-	if req.Ack > sess.acked {
-		// The client has the responses up to Ack; their verdicts can go.
-		for id := range sess.completed {
-			if id <= req.Ack {
-				delete(sess.completed, id)
-			}
-		}
-		sess.acked = req.Ack
+	// The client has the responses up to Ack; their verdicts can go.
+	abandoned := sess.reqs.ack(req.Ack)
+	verdict, slot := sess.reqs.admit(req.ReqID, sess.dead)
+	var reqCtx context.Context
+	var cancel context.CancelCauseFunc
+	switch verdict {
+	case admitExecute:
+		reqCtx, cancel = context.WithCancelCause(sess.ctx)
+		slot.cancel = cancel
+	case admitReplay:
+		*resp = slot.resp
 	}
-	if req.ReqID <= sess.acked {
+	sess.mu.Unlock()
+	for _, stop := range abandoned {
+		stop(errors.New("server: request abandoned by client"))
+	}
+	switch verdict {
+	case admitDrop:
 		// An acknowledged ID can only be a network ghost — a duplicated,
 		// delayed, or reordered copy of a request whose response the
 		// client already has (or abandoned). Its verdict may already be
-		// pruned, so executing it again would double-apply; at-most-once
-		// means acknowledged IDs are a hard floor.
-		sess.mu.Unlock()
+		// retired, so executing it again would double-apply; at-most-once
+		// means acknowledged IDs are a hard floor. (The other drop is a
+		// copy of a request still executing, which will answer itself.)
 		return
-	}
-	// Recorded verdicts answer first — even on a dead session. A commit
-	// that was decided before the lease lapsed must keep returning its
-	// decision, never a lease error that would invite a re-run.
-	if resp, ok := sess.completed[req.ReqID]; ok {
-		sess.mu.Unlock()
+	case admitReplay:
 		conn.send(resp) //nolint:errcheck
 		return
-	}
-	if sess.dead {
-		sess.mu.Unlock()
-		resp := &rpc.Response{ReqID: req.ReqID}
+	case admitExpired:
+		resp.ReqID = req.ReqID
 		resp.SetError(core.ErrLeaseExpired, 0)
 		conn.send(resp) //nolint:errcheck
 		return
-	}
-	if _, executing := sess.inflight[req.ReqID]; executing {
-		// A retransmit raced the original; the original will answer.
-		sess.mu.Unlock()
+	case admitOverflow:
+		resp.ReqID = req.ReqID
+		resp.SetError(fmt.Errorf("%w: request %d is more than %d ahead of the oldest unacknowledged one",
+			core.ErrOverload, req.ReqID, maxAhead), sess.srv.hint)
+		conn.send(resp) //nolint:errcheck
 		return
 	}
-	reqCtx, cancel := context.WithCancelCause(sess.ctx)
-	sess.inflight[req.ReqID] = cancel
-	sess.mu.Unlock()
 
-	resp := sess.execute(reqCtx, req)
+	sess.execute(reqCtx, in)
 	resp.ReqID = req.ReqID
 	cancel(nil)
 
 	sess.mu.Lock()
-	delete(sess.inflight, req.ReqID)
-	if req.ReqID > sess.acked {
-		// Recorded even on a dead session: the verdict may already have
-		// been durably decided, and retransmits must learn it.
-		sess.completed[req.ReqID] = resp
-	}
+	// Recorded even on a dead session: the verdict may already have been
+	// durably decided, and retransmits must learn it.
+	sess.reqs.complete(req.ReqID, resp)
 	cur := sess.conn
 	sess.mu.Unlock()
 	if cur != nil {
@@ -502,51 +561,48 @@ func (sess *session) txn(tid xid.TID) *itx {
 	return sess.txns[tid]
 }
 
-// execute performs one request against the manager. Every blocking path
-// observes ctx, so a client cancel (or session death) unwinds it.
-func (sess *session) execute(ctx context.Context, req *rpc.Request) *rpc.Response {
-	m := sess.srv.m
-	resp := &rpc.Response{}
-	tid := xid.TID(req.TID)
-	fail := func(err error) *rpc.Response {
+// execute performs one request against the manager, building the response
+// in in.resp. Every blocking path observes ctx, so a client cancel (or
+// session death) unwinds it.
+func (sess *session) execute(ctx context.Context, in *inbound) {
+	if err := sess.perform(ctx, in); err != nil {
 		var hint time.Duration
 		if errors.Is(err, core.ErrOverload) {
 			hint = sess.srv.hint
 		}
-		resp.SetError(err, hint)
-		return resp
+		in.resp.SetError(err, hint)
 	}
+}
+
+func (sess *session) perform(ctx context.Context, in *inbound) error {
+	m := sess.srv.m
+	req, resp := &in.req, &in.resp
+	tid := xid.TID(req.TID)
 	switch req.Op {
 	case rpc.OpInitiate:
 		t := newItx(sess.ctx)
 		id, err := m.InitiateWith(t.body(), core.TxnOptions{})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		t.tid = id
-		sess.mu.Lock()
-		if sess.dead {
-			sess.mu.Unlock()
+		if !sess.adopt(t) {
 			m.Abort(id) //nolint:errcheck
 			t.unwind()
-			return fail(core.ErrLeaseExpired)
+			return core.ErrLeaseExpired
 		}
-		sess.txns[id] = t
-		sess.mu.Unlock()
 		resp.TID = uint64(id)
 	case rpc.OpBegin:
 		t := sess.txn(tid)
 		if t == nil {
-			return fail(core.ErrUnknownTxn)
+			return core.ErrUnknownTxn
 		}
-		if err := t.begin(ctx, m); err != nil {
-			return fail(err)
-		}
+		return t.begin(ctx, m)
 	case rpc.OpCommit:
 		t := sess.txn(tid)
 		if t != nil {
 			if err := t.finishBody(ctx); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 		err := m.CommitCtx(ctx, tid)
@@ -563,7 +619,7 @@ func (sess *session) execute(ctx context.Context, req *rpc.Request) *rpc.Respons
 			sess.forget(tid)
 		}
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.Status = byte(xid.StatusCommitted)
 	case rpc.OpAbort:
@@ -573,33 +629,25 @@ func (sess *session) execute(ctx context.Context, req *rpc.Request) *rpc.Respons
 		}
 		sess.forget(tid)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.Status = byte(xid.StatusAborted)
 	case rpc.OpWait:
-		if err := m.WaitCtx(ctx, tid); err != nil {
-			resp.Status = byte(m.StatusOf(tid))
-			return fail(err)
-		}
+		err := m.WaitCtx(ctx, tid)
 		resp.Status = byte(m.StatusOf(tid))
+		return err
 	case rpc.OpStatus:
 		resp.Status = byte(m.StatusOf(tid))
 	case rpc.OpDelegate:
-		if err := m.Delegate(tid, xid.TID(req.Other), oidsOf(req)...); err != nil {
-			return fail(err)
-		}
+		return m.Delegate(tid, xid.TID(req.Other), oidsOf(req)...)
 	case rpc.OpPermit:
-		if err := m.Permit(tid, xid.TID(req.Other), oidsOf(req), xid.OpSet(req.Mode)); err != nil {
-			return fail(err)
-		}
+		return m.Permit(tid, xid.TID(req.Other), oidsOf(req), xid.OpSet(req.Mode))
 	case rpc.OpFormDep:
-		if err := m.FormDependency(xid.DepType(req.Mode), tid, xid.TID(req.Other)); err != nil {
-			return fail(err)
-		}
+		return m.FormDependency(xid.DepType(req.Mode), tid, xid.TID(req.Other))
 	case rpc.OpPrepare:
 		raw, err := rpc.DecodeTIDs(req.Data)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		ids := make([]xid.TID, len(raw))
 		for i, r := range raw {
@@ -607,29 +655,29 @@ func (sess *session) execute(ctx context.Context, req *rpc.Request) *rpc.Respons
 			// Drive each body to completion first, wherever its session is
 			// — the prepare usually arrives on the coordinator's session
 			// for transactions built by the application's.
-			if _, t := sess.srv.findItx(ids[i]); t != nil {
-				if err := t.finishBody(ctx); err != nil {
-					return fail(err)
+			if ref := sess.srv.findItx(ids[i]); ref.t != nil {
+				if err := ref.t.finishBody(ctx); err != nil {
+					return err
 				}
 			}
 		}
 		if err := m.PrepareCtx(ctx, req.Other, ids...); err != nil {
 			sess.srv.reapTerminated(ids)
-			return fail(err)
+			return err
 		}
 	case rpc.OpDecide:
 		members := m.PreparedMembers(req.Other)
 		if err := m.Decide(req.Other, req.Mode == 1); err != nil {
-			return fail(err)
+			return err
 		}
 		sess.srv.reapTerminated(members)
 	case rpc.OpVerdictQuery:
 		if sess.srv.verdicts == nil {
-			return fail(fmt.Errorf("%w: no coordinator at this server", core.ErrUnknownGroup))
+			return fmt.Errorf("%w: no coordinator at this server", core.ErrUnknownGroup)
 		}
 		commit, err := sess.srv.verdicts.Resolve(req.Other)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if commit {
 			resp.Val = 1
@@ -640,83 +688,96 @@ func (sess *session) execute(ctx context.Context, req *rpc.Request) *rpc.Respons
 		rpc.OpAdd, rpc.OpDeclareEscrow, rpc.OpReadCounter:
 		t := sess.txn(tid)
 		if t == nil {
-			return fail(core.ErrUnknownTxn)
+			return core.ErrUnknownTxn
 		}
-		if err := t.do(ctx, sess.dataOp(ctx, req, resp)); err != nil {
-			return fail(err)
-		}
+		return t.do(srvOp{ctx: ctx, req: req, resp: resp, res: in.res})
 	default:
 		// OpBye never reaches here: serveConn intercepts it pre-dispatch.
-		return fail(fmt.Errorf("server: unsupported op %v", req.Op))
+		return fmt.Errorf("server: unsupported op %v", req.Op)
 	}
-	return resp
+	return nil
 }
 
-// dataOp builds the closure a data operation runs inside the transaction
-// body. Operations that can block on locks pre-acquire via the ctx-aware
-// paths (LockCtx, AddCtx) so client cancellation unwinds the wait.
-func (sess *session) dataOp(ctx context.Context, req *rpc.Request, resp *rpc.Response) func(*core.Tx) error {
+// dataOp runs one data operation inside the transaction body. Operations
+// that can block on locks pre-acquire via the ctx-aware paths (LockCtx,
+// AddCtx) so client cancellation unwinds the wait. req.Data aliases the
+// request's frame buffer, which the dispatching goroutine holds until
+// this has returned; core copies what it keeps.
+func dataOp(ctx context.Context, tx *core.Tx, req *rpc.Request, resp *rpc.Response) error {
 	oid := xid.OID(req.OID)
-	return func(tx *core.Tx) error {
-		switch req.Op {
-		case rpc.OpLock:
-			return tx.LockCtx(ctx, oid, xid.OpSet(req.Mode))
-		case rpc.OpRead:
-			if err := tx.LockCtx(ctx, oid, xid.OpRead); err != nil {
-				return err
-			}
-			data, err := tx.Read(oid)
-			resp.Data = data
-			return err
-		case rpc.OpWrite:
-			if err := tx.LockCtx(ctx, oid, xid.OpWrite); err != nil {
-				return err
-			}
-			return tx.Write(oid, req.Data)
-		case rpc.OpCreate:
-			id, err := tx.Create(req.Data)
-			resp.OID = uint64(id)
-			return err
-		case rpc.OpDelete:
-			if err := tx.LockCtx(ctx, oid, xid.OpWrite); err != nil {
-				return err
-			}
-			return tx.Delete(oid)
-		case rpc.OpAdd:
-			return tx.AddCtx(ctx, oid, req.Delta)
-		case rpc.OpDeclareEscrow:
-			return tx.DeclareEscrow(oid, req.Lo, req.Hi)
-		case rpc.OpReadCounter:
-			if err := tx.LockCtx(ctx, oid, xid.OpRead); err != nil {
-				return err
-			}
-			v, err := tx.ReadCounter(oid)
-			resp.Val = v
+	switch req.Op {
+	case rpc.OpLock:
+		return tx.LockCtx(ctx, oid, xid.OpSet(req.Mode))
+	case rpc.OpRead:
+		if err := tx.LockCtx(ctx, oid, xid.OpRead); err != nil {
 			return err
 		}
-		return fmt.Errorf("server: not a data op: %v", req.Op)
+		data, err := tx.Read(oid)
+		resp.Data = data
+		return err
+	case rpc.OpWrite:
+		if err := tx.LockCtx(ctx, oid, xid.OpWrite); err != nil {
+			return err
+		}
+		return tx.Write(oid, req.Data)
+	case rpc.OpCreate:
+		id, err := tx.Create(req.Data)
+		resp.OID = uint64(id)
+		return err
+	case rpc.OpDelete:
+		if err := tx.LockCtx(ctx, oid, xid.OpWrite); err != nil {
+			return err
+		}
+		return tx.Delete(oid)
+	case rpc.OpAdd:
+		return tx.AddCtx(ctx, oid, req.Delta)
+	case rpc.OpDeclareEscrow:
+		return tx.DeclareEscrow(oid, req.Lo, req.Hi)
+	case rpc.OpReadCounter:
+		if err := tx.LockCtx(ctx, oid, xid.OpRead); err != nil {
+			return err
+		}
+		v, err := tx.ReadCounter(oid)
+		resp.Val = v
+		return err
 	}
+	return fmt.Errorf("server: not a data op: %v", req.Op)
 }
 
-// findItx locates tid's interactive body across every session: prepare
-// and decide arrive on the coordinator's session but operate on
-// transactions other sessions built.
-func (s *Server) findItx(tid xid.TID) (*session, *itx) {
+// adopt enters a freshly initiated transaction into the session's table
+// and the server's index; false means the session died first.
+func (sess *session) adopt(t *itx) bool {
+	s := sess.srv
 	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
+	defer s.mu.Unlock()
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.dead {
+		return false
+	}
+	sess.txns[t.tid] = t
+	s.txns[t.tid] = txnRef{sess: sess, t: t}
+	return true
+}
+
+// findItx locates tid's interactive body, whichever session owns it; the
+// zero txnRef means no live session does.
+func (s *Server) findItx(tid xid.TID) txnRef {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.txns[tid]
+}
+
+// unindex drops a dead session's transactions from the server's index.
+func (s *Server) unindex(txns map[xid.TID]*itx) {
+	if len(txns) == 0 {
+		return
+	}
+	s.mu.Lock()
+	for tid := range txns {
+		delete(s.txns, tid)
 	}
 	s.mu.Unlock()
-	for _, sess := range sessions {
-		sess.mu.Lock()
-		t := sess.txns[tid]
-		sess.mu.Unlock()
-		if t != nil {
-			return sess, t
-		}
-	}
-	return nil, nil
 }
 
 // reapTerminated unwinds and forgets the listed transactions wherever a
@@ -726,18 +787,25 @@ func (s *Server) reapTerminated(ids []xid.TID) {
 		if !s.m.StatusOf(id).Terminated() {
 			continue
 		}
-		if owner, t := s.findItx(id); t != nil {
-			t.unwind()
-			owner.forget(id)
+		if ref := s.findItx(id); ref.t != nil {
+			ref.t.unwind()
+			ref.sess.forget(id)
 		}
 	}
 }
 
-// forget drops tid from the session's transaction table (terminal ops).
+// forget drops tid from the session's transaction table and the server's
+// index (terminal ops).
 func (sess *session) forget(tid xid.TID) {
+	s := sess.srv
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	sess.mu.Lock()
-	delete(sess.txns, tid)
-	sess.mu.Unlock()
+	defer sess.mu.Unlock()
+	if t := sess.txns[tid]; t != nil {
+		delete(sess.txns, tid)
+		delete(s.txns, tid)
+	}
 }
 
 // bye ends the session gracefully (client-initiated); live transactions
