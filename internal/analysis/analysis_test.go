@@ -406,8 +406,11 @@ func TestLatchRegistry(t *testing.T) {
 		"lock.lockShard.lat": "order=20 spin",
 		"htab.shard.mu":      "order=30",
 		"lock.txnState.lat":  "order=40 spin",
-		"waitgraph.Graph.mu": "order=50",
-		"dep.Graph.mu":       "order=60",
+		// The free list of retired txnStates: push and pop only, taken with
+		// no other lock-manager latch held.
+		"lock.txnFreeList.lat": "order=45 spin",
+		"waitgraph.Graph.mu":   "order=50",
+		"dep.Graph.mu":         "order=60",
 
 		// The segmented WAL's group-commit latches order after everything
 		// above: commit paths append to the log while holding core latches

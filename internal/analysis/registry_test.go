@@ -63,8 +63,8 @@ func TestAnnotationRegistry(t *testing.T) {
 
 	// One annotation per latch class; the classes themselves (names and
 	// orders) are pinned by TestLatchRegistry.
-	if latches != 14 {
-		t.Errorf("latch annotations: got %d, want 14 (update TestLatchRegistry and DESIGN.md §10 too)", latches)
+	if latches != 15 {
+		t.Errorf("latch annotations: got %d, want 15 (update TestLatchRegistry and DESIGN.md §10 too)", latches)
 	}
 
 	wantMechs := map[string]int{"waitgroup": 16, "channel": 5, "ctx": 1}
@@ -90,8 +90,12 @@ func TestAnnotationRegistry(t *testing.T) {
 
 	sort.Strings(noalloc)
 	wantNoalloc := []string{
+		"commit.go", "commit.go", // core.examineGroupLocked, commitGroupLocked
 		"frame.go", "frame.go", // rpc.BeginFrame, FinishFrame
-		"groupcommit.go", "ops.go", "ops.go", "ops.go",
+		"groupcommit.go",
+		"lock.go", "lock.go", "lock.go", // lock.acquire, installGrant, ReleaseAll
+		"ops.go", "ops.go", "ops.go",
+		"shard.go",                                 // lock.txnOf
 		"wire.go", "wire.go", "wire.go", "wire.go", // rpc.Append{Request,Response}, Decode{Request,Response}Into
 	}
 	if fmt.Sprint(noalloc) != fmt.Sprint(wantNoalloc) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/dep"
 	"repro/internal/wal"
 	"repro/internal/xid"
 )
@@ -45,6 +46,11 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 		m.ctxAbortLocked(t, ctx)
 		done = nil
 	}
+	// The group lives in this driver's frame, not in manager-owned scratch:
+	// the driver keeps using it after commitGroupLocked has released the
+	// mutex around the log force, when another driver may be examining a
+	// group of its own.
+	var groupBuf [4]*txn
 	for {
 		switch t.st() {
 		case xid.StatusCommitted:
@@ -67,7 +73,7 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 			return fmt.Errorf("%w: %v", ErrPrepared, id)
 		case xid.StatusRunning:
 			// commit blocks until execution completes (§2.1).
-			ch := t.done
+			ch := t.doneCh()
 			m.mu.Unlock()
 			select {
 			case <-ch:
@@ -83,12 +89,12 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 
 		// t is completed (or committing under another driver). Drive its
 		// whole GC group.
-		group, waitFor := m.examineGroupLocked(t)
-		if group == nil && waitFor == nil {
+		group, waitFor := m.examineGroupLocked(t, groupBuf[:0])
+		if group == nil {
 			// The group aborted underneath us.
 			continue
 		}
-		if waitFor != nil {
+		if waitFor.waitCh != nil {
 			// Block until the obstacle resolves, watching for our own
 			// abort. Register waits-for edges so cross-mechanism deadlocks
 			// are caught.
@@ -106,7 +112,7 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 				}
 			}
 			waitCh := waitFor.waitCh
-			myAbort := t.abortCh
+			myAbort := t.abortCh()
 			m.mu.Unlock()
 			select {
 			case <-waitCh:
@@ -137,19 +143,27 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 }
 
 // obstacle names what a commit driver must wait for: a transaction's
-// completion or termination.
+// completion or termination. The zero value (nil waitCh) means nothing
+// stands in the way.
 type obstacle struct {
 	id     xid.TID
 	waitCh <-chan struct{}
 }
 
-// examineGroupLocked inspects t's GC component. It returns (group, nil)
-// when every member is completed and free of blocking dependencies,
-// (group, obstacle) when the driver must wait, and (nil, nil) when the
-// group aborted (t included). Caller holds m.mu.
-func (m *Manager) examineGroupLocked(t *txn) ([]*txn, *obstacle) {
-	comp := m.deps.GCComponent(t.id)
-	group := make([]*txn, 0, len(comp))
+// examineGroupLocked inspects t's GC component, gathering its members into
+// group (a buffer the caller owns; its contents are overwritten). It returns
+// the group and a zero obstacle when every member is completed and free of
+// blocking dependencies, the group and an obstacle when the driver must
+// wait, and a nil group when the group aborted (t included). The component
+// and the edges it walks are read through buffers in its own frame, so an
+// ungrouped transaction with no dependencies is examined without touching
+// the heap. Caller holds m.mu.
+//
+//asset:noalloc
+func (m *Manager) examineGroupLocked(t *txn, group []*txn) ([]*txn, obstacle) {
+	var compBuf [4]xid.TID
+	var edgeBuf [4]dep.Edge
+	comp := m.deps.AppendGCComponent(compBuf[:0], t.id)
 	for _, mid := range comp {
 		member, ok := m.txns.Get(uint64(mid))
 		if !ok {
@@ -160,10 +174,8 @@ func (m *Manager) examineGroupLocked(t *txn) ([]*txn, *obstacle) {
 	// An aborted member dooms the group.
 	for _, member := range group {
 		if member.st() == xid.StatusAborting || member.st() == xid.StatusAborted {
-			for _, other := range group {
-				m.abortLocked(other, fmt.Errorf("%w: group member %v aborted", ErrAborted, member.id))
-			}
-			return nil, nil
+			m.abortGroupLocked(group, errMemberAborted(member.id))
+			return nil, obstacle{}
 		}
 	}
 	// Every member must have completed execution. (An initiated member
@@ -175,26 +187,20 @@ func (m *Manager) examineGroupLocked(t *txn) ([]*txn, *obstacle) {
 	for _, member := range group {
 		switch member.st() {
 		case xid.StatusInitiated, xid.StatusRunning:
-			return group, &obstacle{id: member.id, waitCh: member.done}
+			return group, obstacle{id: member.id, waitCh: member.doneCh()}
 		case xid.StatusCommitting, xid.StatusPrepared:
 			// Prepared is "committing with the verdict pending": the local
 			// driver waits for the coordinator's decision like it waits for
 			// a batched flush.
-			return group, &obstacle{id: member.id, waitCh: member.term}
+			return group, obstacle{id: member.id, waitCh: member.termCh()}
 		}
-	}
-	// Blocking dependencies to transactions outside the group must be
-	// resolved by the supporter's termination (commit steps 2a/2b).
-	inGroup := make(map[xid.TID]bool, len(group))
-	for _, member := range group {
-		inGroup[member.id] = true
 	}
 	// Exclusion: a group containing a transaction whose EXC partner is
 	// already committing (or committed) must lose — this check runs under
 	// the manager mutex, so of two racing EXC partners exactly one passes
 	// even when batched commits force the log off the mutex.
 	for _, member := range group {
-		for _, e := range m.deps.Outgoing(member.id) {
+		for _, e := range m.deps.AppendOutgoing(edgeBuf[:0], member.id) {
 			if !e.Types.Has(xid.DepEXC) {
 				continue
 			}
@@ -203,18 +209,18 @@ func (m *Manager) examineGroupLocked(t *txn) ([]*txn, *obstacle) {
 					p.st() == xid.StatusPrepared) {
 				// A prepared partner counts as committing: it promised a
 				// coordinator it can commit, so it must win the exclusion.
-				for _, other := range group {
-					m.abortLocked(other, fmt.Errorf("%w: excluded by committing partner %v", ErrAborted, p.id))
-				}
-				return nil, nil
+				m.abortGroupLocked(group, errExcludedBy(p.id))
+				return nil, obstacle{}
 			}
 		}
 	}
+	// Blocking dependencies to transactions outside the group must be
+	// resolved by the supporter's termination (commit steps 2a/2b).
 	for _, member := range group {
-		for _, e := range m.deps.Outgoing(member.id) {
+		for _, e := range m.deps.AppendOutgoing(edgeBuf[:0], member.id) {
 			// Only CD/AD delay a commit; BD/BAD gate begin (already
 			// satisfied once the member ran) and EXC never waits.
-			if !e.Types.CommitBlocking() || inGroup[e.Other] {
+			if !e.Types.CommitBlocking() || inGroupOf(group, e.Other) {
 				continue
 			}
 			sup, ok := m.txns.Get(uint64(e.Other))
@@ -224,10 +230,52 @@ func (m *Manager) examineGroupLocked(t *txn) ([]*txn, *obstacle) {
 				// aborted one with an AD would have aborted us already.
 				continue
 			}
-			return group, &obstacle{id: sup.id, waitCh: sup.term}
+			return group, obstacle{id: sup.id, waitCh: sup.termCh()}
 		}
 	}
-	return group, nil
+	return group, obstacle{}
+}
+
+// inGroupOf reports whether id is a member of group. Groups are a handful
+// of transactions; a scan beats building a set per examination.
+func inGroupOf(group []*txn, id xid.TID) bool {
+	for _, member := range group {
+		if member.id == id {
+			return true
+		}
+	}
+	return false
+}
+
+// abortGroupLocked aborts every member of group for one reason. Caller
+// holds m.mu.
+func (m *Manager) abortGroupLocked(group []*txn, reason error) {
+	for _, member := range group {
+		m.abortLocked(member, reason)
+	}
+}
+
+// The abort reasons of the group paths, built off the //asset:noalloc
+// functions that use them.
+
+//go:noinline
+func errMemberAborted(id xid.TID) error {
+	return fmt.Errorf("%w: group member %v aborted", ErrAborted, id)
+}
+
+//go:noinline
+func errExcludedBy(id xid.TID) error {
+	return fmt.Errorf("%w: excluded by committing partner %v", ErrAborted, id)
+}
+
+//go:noinline
+func errCommitLog(step string, err error) error {
+	return fmt.Errorf("core: commit %s failed: %w", step, err)
+}
+
+//go:noinline
+func errExcludedByCommitted() error {
+	return fmt.Errorf("%w: excluded by a committed partner", ErrAborted)
 }
 
 // commitGroupLocked performs the final commit of a ready group: one commit
@@ -236,19 +284,14 @@ func (m *Manager) examineGroupLocked(t *txn) ([]*txn, *obstacle) {
 //
 // The release calls below are the commit's visibility point; the durable
 // flush must dominate them on every path (decide-before-release, §11).
+//
 //asset:durable before=ReleaseAll,EscrowCommit
+//asset:noalloc
 func (m *Manager) commitGroupLocked(group []*txn) {
-	tids := make([]xid.TID, len(group))
-	for i, member := range group {
-		tids[i] = member.id
-		member.setSt(xid.StatusCommitting)
-	}
 	// Commit record for the whole group; one log force covers all members
 	// (this is what experiment E6 measures).
-	if _, err := m.log.Append(&wal.Record{Type: wal.TCommit, TIDs: tids}); err != nil {
-		for _, member := range group {
-			m.abortLocked(member, fmt.Errorf("core: commit record append failed: %w", err))
-		}
+	if _, err := m.appendLocked(wal.Record{Type: wal.TCommit, TIDs: m.committingLocked(group)}); err != nil {
+		m.abortGroupLocked(group, errCommitLog("record append", err))
 		return
 	}
 	var flushErr error
@@ -267,27 +310,13 @@ func (m *Manager) commitGroupLocked(group []*txn) {
 		flushErr = m.log.Flush()
 	}
 	if flushErr != nil {
-		for _, member := range group {
-			m.abortLocked(member, fmt.Errorf("core: commit flush failed: %w", flushErr))
-		}
+		m.abortGroupLocked(group, errCommitLog("flush", flushErr))
 		return
 	}
 	m.stats.logForces.Add(1)
 	m.stats.groupSize.Add(uint64(len(group)))
-	// A commit forces the abort of two kinds of dependents: begin-on-abort
-	// transactions (their trigger can no longer fire) and exclusion
-	// partners (at most one side commits). Collect them before the edges
-	// disappear with RemoveNode.
-	var forcedAborts []*txn
-	for _, member := range group {
-		for _, e := range m.deps.Incoming(member.id) {
-			if e.Types.Has(xid.DepBAD) || e.Types.Has(xid.DepEXC) {
-				if dependent, ok := m.txns.Get(uint64(e.Other)); ok {
-					forcedAborts = append(forcedAborts, dependent)
-				}
-			}
-		}
-	}
+	var abortBuf [4]*txn
+	forcedAborts := m.forcedAbortsLocked(group, abortBuf[:0])
 	for _, member := range group {
 		// The member's committed updates change durable state relative to
 		// the last checkpoint.
@@ -316,10 +345,40 @@ func (m *Manager) commitGroupLocked(group []*txn) {
 			m.txns.Delete(uint64(member.id))
 		}
 	}
-	for _, dependent := range forcedAborts {
-		m.abortLocked(dependent, fmt.Errorf("%w: excluded by a committed partner", ErrAborted))
+	if len(forcedAborts) > 0 {
+		m.abortGroupLocked(forcedAborts, errExcludedByCommitted())
 	}
 	m.cond.Broadcast()
+}
+
+// committingLocked turns every member of group committing and returns their
+// tids for the commit record, in the manager's tid scratch: valid until the
+// next call, which the append that follows precedes. Caller holds m.mu.
+func (m *Manager) committingLocked(group []*txn) []xid.TID {
+	m.tidBuf = m.tidBuf[:0]
+	for _, member := range group {
+		m.tidBuf = append(m.tidBuf, member.id)
+		member.setSt(xid.StatusCommitting)
+	}
+	return m.tidBuf
+}
+
+// forcedAbortsLocked collects, into buf, the dependents a commit of group
+// dooms: begin-on-abort transactions (their trigger can no longer fire) and
+// exclusion partners (at most one side commits). Called before the edges
+// disappear with RemoveNode. Caller holds m.mu.
+func (m *Manager) forcedAbortsLocked(group, buf []*txn) []*txn {
+	var edgeBuf [4]dep.Edge
+	for _, member := range group {
+		for _, e := range m.deps.AppendIncoming(edgeBuf[:0], member.id) {
+			if e.Types.Has(xid.DepBAD) || e.Types.Has(xid.DepEXC) {
+				if dependent, ok := m.txns.Get(uint64(e.Other)); ok {
+					buf = append(buf, dependent)
+				}
+			}
+		}
+	}
+	return buf
 }
 
 // Abort aborts transaction id, implementing §4.2's abort algorithm: install
@@ -339,7 +398,7 @@ func (m *Manager) Abort(id xid.TID) error {
 		// The transaction is past its commit record (a batched-commit
 		// driver may be forcing the log); wait for the outcome rather than
 		// yanking a half-committed group.
-		term := t.term
+		term := t.termCh()
 		m.mu.Unlock()
 		<-term
 		m.mu.Lock()
@@ -423,6 +482,7 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 		}
 	}
 	// Phase 1: close the cascade set over AD/GC/BD incoming edges.
+	var edgeBuf [4]dep.Edge
 	var set []*txn
 	work := []*txn{t}
 	for len(work) > 0 {
@@ -443,7 +503,7 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 		m.waits.Doom(u.id)
 		m.locks.CancelWaits(u.id)
 		set = append(set, u)
-		for _, e := range m.deps.Incoming(u.id) {
+		for _, e := range m.deps.AppendIncoming(edgeBuf[:0], u.id) {
 			if e.Types.Has(xid.DepAD) || e.Types.Has(xid.DepGC) || e.Types.Has(xid.DepBD) {
 				if dep, ok := m.txns.Get(uint64(e.Other)); ok {
 					work = append(work, dep)
@@ -481,34 +541,33 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 		case wal.KindDelta:
 			// Logical undo: add the negated delta, leaving concurrent
 			// committed increments intact.
-			neg := wal.EncodeCounter(-wal.DecodeCounter(rec.before))
-			m.log.Append(&wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelta, After: neg})
+			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelta, After: m.deltaImage(-rec.delta)})
 			if obj := m.cache.Object(rec.oid); obj != nil {
 				obj.Lat.Lock()
-				obj.SetData(wal.EncodeCounter(wal.DecodeCounter(obj.Data()) + wal.DecodeCounter(neg)))
+				addInPlace(obj, -rec.delta)
 				obj.Lat.Unlock()
 				m.dirty[rec.oid] = dirtyUpsert
 			}
 		case wal.KindCreate:
-			m.log.Append(&wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelete})
+			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelete})
 			m.cache.Delete(rec.oid)
 			m.dirty[rec.oid] = dirtyDelete
 			// The object never existed; any escrow bounds declared for it
 			// (a rolled-back bounded-counter creation) go with it.
 			m.locks.DropEscrow(rec.oid)
 		case wal.KindDelete:
-			m.log.Append(&wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindCreate, After: rec.before})
+			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindCreate, After: rec.before})
 			m.cache.Install(rec.oid, rec.before)
 			m.dirty[rec.oid] = dirtyUpsert
 		default: // modify
-			m.log.Append(&wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindModify, After: rec.before})
+			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindModify, After: rec.before})
 			m.cache.Install(rec.oid, rec.before)
 			m.dirty[rec.oid] = dirtyUpsert
 		}
 	}
 	// Phase 3: cleanup and final statuses.
 	for _, u := range set {
-		m.log.Append(&wal.Record{Type: wal.TAbort, TID: u.id})
+		m.appendLocked(wal.Record{Type: wal.TAbort, TID: u.id})
 		m.deps.RemoveNode(u.id)
 		m.locks.ReleaseAll(u.id)
 		m.waits.RemoveNode(u.id)

@@ -165,7 +165,15 @@ type Manager struct {
 	waits *waitgraph.Graph
 	cache *storage.Cache
 
-	log     wal.Appender
+	log wal.Appender
+	// rec is the one log record the manager builds its appends in, and
+	// tidBuf and ctr what a commit record's tid list and a delta record's
+	// image point into: no wal.Appender keeps a record or its slices past
+	// Append, so under mu they can be overwritten by the next append.
+	rec    wal.Record
+	tidBuf []xid.TID
+	ctr    [8]byte
+
 	backend storage.Backend
 	dirty   map[xid.OID]dirtyKind // committed changes since last checkpoint
 
@@ -372,7 +380,7 @@ func (m *Manager) Close() error {
 	// driver may be off the mutex forcing the log — so wait for the outcome
 	// instead of yanking the log from under the flush.
 	for _, t := range committing {
-		<-t.term
+		<-t.termCh()
 	}
 	if m.watchdogOn.Load() {
 		<-m.watchdogDone
@@ -447,6 +455,20 @@ func (m *Manager) Active() []xid.TID {
 	return out
 }
 
+// appendLocked appends r to the log through the manager's reused record.
+// Caller holds m.mu, which is what makes the reuse safe.
+func (m *Manager) appendLocked(r wal.Record) (uint64, error) {
+	m.rec = r
+	return m.log.Append(&m.rec)
+}
+
+// deltaImage renders delta as a KindDelta record's After image in the
+// manager's scratch; valid until the next call. Caller holds m.mu.
+func (m *Manager) deltaImage(delta int64) []byte {
+	wal.PutCounter(m.ctr[:], uint64(delta))
+	return m.ctr[:]
+}
+
 // lookup returns the descriptor for t.
 func (m *Manager) lookup(t xid.TID) (*txn, error) {
 	if tx, ok := m.txns.Get(uint64(t)); ok {
@@ -461,6 +483,7 @@ func (m *Manager) lookup(t xid.TID) (*txn, error) {
 //
 // Truncation discards the only redo history; the TCheckpoint flush must
 // dominate it (the PR 6 checkpoint-ahead-of-buffered-log bug, §11).
+//
 //asset:durable before=Truncate
 func (m *Manager) Checkpoint() error {
 	m.mu.Lock()
@@ -512,7 +535,7 @@ func (m *Manager) Checkpoint() error {
 	if err := m.backend.Sync(); err != nil {
 		return err
 	}
-	if _, err := m.log.Append(&wal.Record{Type: wal.TCheckpoint}); err != nil {
+	if _, err := m.appendLocked(wal.Record{Type: wal.TCheckpoint}); err != nil {
 		return err
 	}
 	if err := m.log.Flush(); err != nil {
@@ -534,19 +557,6 @@ func (m *Manager) LockManager() *lock.Manager { return m.locks }
 // WaitGraph exposes the waits-for graph for diagnostics and tests (e.g.
 // asserting that cancelled transactions leave no edges behind).
 func (m *Manager) WaitGraph() *waitgraph.Graph { return m.waits }
-
-// MemLog returns the in-memory log when the manager is non-durable, for
-// tests and flush-counting benchmarks (unwrapping a commit coalescer).
-func (m *Manager) MemLog() *wal.MemLog {
-	log := m.log
-	if c, ok := log.(*wal.Coalescer); ok {
-		log = c.Appender
-	}
-	if ml, ok := log.(*wal.MemLog); ok {
-		return ml
-	}
-	return nil
-}
 
 // PhysicalForces reports the number of physical log forces when batched
 // commits are enabled (0 otherwise); compare with Stats().LogForces, which

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/lock"
+	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/xid"
 )
@@ -54,6 +55,7 @@ func (m *Manager) dropStrayLocks(t *txn) {
 // lock/read traffic of unrelated transactions shares nothing but its
 // object shards. The mutex appears only on the failure path, to serialize
 // stray-grant release with an in-flight abort.
+//
 //asset:noalloc
 func (tx *Tx) Lock(oid xid.OID, ops xid.OpSet) error {
 	return tx.LockCtx(tx.t.lockCtx(), oid, ops)
@@ -66,6 +68,7 @@ func (tx *Tx) Lock(oid xid.OID, ops xid.OpSet) error {
 // context's error. The transaction itself stays alive: an abandoned
 // acquisition is the caller's to handle (unlike cancellation of the
 // transaction's bound context, which aborts it via the watcher).
+//
 //asset:noalloc
 func (tx *Tx) LockCtx(ctx context.Context, oid xid.OID, ops xid.OpSet) error {
 	m, t := tx.m, tx.t
@@ -89,6 +92,7 @@ func (tx *Tx) LockCtx(ctx context.Context, oid xid.OID, ops xid.OpSet) error {
 // (§4.2 read: read-lock, S-latch, read, unlatch). Mutex-free like Lock.
 // Error construction on the miss path is outlined into errNoObject so the
 // fast path stays allocation-free.
+//
 //asset:noalloc
 func (tx *Tx) Read(oid xid.OID) ([]byte, error) {
 	m, t := tx.m, tx.t
@@ -140,12 +144,13 @@ func (tx *Tx) Write(oid xid.OID, data []byte) error {
 	}
 	obj.Lat.Lock()
 	defer obj.Lat.Unlock()
-	before := append([]byte(nil), obj.Data()...)
-	// The copy is what the object and the log record keep: nothing holds
-	// on to the caller's slice, which a server hands in straight from a
-	// pooled frame buffer.
+	// The object's buffer is referenced by the object alone (see Add), so
+	// replacing it leaves the old one to the undo record: no before copy.
+	before := obj.Data()
+	// The copy is what the object keeps: nothing holds on to the caller's
+	// slice, which a server hands in straight from a pooled frame buffer.
 	after := append([]byte(nil), data...)
-	lsn, err := m.log.Append(&wal.Record{
+	lsn, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
 		Before: before, After: after,
 	})
@@ -176,9 +181,9 @@ func (tx *Tx) Update(oid xid.OID, fn func([]byte) []byte) error {
 	}
 	obj.Lat.Lock()
 	defer obj.Lat.Unlock()
-	before := append([]byte(nil), obj.Data()...)
+	before := obj.Data() // handed to the undo record, as in Write
 	after := fn(append([]byte(nil), before...))
-	lsn, err := m.log.Append(&wal.Record{
+	lsn, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
 		Before: before, After: after,
 	})
@@ -223,7 +228,7 @@ func (tx *Tx) CreateAt(oid xid.OID, data []byte) error {
 	if !m.cache.Create(oid, data) {
 		return fmt.Errorf("%w: %v", ErrObjectExists, oid)
 	}
-	lsn, err := m.log.Append(&wal.Record{
+	lsn, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindCreate, After: data,
 	})
 	if err != nil {
@@ -284,17 +289,34 @@ func (tx *Tx) AddCtx(ctx context.Context, oid xid.OID, delta int64) error {
 		m.locks.EscrowUnreserve(t.id, oid, delta)
 		return fmt.Errorf("core: Add on %v: object is %d bytes, want an 8-byte counter", oid, len(obj.Data()))
 	}
-	img := wal.EncodeCounter(uint64(delta))
-	lsn, err := m.log.Append(&wal.Record{
-		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelta, After: img,
+	lsn, err := m.appendLocked(wal.Record{
+		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelta, After: m.deltaImage(delta),
 	})
 	if err != nil {
 		m.locks.EscrowUnreserve(t.id, oid, delta)
 		return err
 	}
-	t.undo = append(t.undo, undoRec{lsn: lsn, oid: oid, kind: wal.KindDelta, before: img})
-	obj.SetData(wal.EncodeCounter(wal.DecodeCounter(obj.Data()) + uint64(delta)))
+	t.undo = append(t.undo, undoRec{lsn: lsn, oid: oid, kind: wal.KindDelta, delta: delta})
+	addInPlace(obj, delta)
 	return nil
+}
+
+// addInPlace adds delta to the counter held by obj, in the object's own
+// buffer. An object's buffer is referenced by the object alone: every path
+// that installs one (Write, Update, CreateAt, undo, redo, recovery) hands
+// over a slice nobody else keeps, and a replaced buffer belongs to the undo
+// record that took it, which nobody updates. So the counter can change where
+// it stands instead of in a fresh 8 bytes per Add. (A buffer that is not a
+// full counter image — only abort's logical undo can meet one — is replaced
+// as before.) Caller holds obj.Lat in X mode.
+func addInPlace(obj *storage.Object, delta int64) {
+	b := obj.Data()
+	v := wal.DecodeCounter(b) + uint64(delta)
+	if len(b) != 8 {
+		obj.SetData(wal.EncodeCounter(v))
+		return
+	}
+	wal.PutCounter(b, v)
 }
 
 // DeclareEscrow declares inclusive bounds [lo, hi] for an 8-byte counter:
@@ -352,7 +374,7 @@ func (tx *Tx) Delete(oid xid.OID) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNoObject, oid)
 	}
-	lsn, err := m.log.Append(&wal.Record{
+	lsn, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelete, Before: before,
 	})
 	if err != nil {

@@ -31,6 +31,7 @@ import (
 // Closing the preparing gate is the yes vote's escape point: parked
 // duplicate votes (and Decide) proceed on it, so the TPrepare force must
 // dominate the close on every successful path (ack-after-force, §14).
+//
 //asset:durable before=close
 func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) error {
 	if gid == 0 {
@@ -83,7 +84,7 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 			m.mu.Unlock()
 			return err
 		}
-		if waitFor != nil {
+		if waitFor.waitCh != nil {
 			// Register waits-for edges while blocked, exactly as the commit
 			// driver does, so cross-mechanism deadlocks are caught.
 			var victim xid.TID
@@ -127,7 +128,7 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 		}
 		gate := make(chan struct{})
 		m.preparing[gid] = gate
-		if _, err := m.log.Append(&wal.Record{Type: wal.TPrepare, GID: gid, TIDs: tids}); err != nil {
+		if _, err := m.appendLocked(wal.Record{Type: wal.TPrepare, GID: gid, TIDs: tids}); err != nil {
 			err = fmt.Errorf("core: prepare record append failed: %w", err)
 			m.failPrepareLocked(gid, gate, group, err)
 			m.mu.Unlock()
@@ -161,11 +162,11 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 // (group, obstacle, nil) when the driver must wait, and a non-nil error —
 // the no vote, with the group aborted as far as permitted — when the
 // closure can never be prepared. Caller holds m.mu.
-func (m *Manager) examinePrepareLocked(ids []xid.TID) ([]*txn, *obstacle, error) {
+func (m *Manager) examinePrepareLocked(ids []xid.TID) ([]*txn, obstacle, error) {
 	for _, id := range ids {
 		if _, err := m.lookup(id); err != nil {
 			m.abortForVoteLocked(ids, fmt.Errorf("%w: prepare of unknown member %v", ErrAborted, id))
-			return nil, nil, err
+			return nil, obstacle{}, err
 		}
 	}
 	closure := m.deps.GCClosure(ids...)
@@ -180,24 +181,20 @@ func (m *Manager) examinePrepareLocked(ids []xid.TID) ([]*txn, *obstacle, error)
 		case xid.StatusAborting, xid.StatusAborted:
 			reason := txnOutcome(member)
 			m.abortForVoteLocked(ids, fmt.Errorf("%w: group member %v aborted", ErrAborted, member.id))
-			return nil, nil, fmt.Errorf("%w: group member %v aborted: %w", ErrAborted, member.id, reason)
+			return nil, obstacle{}, fmt.Errorf("%w: group member %v aborted: %w", ErrAborted, member.id, reason)
 		case xid.StatusCommitted, xid.StatusCommitting:
 			// The member's fate is already sealed locally; the group cannot
 			// make the two-sided promise any more.
 			m.abortForVoteLocked(ids, fmt.Errorf("%w: group member %v already committing", ErrAborted, member.id))
-			return nil, nil, fmt.Errorf("%w: member %v", ErrAlreadyCommitted, member.id)
+			return nil, obstacle{}, fmt.Errorf("%w: member %v", ErrAlreadyCommitted, member.id)
 		case xid.StatusPrepared:
 			// Owned by a different distributed group (same-gid retransmits
 			// were handled before examine): refuse without touching it.
 			m.abortForVoteLocked(ids, fmt.Errorf("%w: group member %v prepared under another group", ErrAborted, member.id))
-			return nil, nil, fmt.Errorf("%w: member %v", ErrPrepared, member.id)
+			return nil, obstacle{}, fmt.Errorf("%w: member %v", ErrPrepared, member.id)
 		case xid.StatusInitiated, xid.StatusRunning:
-			return group, &obstacle{id: member.id, waitCh: member.done}, nil
+			return group, obstacle{id: member.id, waitCh: member.doneCh()}, nil
 		}
-	}
-	inGroup := make(map[xid.TID]bool, len(group))
-	for _, member := range group {
-		inGroup[member.id] = true
 	}
 	// Exclusion: a prepared transaction must win any EXC race (its partner
 	// sees prepared as committing), so losing one here means voting no.
@@ -209,7 +206,7 @@ func (m *Manager) examinePrepareLocked(ids []xid.TID) ([]*txn, *obstacle, error)
 			if p, ok := m.txns.Get(uint64(e.Other)); ok &&
 				(p.st() == xid.StatusCommitting || p.st() == xid.StatusCommitted || p.st() == xid.StatusPrepared) {
 				m.abortForVoteLocked(ids, fmt.Errorf("%w: excluded by committing partner %v", ErrAborted, p.id))
-				return nil, nil, fmt.Errorf("%w: member %v excluded by committing partner %v", ErrAborted, member.id, p.id)
+				return nil, obstacle{}, fmt.Errorf("%w: member %v excluded by committing partner %v", ErrAborted, member.id, p.id)
 			}
 		}
 	}
@@ -217,17 +214,17 @@ func (m *Manager) examinePrepareLocked(ids []xid.TID) ([]*txn, *obstacle, error)
 	// before the vote — a prepared transaction can wait for nobody.
 	for _, member := range group {
 		for _, e := range m.deps.Outgoing(member.id) {
-			if !e.Types.CommitBlocking() || inGroup[e.Other] {
+			if !e.Types.CommitBlocking() || inGroupOf(group, e.Other) {
 				continue
 			}
 			sup, ok := m.txns.Get(uint64(e.Other))
 			if !ok || sup.st().Terminated() {
 				continue
 			}
-			return group, &obstacle{id: sup.id, waitCh: sup.term}, nil
+			return group, obstacle{id: sup.id, waitCh: sup.termCh()}, nil
 		}
 	}
-	return group, nil, nil
+	return group, obstacle{}, nil
 }
 
 // abortForVoteLocked is the no-vote cleanup: abort every named transaction
@@ -347,14 +344,10 @@ func (m *Manager) recordVerdictLocked(gid uint64, commit bool) {
 // its withheld after-images before its locks drop. On a log failure the
 // group stays prepared (still in doubt) so a later retry or restart can
 // finish the job; it is never half-committed. Caller holds m.mu.
+//
 //asset:durable before=ReleaseAll,EscrowCommit
 func (m *Manager) commitPreparedLocked(group []*txn) error {
-	tids := make([]xid.TID, len(group))
-	for i, member := range group {
-		tids[i] = member.id
-		member.setSt(xid.StatusCommitting)
-	}
-	if _, err := m.log.Append(&wal.Record{Type: wal.TCommit, TIDs: tids}); err != nil {
+	if _, err := m.appendLocked(wal.Record{Type: wal.TCommit, TIDs: m.committingLocked(group)}); err != nil {
 		for _, member := range group {
 			member.setSt(xid.StatusPrepared)
 		}
@@ -376,16 +369,7 @@ func (m *Manager) commitPreparedLocked(group []*txn) error {
 	}
 	m.stats.logForces.Add(1)
 	m.stats.groupSize.Add(uint64(len(group)))
-	var forcedAborts []*txn
-	for _, member := range group {
-		for _, e := range m.deps.Incoming(member.id) {
-			if e.Types.Has(xid.DepBAD) || e.Types.Has(xid.DepEXC) {
-				if dependent, ok := m.txns.Get(uint64(e.Other)); ok {
-					forcedAborts = append(forcedAborts, dependent)
-				}
-			}
-		}
-	}
+	forcedAborts := m.forcedAbortsLocked(group, nil)
 	for _, member := range group {
 		for _, op := range member.redo {
 			m.installRedoLocked(op)
@@ -476,7 +460,7 @@ func (m *Manager) installInDoubt(st *wal.State) error {
 	for _, gid := range gids {
 		tids := st.InDoubt[gid]
 		for _, id := range tids {
-			t := newTxn(id, xid.NilTID, nil)
+			t := m.newTxn(id, xid.NilTID, nil)
 			t.redo = st.InDoubtOps[id]
 			t.setSt(xid.StatusPrepared)
 			t.closeDone() // the body finished before the vote, by definition

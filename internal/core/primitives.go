@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dep"
 	"repro/internal/wal"
 	"repro/internal/xid"
 )
@@ -56,7 +57,7 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid
 		}
 	}
 	id := xid.TID(m.nextTID.Add(1))
-	t := newTxn(id, parent, fn)
+	t := m.newTxn(id, parent, fn)
 	if opts.Ctx != nil {
 		t.ctx = opts.Ctx
 	}
@@ -133,13 +134,13 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) error {
 		if sup == nil {
 			break
 		}
-		term := sup.term
+		term := sup.termCh()
 		supID := sup.id
 		m.waits.Add(id, supID)
 		m.mu.Unlock()
 		select {
 		case <-term:
-		case <-t.abortCh: // aborted while gated (watchdog, cascade, Close)
+		case <-t.abortCh(): // aborted while gated (watchdog, cascade, Close)
 			m.waits.Remove(id, supID)
 			return txnOutcome(t)
 		case <-ctxDone:
@@ -178,12 +179,14 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) error {
 		}
 	}
 	t.setSt(xid.StatusRunning)
-	m.mu.Unlock()
-
-	if _, err := m.log.Append(&wal.Record{Type: wal.TBegin, TID: id}); err != nil {
-		m.abortTxn(t, err)
+	// The begin record goes through the manager's reused record, hence
+	// under the mutex; a body that has not started cannot append ahead of it.
+	if _, err := m.appendLocked(wal.Record{Type: wal.TBegin, TID: id}); err != nil {
+		m.abortLocked(t, err)
+		m.mu.Unlock()
 		return err
 	}
+	m.mu.Unlock()
 	if ctxDone != nil {
 		//asset:goroutine joined-by=ctx
 		go m.watchCtx(t)
@@ -197,7 +200,8 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) error {
 // reached the state t waits for (commit for BD, abort for BAD), or nil if
 // the transaction may begin. Caller holds m.mu.
 func (m *Manager) pendingBeginDepLocked(t *txn) (sup *txn, isBAD bool) {
-	for _, e := range m.deps.Outgoing(t.id) {
+	var ebuf [4]dep.Edge
+	for _, e := range m.deps.AppendOutgoing(ebuf[:0], t.id) {
 		bd, bad := e.Types.Has(xid.DepBD), e.Types.Has(xid.DepBAD)
 		if !bd && !bad {
 			continue
@@ -223,7 +227,7 @@ func (m *Manager) run(t *txn) {
 			m.abortTxn(t, fmt.Errorf("%w: transaction %v panicked: %v", ErrAborted, t.id, r))
 		}
 	}()
-	err := t.fn(&Tx{m: m, t: t})
+	err := t.fn(&t.tx)
 	if err != nil {
 		m.abortTxn(t, abortReason(err))
 		return
@@ -264,7 +268,7 @@ func (m *Manager) WaitCtx(ctx context.Context, id xid.TID) error {
 	}
 	m.mu.Unlock()
 	select {
-	case <-t.done:
+	case <-t.doneCh():
 	case <-ctx.Done():
 		return fmt.Errorf("core: wait on %v abandoned: %w", id, ctx.Err())
 	}
@@ -319,8 +323,8 @@ func (tx *Tx) WaitCtx(ctx context.Context, id xid.TID) error {
 		ctxDone = ctx.Done()
 	}
 	select {
-	case <-target.done:
-	case <-t.abortCh:
+	case <-target.doneCh():
+	case <-t.abortCh():
 	case <-ctxDone:
 		m.abortTxn(t, abortReason(fmt.Errorf("core: wait on %v cancelled: %w", id, ctx.Err())))
 	}
@@ -376,7 +380,7 @@ func (m *Manager) Delegate(from, to xid.TID, oids ...xid.OID) error {
 	// covers the delegated updates, which is what recovery relies on.
 	m.moveUndoLocked(ft, tt, oidSet)
 	m.locks.Delegate(from, to, oidSet)
-	_, err = m.log.Append(&wal.Record{Type: wal.TDelegate, TID: from, TID2: to, OIDs: oidSet})
+	_, err = m.appendLocked(wal.Record{Type: wal.TDelegate, TID: from, TID2: to, OIDs: oidSet})
 	m.mu.Unlock()
 	return err
 }

@@ -74,7 +74,7 @@ func (m *Manager) watchCtx(t *txn) {
 		m.mu.Lock()
 		m.ctxAbortLocked(t, t.ctx)
 		m.mu.Unlock()
-	case <-t.term:
+	case <-t.termCh():
 	}
 }
 
@@ -131,7 +131,7 @@ func (m *Manager) admitOne(t *txn) error {
 		m.ctxAbortLocked(t, t.ctx)
 		m.mu.Unlock()
 		return txnOutcome(t)
-	case <-t.abortCh: // e.g. reaped by the watchdog while queued
+	case <-t.abortCh(): // e.g. reaped by the watchdog while queued
 		return txnOutcome(t)
 	case <-m.closeCh:
 		return ErrClosed
@@ -289,8 +289,16 @@ func (m *Manager) runOnce(ctx context.Context, opts RunOptions, fn TxnFunc) erro
 	if err != nil {
 		return err
 	}
-	if err := m.BeginCtx(ctx, id); err != nil {
-		return err
+	if err = m.BeginCtx(ctx, id); err == nil {
+		err = m.CommitCtx(ctx, id)
 	}
-	return m.CommitCtx(ctx, id)
+	if errors.Is(err, ErrUnknownTxn) {
+		// Only under ReapTerminated: the descriptor was gone before this
+		// driver asked for it. Nobody else commits a transaction Run
+		// initiated, so it was aborted (context watcher, watchdog, victim
+		// callback); its reason went with the descriptor, the context's own
+		// is still known.
+		return errors.Join(ErrAborted, ctx.Err(), err)
+	}
+	return err
 }

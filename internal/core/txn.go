@@ -23,7 +23,8 @@ type undoRec struct {
 	lsn    uint64
 	oid    xid.OID
 	kind   wal.UpdateKind // the original operation
-	before []byte
+	before []byte         // modify, delete: the image to reinstall
+	delta  int64          // delta: what was added, to be subtracted
 }
 
 // txn is the transaction descriptor (TD of §4.1): identity, parentage,
@@ -35,25 +36,30 @@ type undoRec struct {
 // mutex. abErr is written before the status turns aborting and never
 // again, so any reader that observes an aborting/aborted status also
 // observes the reason.
+//
+// The descriptor is one heap object: the handle its body receives is a
+// field of it, its three lifecycle events are flags that grow a channel
+// only when somebody parks on them, and the first undo records live in it.
+// Descriptors are not recycled — commit drivers, begin gates, context
+// watchers and Close hold *txn across waits with no latch that could vouch
+// for a second life.
 type txn struct {
 	id     xid.TID
 	parent xid.TID
 	fn     TxnFunc
+	tx     Tx // the handle fn receives
 
 	status atomic.Int32 // holds an xid.Status
 	abErr  error        // why the transaction aborted, if it did
 
-	// done closes when the function finishes or the transaction aborts
-	// (wait() unblocks on either). term closes on final termination.
-	// abortCh closes when the status turns aborting, waking the commit
-	// driver.
-	done    chan struct{}
-	term    chan struct{}
-	abortCh chan struct{}
-
-	doneOnce  sync.Once
-	termOnce  sync.Once
-	abortOnce sync.Once
+	// done fires when the function finishes or the transaction aborts
+	// (wait() unblocks on either), term on final termination, aborting when
+	// the status turns aborting (waking the commit driver). evMu guards all
+	// three; it is a leaf, held for a flag test or a close.
+	evMu     sync.Mutex
+	done     event
+	term     event
+	aborting event
 
 	// ctx binds external cancellation to the transaction. Written at
 	// InitiateWith, or by BeginCtx before the status turns running (under
@@ -68,12 +74,64 @@ type txn struct {
 	admitted atomic.Bool
 
 	undo []undoRec
+	// undoBuf backs undo for a transaction's first updates, which is all
+	// most transactions make.
+	undoBuf [2]undoRec
 	// redo holds the withheld after-images of a transaction recovered in
 	// doubt (prepared in the WAL, verdict unknown): installed on a commit
 	// verdict, discarded on abort. Empty for ordinary transactions, whose
 	// updates live in the cache and roll back via undo.
 	redo []wal.RedoOp
 }
+
+// event is a one-shot broadcast that costs nothing until someone waits on
+// it: firing sets a flag, and only a waiter that arrives before the firing
+// makes a channel for the firing to close. Guarded by the owning txn's
+// evMu.
+type event struct {
+	fired bool
+	ch    chan struct{}
+}
+
+// closedCh is what waiters on an already-fired event receive from.
+var closedCh = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// fire marks e as having happened and wakes its waiters. Idempotent.
+func (t *txn) fire(e *event) {
+	t.evMu.Lock()
+	if !e.fired {
+		e.fired = true
+		if e.ch != nil {
+			close(e.ch)
+		}
+	}
+	t.evMu.Unlock()
+}
+
+// wait returns a channel that is closed once e has fired.
+func (t *txn) wait(e *event) <-chan struct{} {
+	t.evMu.Lock()
+	defer t.evMu.Unlock()
+	if e.fired {
+		return closedCh
+	}
+	if e.ch == nil {
+		e.ch = make(chan struct{})
+	}
+	return e.ch
+}
+
+func (t *txn) closeDone()  { t.fire(&t.done) }
+func (t *txn) closeTerm()  { t.fire(&t.term) }
+func (t *txn) closeAbort() { t.fire(&t.aborting) }
+
+func (t *txn) doneCh() <-chan struct{}  { return t.wait(&t.done) }
+func (t *txn) termCh() <-chan struct{}  { return t.wait(&t.term) }
+func (t *txn) abortCh() <-chan struct{} { return t.wait(&t.aborting) }
 
 // bgCtx caches context.Background() so lockCtx stays allocation-free:
 // the literal backgroundCtx{} composite escapes at every call site it is
@@ -88,15 +146,10 @@ func (t *txn) lockCtx() context.Context {
 	return bgCtx
 }
 
-func newTxn(id, parent xid.TID, fn TxnFunc) *txn {
-	t := &txn{
-		id:      id,
-		parent:  parent,
-		fn:      fn,
-		done:    make(chan struct{}),
-		term:    make(chan struct{}),
-		abortCh: make(chan struct{}),
-	}
+func (m *Manager) newTxn(id, parent xid.TID, fn TxnFunc) *txn {
+	t := &txn{id: id, parent: parent, fn: fn}
+	t.tx = Tx{m: m, t: t}
+	t.undo = t.undoBuf[:0]
 	t.setSt(xid.StatusInitiated)
 	return t
 }
@@ -122,10 +175,6 @@ func (t *txn) checkRunning() error {
 		return fmt.Errorf("core: operation in %v transaction %v", st, t.id)
 	}
 }
-
-func (t *txn) closeDone()  { t.doneOnce.Do(func() { close(t.done) }) }
-func (t *txn) closeTerm()  { t.termOnce.Do(func() { close(t.term) }) }
-func (t *txn) closeAbort() { t.abortOnce.Do(func() { close(t.abortCh) }) }
 
 // Tx is the handle a TxnFunc uses to operate on the database and to invoke
 // transaction primitives with itself as the implicit subject.

@@ -21,6 +21,7 @@ package dep
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -86,7 +87,14 @@ type Graph struct {
 	mu  sync.Mutex
 	out map[xid.TID]map[xid.TID]Mask // dependent -> supporter
 	in  map[xid.TID]map[xid.TID]Mask // supporter -> dependent
+	// spare holds emptied adjacency maps of removed nodes for addEdge to
+	// reuse; they never leave the graph (readers get copies), so a map is
+	// free the moment its node is deleted.
+	spare []map[xid.TID]Mask
 }
+
+// maxSpare bounds the adjacency maps kept for reuse.
+const maxSpare = 64
 
 // New returns an empty dependency graph.
 func New() *Graph {
@@ -130,66 +138,123 @@ func (g *Graph) Form(typ xid.DepType, ti, tj xid.TID) error {
 func (g *Graph) addEdge(from, to xid.TID, m Mask) {
 	om := g.out[from]
 	if om == nil {
-		om = make(map[xid.TID]Mask)
+		om = g.adjacency()
 		g.out[from] = om
 	}
 	om[to] |= m
 	im := g.in[to]
 	if im == nil {
-		im = make(map[xid.TID]Mask)
+		im = g.adjacency()
 		g.in[to] = im
 	}
 	im[from] |= m
 }
 
+// adjacency returns an empty adjacency map, a spare one if there is one.
+func (g *Graph) adjacency() map[xid.TID]Mask {
+	if n := len(g.spare); n > 0 {
+		m := g.spare[n-1]
+		g.spare[n-1] = nil
+		g.spare = g.spare[:n-1]
+		return m
+	}
+	return make(map[xid.TID]Mask)
+}
+
+// dropAdjacency unlinks side[t] and keeps the emptied map for reuse.
+func (g *Graph) dropAdjacency(side map[xid.TID]map[xid.TID]Mask, t xid.TID) {
+	m, ok := side[t]
+	if !ok {
+		return
+	}
+	delete(side, t)
+	if len(g.spare) < maxSpare {
+		clear(m)
+		g.spare = append(g.spare, m)
+	}
+}
+
+// isolated reports whether t has no dependency in either direction.
+func (g *Graph) isolated(t xid.TID) bool {
+	return len(g.out[t]) == 0 && len(g.in[t]) == 0
+}
+
 // Outgoing returns the dependencies t has on other transactions
 // ("dependencies emanating from t" in the commit algorithm).
-func (g *Graph) Outgoing(t xid.TID) []Edge {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return edgesOf(g.out[t])
-}
+func (g *Graph) Outgoing(t xid.TID) []Edge { return g.AppendOutgoing(nil, t) }
 
 // Incoming returns the dependencies other transactions have on t
 // ("dependencies incoming to t" in the abort algorithm).
-func (g *Graph) Incoming(t xid.TID) []Edge {
+func (g *Graph) Incoming(t xid.TID) []Edge { return g.AppendIncoming(nil, t) }
+
+// AppendOutgoing appends t's outgoing dependencies to dst and returns the
+// extended slice, so the commit and abort protocols can walk edges through a
+// buffer of their own instead of a fresh slice per transaction.
+func (g *Graph) AppendOutgoing(dst []Edge, t xid.TID) []Edge {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return edgesOf(g.in[t])
+	return appendEdges(dst, g.out[t])
 }
 
-func edgesOf(m map[xid.TID]Mask) []Edge {
-	out := make([]Edge, 0, len(m))
+// AppendIncoming is AppendOutgoing for the dependencies others have on t.
+func (g *Graph) AppendIncoming(dst []Edge, t xid.TID) []Edge {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return appendEdges(dst, g.in[t])
+}
+
+func appendEdges(dst []Edge, m map[xid.TID]Mask) []Edge {
 	for other, mask := range m {
-		out = append(out, Edge{Other: other, Types: mask})
+		dst = append(dst, Edge{Other: other, Types: mask})
 	}
-	return out
+	return dst
 }
 
 // GCComponent returns the transactions connected to t by GC edges,
 // including t itself.
-func (g *Graph) GCComponent(t xid.TID) []xid.TID {
+func (g *Graph) GCComponent(t xid.TID) []xid.TID { return g.AppendGCComponent(nil, t) }
+
+// AppendGCComponent appends t's GC component (t first) to dst and returns
+// the extended slice. A transaction with no dependencies at all — nearly
+// every one — costs a map miss and an append.
+func (g *Graph) AppendGCComponent(dst []xid.TID, t xid.TID) []xid.TID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.gcComponentLocked(t)
+	return g.appendComponentLocked(dst, t)
 }
 
-func (g *Graph) gcComponentLocked(t xid.TID) []xid.TID {
-	seen := map[xid.TID]bool{t: true}
-	stack := []xid.TID{t}
-	comp := []xid.TID{t}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for other, mask := range g.out[cur] {
-			if mask&MGC != 0 && !seen[other] {
+// appendComponentLocked grows the component breadth-first in place: the
+// part of dst appended here is both the result and the work queue.
+// Membership is a scan of that part while it is small and a set beyond
+// that. Caller holds g.mu.
+func (g *Graph) appendComponentLocked(dst []xid.TID, t xid.TID) []xid.TID {
+	const scanLimit = 16
+	start := len(dst)
+	dst = append(dst, t)
+	var seen map[xid.TID]bool
+	for i := start; i < len(dst); i++ {
+		for other, mask := range g.out[dst[i]] {
+			if mask&MGC == 0 {
+				continue
+			}
+			if seen != nil {
+				if seen[other] {
+					continue
+				}
 				seen[other] = true
-				stack = append(stack, other)
-				comp = append(comp, other)
+			} else if slices.Contains(dst[start:], other) {
+				continue
+			}
+			dst = append(dst, other)
+			if seen == nil && len(dst)-start > scanLimit {
+				seen = make(map[xid.TID]bool, 2*scanLimit)
+				for _, m := range dst[start:] {
+					seen[m] = true
+				}
 			}
 		}
 	}
-	return comp
+	return dst
 }
 
 // GCClosure returns the union of the GC components of the given roots,
@@ -203,7 +268,7 @@ func (g *Graph) GCClosure(roots ...xid.TID) []xid.TID {
 	seen := make(map[xid.TID]bool, len(roots))
 	var closure []xid.TID
 	for _, r := range roots {
-		for _, t := range g.gcComponentLocked(r) {
+		for _, t := range g.appendComponentLocked(nil, r) {
 			if !seen[t] {
 				seen[t] = true
 				closure = append(closure, t)
@@ -221,17 +286,17 @@ func (g *Graph) RemoveNode(t xid.TID) {
 	for other := range g.out[t] {
 		delete(g.in[other], t)
 		if len(g.in[other]) == 0 {
-			delete(g.in, other)
+			g.dropAdjacency(g.in, other)
 		}
 	}
-	delete(g.out, t)
+	g.dropAdjacency(g.out, t)
 	for other := range g.in[t] {
 		delete(g.out[other], t)
 		if len(g.out[other]) == 0 {
-			delete(g.out, other)
+			g.dropAdjacency(g.out, other)
 		}
 	}
-	delete(g.in, t)
+	g.dropAdjacency(g.in, t)
 }
 
 // DropEdge removes every dependency of dependent on supporter (the abort
@@ -242,13 +307,13 @@ func (g *Graph) DropEdge(dependent, supporter xid.TID) {
 	if m := g.out[dependent]; m != nil {
 		delete(m, supporter)
 		if len(m) == 0 {
-			delete(g.out, dependent)
+			g.dropAdjacency(g.out, dependent)
 		}
 	}
 	if m := g.in[supporter]; m != nil {
 		delete(m, dependent)
 		if len(m) == 0 {
-			delete(g.in, supporter)
+			g.dropAdjacency(g.in, supporter)
 		}
 	}
 }
@@ -367,6 +432,9 @@ func reach(adj map[int]map[int]bool, from, to int) bool {
 // dependent → supporter closes a cycle in the contracted graph. Caller
 // holds g.mu.
 func (g *Graph) wouldCycleWithBlocking(dependent, supporter xid.TID) bool {
+	if g.isolated(dependent) || g.isolated(supporter) {
+		return false // no path can enter or leave a node without edges
+	}
 	comp, adj := g.contractedGraph(xid.NilTID, xid.NilTID)
 	cs, okS := comp[supporter]
 	cd, okD := comp[dependent]
@@ -382,6 +450,11 @@ func (g *Graph) wouldCycleWithBlocking(dependent, supporter xid.TID) bool {
 // wouldCycleWithGC reports whether merging a's and b's GC components would
 // put the merged super-node on a blocking cycle. Caller holds g.mu.
 func (g *Graph) wouldCycleWithGC(a, b xid.TID) bool {
+	if g.isolated(a) || g.isolated(b) {
+		// Merging a node without edges into a component leaves the
+		// component's blocking adjacency as it was.
+		return false
+	}
 	comp, adj := g.contractedGraph(a, b)
 	merged := comp[a]
 	for n := range adj[merged] {

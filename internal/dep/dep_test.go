@@ -244,3 +244,62 @@ func TestQuickNoCommitDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendGCComponentMatchesAcrossSizes: the in-place breadth-first walk
+// switches from scanning to a set as the component grows; both sides of the
+// switch must return every member exactly once, t first, after whatever the
+// caller's buffer already held.
+func TestAppendGCComponentMatchesAcrossSizes(t *testing.T) {
+	for _, n := range []int{1, 2, 16, 17, 40} {
+		g := New()
+		for i := 1; i < n; i++ {
+			// A chain with a few chords, so members are reached twice.
+			if err := g.Form(xid.DepGC, xid.TID(i), xid.TID(i+1)); err != nil {
+				t.Fatal(err)
+			}
+			if i > 2 {
+				if err := g.Form(xid.DepGC, xid.TID(i-2), xid.TID(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		buf := []xid.TID{99}
+		got := g.AppendGCComponent(buf, 1)
+		if got[0] != 99 || got[1] != 1 {
+			t.Fatalf("n=%d: result starts %v, want the caller's 99 then 1", n, got[:2])
+		}
+		seen := map[xid.TID]bool{}
+		for _, m := range got[1:] {
+			if seen[m] {
+				t.Fatalf("n=%d: member %v listed twice", n, m)
+			}
+			seen[m] = true
+		}
+		if len(seen) != n {
+			t.Fatalf("n=%d: component has %d members", n, len(seen))
+		}
+	}
+}
+
+// TestAdjacencyMapsAreReused: removing a node hands its emptied adjacency
+// maps to the next edge, and a reused map starts empty.
+func TestAdjacencyMapsAreReused(t *testing.T) {
+	g := New()
+	for i := 0; i < 100; i++ {
+		a, b := xid.TID(2*i+1), xid.TID(2*i+2)
+		if err := g.Form(xid.DepGC, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if out := g.Outgoing(a); len(out) != 1 || out[0].Other != b {
+			t.Fatalf("round %d: outgoing of %v = %v", i, a, out)
+		}
+		g.RemoveNode(a)
+		g.RemoveNode(b)
+	}
+	if len(g.out) != 0 || len(g.in) != 0 {
+		t.Fatalf("graph not empty: %d out, %d in", len(g.out), len(g.in))
+	}
+	if len(g.spare) == 0 || len(g.spare) > maxSpare {
+		t.Fatalf("%d spare adjacency maps, want 1..%d", len(g.spare), maxSpare)
+	}
+}

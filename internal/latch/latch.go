@@ -65,7 +65,7 @@ func (l *Latch) RUnlock() {
 	for {
 		w := l.word.Load()
 		if w&sMask == 0 {
-			panic("latch: RUnlock of latch not held in S mode")
+			panicNotHeld("latch: RUnlock of latch not held in S mode")
 		}
 		if l.word.CompareAndSwap(w, w-1) {
 			return
@@ -105,7 +105,7 @@ func (l *Latch) Unlock() {
 	for {
 		w := l.word.Load()
 		if w&xBit == 0 {
-			panic("latch: Unlock of latch not held in X mode")
+			panicNotHeld("latch: Unlock of latch not held in X mode")
 		}
 		if l.word.CompareAndSwap(w, w&^xBit) {
 			return
@@ -135,6 +135,14 @@ func (l *Latch) Upgrade() bool {
 	}
 	return true
 }
+
+// panicNotHeld reports an unlock of a latch that is not held, always a
+// programming error. Outlined so the message's conversion to an interface
+// value is not charged, by escape analysis, to every function an unlock is
+// inlined into (the //asset:noalloc gate reads those diagnostics).
+//
+//go:noinline
+func panicNotHeld(msg string) { panic(msg) }
 
 // Held reports whether any goroutine currently holds the latch in either
 // mode. It is advisory, for tests and assertions only.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/race"
 	"repro/internal/waitgraph"
 	"repro/internal/xid"
 )
@@ -239,28 +240,32 @@ func waitForWaiters(t *testing.T, wg *waitgraph.Graph, n int) {
 	}
 }
 
-// TestLockCtxUncontendedAllocs: a cancellable ctx costs nothing until the
-// request has to park. An uncontended acquire under context.WithCancel
-// must allocate no more than the same acquire through Lock — the ctx
-// watcher (and the ctx's Done channel) belong to the wait, not the grant.
+// TestLockCtxUncontendedAllocs: what bounds a wait costs nothing until the
+// request has to park. An uncontended acquire under context.WithCancel, or
+// on a manager with a WaitTimeout, must allocate no more than the same
+// acquire through Lock on a manager without one — the ctx watcher (and the
+// ctx's Done channel) and the timeout timer belong to the wait, not the
+// grant.
 func TestLockCtxUncontendedAllocs(t *testing.T) {
-	m := newTest(Options{})
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
 	tid, oid := xid.TID(1), xid.OID(7)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	plain := testing.AllocsPerRun(200, func() {
-		if err := m.Lock(tid, oid, xid.OpWrite); err != nil {
-			t.Fatal(err)
-		}
-		m.ReleaseAll(tid)
-	})
-	withCtx := testing.AllocsPerRun(200, func() {
-		if err := m.LockCtx(ctx, tid, oid, xid.OpWrite); err != nil {
-			t.Fatal(err)
-		}
-		m.ReleaseAll(tid)
-	})
-	if withCtx > plain {
+	measure := func(m *Manager, ctx context.Context) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if err := m.LockCtx(ctx, tid, oid, xid.OpWrite); err != nil {
+				t.Fatal(err)
+			}
+			m.ReleaseAll(tid)
+		})
+	}
+	plain := measure(newTest(Options{}), context.Background())
+	if withCtx := measure(newTest(Options{}), ctx); withCtx > plain {
 		t.Errorf("uncontended LockCtx allocates %.1f objects per acquire/release, Lock %.1f", withCtx, plain)
+	}
+	if withTimeout := measure(newTest(Options{WaitTimeout: time.Hour}), ctx); withTimeout > plain {
+		t.Errorf("uncontended LockCtx under WaitTimeout allocates %.1f objects per acquire/release, Lock %.1f", withTimeout, plain)
 	}
 }

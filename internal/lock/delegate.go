@@ -22,16 +22,16 @@ func (m *Manager) Delegate(from, to xid.TID, oids []xid.OID) []xid.OID {
 	if from == to {
 		return nil
 	}
-	fromTS, ok := m.txns.Get(uint64(from))
-	if !ok {
-		// Nothing held and nothing granted by from; still ensure the
-		// grantee side exists for the caller's subsequent operations.
-		return nil
+	fromTS := m.stateOf(from)
+	if fromTS == nil {
+		return nil // nothing held and nothing granted by from
 	}
-	toTS := m.txnOf(to)
-
 	// Snapshot the candidate objects and the PDs granted by from.
 	fromTS.lat.Lock()
+	if !fromTS.is(from) {
+		fromTS.lat.Unlock()
+		return nil
+	}
 	var candidates []xid.OID
 	if oids == nil {
 		for oid := range fromTS.locks {
@@ -46,6 +46,7 @@ func (m *Manager) Delegate(from, to xid.TID, oids []xid.OID) []xid.OID {
 	}
 	grantorPDs := append([]*permit(nil), fromTS.byGrantor...)
 	fromTS.lat.Unlock()
+	toTS := m.txnOf(to)
 
 	// Visit shards in ascending order, one latch at a time.
 	byShard := make(map[*lockShard][]xid.OID)
@@ -57,7 +58,7 @@ func (m *Manager) Delegate(from, to xid.TID, oids []xid.OID) []xid.OID {
 	m.forShardsAscending(byShard, func(s *lockShard, oids []xid.OID) {
 		s.lat.Lock()
 		for _, oid := range oids {
-			if m.delegateOneLocked(fromTS, toTS, s, oid) {
+			if m.delegateOneLocked(from, to, fromTS, toTS, s, oid) {
 				moved = append(moved, oid)
 			}
 		}
@@ -67,7 +68,7 @@ func (m *Manager) Delegate(from, to xid.TID, oids []xid.OID) []xid.OID {
 	// §4.2 delegate step (b): permissions given by from on the delegated
 	// objects (all of them for delegate-all) become permissions given by to,
 	// whether or not from also held a lock there.
-	m.reassignGrantor(fromTS, toTS, grantorPDs, oids)
+	m.reassignGrantor(to, grantorPDs, oids)
 	return moved
 }
 
@@ -100,22 +101,29 @@ func (m *Manager) shardIndex(s *lockShard) int {
 // Any escrow reservation from holds on the object moves with the lock —
 // the delegatee inherits the in-flight delta along with the undo
 // responsibility the caller transfers — unless the delegatee is dead, in
-// which case both are dropped. Caller holds s.lat; the txnState latches
+// which case both are dropped. The two states were looked up before the
+// shard latch was taken, so each is re-validated under its own latch: a
+// delegator whose release has begun keeps its lock (the release drops it),
+// a retired delegatee gets nothing. Caller holds s.lat; the txnState latches
 // nest inside it, taken one at a time.
-func (m *Manager) delegateOneLocked(fromTS, toTS *txnState, s *lockShard, oid xid.OID) bool {
+func (m *Manager) delegateOneLocked(from, to xid.TID, fromTS, toTS *txnState, s *lockShard, oid xid.OID) bool {
 	od := s.ods[oid]
 	if od == nil {
 		return false
 	}
-	gl := od.ownerReq(fromTS.tid)
+	gl := od.ownerReq(from)
 	if gl == nil {
 		return false // released or already delegated since the snapshot
 	}
 	fromTS.lat.Lock()
+	if !fromTS.is(from) {
+		fromTS.lat.Unlock()
+		return false // from is being released; the lock goes with it
+	}
 	delete(fromTS.locks, oid)
 	delete(fromTS.escrows, oid)
 	fromTS.lat.Unlock()
-	if existing := od.ownerReq(toTS.tid); existing != nil {
+	if existing := od.ownerReq(to); existing != nil {
 		// Merge: the union of modes. Suspension is sticky — clearing it just
 		// because one input was unsuspended could leave the merged hold in
 		// unsuspended conflict with a third party's permitted grant, exposing
@@ -128,29 +136,29 @@ func (m *Manager) delegateOneLocked(fromTS, toTS *txnState, s *lockShard, oid xi
 		if suspended {
 			suspended = false
 			for _, other := range od.granted {
-				if other.tid != toTS.tid && other.mode.Conflicts(existing.mode) {
+				if other.tid != to && other.mode.Conflicts(existing.mode) {
 					suspended = true
 					break
 				}
 			}
 		}
 		existing.suspended = suspended
-		m.moveReservationLocked(od, fromTS.tid, toTS)
+		m.moveReservationLocked(od, from, to, toTS)
 	} else {
 		toTS.lat.Lock()
-		if toTS.dead {
+		if !toTS.is(to) {
 			// The grantee terminated mid-delegation: its locks are gone, so
 			// the moved lock must not outlive it. Drop it instead.
 			toTS.lat.Unlock()
 			od.dropGranted(gl)
 			if od.esc != nil {
-				od.esc.settle(fromTS.tid, false)
+				od.esc.settle(from, false)
 			}
 		} else {
-			gl.tid = toTS.tid
-			toTS.locks[oid] = gl
+			gl.tid = to
+			toTS.locks[oid] = od
 			toTS.lat.Unlock()
-			m.moveReservationLocked(od, fromTS.tid, toTS)
+			m.moveReservationLocked(od, from, to, toTS)
 		}
 	}
 	// Blocked requests were waiting on `from`; their blocker is now `to`
@@ -165,40 +173,34 @@ func (m *Manager) delegateOneLocked(fromTS, toTS *txnState, s *lockShard, oid xi
 // in-flight sums are unchanged — the delta merely changes owner. If the
 // delegatee died in the window, the reservation is discarded like an
 // abort. Caller holds od's shard latch.
-func (m *Manager) moveReservationLocked(od *objDesc, from xid.TID, toTS *txnState) {
+func (m *Manager) moveReservationLocked(od *objDesc, from, to xid.TID, toTS *txnState) {
 	if od.esc == nil {
 		return
 	}
-	r := od.esc.holders[from]
-	if r == nil {
+	r, ok := od.esc.holders[from]
+	if !ok {
 		return
 	}
 	delete(od.esc.holders, from)
 	toTS.lat.Lock()
-	if toTS.dead {
+	if !toTS.is(to) {
 		toTS.lat.Unlock()
 		od.esc.infPos -= r.pos
 		od.esc.infNeg -= r.neg
 		return
 	}
-	tr := od.esc.holders[toTS.tid]
-	if tr == nil {
-		od.esc.holders[toTS.tid] = r
-	} else {
-		tr.pos += r.pos
-		tr.neg += r.neg
-	}
-	if toTS.escrows == nil {
-		toTS.escrows = make(map[xid.OID]*objDesc)
-	}
-	toTS.escrows[od.oid] = od
+	tr := od.esc.holders[to] // zero when to holds no reservation here
+	tr.pos += r.pos
+	tr.neg += r.neg
+	od.esc.holders[to] = tr
+	toTS.indexEscrow(od)
 	toTS.lat.Unlock()
 }
 
 // reassignGrantor rewrites PDs of the form (from, tk, op) to (to, tk, op)
 // on the given objects (nil = all), working from the snapshot taken by
 // Delegate. Each PD is re-validated under its own shard latch.
-func (m *Manager) reassignGrantor(fromTS, toTS *txnState, pds []*permit, oids []xid.OID) {
+func (m *Manager) reassignGrantor(to xid.TID, pds []*permit, oids []xid.OID) {
 	var want map[xid.OID]bool
 	if oids != nil {
 		want = make(map[xid.OID]bool, len(oids))
@@ -217,14 +219,14 @@ func (m *Manager) reassignGrantor(fromTS, toTS *txnState, pds []*permit, oids []
 			continue
 		}
 		od := p.od
-		if p.grantee == toTS.tid {
+		if p.grantee == to {
 			// A permission from `from` to `to` collapses on delegation:
 			// to does not need its own permission.
 			od.dropPermit(p)
 		} else {
 			// Re-grant under to's name (widening any PD to already has
 			// there), then retire from's descriptor.
-			m.insertPD(od, toTS.tid, p.grantee, p.ops)
+			m.insertPD(od, to, p.grantee, p.ops)
 			od.dropPermit(p)
 		}
 		od.cond.Broadcast()

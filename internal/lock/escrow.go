@@ -38,12 +38,13 @@ type escrowState struct {
 	val     uint64 // committed value (escrow traffic only; reads see the cache)
 	infPos  uint64 // sum of in-flight positive reserved deltas
 	infNeg  uint64 // sum of magnitudes of in-flight negative reserved deltas
-	holders map[xid.TID]*escrowRes
+	holders map[xid.TID]escrowRes
 }
 
 // escrowRes is one transaction's outstanding reservation on one object:
 // the positive and negative delta magnitudes it has reserved but not yet
-// terminated.
+// terminated. Held by value in the ledger's holder map, so a reservation
+// is a map slot, not an object of its own.
 type escrowRes struct {
 	pos, neg uint64
 }
@@ -59,10 +60,8 @@ func (e *escrowState) admit(tid xid.TID, delta int64) (ok, never bool, blockers 
 	if !e.bounded {
 		return true, false, nil
 	}
-	var ownPos, ownNeg uint64
-	if own := e.holders[tid]; own != nil {
-		ownPos, ownNeg = own.pos, own.neg
-	}
+	own := e.holders[tid] // zero when tid holds no reservation
+	ownPos, ownNeg := own.pos, own.neg
 	if delta >= 0 {
 		d := uint64(delta)
 		// Worst case for hi: every in-flight increment commits.
@@ -105,10 +104,6 @@ func (e *escrowState) admit(tid xid.TID, delta int64) (ok, never bool, blockers 
 // latch and has already passed admit.
 func (e *escrowState) reserve(tid xid.TID, delta int64) {
 	r := e.holders[tid]
-	if r == nil {
-		r = &escrowRes{}
-		e.holders[tid] = r
-	}
 	if delta >= 0 {
 		r.pos += uint64(delta)
 		e.infPos += uint64(delta)
@@ -116,14 +111,15 @@ func (e *escrowState) reserve(tid xid.TID, delta int64) {
 		r.neg += uint64(-delta)
 		e.infNeg += uint64(-delta)
 	}
+	e.holders[tid] = r
 }
 
 // unreserve backs a single delta out of tid's reservation (the operation
 // failed after reserving; its effect never reached the cache). It reports
 // whether the holder entry is now empty. Caller holds the shard latch.
 func (e *escrowState) unreserve(tid xid.TID, delta int64) bool {
-	r := e.holders[tid]
-	if r == nil {
+	r, ok := e.holders[tid]
+	if !ok {
 		return false
 	}
 	if delta >= 0 {
@@ -139,6 +135,7 @@ func (e *escrowState) unreserve(tid xid.TID, delta int64) bool {
 		delete(e.holders, tid)
 		return true
 	}
+	e.holders[tid] = r
 	return false
 }
 
@@ -146,8 +143,8 @@ func (e *escrowState) unreserve(tid xid.TID, delta int64) bool {
 // committed value, abort discards it. Either way the in-flight sums shrink
 // and headroom is freed. Caller holds the shard latch.
 func (e *escrowState) settle(tid xid.TID, commit bool) {
-	r := e.holders[tid]
-	if r == nil {
+	r, ok := e.holders[tid]
+	if !ok {
 		return
 	}
 	if commit {
@@ -182,7 +179,7 @@ func (m *Manager) DeclareEscrow(oid xid.OID, val, lo, hi uint64) error {
 	}
 	od.esc = &escrowState{
 		bounded: true, lo: lo, hi: hi, val: val,
-		holders: make(map[xid.TID]*escrowRes),
+		holders: make(map[xid.TID]escrowRes),
 	}
 	od.cond.Broadcast()
 	return nil
@@ -254,9 +251,11 @@ func (m *Manager) EscrowUnreserve(tid xid.TID, oid xid.OID, delta int64) {
 		// The holder entry emptied; drop the index entry under the same
 		// shard-latch hold (ts.lat nests inside it) so the ledger and the
 		// index never disagree at a quiescent point.
-		if ts, ok := m.txns.Get(uint64(tid)); ok {
+		if ts := m.stateOf(tid); ts != nil {
 			ts.lat.Lock()
-			delete(ts.escrows, oid)
+			if ts.is(tid) {
+				delete(ts.escrows, oid)
+			}
 			ts.lat.Unlock()
 		}
 	}
@@ -272,17 +271,21 @@ func (m *Manager) EscrowCommit(tid xid.TID) {
 	m.settleEscrows(tid, true)
 }
 
-// settleEscrows snapshots and clears tid's reservation index, then settles
-// each object under its own shard latch.
+// settleEscrows takes tid's reservation index away from its state, settles
+// each object under its own shard latch, and hands the emptied index back.
+// While it is away the state simply has no index (a reservation granted in
+// that window makes a new one), so nothing is copied and nobody shares the
+// map being walked.
 func (m *Manager) settleEscrows(tid xid.TID, commit bool) {
-	ts, ok := m.txns.Get(uint64(tid))
-	if !ok {
+	ts := m.stateOf(tid)
+	if ts == nil {
 		return
 	}
 	ts.lat.Lock()
-	ods := make([]*objDesc, 0, len(ts.escrows))
-	for _, od := range ts.escrows {
-		ods = append(ods, od)
+	ods := ts.escrows
+	if !ts.is(tid) || len(ods) == 0 {
+		ts.lat.Unlock()
+		return
 	}
 	ts.escrows = nil
 	ts.lat.Unlock()
@@ -295,4 +298,10 @@ func (m *Manager) settleEscrows(tid xid.TID, commit bool) {
 		}
 		s.lat.Unlock()
 	}
+	clear(ods)
+	ts.lat.Lock()
+	if ts.is(tid) && ts.escrows == nil {
+		ts.escrows = ods
+	}
+	ts.lat.Unlock()
 }

@@ -20,12 +20,13 @@ import (
 //     modes coexist on one object (suspension is the only sanctioned form
 //     of conflicting co-grant, per the permit semantics of §2.2).
 //  2. Index agreement: every granted LRD belongs to a live transaction
-//     whose LRD index points back at it, and vice versa — so no grant is
-//     held by a terminated (released) transaction, and ReleaseAll can
-//     always find what it must free.
-//  3. Wait registration: every pending request is registered in its
-//     transaction's wait set and vice versa, so aborts and victim marking
-//     reach every blocked request.
+//     whose lock index names the LRD's object, and every indexed object
+//     carries a granted LRD of that transaction — so no grant is held by a
+//     terminated (released) transaction, and ReleaseAll can always find
+//     what it must free. No LRD in use is on a free list.
+//  3. Wait registration: every pending request has an entry for its object
+//     in its transaction's wait set and vice versa (counted per object), so
+//     aborts and victim marking reach every blocked request.
 //  4. Permit chains: every live PD is indexed by its grantor (and grantee,
 //     when named), both of which are live transactions; every live indexed
 //     PD is present on its object's chain.
@@ -65,16 +66,31 @@ func (m *Manager) CheckInvariants() []string {
 		bad = append(bad, fmt.Sprintf(format, args...))
 	}
 
-	// tsOf fetches a live txnState without creating one.
-	tsOf := func(tid xid.TID) *txnState {
-		ts, ok := m.txns.Get(uint64(tid))
-		if !ok {
-			return nil
-		}
-		return ts
-	}
+	// tsOf fetches tid's state without creating one; callers check is(tid)
+	// under its latch.
+	tsOf := m.stateOf
 
 	pendingTids := make(map[xid.TID]bool)
+	// pendingOn counts pending requests per (transaction, object), to be
+	// matched against the wait sets in the transaction-side walk.
+	type waitKey struct {
+		tid xid.TID
+		od  *objDesc
+	}
+	pendingOn := make(map[waitKey]int)
+
+	// Nothing on a free list may still be linked into a chain.
+	freeReqs := make(map[*lockReq]bool)
+	for si := range m.shards {
+		n := 0
+		for r := m.shards[si].free; r != nil && !freeReqs[r]; r = r.next {
+			freeReqs[r] = true // also stops the walk should the list loop
+			n++
+		}
+		if n != m.shards[si].nfree {
+			report("shard %d: free list holds %d LRDs, count says %d", si, n, m.shards[si].nfree)
+		}
+	}
 
 	// Object-side walk: shards own the ground truth.
 	for si := range m.shards {
@@ -87,6 +103,9 @@ func (m *Manager) CheckInvariants() []string {
 				if gl.od != od {
 					report("granted LRD %v/%v: od backpointer wrong", gl.tid, oid)
 				}
+				if freeReqs[gl] {
+					report("object %v: granted LRD of txn %v is on the free list", oid, gl.tid)
+				}
 				if seen[gl.tid] {
 					report("object %v: duplicate granted LRD for txn %v", oid, gl.tid)
 				}
@@ -97,12 +116,15 @@ func (m *Manager) CheckInvariants() []string {
 					continue
 				}
 				ts.lat.Lock()
-				indexed := ts.locks[oid]
-				dead := ts.dead
+				live := ts.is(gl.tid)
+				var indexed *objDesc
+				if live {
+					indexed = ts.locks[oid]
+				}
 				ts.lat.Unlock()
-				if dead {
+				if !live {
 					report("object %v: grant held by dead txn %v", oid, gl.tid)
-				} else if indexed != gl {
+				} else if indexed != od {
 					report("object %v: txn %v LRD index disagrees with OD chain", oid, gl.tid)
 				}
 				// Mutual exclusion among unsuspended grants.
@@ -120,17 +142,13 @@ func (m *Manager) CheckInvariants() []string {
 				if req.od != od {
 					report("pending LRD %v/%v: od backpointer wrong", req.tid, oid)
 				}
-				pendingTids[req.tid] = true
-				ts := tsOf(req.tid)
-				if ts == nil {
-					report("object %v: pending request by unknown txn %v", oid, req.tid)
-					continue
+				if freeReqs[req] {
+					report("object %v: pending LRD of txn %v is on the free list", oid, req.tid)
 				}
-				ts.lat.Lock()
-				registered := ts.waits[req]
-				ts.lat.Unlock()
-				if !registered {
-					report("object %v: pending request by %v not in its wait set", oid, req.tid)
+				pendingTids[req.tid] = true
+				pendingOn[waitKey{req.tid, od}]++
+				if tsOf(req.tid) == nil {
+					report("object %v: pending request by unknown txn %v", oid, req.tid)
 				}
 			}
 			if e := od.esc; e != nil {
@@ -148,7 +166,7 @@ func (m *Manager) CheckInvariants() []string {
 						report("object %v: escrow reservation by %v without an incr/decr grant", oid, tid)
 					}
 					ts.lat.Lock()
-					indexed := ts.escrows[oid] == od
+					indexed := ts.is(tid) && ts.escrows[oid] == od
 					ts.lat.Unlock()
 					if !indexed {
 						report("object %v: escrow reservation by %v missing from its index", oid, tid)
@@ -207,32 +225,30 @@ func (m *Manager) CheckInvariants() []string {
 			report("txn %v: dead state still mapped", ts.tid)
 			return true
 		}
-		for oid, gl := range ts.locks {
-			if gl.tid != ts.tid {
-				report("txn %v: indexed LRD on %v tagged %v", ts.tid, oid, gl.tid)
+		for oid, od := range ts.locks {
+			if od.oid != oid {
+				report("txn %v: lock index entry for %v points at od %v", ts.tid, oid, od.oid)
 			}
-			if gl.od.ownerReq(ts.tid) != gl {
+			if od.ownerReq(ts.tid) == nil {
 				report("txn %v: indexed LRD on %v absent from OD chain", ts.tid, oid)
 			}
 		}
-		for req := range ts.waits {
-			found := false
-			for _, p := range req.od.pending {
-				if p == req {
-					found = true
-					break
-				}
+		for _, od := range ts.waits {
+			k := waitKey{ts.tid, od}
+			if pendingOn[k] == 0 {
+				report("txn %v: wait-set request on %v not pending", ts.tid, od.oid)
+				continue
 			}
-			if !found {
-				report("txn %v: wait-set request on %v not pending", ts.tid, req.od.oid)
-			}
+			pendingOn[k]--
 		}
 		for oid, od := range ts.escrows {
 			if od.oid != oid {
 				report("txn %v: escrow index entry for %v points at od %v", ts.tid, oid, od.oid)
 				continue
 			}
-			if od.esc == nil || od.esc.holders[ts.tid] == nil {
+			if od.esc == nil {
+				report("txn %v: escrow index entry for %v without a ledger reservation", ts.tid, oid)
+			} else if _, held := od.esc.holders[ts.tid]; !held {
 				report("txn %v: escrow index entry for %v without a ledger reservation", ts.tid, oid)
 			}
 		}
@@ -261,6 +277,12 @@ func (m *Manager) CheckInvariants() []string {
 		return true
 	})
 
+	for k, n := range pendingOn {
+		if n > 0 {
+			report("object %v: pending request by %v not in its wait set", k.od.oid, k.tid)
+		}
+	}
+
 	// Wait-graph agreement: no edges without a blocked request behind them.
 	for _, w := range m.wg.Waiters() {
 		if !pendingTids[w] {
@@ -275,6 +297,9 @@ func (m *Manager) CheckInvariants() []string {
 func permitIndexed(ts *txnState, p *permit, asGrantor bool) bool {
 	ts.lat.Lock()
 	defer ts.lat.Unlock()
+	if ts.dead {
+		return false
+	}
 	list := ts.byGrantee
 	if asGrantor {
 		list = ts.byGrantor

@@ -44,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,8 +86,10 @@ const (
 )
 
 // lockReq is the lock request descriptor (LRD) of §4.1: one transaction's
-// granted or pending request on one object. All fields after od are guarded
-// by the owning shard's latch.
+// granted or pending request on one object. All fields are guarded by the
+// owning shard's latch. An LRD is linked into exactly one chain of its OD
+// and is recycled through the shard's free list the moment it is unlinked
+// (see lockShard).
 type lockReq struct {
 	tid       xid.TID
 	od        *objDesc
@@ -100,10 +103,13 @@ type lockReq struct {
 	escrow    bool  // request carries an escrow reservation of delta
 	delta     int64 // reserved delta (meaningful when escrow)
 	escNever  bool  // escrow test concluded the reservation can never be admitted
+
+	next *lockReq // free-list link; nil while the LRD is in use
 }
 
 // objDesc is the object descriptor (OD) of Figure 1: granted and pending
 // LRD lists and the object's permit list, guarded by the home shard's latch.
+// ODs live as long as the table; the transaction-side indexes point at them.
 type objDesc struct {
 	oid     xid.OID
 	home    *lockShard
@@ -111,7 +117,10 @@ type objDesc struct {
 	pending []*lockReq // FIFO
 	permits []*permit
 	esc     *escrowState // bounded escrow ledger; nil when not declared
-	cond    *sync.Cond   // on the shard latch; signalled on release/suspension change
+	cond    sync.Cond    // on the shard latch; signalled on release/suspension change
+	// grantedBuf backs granted until a second holder arrives: most objects
+	// never have one.
+	grantedBuf [1]*lockReq
 }
 
 // permit is the permit descriptor (PD): grantor allows grantee (NilTID =
@@ -166,6 +175,7 @@ type Manager struct {
 	shards    []lockShard
 	shardMask uint64
 	txns      *htab.Map[*txnState]
+	free      txnFreeList
 	wg        *waitgraph.Graph
 }
 
@@ -223,12 +233,20 @@ func (m *Manager) LockCtx(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 // request additionally runs the bounds-admission test at grant time and
 // records its reservation atomically with the grant; it can fail with
 // ErrEscrow when the test proves the reservation can never be admitted.
+//
+// The first pass evaluates the request from a descriptor on the stack: a
+// request that is granted without waiting — every uncontended lock — never
+// has a pending LRD, a wait registration, a timer or a ctx watcher, and
+// costs at most the one granted LRD installGrant takes off the shard's free
+// list. Only a request that has to wait goes through park.
+//
+//asset:noalloc
 func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xid.OpSet, delta int64, escrow bool) error {
 	if mode == 0 {
-		return fmt.Errorf("lock: empty mode requested on %v", oid)
+		return errEmptyMode(oid)
 	}
 	if ctx.Err() != nil {
-		return fmt.Errorf("%w: %w", ErrContext, context.Cause(ctx))
+		return errCtxDead(ctx)
 	}
 	ts := m.txnOf(tid)
 	s := m.shardOf(oid)
@@ -245,33 +263,89 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 		return nil
 	}
 
-	// Enqueue a pending/upgrading request and register it with the
-	// transaction so cancel/victim marking can find it without a table scan.
-	req := &lockReq{tid: tid, od: od, mode: mode, status: statusPending, escrow: escrow, delta: delta}
+	probe := lockReq{tid: tid, od: od, mode: mode, status: statusPending, escrow: escrow, delta: delta}
 	if own != nil {
-		req.status = statusUpgrading
+		probe.status = statusUpgrading
 	}
+	// Not being on the pending queue, the probe stands behind every request
+	// that is: exactly where it would be appended.
+	blockers, permitted := m.tryGrant(&probe)
+	if len(blockers) > 0 {
+		s.lat.Unlock()
+		return m.park(ctx, ts, probe)
+	}
+	var err error
+	if probe.escNever {
+		err = ErrEscrow
+	} else {
+		err = m.grant(ts, &probe, permitted)
+	}
+	s.lat.Unlock()
+	return err
+}
+
+//go:noinline
+func errEmptyMode(oid xid.OID) error {
+	return fmt.Errorf("lock: empty mode requested on %v", oid)
+}
+
+//go:noinline
+func errCtxDead(ctx context.Context) error {
+	return fmt.Errorf("%w: %w", ErrContext, context.Cause(ctx))
+}
+
+// grant installs a request that tryGrant found grantable, then suspends
+// the permitted conflicting locks. The order matters: installGrant refuses
+// when a concurrent ReleaseAll retired the transaction's state while the
+// request raced to the grant, and suspending the permitted holders before
+// knowing the grant landed would leave their locks suspended with no
+// conflicting grant to justify it — a half-merged state nothing would ever
+// repair. Both steps happen under the same continuous latch hold, so the
+// ordering is invisible to other threads. Caller holds the shard latch.
+func (m *Manager) grant(ts *txnState, req *lockReq, permitted []*lockReq) error {
+	if !m.installGrant(ts, req.od, req.tid, req.mode, req.delta, req.escrow) {
+		// The transaction was released while we raced to the grant; nothing
+		// was installed, treat as an aborted waiter.
+		return ErrCancelled
+	}
+	for _, gl := range permitted {
+		gl.suspended = true
+	}
+	if len(permitted) > 0 {
+		req.od.cond.Broadcast() // suspension may unblock re-checkers
+	}
+	return nil
+}
+
+// park is acquire's slow path: the request had blockers on its first pass.
+// It enqueues a pending LRD, registers it with the transaction so
+// cancel/victim marking can find it without a table scan, and waits on the
+// object's cond until the request is granted or given up — which may be at
+// once, the table having moved on since acquire let go of the shard latch.
+// The timeout timer and the ctx watcher are armed only here, just before
+// the first Wait. Called with no latches held.
+//
+//go:noinline
+func (m *Manager) park(ctx context.Context, ts *txnState, probe lockReq) error {
+	tid, od := probe.tid, probe.od
+	s := od.home
+	s.lat.Lock()
+	probe.status = statusPending
+	if od.ownerReq(tid) != nil {
+		probe.status = statusUpgrading
+	}
+	req := s.newReq()
+	*req = probe
 	od.pending = append(od.pending, req)
-	ts.registerWait(req)
-	if m.opts.WaitTimeout > 0 {
-		timer := time.AfterFunc(m.opts.WaitTimeout, func() {
-			s.lat.Lock()
-			req.timedOut = true
-			od.cond.Broadcast()
-			s.lat.Unlock()
-		})
-		defer timer.Stop()
-	}
-	// Context death is converted into a cond wake-up by a watcher that is
-	// registered only once the request is about to park (see the bottom
-	// of the loop): a request granted on its first pass — every
-	// uncontended lock — pays nothing for carrying a cancellable ctx.
+	ts.registerWait(tid, od)
+
+	// Both wake-up sources flag req under the shard latch. Either may fire
+	// after the request is already resolved (the stop and the firing race);
+	// leave accounts for that before it lets req be recycled. Neither can
+	// fire unseen before a Wait: it needs the shard latch, which this
+	// goroutine holds until Wait releases it.
+	var timer *time.Timer
 	var stopWatch func() bool
-	defer func() {
-		if stopWatch != nil {
-			stopWatch()
-		}
-	}()
 
 	// Wait-for edges registered for the current blocker set. Always cleared
 	// while the shard latch is still held, so an observer holding every
@@ -283,11 +357,29 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 		}
 		waitedOn = nil
 	}
-	// exit finalizes a non-grant outcome under the shard latch.
-	exit := func(err error) error {
+	// leave takes the request off the queue, under the shard latch. The
+	// LRD goes back on the free list only if no wake-up callback can still
+	// be on its way to flag it: a callback that already started is blocked
+	// on this latch holding the pointer, so that LRD is left to the
+	// collector instead.
+	leave := func() {
 		m.removePending(od, req)
-		ts.unregisterWait(req)
+		ts.unregisterWait(tid, od)
 		clearEdges()
+		quiet := true
+		if timer != nil && !timer.Stop() {
+			quiet = false
+		}
+		if stopWatch != nil && !stopWatch() {
+			quiet = false
+		}
+		if quiet {
+			s.freeReq(req)
+		}
+	}
+	// exit finalizes a non-grant outcome.
+	exit := func(err error) error {
+		leave()
 		s.lat.Unlock()
 		return err
 	}
@@ -316,34 +408,10 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 			return exit(ErrEscrow)
 		}
 		if len(blockers) == 0 {
-			// Grant: install first, then suspend the permitted conflicting
-			// locks. The order matters: installGrant refuses (returns false)
-			// when a concurrent ReleaseAll tore the transaction down while
-			// we raced to the grant, and suspending the permitted holders
-			// before knowing the grant landed would leave their locks
-			// suspended with no conflicting grant to justify it — a
-			// half-merged state nothing would ever repair. Both steps happen
-			// under the same continuous latch hold, so the reordering is
-			// invisible to other threads.
-			m.removePending(od, req)
-			ts.unregisterWait(req)
-			clearEdges()
-			granted := m.installGrant(ts, od, tid, mode, delta, escrow)
-			if granted {
-				for _, gl := range permitted {
-					gl.suspended = true
-				}
-				if len(permitted) > 0 {
-					od.cond.Broadcast() // suspension may unblock re-checkers
-				}
-			}
+			leave() // req may be recycled from here on; probe has its terms
+			err := m.grant(ts, &probe, permitted)
 			s.lat.Unlock()
-			if !granted {
-				// The transaction was released while we raced to the grant;
-				// nothing was installed, treat as an aborted waiter.
-				return ErrCancelled
-			}
-			return nil
+			return err
 		}
 		// Re-register wait edges against the current blocker set.
 		clearEdges()
@@ -363,13 +431,15 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 				continue
 			}
 		}
+		if timer == nil && m.opts.WaitTimeout > 0 {
+			timer = time.AfterFunc(m.opts.WaitTimeout, func() {
+				s.lat.Lock()
+				req.timedOut = true
+				od.cond.Broadcast()
+				s.lat.Unlock()
+			})
+		}
 		if stopWatch == nil && ctx.Done() != nil {
-			// The watcher may fire after the request is already resolved
-			// (the stop and the cancellation race); setting ctxErr on a
-			// request that has left the pending queue is harmless, and the
-			// stray broadcast only makes other waiters re-evaluate. It
-			// cannot fire unseen before the Wait below: it needs the shard
-			// latch, which this goroutine holds until Wait releases it.
 			stopWatch = context.AfterFunc(ctx, func() {
 				s.lat.Lock()
 				// Cause, not Err: a session teardown cancelling the request
@@ -444,24 +514,26 @@ func (m *Manager) tryGrant(req *lockReq) (blockers []xid.TID, permitted []*lockR
 }
 
 // installGrant merges the granted mode into the requester's LRD on the OD
-// chain (creating one if needed) and clears any suspension (§4.2 step 2).
-// An escrow grant also records its reservation in the OD's ledger and the
-// transaction's reservation index under the same txnState-latch hold, so a
-// concurrent ReleaseAll either sees both the grant and the reservation in
-// its snapshot or neither. It reports false — installing nothing — if the
-// transaction's state was torn down by a concurrent ReleaseAll, in which
-// case a new grant would leak. Caller holds the shard latch.
+// chain (taking one off the shard's free list if needed) and clears any
+// suspension (§4.2 step 2). An escrow grant also records its reservation in
+// the OD's ledger and the transaction's reservation index under the same
+// txnState-latch hold, so a concurrent ReleaseAll either finds both the
+// grant and the reservation or neither. It reports false — installing
+// nothing — if ts is no longer tid's state (a concurrent ReleaseAll retired
+// it), in which case a new grant would leak. Caller holds the shard latch.
+//
+//asset:noalloc
 func (m *Manager) installGrant(ts *txnState, od *objDesc, tid xid.TID, mode xid.OpSet, delta int64, escrow bool) bool {
 	reserve := escrow && od.esc != nil
-	// Re-look up rather than trusting the caller's possibly-stale own
-	// pointer: a delegation may have handed us a lock while we slept.
+	// Look on the chain rather than trusting any earlier lookup: a
+	// delegation may have handed us a lock while we slept.
 	if gl := od.ownerReq(tid); gl != nil && !reserve {
 		gl.mode = gl.mode.Union(mode)
 		gl.suspended = false
 		return true
 	}
 	ts.lat.Lock()
-	if ts.dead {
+	if !ts.is(tid) {
 		ts.lat.Unlock()
 		return false
 	}
@@ -469,30 +541,36 @@ func (m *Manager) installGrant(ts *txnState, od *objDesc, tid xid.TID, mode xid.
 		gl.mode = gl.mode.Union(mode)
 		gl.suspended = false
 	} else {
-		gl := &lockReq{tid: tid, od: od, mode: mode, status: statusGranted}
+		gl := od.home.newReq()
+		gl.tid, gl.od, gl.mode, gl.status = tid, od, mode, statusGranted
 		od.granted = append(od.granted, gl)
-		ts.locks[od.oid] = gl
+		ts.locks[od.oid] = od
 	}
 	if reserve {
 		od.esc.reserve(tid, delta)
-		if ts.escrows == nil {
-			ts.escrows = make(map[xid.OID]*objDesc)
-		}
-		ts.escrows[od.oid] = od
+		ts.indexEscrow(od)
 	}
 	ts.lat.Unlock()
 	return true
+}
+
+// indexEscrow records od in the reservation index, which most transactions
+// never need and so make on first use. Caller holds ts.lat.
+//
+//go:noinline
+func (ts *txnState) indexEscrow(od *objDesc) {
+	if ts.escrows == nil {
+		ts.escrows = make(map[xid.OID]*objDesc)
+	}
+	ts.escrows[od.oid] = od
 }
 
 // removePending drops req from its OD's pending queue (by identity) and
 // wakes later waiters, whose queue position improved. Caller holds the
 // shard latch.
 func (m *Manager) removePending(od *objDesc, req *lockReq) {
-	for i, p := range od.pending {
-		if p == req {
-			od.pending = append(od.pending[:i], od.pending[i+1:]...)
-			break
-		}
+	if i := slices.Index(od.pending, req); i >= 0 {
+		od.pending = slices.Delete(od.pending, i, i+1) // clears the vacated slot
 	}
 	od.cond.Broadcast()
 }
@@ -500,7 +578,7 @@ func (m *Manager) removePending(od *objDesc, req *lockReq) {
 // killVictim marks the victim's pending requests and notifies the
 // transaction system so it aborts the victim. Called with NO latches held.
 func (m *Manager) killVictim(victim xid.TID) {
-	m.markVictim(victim)
+	m.flagWaits(victim, true)
 	if m.opts.OnVictim != nil {
 		// The victim callback is the one sanctioned fire-and-forget spawn:
 		// it is the notification seam to the transaction system, which owns
@@ -510,34 +588,32 @@ func (m *Manager) killVictim(victim xid.TID) {
 	}
 }
 
-// markVictim flags every registered pending request of the victim, one
-// shard at a time. Called with no latches held.
-func (m *Manager) markVictim(victim xid.TID) {
-	ts, ok := m.txns.Get(uint64(victim))
-	if !ok {
-		return
-	}
-	for _, req := range ts.snapshotWaits() {
-		s := req.od.home
-		s.lat.Lock()
-		req.victim = true
-		req.od.cond.Broadcast()
-		s.lat.Unlock()
-	}
-}
-
 // CancelWaits wakes every pending request of tid with ErrCancelled; the
 // abort path calls it before releasing locks.
 func (m *Manager) CancelWaits(tid xid.TID) {
-	ts, ok := m.txns.Get(uint64(tid))
-	if !ok {
-		return
-	}
-	for _, req := range ts.snapshotWaits() {
-		s := req.od.home
+	m.flagWaits(tid, false)
+}
+
+// flagWaits marks every parked request of tid as deadlock victim or as
+// cancelled and wakes it, one shard at a time. It goes from the objects in
+// the transaction's wait set to the requests on their pending queues under
+// each shard latch, so it never holds an LRD outside the latch that guards
+// it. Called with no latches held.
+func (m *Manager) flagWaits(tid xid.TID, victim bool) {
+	for _, od := range m.waitObjects(tid) {
+		s := od.home
 		s.lat.Lock()
-		req.cancelled = true
-		req.od.cond.Broadcast()
+		for _, p := range od.pending {
+			if p.tid != tid {
+				continue
+			}
+			if victim {
+				p.victim = true
+			} else {
+				p.cancelled = true
+			}
+		}
+		od.cond.Broadcast()
 		s.lat.Unlock()
 	}
 }
@@ -558,12 +634,15 @@ func (m *Manager) Holds(tid xid.TID, oid xid.OID, mode xid.OpSet) bool {
 
 // HeldObjects returns the objects tid holds locks on, in unspecified order.
 func (m *Manager) HeldObjects(tid xid.TID) []xid.OID {
-	ts, ok := m.txns.Get(uint64(tid))
-	if !ok {
+	ts := m.stateOf(tid)
+	if ts == nil {
 		return nil
 	}
 	ts.lat.Lock()
 	defer ts.lat.Unlock()
+	if !ts.is(tid) {
+		return nil
+	}
 	out := make([]xid.OID, 0, len(ts.locks))
 	for oid := range ts.locks {
 		out = append(out, oid)
@@ -576,28 +655,15 @@ func (m *Manager) HeldObjects(tid xid.TID) []xid.OID {
 // Escrow reservations still indexed here are discarded — the abort half of
 // reservation settlement; the commit path folds them into the ledger via
 // EscrowCommit first, which clears the index. The transaction's state is
-// snapshotted and marked dead under its latch, then each affected shard is
-// visited in turn — at most one shard latch held at a time.
+// retired under its latch (see txnState), then each affected shard is
+// visited in turn — at most one shard latch held at a time — straight from
+// the retired indexes, which nobody else may touch any more; then the
+// emptied state is recycled.
+//
+//asset:noalloc
 func (m *Manager) ReleaseAll(tid xid.TID) {
-	ts, ok := m.txns.Get(uint64(tid))
-	if ok {
-		ts.lat.Lock()
-		ts.dead = true
-		locks := make([]*lockReq, 0, len(ts.locks))
-		for _, gl := range ts.locks {
-			locks = append(locks, gl)
-		}
-		permits := append(ts.byGrantor, ts.byGrantee...)
-		escrows := make([]*objDesc, 0, len(ts.escrows))
+	if ts := m.retire(tid); ts != nil {
 		for _, od := range ts.escrows {
-			escrows = append(escrows, od)
-		}
-		ts.locks, ts.waits, ts.escrows = nil, nil, nil
-		ts.byGrantor, ts.byGrantee = nil, nil
-		ts.lat.Unlock()
-		m.txns.Delete(uint64(tid))
-
-		for _, od := range escrows {
 			s := od.home
 			s.lat.Lock()
 			if od.esc != nil {
@@ -606,27 +672,80 @@ func (m *Manager) ReleaseAll(tid xid.TID) {
 			}
 			s.lat.Unlock()
 		}
-		for _, gl := range locks {
-			s := gl.od.home
+		for _, od := range ts.locks {
+			s := od.home
 			s.lat.Lock()
-			// Re-check ownership under the latch: a racing delegation may
-			// have retagged this very LRD to another transaction, whose
-			// lock must survive.
-			if gl.tid == tid {
-				gl.od.dropGranted(gl)
-				gl.od.cond.Broadcast()
+			// The chain decides, under the latch: a racing delegation may
+			// have retagged the LRD to another transaction, whose lock must
+			// survive.
+			if gl := od.ownerReq(tid); gl != nil {
+				od.dropGranted(gl)
+				od.cond.Broadcast()
 			}
 			s.lat.Unlock()
 		}
-		for _, p := range permits {
-			s := p.od.home
-			s.lat.Lock()
-			if !p.isDead() {
-				p.od.dropPermit(p)
-				p.od.cond.Broadcast()
-			}
-			s.lat.Unlock()
-		}
+		releasePermits(ts.byGrantor)
+		releasePermits(ts.byGrantee)
+		m.recycle(ts)
 	}
 	m.wg.RemoveNode(tid)
+}
+
+func releasePermits(pds []*permit) {
+	for _, p := range pds {
+		s := p.od.home
+		s.lat.Lock()
+		if !p.isDead() {
+			p.od.dropPermit(p)
+			p.od.cond.Broadcast()
+		}
+		s.lat.Unlock()
+	}
+}
+
+// retire takes tid's live state out of service: dead under its latch, then
+// unmapped. From the moment dead is set the caller owns the indexes.
+// Returns nil when tid has no live state (nothing held, or a concurrent
+// release got there first).
+func (m *Manager) retire(tid xid.TID) *txnState {
+	ts := m.stateOf(tid)
+	if ts == nil {
+		return nil
+	}
+	ts.lat.Lock()
+	if !ts.is(tid) {
+		ts.lat.Unlock()
+		return nil
+	}
+	ts.dead = true
+	clear(ts.waits)
+	ts.waits = ts.waits[:0]
+	ts.lat.Unlock()
+	m.txns.Delete(uint64(tid))
+	return ts
+}
+
+// recycle empties a retired state whose indexes have been walked and puts
+// it on the free list. The tid is cleared under the latch: a holder of a
+// stale pointer reads it there.
+func (m *Manager) recycle(ts *txnState) {
+	ts.lat.Lock()
+	ts.tid = xid.NilTID
+	ts.locks = emptied(ts.locks)
+	ts.escrows = emptied(ts.escrows)
+	clear(ts.byGrantor)
+	ts.byGrantor = ts.byGrantor[:0]
+	clear(ts.byGrantee)
+	ts.byGrantee = ts.byGrantee[:0]
+	ts.lat.Unlock()
+	m.free.put(ts)
+}
+
+// emptied clears an index map for reuse, or drops one that grew large.
+func emptied(idx map[xid.OID]*objDesc) map[xid.OID]*objDesc {
+	if len(idx) > maxKeptIndex {
+		return nil
+	}
+	clear(idx)
+	return idx
 }

@@ -29,12 +29,12 @@ func (m *Manager) Permit(grantor, grantee xid.TID, oids []xid.OID, ops xid.OpSet
 	}
 	// Materialize both transaction states up front so PD insertion under
 	// shard latches only ever looks them up.
-	grantorTS := m.txnOf(grantor)
+	m.txnOf(grantor)
 	if !grantee.IsNil() {
 		m.txnOf(grantee)
 	}
 	if oids == nil {
-		oids = m.accessible(grantorTS)
+		oids = m.accessible(grantor)
 	}
 	for _, oid := range oids {
 		s := m.shardOf(oid)
@@ -48,9 +48,16 @@ func (m *Manager) Permit(grantor, grantee xid.TID, oids []xid.OID, ops xid.OpSet
 // permission to access (permits naming it as grantee). Reads the
 // transaction state under its latch alone; permit liveness is an atomic
 // flag, so no shard latch is needed.
-func (m *Manager) accessible(ts *txnState) []xid.OID {
+func (m *Manager) accessible(grantor xid.TID) []xid.OID {
+	ts := m.stateOf(grantor)
+	if ts == nil {
+		return nil
+	}
 	ts.lat.Lock()
 	defer ts.lat.Unlock()
+	if !ts.is(grantor) {
+		return nil
+	}
 	seen := make(map[xid.OID]bool)
 	var out []xid.OID
 	for oid := range ts.locks {
@@ -124,13 +131,13 @@ func (m *Manager) insertPD(od *objDesc, grantor, grantee xid.TID, ops xid.OpSet)
 		p.ops = p.ops.Union(ops)
 		return true
 	}
-	grantorTS, ok := m.txns.Get(uint64(grantor))
-	if !ok {
+	grantorTS := m.stateOf(grantor)
+	if grantorTS == nil {
 		return false // grantor terminated; nothing to permit
 	}
 	p := &permit{od: od, grantor: grantor, grantee: grantee, ops: ops}
 	grantorTS.lat.Lock()
-	if grantorTS.dead {
+	if !grantorTS.is(grantor) {
 		grantorTS.lat.Unlock()
 		return false
 	}
@@ -138,11 +145,10 @@ func (m *Manager) insertPD(od *objDesc, grantor, grantee xid.TID, ops xid.OpSet)
 	grantorTS.lat.Unlock()
 	od.permits = append(od.permits, p)
 	if !grantee.IsNil() {
-		granteeTS, ok := m.txns.Get(uint64(grantee))
 		alive := false
-		if ok {
+		if granteeTS := m.stateOf(grantee); granteeTS != nil {
 			granteeTS.lat.Lock()
-			if !granteeTS.dead {
+			if granteeTS.is(grantee) {
 				granteeTS.byGrantee = append(granteeTS.byGrantee, p)
 				alive = true
 			}

@@ -14,14 +14,15 @@ import (
 )
 
 // Round-trip allocation budgets, client and server sides together,
-// pinned at what the pooled-frame wire path measures. The parent commit
+// pinned at what the pooled-frame wire path measures. PR 11's commit
 // measured 22 (Lock) and 25 (Write) on this same test. What is left is
 // the server's per-request goroutine closure and its cancel context (two
-// objects), and for Write the engine's own three (before-image,
-// after-image, log record).
+// objects), and for Write the engine's one: the copy of the data that the
+// object keeps (the before image is the object's old buffer and the log
+// record is the manager's reused one).
 const (
 	lockRoundTripAllocBudget  = 3
-	writeRoundTripAllocBudget = 6
+	writeRoundTripAllocBudget = 4
 )
 
 // TestRoundTripAllocBudget drives a Lock and a Write round trip over

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faultfs"
 )
@@ -17,6 +18,10 @@ import (
 // Appender is the write side of a log. Append assigns LSNs in strictly
 // increasing order; Flush forces everything appended so far to stable
 // storage (the commit protocol calls it before declaring a commit durable).
+//
+// Append encodes what it needs of r before it returns and keeps neither r
+// nor the slices r points to: the caller may reuse the record, and the
+// images it carries, as soon as the call is over.
 type Appender interface {
 	Append(r *Record) (lsn uint64, err error)
 	Flush() error
@@ -196,63 +201,38 @@ func (l *FileLog) Close() error {
 	return err
 }
 
-// MemLog is an in-memory log for tests and for managers configured without
-// durability. Records are retained and can be scanned.
+// MemLog is the log of a manager configured without durability: it assigns
+// LSNs, counts forces, and keeps nothing. A directory-less manager never
+// checkpoints and nothing can replay an in-memory log, so retaining the
+// records only grew the heap with every append; not retaining them is also
+// what lets a caller reuse the Record it passes to Append. Tests that want
+// the records back wrap an Appender of their own around it.
 type MemLog struct {
-	mu      sync.Mutex
-	recs    []*Record
-	nextLSN uint64
-	flushes int
+	lsn     atomic.Uint64 // last LSN assigned
+	flushes atomic.Int64
 }
 
-// NewMem returns an empty in-memory log.
-func NewMem() *MemLog { return &MemLog{nextLSN: 1} }
+// NewMem returns an in-memory log whose first LSN is 1.
+func NewMem() *MemLog { return &MemLog{} }
 
-// Append stores a copy-safe reference to r and assigns its LSN.
+// Append assigns r the next LSN.
 func (l *MemLog) Append(r *Record) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	r.LSN = l.nextLSN
-	l.nextLSN++
-	l.recs = append(l.recs, r)
+	r.LSN = l.lsn.Add(1)
 	return r.LSN, nil
 }
 
 // Flush counts forces; it has no durability effect.
 func (l *MemLog) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.flushes++
+	l.flushes.Add(1)
 	return nil
 }
 
 // Flushes returns the number of Flush calls, which benchmarks use to count
 // log forces (experiment E6).
-func (l *MemLog) Flushes() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushes
-}
+func (l *MemLog) Flushes() int { return int(l.flushes.Load()) }
 
-// Records returns a snapshot of the appended records.
-func (l *MemLog) Records() []*Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]*Record, len(l.recs))
-	copy(out, l.recs)
-	return out
-}
-
-// Truncate discards the log contents.
-func (l *MemLog) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.recs = nil
-	return nil
-}
-
-// Close releases the record storage.
-func (l *MemLog) Close() error { return l.Truncate() }
+// Close does nothing: there is nothing to release.
+func (l *MemLog) Close() error { return nil }
 
 // ScanFile reads every intact record of the log at path in order, invoking
 // fn for each. It stops cleanly at a torn tail. fn errors abort the scan.

@@ -294,9 +294,12 @@ func (rp *replayer) install(oid xid.OID, kind UpdateKind, image []byte) {
 // EncodeCounter renders a counter value as its 8-byte object image.
 func EncodeCounter(v uint64) []byte {
 	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
+	PutCounter(b, v)
 	return b
 }
+
+// PutCounter writes a counter value's image into the first 8 bytes of b.
+func PutCounter(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 
 // DecodeCounter reads a counter object image (short images read as their
 // available low bytes).
