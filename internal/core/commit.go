@@ -322,9 +322,9 @@ func (m *Manager) commitGroupLocked(group []*txn) {
 		// the last checkpoint.
 		for _, u := range member.undo {
 			if u.kind == wal.KindDelete {
-				m.dirty[u.oid] = dirtyDelete
+				m.markDirtyLocked(u.oid, dirtyDelete)
 			} else {
-				m.dirty[u.oid] = dirtyUpsert
+				m.markDirtyLocked(u.oid, dirtyUpsert)
 			}
 		}
 		member.undo = nil
@@ -546,23 +546,23 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 				obj.Lat.Lock()
 				addInPlace(obj, -rec.delta)
 				obj.Lat.Unlock()
-				m.dirty[rec.oid] = dirtyUpsert
+				m.markDirtyLocked(rec.oid, dirtyUpsert)
 			}
 		case wal.KindCreate:
 			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelete})
 			m.cache.Delete(rec.oid)
-			m.dirty[rec.oid] = dirtyDelete
+			m.markDirtyLocked(rec.oid, dirtyDelete)
 			// The object never existed; any escrow bounds declared for it
 			// (a rolled-back bounded-counter creation) go with it.
 			m.locks.DropEscrow(rec.oid)
 		case wal.KindDelete:
 			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindCreate, After: rec.before})
 			m.cache.Install(rec.oid, rec.before)
-			m.dirty[rec.oid] = dirtyUpsert
+			m.markDirtyLocked(rec.oid, dirtyUpsert)
 		default: // modify
 			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindModify, After: rec.before})
 			m.cache.Install(rec.oid, rec.before)
-			m.dirty[rec.oid] = dirtyUpsert
+			m.markDirtyLocked(rec.oid, dirtyUpsert)
 		}
 	}
 	// Phase 3: cleanup and final statuses.

@@ -175,7 +175,11 @@ type Manager struct {
 	ctr    [8]byte
 
 	backend storage.Backend
-	dirty   map[xid.OID]dirtyKind // committed changes since last checkpoint
+	// dirty holds the committed changes since the last checkpoint. It is nil
+	// for a manager opened without Dir: its backend is NullBackend, so there
+	// is nothing a checkpoint could write and no reason to remember what
+	// changed. Written through markDirtyLocked only.
+	dirty map[xid.OID]dirtyKind
 
 	// Distributed-commit participant state, guarded by mu. prepared maps a
 	// group id to its local members (runtime-prepared or recovered in
@@ -218,7 +222,6 @@ func Open(cfg Config) (*Manager, error) {
 		waits:        waitgraph.New(),
 		cache:        storage.NewCache(),
 		txns:         htab.New[*txn](0),
-		dirty:        make(map[xid.OID]dirtyKind),
 		prepared:     make(map[uint64][]xid.TID),
 		verdicts:     make(map[uint64]bool),
 		preparing:    make(map[uint64]chan struct{}),
@@ -271,6 +274,7 @@ func Open(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m.backend = storage.PageBackend{Store: ps}
+	m.dirty = make(map[xid.OID]dirtyKind)
 	var maxOID xid.OID
 	if err := m.backend.LoadAll(func(oid xid.OID, data []byte) error {
 		if !m.cache.Create(oid, data) {
@@ -294,19 +298,19 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	for oid, data := range st.Objects {
 		m.cache.Install(oid, data)
-		m.dirty[oid] = dirtyUpsert
+		m.markDirtyLocked(oid, dirtyUpsert)
 		if oid > maxOID {
 			maxOID = oid
 		}
 	}
 	for oid := range st.Deleted {
 		m.cache.Delete(oid)
-		m.dirty[oid] = dirtyDelete
+		m.markDirtyLocked(oid, dirtyDelete)
 	}
 	for oid, d := range st.Deltas {
 		base, _ := m.cache.Read(oid) // missing base reads as zero
 		m.cache.Install(oid, wal.EncodeCounter(wal.DecodeCounter(base)+d))
-		m.dirty[oid] = dirtyUpsert
+		m.markDirtyLocked(oid, dirtyUpsert)
 		if oid > maxOID {
 			maxOID = oid
 		}
@@ -469,6 +473,15 @@ func (m *Manager) deltaImage(delta int64) []byte {
 	return m.ctr[:]
 }
 
+// markDirtyLocked records that a committed change to oid awaits the next
+// checkpoint. Caller holds m.mu (or is Open, before the manager is shared).
+func (m *Manager) markDirtyLocked(oid xid.OID, kind dirtyKind) {
+	if m.dirty == nil {
+		return // no backend to checkpoint into
+	}
+	m.dirty[oid] = kind
+}
+
 // lookup returns the descriptor for t.
 func (m *Manager) lookup(t xid.TID) (*txn, error) {
 	if tx, ok := m.txns.Get(uint64(t)); ok {
@@ -496,7 +509,9 @@ func (m *Manager) Checkpoint() error {
 		return fmt.Errorf("%w: %d live transactions", ErrNotQuiescent, n)
 	}
 	dirty := m.dirty
-	m.dirty = make(map[xid.OID]dirtyKind)
+	if dirty != nil {
+		m.dirty = make(map[xid.OID]dirtyKind)
+	}
 	// Holding m.mu keeps the manager quiescent: initiate is mutex-free, but
 	// a freshly initiated transaction cannot touch any object until Begin,
 	// and beginOne blocks on m.mu.

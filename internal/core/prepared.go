@@ -377,9 +377,9 @@ func (m *Manager) commitPreparedLocked(group []*txn) error {
 		member.redo = nil
 		for _, u := range member.undo {
 			if u.kind == wal.KindDelete {
-				m.dirty[u.oid] = dirtyDelete
+				m.markDirtyLocked(u.oid, dirtyDelete)
 			} else {
-				m.dirty[u.oid] = dirtyUpsert
+				m.markDirtyLocked(u.oid, dirtyUpsert)
 			}
 		}
 		member.undo = nil
@@ -410,14 +410,14 @@ func (m *Manager) installRedoLocked(op wal.RedoOp) {
 	switch op.Kind {
 	case wal.KindDelete:
 		m.cache.Delete(op.OID)
-		m.dirty[op.OID] = dirtyDelete
+		m.markDirtyLocked(op.OID, dirtyDelete)
 	case wal.KindDelta:
 		base, _ := m.cache.Read(op.OID) // missing base reads as zero
 		m.cache.Install(op.OID, wal.EncodeCounter(wal.DecodeCounter(base)+wal.DecodeCounter(op.After)))
-		m.dirty[op.OID] = dirtyUpsert
+		m.markDirtyLocked(op.OID, dirtyUpsert)
 	default: // modify/create
 		m.cache.Install(op.OID, op.After)
-		m.dirty[op.OID] = dirtyUpsert
+		m.markDirtyLocked(op.OID, dirtyUpsert)
 	}
 }
 

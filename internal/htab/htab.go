@@ -15,7 +15,13 @@ import (
 
 const defaultShards = 64
 
-// entry is a node in a bucket chain.
+// maxFreeEntries caps a shard's free list; what a burst of deletes retires
+// beyond it goes back to the collector.
+const maxFreeEntries = 256
+
+// entry is a node in a bucket chain, or on its shard's free list. Entry
+// pointers never leave the package, so a deleted entry has no other holder
+// and can be reused at once.
 type entry[V any] struct {
 	key  uint64
 	val  V
@@ -27,10 +33,31 @@ type shard[V any] struct {
 	mu      sync.Mutex
 	buckets []*entry[V]
 	n       int
+	free    *entry[V] // deleted entries, values zeroed, linked through next
+	nfree   int
 	// Pad each shard to a full cache line (mutex 8 + slice 24 + int 8 +
-	// pad 24 = 64 bytes); adjacent shards otherwise false-share and
-	// serialize under concurrency.
-	_ [24]byte
+	// free list 16 + pad 8 = 64 bytes); adjacent shards otherwise
+	// false-share and serialize under concurrency.
+	_ [8]byte
+}
+
+// insert links a new entry at the head of bucket b, taking the node off the
+// free list when there is one. Caller holds s.mu and has established that
+// key is absent.
+func (s *shard[V]) insert(b uint64, key uint64, val V) {
+	e := s.free
+	if e != nil {
+		s.free = e.next
+		s.nfree--
+	} else {
+		e = new(entry[V])
+	}
+	e.key, e.val, e.next = key, val, s.buckets[b]
+	s.buckets[b] = e
+	s.n++
+	if s.n > 4*len(s.buckets) {
+		s.grow()
+	}
 }
 
 // Map is a sharded chained hash table from uint64 keys to values of type V.
@@ -108,11 +135,7 @@ func (m *Map[V]) Put(key uint64, val V) bool {
 			return false
 		}
 	}
-	s.buckets[b] = &entry[V]{key: key, val: val, next: s.buckets[b]}
-	s.n++
-	if s.n > 4*len(s.buckets) {
-		s.grow()
-	}
+	s.insert(b, key, val)
 	return true
 }
 
@@ -128,11 +151,7 @@ func (m *Map[V]) PutIfAbsent(key uint64, val V) (V, bool) {
 			return e.val, false
 		}
 	}
-	s.buckets[b] = &entry[V]{key: key, val: val, next: s.buckets[b]}
-	s.n++
-	if s.n > 4*len(s.buckets) {
-		s.grow()
-	}
+	s.insert(b, key, val)
 	return val, true
 }
 
@@ -143,9 +162,15 @@ func (m *Map[V]) Delete(key uint64) bool {
 	defer s.mu.Unlock()
 	b := mix(key) % uint64(len(s.buckets))
 	for p := &s.buckets[b]; *p != nil; p = &(*p).next {
-		if (*p).key == key {
-			*p = (*p).next
+		if e := *p; e.key == key {
+			*p = e.next
 			s.n--
+			if s.nfree < maxFreeEntries {
+				var zero V
+				e.val, e.next = zero, s.free // the list must not keep the value alive
+				s.free = e
+				s.nfree++
+			}
 			return true
 		}
 	}

@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"repro/internal/race"
 )
 
 func TestPutGetDelete(t *testing.T) {
@@ -167,5 +170,94 @@ func TestPairKeySymmetryIsNotRequired(t *testing.T) {
 	// but equal (ordered) pairs must map equally.
 	if PairKey(1, 2) != PairKey(1, 2) {
 		t.Fatal("PairKey not deterministic")
+	}
+}
+
+// TestRecycledEntries: a deleted entry goes on its shard's free list with its
+// value zeroed (the list must not keep a deleted value alive), the next
+// insert reuses it under the new key alone, the list is capped, and Range and
+// grow see chains of recycled entries exactly as they see fresh ones.
+func TestRecycledEntries(t *testing.T) {
+	m := New[*int](1)
+	s := &m.shards[0]
+	old := new(int)
+	m.Put(1, old)
+	m.Delete(1)
+	if s.nfree != 1 || s.free == nil || s.free.val != nil {
+		t.Fatalf("after a delete: %d entries on the free list, head %+v; want one with its value zeroed", s.nfree, s.free)
+	}
+	recycled := s.free
+	v := new(int)
+	if _, inserted := m.PutIfAbsent(2, v); !inserted {
+		t.Fatal("PutIfAbsent of an absent key did not insert")
+	}
+	if s.nfree != 0 || s.free != nil {
+		t.Fatalf("insert did not take the free entry: %d left", s.nfree)
+	}
+	if got, ok := m.Get(2); !ok || got != v || recycled.key != 2 || recycled.val != v {
+		t.Fatalf("recycled entry holds key %d value %p, want 2 %p", recycled.key, recycled.val, v)
+	}
+	if _, ok := m.Get(1); ok {
+		t.Fatal("the recycled entry still answers to its old key")
+	}
+	m.Delete(2)
+
+	// Fill past several grows from a full free list, then check every entry.
+	const n = 4 * maxFreeEntries
+	for i := uint64(1); i <= n; i++ {
+		m.Put(i, v)
+	}
+	for i := uint64(1); i <= n; i++ {
+		m.Delete(i)
+	}
+	if s.nfree != maxFreeEntries || m.Len() != 0 {
+		t.Fatalf("after %d deletes: %d on the free list (cap %d), Len %d", n, s.nfree, maxFreeEntries, m.Len())
+	}
+	vals := make([]int, n)
+	for i := uint64(1); i <= n; i++ {
+		m.Put(i+n, &vals[i-1])
+	}
+	if s.nfree != 0 {
+		t.Fatalf("%d entries left on the free list after %d inserts", s.nfree, n)
+	}
+	seen := 0
+	m.Range(func(k uint64, p *int) bool {
+		if k <= n || k > 2*n || p != &vals[k-n-1] {
+			t.Errorf("Range: key %d carries the wrong value", k)
+		}
+		seen++
+		return true
+	})
+	if seen != n || m.Len() != n {
+		t.Fatalf("Range saw %d entries, Len %d, want %d", seen, m.Len(), n)
+	}
+}
+
+// TestChurnAllocatesNothing: inserting and deleting distinct keys — what the
+// transaction table does once per transaction — allocates nothing once the
+// free list has an entry.
+func TestChurnAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	m := New[int](0)
+	next := uint64(1)
+	got := testing.AllocsPerRun(10_000, func() {
+		m.PutIfAbsent(next, 1)
+		m.Put(next+1, 2)
+		m.Delete(next)
+		m.Delete(next + 1)
+		next += 2
+	})
+	if got != 0 {
+		t.Errorf("%.2f allocations per insert/delete pair, want 0", got)
+	}
+}
+
+// TestShardIsOneCacheLine: adjacent shards must not share a line, or their
+// mutexes false-share.
+func TestShardIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(shard[*int]{}); got != 64 {
+		t.Errorf("shard is %d bytes, want 64", got)
 	}
 }

@@ -8,46 +8,59 @@ import (
 )
 
 // acquireReleaseAllocBudget is what a transaction's whole passage through
-// the lock table may allocate once the table is warm: the htab entry that
-// maps its txnState, and nothing per lock. The parent commit measured 13
-// objects for three locks and 9 for one (a pending and a granted LRD per
-// lock, the txnState with two maps, the wait-set and lock-index inserts,
-// the release snapshot).
-const acquireReleaseAllocBudget = 2
+// the lock table may allocate once the table is warm: nothing. The OD, the
+// LRDs, the txnState and the htab entry that maps it all come off free
+// lists, and mapping an OD into its shard's bucket chains allocates nothing
+// however many distinct oids pass through.
+const acquireReleaseAllocBudget = 0
 
-// TestAcquireReleaseAllocBudget: a fresh TID takes its first locks on warm
-// objects and releases them. LRDs and the txnState come off free lists, the
-// request is granted from a descriptor on the stack, and ReleaseAll walks
-// the retired state's own index.
+// TestAcquireReleaseAllocBudget: a fresh TID takes its first locks and
+// releases them. The request is granted from a descriptor on the stack,
+// ReleaseAll walks the retired state's own index, and the release retires
+// each object's OD, which the next transaction's lock maps again — under the
+// same oids in the first two arms, under oids the table has never seen in
+// the third.
 func TestAcquireReleaseAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	for _, tc := range []struct {
-		name string
-		oids []xid.OID
+		name   string
+		oids   []xid.OID
+		stride xid.OID // added to every oid after each transaction
 	}{
-		{"one lock", []xid.OID{7}},
-		{"three locks", []xid.OID{7, 8, 9}},
+		{"one lock", []xid.OID{7}, 0},
+		{"three locks", []xid.OID{7, 8, 9}, 0},
+		{"three never-seen objects", []xid.OID{7, 8, 9}, 3},
 	} {
 		m := newTest(Options{})
 		next := xid.TID(1)
-		got := testing.AllocsPerRun(500, func() {
+		oids := append([]xid.OID(nil), tc.oids...)
+		passage := func() {
 			tid := next
 			next++
-			for _, oid := range tc.oids {
+			for i, oid := range oids {
 				if err := m.Lock(tid, oid, xid.OpWrite); err != nil {
 					t.Fatal(err)
 				}
+				oids[i] += tc.stride
 			}
 			m.ReleaseAll(tid)
-		})
+		}
+		// Warm: every shard's free lists get a descriptor of each kind.
+		for i := 0; i < 2000; i++ {
+			passage()
+		}
+		got := testing.AllocsPerRun(5000, passage)
 		t.Logf("%s: %.1f objects per acquire/release", tc.name, got)
 		if got > acquireReleaseAllocBudget {
 			t.Errorf("%s: %.1f objects per acquire/release, budget %d", tc.name, got, acquireReleaseAllocBudget)
 		}
 		if bad := m.CheckInvariants(); len(bad) > 0 {
 			t.Errorf("%s: invariants: %v", tc.name, bad)
+		}
+		if f := m.Footprint(); f.ODs != 0 {
+			t.Errorf("%s: %d ODs still mapped with no lock in force", tc.name, f.ODs)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package lock
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/xid"
 )
@@ -49,10 +49,10 @@ func (m *Manager) Delegate(from, to xid.TID, oids []xid.OID) []xid.OID {
 	toTS := m.txnOf(to)
 
 	// Visit shards in ascending order, one latch at a time.
-	byShard := make(map[*lockShard][]xid.OID)
+	byShard := make(map[uint64][]xid.OID)
 	for _, oid := range candidates {
-		s := m.shardOf(oid)
-		byShard[s] = append(byShard[s], oid)
+		i := m.shardIndexOf(oid)
+		byShard[i] = append(byShard[i], oid)
 	}
 	var moved []xid.OID
 	m.forShardsAscending(byShard, func(s *lockShard, oids []xid.OID) {
@@ -72,28 +72,19 @@ func (m *Manager) Delegate(from, to xid.TID, oids []xid.OID) []xid.OID {
 	return moved
 }
 
-// forShardsAscending runs fn over the shard groups in ascending shard-index
-// order. Ordering is not required for deadlock freedom (only one latch is
-// held at a time) but makes delegation outcomes deterministic for tests.
-func (m *Manager) forShardsAscending(groups map[*lockShard][]xid.OID, fn func(*lockShard, []xid.OID)) {
-	idx := make([]int, 0, len(groups))
-	for s := range groups {
-		idx = append(idx, m.shardIndex(s))
+// forShardsAscending runs fn over the groups, keyed by shard index, in
+// ascending order. Ordering is not required for deadlock freedom (only one
+// latch is held at a time) but makes delegation outcomes deterministic for
+// tests.
+func (m *Manager) forShardsAscending(groups map[uint64][]xid.OID, fn func(*lockShard, []xid.OID)) {
+	idx := make([]uint64, 0, len(groups))
+	for i := range groups {
+		idx = append(idx, i)
 	}
-	sort.Ints(idx)
+	slices.Sort(idx)
 	for _, i := range idx {
-		s := &m.shards[i]
-		fn(s, groups[s])
+		fn(&m.shards[i], groups[i])
 	}
-}
-
-func (m *Manager) shardIndex(s *lockShard) int {
-	for i := range m.shards {
-		if &m.shards[i] == s {
-			return i
-		}
-	}
-	panic("lock: shard not owned by manager")
 }
 
 // delegateOneLocked moves from's LRD on oid into to's lock list, merging
@@ -107,7 +98,7 @@ func (m *Manager) shardIndex(s *lockShard) int {
 // a retired delegatee gets nothing. Caller holds s.lat; the txnState latches
 // nest inside it, taken one at a time.
 func (m *Manager) delegateOneLocked(from, to xid.TID, fromTS, toTS *txnState, s *lockShard, oid xid.OID) bool {
-	od := s.ods[oid]
+	od := s.lookup(oid)
 	if od == nil {
 		return false
 	}
@@ -162,8 +153,9 @@ func (m *Manager) delegateOneLocked(from, to xid.TID, fromTS, toTS *txnState, s 
 		}
 	}
 	// Blocked requests were waiting on `from`; their blocker is now `to`
-	// (or gone).
+	// (or gone, and the lock with it).
 	od.cond.Broadcast()
+	s.retireIfIdle(od)
 	return true
 }
 
@@ -199,7 +191,9 @@ func (m *Manager) moveReservationLocked(od *objDesc, from, to xid.TID, toTS *txn
 
 // reassignGrantor rewrites PDs of the form (from, tk, op) to (to, tk, op)
 // on the given objects (nil = all), working from the snapshot taken by
-// Delegate. Each PD is re-validated under its own shard latch.
+// Delegate. Each PD is re-validated under its own shard latch: one found
+// dead is skipped without looking at its od, which may have been reused; one
+// found live is on its OD's list, which keeps that OD mapped.
 func (m *Manager) reassignGrantor(to xid.TID, pds []*permit, oids []xid.OID) {
 	var want map[xid.OID]bool
 	if oids != nil {
@@ -209,7 +203,7 @@ func (m *Manager) reassignGrantor(to xid.TID, pds []*permit, oids []xid.OID) {
 		}
 	}
 	for _, p := range pds {
-		if want != nil && !want[p.od.oid] {
+		if want != nil && !want[p.oid] {
 			continue
 		}
 		s := p.od.home
@@ -230,6 +224,7 @@ func (m *Manager) reassignGrantor(to xid.TID, pds []*permit, oids []xid.OID) {
 			od.dropPermit(p)
 		}
 		od.cond.Broadcast()
+		s.retireIfIdle(od)
 		s.lat.Unlock()
 	}
 }

@@ -162,7 +162,9 @@ func (e *escrowState) settle(tid xid.TID, commit bool) {
 // in-flight reservations — because val is supplied by the caller and an
 // in-flight delta would make it ambiguous; the lock-side value is
 // authoritative from then on, maintained purely from committed escrow
-// deltas, so it stays in step with a cache updated by the same deltas.
+// deltas, so it stays in step with a cache updated by the same deltas. The
+// ledger is state of the object, not of a lock: it keeps the object's OD
+// mapped, locked or not, until DropEscrow.
 func (m *Manager) DeclareEscrow(oid xid.OID, val, lo, hi uint64) error {
 	if lo > hi {
 		return errors.New("lock: escrow bounds inverted (lo > hi)")
@@ -188,13 +190,15 @@ func (m *Manager) DeclareEscrow(oid xid.OID, val, lo, hi uint64) error {
 // DropEscrow removes oid's escrow declaration (the object was deleted, or
 // its creation rolled back). Outstanding reservations are discarded with
 // it; callers ensure quiescence the same way deletion does, by holding a
-// conflicting write lock.
+// conflicting write lock. The ledger was what kept an otherwise idle OD
+// mapped, so dropping it may retire the OD.
 func (m *Manager) DropEscrow(oid xid.OID) {
 	s := m.shardOf(oid)
 	s.lat.Lock()
-	if od := s.ods[oid]; od != nil && od.esc != nil {
+	if od := s.lookup(oid); od != nil && od.esc != nil {
 		od.esc = nil
 		od.cond.Broadcast()
+		s.retireIfIdle(od)
 	}
 	s.lat.Unlock()
 }
@@ -206,7 +210,7 @@ func (m *Manager) EscrowInfo(oid xid.OID) (val, lo, hi, infPos, infNeg uint64, o
 	s := m.shardOf(oid)
 	s.lat.Lock()
 	defer s.lat.Unlock()
-	od := s.ods[oid]
+	od := s.lookup(oid)
 	if od == nil || od.esc == nil {
 		return 0, 0, 0, 0, 0, false
 	}
@@ -243,7 +247,7 @@ func (m *Manager) EscrowUnreserve(tid xid.TID, oid xid.OID, delta int64) {
 	s := m.shardOf(oid)
 	s.lat.Lock()
 	defer s.lat.Unlock()
-	od := s.ods[oid]
+	od := s.lookup(oid)
 	if od == nil || od.esc == nil {
 		return
 	}
@@ -289,10 +293,10 @@ func (m *Manager) settleEscrows(tid xid.TID, commit bool) {
 	}
 	ts.escrows = nil
 	ts.lat.Unlock()
-	for _, od := range ods {
+	for oid, od := range ods {
 		s := od.home
 		s.lat.Lock()
-		if od.esc != nil {
+		if od.is(oid) && od.esc != nil {
 			od.esc.settle(tid, commit)
 			od.cond.Broadcast()
 		}

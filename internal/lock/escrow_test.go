@@ -169,7 +169,7 @@ func TestEscrowInvariantsDetectCorruption(t *testing.T) {
 
 	s := m.shardOf(oid)
 	s.lat.Lock()
-	s.ods[oid].esc.infPos += 7 // ledger no longer matches the holders
+	s.lookup(oid).esc.infPos += 7 // ledger no longer matches the holders
 	s.lat.Unlock()
 
 	if errs := m.CheckInvariants(); len(errs) == 0 {
@@ -177,7 +177,7 @@ func TestEscrowInvariantsDetectCorruption(t *testing.T) {
 	}
 
 	s.lat.Lock()
-	s.ods[oid].esc.infPos -= 7
+	s.lookup(oid).esc.infPos -= 7
 	s.lat.Unlock()
 	wantClean(t, m, "after repair")
 

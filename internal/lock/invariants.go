@@ -41,6 +41,12 @@ import (
 //     resolve to); every reservation is held by a live transaction that
 //     holds a granted increment/decrement-mode lock on the object and
 //     indexes the reservation, and vice versa.
+//  7. Descriptor lifetime: the table holds exactly the locks in force. Every
+//     mapped OD is on the chain its oid hashes to and has something on it (a
+//     granted or pending LRD, a PD, a declared ledger); every OD on a free
+//     list is unmapped, empty and in its own shard; no transaction index and
+//     no live PD points at an OD that is not mapped under the oid it is
+//     known by; the shard counts agree with the chains and lists.
 //
 // The intended use is at quiescent points of a concurrent workload (no
 // Lock/Delegate/Permit/ReleaseAll in flight); it is safe, but noisier, to
@@ -75,7 +81,7 @@ func (m *Manager) CheckInvariants() []string {
 	// matched against the wait sets in the transaction-side walk.
 	type waitKey struct {
 		tid xid.TID
-		od  *objDesc
+		oid xid.OID
 	}
 	pendingOn := make(map[waitKey]int)
 
@@ -87,16 +93,44 @@ func (m *Manager) CheckInvariants() []string {
 			freeReqs[r] = true // also stops the walk should the list loop
 			n++
 		}
-		if n != m.shards[si].nfree {
+		if n != int(m.shards[si].nfree) {
 			report("shard %d: free list holds %d LRDs, count says %d", si, n, m.shards[si].nfree)
+		}
+	}
+	// Nor may a retired OD carry anything into its next life.
+	freeODs := make(map[*objDesc]bool)
+	for si := range m.shards {
+		s := &m.shards[si]
+		n := 0
+		for od := s.freeODs; od != nil && !freeODs[od]; od = od.next {
+			freeODs[od] = true
+			n++
+			if od.mapped || od.home != s || !od.idle() {
+				report("shard %d: retired OD (last oid %v) is not empty, unmapped and at home", si, od.oid)
+			}
+		}
+		if n != int(s.nfreeODs) {
+			report("shard %d: free list holds %d ODs, count says %d", si, n, s.nfreeODs)
 		}
 	}
 
 	// Object-side walk: shards own the ground truth.
 	for si := range m.shards {
-		for oid, od := range m.shards[si].ods {
-			if od.oid != oid || od.home != &m.shards[si] {
-				report("od %v: misfiled (oid %v, shard %d)", oid, od.oid, si)
+		s := &m.shards[si]
+		mapped := s.mappedODs()
+		if len(mapped) != int(s.nods) {
+			report("shard %d: %d ODs mapped, count says %d", si, len(mapped), s.nods)
+		}
+		for _, od := range mapped {
+			oid := od.oid
+			if !od.mapped || od.home != s || m.shardOf(oid) != s || s.lookup(oid) != od {
+				report("od %v: misfiled (shard %d, mapped %v)", oid, si, od.mapped)
+			}
+			if freeODs[od] {
+				report("od %v: mapped and on the free list", oid)
+			}
+			if od.idle() {
+				report("od %v: mapped with no lock, waiter, permit or ledger", oid)
 			}
 			seen := make(map[xid.TID]bool)
 			for _, gl := range od.granted {
@@ -146,7 +180,7 @@ func (m *Manager) CheckInvariants() []string {
 					report("object %v: pending LRD of txn %v is on the free list", oid, req.tid)
 				}
 				pendingTids[req.tid] = true
-				pendingOn[waitKey{req.tid, od}]++
+				pendingOn[waitKey{req.tid, oid}]++
 				if tsOf(req.tid) == nil {
 					report("object %v: pending request by unknown txn %v", oid, req.tid)
 				}
@@ -195,7 +229,7 @@ func (m *Manager) CheckInvariants() []string {
 					report("object %v: dead PD (%v→%v) still chained", oid, p.grantor, p.grantee)
 					continue
 				}
-				if p.od != od {
+				if p.od != od || p.oid != oid {
 					report("PD (%v→%v) on %v: od backpointer wrong", p.grantor, p.grantee, oid)
 				}
 				gts := tsOf(p.grantor)
@@ -226,24 +260,25 @@ func (m *Manager) CheckInvariants() []string {
 			return true
 		}
 		for oid, od := range ts.locks {
-			if od.oid != oid {
-				report("txn %v: lock index entry for %v points at od %v", ts.tid, oid, od.oid)
+			if !od.is(oid) {
+				report("txn %v: lock index entry for %v points at an OD not mapped under it (oid %v)", ts.tid, oid, od.oid)
+				continue
 			}
 			if od.ownerReq(ts.tid) == nil {
 				report("txn %v: indexed LRD on %v absent from OD chain", ts.tid, oid)
 			}
 		}
-		for _, od := range ts.waits {
-			k := waitKey{ts.tid, od}
+		for _, oid := range ts.waits {
+			k := waitKey{ts.tid, oid}
 			if pendingOn[k] == 0 {
-				report("txn %v: wait-set request on %v not pending", ts.tid, od.oid)
+				report("txn %v: wait-set request on %v not pending", ts.tid, oid)
 				continue
 			}
 			pendingOn[k]--
 		}
 		for oid, od := range ts.escrows {
-			if od.oid != oid {
-				report("txn %v: escrow index entry for %v points at od %v", ts.tid, oid, od.oid)
+			if !od.is(oid) {
+				report("txn %v: escrow index entry for %v points at an OD not mapped under it (oid %v)", ts.tid, oid, od.oid)
 				continue
 			}
 			if od.esc == nil {
@@ -260,7 +295,7 @@ func (m *Manager) CheckInvariants() []string {
 				report("txn %v: grantor index holds PD by %v", ts.tid, p.grantor)
 			}
 			if !permitChained(p) {
-				report("txn %v: live grantor PD on %v not chained", ts.tid, p.od.oid)
+				report("txn %v: live grantor PD on %v not chained", ts.tid, p.oid)
 			}
 		}
 		for _, p := range ts.byGrantee {
@@ -271,7 +306,7 @@ func (m *Manager) CheckInvariants() []string {
 				report("txn %v: grantee index holds PD to %v", ts.tid, p.grantee)
 			}
 			if !permitChained(p) {
-				report("txn %v: live grantee PD on %v not chained", ts.tid, p.od.oid)
+				report("txn %v: live grantee PD on %v not chained", ts.tid, p.oid)
 			}
 		}
 		return true
@@ -279,7 +314,7 @@ func (m *Manager) CheckInvariants() []string {
 
 	for k, n := range pendingOn {
 		if n > 0 {
-			report("object %v: pending request by %v not in its wait set", k.od.oid, k.tid)
+			report("object %v: pending request by %v not in its wait set", k.oid, k.tid)
 		}
 	}
 
@@ -290,6 +325,17 @@ func (m *Manager) CheckInvariants() []string {
 		}
 	}
 	return bad
+}
+
+// mappedODs lists the ODs on the shard's chains. Caller holds s.lat.
+func (s *lockShard) mappedODs() []*objDesc {
+	var out []*objDesc
+	for _, head := range s.buckets {
+		for od := head; od != nil; od = od.next {
+			out = append(out, od)
+		}
+	}
+	return out
 }
 
 // permitIndexed reports whether p appears in ts's grantor (or grantee)
@@ -312,13 +358,40 @@ func permitIndexed(ts *txnState, p *permit, asGrantor bool) bool {
 	return false
 }
 
-// permitChained reports whether p is on its object's PD chain. Caller holds
-// all shard latches.
+// permitChained reports whether p is on the PD chain of the OD mapped under
+// its oid. Caller holds all shard latches.
 func permitChained(p *permit) bool {
+	if !p.od.is(p.oid) {
+		return false
+	}
 	for _, q := range p.od.permits {
 		if q == p {
 			return true
 		}
 	}
 	return false
+}
+
+// Footprint is what the lock table holds at one instant: the ODs mapped —
+// the objects with a lock, a waiter, a permit or a declared ledger — and the
+// descriptors parked on the shards' free lists. A diagnostic, not a setting.
+type Footprint struct {
+	ODs      int // mapped object descriptors
+	FreeODs  int // retired ODs awaiting reuse
+	FreeLRDs int // retired LRDs awaiting reuse
+}
+
+// Footprint sums the shards' counts, one shard latch at a time; the total is
+// exact at a quiescent point.
+func (m *Manager) Footprint() Footprint {
+	var f Footprint
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.lat.Lock()
+		f.ODs += int(s.nods)
+		f.FreeODs += int(s.nfreeODs)
+		f.FreeLRDs += int(s.nfree)
+		s.lat.Unlock()
+	}
+	return f
 }

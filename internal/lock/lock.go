@@ -108,11 +108,17 @@ type lockReq struct {
 }
 
 // objDesc is the object descriptor (OD) of Figure 1: granted and pending
-// LRD lists and the object's permit list, guarded by the home shard's latch.
-// ODs live as long as the table; the transaction-side indexes point at them.
+// LRD lists and the object's permit list, guarded by the home shard's latch
+// (home itself never changes: an OD is recycled only within its shard). An OD
+// is mapped in its shard exactly while one of its lists is non-empty or an
+// escrow ledger is declared on it; lockShard.retireIfIdle unmaps and recycles
+// it otherwise, so a pointer kept across an unlatched window is believed only
+// after is(oid) has confirmed it under the latch.
 type objDesc struct {
 	oid     xid.OID
 	home    *lockShard
+	next    *objDesc // bucket chain while mapped, free list while retired
+	mapped  bool
 	granted []*lockReq
 	pending []*lockReq // FIFO
 	permits []*permit
@@ -130,6 +136,7 @@ type objDesc struct {
 // a txnState latch while shard-side code flips it under the shard latch.
 type permit struct {
 	od      *objDesc
+	oid     xid.OID // od's oid for the PD's whole life; readable without the shard latch
 	grantor xid.TID
 	grantee xid.TID // NilTID = any transaction
 	ops     xid.OpSet
@@ -137,6 +144,16 @@ type permit struct {
 }
 
 func (p *permit) isDead() bool { return p.dead.Load() }
+
+// is reports whether od is the descriptor mapped under oid, i.e. still the
+// one its holder knew by that oid. Caller holds od.home.lat.
+func (od *objDesc) is(oid xid.OID) bool { return od.mapped && od.oid == oid }
+
+// idle reports whether od has nothing left to describe: no granted or
+// pending LRD, no PD, no declared escrow ledger. Caller holds od.home.lat.
+func (od *objDesc) idle() bool {
+	return len(od.granted)+len(od.pending)+len(od.permits) == 0 && od.esc == nil
+}
 
 // Options configures a lock manager.
 type Options struct {
@@ -200,7 +217,7 @@ func New(wg *waitgraph.Graph, opts Options) *Manager {
 		wg:        wg,
 	}
 	for i := range m.shards {
-		m.shards[i].ods = make(map[xid.OID]*objDesc)
+		m.shards[i].buckets = make([]*objDesc, minBuckets)
 	}
 	return m
 }
@@ -271,14 +288,20 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 	// that is: exactly where it would be appended.
 	blockers, permitted := m.tryGrant(&probe)
 	if len(blockers) > 0 {
+		// Nothing of this request is on od yet, so once the latch is gone od
+		// may be retired and handed to another oid: park is given the oid and
+		// resolves the descriptor again.
 		s.lat.Unlock()
-		return m.park(ctx, ts, probe)
+		return m.park(ctx, ts, s, oid, probe)
 	}
 	var err error
 	if probe.escNever {
 		err = ErrEscrow
 	} else {
 		err = m.grant(ts, &probe, permitted)
+	}
+	if err != nil {
+		s.retireIfIdle(od) // nothing was installed; od may have been mapped for this request alone
 	}
 	s.lat.Unlock()
 	return err
@@ -323,13 +346,17 @@ func (m *Manager) grant(ts *txnState, req *lockReq, permitted []*lockReq) error 
 // object's cond until the request is granted or given up — which may be at
 // once, the table having moved on since acquire let go of the shard latch.
 // The timeout timer and the ctx watcher are armed only here, just before
-// the first Wait. Called with no latches held.
+// the first Wait. The OD acquire evaluated the probe on is not trusted: it
+// is looked up again by oid, and mapped again if it was retired in between.
+// From the enqueue to leave the pending LRD keeps it mapped. Called with no
+// latches held.
 //
 //go:noinline
-func (m *Manager) park(ctx context.Context, ts *txnState, probe lockReq) error {
-	tid, od := probe.tid, probe.od
-	s := od.home
+func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.OID, probe lockReq) error {
+	tid := probe.tid
 	s.lat.Lock()
+	od := s.od(oid)
+	probe.od = od
 	probe.status = statusPending
 	if od.ownerReq(tid) != nil {
 		probe.status = statusUpgrading
@@ -337,7 +364,7 @@ func (m *Manager) park(ctx context.Context, ts *txnState, probe lockReq) error {
 	req := s.newReq()
 	*req = probe
 	od.pending = append(od.pending, req)
-	ts.registerWait(tid, od)
+	ts.registerWait(tid, oid)
 
 	// Both wake-up sources flag req under the shard latch. Either may fire
 	// after the request is already resolved (the stop and the firing race);
@@ -364,7 +391,7 @@ func (m *Manager) park(ctx context.Context, ts *txnState, probe lockReq) error {
 	// collector instead.
 	leave := func() {
 		m.removePending(od, req)
-		ts.unregisterWait(tid, od)
+		ts.unregisterWait(tid, oid)
 		clearEdges()
 		quiet := true
 		if timer != nil && !timer.Stop() {
@@ -377,9 +404,11 @@ func (m *Manager) park(ctx context.Context, ts *txnState, probe lockReq) error {
 			s.freeReq(req)
 		}
 	}
-	// exit finalizes a non-grant outcome.
+	// exit finalizes a non-grant outcome; the request may have been the last
+	// thing on od.
 	exit := func(err error) error {
 		leave()
+		s.retireIfIdle(od)
 		s.lat.Unlock()
 		return err
 	}
@@ -410,6 +439,9 @@ func (m *Manager) park(ctx context.Context, ts *txnState, probe lockReq) error {
 		if len(blockers) == 0 {
 			leave() // req may be recycled from here on; probe has its terms
 			err := m.grant(ts, &probe, permitted)
+			if err != nil {
+				s.retireIfIdle(od)
+			}
 			s.lat.Unlock()
 			return err
 		}
@@ -595,25 +627,28 @@ func (m *Manager) CancelWaits(tid xid.TID) {
 }
 
 // flagWaits marks every parked request of tid as deadlock victim or as
-// cancelled and wakes it, one shard at a time. It goes from the objects in
-// the transaction's wait set to the requests on their pending queues under
-// each shard latch, so it never holds an LRD outside the latch that guards
-// it. Called with no latches held.
+// cancelled and wakes it, one shard at a time. It goes from the oids in the
+// transaction's wait set to whatever OD each names now and the requests on
+// its pending queue, under each shard latch, so it never holds an OD or an
+// LRD outside the latch that guards it: a waiter that left in the meantime
+// is simply not found. Called with no latches held.
 func (m *Manager) flagWaits(tid xid.TID, victim bool) {
-	for _, od := range m.waitObjects(tid) {
-		s := od.home
+	for _, oid := range m.waitObjects(tid) {
+		s := m.shardOf(oid)
 		s.lat.Lock()
-		for _, p := range od.pending {
-			if p.tid != tid {
-				continue
+		if od := s.lookup(oid); od != nil {
+			for _, p := range od.pending {
+				if p.tid != tid {
+					continue
+				}
+				if victim {
+					p.victim = true
+				} else {
+					p.cancelled = true
+				}
 			}
-			if victim {
-				p.victim = true
-			} else {
-				p.cancelled = true
-			}
+			od.cond.Broadcast()
 		}
-		od.cond.Broadcast()
 		s.lat.Unlock()
 	}
 }
@@ -624,7 +659,7 @@ func (m *Manager) Holds(tid xid.TID, oid xid.OID, mode xid.OpSet) bool {
 	s := m.shardOf(oid)
 	s.lat.Lock()
 	defer s.lat.Unlock()
-	od := s.ods[oid]
+	od := s.lookup(oid)
 	if od == nil {
 		return false
 	}
@@ -658,29 +693,36 @@ func (m *Manager) HeldObjects(tid xid.TID) []xid.OID {
 // retired under its latch (see txnState), then each affected shard is
 // visited in turn — at most one shard latch held at a time — straight from
 // the retired indexes, which nobody else may touch any more; then the
-// emptied state is recycled.
+// emptied state is recycled. The indexes are kept in step with the chains,
+// so an entry's OD should still carry tid's lock and hence be mapped under
+// the entry's oid; the walk confirms is(oid) under the shard latch all the
+// same, rather than rest the safety of a recycled descriptor on an argument
+// that spans two structures.
 //
 //asset:noalloc
 func (m *Manager) ReleaseAll(tid xid.TID) {
 	if ts := m.retire(tid); ts != nil {
-		for _, od := range ts.escrows {
+		for oid, od := range ts.escrows {
 			s := od.home
 			s.lat.Lock()
-			if od.esc != nil {
+			if od.is(oid) && od.esc != nil {
 				od.esc.settle(tid, false)
 				od.cond.Broadcast()
 			}
 			s.lat.Unlock()
 		}
-		for _, od := range ts.locks {
+		for oid, od := range ts.locks {
 			s := od.home
 			s.lat.Lock()
 			// The chain decides, under the latch: a racing delegation may
 			// have retagged the LRD to another transaction, whose lock must
 			// survive.
-			if gl := od.ownerReq(tid); gl != nil {
-				od.dropGranted(gl)
-				od.cond.Broadcast()
+			if od.is(oid) {
+				if gl := od.ownerReq(tid); gl != nil {
+					od.dropGranted(gl)
+					od.cond.Broadcast()
+					s.retireIfIdle(od)
+				}
 			}
 			s.lat.Unlock()
 		}
@@ -691,6 +733,10 @@ func (m *Manager) ReleaseAll(tid xid.TID) {
 	m.wg.RemoveNode(tid)
 }
 
+// releasePermits drops the PDs of a retired state that are still live. A
+// dead PD's od may have been retired and reused since: only home is read from
+// it, and a PD found live under the latch is on its OD's list, which keeps
+// that OD mapped.
 func releasePermits(pds []*permit) {
 	for _, p := range pds {
 		s := p.od.home
@@ -698,6 +744,7 @@ func releasePermits(pds []*permit) {
 		if !p.isDead() {
 			p.od.dropPermit(p)
 			p.od.cond.Broadcast()
+			s.retireIfIdle(p.od)
 		}
 		s.lat.Unlock()
 	}
@@ -718,7 +765,6 @@ func (m *Manager) retire(tid xid.TID) *txnState {
 		return nil
 	}
 	ts.dead = true
-	clear(ts.waits)
 	ts.waits = ts.waits[:0]
 	ts.lat.Unlock()
 	m.txns.Delete(uint64(tid))

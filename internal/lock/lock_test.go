@@ -359,7 +359,7 @@ func TestDelegateMergesWithExistingLock(t *testing.T) {
 	// Only one granted entry should remain for t2.
 	s := m.shardOf(100)
 	s.lat.Lock()
-	n := len(s.ods[100].granted)
+	n := len(s.lookup(100).granted)
 	s.lat.Unlock()
 	if n != 1 {
 		t.Fatalf("granted list has %d entries, want 1 after merge", n)

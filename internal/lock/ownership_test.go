@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -12,31 +13,31 @@ import (
 // The ownership tests race the paths that retire a descriptor against the
 // paths that could still be holding one. The rule under test (DESIGN.md §8):
 // an LRD is reachable only from its OD's chains under the shard latch, a
-// txnState is used only after is(tid) under its own latch, and either goes
-// on a free list only once it is unlinked under the latch that guards the
-// link. Each test loops a few thousand rounds on fresh tids, so every round
-// reuses what the round before retired, and ends with the table audited and
-// empty. Run them under -race, repeated.
+// txnState is used only after is(tid) under its own latch, an OD is believed
+// only while mapped under the oid its holder knows it by, and each goes on a
+// free list only once it is unlinked under the latch that guards the link.
+// Each test loops a few thousand rounds on fresh tids, so every round reuses
+// what the round before retired, and ends with the table audited and empty.
+// Run them under -race, repeated.
 
 const ownershipRounds = 3000
 
 // wantEmpty asserts the audit is clean and that nothing is granted, pending,
-// reserved or mapped any more: no lock outlives its (terminated) holder.
+// permitted, reserved or mapped any more: no lock outlives its (terminated)
+// holder, and the only ODs left are those of declared ledgers.
 func wantEmpty(t *testing.T, m *Manager, ctx string) {
 	t.Helper()
 	wantClean(t, m, ctx)
 	for si := range m.shards {
 		s := &m.shards[si]
 		s.lat.Lock()
-		for oid, od := range s.ods {
-			for _, gl := range od.granted {
-				t.Errorf("%s: object %v still granted to terminated txn %v", ctx, oid, gl.tid)
-			}
-			for _, p := range od.pending {
-				t.Errorf("%s: object %v still has a pending request of txn %v", ctx, oid, p.tid)
+		for _, od := range s.mappedODs() {
+			if len(od.granted)+len(od.pending)+len(od.permits) > 0 {
+				t.Errorf("%s: object %v still has %d granted, %d pending, %d permits", ctx, od.oid,
+					len(od.granted), len(od.pending), len(od.permits))
 			}
 			if od.esc != nil && (len(od.esc.holders) != 0 || od.esc.infPos != 0 || od.esc.infNeg != 0) {
-				t.Errorf("%s: object %v still has reservations in flight", ctx, oid)
+				t.Errorf("%s: object %v still has reservations in flight", ctx, od.oid)
 			}
 		}
 		s.lat.Unlock()
@@ -235,7 +236,8 @@ func TestOwnershipStaleStatePointerRefused(t *testing.T) {
 	s.lat.Lock()
 	od := s.od(oid)
 	granted := m.installGrant(stale, od, T, xid.OpWrite, 0, false)
-	stale.registerWait(T, od)
+	stale.registerWait(T, oid)
+	s.retireIfIdle(od)
 	s.lat.Unlock()
 	if granted {
 		t.Fatal("installGrant registered T's grant in the state U now owns")
@@ -270,7 +272,7 @@ func TestOwnershipLateWakeupKeepsLRD(t *testing.T) {
 		s := m.shardOf(oid)
 		s.lat.Lock()
 		defer s.lat.Unlock()
-		return s.nfree
+		return int(s.nfree)
 	}
 
 	// Timed out: the timer fired, the LRD is abandoned to the collector.
@@ -304,4 +306,298 @@ func TestOwnershipLateWakeupKeepsLRD(t *testing.T) {
 	}
 	m.ReleaseAll(3)
 	wantEmpty(t, m, "late wake-up, quiet")
+}
+
+// odOf returns the OD mapped under oid, or nil.
+func odOf(m *Manager, oid xid.OID) *objDesc {
+	s := m.shardOf(oid)
+	s.lat.Lock()
+	defer s.lat.Unlock()
+	return s.lookup(oid)
+}
+
+// TestOwnershipParkRacesRetirement: c's request on A finds a holding it,
+// lets go of the shard latch and goes to park — while a releases, which
+// retires A's OD, and b churns locks on other objects of the same shard,
+// which reuse it. c must end up holding A and nothing else, whatever its
+// first pass was looking at.
+func TestOwnershipParkRacesRetirement(t *testing.T) {
+	m := newTest(Options{Shards: 1})
+	const A = xid.OID(1)
+	for r := 0; r < ownershipRounds; r++ {
+		a, b, c := xid.TID(3*r+1), xid.TID(3*r+2), xid.TID(3*r+3)
+		mustLock(t, m, a, A, xid.OpWrite)
+		queued := lockAsync(m, c, A, xid.OpWrite)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); m.ReleaseAll(a) }()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				B := xid.OID(100 + 4*r + i)
+				if err := m.Lock(b, B, xid.OpWrite); err != nil {
+					t.Errorf("round %d: churn lock on %v: %v", r, B, err)
+				}
+			}
+			m.ReleaseAll(b)
+		}()
+		if err := <-queued; err != nil {
+			t.Fatalf("round %d: request of %v on %v: %v", r, c, A, err)
+		}
+		wg.Wait()
+		if held := m.HeldObjects(c); len(held) != 1 || held[0] != A || !m.Holds(c, A, xid.OpWrite) {
+			t.Fatalf("round %d: %v holds %v, want exactly %v", r, c, held, A)
+		}
+		m.ReleaseAll(c)
+	}
+	wantEmpty(t, m, "park vs retirement")
+}
+
+// TestOwnershipStaleODRefusedByPark is that race played by hand, in the one
+// order that hurts: the probe acquire built still names A's OD when the OD
+// has been retired and mapped again under B, which somebody else holds. park
+// must resolve A again — finding no OD, hence no blocker — instead of
+// queueing T's request for A behind the holder of B.
+func TestOwnershipStaleODRefusedByPark(t *testing.T) {
+	m := newTest(Options{Shards: 1, WaitTimeout: 200 * time.Millisecond})
+	const A, B = xid.OID(1), xid.OID(2)
+	const H, T, U = xid.TID(1), xid.TID(2), xid.TID(3)
+	mustLock(t, m, H, A, xid.OpWrite)
+	stale := odOf(m, A)
+	probe := lockReq{tid: T, od: stale, mode: xid.OpWrite, status: statusPending} // T's first pass: blocked by H
+	ts := m.txnOf(T)
+	m.ReleaseAll(H) // the unlatched window: A's OD is retired ...
+	mustLock(t, m, U, B, xid.OpWrite)
+	if odOf(m, B) != stale { // ... and reused
+		t.Fatal("free list did not hand A's retired OD to B; the test needs it to")
+	}
+	if err := m.park(context.Background(), ts, m.shardOf(A), A, probe); err != nil {
+		t.Fatalf("T's request for %v, parked with a stale OD: %v", A, err)
+	}
+	if !m.Holds(T, A, xid.OpWrite) || m.Holds(T, B, xid.OpWrite) || !m.Holds(U, B, xid.OpWrite) {
+		t.Errorf("after park: T holds A=%v B=%v, U holds B=%v; want true false true",
+			m.Holds(T, A, xid.OpWrite), m.Holds(T, B, xid.OpWrite), m.Holds(U, B, xid.OpWrite))
+	}
+	wantClean(t, m, "stale OD in park")
+	m.ReleaseAll(T)
+	m.ReleaseAll(U)
+	wantEmpty(t, m, "stale OD in park, released")
+}
+
+// TestOwnershipCancelRacesWaiterLeaving: v is parked on A behind h when v is
+// cancelled and marked victim — while h releases, v is granted (or gives up)
+// and releases in turn, A's OD is retired, and the next holder and a parked
+// bystander w on another object of the shard reuse it. The marks look v's
+// requests up by oid under the latch, so they land on v's request on A or on
+// nothing; w, parked on the reused OD, must never see one.
+func TestOwnershipCancelRacesWaiterLeaving(t *testing.T) {
+	m := newTest(Options{Shards: 1})
+	const A = xid.OID(1)
+	for r := 0; r < ownershipRounds; r++ {
+		h, v, h2, w := xid.TID(4*r+1), xid.TID(4*r+2), xid.TID(4*r+3), xid.TID(4*r+4)
+		B := xid.OID(100 + r)
+		mustLock(t, m, h, A, xid.OpWrite)
+		victim := lockAsync(m, v, A, xid.OpWrite)
+		waitParked(t, m, v)
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() { defer wg.Done(); m.CancelWaits(v) }()
+		go func() { defer wg.Done(); m.flagWaits(v, true) }()
+		var bystander <-chan error
+		go func() {
+			defer wg.Done()
+			m.ReleaseAll(h)
+			if err := <-victim; err != nil && !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrCancelled) {
+				t.Errorf("round %d: victim's request: %v", r, err)
+			}
+			m.ReleaseAll(v) // A's OD retires here
+			if err := m.Lock(h2, B, xid.OpWrite); err != nil {
+				t.Errorf("round %d: lock on the reuse: %v", r, err)
+			}
+			bystander = lockAsync(m, w, B, xid.OpWrite)
+			waitParked(t, m, w)
+		}()
+		wg.Wait()
+		m.ReleaseAll(h2)
+		if err := <-bystander; err != nil {
+			t.Fatalf("round %d: bystander %v saw a mark meant for %v: %v", r, w, v, err)
+		}
+		m.ReleaseAll(w)
+	}
+	wantEmpty(t, m, "cancel vs waiter leaving")
+}
+
+// TestOwnershipReleaseRacesDelegateThenRelease: a's release walks its lock
+// index while a delegation moves a's lock on A to b, b releases it — which
+// retires A's OD — and c takes the OD over for another object of the shard.
+// a's walk must leave c's lock alone, and nobody's lock may outlive its
+// holder.
+func TestOwnershipReleaseRacesDelegateThenRelease(t *testing.T) {
+	m := newTest(Options{Shards: 1})
+	const A = xid.OID(1)
+	for r := 0; r < ownershipRounds; r++ {
+		a, b, c := xid.TID(3*r+1), xid.TID(3*r+2), xid.TID(3*r+3)
+		B := xid.OID(100 + r)
+		mustLock(t, m, a, A, xid.OpWrite)
+		mustLock(t, m, a, A+1, xid.OpWrite) // keeps a's walk busy on either side of A
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); m.ReleaseAll(a) }()
+		go func() {
+			defer wg.Done()
+			m.Delegate(a, b, []xid.OID{A})
+			m.ReleaseAll(b)
+			if err := m.Lock(c, B, xid.OpWrite); err != nil {
+				t.Errorf("round %d: lock on the reuse: %v", r, err)
+			}
+		}()
+		wg.Wait()
+		if !m.Holds(c, B, xid.OpWrite) || m.Holds(a, A, xid.OpWrite) || m.Holds(b, A, xid.OpWrite) {
+			t.Fatalf("round %d: c holds B=%v, a holds A=%v, b holds A=%v; want true false false", r,
+				m.Holds(c, B, xid.OpWrite), m.Holds(a, A, xid.OpWrite), m.Holds(b, A, xid.OpWrite))
+		}
+		m.ReleaseAll(c)
+	}
+	wantEmpty(t, m, "release vs delegate-then-release")
+}
+
+// TestOwnershipStaleIndexEntryRefusedByRelease plants by hand what the rule
+// says a release must survive: an entry of T's retired lock index whose OD
+// has since been retired and mapped under another oid. The release must see,
+// under the latch, that the OD is not A's any more, and leave it — and the
+// lock U holds through it — alone.
+func TestOwnershipStaleIndexEntryRefusedByRelease(t *testing.T) {
+	m := newTest(Options{Shards: 1})
+	const A, B = xid.OID(1), xid.OID(2)
+	const T, U = xid.TID(1), xid.TID(2)
+	mustLock(t, m, T, A, xid.OpWrite)
+	s := m.shardOf(A)
+	s.lat.Lock()
+	stale := s.lookup(A)
+	stale.dropGranted(stale.ownerReq(T)) // as an earlier release under T's tid would have
+	s.retireIfIdle(stale)
+	s.lat.Unlock()
+	mustLock(t, m, U, B, xid.OpWrite)
+	if odOf(m, B) != stale {
+		t.Fatal("free list did not hand A's retired OD to B; the test needs it to")
+	}
+	m.ReleaseAll(T) // T's index still says A → stale
+	if !m.Holds(U, B, xid.OpWrite) {
+		t.Error("T's release, through a stale index entry, took U's lock on another object")
+	}
+	wantClean(t, m, "stale index entry")
+	m.ReleaseAll(U)
+	wantEmpty(t, m, "stale index entry, released")
+}
+
+// TestOwnershipGrantorReleaseOverDeadPDs: g's permits on A die with their
+// grantee, A's OD is retired and then reused for B, where w parks behind h.
+// g's own release still walks the dead PDs, whose od now describes B: it may
+// read nothing from it but its shard, and must leave h, w and B's PD list
+// alone. Raced for the detector, then checked once by hand.
+func TestOwnershipGrantorReleaseOverDeadPDs(t *testing.T) {
+	m := newTest(Options{Shards: 1})
+	const A = xid.OID(1)
+	for r := 0; r < ownershipRounds; r++ {
+		g, e, h := xid.TID(3*r+1), xid.TID(3*r+2), xid.TID(3*r+3)
+		B := xid.OID(100 + r)
+		m.Permit(g, e, []xid.OID{A}, xid.OpWrite)
+		if odOf(m, A) == nil {
+			t.Fatalf("round %d: a live PD does not keep its OD mapped", r)
+		}
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() { defer wg.Done(); m.ReleaseAll(e) }() // the PD dies, A's OD retires
+		go func() { defer wg.Done(); m.ReleaseAll(g) }() // walks the PD, live or dead
+		go func() {
+			defer wg.Done()
+			if err := m.Lock(h, B, xid.OpWrite); err != nil {
+				t.Errorf("round %d: lock on the reuse: %v", r, err)
+			}
+		}()
+		wg.Wait()
+		if !m.Holds(h, B, xid.OpWrite) {
+			t.Fatalf("round %d: h lost its lock on %v", r, B)
+		}
+		m.ReleaseAll(h)
+	}
+	wantEmpty(t, m, "grantor release vs dead PDs")
+
+	const g, e, h, w, B = xid.TID(1 << 40), xid.TID(1<<40 + 1), xid.TID(1<<40 + 2), xid.TID(1<<40 + 3), xid.OID(2)
+	m.Permit(g, e, []xid.OID{A}, xid.OpWrite)
+	stale := odOf(m, A)
+	m.ReleaseAll(e)
+	mustLock(t, m, h, B, xid.OpWrite)
+	if odOf(m, B) != stale {
+		t.Fatal("free list did not hand A's retired OD to B; the test needs it to")
+	}
+	m.Permit(h, w, []xid.OID{B}, xid.OpRead)
+	m.ReleaseAll(g)
+	if !m.Holds(h, B, xid.OpWrite) || !m.Permitted(h, w, B, xid.OpRead) {
+		t.Error("g's release over its dead PD disturbed the object its OD describes now")
+	}
+	wantClean(t, m, "dead PD, OD moved on")
+	m.ReleaseAll(h)
+	m.ReleaseAll(w)
+	wantEmpty(t, m, "dead PD, released")
+}
+
+// TestOwnershipLateBroadcastIsSpurious: a wake-up callback (timeout timer,
+// ctx watcher) that had already started when its request left holds the OD
+// and will Broadcast on it. If the OD has been retired and reused by then,
+// that wakes the new object's waiters for nothing: they re-evaluate and park
+// again. Here the late callback is played by hand.
+func TestOwnershipLateBroadcastIsSpurious(t *testing.T) {
+	m := newTest(Options{Shards: 1})
+	const A, B = xid.OID(1), xid.OID(2)
+	mustLock(t, m, 1, A, xid.OpWrite)
+	stale := odOf(m, A)
+	m.ReleaseAll(1)
+	mustLock(t, m, 2, B, xid.OpWrite)
+	if odOf(m, B) != stale {
+		t.Fatal("free list did not hand A's retired OD to B; the test needs it to")
+	}
+	parked := lockAsync(m, 3, B, xid.OpWrite)
+	waitParked(t, m, 3)
+	for i := 0; i < 3; i++ {
+		stale.home.lat.Lock()
+		stale.cond.Broadcast()
+		stale.home.lat.Unlock()
+		assertBlocked(t, parked)
+	}
+	wantClean(t, m, "spurious wake-ups")
+	m.ReleaseAll(2)
+	assertGranted(t, parked)
+	m.ReleaseAll(3)
+	wantEmpty(t, m, "late broadcast")
+}
+
+// TestOwnershipLedgerKeepsItsOD: a declared escrow ledger is state of the
+// object, not of a lock. Its OD stays mapped with no lock in force, so the
+// bounds and the committed value are there for the next reservation; it goes
+// when the declaration is dropped.
+func TestOwnershipLedgerKeepsItsOD(t *testing.T) {
+	const oid = xid.OID(9)
+	m := newEscrowManager(t, oid, 10, 0, 12)
+	if err := m.EscrowReserve(1, oid, 2); err != nil {
+		t.Fatal(err)
+	}
+	m.EscrowCommit(1)
+	m.ReleaseAll(1)
+	if f := m.Footprint(); f.ODs != 1 {
+		t.Fatalf("%d ODs mapped with one ledger declared and no lock in force, want 1", f.ODs)
+	}
+	if val, _, _ := escrowVal(t, m, oid); val != 12 {
+		t.Errorf("ledger value %d after the holder's release, want 12", val)
+	}
+	if err := m.EscrowReserve(2, oid, 1); !errors.Is(err, ErrEscrow) {
+		t.Errorf("reservation beyond the declared bound: %v, want ErrEscrow", err)
+	}
+	m.ReleaseAll(2)
+	wantEmpty(t, m, "ledger, idle")
+	m.DropEscrow(oid)
+	if f := m.Footprint(); f.ODs != 0 {
+		t.Errorf("%d ODs mapped after the declaration was dropped, want 0", f.ODs)
+	}
+	wantEmpty(t, m, "ledger dropped")
 }

@@ -39,7 +39,9 @@ func (m *Manager) Permit(grantor, grantee xid.TID, oids []xid.OID, ops xid.OpSet
 	for _, oid := range oids {
 		s := m.shardOf(oid)
 		s.lat.Lock()
-		m.permitOneLocked(grantor, grantee, s.od(oid), ops)
+		od := s.od(oid)
+		m.permitOneLocked(grantor, grantee, od, ops)
+		s.retireIfIdle(od) // the grantor may have terminated: nothing inserted
 		s.lat.Unlock()
 	}
 }
@@ -70,9 +72,9 @@ func (m *Manager) accessible(grantor xid.TID) []xid.OID {
 		if p.isDead() {
 			continue
 		}
-		if !seen[p.od.oid] {
-			seen[p.od.oid] = true
-			out = append(out, p.od.oid)
+		if !seen[p.oid] {
+			seen[p.oid] = true
+			out = append(out, p.oid)
 		}
 	}
 	return out
@@ -135,7 +137,7 @@ func (m *Manager) insertPD(od *objDesc, grantor, grantee xid.TID, ops xid.OpSet)
 	if grantorTS == nil {
 		return false // grantor terminated; nothing to permit
 	}
-	p := &permit{od: od, grantor: grantor, grantee: grantee, ops: ops}
+	p := &permit{od: od, oid: od.oid, grantor: grantor, grantee: grantee, ops: ops}
 	grantorTS.lat.Lock()
 	if !grantorTS.is(grantor) {
 		grantorTS.lat.Unlock()
@@ -216,7 +218,7 @@ func (m *Manager) Permitted(holder, requester xid.TID, oid xid.OID, ops xid.OpSe
 	s := m.shardOf(oid)
 	s.lat.Lock()
 	defer s.lat.Unlock()
-	od := s.ods[oid]
+	od := s.lookup(oid)
 	if od == nil {
 		return false
 	}
@@ -229,7 +231,7 @@ func (m *Manager) PermitCount(oid xid.OID) int {
 	s := m.shardOf(oid)
 	s.lat.Lock()
 	defer s.lat.Unlock()
-	od := s.ods[oid]
+	od := s.lookup(oid)
 	if od == nil {
 		return 0
 	}

@@ -21,10 +21,23 @@ const defaultShards = 64
 const (
 	maxFreeReqs = 256  // per shard
 	maxFreeTxns = 1024 // per manager
+	// ODs are nearly twice an LRD's size, and a shard needs spares only for
+	// the objects that are released together: 64 per shard is 4,096 across
+	// the default table, 0.7 MB at most. A bulk load that locks more than
+	// that in one transaction gives the excess back to the collector.
+	maxFreeODs = 64 // per shard
 	// A recycled txnState keeps its (emptied) index maps; one that grew
 	// past this many entries is dropped instead, so a single huge
 	// transaction does not leave a huge map behind for small ones to clear.
 	maxKeptIndex = 64
+	// A recycled OD keeps the (emptied) backing arrays of its pending queue
+	// and PD list up to this capacity, so an object that was once a hot spot
+	// does not park a long array on the free list.
+	maxKeptChain = 8
+	// minBuckets is a shard's initial OD bucket count; the array doubles
+	// when the mapped ODs outnumber the buckets and never shrinks (8 bytes
+	// per object of the largest set ever locked at once).
+	minBuckets = 8
 )
 
 // lockShard is one slice of the lock table. It owns every object descriptor
@@ -32,6 +45,15 @@ const (
 // all guarded by the shard latch, mirroring the paper's §4.1 use of EOS
 // test-and-set latches on the OD hash chains. Condition variables (one per
 // OD, built on the shard latch) park blocked requests.
+//
+// ODs hang off the bucket array in chains linked through objDesc.next, the
+// paper's own structure: mapping and unmapping one is a few pointer writes
+// and never allocates, which matters now that both are on the path of every
+// lock on an idle object. An OD is mapped exactly while it has something to
+// describe — a granted or pending LRD, a PD, a declared escrow ledger — and
+// is unmapped and pushed on the shard's free list in the latch hold that
+// takes the last of those away (retireIfIdle), so the table is sized by the
+// locks in force, not by the objects ever locked.
 //
 // The shard also owns the free list of the LRDs its ODs retire. An LRD is
 // reachable only from one OD's granted or pending chain (plus, while
@@ -41,40 +63,143 @@ const (
 // and it goes straight back on the list.
 type lockShard struct {
 	//asset:latch order=20 spin
-	lat   latch.Latch
-	ods   map[xid.OID]*objDesc
-	free  *lockReq // retired LRDs, linked through lockReq.next
-	nfree int
-	// Pad to a cache line so adjacent shards' latch words don't false-share.
-	_ [64 - 8 - 8 - 8 - 8]byte
+	lat     latch.Latch
+	buckets []*objDesc // OD hash chains; len is a power of two
+	free    *lockReq   // retired LRDs, linked through lockReq.next
+	freeODs *objDesc   // retired ODs, linked through objDesc.next
+	// Counts of mapped ODs and of the two free lists. With them the shard is
+	// exactly one cache line, so adjacent shards' latch words don't
+	// false-share.
+	nods, nfree, nfreeODs int32
+	_                     [4]byte
+}
+
+// shardIndexOf returns the index of the shard owning oid.
+func (m *Manager) shardIndexOf(oid xid.OID) uint64 {
+	return htab.Hash(uint64(oid)) & m.shardMask
 }
 
 // shardOf returns the shard owning oid.
 func (m *Manager) shardOf(oid xid.OID) *lockShard {
-	return &m.shards[htab.Hash(uint64(oid))&m.shardMask]
+	return &m.shards[m.shardIndexOf(oid)]
 }
 
-// od returns oid's object descriptor, creating it if absent. Caller holds
-// s.lat in X mode.
+// bucket returns the head of the chain oid hashes to. The shard index took
+// the hash's low bits; the chains use the high ones.
+func (s *lockShard) bucket(oid xid.OID) **objDesc {
+	return &s.buckets[(htab.Hash(uint64(oid))>>32)&uint64(len(s.buckets)-1)]
+}
+
+// lookup returns oid's object descriptor, or nil when the object has no
+// lock, waiter, permit or ledger. Caller holds s.lat.
+func (s *lockShard) lookup(oid xid.OID) *objDesc {
+	for od := *s.bucket(oid); od != nil; od = od.next {
+		if od.oid == oid {
+			return od
+		}
+	}
+	return nil
+}
+
+// od returns oid's object descriptor, mapping one if absent. Whoever maps an
+// OD and then installs nothing on it calls retireIfIdle before letting go of
+// the latch. Caller holds s.lat in X mode.
 func (s *lockShard) od(oid xid.OID) *objDesc {
-	if od := s.ods[oid]; od != nil {
+	if od := s.lookup(oid); od != nil {
 		return od
 	}
-	return s.newOD(oid)
+	return s.mapOD(oid)
 }
 
-// newOD is od's miss path, outlined so the allocation is charged here and
-// not to the //asset:noalloc callers od is inlined into. The descriptor
-// carries its cond and room for its first holder, so a new object costs one
-// heap object plus its map slot.
+// mapOD is od's miss path: it takes a descriptor off the shard's free list,
+// or makes one, and links it under oid. Outlined so the make-one path is
+// charged here and not to the //asset:noalloc callers od is inlined into.
+// The descriptor carries its cond and room for its first holder, so a new
+// one is a single heap object.
 //
 //go:noinline
-func (s *lockShard) newOD(oid xid.OID) *objDesc {
-	od := &objDesc{oid: oid, home: s}
-	od.cond.L = &s.lat
-	od.granted = od.grantedBuf[:0]
-	s.ods[oid] = od
+func (s *lockShard) mapOD(oid xid.OID) *objDesc {
+	od := s.freeODs
+	if od != nil {
+		s.freeODs = od.next
+		s.nfreeODs--
+	} else {
+		od = &objDesc{home: s}
+		od.cond.L = &s.lat
+		od.granted = od.grantedBuf[:0]
+	}
+	if int(s.nods) >= len(s.buckets) {
+		s.grow()
+	}
+	od.oid, od.mapped = oid, true
+	b := s.bucket(oid)
+	od.next = *b
+	*b = od
+	s.nods++
 	return od
+}
+
+// grow doubles the bucket array and rechains the mapped ODs. Caller holds
+// s.lat.
+func (s *lockShard) grow() {
+	old := s.buckets
+	s.buckets = make([]*objDesc, 2*len(old))
+	for _, od := range old {
+		for od != nil {
+			next := od.next
+			b := s.bucket(od.oid)
+			od.next = *b
+			*b = od
+			od = next
+		}
+	}
+}
+
+// retireIfIdle unmaps od and puts it on the shard's free list if nothing is
+// left on it: no granted or pending LRD, no PD, no declared escrow ledger (a
+// ledger is state of the object, not of a lock: its bounds must outlive its
+// reservations, so a declared counter keeps its OD until DropEscrow). It is
+// the last thing a latch hold does with od — every site that shrinks a chain,
+// or that mapped od and installed nothing, ends with it — because from here
+// on the descriptor may be handed to another oid of this shard. With pending
+// empty nobody is parked on od.cond; a wake-up callback that had already
+// started may still Broadcast on it, which after reuse is a spurious wake-up
+// of the new object's waiters, and every wait loop re-evaluates on wake-up.
+//
+// The cond is never reset (it is bound to this shard's latch for good, and an
+// OD never changes shard), and the other fields are reset one by one: the
+// descriptor must not be overwritten as a whole, it embeds a sync.Cond.
+// Caller holds s.lat; od is mapped.
+func (s *lockShard) retireIfIdle(od *objDesc) {
+	if !od.idle() {
+		return
+	}
+	p := s.bucket(od.oid)
+	for *p != od {
+		p = &(*p).next
+	}
+	*p = od.next
+	s.nods--
+	od.mapped, od.next = false, nil // oid stays, for whoever reports a stale pointer
+	if s.nfreeODs >= maxFreeODs {
+		return
+	}
+	od.grantedBuf[0] = nil // a stale copy if granted outgrew the buffer
+	od.granted = od.grantedBuf[:0]
+	od.pending = keptChain(od.pending)
+	od.permits = keptChain(od.permits)
+	od.next = s.freeODs
+	s.freeODs = od
+	s.nfreeODs++
+}
+
+// keptChain returns an emptied chain's backing array for reuse, or nil if it
+// grew large. Removal cleared every vacated slot, so the array holds nothing.
+func keptChain[T any](chain []*T) []*T {
+	if cap(chain) > maxKeptChain {
+		return nil
+	}
+	return chain[:0]
 }
 
 // newReq takes an LRD off the shard's free list, or makes one. Caller holds
@@ -133,20 +258,21 @@ func (od *objDesc) dropPermit(p *permit) {
 	if p.dead.Swap(true) {
 		return
 	}
-	for i, q := range od.permits {
-		if q == p {
-			od.permits = append(od.permits[:i], od.permits[i+1:]...)
-			break
-		}
+	if i := slices.Index(od.permits, p); i >= 0 {
+		od.permits = slices.Delete(od.permits, i, i+1) // clears the vacated slot
 	}
 }
 
 // txnState is the per-transaction side of the lock table: the objects the
 // transaction holds granted LRDs on ("list of t's lock requests" in the
 // paper's TD), the objects it has pending requests on, and its permit
-// descriptors by grantor/grantee role. It indexes ODs, which live as long
-// as the table, never LRDs, which are recycled: every consumer goes from the
-// OD to the LRD under the OD's shard latch.
+// descriptors by grantor/grantee role. It never indexes LRDs: every consumer
+// goes from the OD to the LRD under the OD's shard latch. Parked requests are
+// indexed by oid and resolved under the shard latch. Granted locks and
+// reservations are indexed by OD pointer, which is good for as long as the
+// lock or the ledger it stands for keeps the OD mapped; ODs are recycled too,
+// so a consumer confirms od.is(oid) under od.home's latch before it believes
+// the pointer (an OD never changes shard, so home is safe to read).
 //
 // All fields are guarded by lat, which in the latch order comes AFTER shard
 // latches: it is only ever acquired with at most one shard latch held, or
@@ -172,7 +298,7 @@ type txnState struct {
 	// waits holds the objects of the transaction's parked requests (one
 	// entry per request), so CancelWaits and victim marking touch exactly
 	// the shards involved instead of scanning the whole table.
-	waits []*objDesc
+	waits []xid.OID
 	// escrows indexes the objects this transaction holds escrow
 	// reservations on (lazily allocated), so settlement at termination
 	// touches exactly the shards involved. Kept in step with the OD
@@ -271,30 +397,26 @@ func (m *Manager) stateOf(tid xid.TID) *txnState {
 	return ts
 }
 
-// registerWait records that tid parked a request on od. Caller holds od's
+// registerWait records that tid parked a request on oid. Caller holds oid's
 // shard latch; ts.lat nests inside it. Registration into a state that is no
 // longer tid's is skipped: the release already emptied the wait set, and the
 // waiter's own grant path detects the retired state and gives up.
-func (ts *txnState) registerWait(tid xid.TID, od *objDesc) {
+func (ts *txnState) registerWait(tid xid.TID, oid xid.OID) {
 	ts.lat.Lock()
 	if ts.is(tid) {
-		ts.waits = append(ts.waits, od)
+		ts.waits = append(ts.waits, oid)
 	}
 	ts.lat.Unlock()
 }
 
-// unregisterWait removes one parked request on od from the wait set.
-func (ts *txnState) unregisterWait(tid xid.TID, od *objDesc) {
+// unregisterWait removes one parked request on oid from the wait set.
+func (ts *txnState) unregisterWait(tid xid.TID, oid xid.OID) {
 	ts.lat.Lock()
 	if ts.is(tid) {
-		for i, w := range ts.waits {
-			if w == od {
-				last := len(ts.waits) - 1
-				ts.waits[i] = ts.waits[last]
-				ts.waits[last] = nil
-				ts.waits = ts.waits[:last]
-				break
-			}
+		if i := slices.Index(ts.waits, oid); i >= 0 {
+			last := len(ts.waits) - 1
+			ts.waits[i] = ts.waits[last]
+			ts.waits = ts.waits[:last]
 		}
 	}
 	ts.lat.Unlock()
@@ -302,12 +424,12 @@ func (ts *txnState) unregisterWait(tid xid.TID, od *objDesc) {
 
 // waitObjects returns the objects tid has parked requests on at this
 // instant. Called with no latch held.
-func (m *Manager) waitObjects(tid xid.TID) []*objDesc {
+func (m *Manager) waitObjects(tid xid.TID) []xid.OID {
 	ts := m.stateOf(tid)
 	if ts == nil {
 		return nil
 	}
-	var out []*objDesc
+	var out []xid.OID
 	ts.lat.Lock()
 	if ts.is(tid) && len(ts.waits) > 0 {
 		out = append(out, ts.waits...)
