@@ -91,10 +91,12 @@ func TestAnnotationRegistry(t *testing.T) {
 	sort.Strings(noalloc)
 	wantNoalloc := []string{
 		"commit.go", "commit.go", // core.examineGroupLocked, commitGroupLocked
+		"dedup.go",             // server.dedup.admit
 		"frame.go", "frame.go", // rpc.BeginFrame, FinishFrame
 		"groupcommit.go",
 		"lock.go", "lock.go", "lock.go", // lock.acquire, installGrant, ReleaseAll
 		"ops.go", "ops.go", "ops.go",
+		"server.go", "server.go", // server.worker.run, session.dispatch
 		"shard.go",                                 // lock.txnOf
 		"wire.go", "wire.go", "wire.go", "wire.go", // rpc.Append{Request,Response}, Decode{Request,Response}Into
 	}

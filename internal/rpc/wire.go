@@ -23,7 +23,7 @@ const (
 	// OpBye ends the session gracefully, aborting its live transactions.
 	OpBye
 	// OpCancel withdraws an in-flight request: the server cancels the
-	// per-request context of the request named by Other. Fire-and-forget
+	// context the request named by Other runs under. Fire-and-forget
 	// semantics — the cancelled request itself answers (with its result
 	// or cancellation error), not OpCancel.
 	OpCancel

@@ -14,16 +14,26 @@ import (
 )
 
 // Round-trip allocation budgets, client and server sides together,
-// pinned at what the pooled-frame wire path measures. PR 11's commit
-// measured 22 (Lock) and 25 (Write) on this same test. What is left is
-// the server's per-request goroutine closure and its cancel context (two
-// objects), and for Write the engine's one: the copy of the data that the
-// object keeps (the before image is the object's old buffer and the log
-// record is the manager's reused one).
+// pinned at what the wire path measures. PR 11's commit measured 22 (Lock)
+// and 25 (Write) on this same test, PR 12's 3 and 4: the per-request
+// goroutine closure and cancel context that the session's parked workers
+// replaced. What is left is the engine's one for Write: the copy of the
+// data that the object keeps (the before image is the object's old buffer
+// and the log record is the manager's reused one).
 const (
-	lockRoundTripAllocBudget  = 3
-	writeRoundTripAllocBudget = 4
+	lockRoundTripAllocBudget  = 0
+	writeRoundTripAllocBudget = 1
 )
+
+// remoteTxnAllocBudget bounds an empty remote transaction — initiate,
+// begin, commit: three round trips. It measured 28 with a goroutine and a
+// context per request, a context.AfterFunc bridge per begin and a Done
+// channel per commit; it measures 12: the interactive transaction's 6 (the
+// itx, two channels, a cancel context and its cancel func, the body
+// closure), core's 3 for a transaction (descriptor, table entry,
+// termination channel) and 3 for its begin (the body's and the context
+// watcher's goroutines, the Done channel the watcher parks on).
+const remoteTxnAllocBudget = 14
 
 // TestRoundTripAllocBudget drives a Lock and a Write round trip over
 // loopback TCP against a running Serve and counts every heap object the
@@ -33,36 +43,8 @@ const (
 // framing, codec, call table, dedup window, dispatch and the hop into the
 // transaction body.
 func TestRoundTripAllocBudget(t *testing.T) {
-	if race.Enabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	m, err := core.Open(core.Config{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	// A lease long enough that no heartbeat (client) or lease tick that
-	// finds work (server) lands inside the measured loops.
-	srv := server.Serve(m, lis, server.Config{LeaseTTL: time.Hour})
-	defer func() {
-		srv.Close()
-		m.Close() //nolint:errcheck
-	}()
+	cli := loopbackClient(t)
 	ctx := context.Background()
-	cli, err := client.Dial(ctx, client.Options{
-		Dial: func(ctx context.Context) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", lis.Addr().String())
-		},
-		RetransmitEvery: time.Hour,
-	})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer cli.Close() //nolint:errcheck
 
 	tid, err := cli.Initiate(ctx)
 	if err != nil {
@@ -104,4 +86,68 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	if err := cli.Abort(ctx, tid); err != nil {
 		t.Fatalf("Abort: %v", err)
 	}
+}
+
+// TestRemoteTxnAllocBudget counts what a whole remote transaction with no
+// operations in it allocates, client and server sides together: what the
+// tier adds to a transaction, as the round-trip budget is what it adds to
+// an operation.
+func TestRemoteTxnAllocBudget(t *testing.T) {
+	cli := loopbackClient(t)
+	ctx := context.Background()
+	txn := func() {
+		tid, err := cli.Initiate(ctx)
+		if err != nil {
+			t.Fatalf("Initiate: %v", err)
+		}
+		if err := cli.Begin(ctx, tid); err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+		if err := cli.Commit(ctx, tid); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+	}
+	txn()
+	got := testing.AllocsPerRun(2000, txn)
+	t.Logf("allocs per empty remote transaction: %.1f", got)
+	if got > remoteTxnAllocBudget {
+		t.Errorf("empty remote transaction allocates %.1f objects, budget %d", got, remoteTxnAllocBudget)
+	}
+}
+
+// loopbackClient serves a fresh in-memory manager on loopback TCP and
+// dials it; both are torn down with the test. Skips under the race
+// detector, where allocation counts are meaningless.
+func loopbackClient(t *testing.T) *client.Client {
+	t.Helper()
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	m, err := core.Open(core.Config{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	// A lease long enough that no heartbeat (client) or lease tick that
+	// finds work (server) lands inside the measured loops.
+	srv := server.Serve(m, lis, server.Config{LeaseTTL: time.Hour})
+	t.Cleanup(func() {
+		srv.Close()
+		m.Close() //nolint:errcheck
+	})
+	cli, err := client.Dial(context.Background(), client.Options{
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", lis.Addr().String())
+		},
+		RetransmitEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { cli.Close() }) //nolint:errcheck
+	return cli
 }

@@ -1,10 +1,6 @@
 package server
 
-import (
-	"context"
-
-	"repro/internal/rpc"
-)
+import "repro/internal/rpc"
 
 // dedup is a session's at-most-once gate: one window slot per request ID
 // above the acknowledged floor. Request IDs are a dense per-session
@@ -16,8 +12,9 @@ import (
 //     network ghost that must not execute again.
 //   - A free slot is an ID the server has not executed: never sent here
 //     (heartbeats and hellos take IDs too), or lost on the way.
-//   - An executing slot holds the request's cancel function; a copy of
-//     the request is dropped, because the original will answer.
+//   - An executing slot names the worker whose context the request runs
+//     under (what a cancel looks up); a copy of the request is dropped,
+//     because the original will answer.
 //   - A done slot holds the recorded response, by value, and replays it
 //     to every copy of the request until the client acknowledges it —
 //     session death included: the window outlives the session, so a
@@ -39,9 +36,9 @@ const (
 )
 
 type reqSlot struct {
-	state  reqState
-	cancel context.CancelCauseFunc // while executing
-	resp   rpc.Response            // once done
+	state reqState
+	w     *worker      // while executing
+	resp  rpc.Response // once done
 }
 
 // maxAhead bounds how far above the floor a request ID may be. The ring
@@ -62,27 +59,27 @@ const (
 
 // ack retires every slot up to and including to. A request still
 // executing below the new floor is one the client gave up on (it cannot
-// have been answered), so its cancel function is returned for the caller
-// to call outside the session latch.
-func (d *dedup) ack(to uint64) (abandoned []context.CancelCauseFunc) {
+// have been answered), so it is cancelled on the way.
+func (d *dedup) ack(to uint64) {
 	for d.win.Floor() < to {
 		slot := d.win.Front()
 		if slot == nil {
 			d.win.Reset(to)
 			break
 		}
-		if slot.state == reqExecuting {
-			abandoned = append(abandoned, slot.cancel)
+		if slot.w != nil {
+			slot.w.cancelLocked(d.win.Floor()+1, errAbandoned)
 		}
 		d.win.PopFront()
 	}
-	return abandoned
 }
 
 // admit classifies request id. On admitExecute the returned slot is
-// marked executing and the caller installs its cancel function; on
-// admitReplay it holds the response to send. The slot pointer is valid
-// only until the session latch is released.
+// marked executing and the caller names the worker in it; on admitReplay
+// it holds the response to send. The slot pointer is valid only until the
+// session latch is released.
+//
+//asset:noalloc
 func (d *dedup) admit(id uint64, dead bool) (admission, *reqSlot) {
 	floor := d.win.Floor()
 	if id <= floor {
@@ -117,10 +114,9 @@ func (d *dedup) complete(id uint64, resp *rpc.Response) {
 	}
 }
 
-// cancelOf returns the cancel function of id if it is executing.
-func (d *dedup) cancelOf(id uint64) context.CancelCauseFunc {
-	if slot := d.win.Slot(id); slot != nil && slot.state == reqExecuting {
-		return slot.cancel
+// cancel cancels request id if it is executing.
+func (d *dedup) cancel(id uint64, cause error) {
+	if slot := d.win.Slot(id); slot != nil && slot.w != nil {
+		slot.w.cancelLocked(id, cause)
 	}
-	return nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/rpc"
@@ -15,7 +16,13 @@ type dedupStep struct {
 	want     admission // what the gate must decide
 	finish   bool      // after admitExecute: complete it with Val = id
 	wantVal  uint64    // on admitReplay: the recorded response's Val
-	wantKill int       // executing requests the ack must hand back for cancellation
+	wantKill int       // executing requests the ack must cancel
+}
+
+// serving returns a worker in the middle of request id whose context is
+// cancelled by calling cancel.
+func serving(id uint64, cancel context.CancelCauseFunc) *worker {
+	return &worker{cur: &inbound{req: rpc.Request{ReqID: id}}, cancel: cancel}
 }
 
 func TestDedupWindow(t *testing.T) {
@@ -66,7 +73,7 @@ func TestDedupWindow(t *testing.T) {
 			{id: 50000, want: admitReplay, wantVal: 50000},
 			{id: 1, want: admitDrop}, // still executing
 		}},
-		{"an ack past an executing request hands back its cancel", []dedupStep{
+		{"an ack past an executing request cancels it", []dedupStep{
 			{id: 1, want: admitExecute},
 			{id: 2, want: admitExecute},
 			{id: 3, want: admitExecute, finish: true},
@@ -86,9 +93,18 @@ func TestDedupWindow(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var d dedup
+			var killed []error // causes the current step cancelled requests with
+			kill := func(err error) { killed = append(killed, err) }
 			for i, st := range tc.steps {
-				if kill := d.ack(st.ack); len(kill) != st.wantKill {
-					t.Fatalf("step %d: ack(%d) handed back %d cancels, want %d", i, st.ack, len(kill), st.wantKill)
+				killed = nil
+				d.ack(st.ack)
+				if len(killed) != st.wantKill {
+					t.Fatalf("step %d: ack(%d) cancelled %d requests, want %d", i, st.ack, len(killed), st.wantKill)
+				}
+				for _, err := range killed {
+					if !errors.Is(err, errAbandoned) {
+						t.Fatalf("step %d: ack cancelled with cause %v", i, err)
+					}
 				}
 				if st.id == 0 {
 					continue
@@ -99,13 +115,11 @@ func TestDedupWindow(t *testing.T) {
 				}
 				switch got {
 				case admitExecute:
-					slot.cancel = func(error) {}
-					if d.cancelOf(st.id) == nil {
-						t.Fatalf("step %d: executing request %d has no cancel", i, st.id)
-					}
+					slot.w = serving(st.id, kill)
 					if st.finish {
 						d.complete(st.id, &rpc.Response{ReqID: st.id, Val: st.id})
-						if d.cancelOf(st.id) != nil {
+						d.cancel(st.id, context.Canceled)
+						if len(killed) != st.wantKill {
 							t.Fatalf("step %d: done request %d still cancellable", i, st.id)
 						}
 					}
@@ -133,7 +147,7 @@ func TestDedupPinnedFloor(t *testing.T) {
 	if verdict != admitExecute {
 		t.Fatalf("admit(slow) = %v", verdict)
 	}
-	slot.cancel = func(err error) { cancelled = err }
+	slot.w = serving(slow, func(err error) { cancelled = err })
 
 	executed := func(id uint64) bool { return id%7 != 0 } // every seventh ID is a heartbeat
 	for id := uint64(slow + 1); id <= slow+later; id++ {
@@ -141,8 +155,8 @@ func TestDedupPinnedFloor(t *testing.T) {
 			continue
 		}
 		// Every request acks slow-1: the client is still waiting on slow.
-		if kill := d.ack(slow - 1); len(kill) != 0 {
-			t.Fatalf("ack below the pinned request cancelled %d", len(kill))
+		if d.ack(slow - 1); cancelled != nil {
+			t.Fatalf("ack below the pinned request cancelled it: %v", cancelled)
 		}
 		if verdict, _ := d.admit(id, false); verdict != admitExecute {
 			t.Fatalf("admit(%d) = %v with the floor pinned", id, verdict)
@@ -165,26 +179,49 @@ func TestDedupPinnedFloor(t *testing.T) {
 			t.Fatalf("admit(%d) = %v %+v, want its verdict replayed", id, verdict, slot)
 		}
 	}
-	if fn := d.cancelOf(slow); fn == nil {
-		t.Fatal("pinned request lost its cancel function across window growth")
-	} else {
-		fn(context.Canceled)
-	}
-	if cancelled != context.Canceled {
-		t.Fatalf("cancel reached %v", cancelled)
+	if d.cancel(slow, context.Canceled); cancelled != context.Canceled {
+		t.Fatalf("pinned request lost its worker across window growth: cancel reached %v", cancelled)
 	}
 
 	d.complete(slow, &rpc.Response{ReqID: slow, Val: slow})
 	if verdict, slot := d.admit(slow, false); verdict != admitReplay || slot.resp.Val != slow {
 		t.Fatalf("admit(slow) after completion = %v", verdict)
 	}
-	if kill := d.ack(slow + later); len(kill) != 0 {
-		t.Fatalf("final ack cancelled %d", len(kill))
+	cancelled = nil
+	if d.ack(slow + later); cancelled != nil {
+		t.Fatalf("final ack cancelled an answered request: %v", cancelled)
 	}
 	if d.win.Floor() != slow+later || d.win.Len() != 0 {
 		t.Fatalf("floor %d span %d after the final ack", d.win.Floor(), d.win.Len())
 	}
 	if verdict, _ := d.admit(slow+later, false); verdict != admitDrop {
 		t.Fatalf("acknowledged ID admitted: %v", verdict)
+	}
+}
+
+// TestStaleCancelSparesNextRequest: worker w answered request 7 and now
+// serves 8 under the same context. A cancel that still finds w under 7's
+// name — here a slot left naming it — must leave 8 alone: the request-ID
+// check in cancelLocked is what a worker's reuse rests on, and without it
+// this test cancels 8.
+func TestStaleCancelSparesNextRequest(t *testing.T) {
+	var d dedup
+	w := &worker{cur: &inbound{req: rpc.Request{ReqID: 8}}}
+	w.ctx, w.cancel = context.WithCancelCause(context.Background())
+	for id := uint64(7); id <= 8; id++ {
+		verdict, slot := d.admit(id, false)
+		if verdict != admitExecute {
+			t.Fatalf("admit(%d) = %v", id, verdict)
+		}
+		slot.w = w
+	}
+	d.cancel(7, context.Canceled)
+	if err := w.ctx.Err(); err != nil {
+		t.Fatalf("cancel of request 7 reached the worker serving request 8: %v", err)
+	}
+	cause := errors.New("cancel of 8")
+	d.cancel(8, cause)
+	if got := context.Cause(w.ctx); got != cause {
+		t.Fatalf("cancel of request 8: worker context cause %v, want %v", got, cause)
 	}
 }

@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
@@ -17,9 +17,9 @@ import (
 // only exists there). Unlike the assetsh shell's single-threaded
 // variant, every op carries its own result channel — concurrent RPC
 // dispatch must not cross-deliver results — and delivery is guarded
-// against the body being gone. An op is a small value (the request, the
-// response to fill, the channel its inbound already owns), so the hop
-// into the body allocates nothing.
+// against the body being gone. An op is a small value (a context and the
+// inbound, which owns the request, the response to fill and the reply
+// channel), so the hop into the body allocates nothing.
 type itx struct {
 	tid xid.TID
 
@@ -32,8 +32,9 @@ type itx struct {
 	ops  chan srvOp
 	gone chan struct{} // closed when the body has returned (or never will run)
 
-	mu    sync.Mutex
-	state itxState
+	mu      sync.Mutex
+	state   itxState
+	settled chan struct{} // made by observe to wait out stBeginning; closed by settle
 
 	goneOnce sync.Once
 }
@@ -47,14 +48,15 @@ const (
 	stDone                      // body returned or begin failed
 )
 
-// srvOp is one message to the body: a data operation to run under ctx
-// and answer on res, or the finish op that ends the body (which answers
-// by closing gone).
+// srvOp is one message to the body: a data operation to run under ctx,
+// or the finish op that ends the body (which answers by closing gone). A
+// data operation a worker brought is answered on in.res; one the
+// connection reader queued (direct) names the worker whose context it
+// borrowed, and the body finishes the request in that worker's stead.
 type srvOp struct {
 	ctx    context.Context
-	req    *rpc.Request
-	resp   *rpc.Response
-	res    chan error // buffered(1): the body never blocks replying
+	in     *inbound
+	w      *worker
 	finish bool
 }
 
@@ -79,7 +81,12 @@ func (t *itx) body() core.TxnFunc {
 			if op.finish {
 				return nil
 			}
-			op.res <- dataOp(op.ctx, tx, op.req, op.resp)
+			err := dataOp(op.ctx, tx, &op.in.req, &op.in.resp)
+			if op.w != nil {
+				op.w.finish(op.in, err)
+			} else {
+				op.in.res <- err
+			}
 		}
 		return nil
 	}
@@ -87,10 +94,12 @@ func (t *itx) body() core.TxnFunc {
 
 func (t *itx) closeGone() { t.goneOnce.Do(func() { close(t.gone) }) }
 
-// begin starts the transaction. reqCtx cancellation while Begin blocks
-// (admission queue, begin-dependency gates) aborts the transaction —
-// there is no half-begun state to leave behind.
-func (t *itx) begin(reqCtx context.Context, m *core.Manager) error {
+// begin starts the transaction. BeginCtx waits (admission queue,
+// begin-dependency gates) observe the transaction's own ctx: session
+// death reaches it as the parent's, and a cancel of the begin request is
+// passed on to it by worker.cancelLocked, so a cancelled begin aborts the
+// transaction — there is no half-begun state to leave behind.
+func (t *itx) begin(m *core.Manager) error {
 	t.mu.Lock()
 	if t.state != stCreated {
 		t.mu.Unlock()
@@ -98,22 +107,86 @@ func (t *itx) begin(reqCtx context.Context, m *core.Manager) error {
 	}
 	t.state = stBeginning
 	t.mu.Unlock()
-	// Bridge the per-request cancel onto the transaction's own ctx for
-	// the duration of the begin: BeginCtx waits observe the txn ctx.
-	stop := context.AfterFunc(reqCtx, func() {
-		t.cancelCtx(fmt.Errorf("begin cancelled: %w", context.Cause(reqCtx)))
-	})
 	err := m.BeginCtx(t.ctx, t.tid)
-	stop()
-	t.mu.Lock()
 	if err != nil {
-		t.state = stDone
-		t.closeGone()
+		t.settle(stDone)
 	} else {
-		t.state = stRunning
+		t.settle(stRunning)
+	}
+	return err
+}
+
+// settle ends stBeginning, waking whoever waits the begin out.
+func (t *itx) settle(st itxState) {
+	t.mu.Lock()
+	t.state = st
+	if st == stDone {
+		t.closeGone()
+	}
+	if t.settled != nil {
+		close(t.settled)
 	}
 	t.mu.Unlock()
-	return err
+}
+
+// observe is the first step of ending the body. It returns the state it
+// found, having ended a transaction never begun on the spot (no body to
+// finish; CommitCtx will say ErrNotBegun), and for a begin in flight the
+// channel that settle closes.
+func (t *itx) observe() (itxState, <-chan struct{}) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch t.state {
+	case stCreated:
+		t.state = stDone
+		t.closeGone()
+		return stCreated, nil
+	case stBeginning:
+		if t.settled == nil {
+			t.settled = make(chan struct{})
+		}
+	}
+	return t.state, t.settled
+}
+
+// direct queues a data operation straight to a body parked on t.ops, to
+// run under idle worker w's context: one hop where the worker path makes
+// two. False — not a data operation, no transaction, or a body that is
+// busy, not begun or gone — sends the request the worker's way, which
+// also says why. Called by dispatch under session.mu, hence no waiting.
+func (t *itx) direct(w *worker, in *inbound) bool {
+	if t == nil || in.req.Op < rpc.OpLock || in.req.Op > rpc.OpReadCounter {
+		return false
+	}
+	select {
+	case t.ops <- srvOp{ctx: w.ctx, in: in, w: w}:
+		return true
+	default:
+		return false
+	}
+}
+
+var errBodyGone = errors.New("server: transaction body gone")
+
+// deliver hands op to the body. The body is normally parked on t.ops, so
+// the hand-off succeeds at once — without asking ctx for its Done
+// channel, which a cancel context only builds (one allocation) when first
+// asked. Otherwise it waits for the body, its end (errBodyGone) or ctx
+// (its cause).
+func (t *itx) deliver(ctx context.Context, op srvOp) error {
+	select {
+	case t.ops <- op:
+		return nil
+	default:
+	}
+	select {
+	case t.ops <- op:
+		return nil
+	case <-t.gone:
+		return errBodyGone
+	case <-ctx.Done():
+		return context.Cause(ctx)
+	}
 }
 
 // do runs op inside the body. Cancellation before delivery leaves the
@@ -131,21 +204,13 @@ func (t *itx) do(op srvOp) error {
 	case stDone:
 		return core.ErrTerminated
 	}
-	// The body is normally parked on t.ops, so the hand-off succeeds at
-	// once — without asking ctx for its Done channel, which a cancel
-	// context only builds (one allocation) when first asked.
-	select {
-	case t.ops <- op:
-		return <-op.res
-	default:
-	}
-	select {
-	case t.ops <- op:
-		return <-op.res
-	case <-t.gone:
+	switch err := t.deliver(op.ctx, op); {
+	case err == nil:
+		return <-op.in.res
+	case errors.Is(err, errBodyGone):
 		return core.ErrTerminated
-	case <-op.ctx.Done():
-		return fmt.Errorf("server: op abandoned: %w", context.Cause(op.ctx))
+	default:
+		return fmt.Errorf("server: op abandoned: %w", err)
 	}
 }
 
@@ -158,34 +223,25 @@ func (t *itx) do(op srvOp) error {
 // never completes.
 func (t *itx) finishBody(ctx context.Context) error {
 	for {
-		t.mu.Lock()
-		st := t.state
-		if st == stCreated {
-			// Never begun: no body to finish; CommitCtx will say ErrNotBegun.
-			t.state = stDone
-			t.closeGone()
-		}
-		t.mu.Unlock()
+		st, settled := t.observe()
 		switch st {
 		case stCreated, stDone:
 			return nil
 		case stBeginning:
 			select {
-			case <-t.gone:
-				return nil // begin failed; no body ever ran
+			case <-settled: // a failed begin settles as stDone: no body ever ran
 			case <-ctx.Done():
 				return fmt.Errorf("server: commit abandoned before completion: %w", context.Cause(ctx))
-			case <-time.After(time.Millisecond):
 			}
 		case stRunning:
-			select {
-			case t.ops <- srvOp{finish: true}:
+			switch err := t.deliver(ctx, srvOp{finish: true}); {
+			case err == nil:
 				<-t.gone
 				return nil
-			case <-t.gone:
+			case errors.Is(err, errBodyGone):
 				return nil // already finished (e.g. an earlier commit attempt)
-			case <-ctx.Done():
-				return fmt.Errorf("server: commit abandoned before completion: %w", context.Cause(ctx))
+			default:
+				return fmt.Errorf("server: commit abandoned before completion: %w", err)
 			}
 		}
 	}
@@ -205,23 +261,13 @@ func (t *itx) unwind() { t.unwindWith(core.ErrTerminated) }
 func (t *itx) unwindWith(reason error) {
 	t.cancelCtx(reason)
 	for {
-		t.mu.Lock()
-		st := t.state
-		if st == stCreated {
-			t.state = stDone
-			t.closeGone()
-		}
-		t.mu.Unlock()
+		st, settled := t.observe()
 		switch st {
 		case stCreated, stDone:
 			return
 		case stBeginning:
 			// BeginCtx is unblocking on the cancelled ctx; wait it out.
-			select {
-			case <-t.gone:
-				return
-			case <-time.After(time.Millisecond):
-			}
+			<-settled
 		case stRunning:
 			select {
 			case t.ops <- srvOp{finish: true}:

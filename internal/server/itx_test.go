@@ -18,12 +18,10 @@ func TestFinishBodyWaitsOutBeginning(t *testing.T) {
 	ti.state = stBeginning
 	ti.mu.Unlock()
 	// The begin settles shortly and the body starts draining ops, the way
-	// BeginCtx returning flips the state in begin().
+	// BeginCtx returning does in begin().
 	go func() {
 		time.Sleep(5 * time.Millisecond)
-		ti.mu.Lock()
-		ti.state = stRunning
-		ti.mu.Unlock()
+		ti.settle(stRunning)
 		ti.body()(nil) //nolint:errcheck
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

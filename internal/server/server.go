@@ -21,15 +21,35 @@
 //     delivery: CommitCtx only ever returns final verdicts, and the
 //     dedup window makes the verdict stable across retries.
 //   - Cancellation is a first-class request (OpCancel): it cancels the
-//     per-request context server-side, which unwinds lock waits via
-//     LockCtx and aborts pre-commit-point commits — the transaction is
-//     always left aborted or intact, never half-committed.
+//     context the request runs under server-side, which unwinds lock
+//     waits via LockCtx and aborts pre-commit-point commits — the
+//     transaction is always left aborted or intact, never half-committed.
 //
-// The hot path allocates next to nothing: a request is read into a pooled
-// frame buffer and decoded in place into a pooled inbound, which also
-// carries the response and the reply channel for the hop into the
-// transaction body; the buffer is held until the request's dispatch has
-// finished, because the request's Data aliases it (see package rpc).
+// A request costs the server its work and nothing else. The connection
+// reader reads it into a pooled frame buffer, decodes it in place into a
+// pooled inbound (request, response, reply channel, the transaction it
+// names) and passes the idempotency gate itself (dispatch). An admitted
+// request goes to one of the session's parked workers — a goroutine with
+// its stack grown and one cancel context, child of the session's, reused
+// for every request it serves — and a worker is started only when all are
+// busy, so a blocked lock wait never stalls the heartbeats sharing the
+// connection. A data operation on a running transaction skips even that
+// hop: the reader queues it straight to the transaction's body, which runs
+// it under an idle worker's context and finishes it in the worker's stead
+// (a busy body sends it the worker's way). Whoever finishes a request owns
+// its inbound from dispatch on: records the verdict, parks the worker,
+// sends the response, releases the inbound — whose buffer is held that
+// long because the request's Data aliases it (see package rpc).
+//
+// Who may cancel what: an executing request's dedup slot names its worker
+// and worker.cur names the request served, both under session.mu. OpCancel,
+// and an ack passing an unanswered request, cancel the worker's context
+// under session.mu and only while cur is still that request, so a cancel
+// that lost the race with the response never reaches the worker's next
+// request. Session death cancels every worker through the parent context.
+// A context is replaced when its worker parks, and only if it was really
+// cancelled; contexts are stdlib ones, because lock, core and this package
+// report context.Cause and it (ErrLeaseExpired, say) must reach the client.
 //
 // Latch order: Server.mu (4) and session.mu (6) are acquired outside —
 // never across — core.Manager calls (Manager.mu is order 10); the
@@ -236,6 +256,10 @@ func (s *Server) expire(sess *session, reason error) {
 	sess.dead = true
 	txns := sess.txns
 	sess.txns = make(map[xid.TID]*itx)
+	for _, w := range sess.idle {
+		w.retire()
+	}
+	sess.idle = nil
 	// sess.reqs is deliberately kept: verdicts already decided must stay
 	// fetchable by retransmission even after the session dies — expiry
 	// strands no locks, but it must also unlearn no decisions.
@@ -259,9 +283,8 @@ func (s *Server) expire(sess *session, reason error) {
 	}
 }
 
-// serveConn runs one connection: handshake, then a read loop that
-// dispatches each request on its own goroutine (so a blocked lock wait
-// never stalls heartbeats sharing the connection).
+// serveConn runs one connection: handshake, then a read loop that answers
+// session control itself and passes every other request through dispatch.
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
 	conn := &srvConn{c: nc}
@@ -294,29 +317,25 @@ func (s *Server) serveConn(nc net.Conn) {
 			sess.bye()
 			return
 		default:
-			s.wg.Add(1)
-			//asset:goroutine joined-by=waitgroup
-			go func() {
-				defer s.wg.Done()
-				sess.dispatch(conn, in)
-				in.release()
-			}()
+			sess.dispatch(conn, in)
 		}
 	}
 }
 
 // inbound is one request on its way through the server, recycled through
 // inboundPool: the frame buffer it arrived in, the request decoded in
-// place (req.Data aliases buf), the response being built, and the reply
-// channel for the one operation it may run inside a transaction body.
-// Whoever took it from readInbound releases it, once nothing reads req,
-// resp or buf any more — for a dispatched request, after the response was
-// sent; a response recorded for replay is a copy.
+// place (req.Data aliases buf), the response being built, the reply
+// channel for the one operation it may run inside a transaction body, and
+// the session's transaction req.TID names, if any, as dispatch found it.
+// The reader owns it until dispatch hands it to a worker, then the worker;
+// the owner releases it once nothing reads req, resp or buf any more —
+// after the response was sent; a response recorded for replay is a copy.
 type inbound struct {
 	buf  *rpc.Buffer
 	req  rpc.Request
 	resp rpc.Response
 	res  chan error // buffered(1): the body never blocks replying
+	t    *itx
 }
 
 var inboundPool = sync.Pool{New: func() any { return &inbound{res: make(chan error, 1)} }}
@@ -338,7 +357,7 @@ func readInbound(fr *rpc.FrameReader) (*inbound, error) {
 
 func (in *inbound) release() {
 	in.buf.Release()
-	in.buf, in.req, in.resp = nil, rpc.Request{}, rpc.Response{}
+	in.buf, in.req, in.resp, in.t = nil, rpc.Request{}, rpc.Response{}, nil
 	inboundPool.Put(in)
 }
 
@@ -367,8 +386,8 @@ func (s *Server) handshake(conn *srvConn, fr *rpc.FrameReader) *session {
 	sess.mu.Unlock()
 	resp.TID = sess.id
 	// The hello reply goes out before the connection is published: once
-	// sess.conn is set, dispatch goroutines finishing old requests route
-	// their responses here, and one of those frames must not beat the
+	// sess.conn is set, workers finishing old requests route their
+	// responses here, and one of those frames must not beat the
 	// handshake response onto the wire. (The client matches the reply by
 	// request ID regardless — this ordering keeps the common path clean.)
 	if conn.send(resp) != nil {
@@ -407,8 +426,8 @@ func (s *Server) resolveSession(token uint64) (*session, error) {
 	return sess, nil
 }
 
-// srvConn serializes frame writes on one connection; responses from
-// concurrent dispatch goroutines interleave at frame granularity only.
+// srvConn serializes frame writes on one connection; responses from the
+// reader and concurrent workers interleave at frame granularity only.
 type srvConn struct {
 	//asset:latch order=8
 	mu sync.Mutex
@@ -446,7 +465,113 @@ type session struct {
 	conn       *srvConn
 	txns       map[xid.TID]*itx
 	reqs       dedup
+	idle       []*worker // parked workers, most recently parked last
 }
+
+// maxIdleWorkers bounds a session's parked workers; a burst of lock waits
+// may run more, which end instead of parking.
+const maxIdleWorkers = 8
+
+// worker is one request goroutine of a session and the cancel context
+// every request it serves runs under.
+type worker struct {
+	sess *session
+	in   chan *inbound // buffered(1): a hand-off under session.mu never blocks; closed to end the worker
+
+	// Guarded by session.mu: cur is the request being served, nil between
+	// requests; ctx is replaced, while parking, once it was cancelled.
+	cur    *inbound
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+}
+
+// getWorker pops the most recently parked worker, or starts one. Caller
+// holds sess.mu; the connection reader, which calls this, is itself
+// counted in the server's WaitGroup, so Add cannot race Close's Wait.
+func (sess *session) getWorker() *worker {
+	if n := len(sess.idle); n > 0 {
+		w := sess.idle[n-1]
+		sess.idle = sess.idle[:n-1]
+		return w
+	}
+	w := &worker{sess: sess, in: make(chan *inbound, 1)}
+	w.ctx, w.cancel = context.WithCancelCause(sess.ctx)
+	sess.srv.wg.Add(1)
+	//asset:goroutine joined-by=waitgroup
+	go w.run()
+	return w
+}
+
+// run serves the requests handed to w until retire closes w.in.
+//
+//asset:noalloc
+func (w *worker) run() {
+	defer w.sess.srv.wg.Done()
+	for in := range w.in {
+		w.finish(in, w.sess.perform(w.ctx, in))
+	}
+}
+
+// finish ends request in, which w served with outcome err: record the
+// verdict, park w, answer, release.
+func (w *worker) finish(in *inbound, err error) {
+	sess, resp := w.sess, &in.resp
+	if err != nil {
+		var hint time.Duration
+		if errors.Is(err, core.ErrOverload) {
+			hint = sess.srv.hint
+		}
+		resp.SetError(err, hint)
+	}
+	resp.ReqID = in.req.ReqID
+	sess.mu.Lock()
+	// Recorded even on a dead session: the verdict may already have been
+	// durably decided, and retransmits must learn it.
+	sess.reqs.complete(in.req.ReqID, resp)
+	cur := sess.conn
+	w.cur = nil
+	switch {
+	case sess.dead || len(sess.idle) >= maxIdleWorkers:
+		w.retire()
+	default:
+		if w.ctx.Err() != nil {
+			w.ctx, w.cancel = context.WithCancelCause(sess.ctx)
+		}
+		sess.idle = append(sess.idle, w)
+	}
+	sess.mu.Unlock()
+	if cur != nil {
+		// Route to the session's *current* connection: the one the request
+		// arrived on may be long dead. A failed send is fine — the response
+		// is recorded, and the retransmit will fetch it.
+		cur.send(resp) //nolint:errcheck
+	}
+	in.release()
+}
+
+// retire ends w, which serves nothing and is on no idle stack. Caller
+// holds sess.mu.
+func (w *worker) retire() {
+	w.cancel(nil)
+	close(w.in)
+}
+
+// cancelLocked cancels request id with cause if w still serves it; a
+// cancel that lost the race with the response must not reach the request
+// w took next. A begin passes the cancel on to its transaction, whose ctx
+// is the one BeginCtx waits observe. Caller holds sess.mu.
+func (w *worker) cancelLocked(id uint64, cause error) {
+	in := w.cur
+	if in == nil || in.req.ReqID != id {
+		return
+	}
+	w.cancel(cause)
+	if in.req.Op == rpc.OpBegin && in.t != nil {
+		in.t.cancelCtx(fmt.Errorf("begin cancelled: %w", cause))
+	}
+}
+
+var errAbandoned = errors.New("server: request abandoned by client")
 
 func newSession(s *Server) *session {
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -476,42 +601,43 @@ func (sess *session) heartbeat(conn *srvConn, in *inbound, ttl time.Duration) {
 	conn.send(resp) //nolint:errcheck
 }
 
-// cancelRequest serves OpCancel: cancelling an in-flight request's
-// context. Unknown request IDs (already answered, or the request frame
-// itself was lost) are a silent no-op.
+// cancelRequest serves OpCancel: cancelling the context an in-flight
+// request runs under. Unknown request IDs (already answered, or the
+// request frame itself was lost) are a silent no-op.
 func (sess *session) cancelRequest(reqID uint64) {
 	sess.mu.Lock()
-	cancel := sess.reqs.cancelOf(reqID)
+	sess.reqs.cancel(reqID, fmt.Errorf("server: request %d cancelled by client", reqID))
 	sess.mu.Unlock()
-	if cancel != nil {
-		cancel(fmt.Errorf("server: request %d cancelled by client", reqID))
-	}
 }
 
-// dispatch is the idempotency gate: a completed request replays its
-// recorded response, an executing request stays deduplicated, and only a
-// genuinely new request executes — under a per-request context that
-// OpCancel (or session death) can cancel.
+// dispatch is the idempotency gate, run by the connection reader: a
+// completed request replays its recorded response, an executing request
+// stays deduplicated, and only a genuinely new request executes — on a
+// worker of the session, under that worker's context, which OpCancel (or
+// session death) can cancel.
+//
+//asset:noalloc
 func (sess *session) dispatch(conn *srvConn, in *inbound) {
 	req, resp := &in.req, &in.resp
 	sess.mu.Lock()
 	// The client has the responses up to Ack; their verdicts can go.
-	abandoned := sess.reqs.ack(req.Ack)
+	sess.reqs.ack(req.Ack)
 	verdict, slot := sess.reqs.admit(req.ReqID, sess.dead)
-	var reqCtx context.Context
-	var cancel context.CancelCauseFunc
 	switch verdict {
 	case admitExecute:
-		reqCtx, cancel = context.WithCancelCause(sess.ctx)
-		slot.cancel = cancel
+		in.t = sess.txns[xid.TID(req.TID)]
+		w := sess.getWorker()
+		slot.w, w.cur = w, in
+		if !in.t.direct(w, in) {
+			w.in <- in
+		}
 	case admitReplay:
 		*resp = slot.resp
 	}
 	sess.mu.Unlock()
-	for _, stop := range abandoned {
-		stop(errors.New("server: request abandoned by client"))
-	}
 	switch verdict {
+	case admitExecute:
+		return // whoever executes in owns it now
 	case admitDrop:
 		// An acknowledged ID can only be a network ghost — a duplicated,
 		// delayed, or reordered copy of a request whose response the
@@ -519,64 +645,34 @@ func (sess *session) dispatch(conn *srvConn, in *inbound) {
 		// retired, so executing it again would double-apply; at-most-once
 		// means acknowledged IDs are a hard floor. (The other drop is a
 		// copy of a request still executing, which will answer itself.)
-		return
 	case admitReplay:
 		conn.send(resp) //nolint:errcheck
-		return
-	case admitExpired:
-		resp.ReqID = req.ReqID
-		resp.SetError(core.ErrLeaseExpired, 0)
-		conn.send(resp) //nolint:errcheck
-		return
-	case admitOverflow:
-		resp.ReqID = req.ReqID
-		resp.SetError(fmt.Errorf("%w: request %d is more than %d ahead of the oldest unacknowledged one",
-			core.ErrOverload, req.ReqID, maxAhead), sess.srv.hint)
-		conn.send(resp) //nolint:errcheck
-		return
+	case admitExpired, admitOverflow:
+		sess.refuse(conn, in, verdict)
 	}
-
-	sess.execute(reqCtx, in)
-	resp.ReqID = req.ReqID
-	cancel(nil)
-
-	sess.mu.Lock()
-	// Recorded even on a dead session: the verdict may already have been
-	// durably decided, and retransmits must learn it.
-	sess.reqs.complete(req.ReqID, resp)
-	cur := sess.conn
-	sess.mu.Unlock()
-	if cur != nil {
-		// Route to the session's *current* connection: the one the request
-		// arrived on may be long dead. A failed send is fine — the response
-		// is recorded, and the retransmit will fetch it.
-		cur.send(resp) //nolint:errcheck
-	}
+	in.release()
 }
 
-// txn returns the session's interactive transaction for tid.
-func (sess *session) txn(tid xid.TID) *itx {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.txns[tid]
+// refuse answers a new request the gate will not execute.
+//
+//go:noinline
+func (sess *session) refuse(conn *srvConn, in *inbound, verdict admission) {
+	in.resp.ReqID = in.req.ReqID
+	if verdict == admitExpired {
+		in.resp.SetError(core.ErrLeaseExpired, 0)
+	} else {
+		in.resp.SetError(fmt.Errorf("%w: request %d is more than %d ahead of the oldest unacknowledged one",
+			core.ErrOverload, in.req.ReqID, maxAhead), sess.srv.hint)
+	}
+	conn.send(&in.resp) //nolint:errcheck
 }
 
-// execute performs one request against the manager, building the response
+// perform executes one request against the manager, building the response
 // in in.resp. Every blocking path observes ctx, so a client cancel (or
 // session death) unwinds it.
-func (sess *session) execute(ctx context.Context, in *inbound) {
-	if err := sess.perform(ctx, in); err != nil {
-		var hint time.Duration
-		if errors.Is(err, core.ErrOverload) {
-			hint = sess.srv.hint
-		}
-		in.resp.SetError(err, hint)
-	}
-}
-
 func (sess *session) perform(ctx context.Context, in *inbound) error {
 	m := sess.srv.m
-	req, resp := &in.req, &in.resp
+	req, resp, t := &in.req, &in.resp, in.t
 	tid := xid.TID(req.TID)
 	switch req.Op {
 	case rpc.OpInitiate:
@@ -593,13 +689,11 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 		}
 		resp.TID = uint64(id)
 	case rpc.OpBegin:
-		t := sess.txn(tid)
 		if t == nil {
 			return core.ErrUnknownTxn
 		}
-		return t.begin(ctx, m)
+		return t.begin(m)
 	case rpc.OpCommit:
-		t := sess.txn(tid)
 		if t != nil {
 			if err := t.finishBody(ctx); err != nil {
 				return err
@@ -624,7 +718,7 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 		resp.Status = byte(xid.StatusCommitted)
 	case rpc.OpAbort:
 		err := m.Abort(tid)
-		if t := sess.txn(tid); t != nil {
+		if t != nil {
 			t.unwind()
 		}
 		sess.forget(tid)
@@ -686,11 +780,10 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 		}
 	case rpc.OpLock, rpc.OpRead, rpc.OpWrite, rpc.OpCreate, rpc.OpDelete,
 		rpc.OpAdd, rpc.OpDeclareEscrow, rpc.OpReadCounter:
-		t := sess.txn(tid)
 		if t == nil {
 			return core.ErrUnknownTxn
 		}
-		return t.do(srvOp{ctx: ctx, req: req, resp: resp, res: in.res})
+		return t.do(srvOp{ctx: ctx, in: in})
 	default:
 		// OpBye never reaches here: serveConn intercepts it pre-dispatch.
 		return fmt.Errorf("server: unsupported op %v", req.Op)
@@ -701,8 +794,8 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 // dataOp runs one data operation inside the transaction body. Operations
 // that can block on locks pre-acquire via the ctx-aware paths (LockCtx,
 // AddCtx) so client cancellation unwinds the wait. req.Data aliases the
-// request's frame buffer, which the dispatching goroutine holds until
-// this has returned; core copies what it keeps.
+// request's frame buffer, which the request's worker holds until this has
+// returned; core copies what it keeps.
 func dataOp(ctx context.Context, tx *core.Tx, req *rpc.Request, resp *rpc.Response) error {
 	oid := xid.OID(req.OID)
 	switch req.Op {
