@@ -10,6 +10,7 @@
 //
 //	initiate(f)            m.Initiate(fn) / tx.Initiate(fn)
 //	begin(t1..tn)          m.Begin(t1, ..., tn)
+//	begin(t); wait(t)      m.Execute(t)
 //	commit(t)              m.Commit(t)
 //	wait(t)                m.Wait(t)
 //	abort(t)               m.Abort(t)
@@ -29,6 +30,13 @@
 //	})
 //	m.Begin(t)
 //	if err := m.Commit(t); err != nil { /* aborted */ }
+//
+// Begin starts the body on a goroutine of its own. A beginner that would
+// only wait for the body calls Execute instead, which runs it on the caller
+// through the same gates and returns the abort reason if it failed; Begin is
+// for bodies that must run beside their beginner (parallel components,
+// races, cooperating partners, nested children, bodies that outlive the
+// request that begins them).
 package asset
 
 import (

@@ -69,6 +69,22 @@ func BenchmarkPrimitives(b *testing.B) {
 			}
 		}
 	})
+	b.Run("initiate-execute-commit", func(b *testing.B) {
+		m := benchManager(b)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t, err := m.Initiate(noop)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := m.Execute(t); err != nil {
+				b.Fatal(err)
+			}
+			if err := m.Commit(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("initiate-begin-wait-abort", func(b *testing.B) {
 		m := benchManager(b)
 		b.ReportAllocs()

@@ -12,14 +12,17 @@ import (
 
 // Budgets for what one local transaction may allocate on a directory-less
 // manager that reaps its descriptors (what the MACRO benchmark runs), counted
-// over initiate, begin, the body on its goroutine, and commit.
+// over initiate, begin, the body on its goroutine, and commit — and over
+// initiate, execute and commit, where the body runs on the caller.
 //
 // An empty body cost 12 objects at the parent commit: the descriptor and its
 // three channels, the Tx handle, the begin and commit records, the commit's
 // tid list, group and GC component, the descriptor-table entry, and the
 // goroutine's closure. What is left is the descriptor, the closure, and the
 // channel the committer parks on when it gets there before the body has
-// finished (the table entry comes off htab's free list): 3 measured.
+// finished (the table entry comes off htab's free list): 3 measured. An
+// executed body has no goroutine to close over and has finished before the
+// committer asks: the descriptor alone, 1 measured.
 //
 // A body with one Write, one Read and one Add on warm objects cost 33. On top
 // of the empty body that was a pending and a granted LRD per lock, the
@@ -31,8 +34,9 @@ import (
 // lock table's entry for the txnState is recycled too): 5 measured, budgeted
 // with slack for the runtime's own habits and well under half of 33.
 const (
-	emptyTxnAllocBudget = 6
-	smallTxnAllocBudget = 10
+	emptyTxnAllocBudget    = 6
+	smallTxnAllocBudget    = 10
+	executedTxnAllocBudget = 2
 )
 
 func TestLocalTxnAllocBudget(t *testing.T) {
@@ -48,10 +52,10 @@ func TestLocalTxnAllocBudget(t *testing.T) {
 	ctr := seedObject(t, m, wal.EncodeCounter(1<<20))
 	payload := make([]byte, 64)
 
-	run := func(fn TxnFunc) {
+	run := func(fn TxnFunc, start func(xid.TID) error) {
 		id, err := m.Initiate(fn)
 		if err == nil {
-			err = m.Begin(id)
+			err = start(id)
 		}
 		if err == nil {
 			err = m.Commit(id)
@@ -60,6 +64,7 @@ func TestLocalTxnAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	begin := func(id xid.TID) error { return m.Begin(id) }
 	empty := func(*Tx) error { return nil }
 	small := func(tx *Tx) error {
 		if err := tx.Write(obj, payload); err != nil {
@@ -73,13 +78,15 @@ func TestLocalTxnAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		fn     TxnFunc
+		start  func(xid.TID) error
 		budget float64
 	}{
-		{"empty body", empty, emptyTxnAllocBudget},
-		{"write+read+add", small, smallTxnAllocBudget},
+		{"empty body", empty, begin, emptyTxnAllocBudget},
+		{"write+read+add", small, begin, smallTxnAllocBudget},
+		{"empty body, executed", empty, m.Execute, executedTxnAllocBudget},
 	} {
-		run(tc.fn) // warm the free lists and the objects' lock descriptors
-		got := testing.AllocsPerRun(500, func() { run(tc.fn) })
+		run(tc.fn, tc.start) // warm the free lists and the objects' lock descriptors
+		got := testing.AllocsPerRun(500, func() { run(tc.fn, tc.start) })
 		t.Logf("%s: %.1f objects per transaction", tc.name, got)
 		if got > tc.budget {
 			t.Errorf("%s: %.1f objects per transaction, budget %.0f", tc.name, got, tc.budget)

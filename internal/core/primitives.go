@@ -86,6 +86,11 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid
 // goroutine. It returns the first error encountered (a transaction that is
 // not in the initiated state, an unsatisfiable begin dependency, or an
 // admission shed); earlier transactions in the list still start.
+//
+// Begin is for a body that must run beside its beginner: parallel
+// components, competitors in a race, a cooperating partner, a child whose
+// parent may have to leave its wait first, a body that outlives the request
+// that begins it. A beginner that will only wait should call Execute.
 func (m *Manager) Begin(tids ...xid.TID) error {
 	return m.BeginCtx(context.Background(), tids...)
 }
@@ -96,26 +101,58 @@ func (m *Manager) Begin(tids ...xid.TID) error {
 // admission wait it is parked in.
 func (m *Manager) BeginCtx(ctx context.Context, tids ...xid.TID) error {
 	for _, id := range tids {
-		if err := m.beginOne(ctx, id); err != nil {
+		t, err := m.beginOne(ctx, id)
+		if err != nil {
 			return err
 		}
+		//asset:goroutine joined-by=channel
+		go m.run(t)
 	}
 	return nil
 }
 
-func (m *Manager) beginOne(ctx context.Context, id xid.TID) error {
+// Execute is begin followed by wait, with the body run on the calling
+// goroutine: the paper's atomic translation does nothing between begin and
+// the commit that blocks until execution completes (§3.1.1), so the body
+// belongs to the goroutine that will wait for it. The transaction passes the
+// same checks, gates and admission as under Begin and is logged the same
+// way; Execute returns Begin's error if it could not start, otherwise what
+// Wait would: nil once the body has completed, the abort reason if it failed,
+// panicked (the panic is recovered; the caller survives) or was aborted from
+// outside. The transaction is then committed, delegated or aborted like any
+// other.
+func (m *Manager) Execute(id xid.TID) error {
+	return m.ExecuteCtx(context.Background(), id)
+}
+
+// ExecuteCtx is Execute with a context bound to the transaction as under
+// BeginCtx: cancelling it aborts the transaction and wakes the wait its body
+// is parked in, and ExecuteCtx returns the cause once the body has returned.
+func (m *Manager) ExecuteCtx(ctx context.Context, id xid.TID) error {
+	t, err := m.beginOne(ctx, id)
+	if err != nil {
+		return err
+	}
+	m.run(t)
+	return waitOutcome(t)
+}
+
+// beginOne takes an initiated transaction to running — status check, context
+// binding, begin-dependency gates, admission, begin record, context watcher
+// — and hands it back for the caller to run its body.
+func (m *Manager) beginOne(ctx context.Context, id xid.TID) (*txn, error) {
 	m.mu.Lock()
 	t, err := m.lookup(id)
 	if err != nil {
 		m.mu.Unlock()
-		return err
+		return nil, err
 	}
 	if t.st() != xid.StatusInitiated {
 		m.mu.Unlock()
 		if t.st() == xid.StatusAborted || t.st() == xid.StatusAborting {
-			return ErrAborted
+			return nil, ErrAborted
 		}
-		return fmt.Errorf("%w: %v is %v", ErrAlreadyBegun, id, t.st())
+		return nil, fmt.Errorf("%w: %v is %v", ErrAlreadyBegun, id, t.st())
 	}
 	// Bind the context before the body, watcher, and admission code that
 	// read it exist; an InitiateWith binding wins.
@@ -142,25 +179,25 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) error {
 		case <-term:
 		case <-t.abortCh(): // aborted while gated (watchdog, cascade, Close)
 			m.waits.Remove(id, supID)
-			return txnOutcome(t)
+			return nil, txnOutcome(t)
 		case <-ctxDone:
 			m.waits.Remove(id, supID)
 			m.mu.Lock()
 			m.ctxAbortLocked(t, t.ctx)
 			m.mu.Unlock()
-			return txnOutcome(t)
+			return nil, txnOutcome(t)
 		}
 		m.waits.Remove(id, supID)
 		m.mu.Lock()
 		if !isBAD && sup.st() == xid.StatusAborted {
 			m.mu.Unlock()
 			m.abortTxn(t, fmt.Errorf("%w: begin dependency on aborted %v", ErrAborted, supID))
-			return ErrAborted
+			return nil, ErrAborted
 		}
 	}
 	if t.st() != xid.StatusInitiated { // aborted while waiting to begin
 		m.mu.Unlock()
-		return txnOutcome(t)
+		return nil, txnOutcome(t)
 	}
 	// Admission control: the MaxLive gate bounds the set of transactions
 	// that run and hold locks. Crossed after the begin-dependency gates
@@ -169,13 +206,13 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) error {
 	if m.admit != nil {
 		m.mu.Unlock()
 		if err := m.admitOne(t); err != nil {
-			return err
+			return nil, err
 		}
 		m.mu.Lock()
 		if t.st() != xid.StatusInitiated { // aborted while queued
 			m.releaseSlot(t)
 			m.mu.Unlock()
-			return txnOutcome(t)
+			return nil, txnOutcome(t)
 		}
 	}
 	t.setSt(xid.StatusRunning)
@@ -184,16 +221,14 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) error {
 	if _, err := m.appendLocked(wal.Record{Type: wal.TBegin, TID: id}); err != nil {
 		m.abortLocked(t, err)
 		m.mu.Unlock()
-		return err
+		return nil, err
 	}
 	m.mu.Unlock()
 	if ctxDone != nil {
 		//asset:goroutine joined-by=ctx
 		go m.watchCtx(t)
 	}
-	//asset:goroutine joined-by=channel
-	go m.run(t)
-	return nil
+	return t, nil
 }
 
 // pendingBeginDepLocked returns a begin-gating supporter that has not yet
@@ -220,7 +255,8 @@ func (m *Manager) pendingBeginDepLocked(t *txn) (sup *txn, isBAD bool) {
 	return nil, false
 }
 
-// run executes a transaction body on its own goroutine.
+// run executes a transaction body, on the goroutine Begin started for it or
+// on Execute's caller.
 func (m *Manager) run(t *txn) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -272,17 +308,15 @@ func (m *Manager) WaitCtx(ctx context.Context, id xid.TID) error {
 	case <-ctx.Done():
 		return fmt.Errorf("core: wait on %v abandoned: %w", id, ctx.Err())
 	}
-	return m.waitOutcome(t)
+	return waitOutcome(t)
 }
 
-func (m *Manager) waitOutcome(t *txn) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t.st() == xid.StatusAborted || t.st() == xid.StatusAborting {
-		if t.abErr != nil {
-			return t.abErr
-		}
-		return ErrAborted
+// waitOutcome is what a wait on t reports once its body is done: the abort
+// reason if it aborted, nil otherwise. Lock-free: the reason is written
+// before the status that makes it readable.
+func waitOutcome(t *txn) error {
+	if st := t.st(); st == xid.StatusAborted || st == xid.StatusAborting {
+		return txnOutcome(t)
 	}
 	return nil
 }
@@ -339,7 +373,7 @@ func (tx *Tx) WaitCtx(ctx context.Context, id xid.TID) error {
 		return err
 	}
 	m.mu.Unlock()
-	return m.waitOutcome(target)
+	return waitOutcome(target)
 }
 
 // Delegate transfers from ti to tj the responsibility for ti's operations

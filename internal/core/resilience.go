@@ -205,7 +205,7 @@ func Retryable(err error) bool {
 		errors.Is(err, ErrConnLost))
 }
 
-// Run executes fn as a transaction (initiate, begin, commit) and
+// Run executes fn as a transaction (initiate, execute, commit) and
 // automatically retries retryable failures — deadlock victimhood, lock
 // timeouts, watchdog reaps, admission sheds — with capped exponential
 // backoff plus jitter, under an attempt budget. ctx bounds the whole
@@ -283,21 +283,22 @@ func Retry(ctx context.Context, opts RunOptions, onRetry func(), attempt func(co
 	return fmt.Errorf("core: giving up after %d attempts: %w", attempts, errors.Join(ErrRetryable, err))
 }
 
-// runOnce performs a single initiate/begin/commit attempt.
+// runOnce performs a single initiate/execute/commit attempt: Run only waits
+// for the body, so the body runs here.
 func (m *Manager) runOnce(ctx context.Context, opts RunOptions, fn TxnFunc) error {
 	id, err := m.InitiateWith(fn, TxnOptions{Ctx: ctx, Deadline: opts.Deadline})
 	if err != nil {
 		return err
 	}
-	if err = m.BeginCtx(ctx, id); err == nil {
+	if err = m.ExecuteCtx(ctx, id); err == nil {
 		err = m.CommitCtx(ctx, id)
 	}
 	if errors.Is(err, ErrUnknownTxn) {
-		// Only under ReapTerminated: the descriptor was gone before this
-		// driver asked for it. Nobody else commits a transaction Run
-		// initiated, so it was aborted (context watcher, watchdog, victim
-		// callback); its reason went with the descriptor, the context's own
-		// is still known.
+		// Only under ReapTerminated, and never for a body that failed (Execute
+		// reported that itself): the descriptor was gone before this driver
+		// asked for it. Nobody else commits a transaction Run initiated, so it
+		// was aborted (context watcher, watchdog, victim callback); its reason
+		// went with the descriptor, the context's own is still known.
 		return errors.Join(ErrAborted, ctx.Err(), err)
 	}
 	return err

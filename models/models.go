@@ -20,14 +20,15 @@ import (
 )
 
 // Atomic runs fn as one flat transaction — the paper's §3.1.1 translation
-// (initiate; begin; commit). It returns the body's error if the transaction
-// aborted, or the commit error.
+// (initiate; begin; commit), with the body run on the caller, who would only
+// wait for it. It returns the body's error if the transaction aborted, or
+// the commit error.
 func Atomic(m *asset.Manager, fn asset.TxnFunc) error {
 	t, err := m.Initiate(fn)
 	if err != nil {
 		return err
 	}
-	if err := m.Begin(t); err != nil {
+	if err := m.Execute(t); err != nil {
 		return err
 	}
 	return m.Commit(t)
@@ -58,7 +59,8 @@ func AtomicRetry(m *asset.Manager, attempts int, fn asset.TxnFunc) error {
 
 // Distributed runs the component functions in parallel with pairwise group
 // commit dependencies and commits them as one group (§3.1.2): either every
-// component commits or none does. It returns nil when the group committed.
+// component commits or none does. The last component runs on the caller,
+// beside the others' goroutines. It returns nil when the group committed.
 func Distributed(m *asset.Manager, fns ...asset.TxnFunc) error {
 	if len(fns) == 0 {
 		return nil
@@ -67,9 +69,7 @@ func Distributed(m *asset.Manager, fns ...asset.TxnFunc) error {
 	for i, fn := range fns {
 		t, err := m.Initiate(fn)
 		if err != nil {
-			for _, prev := range tids[:i] {
-				m.Abort(prev)
-			}
+			abortAll(m, tids[:i])
 			return err
 		}
 		tids[i] = t
@@ -77,18 +77,32 @@ func Distributed(m *asset.Manager, fns ...asset.TxnFunc) error {
 	// Pairwise GC dependencies make the set a single commit group.
 	for i := 1; i < len(tids); i++ {
 		if err := m.FormDependency(asset.GC, tids[i-1], tids[i]); err != nil {
-			for _, t := range tids {
-				m.Abort(t)
-			}
+			abortAll(m, tids)
 			return err
 		}
 	}
-	if err := m.Begin(tids...); err != nil {
+	last := len(tids) - 1
+	err := m.Begin(tids[:last]...)
+	if err == nil {
+		err = m.Execute(tids[last])
+	}
+	if err != nil {
+		// A component that could not begin leaves the ones after it initiated
+		// and the ones before it running with nobody to commit them; one that
+		// aborted took the group with it, and these are no-ops.
+		abortAll(m, tids)
 		return err
 	}
 	// Committing any one component commits the whole group; the paper
 	// commits t1 and lets the rest follow.
 	return m.Commit(tids[0])
+}
+
+// abortAll aborts every listed transaction; one already gone stays gone.
+func abortAll(m *asset.Manager, tids []asset.TID) {
+	for _, t := range tids {
+		m.Abort(t)
+	}
 }
 
 // Contingent runs the alternatives in order until one commits (§3.1.3). It
@@ -101,14 +115,13 @@ func Contingent(m *asset.Manager, fns ...asset.TxnFunc) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		if err := m.Begin(t); err != nil {
-			return -1, err
+		if err = m.Execute(t); err == nil {
+			err = m.Commit(t)
 		}
-		if err := m.Commit(t); err == nil {
+		if err == nil {
 			return i, nil
-		} else {
-			last = err
 		}
+		last = err
 	}
 	return -1, last
 }

@@ -43,6 +43,9 @@ type SagaOptions struct {
 type Saga struct {
 	m     *asset.Manager
 	steps []SagaStep
+	// stepBuf backs steps for a saga's first four steps, which is all most
+	// sagas have: building one costs the Saga and nothing per step.
+	stepBuf [4]SagaStep
 	// CompensationRetries bounds the retry loop for a compensating
 	// transaction ("a compensating transaction must be retried until it
 	// finally commits"); 0 means the default of 100.
@@ -53,7 +56,11 @@ type Saga struct {
 }
 
 // NewSaga returns an empty saga over m.
-func NewSaga(m *asset.Manager) *Saga { return &Saga{m: m} }
+func NewSaga(m *asset.Manager) *Saga {
+	s := &Saga{m: m}
+	s.steps = s.stepBuf[:0]
+	return s
+}
 
 // WithOptions sets the saga's retry options and returns it for chaining.
 func (s *Saga) WithOptions(o SagaOptions) *Saga {
@@ -142,7 +149,7 @@ func (r *SagaResult) Err() error {
 // Components must be mutually independent; components touching the same
 // objects serialize on their locks like any transactions.
 func (s *Saga) RunParallel() (*SagaResult, error) {
-	res := &SagaResult{}
+	res := &SagaResult{Committed: make([]string, 0, len(s.steps))}
 	errs := make([]error, len(s.steps))
 	var wg sync.WaitGroup
 	for i := range s.steps {
@@ -205,7 +212,7 @@ func (s *Saga) RunParallel() (*SagaResult, error) {
 // run in reverse order, each retried until it commits. The returned
 // result's Err method distinguishes commit from compensated abort.
 func (s *Saga) Run() (*SagaResult, error) {
-	res := &SagaResult{}
+	res := &SagaResult{Committed: make([]string, 0, len(s.steps))}
 	failed := -1
 	for i, step := range s.steps {
 		if err := s.runStep(step.Action); err != nil {

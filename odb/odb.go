@@ -40,7 +40,7 @@ func Init(m *asset.Manager) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Begin(t); err != nil {
+	if err := m.Execute(t); err != nil {
 		return nil, err
 	}
 	if err := m.Commit(t); err != nil {

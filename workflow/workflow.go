@@ -50,14 +50,27 @@ type step struct {
 type Workflow struct {
 	name  string
 	steps []step
+	// single holds the tasks of the single-task steps, each step's tasks a
+	// one-element window on it. stepBuf and singleBuf back steps and single
+	// for a workflow's first four of each, which is all most activities have:
+	// building one costs the Workflow and nothing per step.
+	single    []Task
+	stepBuf   [4]step
+	singleBuf [4]Task
 }
 
 // New returns an empty workflow with the given activity name.
-func New(name string) *Workflow { return &Workflow{name: name} }
+func New(name string) *Workflow {
+	w := &Workflow{name: name}
+	w.steps, w.single = w.stepBuf[:0], w.singleBuf[:0]
+	return w
+}
 
 // Step appends a required single-task step.
 func (w *Workflow) Step(t Task) *Workflow {
-	w.steps = append(w.steps, step{name: t.Name, kind: kindTask, tasks: []Task{t}})
+	w.single = append(w.single, t)
+	n := len(w.single)
+	w.steps = append(w.steps, step{name: t.Name, kind: kindTask, tasks: w.single[n-1 : n : n]})
 	return w
 }
 
@@ -127,8 +140,11 @@ func (r *Result) Err() error {
 // retried until it commits, like a saga), and the workflow reports failure
 // through the result's Err.
 func (w *Workflow) Run(m *asset.Manager) (*Result, error) {
-	res := &Result{}
-	var undoStack []Task // committed tasks with compensations, in order
+	res := &Result{Steps: make([]StepResult, 0, len(w.steps))}
+	// Committed tasks with compensations, in order: a handful, so the stack
+	// starts out in this frame.
+	var undoBuf [4]Task
+	undoStack := undoBuf[:0]
 	for _, s := range w.steps {
 		committed, label, err := runStep(m, s)
 		if err != nil {
@@ -161,10 +177,9 @@ func runStep(m *asset.Manager, s step) ([]Task, string, error) {
 	switch s.kind {
 	case kindTask, kindAlternatives:
 		for i := range s.tasks {
-			task := s.tasks[i]
-			err := models.Atomic(m, task.Action)
+			err := models.Atomic(m, s.tasks[i].Action)
 			if err == nil {
-				return []Task{task}, task.Name, nil
+				return s.tasks[i : i+1 : i+1], s.tasks[i].Name, nil
 			}
 			if !errors.Is(err, asset.ErrAborted) && !errors.Is(err, asset.ErrDeadlock) {
 				return nil, "", err
@@ -209,14 +224,15 @@ func runRace(m *asset.Manager, tasks []Task) (*Task, error) {
 	for i := range tasks {
 		t, err := m.Initiate(tasks[i].Action)
 		if err != nil {
-			for _, prev := range tids[:i] {
-				m.Abort(prev)
-			}
+			abortAll(m, tids[:i])
 			return nil, err
 		}
 		tids[i] = t
 	}
 	if err := m.Begin(tids...); err != nil {
+		// No dependency ties the competitors: the ones after the failure
+		// would stay initiated for good, the ones before it run unclaimed.
+		abortAll(m, tids)
 		return nil, err
 	}
 	// One waiter per competitor; completions and aborts both report in.
@@ -251,6 +267,13 @@ func runRace(m *asset.Manager, tasks []Task) (*Task, error) {
 		return &tasks[o.idx], nil
 	}
 	return nil, nil // every competitor aborted
+}
+
+// abortAll aborts every listed transaction; one already gone stays gone.
+func abortAll(m *asset.Manager, tids []asset.TID) {
+	for _, t := range tids {
+		m.Abort(t)
+	}
 }
 
 // compensate runs the undo stack in reverse order, retrying each
