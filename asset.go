@@ -11,6 +11,7 @@
 //	initiate(f)            m.Initiate(fn) / tx.Initiate(fn)
 //	begin(t1..tn)          m.Begin(t1, ..., tn)
 //	begin(t); wait(t)      m.Execute(t)
+//	begin(t), no body      m.BeginInteractive(ctx, t) / tx.Complete()
 //	commit(t)              m.Commit(t)
 //	wait(t)                m.Wait(t)
 //	abort(t)               m.Abort(t)
@@ -35,8 +36,10 @@
 // only wait for the body calls Execute instead, which runs it on the caller
 // through the same gates and returns the abort reason if it failed; Begin is
 // for bodies that must run beside their beginner (parallel components,
-// races, cooperating partners, nested children, bodies that outlive the
-// request that begins them).
+// races, cooperating partners, nested children). A caller that drives the
+// transaction itself, one operation at a time as requests arrive, initiates
+// it with a nil body and begins it with BeginInteractive, which returns the
+// handle; it calls Complete where a body would have returned nil.
 package asset
 
 import (

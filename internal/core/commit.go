@@ -388,6 +388,16 @@ func (m *Manager) forcedAbortsLocked(group, buf []*txn) []*txn {
 // transaction was already aborted, and ErrAlreadyCommitted if it committed
 // first (the paper's 0).
 func (m *Manager) Abort(id xid.TID) error {
+	return m.AbortWith(id, errExplicitAbort)
+}
+
+var errExplicitAbort = fmt.Errorf("%w: explicit abort", ErrAborted)
+
+// AbortWith is Abort with reason recorded as the abort reason (wrapped to
+// match ErrAborted if it does not): what the transaction's operations in
+// flight, its waiters and a later Commit report. A front end aborting for a
+// cause of its own — a session's lease expiry, say — hands it on this way.
+func (m *Manager) AbortWith(id xid.TID, reason error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t, err := m.lookup(id)
@@ -413,7 +423,7 @@ func (m *Manager) Abort(id xid.TID) error {
 		// verdict (Decide) is the only terminator.
 		return fmt.Errorf("%w: %v", ErrPrepared, id)
 	}
-	m.abortLocked(t, fmt.Errorf("%w: explicit abort", ErrAborted))
+	m.abortLocked(t, abortReason(reason))
 	return nil
 }
 

@@ -24,9 +24,10 @@ type TxnOptions struct {
 }
 
 // Initiate registers a new top-level transaction that will execute fn. The
-// transaction does not start executing; call Begin. On resource exhaustion
-// it returns ErrTooManyTxns with the null tid (the paper returns the null
-// tid alone).
+// transaction does not start executing; call Begin. A nil fn makes the
+// transaction interactive: its caller drives it through the handle that
+// BeginInteractive returns. On resource exhaustion it returns
+// ErrTooManyTxns with the null tid (the paper returns the null tid alone).
 func (m *Manager) Initiate(fn TxnFunc) (xid.TID, error) {
 	return m.initiate(fn, xid.NilTID)
 }
@@ -89,8 +90,9 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid
 //
 // Begin is for a body that must run beside its beginner: parallel
 // components, competitors in a race, a cooperating partner, a child whose
-// parent may have to leave its wait first, a body that outlives the request
-// that begins it. A beginner that will only wait should call Execute.
+// parent may have to leave its wait first. A beginner that will only wait
+// should call Execute; one that drives the transaction itself, operation by
+// operation, initiates it without a body and calls BeginInteractive.
 func (m *Manager) Begin(tids ...xid.TID) error {
 	return m.BeginCtx(context.Background(), tids...)
 }
@@ -101,7 +103,7 @@ func (m *Manager) Begin(tids ...xid.TID) error {
 // admission wait it is parked in.
 func (m *Manager) BeginCtx(ctx context.Context, tids ...xid.TID) error {
 	for _, id := range tids {
-		t, err := m.beginOne(ctx, id)
+		t, err := m.beginOne(ctx, id, false)
 		if err != nil {
 			return err
 		}
@@ -129,7 +131,7 @@ func (m *Manager) Execute(id xid.TID) error {
 // BeginCtx: cancelling it aborts the transaction and wakes the wait its body
 // is parked in, and ExecuteCtx returns the cause once the body has returned.
 func (m *Manager) ExecuteCtx(ctx context.Context, id xid.TID) error {
-	t, err := m.beginOne(ctx, id)
+	t, err := m.beginOne(ctx, id, false)
 	if err != nil {
 		return err
 	}
@@ -137,10 +139,34 @@ func (m *Manager) ExecuteCtx(ctx context.Context, id xid.TID) error {
 	return waitOutcome(t)
 }
 
+// BeginInteractive begins an interactive transaction — one initiated with a
+// nil TxnFunc — and returns its handle: the caller performs through it what
+// a body would, then calls Complete where a body would return nil, and the
+// transaction is committed, delegated or aborted like any other. It passes
+// the same checks, gates and admission as under Begin and is logged the same
+// way, and it returns Begin's error if it could not start; no goroutine runs
+// for it. ctx governs the begin only: cancelling it while the transaction
+// waits at a begin-dependency gate or for admission aborts the transaction,
+// and nothing watches it once BeginInteractive has returned (a context bound
+// at InitiateWith is watched as under Begin).
+//
+// The handle's operations must not run concurrently: the caller serializes
+// them, as a body's one goroutine does. Primitives that name the transaction
+// from outside — Abort, Commit, Wait, Delegate and the rest — may run at
+// any time.
+func (m *Manager) BeginInteractive(ctx context.Context, id xid.TID) (*Tx, error) {
+	t, err := m.beginOne(ctx, id, true)
+	if err != nil {
+		return nil, err
+	}
+	return &t.tx, nil
+}
+
 // beginOne takes an initiated transaction to running — status check, context
 // binding, begin-dependency gates, admission, begin record, context watcher
-// — and hands it back for the caller to run its body.
-func (m *Manager) beginOne(ctx context.Context, id xid.TID) (*txn, error) {
+// — and hands it back for the caller to run its body, or, interactive, to
+// drive it without one.
+func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (*txn, error) {
 	m.mu.Lock()
 	t, err := m.lookup(id)
 	if err != nil {
@@ -154,14 +180,23 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) (*txn, error) {
 		}
 		return nil, fmt.Errorf("%w: %v is %v", ErrAlreadyBegun, id, t.st())
 	}
+	if (t.fn == nil) != interactive {
+		m.mu.Unlock()
+		return nil, errBeginForm(id, interactive)
+	}
 	// Bind the context before the body, watcher, and admission code that
-	// read it exist; an InitiateWith binding wins.
-	if t.ctx == nil && ctx != nil {
+	// read it exist; an InitiateWith binding wins. An interactive begin binds
+	// nothing: its ctx bounds the waits below and is forgotten.
+	if t.ctx == nil && !interactive {
 		t.ctx = ctx
 	}
+	wctx := t.ctx
+	if wctx == nil {
+		wctx = ctx
+	}
 	var ctxDone <-chan struct{}
-	if t.ctx != nil {
-		ctxDone = t.ctx.Done()
+	if wctx != nil {
+		ctxDone = wctx.Done()
 	}
 	// Begin dependencies (extension): a BD gate waits for the supporter's
 	// commit (its abort aborts t); a BAD gate waits for the supporter's
@@ -183,7 +218,7 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) (*txn, error) {
 		case <-ctxDone:
 			m.waits.Remove(id, supID)
 			m.mu.Lock()
-			m.ctxAbortLocked(t, t.ctx)
+			m.ctxAbortLocked(t, wctx)
 			m.mu.Unlock()
 			return nil, txnOutcome(t)
 		}
@@ -205,7 +240,7 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) (*txn, error) {
 	// turns running.
 	if m.admit != nil {
 		m.mu.Unlock()
-		if err := m.admitOne(t); err != nil {
+		if err := m.admitOne(wctx, t); err != nil {
 			return nil, err
 		}
 		m.mu.Lock()
@@ -224,11 +259,21 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID) (*txn, error) {
 		return nil, err
 	}
 	m.mu.Unlock()
-	if ctxDone != nil {
+	if ctxDone != nil && t.ctx != nil {
 		//asset:goroutine joined-by=ctx
 		go m.watchCtx(t)
 	}
 	return t, nil
+}
+
+// errBeginForm refuses a begin of the wrong form: Begin or Execute of an
+// interactive transaction, which has no body to run, or BeginInteractive of
+// one whose body would never run. The transaction stays initiated.
+func errBeginForm(id xid.TID, interactive bool) error {
+	if interactive {
+		return fmt.Errorf("core: %v has a body: begin it with Begin or Execute", id)
+	}
+	return fmt.Errorf("core: %v is interactive (initiated without a body): begin it with BeginInteractive", id)
 }
 
 // pendingBeginDepLocked returns a begin-gating supporter that has not yet
@@ -263,15 +308,23 @@ func (m *Manager) run(t *txn) {
 			m.abortTxn(t, fmt.Errorf("%w: transaction %v panicked: %v", ErrAborted, t.id, r))
 		}
 	}()
-	err := t.fn(&t.tx)
-	if err != nil {
+	if err := t.fn(&t.tx); err != nil {
 		m.abortTxn(t, abortReason(err))
 		return
 	}
+	t.tx.Complete()
+}
+
+// Complete ends the transaction's execution, as its body returning nil
+// does: an interactive transaction's caller calls it once it has done what
+// it meant to. The transaction turns completed — locks retained, changes
+// volatile until an explicit commit (§2.1) — and whoever waits for its
+// execution (Wait, Commit, a group's commit driver) goes on. Idempotent; a
+// no-op on an aborted transaction.
+func (tx *Tx) Complete() {
+	m, t := tx.m, tx.t
 	m.mu.Lock()
 	if t.st() == xid.StatusRunning {
-		// Completion: locks are retained and changes stay volatile until an
-		// explicit commit (§2.1).
 		t.setSt(xid.StatusCompleted)
 	}
 	m.mu.Unlock()
@@ -345,10 +398,16 @@ func (tx *Tx) WaitCtx(ctx context.Context, id xid.TID) error {
 		m.mu.Unlock()
 		return err
 	}
-	victim, _ := m.waits.Add(t.id, id)
-	if !victim.IsNil() {
-		if vt, ok := m.txns.Get(uint64(victim)); ok {
-			m.abortLocked(vt, fmt.Errorf("%w: wait-for deadlock victim: %w", ErrAborted, ErrDeadlock))
+	// A target whose execution is over is no wait at all, so it gets no
+	// edge: one could close a cycle with a commit driver's edge pointing
+	// back and make t the victim of a wait that would not have blocked.
+	edge := !target.fired(&target.done)
+	if edge {
+		victim, _ := m.waits.Add(t.id, id)
+		if !victim.IsNil() {
+			if vt, ok := m.txns.Get(uint64(victim)); ok {
+				m.abortLocked(vt, fmt.Errorf("%w: wait-for deadlock victim: %w", ErrAborted, ErrDeadlock))
+			}
 		}
 	}
 	m.mu.Unlock()
@@ -362,7 +421,9 @@ func (tx *Tx) WaitCtx(ctx context.Context, id xid.TID) error {
 	case <-ctxDone:
 		m.abortTxn(t, abortReason(fmt.Errorf("core: wait on %v cancelled: %w", id, ctx.Err())))
 	}
-	m.waits.Remove(t.id, id)
+	if edge {
+		m.waits.Remove(t.id, id)
+	}
 	m.mu.Lock()
 	if t.st() == xid.StatusAborting || t.st() == xid.StatusAborted {
 		err := t.abErr

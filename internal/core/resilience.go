@@ -88,9 +88,9 @@ func (m *Manager) ctxAbortLocked(t *txn, ctx context.Context) {
 
 // admitOne acquires a MaxLive admission slot for t, queueing
 // deadline-aware: the wait is bounded by AdmitTimeout, the transaction's
-// deadline, and its context, whichever is tightest. On overload it sheds —
-// aborts t and returns ErrOverload. Called without m.mu.
-func (m *Manager) admitOne(t *txn) error {
+// deadline, and ctx (the begin's), whichever is tightest. On overload it
+// sheds — aborts t and returns ErrOverload. Called without m.mu.
+func (m *Manager) admitOne(ctx context.Context, t *txn) error {
 	select { // fast path: a slot is free
 	case m.admit <- struct{}{}:
 		t.admitted.Store(true)
@@ -107,9 +107,9 @@ func (m *Manager) admitOne(t *txn) error {
 		tighten(time.Unix(0, d))
 	}
 	var ctxDone <-chan struct{}
-	if t.ctx != nil {
-		ctxDone = t.ctx.Done()
-		if cd, ok := t.ctx.Deadline(); ok {
+	if ctx != nil {
+		ctxDone = ctx.Done()
+		if cd, ok := ctx.Deadline(); ok {
 			tighten(cd)
 		}
 	}
@@ -128,7 +128,7 @@ func (m *Manager) admitOne(t *txn) error {
 		return m.shed(t)
 	case <-ctxDone:
 		m.mu.Lock()
-		m.ctxAbortLocked(t, t.ctx)
+		m.ctxAbortLocked(t, ctx)
 		m.mu.Unlock()
 		return txnOutcome(t)
 	case <-t.abortCh(): // e.g. reaped by the watchdog while queued

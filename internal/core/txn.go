@@ -46,8 +46,8 @@ type undoRec struct {
 type txn struct {
 	id     xid.TID
 	parent xid.TID
-	fn     TxnFunc
-	tx     Tx // the handle fn receives
+	fn     TxnFunc // nil: interactive (BeginInteractive)
+	tx     Tx      // the handle fn receives, or BeginInteractive returns
 
 	status atomic.Int32 // holds an xid.Status
 	abErr  error        // why the transaction aborted, if it did
@@ -64,8 +64,9 @@ type txn struct {
 	// ctx binds external cancellation to the transaction. Written at
 	// InitiateWith, or by BeginCtx before the status turns running (under
 	// the manager mutex, before the body/watcher goroutines that read it
-	// are spawned); nil means no binding. Every lock wait of the body uses
-	// it, and a watcher goroutine converts its expiry into an abort.
+	// are spawned; BeginInteractive binds none); nil means no binding.
+	// Every lock wait of the body uses it, and a watcher goroutine converts
+	// its expiry into an abort.
 	ctx context.Context
 	// deadline is the watchdog reap point in unix nanoseconds; 0 = none.
 	deadline atomic.Int64
@@ -123,6 +124,13 @@ func (t *txn) wait(e *event) <-chan struct{} {
 		e.ch = make(chan struct{})
 	}
 	return e.ch
+}
+
+// fired reports whether e has fired.
+func (t *txn) fired(e *event) bool {
+	t.evMu.Lock()
+	defer t.evMu.Unlock()
+	return e.fired
 }
 
 func (t *txn) closeDone()  { t.fire(&t.done) }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -27,23 +28,23 @@ const (
 
 // remoteTxnAllocBudget bounds an empty remote transaction — initiate,
 // begin, commit: three round trips. It measured 28 with a goroutine and a
-// context per request, a context.AfterFunc bridge per begin and a Done
-// channel per commit; it measures 12: the interactive transaction's 6 (the
-// itx, two channels, a cancel context and its cancel func, the body
-// closure), core's 3 for a transaction (descriptor, table entry,
-// termination channel) and 3 for its begin (the body's and the context
-// watcher's goroutines, the Done channel the watcher parks on).
-const remoteTxnAllocBudget = 14
+// context per request, and 12 with a body goroutine behind the workers
+// (itx, two channels, a cancel context and its cancel func, the body
+// closure; the body's and the context watcher's goroutines, the watcher's
+// Done channel, the termination channel it parked on). The transaction is
+// interactive now and driven by the workers, and what it allocates is 4:
+// the itx and its token, core's descriptor and its table entry.
+const remoteTxnAllocBudget = 5
 
 // TestRoundTripAllocBudget drives a Lock and a Write round trip over
 // loopback TCP against a running Serve and counts every heap object the
 // process allocates per round trip. The object is already write-locked by
 // the transaction and the written value has the stored value's length, so
 // the engine's own work is at its floor and the count is the wire's:
-// framing, codec, call table, dedup window, dispatch and the hop into the
-// transaction body.
+// framing, codec, call table, dedup window, dispatch and the token of the
+// transaction.
 func TestRoundTripAllocBudget(t *testing.T) {
-	cli := loopbackClient(t)
+	cli := loopbackClient(t, core.Config{})
 	ctx := context.Background()
 
 	tid, err := cli.Initiate(ctx)
@@ -93,9 +94,60 @@ func TestRoundTripAllocBudget(t *testing.T) {
 // tier adds to a transaction, as the round-trip budget is what it adds to
 // an operation.
 func TestRemoteTxnAllocBudget(t *testing.T) {
-	cli := loopbackClient(t)
+	txn := emptyRemoteTxn(t, loopbackClient(t, core.Config{}))
+	txn()
+	got := testing.AllocsPerRun(2000, txn)
+	t.Logf("allocs per empty remote transaction: %.1f", got)
+	if got > remoteTxnAllocBudget {
+		t.Errorf("empty remote transaction allocates %.1f objects, budget %d", got, remoteTxnAllocBudget)
+	}
+}
+
+// TestCommittedTxnsLeaveNoHeap commits 50,000 remote transactions on one
+// session of a manager that drops terminated descriptors and asks whether
+// anything of them stays behind. A context per transaction, child of the
+// session's and cancelled only on abort, once kept each committed one in
+// the session context's children: +10.8 MB.
+func TestCommittedTxnsLeaveNoHeap(t *testing.T) {
+	txn := emptyRemoteTxn(t, loopbackClient(t, core.Config{ReapTerminated: true}))
+	for i := 0; i < 1000; i++ { // pools, maps and windows at their working size
+		txn()
+	}
+	before := liveHeap()
+	for i := 0; i < 50000; i++ {
+		txn()
+	}
+	grown := int64(liveHeap()) - int64(before)
+	t.Logf("live heap after 50,000 committed remote transactions: %+d B", grown)
+	if grown > 1<<20 {
+		t.Errorf("live heap grew %d B over 50,000 committed transactions, want < 1 MB", grown)
+	}
+}
+
+// TestRemoteTxnsLeaveNoGoroutines: 10,000 remote transactions leave the
+// goroutine count where it was.
+func TestRemoteTxnsLeaveNoGoroutines(t *testing.T) {
+	txn := emptyRemoteTxn(t, loopbackClient(t, core.Config{}))
+	for i := 0; i < 100; i++ {
+		txn()
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10000; i++ {
+		txn()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 10,000 remote transactions, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// emptyRemoteTxn returns initiate, begin, commit over cli.
+func emptyRemoteTxn(t *testing.T, cli *client.Client) func() {
 	ctx := context.Background()
-	txn := func() {
+	return func() {
 		tid, err := cli.Initiate(ctx)
 		if err != nil {
 			t.Fatalf("Initiate: %v", err)
@@ -107,23 +159,25 @@ func TestRemoteTxnAllocBudget(t *testing.T) {
 			t.Fatalf("Commit: %v", err)
 		}
 	}
-	txn()
-	got := testing.AllocsPerRun(2000, txn)
-	t.Logf("allocs per empty remote transaction: %.1f", got)
-	if got > remoteTxnAllocBudget {
-		t.Errorf("empty remote transaction allocates %.1f objects, budget %d", got, remoteTxnAllocBudget)
-	}
 }
 
-// loopbackClient serves a fresh in-memory manager on loopback TCP and
-// dials it; both are torn down with the test. Skips under the race
-// detector, where allocation counts are meaningless.
-func loopbackClient(t *testing.T) *client.Client {
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// loopbackClient serves a fresh manager opened with cfg on loopback TCP
+// and dials it; both are torn down with the test. Skips under the race
+// detector, where allocation counts are meaningless and a run of tens of
+// thousands of transactions is slow.
+func loopbackClient(t *testing.T, cfg core.Config) *client.Client {
 	t.Helper()
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	m, err := core.Open(core.Config{})
+	m, err := core.Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

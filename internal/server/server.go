@@ -12,7 +12,7 @@
 //   - Each session holds a lease renewed by heartbeat. When heartbeats
 //     stop (crashed or partitioned client), the lease expires and the
 //     session's live transactions are aborted cleanly: no stranded
-//     locks, no leaked body goroutines, admission slots returned.
+//     locks, admission slots returned.
 //   - Every request carries a session-unique request ID. Completed
 //     responses are recorded until the client acknowledges them, so a
 //     retransmitted request — the client's answer to a lost response —
@@ -27,17 +27,18 @@
 //
 // A request costs the server its work and nothing else. The connection
 // reader reads it into a pooled frame buffer, decodes it in place into a
-// pooled inbound (request, response, reply channel, the transaction it
-// names) and passes the idempotency gate itself (dispatch). An admitted
-// request goes to one of the session's parked workers — a goroutine with
-// its stack grown and one cancel context, child of the session's, reused
-// for every request it serves — and a worker is started only when all are
-// busy, so a blocked lock wait never stalls the heartbeats sharing the
-// connection. A data operation on a running transaction skips even that
-// hop: the reader queues it straight to the transaction's body, which runs
-// it under an idle worker's context and finishes it in the worker's stead
-// (a busy body sends it the worker's way). Whoever finishes a request owns
-// its inbound from dispatch on: records the verdict, parks the worker,
+// pooled inbound (request, response, the transaction it names) and passes
+// the idempotency gate itself (dispatch). An admitted request goes to one
+// of the session's parked workers — a goroutine with its stack grown and
+// one cancel context, child of the session's, reused for every request it
+// serves — and a worker is started only when all are busy, so a blocked
+// lock wait never stalls the heartbeats sharing the connection. That is
+// the one hop: a remote transaction has no body goroutine behind the
+// worker. It is interactive (core.Manager.BeginInteractive), and the
+// worker runs a begin, a data operation or the completion before a commit
+// or prepare on the transaction's handle itself, holding the transaction's
+// token, which serializes what a body's one goroutine used to (itx). The
+// worker owns the inbound from dispatch on: records the verdict, parks,
 // sends the response, releases the inbound — whose buffer is held that
 // long because the request's Data aliases it (see package rpc).
 //
@@ -101,9 +102,9 @@ type Server struct {
 	epoch    uint64
 	verdicts VerdictResolver
 
-	// mu guards the session table, the transaction index and the closed
-	// flag. Held only for table surgery, never across manager calls or
-	// frame I/O.
+	// mu guards the session table, the transaction index, the connection
+	// set and the closed flag. Held only for table surgery, never across
+	// manager calls or frame I/O.
 	//asset:latch order=4
 	mu       sync.Mutex
 	sessions map[uint64]*session
@@ -112,10 +113,12 @@ type Server struct {
 	// session for transactions other sessions built. An entry lives from
 	// OpInitiate until the session forgets the transaction or dies.
 	txns   map[xid.TID]txnRef
+	conns  map[net.Conn]struct{} // open connections, which Close closes
 	closed bool
 
 	closeCh chan struct{}
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // accept loop, lease watch, connection readers
+	workers sync.WaitGroup // session workers, which Close waits out before closing connections
 }
 
 // txnRef is one entry of the server's transaction index.
@@ -124,9 +127,8 @@ type txnRef struct {
 	t    *itx
 }
 
-// Serve starts serving m's protocol on lis. The caller owns both: Close
-// stops the server but closes neither the manager nor (beyond unblocking
-// Accept) the listener's existing connections.
+// Serve starts serving m's protocol on lis. Close closes the listener and
+// every connection it accepted; the manager stays the caller's.
 func Serve(m *core.Manager, lis net.Listener, cfg Config) *Server {
 	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
@@ -145,6 +147,7 @@ func Serve(m *core.Manager, lis net.Listener, cfg Config) *Server {
 		verdicts: cfg.Verdicts,
 		sessions: make(map[uint64]*session),
 		txns:     make(map[xid.TID]txnRef),
+		conns:    make(map[net.Conn]struct{}),
 		closeCh:  make(chan struct{}),
 	}
 	s.wg.Add(2)
@@ -160,7 +163,9 @@ func Serve(m *core.Manager, lis net.Listener, cfg Config) *Server {
 func (s *Server) Epoch() uint64 { return s.epoch }
 
 // Close stops accepting, expires every session (aborting live
-// transactions), and waits for the server's goroutines.
+// transactions), lets the sessions' workers send their last responses,
+// closes every connection — a peer that never hangs up cannot hold it —
+// and waits for the server's goroutines.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -177,6 +182,17 @@ func (s *Server) Close() {
 	s.lis.Close()
 	for _, sess := range sessions {
 		s.expire(sess, fmt.Errorf("%w: server shutting down", core.ErrClosed))
+	}
+	// Every session is dead, so no worker starts from here on.
+	s.workers.Wait()
+	s.mu.Lock()
+	conns := make([]net.Conn, 0, len(s.conns))
+	for nc := range s.conns {
+		conns = append(conns, nc)
+	}
+	s.mu.Unlock()
+	for _, nc := range conns {
+		nc.Close()
 	}
 	s.wg.Wait()
 }
@@ -243,10 +259,10 @@ func (s *Server) leaseWatch() {
 	}
 }
 
-// expire kills a session: in-flight requests are cancelled, live
-// transactions aborted, transaction bodies unwound. The session stays in
-// the table marked dead so a resume attempt learns ErrLeaseExpired
-// (rather than being mistaken for an unknown token).
+// expire kills a session: in-flight requests are cancelled and live
+// transactions aborted. The session stays in the table marked dead so a
+// resume attempt learns ErrLeaseExpired (rather than being mistaken for an
+// unknown token).
 func (s *Server) expire(sess *session, reason error) {
 	sess.mu.Lock()
 	if sess.dead {
@@ -265,21 +281,12 @@ func (s *Server) expire(sess *session, reason error) {
 	// strands no locks, but it must also unlearn no decisions.
 	sess.mu.Unlock()
 	s.unindex(txns)
+	// Cancel first, so that operations in flight report the session's death
+	// (reason) rather than a bare abort. Abort leaves alone what is past the
+	// commit point or prepared: expiry never decides a verdict.
 	sess.cancel(reason)
-	for tid, t := range txns {
-		tid, t := tid, t
-		s.wg.Add(1)
-		//asset:goroutine joined-by=waitgroup
-		go func() {
-			defer s.wg.Done()
-			// Unwind first so the abort reason seen by in-flight work is
-			// the session's death (reason), not a generic abort; then
-			// Abort as the backstop for bodies that finished cleanly.
-			// Abort is a no-op (ErrAlreadyCommitted) for transactions past
-			// the commit point: expiry never rolls back a decided commit.
-			t.unwindWith(reason)
-			s.m.Abort(tid) //nolint:errcheck
-		}()
+	for tid := range txns {
+		s.m.AbortWith(tid, reason) //nolint:errcheck
 	}
 }
 
@@ -287,6 +294,20 @@ func (s *Server) expire(sess *session, reason error) {
 // session control itself and passes every other request through dispatch.
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
+	s.mu.Lock()
+	closed := s.closed
+	if !closed {
+		s.conns[nc] = struct{}{}
+	}
+	s.mu.Unlock()
+	if closed {
+		return
+	}
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, nc)
+		s.mu.Unlock()
+	}()
 	conn := &srvConn{c: nc}
 	fr := rpc.NewFrameReader(nc)
 	sess := s.handshake(conn, fr)
@@ -324,21 +345,19 @@ func (s *Server) serveConn(nc net.Conn) {
 
 // inbound is one request on its way through the server, recycled through
 // inboundPool: the frame buffer it arrived in, the request decoded in
-// place (req.Data aliases buf), the response being built, the reply
-// channel for the one operation it may run inside a transaction body, and
-// the session's transaction req.TID names, if any, as dispatch found it.
-// The reader owns it until dispatch hands it to a worker, then the worker;
-// the owner releases it once nothing reads req, resp or buf any more —
-// after the response was sent; a response recorded for replay is a copy.
+// place (req.Data aliases buf), the response being built, and the
+// session's transaction req.TID names, if any, as dispatch found it. The
+// reader owns it until dispatch hands it to a worker, then the worker; the
+// owner releases it once nothing reads req, resp or buf any more — after
+// the response was sent; a response recorded for replay is a copy.
 type inbound struct {
 	buf  *rpc.Buffer
 	req  rpc.Request
 	resp rpc.Response
-	res  chan error // buffered(1): the body never blocks replying
 	t    *itx
 }
 
-var inboundPool = sync.Pool{New: func() any { return &inbound{res: make(chan error, 1)} }}
+var inboundPool = sync.Pool{New: func() any { return new(inbound) }}
 
 // readInbound reads and decodes the next request frame.
 func readInbound(fr *rpc.FrameReader) (*inbound, error) {
@@ -453,7 +472,7 @@ type session struct {
 	id  uint64
 	srv *Server
 
-	ctx       context.Context // parent of every transaction ctx
+	ctx       context.Context // parent of every worker's context
 	cancelCtx context.CancelCauseFunc
 
 	// mu guards everything below. Held for table surgery and frame
@@ -486,8 +505,8 @@ type worker struct {
 }
 
 // getWorker pops the most recently parked worker, or starts one. Caller
-// holds sess.mu; the connection reader, which calls this, is itself
-// counted in the server's WaitGroup, so Add cannot race Close's Wait.
+// holds sess.mu, on a live session: Close expires every session before it
+// waits for the workers, so Add cannot race that Wait.
 func (sess *session) getWorker() *worker {
 	if n := len(sess.idle); n > 0 {
 		w := sess.idle[n-1]
@@ -496,7 +515,7 @@ func (sess *session) getWorker() *worker {
 	}
 	w := &worker{sess: sess, in: make(chan *inbound, 1)}
 	w.ctx, w.cancel = context.WithCancelCause(sess.ctx)
-	sess.srv.wg.Add(1)
+	sess.srv.workers.Add(1)
 	//asset:goroutine joined-by=waitgroup
 	go w.run()
 	return w
@@ -506,7 +525,7 @@ func (sess *session) getWorker() *worker {
 //
 //asset:noalloc
 func (w *worker) run() {
-	defer w.sess.srv.wg.Done()
+	defer w.sess.srv.workers.Done()
 	for in := range w.in {
 		w.finish(in, w.sess.perform(w.ctx, in))
 	}
@@ -558,16 +577,10 @@ func (w *worker) retire() {
 
 // cancelLocked cancels request id with cause if w still serves it; a
 // cancel that lost the race with the response must not reach the request
-// w took next. A begin passes the cancel on to its transaction, whose ctx
-// is the one BeginCtx waits observe. Caller holds sess.mu.
+// w took next. Caller holds sess.mu.
 func (w *worker) cancelLocked(id uint64, cause error) {
-	in := w.cur
-	if in == nil || in.req.ReqID != id {
-		return
-	}
-	w.cancel(cause)
-	if in.req.Op == rpc.OpBegin && in.t != nil {
-		in.t.cancelCtx(fmt.Errorf("begin cancelled: %w", cause))
+	if in := w.cur; in != nil && in.req.ReqID == id {
+		w.cancel(cause)
 	}
 }
 
@@ -628,9 +641,7 @@ func (sess *session) dispatch(conn *srvConn, in *inbound) {
 		in.t = sess.txns[xid.TID(req.TID)]
 		w := sess.getWorker()
 		slot.w, w.cur = w, in
-		if !in.t.direct(w, in) {
-			w.in <- in
-		}
+		w.in <- in
 	case admitReplay:
 		*resp = slot.resp
 	}
@@ -676,15 +687,12 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 	tid := xid.TID(req.TID)
 	switch req.Op {
 	case rpc.OpInitiate:
-		t := newItx(sess.ctx)
-		id, err := m.InitiateWith(t.body(), core.TxnOptions{})
+		id, err := m.Initiate(nil)
 		if err != nil {
 			return err
 		}
-		t.tid = id
-		if !sess.adopt(t) {
+		if !sess.adopt(newItx(id)) {
 			m.Abort(id) //nolint:errcheck
-			t.unwind()
 			return core.ErrLeaseExpired
 		}
 		resp.TID = uint64(id)
@@ -692,24 +700,18 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 		if t == nil {
 			return core.ErrUnknownTxn
 		}
-		return t.begin(m)
+		return t.begin(ctx, m)
 	case rpc.OpCommit:
 		if t != nil {
-			if err := t.finishBody(ctx); err != nil {
+			if err := t.complete(ctx); err != nil {
 				return err
 			}
 		}
 		err := m.CommitCtx(ctx, tid)
 		if err == nil || m.StatusOf(tid).Terminated() {
-			// Only a terminal transaction leaves the table: a commit that
-			// failed with the transaction still alive (e.g. ErrNotBegun
-			// racing a begin) must stay tracked, or expiry would never
-			// unwind its body goroutine. A terminal failure (aborted
-			// underneath) unwinds the body here, since forget makes this
-			// the last chance.
-			if t != nil && err != nil {
-				t.unwind()
-			}
+			// Only a terminal transaction leaves the table: one whose commit
+			// failed with it still alive (ErrNotBegun, say) stays tracked,
+			// so that expiry still aborts it.
 			sess.forget(tid)
 		}
 		if err != nil {
@@ -718,9 +720,6 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 		resp.Status = byte(xid.StatusCommitted)
 	case rpc.OpAbort:
 		err := m.Abort(tid)
-		if t != nil {
-			t.unwind()
-		}
 		sess.forget(tid)
 		if err != nil {
 			return err
@@ -746,11 +745,11 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 		ids := make([]xid.TID, len(raw))
 		for i, r := range raw {
 			ids[i] = xid.TID(r)
-			// Drive each body to completion first, wherever its session is
-			// — the prepare usually arrives on the coordinator's session
-			// for transactions built by the application's.
+			// Complete each transaction first, wherever its session is — the
+			// prepare usually arrives on the coordinator's session for
+			// transactions built by the application's.
 			if ref := sess.srv.findItx(ids[i]); ref.t != nil {
-				if err := ref.t.finishBody(ctx); err != nil {
+				if err := ref.t.complete(ctx); err != nil {
 					return err
 				}
 			}
@@ -783,7 +782,7 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 		if t == nil {
 			return core.ErrUnknownTxn
 		}
-		return t.do(srvOp{ctx: ctx, in: in})
+		return t.do(ctx, in)
 	default:
 		// OpBye never reaches here: serveConn intercepts it pre-dispatch.
 		return fmt.Errorf("server: unsupported op %v", req.Op)
@@ -791,7 +790,7 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 	return nil
 }
 
-// dataOp runs one data operation inside the transaction body. Operations
+// dataOp runs one data operation on the transaction's handle. Operations
 // that can block on locks pre-acquire via the ctx-aware paths (LockCtx,
 // AddCtx) so client cancellation unwinds the wait. req.Data aliases the
 // request's frame buffer, which the request's worker holds until this has
@@ -873,15 +872,14 @@ func (s *Server) unindex(txns map[xid.TID]*itx) {
 	s.mu.Unlock()
 }
 
-// reapTerminated unwinds and forgets the listed transactions wherever a
-// vote or verdict terminated them, releasing their interactive bodies.
+// reapTerminated forgets the listed transactions wherever a vote or
+// verdict terminated them.
 func (s *Server) reapTerminated(ids []xid.TID) {
 	for _, id := range ids {
 		if !s.m.StatusOf(id).Terminated() {
 			continue
 		}
-		if ref := s.findItx(id); ref.t != nil {
-			ref.t.unwind()
+		if ref := s.findItx(id); ref.sess != nil {
 			ref.sess.forget(id)
 		}
 	}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"net"
 	"runtime"
 	"sync"
@@ -215,8 +216,8 @@ func TestCancelRacesNextRequest(t *testing.T) {
 
 // TestSessionEndLeavesNoWorkers ends a session — by lease expiry, by Bye
 // and by Server.Close — while it has workers parked idle, a request parked
-// in a lock wait and another queued behind that transaction's busy body,
-// and counts goroutines: everything the session started is gone.
+// in a lock wait and another waiting for that transaction's token, and
+// counts goroutines: everything the session started is gone.
 func TestSessionEndLeavesNoWorkers(t *testing.T) {
 	const ttl = 400 * time.Millisecond
 	endings := []struct {
@@ -225,9 +226,8 @@ func TestSessionEndLeavesNoWorkers(t *testing.T) {
 	}{
 		{"expiry", func(r *rawSession, srv *server.Server) {}}, // no heartbeat from here on
 		{"bye", func(r *rawSession, srv *server.Server) { r.send(rpc.Request{Op: rpc.OpBye}) }},
-		// Close leaves connections to their owner and waits for their
-		// readers; the session outlives its connection, parked workers and all.
-		{"close", func(r *rawSession, srv *server.Server) { r.c.Close(); srv.Close() }},
+		// Close hangs up on the peer, which has not hung up itself.
+		{"close", func(r *rawSession, srv *server.Server) { srv.Close() }},
 	}
 	for _, tc := range endings {
 		t.Run(tc.name, func(t *testing.T) {
@@ -262,9 +262,8 @@ func TestSessionEndLeavesNoWorkers(t *testing.T) {
 			waitParked(t, m, len(readers))
 			r.send(rpc.Request{Op: rpc.OpCommit, TID: holder})
 			r.drain(len(readers) + 1)
-			// Now one request in a lock wait, one behind it — its
-			// transaction's body is busy, so a worker waits to hand it over —
-			// and the third worker idle.
+			// Now one request in a lock wait, one behind it — its worker
+			// waits for the transaction's token — and the third worker idle.
 			_, oid = r.heldObject()
 			r.send(rpc.Request{Op: rpc.OpLock, TID: readers[0], OID: oid, Mode: uint64(xid.OpWrite)})
 			waitParked(t, m, 1)
@@ -340,4 +339,82 @@ func TestParkedRequestsDoNotDelayHeartbeats(t *testing.T) {
 		}
 	}
 	f.quiesce()
+}
+
+// TestItxCancelledBeginAborts: an OpCancel of a begin parked for admission
+// reaches the begin through its worker's context and aborts the
+// transaction; the gate is left to the transaction holding the slot.
+func TestItxCancelledBeginAborts(t *testing.T) {
+	f := newFixture(t, core.Config{MaxLive: 1, AdmitTimeout: time.Hour}, server.Config{LeaseTTL: time.Minute})
+	r := f.dialRaw()
+	holder := r.begin()
+	tid := r.must(rpc.Request{Op: rpc.OpInitiate}).TID
+	begin := r.send(rpc.Request{Op: rpc.OpBegin, TID: tid})
+	time.Sleep(30 * time.Millisecond) // parked for admission
+	r.send(rpc.Request{Op: rpc.OpCancel, Other: begin})
+	if resp := r.recv(); resp.ReqID != begin || resp.Err() == nil {
+		t.Fatalf("cancelled begin answered %d: %v, want request %d failed", resp.ReqID, resp.Err(), begin)
+	}
+	r.ack = r.last
+	if st := f.m.StatusOf(xid.TID(tid)); st != xid.StatusAborted {
+		t.Fatalf("cancelled begin left status %v, want aborted", st)
+	}
+	r.must(rpc.Request{Op: rpc.OpCommit, TID: holder})
+	f.quiesce()
+}
+
+// TestItxOperationAfterAbort: an operation on a transaction aborted
+// underneath it (a deadlock victim, say) fails with ErrAborted; one after
+// the client's own Abort finds the transaction forgotten, ErrUnknownTxn.
+func TestItxOperationAfterAbort(t *testing.T) {
+	f := newFixture(t, core.Config{}, server.Config{LeaseTTL: time.Minute})
+	r := f.dialRaw()
+	lock := func(tid uint64) error {
+		return r.call(rpc.Request{Op: rpc.OpLock, TID: tid, OID: 1, Mode: uint64(xid.OpWrite)}).Err()
+	}
+	tid := r.begin()
+	if err := f.m.Abort(xid.TID(tid)); err != nil {
+		t.Fatalf("Abort: %v", err)
+	}
+	if err := lock(tid); !errors.Is(err, core.ErrAborted) {
+		t.Fatalf("Lock on a transaction aborted underneath = %v, want ErrAborted", err)
+	}
+	tid = r.begin()
+	r.must(rpc.Request{Op: rpc.OpAbort, TID: tid})
+	if err := lock(tid); !errors.Is(err, core.ErrUnknownTxn) {
+		t.Fatalf("Lock after Abort = %v, want ErrUnknownTxn", err)
+	}
+	f.quiesce()
+}
+
+// TestServerCloseHangsUpOnSilentPeer: a peer that completes the hello and
+// then neither sends, reads nor hangs up cannot hold Close, which closes
+// the connections it accepted.
+func TestServerCloseHangsUpOnSilentPeer(t *testing.T) {
+	m, err := core.Open(core.Config{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer m.Close() //nolint:errcheck
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	srv := server.Serve(m, lis, server.Config{LeaseTTL: time.Minute})
+	c, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	dialRaw(t, c)
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Server.Close still blocked after 1s on a peer that never hangs up")
+	}
 }

@@ -7,6 +7,7 @@ package shell
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -17,19 +18,11 @@ import (
 	asset "repro"
 )
 
-// itx is an interactive transaction: its body loops executing closures
-// sent over ops until the channel closes.
-type itx struct {
-	id  asset.TID
-	ops chan func(tx *asset.Tx) error
-	res chan error
-}
-
 // Shell interprets commands against one manager.
 type Shell struct {
 	m    *asset.Manager
 	out  io.Writer
-	txns map[asset.TID]*itx
+	txns map[asset.TID]*asset.Tx // open interactive transactions, driven through their handles
 	// Echo makes the shell print each command before its output (script
 	// transcripts).
 	Echo bool
@@ -37,7 +30,7 @@ type Shell struct {
 
 // New returns a shell over m writing output to out.
 func New(m *asset.Manager, out io.Writer) *Shell {
-	return &Shell{m: m, out: out, txns: make(map[asset.TID]*itx)}
+	return &Shell{m: m, out: out, txns: make(map[asset.TID]*asset.Tx)}
 }
 
 // Run executes commands from r until EOF or the quit command. Errors from
@@ -64,11 +57,11 @@ func (s *Shell) Run(r io.Reader) error {
 	return sc.Err()
 }
 
-// closeAll finishes any interactive transactions still open (leaving them
-// completed-but-unterminated would leak goroutines).
+// closeAll completes any interactive transactions still open, leaving them
+// to whoever commits or aborts them next.
 func (s *Shell) closeAll() {
-	for id, t := range s.txns {
-		close(t.ops)
+	for id, tx := range s.txns {
+		tx.Complete()
 		delete(s.txns, id)
 	}
 }
@@ -85,7 +78,7 @@ func (s *Shell) Exec(line string) (quit bool, err error) {
 	case "begin":
 		return false, s.begin()
 	case "commit":
-		return false, s.finishAnd(args, s.m.Commit)
+		return false, s.commitCmd(args)
 	case "abort":
 		return false, s.abortCmd(args)
 	case "read":
@@ -149,16 +142,16 @@ func parseID(s string) (uint64, error) {
 	return strconv.ParseUint(s, 10, 64)
 }
 
-func (s *Shell) tx(arg string) (*itx, error) {
+func (s *Shell) tx(arg string) (*asset.Tx, error) {
 	id, err := parseID(arg)
 	if err != nil {
 		return nil, fmt.Errorf("bad tid %q", arg)
 	}
-	t, ok := s.txns[asset.TID(id)]
+	tx, ok := s.txns[asset.TID(id)]
 	if !ok {
 		return nil, fmt.Errorf("no open interactive transaction t%d", id)
 	}
-	return t, nil
+	return tx, nil
 }
 
 func (s *Shell) oid(arg string) (asset.OID, error) {
@@ -169,53 +162,38 @@ func (s *Shell) oid(arg string) (asset.OID, error) {
 	return asset.OID(id), nil
 }
 
+// begin initiates an interactive transaction and begins it; the shell then
+// drives it through its handle, one command at a time.
 func (s *Shell) begin() error {
-	t := &itx{
-		ops: make(chan func(tx *asset.Tx) error),
-		res: make(chan error),
-	}
-	id, err := s.m.Initiate(func(tx *asset.Tx) error {
-		for f := range t.ops {
-			t.res <- f(tx)
-		}
-		return nil
-	})
+	id, err := s.m.Initiate(nil)
 	if err != nil {
 		return err
 	}
-	t.id = id
-	if err := s.m.Begin(id); err != nil {
+	tx, err := s.m.BeginInteractive(context.Background(), id)
+	if err != nil {
 		return err
 	}
-	s.txns[id] = t
+	s.txns[id] = tx
 	fmt.Fprintf(s.out, "%v\n", id)
 	return nil
 }
 
-// do runs one operation inside the interactive transaction. The body
-// goroutine keeps draining ops until the shell closes the channel — even
-// after an external abort, in which case the operations themselves fail
-// with ErrAborted — so a blocking send here is safe while t is tracked.
-func (s *Shell) do(t *itx, f func(tx *asset.Tx) error) error {
-	t.ops <- f
-	return <-t.res
-}
-
-// finishAnd closes the transaction's body and applies term (Commit).
-func (s *Shell) finishAnd(args []string, term func(asset.TID) error) error {
+// commitCmd completes the transaction and commits it.
+func (s *Shell) commitCmd(args []string) error {
 	if len(args) != 1 {
 		return errors.New("usage: commit <t>")
 	}
-	t, err := s.tx(args[0])
+	tx, err := s.tx(args[0])
 	if err != nil {
 		return err
 	}
-	close(t.ops)
-	delete(s.txns, t.id)
-	if err := term(t.id); err != nil {
+	id := tx.ID()
+	tx.Complete()
+	delete(s.txns, id)
+	if err := s.m.Commit(id); err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "%v %v\n", t.id, s.m.StatusOf(t.id))
+	fmt.Fprintf(s.out, "%v %v\n", id, s.m.StatusOf(id))
 	return nil
 }
 
@@ -227,10 +205,7 @@ func (s *Shell) abortCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if t, ok := s.txns[asset.TID(id)]; ok {
-		close(t.ops)
-		delete(s.txns, t.id)
-	}
+	delete(s.txns, asset.TID(id))
 	if err := s.m.Abort(asset.TID(id)); err != nil {
 		return err
 	}
@@ -242,7 +217,7 @@ func (s *Shell) readCmd(args []string) error {
 	if len(args) != 2 {
 		return errors.New("usage: read <t> <oid>")
 	}
-	t, err := s.tx(args[0])
+	tx, err := s.tx(args[0])
 	if err != nil {
 		return err
 	}
@@ -250,12 +225,8 @@ func (s *Shell) readCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	var data []byte
-	if err := s.do(t, func(tx *asset.Tx) error {
-		var e error
-		data, e = tx.Read(oid)
-		return e
-	}); err != nil {
+	data, err := tx.Read(oid)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(s.out, "%v = %q\n", oid, data)
@@ -266,7 +237,7 @@ func (s *Shell) writeCmd(args []string) error {
 	if len(args) < 3 {
 		return errors.New("usage: write <t> <oid> <value...>")
 	}
-	t, err := s.tx(args[0])
+	tx, err := s.tx(args[0])
 	if err != nil {
 		return err
 	}
@@ -274,25 +245,19 @@ func (s *Shell) writeCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	val := strings.Join(args[2:], " ")
-	return s.do(t, func(tx *asset.Tx) error { return tx.Write(oid, []byte(val)) })
+	return tx.Write(oid, []byte(strings.Join(args[2:], " ")))
 }
 
 func (s *Shell) createCmd(args []string) error {
 	if len(args) < 2 {
 		return errors.New("usage: create <t> <value...>")
 	}
-	t, err := s.tx(args[0])
+	tx, err := s.tx(args[0])
 	if err != nil {
 		return err
 	}
-	val := strings.Join(args[1:], " ")
-	var oid asset.OID
-	if err := s.do(t, func(tx *asset.Tx) error {
-		var e error
-		oid, e = tx.Create([]byte(val))
-		return e
-	}); err != nil {
+	oid, err := tx.Create([]byte(strings.Join(args[1:], " ")))
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(s.out, "%v\n", oid)
@@ -303,7 +268,7 @@ func (s *Shell) deleteCmd(args []string) error {
 	if len(args) != 2 {
 		return errors.New("usage: delete <t> <oid>")
 	}
-	t, err := s.tx(args[0])
+	tx, err := s.tx(args[0])
 	if err != nil {
 		return err
 	}
@@ -311,14 +276,14 @@ func (s *Shell) deleteCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	return s.do(t, func(tx *asset.Tx) error { return tx.Delete(oid) })
+	return tx.Delete(oid)
 }
 
 func (s *Shell) addCmd(args []string) error {
 	if len(args) != 3 {
 		return errors.New("usage: add <t> <oid> <n>")
 	}
-	t, err := s.tx(args[0])
+	tx, err := s.tx(args[0])
 	if err != nil {
 		return err
 	}
@@ -330,7 +295,7 @@ func (s *Shell) addCmd(args []string) error {
 	if err != nil {
 		return fmt.Errorf("bad delta %q", args[2])
 	}
-	return s.do(t, func(tx *asset.Tx) error { return tx.Add(oid, n) })
+	return tx.Add(oid, n)
 }
 
 func (s *Shell) permitCmd(args []string) error {

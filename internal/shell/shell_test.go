@@ -162,8 +162,8 @@ func TestDanglingTransactionsClosedAtEOF(t *testing.T) {
 	_ = out
 	// The transaction completed but was never committed; its create is
 	// invisible (locks held until terminate, data volatile).
-	if m.StatusOf(1) == asset.StatusCommitted {
-		t.Fatal("uncommitted transaction committed itself")
+	if st := m.StatusOf(1); st != asset.StatusCompleted {
+		t.Fatalf("dangling transaction is %v at EOF, want completed (not committed)", st)
 	}
 }
 
