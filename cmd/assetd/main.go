@@ -39,7 +39,6 @@ func main() {
 	addr := flag.String("addr", "localhost:7468", "listen address")
 	dir := flag.String("dir", "", "database directory (empty = in-memory)")
 	sync := flag.Bool("sync", false, "fsync on every commit")
-	group := flag.Bool("group", false, "group commit (batched log forces)")
 	lease := flag.Duration("lease", 2*time.Second, "session lease TTL (heartbeat deadline)")
 	maxLive := flag.Int("max-live", 0, "admission limit on concurrently running transactions (0 = unlimited)")
 	deadline := flag.Duration("deadline", 0, "per-transaction deadline enforced by the watchdog (0 = none)")
@@ -58,7 +57,6 @@ func main() {
 	m, err := asset.Open(asset.Config{
 		Dir:         *dir,
 		SyncCommits: *sync,
-		GroupCommit: *group,
 		MaxLive:     *maxLive,
 		TxnDeadline: *deadline,
 	})

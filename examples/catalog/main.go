@@ -31,7 +31,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	m, err := asset.Open(asset.Config{Dir: dir, BatchedCommits: true})
+	m, err := asset.Open(asset.Config{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,7 +79,6 @@ func TestAnnotationRegistry(t *testing.T) {
 		"groupcommit.go before=createSegment",
 		"manager.go before=Truncate",
 		"manifest.go before=Rename",
-		"prepared.go before=ReleaseAll,EscrowCommit",
 		"prepared.go before=close",
 		"txcoord.go before=Decide",
 		"txcoord.go before=Rename",
@@ -90,7 +89,7 @@ func TestAnnotationRegistry(t *testing.T) {
 
 	sort.Strings(noalloc)
 	wantNoalloc := []string{
-		"commit.go", "commit.go", // core.examineGroupLocked, commitGroupLocked
+		"commit.go", "commit.go", // core.examineGroupLocked, commitLocked (local and verdict commits)
 		"dedup.go",             // server.dedup.admit
 		"frame.go", "frame.go", // rpc.BeginFrame, FinishFrame
 		"groupcommit.go",

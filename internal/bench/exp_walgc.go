@@ -29,7 +29,6 @@ func init() {
 // BENCH_walgc_baseline.json.
 type WALGCPoint struct {
 	Workers         int     `json:"workers"`           // concurrent closed-loop committers
-	Group           bool    `json:"group"`             // pipelined group commit vs serial force
 	CommitsPerSec   float64 `json:"commits_per_sec"`   // acknowledged commit throughput
 	CommitsPerFsync float64 `json:"commits_per_fsync"` // batching factor (1.0 = serial)
 	P50Micros       float64 `json:"p50_us"`            // median commit latency
@@ -49,14 +48,12 @@ type WALGCBaseline struct {
 	Recovery []WALGCRecoveryPoint `json:"recovery"`
 }
 
-// WALGC measures the group-commit pipeline against the serial
-// force-per-commit protocol on a durable store. Every transaction
-// updates one of a few objects and commits synchronously; the serial
-// arm holds the manager lock across its own fsync, the group arm
+// WALGC measures the group-commit pipeline on a durable store. Every
+// transaction updates one of a few objects and commits synchronously: it
 // enqueues into the pipelined writer and shares the leader's fsync with
 // whoever arrived in the same window. No commit window is configured:
-// batching is purely the natural overlap of concurrent committers, so
-// a single worker pays no added latency. The recovery sweep replays one
+// batching is purely the natural overlap of concurrent committers, so a
+// single worker pays no added latency. The recovery sweep replays one
 // multi-segment chain with increasing scan parallelism.
 func WALGC(quick bool) WALGCBaseline {
 	dur := pick(quick, 60*time.Millisecond, 400*time.Millisecond)
@@ -64,15 +61,13 @@ func WALGC(quick bool) WALGCBaseline {
 
 	var out WALGCBaseline
 	for _, workers := range workerCounts {
-		for _, group := range []bool{false, true} {
-			out.Sweep = append(out.Sweep, walgcCell(workers, group, dur))
-		}
+		out.Sweep = append(out.Sweep, walgcCell(workers, dur))
 	}
 	out.Recovery = walgcRecovery(quick)
 	return out
 }
 
-func walgcCell(workers int, group bool, dur time.Duration) WALGCPoint {
+func walgcCell(workers int, dur time.Duration) WALGCPoint {
 	dir, err := os.MkdirTemp("", "asset-walgc-*")
 	if err != nil {
 		panic(err)
@@ -81,7 +76,6 @@ func walgcCell(workers int, group bool, dur time.Duration) WALGCPoint {
 	m, err := asset.Open(asset.Config{
 		Dir:            dir,
 		SyncCommits:    true,
-		GroupCommit:    group,
 		ReapTerminated: true,
 	})
 	if err != nil {
@@ -106,7 +100,6 @@ func walgcCell(workers int, group bool, dur time.Duration) WALGCPoint {
 	}
 	return WALGCPoint{
 		Workers:         workers,
-		Group:           group,
 		CommitsPerSec:   float64(commits) / res.Wall.Seconds(),
 		CommitsPerFsync: perFsync,
 		P50Micros:       float64(res.Lat.Percentile(0.50)) / float64(time.Microsecond),
@@ -170,13 +163,9 @@ func walgcRecovery(quick bool) []WALGCRecoveryPoint {
 func runWALGC(w io.Writer, quick bool) error {
 	b := WALGC(quick)
 	var t Table
-	t.Headers = []string{"workers", "protocol", "commits/s", "commits/fsync", "p50", "p99"}
+	t.Headers = []string{"workers", "commits/s", "commits/fsync", "p50", "p99"}
 	for _, p := range b.Sweep {
-		proto := "serial force"
-		if p.Group {
-			proto = "group commit"
-		}
-		t.Add(p.Workers, proto, fmt.Sprintf("%.0f", p.CommitsPerSec),
+		t.Add(p.Workers, fmt.Sprintf("%.0f", p.CommitsPerSec),
 			fmt.Sprintf("%.2f", p.CommitsPerFsync),
 			time.Duration(p.P50Micros*float64(time.Microsecond)).Round(time.Microsecond),
 			time.Duration(p.P99Micros*float64(time.Microsecond)).Round(time.Microsecond))

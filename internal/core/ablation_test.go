@@ -14,10 +14,7 @@ import (
 // orders; with no victim selection, only the timeout can break the
 // cycle.
 func TestLockTimeoutResolvesDeadlockWithoutDetection(t *testing.T) {
-	m, err := Open(Config{
-		DisableDeadlockDetection: true,
-		LockTimeout:              50 * time.Millisecond,
-	})
+	m, err := open(Config{LockTimeout: 50 * time.Millisecond}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +99,7 @@ func TestLockTimeoutResolvesDeadlockWithoutDetection(t *testing.T) {
 // ordinary (non-deadlocked) long lock hold, and identifies itself as a
 // timeout rather than a deadlock.
 func TestLockTimeoutAgainstPlainHolder(t *testing.T) {
-	m, err := Open(Config{
-		DisableDeadlockDetection: true,
-		LockTimeout:              30 * time.Millisecond,
-	})
+	m, err := open(Config{LockTimeout: 30 * time.Millisecond}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

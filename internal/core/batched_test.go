@@ -6,12 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/xid"
 )
 
+// windowedConfig is a durable manager on an in-memory filesystem whose
+// log's force leader lingers 2ms before it drains: committers sit off
+// the manager mutex, parked on the cohort force, long enough for the
+// races in these tests to land in that window.
+func windowedConfig() Config {
+	return Config{Dir: "/db", FS: faultfs.NewMem(), CommitWindow: 2 * time.Millisecond}
+}
+
 func newBatched(t *testing.T) *Manager {
 	t.Helper()
-	m, err := Open(Config{BatchedCommits: true, CommitWindow: 2 * time.Millisecond})
+	m, err := Open(windowedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +28,7 @@ func newBatched(t *testing.T) *Manager {
 	return m
 }
 
-func TestBatchedCommitsCoalesceForces(t *testing.T) {
+func TestBatchedCohortSharesForces(t *testing.T) {
 	m := newBatched(t)
 	const txns = 24
 	var wg sync.WaitGroup
@@ -135,8 +144,9 @@ func TestBatchedExclusionStillExclusive(t *testing.T) {
 }
 
 func TestBatchedDurableCommits(t *testing.T) {
-	dir := t.TempDir()
-	m, err := Open(Config{Dir: dir, SyncCommits: true, BatchedCommits: true})
+	cfg := windowedConfig()
+	cfg.SyncCommits = true
+	m, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +170,7 @@ func TestBatchedDurableCommits(t *testing.T) {
 	}
 	wg.Wait()
 	m.Close()
-	m2, err := Open(Config{Dir: dir})
+	m2, err := Open(Config{Dir: cfg.Dir, FS: cfg.FS})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,9 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 		done = nil
 	}
 	// The group lives in this driver's frame, not in manager-owned scratch:
-	// the driver keeps using it after commitGroupLocked has released the
-	// mutex around the log force, when another driver may be examining a
-	// group of its own.
+	// the driver keeps using it after commitLocked has released the mutex
+	// around the log force, when another driver may be examining a group
+	// of its own.
 	var groupBuf [4]*txn
 	for {
 		switch t.st() {
@@ -138,7 +138,9 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 		// group, and the caller must see that failure — returning nil here
 		// would acknowledge a commit whose record may never have reached
 		// the disk.
-		m.commitGroupLocked(group)
+		if err := m.commitLocked(group); err != nil {
+			m.abortGroupLocked(group, err)
+		}
 	}
 }
 
@@ -181,9 +183,9 @@ func (m *Manager) examineGroupLocked(t *txn, group []*txn) ([]*txn, obstacle) {
 	// Every member must have completed execution. (An initiated member
 	// blocks the commit until someone begins it, per the paper's blocking
 	// commit; its done channel covers both.) A member already in the
-	// committing state is being driven by another commit — with batched
-	// commits the driver may be off the mutex forcing the log — so this
-	// driver waits for that outcome instead of double-committing.
+	// committing state is being driven by another commit whose driver is
+	// off the mutex, parked on the log's force, so this driver waits for
+	// that outcome instead of double-committing.
 	for _, member := range group {
 		switch member.st() {
 		case xid.StatusInitiated, xid.StatusRunning:
@@ -191,14 +193,15 @@ func (m *Manager) examineGroupLocked(t *txn, group []*txn) ([]*txn, obstacle) {
 		case xid.StatusCommitting, xid.StatusPrepared:
 			// Prepared is "committing with the verdict pending": the local
 			// driver waits for the coordinator's decision like it waits for
-			// a batched flush.
+			// another driver's force.
 			return group, obstacle{id: member.id, waitCh: member.termCh()}
 		}
 	}
 	// Exclusion: a group containing a transaction whose EXC partner is
 	// already committing (or committed) must lose — this check runs under
-	// the manager mutex, so of two racing EXC partners exactly one passes
-	// even when batched commits force the log off the mutex.
+	// the manager mutex, and a partner turns committing under it before
+	// its force releases the mutex, so of two racing EXC partners exactly
+	// one passes.
 	for _, member := range group {
 		for _, e := range m.deps.AppendOutgoing(edgeBuf[:0], member.id) {
 			if !e.Types.Has(xid.DepEXC) {
@@ -278,46 +281,40 @@ func errExcludedByCommitted() error {
 	return fmt.Errorf("%w: excluded by a committed partner", ErrAborted)
 }
 
-// commitGroupLocked performs the final commit of a ready group: one commit
-// record, durable flush, then lock release and dependency cleanup for every
-// member. Caller holds m.mu.
+// commitLocked performs the final commit of a ready group, local or on a
+// coordinator's verdict: one commit record and one log force cover every
+// member (this is what experiment E6 measures), then each member's
+// updates are published and its locks and dependencies dropped. The
+// members sit in the committing state while the force has the mutex
+// released; every other path treats committing as untouchable (Abort
+// waits on term, drivers wait via examineGroupLocked, FormDependency
+// rejects). A failed append or force publishes nothing and returns the
+// error with the members still committing: a local commit then aborts
+// the group, a verdict puts it back to prepared. Caller holds m.mu.
 //
 // The release calls below are the commit's visibility point; the durable
-// flush must dominate them on every path (decide-before-release, §11).
+// force must dominate them on every path (decide-before-release, §11).
 //
 //asset:durable before=ReleaseAll,EscrowCommit
 //asset:noalloc
-func (m *Manager) commitGroupLocked(group []*txn) {
-	// Commit record for the whole group; one log force covers all members
-	// (this is what experiment E6 measures).
+func (m *Manager) commitLocked(group []*txn) error {
 	if _, err := m.appendLocked(wal.Record{Type: wal.TCommit, TIDs: m.committingLocked(group)}); err != nil {
-		m.abortGroupLocked(group, errCommitLog("record append", err))
-		return
+		return errCommitLog("record append", err)
 	}
-	var flushErr error
-	if m.cfg.BatchedCommits || m.cfg.GroupCommit {
-		// Group commit, either flavour: release the manager mutex around
-		// the physical force so concurrent committers share one fsync —
-		// via the Coalescer's flush gate (BatchedCommits) or the
-		// segmented log's leader/cohort batch protocol (GroupCommit).
-		// The members sit in the committing state meanwhile; every other
-		// path treats committing as untouchable (Abort waits on term,
-		// drivers wait via examineGroupLocked, FormDependency rejects).
-		m.mu.Unlock()
-		flushErr = m.log.Flush()
-		m.mu.Lock()
-	} else {
-		flushErr = m.log.Flush()
-	}
-	if flushErr != nil {
-		m.abortGroupLocked(group, errCommitLog("flush", flushErr))
-		return
+	if err := m.forceLocked(); err != nil {
+		return errCommitLog("force", err)
 	}
 	m.stats.logForces.Add(1)
 	m.stats.groupSize.Add(uint64(len(group)))
 	var abortBuf [4]*txn
 	forcedAborts := m.forcedAbortsLocked(group, abortBuf[:0])
 	for _, member := range group {
+		// A member recovered in doubt installs the images it withheld
+		// since recovery; redo is nil for every other member.
+		for _, op := range member.redo {
+			m.installRedoLocked(op)
+		}
+		member.redo = nil
 		// The member's committed updates change durable state relative to
 		// the last checkpoint.
 		for _, u := range member.undo {
@@ -339,16 +336,19 @@ func (m *Manager) commitGroupLocked(group []*txn) {
 		m.releaseSlot(member)
 		m.live.Add(-1)
 		m.stats.commits.Add(1)
-		member.closeDone()
-		member.closeTerm()
+		// Reap before waking waiters: whoever observes the outcome must
+		// no longer find the descriptor.
 		if m.cfg.ReapTerminated {
 			m.txns.Delete(uint64(member.id))
 		}
+		member.closeDone()
+		member.closeTerm()
 	}
 	if len(forcedAborts) > 0 {
 		m.abortGroupLocked(forcedAborts, errExcludedByCommitted())
 	}
 	m.cond.Broadcast()
+	return nil
 }
 
 // committingLocked turns every member of group committing and returns their
@@ -405,8 +405,8 @@ func (m *Manager) AbortWith(id xid.TID, reason error) error {
 		return err
 	}
 	for t.st() == xid.StatusCommitting {
-		// The transaction is past its commit record (a batched-commit
-		// driver may be forcing the log); wait for the outcome rather than
+		// The transaction is past its commit record and its driver is
+		// parked on the log's force; wait for the outcome rather than
 		// yanking a half-committed group.
 		term := t.termCh()
 		m.mu.Unlock()
@@ -585,11 +585,12 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 		u.setSt(xid.StatusAborted)
 		m.live.Add(-1)
 		m.stats.aborts.Add(1)
-		u.closeDone()
-		u.closeTerm()
+		// Reap before waking waiters, as in commitLocked.
 		if m.cfg.ReapTerminated {
 			m.txns.Delete(uint64(u.id))
 		}
+		u.closeDone()
+		u.closeTerm()
 	}
 	m.cond.Broadcast()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/faultfs"
 )
@@ -103,41 +104,45 @@ func checkRecovered(t *testing.T, img *faultfs.MemFS, acks [3]bool, syncCommits 
 	}
 }
 
+// crashConfigs are the commit configurations both crash matrices sweep:
+// {buffered, sync} × {default segments, 128-byte segments}. The tiny
+// rotation threshold makes the workload cross several segment
+// boundaries, so the op sweep also lands crashes inside rotation (seal
+// fsync, header write/fsync, manifest tmp write/fsync, manifest rename)
+// and inside checkpoint truncation (cutover rename, old-chain removes).
+var crashConfigs = []crashConfig{
+	{name: "buffered"},
+	{name: "sync", sync: true},
+	{name: "buffered-tiny-seg", segBytes: 128},
+	{name: "sync-tiny-seg", sync: true, segBytes: 128},
+}
+
+type crashConfig struct {
+	name     string
+	sync     bool
+	segBytes int64
+	window   time.Duration // CommitWindow: the force leader's linger
+}
+
 // TestCrashRecoveryMatrix sweeps a simulated crash across every
 // durability-relevant filesystem operation of the workload — every WAL
 // and page write, truncate, and fsync, including those inside Open,
-// Checkpoint, and Close — under all four commit configurations, with
-// the crashing write either wholly lost or torn at 512 bytes, and
-// recovers under both crash-image corners.
+// Checkpoint, and Close — under every commit configuration, with the
+// crashing write either wholly lost or torn at 512 bytes, and recovers
+// under both crash-image corners. Besides crashConfigs it sweeps
+// groupcommit: sync-tiny-seg with a commit window, so every force is
+// made by a leader that lingered for followers before draining.
 func TestCrashRecoveryMatrix(t *testing.T) {
-	configs := []struct {
-		name          string
-		sync, batched bool
-		group         bool
-		segBytes      int64
-	}{
-		{name: "buffered"},
-		{name: "sync", sync: true},
-		{name: "batched", batched: true},
-		{name: "sync-batched", sync: true, batched: true},
-		// Group-commit over the segmented log, with a rotation threshold
-		// tiny enough that the workload crosses several segment
-		// boundaries: the op sweep then lands crashes inside rotation
-		// (seal fsync, header write/fsync, manifest tmp write/fsync,
-		// manifest rename) and inside checkpoint truncation (cutover
-		// rename, old-chain removes) as well as inside plain appends.
-		{name: "groupcommit", sync: true, group: true, segBytes: 128},
-		{name: "groupcommit-buffered", group: true, segBytes: 128},
-		{name: "sync-tiny-seg", sync: true, segBytes: 128},
-	}
 	tears := []int{-1, 512}
 	modes := []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced}
+	configs := append(crashConfigs[:len(crashConfigs):len(crashConfigs)],
+		crashConfig{name: "groupcommit", sync: true, segBytes: 128, window: 100 * time.Microsecond})
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
 			var acks [3]bool
 			sim := CrashSim{
-				Cfg: Config{Dir: "/db", SyncCommits: tc.sync, BatchedCommits: tc.batched,
-					GroupCommit: tc.group, WALSegmentBytes: tc.segBytes},
+				Cfg: Config{Dir: "/db", SyncCommits: tc.sync, WALSegmentBytes: tc.segBytes,
+					CommitWindow: tc.window},
 				Workload: matrixWorkload(&acks),
 			}
 			n := sim.CountOps()

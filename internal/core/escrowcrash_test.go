@@ -117,34 +117,21 @@ func checkEscrowRecovered(t *testing.T, img *faultfs.MemFS, acks [3]bool, syncCo
 
 // TestEscrowCrashRecoveryMatrix sweeps a simulated crash across every
 // durability-relevant filesystem operation of the escrow workload under
-// the commit configurations the delta path must survive — including
-// group commit over a segmented log rotating every 128 bytes, so crashes
-// land inside segment rotation and checkpoint truncation as well as
-// plain appends — with the crashing write either wholly lost or torn,
-// recovering under both crash-image corners. The recovered counter must
-// always equal the committed-prefix sum: never a partial transaction,
-// never a doubled redo, never a leaked aborted delta.
+// the commit configurations of crashConfigs — including a segmented log
+// rotating every 128 bytes, so crashes land inside segment rotation and
+// checkpoint truncation as well as plain appends — with the crashing
+// write either wholly lost or torn, recovering under both crash-image
+// corners. The recovered counter must always equal the committed-prefix
+// sum: never a partial transaction, never a doubled redo, never a leaked
+// aborted delta.
 func TestEscrowCrashRecoveryMatrix(t *testing.T) {
-	configs := []struct {
-		name          string
-		sync, batched bool
-		group         bool
-		segBytes      int64
-	}{
-		{name: "buffered"},
-		{name: "sync", sync: true},
-		{name: "sync-batched", sync: true, batched: true},
-		{name: "groupcommit", sync: true, group: true, segBytes: 128},
-		{name: "groupcommit-buffered", group: true, segBytes: 128},
-	}
 	tears := []int{-1, 512}
 	modes := []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced}
-	for _, tc := range configs {
+	for _, tc := range crashConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			var acks [3]bool
 			sim := CrashSim{
-				Cfg: Config{Dir: "/db", SyncCommits: tc.sync, BatchedCommits: tc.batched,
-					GroupCommit: tc.group, WALSegmentBytes: tc.segBytes},
+				Cfg:      Config{Dir: "/db", SyncCommits: tc.sync, WALSegmentBytes: tc.segBytes},
 				Workload: escrowWorkload(&acks),
 			}
 			n := sim.CountOps()

@@ -369,7 +369,7 @@ func TestExplicitLockPrimitive(t *testing.T) {
 }
 
 func TestLockTimeoutConfig(t *testing.T) {
-	m, err := Open(Config{LockTimeout: 40 * time.Millisecond, DisableDeadlockDetection: true})
+	m, err := open(Config{LockTimeout: 40 * time.Millisecond}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

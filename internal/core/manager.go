@@ -24,6 +24,13 @@ import (
 )
 
 // Config configures a Manager.
+//
+// Every commit, prepare and verdict record reaches the log one way: the
+// committer appends it, releases the manager mutex and parks on the log's
+// force. Committers that arrive while a force is on the disk share the
+// next one, so forces per commit fall as load rises (the durable log's
+// cohort protocol; it complements the paper's GC groups, which share a
+// commit record).
 type Config struct {
 	// Dir, when non-empty, makes the database durable: the write-ahead log
 	// and the page-store checkpoint backend live there, and Open performs
@@ -32,23 +39,13 @@ type Config struct {
 	// SyncCommits forces an fsync on every commit record (durable mode
 	// only). Off, commits are buffered and only checkpoints force.
 	SyncCommits bool
-	// BatchedCommits enables classic group commit: concurrent committers
-	// share one physical log force (the commit protocol releases the
-	// manager mutex around the force). Complements the paper's
-	// GC-dependency groups, which share a commit *record*.
-	BatchedCommits bool
-	// GroupCommit enables the pipelined group-commit WAL protocol
-	// (durable mode only): committers enqueue their commit record into
-	// the segmented log's batch slab and park; a force leader writes the
-	// whole batch with one write and one fsync and wakes the cohort. The
-	// commit protocol releases the manager mutex around the force, so
-	// batch N+1 forms while batch N is on the disk. Distinct from
-	// BatchedCommits, which coalesces Flush calls in front of any log;
-	// GroupCommit is the segmented log's native cohort protocol.
+	// Deprecated: GroupCommit is ignored; every commit takes the one
+	// path described on Config.
 	GroupCommit bool
-	// CommitWindow, with BatchedCommits or GroupCommit, makes the flush
-	// leader linger to accumulate more committers into the same force
-	// (latency for throughput).
+	// CommitWindow makes the durable log's force leader linger this long
+	// before it drains, so more committers join the same force (latency
+	// for throughput). Durable mode only: without Dir a force has
+	// nothing to write, so there is nothing to share.
 	CommitWindow time.Duration
 	// WALSegmentBytes sets the segmented log's rotation threshold
 	// (durable mode only). 0 picks the default (16 MiB). Small values
@@ -61,16 +58,9 @@ type Config struct {
 	// power of two). 0 picks the default (64); 1 degenerates to a single
 	// global lock-table latch, the pre-sharding behaviour.
 	LockShards int
-	// NoQueueFairness and LazyPermitClosure select lock-manager ablations.
-	NoQueueFairness   bool
-	LazyPermitClosure bool
-	// DisableDeadlockDetection leaves blocked requests waiting instead of
-	// selecting victims (ablation A4; combine with LockTimeout).
-	DisableDeadlockDetection bool
 	// LockTimeout bounds how long any lock request may block; 0 = forever.
-	// It is the deadlock resolution of last resort with detection
-	// disabled. Per-transaction deadlines (TxnDeadline, TxnOptions) and
-	// contexts bound via BeginCtx give finer-grained bounds per request.
+	// Per-transaction deadlines (TxnDeadline, TxnOptions) and contexts
+	// bound via BeginCtx give finer-grained bounds per request.
 	LockTimeout time.Duration
 	// TxnDeadline bounds the lifetime of every transaction: the watchdog
 	// reaper aborts (with ErrTxnDeadline) any transaction still live that
@@ -185,9 +175,9 @@ type Manager struct {
 	// group id to its local members (runtime-prepared or recovered in
 	// doubt); verdicts remembers decided groups so retransmitted votes and
 	// verdicts stay idempotent, with verdictOrder the FIFO pruning order
-	// bounding it to cfg.VerdictRetention; preparing gates any window in
-	// which a vote's TPrepare flush or a verdict's TCommit flush released
-	// mu (group-commit modes) — duplicate votes and verdicts wait it out.
+	// bounding it to cfg.VerdictRetention; preparing gates the window in
+	// which a vote's TPrepare force or a verdict's TCommit force has
+	// released mu — duplicate votes and verdicts wait it out.
 	prepared     map[uint64][]xid.TID
 	verdicts     map[uint64]bool
 	verdictOrder []uint64
@@ -215,7 +205,14 @@ type Manager struct {
 // Open creates a Manager. With cfg.Dir set it opens (or creates) the
 // durable database there and recovers committed state from the checkpoint
 // and log; otherwise everything is in-memory.
-func Open(cfg Config) (*Manager, error) {
+func Open(cfg Config) (*Manager, error) { return open(cfg, true) }
+
+// open is Open with deadlock detection switchable. Off is ablation A4,
+// which only this package's tests reach: the waits-for graph is still
+// maintained for diagnostics, but no victims are selected, so a blocked
+// request waits until granted, cancelled by an abort, or timed out by
+// LockTimeout.
+func open(cfg Config, detect bool) (*Manager, error) {
 	m := &Manager{
 		cfg:          cfg,
 		deps:         dep.New(),
@@ -232,35 +229,26 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.MaxLive > 0 {
 		m.admit = make(chan struct{}, cfg.MaxLive)
 	}
-	onVictim := func(t xid.TID) {
-		m.mu.Lock()
-		if vt, ok := m.txns.Get(uint64(t)); ok {
-			m.abortLocked(vt, fmt.Errorf("%w: chosen as deadlock victim: %w", ErrAborted, ErrDeadlock))
+	var onVictim func(xid.TID)
+	if detect {
+		onVictim = func(t xid.TID) {
+			m.mu.Lock()
+			if vt, ok := m.txns.Get(uint64(t)); ok {
+				m.abortLocked(vt, fmt.Errorf("%w: chosen as deadlock victim: %w", ErrAborted, ErrDeadlock))
+			}
+			m.mu.Unlock()
 		}
-		m.mu.Unlock()
-	}
-	if cfg.DisableDeadlockDetection {
-		// The waits-for graph is still maintained for diagnostics, but no
-		// victims are selected: blocked requests wait until granted,
-		// cancelled by an explicit abort, or timed out by LockTimeout.
-		onVictim = nil
 	}
 	m.locks = lock.New(m.waits, lock.Options{
-		OnVictim:        onVictim,
-		Shards:          cfg.LockShards,
-		NoQueueFairness: cfg.NoQueueFairness,
-		EagerClosure:    !cfg.LazyPermitClosure,
-		WaitTimeout:     cfg.LockTimeout,
-		NoDetection:     cfg.DisableDeadlockDetection,
+		OnVictim:     onVictim,
+		Shards:       cfg.LockShards,
+		EagerClosure: true,
+		WaitTimeout:  cfg.LockTimeout,
+		NoDetection:  !detect,
 	})
 
 	if cfg.Dir == "" {
 		m.log = wal.NewMem()
-		if cfg.BatchedCommits || cfg.GroupCommit {
-			// The in-memory log has no cohort protocol of its own, so
-			// both group-commit flavours degrade to flush coalescing.
-			m.log = wal.NewCoalescer(m.log, cfg.CommitWindow)
-		}
 		m.backend = storage.NullBackend{}
 		return m, nil
 	}
@@ -331,25 +319,16 @@ func Open(cfg Config) (*Manager, error) {
 		ps.Close()
 		return nil, err
 	}
-	segOpts := wal.SegmentedOptions{
+	log, err := wal.OpenSegmentedFS(fsys, cfg.Dir, wal.SegmentedOptions{
 		SegmentBytes: cfg.WALSegmentBytes,
 		Sync:         cfg.SyncCommits,
-	}
-	if cfg.GroupCommit {
-		// The linger window belongs to the log's force leader; without
-		// GroupCommit the commit protocol flushes while holding m.mu, and
-		// sleeping there would serialize everyone.
-		segOpts.Window = cfg.CommitWindow
-	}
-	log, err := wal.OpenSegmentedFS(fsys, cfg.Dir, segOpts)
+		Window:       cfg.CommitWindow,
+	})
 	if err != nil {
 		ps.Close()
 		return nil, err
 	}
 	m.log = log
-	if cfg.BatchedCommits && !cfg.GroupCommit {
-		m.log = wal.NewCoalescer(m.log, cfg.CommitWindow)
-	}
 	return m, nil
 }
 
@@ -380,9 +359,9 @@ func (m *Manager) Close() error {
 		}
 	}
 	m.mu.Unlock()
-	// A committing group is past its commit record — a batched-commit
-	// driver may be off the mutex forcing the log — so wait for the outcome
-	// instead of yanking the log from under the flush.
+	// A committing group is past its commit record and its driver is off
+	// the mutex, parked on the log's force, so wait for the outcome
+	// instead of yanking the log from under the force.
 	for _, t := range committing {
 		<-t.termCh()
 	}
@@ -464,6 +443,19 @@ func (m *Manager) Active() []xid.TID {
 func (m *Manager) appendLocked(r wal.Record) (uint64, error) {
 	m.rec = r
 	return m.log.Append(&m.rec)
+}
+
+// forceLocked makes everything appended so far durable, with m.mu
+// released around the log's force: committers that arrive meanwhile
+// append into the next batch and share a force instead of queueing on
+// the mutex. The caller must first make its transactions untouchable by
+// every other path (members committing or prepared, a preparing gate in
+// place). Caller holds m.mu, and holds it again on return.
+func (m *Manager) forceLocked() error {
+	m.mu.Unlock()
+	err := m.log.Flush()
+	m.mu.Lock()
+	return err
 }
 
 // deltaImage renders delta as a KindDelta record's After image in the
@@ -573,13 +565,10 @@ func (m *Manager) LockManager() *lock.Manager { return m.locks }
 // asserting that cancelled transactions leave no edges behind).
 func (m *Manager) WaitGraph() *waitgraph.Graph { return m.waits }
 
-// PhysicalForces reports the number of physical log forces when batched
-// commits are enabled (0 otherwise); compare with Stats().LogForces, which
-// counts commit flush *requests*.
+// PhysicalForces reports the durable log's physical forces (batches
+// written), or 0 for a manager opened without Dir; compare with
+// Stats().LogForces, which counts the forces commits and votes asked for.
 func (m *Manager) PhysicalForces() uint64 {
-	if c, ok := m.log.(*wal.Coalescer); ok {
-		return c.Forces()
-	}
 	if s, ok := m.log.(*wal.SegmentedLog); ok {
 		return s.Forces()
 	}

@@ -117,10 +117,10 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 
 		// All clear: this is the participant's commit point for the vote.
 		// The TPrepare record must be durable before the yes vote escapes,
-		// and the statuses must flip before the mutex is released around a
-		// group-commit flush — every other path treats prepared as
-		// untouchable. The preparing gate parks duplicate votes and Decide
-		// until the flush resolves.
+		// and the statuses must flip before the mutex is released around
+		// the force — every other path treats prepared as untouchable. The
+		// preparing gate parks duplicate votes and Decide until the force
+		// resolves.
 		tids := make([]xid.TID, len(group))
 		for i, member := range group {
 			tids[i] = member.id
@@ -134,19 +134,11 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 			m.mu.Unlock()
 			return err
 		}
-		var flushErr error
-		if m.cfg.BatchedCommits || m.cfg.GroupCommit {
+		if err := m.forceLocked(); err != nil {
+			err = fmt.Errorf("core: prepare force failed: %w", err)
+			m.failPrepareLocked(gid, gate, group, err)
 			m.mu.Unlock()
-			flushErr = m.log.Flush()
-			m.mu.Lock()
-		} else {
-			flushErr = m.log.Flush()
-		}
-		if flushErr != nil {
-			flushErr = fmt.Errorf("core: prepare flush failed: %w", flushErr)
-			m.failPrepareLocked(gid, gate, group, flushErr)
-			m.mu.Unlock()
-			return flushErr
+			return err
 		}
 		m.stats.logForces.Add(1)
 		m.prepared[gid] = tids
@@ -281,10 +273,10 @@ func (m *Manager) Decide(gid uint64, commit bool) error {
 		}
 		return fmt.Errorf("%w: %d", ErrUnknownGroup, gid)
 	}
-	// Gate the verdict window: commitPreparedLocked may release mu around
-	// a group-commit flush while m.prepared[gid] is still populated, and a
-	// duplicate Decide arriving then (a coordinator delivery retry racing
-	// a restarted participant's ResolveInDoubt) must not re-append the
+	// Gate the verdict window: commitLocked releases mu around the log
+	// force while m.prepared[gid] is still populated, and a duplicate
+	// Decide arriving then (a coordinator delivery retry racing a
+	// restarted participant's ResolveInDoubt) must not re-append the
 	// commit record or re-run the commit epilogue. Duplicates — and
 	// retransmitted votes — park on the gate and land on the idempotent
 	// verdicts path once it closes.
@@ -298,7 +290,15 @@ func (m *Manager) Decide(gid uint64, commit bool) error {
 	}
 	var err error
 	if commit {
-		err = m.commitPreparedLocked(group)
+		// The vote resolved every obstacle, so the group goes straight to
+		// its commit record. On a log failure it stays prepared, still in
+		// doubt, so a later retry or restart can finish the job; it is
+		// never half-committed.
+		if err = m.commitLocked(group); err != nil {
+			for _, member := range group {
+				member.setSt(xid.StatusPrepared)
+			}
+		}
 	} else {
 		reason := fmt.Errorf("%w: coordinator verdict: group %d aborted", ErrAborted, gid)
 		for _, member := range group {
@@ -336,72 +336,6 @@ func (m *Manager) recordVerdictLocked(gid uint64, commit bool) {
 		delete(m.verdicts, m.verdictOrder[0])
 		m.verdictOrder = m.verdictOrder[1:]
 	}
-}
-
-// commitPreparedLocked commits a prepared group on the coordinator's
-// verdict. Unlike commitGroupLocked there are no obstacles left to check —
-// the vote resolved them — but a recovered in-doubt member must install
-// its withheld after-images before its locks drop. On a log failure the
-// group stays prepared (still in doubt) so a later retry or restart can
-// finish the job; it is never half-committed. Caller holds m.mu.
-//
-//asset:durable before=ReleaseAll,EscrowCommit
-func (m *Manager) commitPreparedLocked(group []*txn) error {
-	if _, err := m.appendLocked(wal.Record{Type: wal.TCommit, TIDs: m.committingLocked(group)}); err != nil {
-		for _, member := range group {
-			member.setSt(xid.StatusPrepared)
-		}
-		return fmt.Errorf("core: verdict commit record append failed: %w", err)
-	}
-	var flushErr error
-	if m.cfg.BatchedCommits || m.cfg.GroupCommit {
-		m.mu.Unlock()
-		flushErr = m.log.Flush()
-		m.mu.Lock()
-	} else {
-		flushErr = m.log.Flush()
-	}
-	if flushErr != nil {
-		for _, member := range group {
-			member.setSt(xid.StatusPrepared)
-		}
-		return fmt.Errorf("core: verdict commit flush failed: %w", flushErr)
-	}
-	m.stats.logForces.Add(1)
-	m.stats.groupSize.Add(uint64(len(group)))
-	forcedAborts := m.forcedAbortsLocked(group, nil)
-	for _, member := range group {
-		for _, op := range member.redo {
-			m.installRedoLocked(op)
-		}
-		member.redo = nil
-		for _, u := range member.undo {
-			if u.kind == wal.KindDelete {
-				m.markDirtyLocked(u.oid, dirtyDelete)
-			} else {
-				m.markDirtyLocked(u.oid, dirtyUpsert)
-			}
-		}
-		member.undo = nil
-		member.setSt(xid.StatusCommitted)
-		m.deps.RemoveNode(member.id)
-		m.locks.EscrowCommit(member.id)
-		m.locks.ReleaseAll(member.id)
-		m.waits.RemoveNode(member.id)
-		m.releaseSlot(member)
-		m.live.Add(-1)
-		m.stats.commits.Add(1)
-		member.closeDone()
-		member.closeTerm()
-		if m.cfg.ReapTerminated {
-			m.txns.Delete(uint64(member.id))
-		}
-	}
-	for _, dependent := range forcedAborts {
-		m.abortLocked(dependent, fmt.Errorf("%w: excluded by a committed partner", ErrAborted))
-	}
-	m.cond.Broadcast()
-	return nil
 }
 
 // installRedoLocked installs one withheld update of a recovered in-doubt

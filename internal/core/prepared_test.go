@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/xid"
@@ -128,14 +127,14 @@ func TestPrepareDecideAbort(t *testing.T) {
 }
 
 // TestDecideDuplicateConcurrent races duplicate commit verdicts against
-// the group-commit flush window: commitPreparedLocked releases the
-// manager mutex around the log force, and a concurrent duplicate Decide
-// (a coordinator delivery retry racing a restarted participant's
-// ResolveInDoubt) must park on the verdict gate instead of re-running
-// the commit epilogue — which would append a second commit record,
-// double-count stats, and drive the live counter negative.
+// the force window: commitLocked releases the manager mutex around the
+// log force, and a concurrent duplicate Decide (a coordinator delivery
+// retry racing a restarted participant's ResolveInDoubt) must park on
+// the verdict gate instead of re-running the commit epilogue — which
+// would append a second commit record, double-count stats, and drive
+// the live counter negative.
 func TestDecideDuplicateConcurrent(t *testing.T) {
-	m, err := Open(Config{BatchedCommits: true, CommitWindow: 2 * time.Millisecond})
+	m, err := Open(windowedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

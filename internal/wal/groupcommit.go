@@ -228,6 +228,7 @@ func createSegment(fsys faultfs.FS, dir string, seq, firstLSN uint64) (faultfs.F
 // Allocation-free once the slab has warmed to the batch working set —
 // verified by the compiler on every lint run, not just by the
 // AllocsPerRun benchmark.
+//
 //asset:noalloc
 func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	l.appendMu.Lock()
@@ -253,8 +254,8 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 // pending batch. Called by whoever holds force leadership. high is the
 // LSN of the batch's last record (0 for an empty batch), computed while
 // the append latch is held: appends race the leader here — the core
-// appends under m.mu, but the leader forces off-mutex under GroupCommit
-// — and a record that slips into the fresh slab after the swap belongs
+// appends under its mutex while a leader forces with it released — and
+// a record that slips into the fresh slab after the swap belongs
 // to the NEXT batch. Reading lastLSN after the swap would cover it with
 // this batch's watermark and ack its commit without its bytes ever
 // reaching disk.
@@ -374,6 +375,7 @@ func (l *SegmentedLog) writeBatch(batch []byte, firstLSN uint64) error {
 // buffered mode: only the final segment of the chain may ever have a
 // torn tail, which is what lets recovery treat any mid-chain hole as
 // corruption instead of silently replaying around it.
+//
 //asset:durable before=createSegment
 func (l *SegmentedLog) rotate(firstLSN uint64) error {
 	if err := l.cur.Sync(); err != nil {
@@ -433,7 +435,7 @@ func (l *SegmentedLog) releaseWriter(err error, high uint64) {
 // records. Otherwise a crash can leave the store ahead of a shorter
 // durable log prefix (sealed by an earlier rotation), and replaying that
 // stale prefix over the newer store would resurrect old images — the
-// failure mode the crash matrix's buffered group-commit sweep catches.
+// failure mode the crash matrix's buffered-tiny-seg sweep catches.
 func (l *SegmentedLog) ForceDurable() error {
 	l.acquireWriter()
 	high, err := l.forceDurable()
@@ -480,6 +482,7 @@ func (l *SegmentedLog) Truncate() error {
 // Seal-before-publish: the old chain's fsync must dominate the new
 // segment's creation, or a crash between them loses appended records
 // (the PR 6 truncation-without-seal bug, §11).
+//
 //asset:durable before=createSegment
 func (l *SegmentedLog) truncateChain() (uint64, error) {
 	if l.poisoned.Load() {

@@ -202,14 +202,13 @@ func (l *FileLog) Close() error {
 }
 
 // MemLog is the log of a manager configured without durability: it assigns
-// LSNs, counts forces, and keeps nothing. A directory-less manager never
-// checkpoints and nothing can replay an in-memory log, so retaining the
-// records only grew the heap with every append; not retaining them is also
-// what lets a caller reuse the Record it passes to Append. Tests that want
-// the records back wrap an Appender of their own around it.
+// LSNs and keeps nothing. A directory-less manager never checkpoints and
+// nothing can replay an in-memory log, so retaining the records only grew
+// the heap with every append; not retaining them is also what lets a
+// caller reuse the Record it passes to Append. Tests that want the records
+// back wrap an Appender of their own around it.
 type MemLog struct {
-	lsn     atomic.Uint64 // last LSN assigned
-	flushes atomic.Int64
+	lsn atomic.Uint64 // last LSN assigned
 }
 
 // NewMem returns an in-memory log whose first LSN is 1.
@@ -221,15 +220,8 @@ func (l *MemLog) Append(r *Record) (uint64, error) {
 	return r.LSN, nil
 }
 
-// Flush counts forces; it has no durability effect.
-func (l *MemLog) Flush() error {
-	l.flushes.Add(1)
-	return nil
-}
-
-// Flushes returns the number of Flush calls, which benchmarks use to count
-// log forces (experiment E6).
-func (l *MemLog) Flushes() int { return int(l.flushes.Load()) }
+// Flush returns at once: there is nothing to write, so nothing to share.
+func (l *MemLog) Flush() error { return nil }
 
 // Close does nothing: there is nothing to release.
 func (l *MemLog) Close() error { return nil }

@@ -350,10 +350,8 @@ func TestMemLogBasics(t *testing.T) {
 	if lsn1 != 1 || lsn2 != 2 {
 		t.Fatalf("lsns = %d, %d", lsn1, lsn2)
 	}
-	l.Flush()
-	l.Flush()
-	if l.Flushes() != 2 {
-		t.Fatalf("flushes = %d", l.Flushes())
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -437,26 +435,6 @@ func TestTypeAndKindStrings(t *testing.T) {
 	}
 	if UpdateKind(99).String() == "" {
 		t.Error("unknown kind must render")
-	}
-}
-
-// truncLog is a test-local truncatable Appender.
-type truncLog struct {
-	MemLog
-	truncated int
-}
-
-func (l *truncLog) Truncate() error { l.truncated++; return nil }
-
-func TestCoalescerTruncatePassthrough(t *testing.T) {
-	base := &truncLog{}
-	c := NewCoalescer(base, 0)
-	c.Append(&Record{Type: TBegin, TID: 1})
-	if err := c.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if base.truncated != 1 {
-		t.Fatal("coalescer truncate did not reach the base log")
 	}
 }
 
