@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/race"
 	"repro/internal/storage"
@@ -91,6 +92,15 @@ func TestLocalTxnAllocBudget(t *testing.T) {
 		if got > tc.budget {
 			t.Errorf("%s: %.1f objects per transaction, budget %.0f", tc.name, got, tc.budget)
 		}
+	}
+}
+
+// TestTxnSizeClass: the descriptor, every transaction's one object, stays in
+// the allocator's 320-byte size class; a field that pushed it past would
+// cost every transaction the 352-byte class.
+func TestTxnSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(txn{}); got > 320 {
+		t.Fatalf("txn is %d bytes, past the 320-byte size class", got)
 	}
 }
 

@@ -25,39 +25,64 @@ import (
 // existence separates prefix 3, so a partial, doubled, or leaked delta
 // (e.g. the aborted +1000) recovers to a value matching no prefix.
 func escrowWorkload(acks *[3]bool) func(m *Manager) {
-	run := func(m *Manager, fn TxnFunc) bool {
-		id, err := m.Initiate(fn)
-		if err != nil {
-			return false
-		}
-		if err := m.Begin(id); err != nil {
-			return false
-		}
-		m.Wait(id)
-		return m.Commit(id) == nil
-	}
 	return func(m *Manager) {
-		acks[0] = run(m, func(tx *Tx) error {
-			if err := tx.CreateAt(201, wal.EncodeCounter(100)); err != nil {
-				return err
-			}
-			return tx.DeclareEscrow(201, 0, 10000)
-		})
-		acks[1] = run(m, func(tx *Tx) error { return tx.Add(201, 5) })
-		run(m, func(tx *Tx) error { // A: always aborts
+		acks[0] = runWorkloadTxn(m, createCounter201)
+		acks[1] = runWorkloadTxn(m, func(tx *Tx) error { return tx.Add(201, 5) })
+		runWorkloadTxn(m, func(tx *Tx) error { // A: always aborts
 			if err := tx.Add(201, 1000); err != nil {
 				return err
 			}
 			return errors.New("deliberate abort after reserving +1000")
 		})
 		m.Checkpoint() // may fail after the crash point
-		acks[2] = run(m, func(tx *Tx) error {
+		acks[2] = runWorkloadTxn(m, func(tx *Tx) error {
 			if err := tx.Add(201, -3); err != nil {
 				return err
 			}
 			return tx.CreateAt(202, []byte("x"))
 		})
 	}
+}
+
+// The second escrow workload logs a delta whose base only the store holds,
+// and checkpoints again:
+//
+//	T1: create 201 = counter(100), declare escrow [0, 10000]
+//	    checkpoint                       (the store holds 100)
+//	T2: add(201, +5)                     -> 105
+//	    checkpoint
+//
+// Once the second checkpoint has put 105 in the store, the +5 in the log
+// is already applied; a crash before that checkpoint's own record is
+// durable must not replay it again (110 matches no prefix).
+func deltaOverCheckpointWorkload(acks *[3]bool) func(m *Manager) {
+	return func(m *Manager) {
+		acks[0] = runWorkloadTxn(m, createCounter201)
+		m.Checkpoint()
+		acks[1] = runWorkloadTxn(m, func(tx *Tx) error { return tx.Add(201, 5) })
+		m.Checkpoint() // may fail after the crash point
+	}
+}
+
+func createCounter201(tx *Tx) error {
+	if err := tx.CreateAt(201, wal.EncodeCounter(100)); err != nil {
+		return err
+	}
+	return tx.DeclareEscrow(201, 0, 10000)
+}
+
+// runWorkloadTxn initiates, begins, waits for and commits one workload
+// transaction, reporting whether the commit was acknowledged.
+func runWorkloadTxn(m *Manager, fn TxnFunc) bool {
+	id, err := m.Initiate(fn)
+	if err != nil {
+		return false
+	}
+	if err := m.Begin(id); err != nil {
+		return false
+	}
+	m.Wait(id)
+	return m.Commit(id) == nil
 }
 
 // recoveredEscrowPrefix maps the recovered counter state back to the
@@ -123,16 +148,28 @@ func checkEscrowRecovered(t *testing.T, img *faultfs.MemFS, acks [3]bool, syncCo
 // write either wholly lost or torn, recovering under both crash-image
 // corners. The recovered counter must always equal the committed-prefix
 // sum: never a partial transaction, never a doubled redo, never a leaked
-// aborted delta.
+// aborted delta. The -delta-over-checkpoint cells run the second workload.
 func TestEscrowCrashRecoveryMatrix(t *testing.T) {
 	tears := []int{-1, 512}
 	modes := []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced}
+	type cell struct {
+		crashConfig
+		workload func(*[3]bool) func(*Manager)
+	}
+	var cells []cell
 	for _, tc := range crashConfigs {
+		cells = append(cells, cell{tc, escrowWorkload})
+	}
+	for _, tc := range crashConfigs {
+		tc.name += "-delta-over-checkpoint"
+		cells = append(cells, cell{tc, deltaOverCheckpointWorkload})
+	}
+	for _, tc := range cells {
 		t.Run(tc.name, func(t *testing.T) {
 			var acks [3]bool
 			sim := CrashSim{
 				Cfg:      Config{Dir: "/db", SyncCommits: tc.sync, WALSegmentBytes: tc.segBytes},
-				Workload: escrowWorkload(&acks),
+				Workload: tc.workload(&acks),
 			}
 			n := sim.CountOps()
 			if n < 10 {

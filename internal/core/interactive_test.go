@@ -6,12 +6,105 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/race"
 	"repro/internal/xid"
 )
 
 // An interactive transaction is initiated without a body and driven by its
 // caller through the handle BeginInteractive returns: the same begin as
 // Begin's, minus the body and the context binding.
+
+// TestInitiateInteractiveIsTheHandle: InitiateInteractive hands out the
+// handle BeginInteractive returns, its status is the descriptor's, and
+// Complete before the begin changes nothing.
+func TestInitiateInteractiveIsTheHandle(t *testing.T) {
+	m := newMem(t)
+	tx, err := m.InitiateInteractive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := tx.Status(); st != xid.StatusInitiated {
+		t.Fatalf("status = %v, want initiated", st)
+	}
+	tx.Complete()
+	waited := make(chan error, 1)
+	go func() { waited <- m.Wait(tx.ID()) }()
+	select {
+	case err := <-waited:
+		t.Fatalf("Wait returned (%v) after a Complete before the begin", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	begun, err := m.BeginInteractive(context.Background(), tx.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if begun != tx {
+		t.Fatal("BeginInteractive returned a handle other than InitiateInteractive's")
+	}
+	tx.Complete()
+	if err := <-waited; err != nil {
+		t.Fatalf("Wait = %v", err)
+	}
+	if err := m.Commit(tx.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if st := tx.Status(); st != xid.StatusCommitted {
+		t.Fatalf("status = %v, want committed", st)
+	}
+}
+
+// TestTxTokenOneCallerAtATime: while the token is held, an Acquire waits; one
+// whose context ends meanwhile returns the cause and holds nothing, and the
+// token passes to the waiter that stayed on Release. Taking and giving back
+// a free token allocates nothing.
+func TestTxTokenOneCallerAtATime(t *testing.T) {
+	m := newMem(t)
+	tx, err := m.InitiateInteractive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	if err := tx.Acquire(bg); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancelCause(bg)
+	gaveUp, waited := make(chan error, 1), make(chan error, 1)
+	go func() { gaveUp <- tx.Acquire(ctx) }()
+	go func() { waited <- tx.Acquire(bg) }()
+	select {
+	case err := <-gaveUp:
+		t.Fatalf("Acquire returned (%v) while the token was held", err)
+	case err := <-waited:
+		t.Fatalf("Acquire returned (%v) while the token was held", err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	cause := errors.New("caller gave up")
+	cancel(cause)
+	if err := <-gaveUp; err != cause {
+		t.Fatalf("Acquire under a cancelled ctx = %v, want its cause", err)
+	}
+	select {
+	case err := <-waited:
+		t.Fatalf("Acquire returned (%v) while the token was still held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	tx.Release()
+	if err := <-waited; err != nil {
+		t.Fatalf("Acquire after Release = %v", err)
+	}
+	tx.Release()
+	if race.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := tx.Acquire(bg); err != nil {
+			t.Fatal(err)
+		}
+		tx.Release()
+	}); n != 0 {
+		t.Fatalf("a free token costs %.1f allocations, want 0", n)
+	}
+}
 
 // TestBeginInteractiveRefusesWhatBeginRefuses: a begun, an aborted and an
 // unknown tid.

@@ -107,10 +107,12 @@ type truncatableLog interface {
 }
 
 // forceableLog is satisfied by logs that can be fsynced on demand
-// regardless of their commit-durability policy. The checkpoint uses it as
-// a write-ahead barrier before touching the backend.
+// regardless of their commit-durability policy and name their last LSN.
+// The checkpoint uses it as a write-ahead barrier before touching the
+// backend, and stamps the backend with the LSN.
 type forceableLog interface {
 	ForceDurable() error
+	LastLSN() uint64
 }
 
 // dirtyKind records what a checkpoint must do for a changed object.
@@ -279,7 +281,13 @@ func open(cfg Config, detect bool) (*Manager, error) {
 	// The log is a segmented chain (with any pre-segmentation wal.log as
 	// its read-only base); recovery scans the segments in parallel across
 	// cores and merges them sequentially in redo order.
-	st, err := wal.RecoverDirFS(fsys, cfg.Dir, wal.RecoverOptions{})
+	// The store reflects every record at or below its checkpoint stamp; the
+	// log, which a checkpoint only ever truncates forward, must lie past it.
+	stamp := ps.CheckpointLSN()
+	st, err := wal.RecoverDirFS(fsys, cfg.Dir, wal.RecoverOptions{Checkpoint: stamp})
+	if err == nil && st.NextLSN <= stamp {
+		err = fmt.Errorf("core: the log ends below LSN %d, which the store already reflects", stamp)
+	}
 	if err != nil {
 		ps.Close()
 		return nil, err
@@ -515,12 +523,16 @@ func (m *Manager) Checkpoint() error {
 	// later transactions whose records were still buffered, a crash would
 	// replay that stale prefix over the newer store and resurrect old
 	// images. Forcing first keeps the durable log at least as new as
-	// anything the store can reflect.
+	// anything the store can reflect. Everything appended so far is what
+	// the store will reflect: through is its last LSN.
+	var through uint64
 	if fl, ok := m.log.(forceableLog); ok {
 		if err := fl.ForceDurable(); err != nil {
 			return err
 		}
+		through = fl.LastLSN()
 	}
+	var data []byte // the backend copies what it stores
 	for oid, kind := range dirty {
 		if kind == dirtyDelete {
 			if err := m.backend.Delete(oid); err != nil {
@@ -528,7 +540,8 @@ func (m *Manager) Checkpoint() error {
 			}
 			continue
 		}
-		data, ok := m.cache.Read(oid)
+		var ok bool
+		data, ok = m.cache.AppendRead(data[:0], oid)
 		if !ok {
 			if err := m.backend.Delete(oid); err != nil {
 				return err
@@ -539,7 +552,12 @@ func (m *Manager) Checkpoint() error {
 			return err
 		}
 	}
-	if err := m.backend.Sync(); err != nil {
+	// The store's header is stamped with through in the same journaled
+	// batch as the pages, so recovery skips exactly the records the store
+	// reflects even when the crash lands before the TCheckpoint record is
+	// durable: replaying a logical delta over a store that already holds it
+	// would apply it twice.
+	if err := m.backend.Sync(through); err != nil {
 		return err
 	}
 	if _, err := m.appendLocked(wal.Record{Type: wal.TCheckpoint}); err != nil {

@@ -89,26 +89,33 @@ func (tx *Tx) LockCtx(ctx context.Context, oid xid.OID, ops xid.OpSet) error {
 }
 
 // Read returns a copy of the object's contents after acquiring a read lock
-// (§4.2 read: read-lock, S-latch, read, unlatch). Mutex-free like Lock.
-// Error construction on the miss path is outlined into errNoObject so the
-// fast path stays allocation-free.
+// (§4.2 read: read-lock, S-latch, read, unlatch): AppendRead with no
+// buffer, so the copy is the caller's to keep.
+func (tx *Tx) Read(oid xid.OID) ([]byte, error) {
+	return tx.AppendRead(nil, oid)
+}
+
+// AppendRead is Read into a buffer of the caller's: the object's contents
+// are appended to dst (a nil dst gets a fresh slice) and the extended slice
+// returned. Mutex-free like Lock. Error construction on the miss path is
+// outlined into errNoObject so the fast path stays allocation-free.
 //
 //asset:noalloc
-func (tx *Tx) Read(oid xid.OID) ([]byte, error) {
+func (tx *Tx) AppendRead(dst []byte, oid xid.OID) ([]byte, error) {
 	m, t := tx.m, tx.t
 	if err := t.checkRunning(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if err := m.locks.LockCtx(t.lockCtx(), t.id, oid, xid.OpRead); err != nil {
-		return nil, mapLockErr(err)
+		return dst, mapLockErr(err)
 	}
 	if err := t.checkRunning(); err != nil {
 		m.dropStrayLocks(t)
-		return nil, err
+		return dst, err
 	}
-	data, ok := m.cache.Read(oid)
+	data, ok := m.cache.AppendRead(dst, oid)
 	if !ok {
-		return nil, errNoObject(oid)
+		return dst, errNoObject(oid)
 	}
 	return data, nil
 }
@@ -350,7 +357,8 @@ func (tx *Tx) DeclareEscrow(oid xid.OID, lo, hi uint64) error {
 
 // ReadCounter reads an 8-byte counter object under a read lock.
 func (tx *Tx) ReadCounter(oid xid.OID) (uint64, error) {
-	b, err := tx.Read(oid)
+	var buf [8]byte
+	b, err := tx.AppendRead(buf[:0], oid)
 	if err != nil {
 		return 0, err
 	}

@@ -34,24 +34,45 @@ func (m *Manager) Initiate(fn TxnFunc) (xid.TID, error) {
 
 // InitiateWith is Initiate with a context binding and a deadline override.
 func (m *Manager) InitiateWith(fn TxnFunc, opts TxnOptions) (xid.TID, error) {
-	return m.initiateOpts(fn, xid.NilTID, opts)
+	return m.initiateWith(fn, xid.NilTID, opts)
+}
+
+// InitiateInteractive is Initiate(nil) that hands back the transaction's
+// handle at once instead of its tid: the descriptor itself, which a caller
+// that drives the transaction from several goroutines keeps in its tables
+// and serializes them on (Tx.Acquire). The transaction is begun with
+// BeginInteractive as usual, which returns this same handle.
+func (m *Manager) InitiateInteractive() (*Tx, error) {
+	t, err := m.initiateOpts(nil, xid.NilTID, TxnOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return &t.tx, nil
 }
 
 func (m *Manager) initiate(fn TxnFunc, parent xid.TID) (xid.TID, error) {
-	return m.initiateOpts(fn, parent, TxnOptions{})
+	return m.initiateWith(fn, parent, TxnOptions{})
+}
+
+func (m *Manager) initiateWith(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid.TID, error) {
+	t, err := m.initiateOpts(fn, parent, opts)
+	if err != nil {
+		return xid.NilTID, err
+	}
+	return t.id, nil
 }
 
 // initiateOpts is mutex-free: the tid counter, live count, closed flag, and
 // descriptor table are all safe for concurrent use, so registering a
 // transaction never contends with commits, aborts, or other initiates.
-func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid.TID, error) {
+func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*txn, error) {
 	if m.closed.Load() {
-		return xid.NilTID, ErrClosed
+		return nil, ErrClosed
 	}
 	for {
 		n := m.live.Load()
 		if m.cfg.MaxTransactions > 0 && n >= int64(m.cfg.MaxTransactions) {
-			return xid.NilTID, ErrTooManyTxns
+			return nil, ErrTooManyTxns
 		}
 		if m.live.CompareAndSwap(n, n+1) {
 			break
@@ -78,9 +99,9 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid
 	if m.closed.Load() {
 		m.txns.Delete(uint64(id))
 		m.live.Add(-1)
-		return xid.NilTID, ErrClosed
+		return nil, ErrClosed
 	}
-	return id, nil
+	return t, nil
 }
 
 // Begin starts execution of the given transactions, each on its own
@@ -320,14 +341,19 @@ func (m *Manager) run(t *txn) {
 // it meant to. The transaction turns completed — locks retained, changes
 // volatile until an explicit commit (§2.1) — and whoever waits for its
 // execution (Wait, Commit, a group's commit driver) goes on. Idempotent; a
-// no-op on an aborted transaction.
+// no-op on an aborted transaction and on one not yet begun (Commit then
+// says ErrNotBegun).
 func (tx *Tx) Complete() {
 	m, t := tx.m, tx.t
 	m.mu.Lock()
-	if t.st() == xid.StatusRunning {
+	st := t.st()
+	if st == xid.StatusRunning {
 		t.setSt(xid.StatusCompleted)
 	}
 	m.mu.Unlock()
+	if st == xid.StatusInitiated {
+		return
+	}
 	t.closeDone()
 	m.cond.Broadcast()
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/storage"
+	"repro/internal/wal"
 	"repro/internal/xid"
 )
 
@@ -137,6 +139,45 @@ func TestCheckpointAndRestart(t *testing.T) {
 	}
 	if m2.Cache().Len() != 19 {
 		t.Fatalf("cache len = %d, want 19", m2.Cache().Len())
+	}
+}
+
+// TestLogNumbersPastCheckpointStamp: a checkpoint stamps the store with the
+// last LSN it reflects and truncates the log. The log reopened after that
+// must number its records past the stamp — recovery skips everything at or
+// below it — so a delta logged after a reopen, whose base only the store
+// holds, is applied once: not lost, not doubled.
+func TestLogNumbersPastCheckpointStamp(t *testing.T) {
+	dir := t.TempDir()
+	m := openDurable(t, dir)
+	oid := seedObject(t, m, wal.EncodeCounter(100))
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	stamp := m.backend.(storage.PageBackend).Store.CheckpointLSN()
+	if stamp == 0 {
+		t.Fatal("checkpoint left the store unstamped")
+	}
+	m.Close()
+	for i, want := range []uint64{105, 110} {
+		m = openDurable(t, dir)
+		if got := m.log.(*wal.SegmentedLog).LastLSN(); got <= stamp {
+			t.Fatalf("reopen %d: the log resumes at LSN %d, at or below the store's stamp %d", i, got+1, stamp)
+		}
+		runTxn(t, m, func(tx *Tx) error { return tx.Add(oid, 5) })
+		m.Close() // no checkpoint: the deltas live in the log only
+		m = openDurable(t, dir)
+		raw, _ := m.Cache().Read(oid)
+		if got := wal.DecodeCounter(raw); got != want {
+			t.Fatalf("reopen %d: counter = %d, want %d", i, got, want)
+		}
+		if i == 0 {
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			stamp = m.backend.(storage.PageBackend).Store.CheckpointLSN()
+		}
+		m.Close()
 	}
 }
 

@@ -38,28 +38,34 @@ type undoRec struct {
 // observes the reason.
 //
 // The descriptor is one heap object: the handle its body receives is a
-// field of it, its three lifecycle events are flags that grow a channel
-// only when somebody parks on them, and the first undo records live in it.
-// Descriptors are not recycled — commit drivers, begin gates, context
-// watchers and Close hold *txn across waits with no latch that could vouch
-// for a second life.
+// field of it, its three lifecycle events and its caller token are flags
+// that grow a channel only when somebody parks on them, and the first undo
+// records live in it. It fills a 320-byte size class exactly
+// (TestTxnSizeClass). Descriptors are not recycled — commit drivers, begin
+// gates, context watchers, Close and the holders of an interactive handle
+// keep *txn across waits with no latch that could vouch for a second life.
 type txn struct {
 	id     xid.TID
 	parent xid.TID
-	fn     TxnFunc // nil: interactive (BeginInteractive)
-	tx     Tx      // the handle fn receives, or BeginInteractive returns
+	fn     TxnFunc // nil: interactive (InitiateInteractive)
+	tx     Tx      // the handle fn receives, or an interactive caller drives
 
 	status atomic.Int32 // holds an xid.Status
-	abErr  error        // why the transaction aborted, if it did
+	// admitted records that the transaction holds a Config.MaxLive
+	// admission slot, which commit/abort must return to the gate.
+	admitted atomic.Bool
+	abErr    error // why the transaction aborted, if it did
 
 	// done fires when the function finishes or the transaction aborts
 	// (wait() unblocks on either), term on final termination, aborting when
 	// the status turns aborting (waking the commit driver). evMu guards all
-	// three; it is a leaf, held for a flag test or a close.
+	// three and the caller token; it is a leaf, held for a flag test or a
+	// close.
 	evMu     sync.Mutex
 	done     event
 	term     event
 	aborting event
+	tok      token
 
 	// ctx binds external cancellation to the transaction. Written at
 	// InitiateWith, or by BeginCtx before the status turns running (under
@@ -70,9 +76,6 @@ type txn struct {
 	ctx context.Context
 	// deadline is the watchdog reap point in unix nanoseconds; 0 = none.
 	deadline atomic.Int64
-	// admitted records that the transaction holds a Config.MaxLive
-	// admission slot, which commit/abort must return to the gate.
-	admitted atomic.Bool
 
 	undo []undoRec
 	// undoBuf backs undo for a transaction's first updates, which is all
@@ -131,6 +134,56 @@ func (t *txn) fired(e *event) bool {
 	t.evMu.Lock()
 	defer t.evMu.Unlock()
 	return e.fired
+}
+
+// token is an interactive transaction's one-caller-at-a-time token (see
+// Tx.Acquire). Taking a free token sets a flag; only an acquirer that finds
+// it held makes a channel, which the release closes to wake every such
+// acquirer to try again. Guarded by the owning txn's evMu.
+type token struct {
+	held bool
+	ch   chan struct{}
+}
+
+// Acquire takes the handle's token, waiting while another caller holds it
+// unless ctx ends first, in which case it returns ctx's cause and holds
+// nothing. Callers that drive an interactive transaction from more than one
+// goroutine hold the token across each operation and across Complete, which
+// serializes them as a body's one goroutine would. The token guards the
+// handle's callers only: primitives that name the transaction from outside
+// (Abort, Commit, Wait, Delegate and the rest) take none.
+func (tx *Tx) Acquire(ctx context.Context) error {
+	t := tx.t
+	for {
+		t.evMu.Lock()
+		if !t.tok.held {
+			t.tok.held = true
+			t.evMu.Unlock()
+			return nil
+		}
+		if t.tok.ch == nil {
+			t.tok.ch = make(chan struct{})
+		}
+		ch := t.tok.ch
+		t.evMu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return context.Cause(ctx)
+		}
+	}
+}
+
+// Release gives back the token Acquire took.
+func (tx *Tx) Release() {
+	t := tx.t
+	t.evMu.Lock()
+	t.tok.held = false
+	if ch := t.tok.ch; ch != nil {
+		t.tok.ch = nil
+		close(ch)
+	}
+	t.evMu.Unlock()
 }
 
 func (t *txn) closeDone()  { t.fire(&t.done) }
@@ -208,5 +261,7 @@ func (tx *Tx) Initiate(fn TxnFunc) (xid.TID, error) {
 }
 
 // Status returns the transaction's current status (one of the query
-// primitives §2.1 mentions in passing).
-func (tx *Tx) Status() xid.Status { return tx.m.StatusOf(tx.t.id) }
+// primitives §2.1 mentions in passing), read from the descriptor itself:
+// lock-free, and still the final status once the manager has dropped a
+// terminated descriptor from its table.
+func (tx *Tx) Status() xid.Status { return tx.t.st() }

@@ -15,32 +15,39 @@ import (
 )
 
 // Round-trip allocation budgets, client and server sides together,
-// pinned at what the wire path measures. PR 11's commit measured 22 (Lock)
-// and 25 (Write) on this same test, PR 12's 3 and 4: the per-request
+// pinned at what the wire path measures. An early version measured 22
+// (Lock) and 25 (Write) on this same test, then 3 and 4: the per-request
 // goroutine closure and cancel context that the session's parked workers
 // replaced. What is left is the engine's one for Write: the copy of the
 // data that the object keeps (the before image is the object's old buffer
-// and the log record is the manager's reused one).
+// and the log record is the manager's reused one). A Read is the copy the
+// client hands its caller, and nothing on the server: it measured 2 when
+// the server read into a fresh copy, which the response and the dedup
+// window shared; the worker now reads into a buffer of its own and the
+// window copies into one of its own.
 const (
 	lockRoundTripAllocBudget  = 0
 	writeRoundTripAllocBudget = 1
+	readRoundTripAllocBudget  = 1
 )
 
 // remoteTxnAllocBudget bounds an empty remote transaction — initiate,
 // begin, commit: three round trips. It measured 28 with a goroutine and a
 // context per request, and 12 with a body goroutine behind the workers
-// (itx, two channels, a cancel context and its cancel func, the body
-// closure; the body's and the context watcher's goroutines, the watcher's
-// Done channel, the termination channel it parked on). The transaction is
-// interactive now and driven by the workers, and what it allocates is 4:
-// the itx and its token, core's descriptor and its table entry.
-const remoteTxnAllocBudget = 5
+// (a server-side transaction object, two channels, a cancel context and
+// its cancel func, the body closure; the body's and the context watcher's
+// goroutines, the watcher's Done channel, the termination channel it
+// parked on), and 4 when the workers drove the interactive transaction
+// through a server object and its channel token. The server's tables hold
+// core's handle now, whose token is a flag in the descriptor: what is left
+// is the descriptor and its table entry, 2.
+const remoteTxnAllocBudget = 2
 
-// TestRoundTripAllocBudget drives a Lock and a Write round trip over
-// loopback TCP against a running Serve and counts every heap object the
-// process allocates per round trip. The object is already write-locked by
-// the transaction and the written value has the stored value's length, so
-// the engine's own work is at its floor and the count is the wire's:
+// TestRoundTripAllocBudget drives a Lock, a Write and a Read round trip
+// over loopback TCP against a running Serve and counts every heap object
+// the process allocates per round trip. The object is already write-locked
+// by the transaction and the written value has the stored value's length,
+// so the engine's own work is at its floor and the count is the wire's:
 // framing, codec, call table, dedup window, dispatch and the token of the
 // transaction.
 func TestRoundTripAllocBudget(t *testing.T) {
@@ -77,12 +84,20 @@ func TestRoundTripAllocBudget(t *testing.T) {
 			t.Fatalf("Write: %v", err)
 		}
 	})
-	t.Logf("allocs per round trip: Lock %.1f, Write %.1f", lock, write)
+	read := testing.AllocsPerRun(2000, func() {
+		if _, err := tx.Read(ctx, oid); err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+	})
+	t.Logf("allocs per round trip: Lock %.1f, Write %.1f, Read %.1f", lock, write, read)
 	if lock > lockRoundTripAllocBudget {
 		t.Errorf("Lock round trip allocates %.1f objects, budget %d", lock, lockRoundTripAllocBudget)
 	}
 	if write > writeRoundTripAllocBudget {
 		t.Errorf("Write round trip allocates %.1f objects, budget %d", write, writeRoundTripAllocBudget)
+	}
+	if read > readRoundTripAllocBudget {
+		t.Errorf("Read round trip allocates %.1f objects, budget %d", read, readRoundTripAllocBudget)
 	}
 	if err := cli.Abort(ctx, tid); err != nil {
 		t.Fatalf("Abort: %v", err)

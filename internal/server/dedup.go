@@ -18,14 +18,23 @@ import "repro/internal/rpc"
 //   - A done slot holds the recorded response, by value, and replays it
 //     to every copy of the request until the client acknowledges it —
 //     session death included: the window outlives the session, so a
-//     verdict decided before the lease lapsed is still the answer.
+//     verdict decided before the lease lapsed is still the answer. The
+//     response's Data (a Read's bytes) is the window's own: complete
+//     copies it into a buffer of the free list, and the ack that retires
+//     the slot gives the buffer back. It can alias neither the buffer the
+//     worker read into, which its next Read overwrites, nor the cache.
 //
 // The window grows when a slow request (a lock wait of seconds) pins the
 // floor while later IDs run ahead, up to maxAhead; the ring is given back
 // once the floor catches up. Guarded by session.mu.
 type dedup struct {
-	win rpc.Window[reqSlot]
+	win  rpc.Window[reqSlot]
+	free [][]byte // Data buffers of retired slots, for complete to copy into
 }
+
+// maxFreeBufs bounds the free list: a client acknowledges as it goes, so
+// only the Reads answered and not yet acknowledged hold buffers.
+const maxFreeBufs = 16
 
 type reqState uint8
 
@@ -70,6 +79,9 @@ func (d *dedup) ack(to uint64) {
 		if slot.w != nil {
 			slot.w.cancelLocked(d.win.Floor()+1, errAbandoned)
 		}
+		if b := slot.resp.Data; cap(b) > 0 && cap(b) <= maxKeptBuf && len(d.free) < maxFreeBufs {
+			d.free = append(d.free, b[:0])
+		}
 		d.win.PopFront()
 	}
 }
@@ -106,11 +118,22 @@ func (d *dedup) admit(id uint64, dead bool) (admission, *reqSlot) {
 	return admitExecute, slot
 }
 
-// complete records resp as id's verdict. An ID acknowledged while it was
-// executing has no slot any more, and nobody left to ask.
+// complete records resp as id's verdict, with a copy of its Data in a
+// buffer of the window's. An ID acknowledged while it was executing has no
+// slot any more, and nobody left to ask.
 func (d *dedup) complete(id uint64, resp *rpc.Response) {
-	if slot := d.win.Slot(id); slot != nil {
-		*slot = reqSlot{state: reqDone, resp: *resp}
+	slot := d.win.Slot(id)
+	if slot == nil {
+		return
+	}
+	*slot = reqSlot{state: reqDone, resp: *resp}
+	slot.resp.Data = nil
+	if len(resp.Data) > 0 {
+		var b []byte
+		if n := len(d.free); n > 0 {
+			b, d.free[n-1], d.free = d.free[n-1], nil, d.free[:n-1]
+		}
+		slot.resp.Data = append(b, resp.Data...)
 	}
 }
 

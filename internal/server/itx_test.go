@@ -12,9 +12,10 @@ import (
 	"repro/internal/xid"
 )
 
-// Tests of the interactive transaction's token (run them under -race): it
-// is what serializes a begin, the data operations and the completion that
-// requests of one transaction run on whichever workers serve them.
+// Tests of an interactive transaction's token, core.Tx.Acquire, as the
+// server drives it (run them under -race): it is what serializes a begin,
+// the data operations and the completion that requests of one transaction
+// run on whichever workers serve them.
 
 // TestItxCommitWaitsOutBegin: a commit racing an in-flight begin waits the
 // begin out and then completes the transaction — returning early would hand
@@ -26,12 +27,12 @@ func TestItxCommitWaitsOutBegin(t *testing.T) {
 	ti := initiateItx(t, m)
 	ctx := context.Background()
 	begun := make(chan error, 1)
-	go func() { begun <- ti.begin(ctx, m) }()
-	for len(ti.tok) == 0 { // the begin holds the token, parked for admission
+	go func() { begun <- begin(ctx, m, ti) }()
+	for !tokenHeld(ti) { // the begin holds the token, parked for admission
 		time.Sleep(time.Millisecond)
 	}
 	completed := make(chan error, 1)
-	go func() { completed <- ti.complete(ctx) }()
+	go func() { completed <- complete(ctx, ti) }()
 	select {
 	case err := <-completed:
 		t.Fatalf("complete returned (%v) while the begin was parked for admission", err)
@@ -44,10 +45,10 @@ func TestItxCommitWaitsOutBegin(t *testing.T) {
 	if err := <-completed; err != nil {
 		t.Fatalf("complete: %v", err)
 	}
-	if st := m.StatusOf(ti.tid); st != xid.StatusCompleted {
+	if st := ti.Status(); st != xid.StatusCompleted {
 		t.Fatalf("status after complete = %v, want completed", st)
 	}
-	if err := m.Commit(ti.tid); err != nil {
+	if err := m.Commit(ti.ID()); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
 }
@@ -61,15 +62,15 @@ func TestItxCommitAbandonedWhileTokenHeld(t *testing.T) {
 	holder, oid := heldObject(t, m)
 	ti := beginItx(t, m)
 	locked := make(chan error, 1)
-	go func() { locked <- ti.do(context.Background(), lockRequest(ti.tid, oid)) }()
+	go func() { locked <- doRequest(ti, lockRequest(ti.ID(), oid)) }()
 	waitWaiters(t, m, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ti.complete(ctx)
+	err := complete(ctx, ti)
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "abandoned") {
 		t.Fatalf("complete under a cancelled ctx = %v, want the abandonment reported", err)
 	}
-	if st := m.StatusOf(ti.tid); st != xid.StatusRunning {
+	if st := ti.Status(); st != xid.StatusRunning {
 		t.Fatalf("status after an abandoned complete = %v, want running", st)
 	}
 	commitItx(t, m, holder)
@@ -89,15 +90,15 @@ func TestItxOperationsRunOneAtATime(t *testing.T) {
 	free := committedObject(t, m)
 	ti := beginItx(t, m)
 	first, second := make(chan error, 1), make(chan error, 1)
-	go func() { first <- ti.do(context.Background(), lockRequest(ti.tid, held)) }()
+	go func() { first <- doRequest(ti, lockRequest(ti.ID(), held)) }()
 	waitWaiters(t, m, 1)
-	go func() { second <- ti.do(context.Background(), lockRequest(ti.tid, free)) }()
+	go func() { second <- doRequest(ti, lockRequest(ti.ID(), free)) }()
 	select {
 	case err := <-second:
 		t.Fatalf("second Lock returned (%v) while the first was parked", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	if m.LockManager().Holds(ti.tid, free, xid.OpWrite) {
+	if m.LockManager().Holds(ti.ID(), free, xid.OpWrite) {
 		t.Fatal("second Lock granted while the first held the token")
 	}
 	commitItx(t, m, holder)
@@ -106,8 +107,43 @@ func TestItxOperationsRunOneAtATime(t *testing.T) {
 			t.Fatalf("Lock: %v", err)
 		}
 	}
-	if !m.LockManager().Holds(ti.tid, free, xid.OpWrite) {
+	if !m.LockManager().Holds(ti.ID(), free, xid.OpWrite) {
 		t.Fatal("second Lock not granted after the first returned")
+	}
+	commitItx(t, m, ti)
+}
+
+// TestItxOperationAbandonedWhileWaiting: an operation waiting for the token
+// behind a parked Lock, whose request is cancelled meanwhile, reports the
+// abandonment with the cancel's cause and holds nothing; the parked Lock
+// and the transaction go on.
+func TestItxOperationAbandonedWhileWaiting(t *testing.T) {
+	t.Parallel()
+	m := openManager(t, core.Config{})
+	holder, held := heldObject(t, m)
+	free := committedObject(t, m)
+	ti := beginItx(t, m)
+	first := make(chan error, 1)
+	go func() { first <- doRequest(ti, lockRequest(ti.ID(), held)) }()
+	waitWaiters(t, m, 1)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	second := make(chan error, 1)
+	go func() {
+		var rbuf []byte
+		second <- do(ctx, ti, lockRequest(ti.ID(), free), &rbuf)
+	}()
+	time.Sleep(20 * time.Millisecond) // waiting for the token
+	cause := errors.New("request cancelled by client")
+	cancel(cause)
+	if err := <-second; !errors.Is(err, cause) || !strings.Contains(err.Error(), "abandoned") {
+		t.Fatalf("operation cancelled while waiting for the token = %v, want the abandonment", err)
+	}
+	if m.LockManager().Holds(ti.ID(), free, xid.OpWrite) {
+		t.Fatal("abandoned Lock granted")
+	}
+	commitItx(t, m, holder)
+	if err := <-first; err != nil {
+		t.Fatalf("parked Lock: %v", err)
 	}
 	commitItx(t, m, ti)
 }
@@ -122,39 +158,57 @@ func openManager(t *testing.T, cfg core.Config) *core.Manager {
 	return m
 }
 
-func initiateItx(t *testing.T, m *core.Manager) *itx {
+func initiateItx(t *testing.T, m *core.Manager) *core.Tx {
 	t.Helper()
-	id, err := m.Initiate(nil)
+	ti, err := m.InitiateInteractive()
 	if err != nil {
-		t.Fatalf("Initiate: %v", err)
+		t.Fatalf("InitiateInteractive: %v", err)
 	}
-	return newItx(id)
+	return ti
 }
 
-func beginItx(t *testing.T, m *core.Manager) *itx {
+func beginItx(t *testing.T, m *core.Manager) *core.Tx {
 	t.Helper()
 	ti := initiateItx(t, m)
-	if err := ti.begin(context.Background(), m); err != nil {
+	if err := begin(context.Background(), m, ti); err != nil {
 		t.Fatalf("begin: %v", err)
 	}
 	return ti
 }
 
-func commitItx(t *testing.T, m *core.Manager, ti *itx) {
+func commitItx(t *testing.T, m *core.Manager, ti *core.Tx) {
 	t.Helper()
-	if err := ti.complete(context.Background()); err != nil {
+	if err := complete(context.Background(), ti); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
-	if err := m.Commit(ti.tid); err != nil {
+	if err := m.Commit(ti.ID()); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
 }
 
+// tokenHeld reports whether somebody holds ti's token, by trying to take it
+// under a context that is already over.
+func tokenHeld(ti *core.Tx) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ti.Acquire(ctx) != nil {
+		return true
+	}
+	ti.Release()
+	return false
+}
+
+// doRequest runs in as a worker would, reading into a buffer of its own.
+func doRequest(ti *core.Tx, in *inbound) error {
+	var rbuf []byte
+	return do(context.Background(), ti, in, &rbuf)
+}
+
 // heldObject creates an object in a transaction that keeps it write-locked.
-func heldObject(t *testing.T, m *core.Manager) (*itx, xid.OID) {
+func heldObject(t *testing.T, m *core.Manager) (*core.Tx, xid.OID) {
 	t.Helper()
 	holder := beginItx(t, m)
-	oid, err := holder.tx.Create([]byte("held"))
+	oid, err := holder.Create([]byte("held"))
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/client"
 	"repro/internal/core"
 	"repro/internal/faultnet"
+	"repro/internal/rpc"
 	"repro/internal/server"
 	"repro/internal/xid"
 )
@@ -164,6 +165,66 @@ func TestReadResultSurvivesLaterRoundTrips(t *testing.T) {
 	if err := cli.Commit(ctx, tx.ID()); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
+	f.quiesce()
+}
+
+// TestReplayedReadKeepsItsBytes: two Reads are answered and left
+// unacknowledged while the worker that served them goes on to write the
+// first object and read it again — into the buffer the first Read used —
+// and to add to the second, a counter the cache changes in place.
+// Retransmits of the two Reads must replay the bytes they first answered:
+// the dedup window records a copy of its own, aliasing neither the
+// worker's buffer nor the cache.
+func TestReplayedReadKeepsItsBytes(t *testing.T) {
+	f := newFixture(t, core.Config{}, server.Config{LeaseTTL: time.Minute})
+	r := f.dialRaw()
+	tid := r.begin()
+	oid := r.must(rpc.Request{Op: rpc.OpCreate, TID: tid, Data: []byte("first")}).OID
+	ctr := r.must(rpc.Request{Op: rpc.OpCreate, TID: tid, Data: counterBytes(7)}).OID
+	// From here on every request acknowledges only what came before the
+	// two Reads, so their responses stay recorded.
+	floor := r.ack
+	unacked := func(req rpc.Request) *rpc.Response {
+		t.Helper()
+		resp := r.must(req)
+		r.ack = floor
+		return resp
+	}
+	reads := []struct {
+		req  rpc.Request
+		id   uint64
+		want []byte
+	}{
+		{req: rpc.Request{Op: rpc.OpRead, TID: tid, OID: oid}, want: []byte("first")},
+		{req: rpc.Request{Op: rpc.OpRead, TID: tid, OID: ctr}, want: counterBytes(7)},
+	}
+	for i := range reads {
+		resp := unacked(reads[i].req)
+		reads[i].id = resp.ReqID
+		if !bytes.Equal(resp.Data, reads[i].want) {
+			t.Fatalf("Read answered %q, want %q", resp.Data, reads[i].want)
+		}
+	}
+	unacked(rpc.Request{Op: rpc.OpWrite, TID: tid, OID: oid, Data: []byte("later")})
+	if got := unacked(reads[0].req).Data; string(got) != "later" {
+		t.Fatalf("Read after the Write answered %q", got)
+	}
+	unacked(rpc.Request{Op: rpc.OpAdd, TID: tid, OID: ctr, Delta: 5})
+	for _, rd := range reads {
+		req := rd.req
+		req.ReqID, req.Ack = rd.id, floor
+		if err := rpc.WriteFrame(r.c, rpc.EncodeRequest(&req)); err != nil {
+			t.Fatalf("retransmit: %v", err)
+		}
+		resp := r.recv()
+		if resp.ReqID != rd.id || resp.Err() != nil {
+			t.Fatalf("retransmit of Read %d answered %d: %v", rd.id, resp.ReqID, resp.Err())
+		}
+		if !bytes.Equal(resp.Data, rd.want) {
+			t.Fatalf("replayed Read %d = %q, want the %q it first answered", rd.id, resp.Data, rd.want)
+		}
+	}
+	r.must(rpc.Request{Op: rpc.OpCommit, TID: tid})
 	f.quiesce()
 }
 

@@ -34,13 +34,20 @@
 // serves — and a worker is started only when all are busy, so a blocked
 // lock wait never stalls the heartbeats sharing the connection. That is
 // the one hop: a remote transaction has no body goroutine behind the
-// worker. It is interactive (core.Manager.BeginInteractive), and the
-// worker runs a begin, a data operation or the completion before a commit
-// or prepare on the transaction's handle itself, holding the transaction's
-// token, which serializes what a body's one goroutine used to (itx). The
-// worker owns the inbound from dispatch on: records the verdict, parks,
-// sends the response, releases the inbound — whose buffer is held that
-// long because the request's Data aliases it (see package rpc).
+// worker. It is interactive, and it is nothing but its descriptor: the
+// session's table and the server's index hold the *core.Tx handle that
+// core.Manager.InitiateInteractive hands out, and the worker runs a begin,
+// a data operation or the completion before a commit or prepare on that
+// handle itself, holding the handle's own token (core.Tx.Acquire), which
+// serializes what a body's one goroutine used to. The worker owns the
+// inbound from dispatch on: records the verdict, parks, sends the
+// response, releases the inbound — whose buffer is held that long because
+// the request's Data aliases it (see package rpc).
+//
+// A Read costs the server no fresh copy either: the worker reads the object
+// into a buffer of its own, which the response it sends aliases, and the
+// dedup window records the response's Data in a buffer of its own free
+// list, given back when the client acknowledges the response.
 //
 // Who may cancel what: an executing request's dedup slot names its worker
 // and worker.cur names the request served, both under session.mu. OpCancel,
@@ -124,7 +131,7 @@ type Server struct {
 // txnRef is one entry of the server's transaction index.
 type txnRef struct {
 	sess *session
-	t    *itx
+	t    *core.Tx
 }
 
 // Serve starts serving m's protocol on lis. Close closes the listener and
@@ -271,7 +278,7 @@ func (s *Server) expire(sess *session, reason error) {
 	}
 	sess.dead = true
 	txns := sess.txns
-	sess.txns = make(map[xid.TID]*itx)
+	sess.txns = make(map[xid.TID]*core.Tx)
 	for _, w := range sess.idle {
 		w.retire()
 	}
@@ -354,7 +361,7 @@ type inbound struct {
 	buf  *rpc.Buffer
 	req  rpc.Request
 	resp rpc.Response
-	t    *itx
+	t    *core.Tx
 }
 
 var inboundPool = sync.Pool{New: func() any { return new(inbound) }}
@@ -482,7 +489,7 @@ type session struct {
 	dead       bool
 	leaseUntil time.Time
 	conn       *srvConn
-	txns       map[xid.TID]*itx
+	txns       map[xid.TID]*core.Tx
 	reqs       dedup
 	idle       []*worker // parked workers, most recently parked last
 }
@@ -496,6 +503,10 @@ const maxIdleWorkers = 8
 type worker struct {
 	sess *session
 	in   chan *inbound // buffered(1): a hand-off under session.mu never blocks; closed to end the worker
+	// rbuf is what a Read reads into. The response sent aliases it, so it
+	// is reused only once that response is out: by the worker's next
+	// request.
+	rbuf []byte
 
 	// Guarded by session.mu: cur is the request being served, nil between
 	// requests; ctx is replaced, while parking, once it was cancelled.
@@ -527,7 +538,7 @@ func (sess *session) getWorker() *worker {
 func (w *worker) run() {
 	defer w.sess.srv.workers.Done()
 	for in := range w.in {
-		w.finish(in, w.sess.perform(w.ctx, in))
+		w.finish(in, w.perform(in))
 	}
 }
 
@@ -594,7 +605,7 @@ func newSession(s *Server) *session {
 		ctx:        ctx,
 		cancelCtx:  cancel,
 		leaseUntil: time.Now().Add(s.ttl),
-		txns:       make(map[xid.TID]*itx),
+		txns:       make(map[xid.TID]*core.Tx),
 	}
 }
 
@@ -643,7 +654,11 @@ func (sess *session) dispatch(conn *srvConn, in *inbound) {
 		slot.w, w.cur = w, in
 		w.in <- in
 	case admitReplay:
+		// The recorded Data goes back to the window's free list once the
+		// client acknowledges it, which a reader of another connection of
+		// the session may do while this one sends: send a copy of it.
 		*resp = slot.resp
+		resp.Data = append(in.buf.B[len(in.buf.B):], slot.resp.Data...)
 	}
 	sess.mu.Unlock()
 	switch verdict {
@@ -679,31 +694,32 @@ func (sess *session) refuse(conn *srvConn, in *inbound, verdict admission) {
 }
 
 // perform executes one request against the manager, building the response
-// in in.resp. Every blocking path observes ctx, so a client cancel (or
-// session death) unwinds it.
-func (sess *session) perform(ctx context.Context, in *inbound) error {
+// in in.resp. Every blocking path observes w's context, so a client cancel
+// (or session death) unwinds it.
+func (w *worker) perform(in *inbound) error {
+	sess, ctx := w.sess, w.ctx
 	m := sess.srv.m
 	req, resp, t := &in.req, &in.resp, in.t
 	tid := xid.TID(req.TID)
 	switch req.Op {
 	case rpc.OpInitiate:
-		id, err := m.Initiate(nil)
+		t, err := m.InitiateInteractive()
 		if err != nil {
 			return err
 		}
-		if !sess.adopt(newItx(id)) {
-			m.Abort(id) //nolint:errcheck
+		if !sess.adopt(t) {
+			m.Abort(t.ID()) //nolint:errcheck
 			return core.ErrLeaseExpired
 		}
-		resp.TID = uint64(id)
+		resp.TID = uint64(t.ID())
 	case rpc.OpBegin:
 		if t == nil {
 			return core.ErrUnknownTxn
 		}
-		return t.begin(ctx, m)
+		return begin(ctx, m, t)
 	case rpc.OpCommit:
 		if t != nil {
-			if err := t.complete(ctx); err != nil {
+			if err := complete(ctx, t); err != nil {
 				return err
 			}
 		}
@@ -748,8 +764,8 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 			// Complete each transaction first, wherever its session is — the
 			// prepare usually arrives on the coordinator's session for
 			// transactions built by the application's.
-			if ref := sess.srv.findItx(ids[i]); ref.t != nil {
-				if err := ref.t.complete(ctx); err != nil {
+			if ref := sess.srv.findTxn(ids[i]); ref.t != nil {
+				if err := complete(ctx, ref.t); err != nil {
 					return err
 				}
 			}
@@ -782,7 +798,7 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 		if t == nil {
 			return core.ErrUnknownTxn
 		}
-		return t.do(ctx, in)
+		return do(ctx, t, in, &w.rbuf)
 	default:
 		// OpBye never reaches here: serveConn intercepts it pre-dispatch.
 		return fmt.Errorf("server: unsupported op %v", req.Op)
@@ -790,12 +806,69 @@ func (sess *session) perform(ctx context.Context, in *inbound) error {
 	return nil
 }
 
+// The token of an interactive transaction serializes the workers that serve
+// its requests as a body's one goroutine would: begin, every data operation
+// and completion hold it while they run, so the handle never sees two
+// operations at once and a completion never overtakes a begin or an
+// operation under way. Abort takes no token: core aborts a transaction from
+// any goroutine, and an operation in flight observes it.
+
+// begin begins t. ctx — the begin request's — bounds the begin's waits
+// (admission queue, begin-dependency gates): a cancel of the request or the
+// session's death there aborts the transaction, so there is no half-begun
+// state to leave behind.
+func begin(ctx context.Context, m *core.Manager, t *core.Tx) error {
+	if err := t.Acquire(ctx); err != nil {
+		return err
+	}
+	defer t.Release()
+	_, err := m.BeginInteractive(ctx, t.ID())
+	return err
+}
+
+// do runs one data operation on t under ctx, reading into *rbuf.
+// Cancellation before the token is taken leaves the transaction untouched;
+// after, the operation itself observes ctx (LockCtx/AddCtx). Whether t was
+// begun, or has completed, its status says.
+func do(ctx context.Context, t *core.Tx, in *inbound, rbuf *[]byte) error {
+	if err := t.Acquire(ctx); err != nil {
+		return fmt.Errorf("server: op abandoned: %w", err)
+	}
+	defer t.Release()
+	switch t.Status() {
+	case xid.StatusInitiated:
+		return core.ErrNotBegun
+	case xid.StatusCompleted, xid.StatusCommitting, xid.StatusPrepared, xid.StatusCommitted:
+		return core.ErrTerminated
+	}
+	return dataOp(ctx, t, &in.req, &in.resp, rbuf)
+}
+
+// complete ends t's execution ahead of its commit or prepare, which drive
+// only completed transactions. It waits for a begin or an operation under
+// way unless ctx ends first, which leaves the transaction running and
+// intact. A transaction never begun is left as it is (CommitCtx says
+// ErrNotBegun).
+func complete(ctx context.Context, t *core.Tx) error {
+	if err := t.Acquire(ctx); err != nil {
+		return fmt.Errorf("server: commit abandoned before completion: %w", err)
+	}
+	defer t.Release()
+	t.Complete()
+	return nil
+}
+
+// maxKeptBuf bounds the read buffers a worker and a session's dedup window
+// keep for reuse, so one large object does not stay pinned.
+const maxKeptBuf = 64 << 10
+
 // dataOp runs one data operation on the transaction's handle. Operations
 // that can block on locks pre-acquire via the ctx-aware paths (LockCtx,
 // AddCtx) so client cancellation unwinds the wait. req.Data aliases the
 // request's frame buffer, which the request's worker holds until this has
-// returned; core copies what it keeps.
-func dataOp(ctx context.Context, tx *core.Tx, req *rpc.Request, resp *rpc.Response) error {
+// returned; core copies what it keeps. A Read appends the object to
+// (*rbuf)[:0], and resp.Data aliases the result until the response is sent.
+func dataOp(ctx context.Context, tx *core.Tx, req *rpc.Request, resp *rpc.Response, rbuf *[]byte) error {
 	oid := xid.OID(req.OID)
 	switch req.Op {
 	case rpc.OpLock:
@@ -804,9 +877,15 @@ func dataOp(ctx context.Context, tx *core.Tx, req *rpc.Request, resp *rpc.Respon
 		if err := tx.LockCtx(ctx, oid, xid.OpRead); err != nil {
 			return err
 		}
-		data, err := tx.Read(oid)
+		data, err := tx.AppendRead((*rbuf)[:0], oid)
+		if err != nil {
+			return err
+		}
+		if cap(data) <= maxKeptBuf {
+			*rbuf = data[:0]
+		}
 		resp.Data = data
-		return err
+		return nil
 	case rpc.OpWrite:
 		if err := tx.LockCtx(ctx, oid, xid.OpWrite); err != nil {
 			return err
@@ -838,7 +917,7 @@ func dataOp(ctx context.Context, tx *core.Tx, req *rpc.Request, resp *rpc.Respon
 
 // adopt enters a freshly initiated transaction into the session's table
 // and the server's index; false means the session died first.
-func (sess *session) adopt(t *itx) bool {
+func (sess *session) adopt(t *core.Tx) bool {
 	s := sess.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -847,21 +926,21 @@ func (sess *session) adopt(t *itx) bool {
 	if sess.dead {
 		return false
 	}
-	sess.txns[t.tid] = t
-	s.txns[t.tid] = txnRef{sess: sess, t: t}
+	sess.txns[t.ID()] = t
+	s.txns[t.ID()] = txnRef{sess: sess, t: t}
 	return true
 }
 
-// findItx locates tid's interactive body, whichever session owns it; the
-// zero txnRef means no live session does.
-func (s *Server) findItx(tid xid.TID) txnRef {
+// findTxn locates tid's handle, whichever session owns it; the zero txnRef
+// means no live session does.
+func (s *Server) findTxn(tid xid.TID) txnRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.txns[tid]
 }
 
 // unindex drops a dead session's transactions from the server's index.
-func (s *Server) unindex(txns map[xid.TID]*itx) {
+func (s *Server) unindex(txns map[xid.TID]*core.Tx) {
 	if len(txns) == 0 {
 		return
 	}
@@ -879,7 +958,7 @@ func (s *Server) reapTerminated(ids []xid.TID) {
 		if !s.m.StatusOf(id).Terminated() {
 			continue
 		}
-		if ref := s.findItx(id); ref.sess != nil {
+		if ref := s.findTxn(id); ref.sess != nil {
 			ref.sess.forget(id)
 		}
 	}

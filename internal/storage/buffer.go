@@ -125,8 +125,16 @@ func (p *pool) get(pageNo uint64) (*frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.f.ReadAt(fr.data, int64(pageNo)*PageSize); err != nil && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("storage: read page %d: %w", pageNo, err)
+	spilled := false
+	if p.dw != nil {
+		if spilled, err = p.dw.read(pageNo, fr.data); err != nil {
+			return nil, err
+		}
+	}
+	if !spilled {
+		if _, err := p.f.ReadAt(fr.data, int64(pageNo)*PageSize); err != nil && !errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("storage: read page %d: %w", pageNo, err)
+		}
 	}
 	if err := verifyPage(pageNo, fr.data); err != nil {
 		return nil, err
@@ -163,16 +171,32 @@ func (p *pool) newFrame(pageNo uint64) (*frame, error) {
 	return fr, nil
 }
 
-// evictOne runs the clock hand to find an unpinned frame, writing it out if
-// dirty, and removes it.
+// evictOne runs the clock hand to find an unpinned frame and removes it. A
+// dirty frame leaves the pool only through the double-write journal: the
+// hand passes dirty frames by, and when it finds no clean one it spills the
+// whole unpinned dirty set into the journal as one batch — appended, not
+// committed, so the store file changes only at the next flushAll — and
+// runs again. Without a journal a dirty victim is written in place.
 func (p *pool) evictOne() error {
-	for sweep := 0; sweep < 2*len(p.clock)+1; sweep++ {
-		if len(p.clock) == 0 {
-			break
+	ok, err := p.dropOne()
+	if !ok && err == nil && p.dw != nil {
+		if err = p.spillDirty(); err == nil {
+			ok, err = p.dropOne()
 		}
+	}
+	if ok || err != nil {
+		return err
+	}
+	return fmt.Errorf("storage: buffer pool exhausted (%d frames, all pinned)", len(p.clock))
+}
+
+// dropOne removes the first frame the clock hand may evict, reporting
+// whether it found one.
+func (p *pool) dropOne() (bool, error) {
+	for sweep := 0; sweep < 2*len(p.clock)+1; sweep++ {
 		p.hand %= len(p.clock)
 		fr := p.clock[p.hand]
-		if fr.pins > 0 {
+		if fr.pins > 0 || (fr.dirty && p.dw != nil) {
 			p.hand++
 			continue
 		}
@@ -183,14 +207,37 @@ func (p *pool) evictOne() error {
 		}
 		if fr.dirty {
 			if err := p.writeFrame(fr); err != nil {
-				return err
+				return false, err
 			}
 		}
 		delete(p.frames, fr.pageNo)
 		p.clock = append(p.clock[:p.hand], p.clock[p.hand+1:]...)
+		return true, nil
+	}
+	return false, nil
+}
+
+// spillDirty seals the unpinned dirty frames and appends them to the
+// journal, after which they are clean and may be dropped: a later get reads
+// them back from the journal. A failed append poisons the pool.
+func (p *pool) spillDirty() error {
+	var dirty []*frame
+	for _, fr := range p.clock {
+		if fr.dirty && fr.pins == 0 {
+			sealPage(fr.data)
+			dirty = append(dirty, fr)
+		}
+	}
+	if len(dirty) == 0 {
 		return nil
 	}
-	return fmt.Errorf("storage: buffer pool exhausted (%d frames, all pinned)", len(p.clock))
+	if err := p.dw.spill(dirty); err != nil {
+		return p.poison(err)
+	}
+	for _, fr := range dirty {
+		fr.dirty = false
+	}
+	return nil
 }
 
 // unpin releases a pin; dirty marks the page modified.
@@ -204,9 +251,9 @@ func (p *pool) unpin(fr *frame, dirty bool) {
 	}
 }
 
-// writeFrame seals and writes one page in place. The double-write journal,
-// when active, has already captured the page image. A failed in-place
-// write poisons the pool: the page may be half-written on disk.
+// writeFrame seals and writes one page in place, for a store without a
+// double-write journal. A failed in-place write poisons the pool: the page
+// may be half-written on disk.
 func (p *pool) writeFrame(fr *frame) error {
 	sealPage(fr.data)
 	if _, err := p.f.WriteAt(fr.data, int64(fr.pageNo)*PageSize); err != nil {
@@ -216,11 +263,13 @@ func (p *pool) writeFrame(fr *frame) error {
 	return nil
 }
 
-// flushAll writes every dirty frame, using the double-write journal for
-// torn-write protection, and fsyncs the store file. Any failure poisons
-// the pool: writeFrame has already marked flushed frames clean, so
-// without the sticky error a retry would find nothing dirty and
-// "succeed" even though the failed fsync persisted nothing.
+// flushAll makes every change since the last flush durable and fsyncs the
+// store file. With the double-write journal the changes are one batch: the
+// dirty frames join the pages eviction spilled, the marker and an fsync
+// commit the journal, and only then is every image written in place. Any
+// failure poisons the pool: the flushed frames are already marked clean, so
+// without the sticky error a retry would find nothing dirty and "succeed"
+// even though the failed fsync persisted nothing.
 func (p *pool) flushAll() error {
 	if p.err != nil {
 		return p.err
@@ -228,36 +277,35 @@ func (p *pool) flushAll() error {
 	var dirty []*frame
 	for _, fr := range p.frames {
 		if fr.dirty {
+			sealPage(fr.data)
 			dirty = append(dirty, fr)
 		}
 	}
-	if len(dirty) == 0 {
-		if err := p.f.Sync(); err != nil {
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].pageNo < dirty[j].pageNo })
+	if p.dw == nil {
+		for _, fr := range dirty {
+			if err := p.writeFrame(fr); err != nil {
+				return err
+			}
+		}
+	} else if len(dirty) > 0 || p.dw.n > 0 {
+		if err := p.dw.capture(dirty); err != nil {
+			return p.poison(err)
+		}
+		// apply fsyncs the store.
+		if err := p.dw.apply(p.f, p.dw.n); err != nil {
+			return p.poison(err)
+		}
+		for _, fr := range dirty {
+			fr.dirty = false
+		}
+		if err := p.dw.clear(); err != nil {
 			return p.poison(err)
 		}
 		return nil
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].pageNo < dirty[j].pageNo })
-	if p.dw != nil {
-		for _, fr := range dirty {
-			sealPage(fr.data)
-		}
-		if err := p.dw.capture(dirty); err != nil {
-			return p.poison(err)
-		}
-	}
-	for _, fr := range dirty {
-		if err := p.writeFrame(fr); err != nil {
-			return err
-		}
-	}
 	if err := p.f.Sync(); err != nil {
 		return p.poison(err)
-	}
-	if p.dw != nil {
-		if err := p.dw.clear(); err != nil {
-			return p.poison(err)
-		}
 	}
 	return nil
 }

@@ -64,18 +64,28 @@ func (c *Cache) Object(oid xid.OID) *Object {
 	return o
 }
 
-// Read returns a copy of the object's contents, taking the object's S latch
-// for the duration of the copy.
+// Read returns a copy of the object's contents: AppendRead with no buffer.
 func (c *Cache) Read(oid xid.OID) ([]byte, bool) {
+	return c.AppendRead(nil, oid)
+}
+
+// AppendRead appends the object's contents to dst, taking the object's S
+// latch for the duration of the copy, and returns the extended slice; a nil
+// dst gets a fresh slice sized to the object. The result never aliases the
+// object's own buffer, which writers replace and counter adds change in
+// place. A missing object leaves dst as it was.
+func (c *Cache) AppendRead(dst []byte, oid xid.OID) ([]byte, bool) {
 	o := c.Object(oid)
 	if o == nil {
-		return nil, false
+		return dst, false
 	}
 	o.Lat.RLock()
-	out := make([]byte, len(o.data))
-	copy(out, o.data)
+	if dst == nil {
+		dst = make([]byte, 0, len(o.data))
+	}
+	dst = append(dst, o.data...)
 	o.Lat.RUnlock()
-	return out, true
+	return dst, true
 }
 
 // Install creates or replaces the object outright (recovery and undo paths;
@@ -163,8 +173,9 @@ type Backend interface {
 	Put(oid xid.OID, data []byte) error
 	// Delete removes one object.
 	Delete(oid xid.OID) error
-	// Sync makes preceding Puts/Deletes durable.
-	Sync() error
+	// Sync makes preceding Puts/Deletes durable, together with the record
+	// that the backend now reflects every log record at or below lsn.
+	Sync(lsn uint64) error
 	// Close releases the backend.
 	Close() error
 }
@@ -182,7 +193,7 @@ func (NullBackend) Put(xid.OID, []byte) error { return nil }
 func (NullBackend) Delete(xid.OID) error { return nil }
 
 // Sync does nothing.
-func (NullBackend) Sync() error { return nil }
+func (NullBackend) Sync(uint64) error { return nil }
 
 // Close does nothing.
 func (NullBackend) Close() error { return nil }
@@ -206,8 +217,8 @@ func (b PageBackend) Delete(oid xid.OID) error {
 	return err
 }
 
-// Sync flushes the page store durably.
-func (b PageBackend) Sync() error { return b.Store.Sync() }
+// Sync flushes the page store durably and stamps it with lsn.
+func (b PageBackend) Sync(lsn uint64) error { return b.Store.SyncThrough(lsn) }
 
 // Close closes the page store.
 func (b PageBackend) Close() error { return b.Store.Close() }
@@ -253,7 +264,7 @@ func (b *MemBackend) Delete(oid xid.OID) error {
 }
 
 // Sync does nothing.
-func (b *MemBackend) Sync() error { return nil }
+func (b *MemBackend) Sync(uint64) error { return nil }
 
 // Close does nothing.
 func (b *MemBackend) Close() error { return nil }

@@ -195,6 +195,66 @@ func TestCrashDuringJournalCaptureLeavesStoreIntact(t *testing.T) {
 	checkAll(t, s2, want) // oid 3 still has its old value
 }
 
+// TestTornEvictionLeavesStoreOpenable rewrites a store many times larger
+// than its 8-frame pool and tears the first write that reaches the store
+// file in place to 512 bytes. Eviction once wrote dirty frames in place
+// with no journal capture, so the tear hit a page mid-rewrite that nothing
+// could heal and the crash image failed to open ("page 1 checksum
+// mismatch"). A dirty frame now leaves the pool only through the journal:
+// the image opens, and holds the old records or the new ones, never a mix.
+func TestTornEvictionLeavesStoreOpenable(t *testing.T) {
+	const n = 2000
+	mfs := faultfs.NewMem()
+	s, err := OpenPageStore("/db", PageStoreOptions{FS: mfs, PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(oid, gen int) []byte { return bytes.Repeat([]byte{byte(oid + gen)}, 64) }
+	for i := 1; i <= n; i++ {
+		if err := s.Put(xid.OID(i), record(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	mfs.SetScript(faultfs.NewScript(faultfs.Rule{
+		Op: faultfs.OpWrite, Path: "store.dat", Nth: 1, Action: faultfs.ActCrash, Keep: 512,
+	}))
+	err = nil
+	for i := 1; i <= n && err == nil; i++ {
+		err = s.Put(xid.OID(i), record(i, 1))
+	}
+	if err == nil {
+		err = s.Sync()
+	}
+	if !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("rewrite = %v, want the crash", err)
+	}
+	s.Close()
+
+	for _, mode := range []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced} {
+		s2, err := OpenPageStore("/db", PageStoreOptions{FS: mfs.CrashImage(mode), PoolPages: 8})
+		if err != nil {
+			t.Fatalf("%v: reopen: %v", mode, err)
+		}
+		var gen int
+		for i := 1; i <= n; i++ {
+			got, ok, err := s2.Get(xid.OID(i))
+			if err != nil || !ok {
+				t.Fatalf("%v: oid %d: ok=%v err=%v", mode, i, ok, err)
+			}
+			if i == 1 {
+				gen = int(got[0]) - 1
+			}
+			if !bytes.Equal(got, record(i, gen)) {
+				t.Fatalf("%v: oid %d holds %x, want generation %d like oid 1", mode, i, got[:4], gen)
+			}
+		}
+		s2.Close()
+	}
+}
+
 // TestPageStoreOnMemFSRoundTrip: the store works end to end on the
 // in-memory filesystem, across a clean close and reopen.
 func TestPageStoreOnMemFSRoundTrip(t *testing.T) {

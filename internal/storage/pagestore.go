@@ -24,6 +24,7 @@ type PageStore struct {
 	freeSpace map[uint64]int // data page -> free bytes after compaction
 	freePages []uint64       // reusable (freed blob) pages
 	hintPage  uint64         // last page that had room
+	ckptLSN   uint64         // the header's checkpoint stamp (SyncThrough)
 	closed    bool
 }
 
@@ -43,7 +44,11 @@ type PageStoreOptions struct {
 	FS faultfs.FS
 }
 
+// The header page holds the store magic and, behind it, the checkpoint
+// stamp: the LSN of the last log record the store reflects (0: none).
 var storeMagic = []byte("ASSETPG1")
+
+const headerLSNOff = pageHeaderSize + 8
 
 // OpenPageStore opens or creates the store rooted at dir, replaying any
 // pending double-write journal first.
@@ -133,6 +138,7 @@ func (s *PageStore) scan() error {
 		return err
 	}
 	magicOK := string(hdr.data[pageHeaderSize:pageHeaderSize+len(storeMagic)]) == string(storeMagic)
+	s.ckptLSN = binary.LittleEndian.Uint64(hdr.data[headerLSNOff:])
 	s.pool.unpin(hdr, false)
 	if !magicOK {
 		return fmt.Errorf("storage: bad store magic")
@@ -513,11 +519,38 @@ func (s *PageStore) ForEach(fn func(oid xid.OID, data []byte) error) error {
 	return nil
 }
 
-// Sync makes all buffered changes durable (double-write protected).
-func (s *PageStore) Sync() error {
+// Sync makes all buffered changes durable, as one double-write protected
+// batch.
+func (s *PageStore) Sync() error { return s.SyncThrough(0) }
+
+// SyncThrough is Sync that also stamps the store as reflecting every log
+// record at or below lsn (a stamp never moves back). The stamp is written
+// to the header page inside the same journaled batch as the pages it
+// describes, so a crash leaves the store with both or with neither.
+func (s *PageStore) SyncThrough(lsn uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pool.flushAll()
+	if lsn > s.ckptLSN {
+		hdr, err := s.pool.get(0)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(hdr.data[headerLSNOff:], lsn)
+		s.pool.unpin(hdr, true)
+	}
+	if err := s.pool.flushAll(); err != nil {
+		return err
+	}
+	s.ckptLSN = max(s.ckptLSN, lsn)
+	return nil
+}
+
+// CheckpointLSN returns the store's checkpoint stamp: the LSN through which
+// it reflects the log (0 for a store never stamped).
+func (s *PageStore) CheckpointLSN() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ckptLSN
 }
 
 // Close syncs and closes the store.

@@ -242,6 +242,33 @@ func TestDoubleWriteReplayFixesTornPage(t *testing.T) {
 	}
 }
 
+// TestSyncThroughStampsHeader: the checkpoint stamp survives a reopen and
+// never moves back, whether a later sync carries no stamp or a lower one.
+func TestSyncThroughStampsHeader(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir)
+	if got := s.CheckpointLSN(); got != 0 {
+		t.Fatalf("fresh store stamped %d", got)
+	}
+	s.Put(1, []byte("x"))
+	if err := s.SyncThrough(42); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(2, []byte("y"))
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SyncThrough(7); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2 := openTestStore(t, dir)
+	defer s2.Close()
+	if got := s2.CheckpointLSN(); got != 42 {
+		t.Fatalf("reopened stamp = %d, want 42", got)
+	}
+}
+
 func TestTornPageWithoutJournalDetected(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)

@@ -33,6 +33,11 @@ import (
 // create one with New. Its mutex is a leaf in the system's latch order: it
 // is acquired with lock-shard latches held, and no Graph method calls back
 // into the lock manager.
+//
+// A blocking episode allocates nothing once the graph has warmed: a
+// waiter's edge set comes from a free list its predecessors' sets went back
+// to, emptied but with their room kept, and the cycle search runs on a path
+// stack and a mark table the graph keeps between searches.
 type Graph struct {
 	//asset:latch order=50
 	mu    sync.Mutex
@@ -41,13 +46,31 @@ type Graph struct {
 	// episode has not ended yet (they still have outgoing edges). They are
 	// skipped by the cycle search and never re-selected.
 	doomed map[xid.TID]bool
+
+	free []map[xid.TID]int    // emptied edge sets, for the next waiters
+	path []xid.TID            // the cycle search's DFS path
+	mark map[xid.TID]dfsState // the cycle search's visited set
 }
+
+// dfsState is a node's state in the current cycle search.
+type dfsState uint8
+
+const (
+	unseen dfsState = iota
+	onPath
+	visited
+)
+
+// maxFreeEdgeSets bounds the free list. An edge set holds the holders one
+// waiter blocks on, so the sets it keeps are small.
+const maxFreeEdgeSets = 64
 
 // New returns an empty waits-for graph.
 func New() *Graph {
 	return &Graph{
 		edges:  make(map[xid.TID]map[xid.TID]int),
 		doomed: make(map[xid.TID]bool),
+		mark:   make(map[xid.TID]dfsState),
 	}
 }
 
@@ -68,7 +91,11 @@ func (g *Graph) Add(waiter xid.TID, holders ...xid.TID) (victim xid.TID, cycle [
 	defer g.mu.Unlock()
 	m := g.edges[waiter]
 	if m == nil {
-		m = make(map[xid.TID]int)
+		if n := len(g.free); n > 0 {
+			m, g.free[n-1], g.free = g.free[n-1], nil, g.free[:n-1]
+		} else {
+			m = make(map[xid.TID]int)
+		}
 		g.edges[waiter] = m
 	}
 	for _, h := range holders {
@@ -86,7 +113,7 @@ func (g *Graph) Add(waiter xid.TID, holders ...xid.TID) (victim xid.TID, cycle [
 		m[h]++
 	}
 	if len(m) == 0 {
-		delete(g.edges, waiter)
+		g.dropEdgesLocked(waiter)
 		return xid.NilTID, nil
 	}
 	cycle = g.findCycleFrom(waiter)
@@ -161,8 +188,22 @@ func (g *Graph) RemoveNode(t xid.TID) {
 // dropWaiterLocked removes w's outgoing edges and ends its blocking
 // episode. Caller holds g.mu.
 func (g *Graph) dropWaiterLocked(w xid.TID) {
-	delete(g.edges, w)
+	g.dropEdgesLocked(w)
 	delete(g.doomed, w)
+}
+
+// dropEdgesLocked removes w's edge set, giving it back to the free list.
+// Caller holds g.mu.
+func (g *Graph) dropEdgesLocked(w xid.TID) {
+	m, ok := g.edges[w]
+	if !ok {
+		return
+	}
+	delete(g.edges, w)
+	if len(g.free) < maxFreeEdgeSets {
+		clear(m)
+		g.free = append(g.free, m)
+	}
 }
 
 // Waiters returns the transactions currently blocked, in ascending tid
@@ -197,37 +238,38 @@ func (g *Graph) findCycleFrom(start xid.TID) []xid.TID {
 		// resolves without a second selection.
 		return nil
 	}
-	var path []xid.TID
-	onPath := make(map[xid.TID]bool)
-	visited := make(map[xid.TID]bool)
-	var dfs func(t xid.TID) []xid.TID
-	dfs = func(t xid.TID) []xid.TID {
-		path = append(path, t)
-		onPath[t] = true
-		visited[t] = true
-		for h := range g.edges[t] {
-			if g.doomed[h] {
-				continue
-			}
-			if onPath[h] {
-				// Found a cycle: the suffix of path from h onward.
-				for i, p := range path {
-					if p == h {
-						return append([]xid.TID(nil), path[i:]...)
-					}
+	cycle := g.dfs(start)
+	g.path = g.path[:0]
+	clear(g.mark)
+	return cycle
+}
+
+// dfs extends the search's path with t and returns a fresh copy of the
+// first cycle found below it, or nil. Caller holds g.mu.
+func (g *Graph) dfs(t xid.TID) []xid.TID {
+	g.path = append(g.path, t)
+	g.mark[t] = onPath
+	for h := range g.edges[t] {
+		if g.doomed[h] {
+			continue
+		}
+		switch g.mark[h] {
+		case onPath:
+			// Found a cycle: the suffix of path from h onward.
+			for i, p := range g.path {
+				if p == h {
+					return append([]xid.TID(nil), g.path[i:]...)
 				}
 			}
-			if !visited[h] {
-				if c := dfs(h); c != nil {
-					return c
-				}
+		case unseen:
+			if c := g.dfs(h); c != nil {
+				return c
 			}
 		}
-		path = path[:len(path)-1]
-		onPath[t] = false
-		return nil
 	}
-	return dfs(start)
+	g.path = g.path[:len(g.path)-1]
+	g.mark[t] = visited
+	return nil
 }
 
 func youngest(cycle []xid.TID) xid.TID {

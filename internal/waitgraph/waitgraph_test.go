@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/race"
 	"repro/internal/xid"
 )
 
@@ -334,5 +335,34 @@ func TestDoomAttractsNoEdges(t *testing.T) {
 	}
 	if v, _ := g.Add(3, 4); v.IsNil() {
 		t.Fatal("genuine cycle not detected after doomed node removed")
+	}
+}
+
+// TestEpisodeAllocBudget: once the graph has warmed, a blocking episode —
+// a waiter's edges added, the cycle search walking a standing chain behind
+// them, the edges removed — allocates nothing. It cost an edge set and its
+// growth per waiter, and a closure, a path and two visited sets per search.
+func TestEpisodeAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	g := New()
+	g.Add(2, 3)
+	g.Add(3, 4)
+	episode := func() {
+		if v, _ := g.Add(1, 2, 5); !v.IsNil() {
+			t.Fatalf("victim %v without a cycle", v)
+		}
+		g.Remove(1, 2)
+		g.Remove(1, 5)
+	}
+	episode()
+	if n := testing.AllocsPerRun(1000, episode); n != 0 {
+		t.Fatalf("a blocking episode allocates %.1f objects, want 0", n)
+	}
+	// Victim choice is what it was: closing the chain into a cycle picks
+	// its youngest member.
+	if v, cycle := g.Add(4, 2); v != 4 || len(cycle) != 3 {
+		t.Fatalf("victim %v on cycle %v, want 4 on 2 -> 3 -> 4", v, cycle)
 	}
 }

@@ -562,6 +562,10 @@ func (l *SegmentedLog) Close() error {
 	return err
 }
 
+// LastLSN reports the LSN of the last record appended (0 for none yet):
+// after ForceDurable with no append since, the last durable one.
+func (l *SegmentedLog) LastLSN() uint64 { return l.lastLSN.Load() }
+
 // Forces reports the number of physical forces (non-empty batches
 // written); Commits / Forces is the commits-per-fsync batching factor
 // the WALGC experiment measures.

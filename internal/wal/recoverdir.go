@@ -268,6 +268,11 @@ type RecoverOptions struct {
 	// Parallel caps the segment-scan workers; 0 means GOMAXPROCS, 1
 	// forces a sequential scan.
 	Parallel int
+	// Checkpoint is the LSN the checkpointed store is stamped with: it
+	// already reflects every record at or below it, so replay skips them
+	// as it skips those before a TCheckpoint record. The stamp covers a
+	// checkpoint whose own record never became durable.
+	Checkpoint uint64
 }
 
 // RecoverDir replays the segmented log chain in dir and returns the
@@ -293,9 +298,9 @@ func RecoverDirFS(fsys faultfs.FS, dir string, opts RecoverOptions) (*State, err
 	if err != nil {
 		return nil, err
 	}
-	var lastCkpt uint64
+	lastCkpt := opts.Checkpoint
 	for _, r := range recs {
-		if r.Type == TCheckpoint {
+		if r.Type == TCheckpoint && r.LSN > lastCkpt {
 			lastCkpt = r.LSN
 		}
 	}
