@@ -107,7 +107,7 @@ type Client struct {
 }
 
 // call is one in-flight request, recycled through callPool with its
-// request, response and channel.
+// request, response, channel and data buffer.
 //
 // A recycled call must never receive a previous life's verdict, and
 // several paths hold a *call outside Client.mu (the lease-expiry drains,
@@ -123,6 +123,9 @@ type call struct {
 	req  rpc.Request
 	resp rpc.Response
 	done chan struct{} // buffered(1): signalled once resp is filled
+	// data is what a request whose Data the client encodes itself (a
+	// prepare's tid list) is encoded into.
+	data []byte
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
@@ -634,14 +637,20 @@ func (c *Client) dropConn(conn *cliConn) {
 // at-least-once (the retransmit loop re-sends through redials); the
 // server's dedup table makes execution at-most-once per request ID.
 func (c *Client) roundTrip(ctx context.Context, req rpc.Request) (rpc.Response, error) {
+	return c.roundTripOn(ctx, callPool.Get().(*call), req)
+}
+
+// roundTripOn is roundTrip on a call the caller took from callPool, whose
+// data buffer req.Data may point into.
+func (c *Client) roundTripOn(ctx context.Context, cl *call, req rpc.Request) (rpc.Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	conn, err := c.ensureConn(ctx)
 	if err != nil {
+		recycle(cl)
 		return rpc.Response{}, err
 	}
-	cl := callPool.Get().(*call)
 	cl.req = req
 	c.mu.Lock()
 	if c.closed {

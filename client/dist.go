@@ -17,11 +17,9 @@ import (
 // the group is durably prepared and immune to unilateral abort until
 // Decide delivers the verdict.
 func (c *Client) Prepare(ctx context.Context, gid uint64, tids ...xid.TID) error {
-	raw := make([]uint64, len(tids))
-	for i, t := range tids {
-		raw[i] = uint64(t)
-	}
-	_, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpPrepare, Other: gid, Data: rpc.EncodeTIDs(raw)})
+	cl := callPool.Get().(*call)
+	cl.data = rpc.AppendTIDs(cl.data[:0], tids)
+	_, err := c.roundTripOn(ctx, cl, rpc.Request{Op: rpc.OpPrepare, Other: gid, Data: cl.data})
 	return err
 }
 

@@ -80,8 +80,8 @@ func TestAnnotationRegistry(t *testing.T) {
 		"manager.go before=Truncate",
 		"manifest.go before=Rename",
 		"prepared.go before=close",
-		"txcoord.go before=Decide",
 		"txcoord.go before=Rename",
+		"txcoord.go before=deliver",
 	}
 	if fmt.Sprint(durable) != fmt.Sprint(wantDurable) {
 		t.Errorf("durable sites:\n got %v\nwant %v", durable, wantDurable)
@@ -89,15 +89,16 @@ func TestAnnotationRegistry(t *testing.T) {
 
 	sort.Strings(noalloc)
 	wantNoalloc := []string{
-		"commit.go", "commit.go", // core.examineGroupLocked, commitLocked (local and verdict commits)
+		"commit.go", "commit.go", // core.examineGroupLocked (commits and votes), commitLocked (local and verdict commits)
 		"dedup.go",             // server.dedup.admit
 		"frame.go", "frame.go", // rpc.BeginFrame, FinishFrame
 		"groupcommit.go",
 		"lock.go", "lock.go", "lock.go", // lock.acquire, installGrant, ReleaseAll
 		"ops.go", "ops.go", "ops.go",
 		"server.go", "server.go", // server.worker.run, session.dispatch
-		"shard.go",                                 // lock.txnOf
-		"wire.go", "wire.go", "wire.go", "wire.go", // rpc.Append{Request,Response}, Decode{Request,Response}Into
+		"shard.go",                      // lock.txnOf
+		"wire.go", "wire.go", "wire.go", // rpc.Append{Request,Response,TIDs}
+		"wire.go", "wire.go", "wire.go", // rpc.Decode{Request,Response,TIDs}Into
 	}
 	if fmt.Sprint(noalloc) != fmt.Sprint(wantNoalloc) {
 		t.Errorf("noalloc sites:\n got %v\nwant %v", noalloc, wantNoalloc)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -92,6 +93,58 @@ func TestLocalTxnAllocBudget(t *testing.T) {
 		if got > tc.budget {
 			t.Errorf("%s: %.1f objects per transaction, budget %.0f", tc.name, got, tc.budget)
 		}
+	}
+}
+
+// prepareDecideAllocBudget bounds a participant's share of a 2PC round: a
+// local PrepareCtx and a commit Decide of one completed transaction on a
+// directory-less manager that reaps its descriptors. It measured 8 when the
+// vote built its GC closure, group, gate channel and tid list, and the
+// verdict another gate and group. The vote now walks the closure through
+// the commit path's frame-buffered examine, a gate's channel is made only
+// when someone waits on it, and the tid list comes off a free list the
+// verdict gives it back to: 0.
+const prepareDecideAllocBudget = 0
+
+// TestPrepareDecideAllocBudget counts what PrepareCtx and Decide allocate
+// for one completed transaction, executed beforehand, so that the count is
+// the round's alone.
+func TestPrepareDecideAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	m, err := Open(Config{ReapTerminated: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	const runs = 500
+	ids := make([]xid.TID, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range ids {
+		id, err := m.Initiate(noop)
+		if err == nil {
+			err = m.Execute(id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	ctx := context.Background()
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		gid := uint64(next + 1)
+		if err := m.PrepareCtx(ctx, gid, ids[next]); err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
+		if err := m.Decide(gid, true); err != nil {
+			t.Fatalf("decide: %v", err)
+		}
+		next++
+	})
+	t.Logf("prepare + decide: %.1f objects", got)
+	if got > prepareDecideAllocBudget {
+		t.Errorf("prepare + decide allocates %.1f objects, budget %d", got, prepareDecideAllocBudget)
 	}
 }
 

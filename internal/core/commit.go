@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dep"
@@ -51,6 +52,7 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 	// around the log force, when another driver may be examining a group
 	// of its own.
 	var groupBuf [4]*txn
+	root := [1]xid.TID{id}
 	for {
 		switch t.st() {
 		case xid.StatusCommitted:
@@ -89,45 +91,16 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 
 		// t is completed (or committing under another driver). Drive its
 		// whole GC group.
-		group, waitFor := m.examineGroupLocked(t, groupBuf[:0])
-		if group == nil {
+		group, waitFor, err := m.examineGroupLocked(root[:], groupBuf[:0], false)
+		if err != nil {
 			// The group aborted underneath us.
 			continue
 		}
 		if waitFor.waitCh != nil {
-			// Block until the obstacle resolves, watching for our own
-			// abort. Register waits-for edges so cross-mechanism deadlocks
-			// are caught.
-			var victim xid.TID
-			for _, member := range group {
-				if member.id != waitFor.id {
-					if v, _ := m.waits.Add(member.id, waitFor.id); !v.IsNil() {
-						victim = v
-					}
-				}
-			}
-			if !victim.IsNil() {
-				if vt, ok := m.txns.Get(uint64(victim)); ok {
-					m.abortLocked(vt, fmt.Errorf("%w: commit-wait deadlock victim: %w", ErrAborted, ErrDeadlock))
-				}
-			}
-			waitCh := waitFor.waitCh
-			myAbort := t.abortCh()
-			m.mu.Unlock()
-			select {
-			case <-waitCh:
-			case <-myAbort:
-			case <-done:
-				m.mu.Lock()
+			// Block until the obstacle resolves, watching for our own abort.
+			if m.awaitObstacleLocked(group, waitFor, t.abortCh(), done, "commit") {
 				m.ctxAbortLocked(t, ctx)
-				m.mu.Unlock()
 				done = nil
-			}
-			m.mu.Lock()
-			for _, member := range group {
-				if member.id != waitFor.id {
-					m.waits.Remove(member.id, waitFor.id)
-				}
 			}
 			continue
 		}
@@ -152,20 +125,35 @@ type obstacle struct {
 	waitCh <-chan struct{}
 }
 
-// examineGroupLocked inspects t's GC component, gathering its members into
-// group (a buffer the caller owns; its contents are overwritten). It returns
-// the group and a zero obstacle when every member is completed and free of
-// blocking dependencies, the group and an obstacle when the driver must
-// wait, and a nil group when the group aborted (t included). The component
-// and the edges it walks are read through buffers in its own frame, so an
-// ungrouped transaction with no dependencies is examined without touching
-// the heap. Caller holds m.mu.
+// examineGroupLocked inspects the GC closure of roots — the transactions
+// joined to any of them by GC edges — gathering its members into group (a
+// buffer the caller owns; its contents are overwritten). It returns the
+// group and a zero obstacle when every member is completed and free of
+// blocking dependencies, and the group and an obstacle when the driver
+// must wait. It returns an error when the group cannot commit: a member
+// aborted or lost an exclusion, and the group was aborted with it; or the
+// examine is a vote's and found a member a commit driver would wait out,
+// which the vote refuses instead (refuseVoteLocked). A vote gathers the
+// group in ascending tid order, the order of its TPrepare record. The
+// component and the edges it walks are read through buffers in its own
+// frame, so an ungrouped transaction with no dependencies is examined
+// without touching the heap. Caller holds m.mu.
 //
 //asset:noalloc
-func (m *Manager) examineGroupLocked(t *txn, group []*txn) ([]*txn, obstacle) {
+func (m *Manager) examineGroupLocked(roots []xid.TID, group []*txn, vote bool) ([]*txn, obstacle, error) {
 	var compBuf [4]xid.TID
 	var edgeBuf [4]dep.Edge
-	comp := m.deps.AppendGCComponent(compBuf[:0], t.id)
+	comp := compBuf[:0]
+	for _, root := range roots {
+		// GC components are disjoint: a root already gathered came with its
+		// whole component.
+		if !slices.Contains(comp, root) {
+			comp = m.deps.AppendGCComponent(comp, root)
+		}
+	}
+	if vote {
+		slices.Sort(comp)
+	}
 	for _, mid := range comp {
 		member, ok := m.txns.Get(uint64(mid))
 		if !ok {
@@ -176,8 +164,9 @@ func (m *Manager) examineGroupLocked(t *txn, group []*txn) ([]*txn, obstacle) {
 	// An aborted member dooms the group.
 	for _, member := range group {
 		if member.st() == xid.StatusAborting || member.st() == xid.StatusAborted {
-			m.abortGroupLocked(group, errMemberAborted(member.id))
-			return nil, obstacle{}
+			err := errMemberAborted(member.id)
+			m.abortRootsLocked(roots, err)
+			return nil, obstacle{}, err
 		}
 	}
 	// Every member must have completed execution. (An initiated member
@@ -189,12 +178,17 @@ func (m *Manager) examineGroupLocked(t *txn, group []*txn) ([]*txn, obstacle) {
 	for _, member := range group {
 		switch member.st() {
 		case xid.StatusInitiated, xid.StatusRunning:
-			return group, obstacle{id: member.id, waitCh: member.doneCh()}
-		case xid.StatusCommitting, xid.StatusPrepared:
+			return group, obstacle{id: member.id, waitCh: member.doneCh()}, nil
+		case xid.StatusCommitting, xid.StatusPrepared, xid.StatusCommitted:
 			// Prepared is "committing with the verdict pending": the local
 			// driver waits for the coordinator's decision like it waits for
-			// another driver's force.
-			return group, obstacle{id: member.id, waitCh: member.termCh()}
+			// another driver's force. A vote refuses all three instead (only
+			// a vote's root can be found committed: a commit drops the
+			// transaction's edges).
+			if vote {
+				return nil, obstacle{}, m.refuseVoteLocked(roots, member)
+			}
+			return group, obstacle{id: member.id, waitCh: member.termCh()}, nil
 		}
 	}
 	// Exclusion: a group containing a transaction whose EXC partner is
@@ -212,13 +206,15 @@ func (m *Manager) examineGroupLocked(t *txn, group []*txn) ([]*txn, obstacle) {
 					p.st() == xid.StatusPrepared) {
 				// A prepared partner counts as committing: it promised a
 				// coordinator it can commit, so it must win the exclusion.
-				m.abortGroupLocked(group, errExcludedBy(p.id))
-				return nil, obstacle{}
+				err := errExcludedBy(p.id)
+				m.abortRootsLocked(roots, err)
+				return nil, obstacle{}, err
 			}
 		}
 	}
 	// Blocking dependencies to transactions outside the group must be
-	// resolved by the supporter's termination (commit steps 2a/2b).
+	// resolved by the supporter's termination (commit steps 2a/2b), before
+	// a vote too: a prepared transaction can wait for nobody.
 	for _, member := range group {
 		for _, e := range m.deps.AppendOutgoing(edgeBuf[:0], member.id) {
 			// Only CD/AD delay a commit; BD/BAD gate begin (already
@@ -233,10 +229,47 @@ func (m *Manager) examineGroupLocked(t *txn, group []*txn) ([]*txn, obstacle) {
 				// aborted one with an AD would have aborted us already.
 				continue
 			}
-			return group, obstacle{id: sup.id, waitCh: sup.termCh()}
+			return group, obstacle{id: sup.id, waitCh: sup.termCh()}, nil
 		}
 	}
-	return group, obstacle{}
+	return group, obstacle{}, nil
+}
+
+// awaitObstacleLocked parks the driver of group until obstacle o resolves,
+// abort closes (the driver's own transaction aborted) or done closes, and
+// reports whether done did. While it waits every member waits for o in the
+// waits-for graph, so that deadlocks across mechanisms are caught; the
+// victim's reason names the driver's kind. Caller holds m.mu, released
+// while parked.
+func (m *Manager) awaitObstacleLocked(group []*txn, o obstacle, abort, done <-chan struct{}, kind string) bool {
+	var victim xid.TID
+	for _, member := range group {
+		if member.id != o.id {
+			if v, _ := m.waits.Add(member.id, o.id); !v.IsNil() {
+				victim = v
+			}
+		}
+	}
+	if !victim.IsNil() {
+		if vt, ok := m.txns.Get(uint64(victim)); ok {
+			m.abortLocked(vt, fmt.Errorf("%w: %s-wait deadlock victim: %w", ErrAborted, kind, ErrDeadlock))
+		}
+	}
+	m.mu.Unlock()
+	cancelled := false
+	select {
+	case <-o.waitCh:
+	case <-abort:
+	case <-done:
+		cancelled = true
+	}
+	m.mu.Lock()
+	for _, member := range group {
+		if member.id != o.id {
+			m.waits.Remove(member.id, o.id)
+		}
+	}
+	return cancelled
 }
 
 // inGroupOf reports whether id is a member of group. Groups are a handful
@@ -255,6 +288,19 @@ func inGroupOf(group []*txn, id xid.TID) bool {
 func (m *Manager) abortGroupLocked(group []*txn, reason error) {
 	for _, member := range group {
 		m.abortLocked(member, reason)
+	}
+}
+
+// abortRootsLocked aborts every named transaction that can still abort,
+// and with it, through the cascade over GC edges, its group: the cleanup
+// of a vote that says no, and of a group the examine found doomed.
+// Prepared and committing transactions are left to their own protocols.
+// Caller holds m.mu.
+func (m *Manager) abortRootsLocked(roots []xid.TID, reason error) {
+	for _, id := range roots {
+		if t, ok := m.txns.Get(uint64(id)); ok && t.st() != xid.StatusCommitting {
+			m.abortLocked(t, reason)
+		}
 	}
 }
 

@@ -175,15 +175,18 @@ type Manager struct {
 
 	// Distributed-commit participant state, guarded by mu. prepared maps a
 	// group id to its local members (runtime-prepared or recovered in
-	// doubt); verdicts remembers decided groups so retransmitted votes and
-	// verdicts stay idempotent, with verdictOrder the FIFO pruning order
-	// bounding it to cfg.VerdictRetention; preparing gates the window in
-	// which a vote's TPrepare force or a verdict's TCommit force has
-	// released mu — duplicate votes and verdicts wait it out.
-	prepared     map[uint64][]xid.TID
-	verdicts     map[uint64]bool
-	verdictOrder []uint64
-	preparing    map[uint64]chan struct{}
+	// doubt), in lists spareTIDLists keeps for the next vote once the group
+	// is decided; verdicts remembers decided groups so retransmitted votes
+	// and verdicts stay idempotent, with verdictOrder the FIFO pruning
+	// order bounding it to cfg.VerdictRetention; preparing gates the window
+	// in which a vote's TPrepare force or a verdict's TCommit force has
+	// released mu — duplicate votes and verdicts wait it out on a channel
+	// the first of them makes (awaitGateLocked).
+	prepared      map[uint64][]xid.TID
+	spareTIDLists [][]xid.TID
+	verdicts      map[uint64]bool
+	verdictOrder  []uint64
+	preparing     map[uint64]chan struct{}
 
 	closed atomic.Bool
 	// closeCh closes when Close begins, waking admission queuers and

@@ -44,6 +44,9 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 	if ctx != nil {
 		done = ctx.Done()
 	}
+	// The group lives in this driver's frame, as a commit driver's does: it
+	// is used again after the force has released the mutex.
+	var groupBuf [4]*txn
 	m.mu.Lock()
 	for {
 		// Idempotent paths first: the gid is already prepared here (a
@@ -53,15 +56,7 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 			m.mu.Unlock()
 			return nil
 		}
-		if gate, ok := m.preparing[gid]; ok {
-			// Another driver's vote (or a verdict) for this gid is
-			// mid-flush. The gate always closes promptly — it is bounded
-			// by one log force — so wait on it alone; selecting on a
-			// possibly-done ctx here would relock and spin until the gate
-			// closed anyway.
-			m.mu.Unlock()
-			<-gate
-			m.mu.Lock()
+		if m.awaitGateLocked(gid) {
 			continue
 		}
 		if v, ok := m.verdicts[gid]; ok {
@@ -74,44 +69,26 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 		if done != nil && ctx.Err() != nil {
 			// The coordinator gave up: vote no and release the group.
 			err := abortReason(fmt.Errorf("core: prepare cancelled: %w", context.Cause(ctx)))
-			m.abortForVoteLocked(ids, err)
+			m.abortRootsLocked(ids, err)
 			m.mu.Unlock()
 			return err
 		}
+		for _, id := range ids {
+			if _, err := m.lookup(id); err != nil {
+				m.abortRootsLocked(ids, fmt.Errorf("%w: prepare of unknown member %v", ErrAborted, id))
+				m.mu.Unlock()
+				return err
+			}
+		}
 
-		group, waitFor, err := m.examinePrepareLocked(ids)
+		group, waitFor, err := m.examineGroupLocked(ids, groupBuf[:0], true)
 		if err != nil {
 			m.mu.Unlock()
 			return err
 		}
 		if waitFor.waitCh != nil {
-			// Register waits-for edges while blocked, exactly as the commit
-			// driver does, so cross-mechanism deadlocks are caught.
-			var victim xid.TID
-			for _, member := range group {
-				if member.id != waitFor.id {
-					if v, _ := m.waits.Add(member.id, waitFor.id); !v.IsNil() {
-						victim = v
-					}
-				}
-			}
-			if !victim.IsNil() {
-				if vt, ok := m.txns.Get(uint64(victim)); ok {
-					m.abortLocked(vt, fmt.Errorf("%w: prepare-wait deadlock victim: %w", ErrAborted, ErrDeadlock))
-				}
-			}
-			waitCh := waitFor.waitCh
-			m.mu.Unlock()
-			select {
-			case <-waitCh:
-			case <-done:
-			}
-			m.mu.Lock()
-			for _, member := range group {
-				if member.id != waitFor.id {
-					m.waits.Remove(member.id, waitFor.id)
-				}
-			}
+			// A cancelled wait is the no vote of the next pass.
+			m.awaitObstacleLocked(group, waitFor, nil, done, "prepare")
 			continue
 		}
 
@@ -121,123 +98,118 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 		// the force — every other path treats prepared as untouchable. The
 		// preparing gate parks duplicate votes and Decide until the force
 		// resolves.
-		tids := make([]xid.TID, len(group))
-		for i, member := range group {
-			tids[i] = member.id
+		tids := m.tidListLocked()
+		for _, member := range group {
+			tids = append(tids, member.id)
 			member.setSt(xid.StatusPrepared)
 		}
-		gate := make(chan struct{})
-		m.preparing[gid] = gate
+		m.preparing[gid] = nil
 		if _, err := m.appendLocked(wal.Record{Type: wal.TPrepare, GID: gid, TIDs: tids}); err != nil {
 			err = fmt.Errorf("core: prepare record append failed: %w", err)
-			m.failPrepareLocked(gid, gate, group, err)
+			m.failPrepareLocked(gid, tids, group, err)
 			m.mu.Unlock()
 			return err
 		}
 		if err := m.forceLocked(); err != nil {
 			err = fmt.Errorf("core: prepare force failed: %w", err)
-			m.failPrepareLocked(gid, gate, group, err)
+			m.failPrepareLocked(gid, tids, group, err)
 			m.mu.Unlock()
 			return err
 		}
 		m.stats.logForces.Add(1)
 		m.prepared[gid] = tids
+		// releaseGateLocked, written out so that the checker sees the close
+		// follow the force.
+		if gate := m.preparing[gid]; gate != nil {
+			close(gate)
+		}
 		delete(m.preparing, gid)
-		close(gate)
 		m.mu.Unlock()
 		return nil
 	}
 }
 
-// examinePrepareLocked inspects the GC closure of the given roots. It
-// returns (group, nil, nil) when every member is ready to prepare,
-// (group, obstacle, nil) when the driver must wait, and a non-nil error —
-// the no vote, with the group aborted as far as permitted — when the
-// closure can never be prepared. Caller holds m.mu.
-func (m *Manager) examinePrepareLocked(ids []xid.TID) ([]*txn, obstacle, error) {
-	for _, id := range ids {
-		if _, err := m.lookup(id); err != nil {
-			m.abortForVoteLocked(ids, fmt.Errorf("%w: prepare of unknown member %v", ErrAborted, id))
-			return nil, obstacle{}, err
-		}
+// awaitGateLocked parks the caller while a vote or verdict for gid is in
+// its window — its record appended, its force under way with the mutex
+// released — and reports whether it did; the caller then looks at gid
+// afresh. The window's entry in preparing carries no channel until a
+// caller has to wait, so an uncontended vote or verdict makes none. The
+// window is bounded by one log force, so the wait watches nothing else: a
+// possibly-done ctx would only relock and spin until the gate closed
+// anyway. Caller holds m.mu, released while parked.
+func (m *Manager) awaitGateLocked(gid uint64) bool {
+	gate, ok := m.preparing[gid]
+	if !ok {
+		return false
 	}
-	closure := m.deps.GCClosure(ids...)
-	group := make([]*txn, 0, len(closure))
-	for _, mid := range closure {
-		if member, ok := m.txns.Get(uint64(mid)); ok {
-			group = append(group, member)
-		}
+	if gate == nil {
+		gate = make(chan struct{})
+		m.preparing[gid] = gate
 	}
-	for _, member := range group {
-		switch member.st() {
-		case xid.StatusAborting, xid.StatusAborted:
-			reason := txnOutcome(member)
-			m.abortForVoteLocked(ids, fmt.Errorf("%w: group member %v aborted", ErrAborted, member.id))
-			return nil, obstacle{}, fmt.Errorf("%w: group member %v aborted: %w", ErrAborted, member.id, reason)
-		case xid.StatusCommitted, xid.StatusCommitting:
-			// The member's fate is already sealed locally; the group cannot
-			// make the two-sided promise any more.
-			m.abortForVoteLocked(ids, fmt.Errorf("%w: group member %v already committing", ErrAborted, member.id))
-			return nil, obstacle{}, fmt.Errorf("%w: member %v", ErrAlreadyCommitted, member.id)
-		case xid.StatusPrepared:
-			// Owned by a different distributed group (same-gid retransmits
-			// were handled before examine): refuse without touching it.
-			m.abortForVoteLocked(ids, fmt.Errorf("%w: group member %v prepared under another group", ErrAborted, member.id))
-			return nil, obstacle{}, fmt.Errorf("%w: member %v", ErrPrepared, member.id)
-		case xid.StatusInitiated, xid.StatusRunning:
-			return group, obstacle{id: member.id, waitCh: member.doneCh()}, nil
-		}
-	}
-	// Exclusion: a prepared transaction must win any EXC race (its partner
-	// sees prepared as committing), so losing one here means voting no.
-	for _, member := range group {
-		for _, e := range m.deps.Outgoing(member.id) {
-			if !e.Types.Has(xid.DepEXC) {
-				continue
-			}
-			if p, ok := m.txns.Get(uint64(e.Other)); ok &&
-				(p.st() == xid.StatusCommitting || p.st() == xid.StatusCommitted || p.st() == xid.StatusPrepared) {
-				m.abortForVoteLocked(ids, fmt.Errorf("%w: excluded by committing partner %v", ErrAborted, p.id))
-				return nil, obstacle{}, fmt.Errorf("%w: member %v excluded by committing partner %v", ErrAborted, member.id, p.id)
-			}
-		}
-	}
-	// Commit-blocking CD/AD edges to outside supporters must resolve
-	// before the vote — a prepared transaction can wait for nobody.
-	for _, member := range group {
-		for _, e := range m.deps.Outgoing(member.id) {
-			if !e.Types.CommitBlocking() || inGroupOf(group, e.Other) {
-				continue
-			}
-			sup, ok := m.txns.Get(uint64(e.Other))
-			if !ok || sup.st().Terminated() {
-				continue
-			}
-			return group, obstacle{id: sup.id, waitCh: sup.termCh()}, nil
-		}
-	}
-	return group, obstacle{}, nil
+	m.mu.Unlock()
+	<-gate
+	m.mu.Lock()
+	return true
 }
 
-// abortForVoteLocked is the no-vote cleanup: abort every named transaction
-// that is still abortable (prepared and committing members are left to
-// their own protocols). Caller holds m.mu.
-func (m *Manager) abortForVoteLocked(ids []xid.TID, reason error) {
-	for _, id := range ids {
-		if t, ok := m.txns.Get(uint64(id)); ok {
-			m.abortLocked(t, reason)
-		}
+// releaseGateLocked ends gid's window and wakes whoever waits on it.
+// Caller holds m.mu.
+func (m *Manager) releaseGateLocked(gid uint64) {
+	if gate := m.preparing[gid]; gate != nil {
+		close(gate)
 	}
+	delete(m.preparing, gid)
+}
+
+// refuseVoteLocked is the no vote for a member that a local commit would
+// wait out but a vote cannot: one committing or committed — the group can
+// no longer make the two-sided promise — or one prepared under another
+// group (same-gid retransmits were handled before the examine), which is
+// left untouched. The roots are aborted as far as they still can be.
+// Caller holds m.mu.
+//
+//go:noinline
+func (m *Manager) refuseVoteLocked(roots []xid.TID, member *txn) error {
+	if member.st() == xid.StatusPrepared {
+		m.abortRootsLocked(roots, fmt.Errorf("%w: group member %v prepared under another group", ErrAborted, member.id))
+		return fmt.Errorf("%w: member %v", ErrPrepared, member.id)
+	}
+	m.abortRootsLocked(roots, fmt.Errorf("%w: group member %v already committing", ErrAborted, member.id))
+	return fmt.Errorf("%w: member %v", ErrAlreadyCommitted, member.id)
 }
 
 // failPrepareLocked unwinds a prepare whose record could not be made
 // durable: the statuses already turned prepared, so the abort must be the
 // verdict-grade one. Caller holds m.mu.
-func (m *Manager) failPrepareLocked(gid uint64, gate chan struct{}, group []*txn, cause error) {
-	delete(m.preparing, gid)
-	close(gate)
+func (m *Manager) failPrepareLocked(gid uint64, tids []xid.TID, group []*txn, cause error) {
+	m.releaseGateLocked(gid)
+	m.freeTIDListLocked(tids)
 	for _, member := range group {
 		m.abortCascadeLocked(member, abortReason(cause), true)
+	}
+}
+
+// maxSpareTIDLists bounds the decided groups' tid lists kept for reuse.
+const maxSpareTIDLists = 16
+
+// tidListLocked returns an empty tid list for a group about to prepare:
+// a decided group's, when one is spare. Caller holds m.mu.
+func (m *Manager) tidListLocked() []xid.TID {
+	n := len(m.spareTIDLists)
+	if n == 0 {
+		return nil
+	}
+	l := m.spareTIDLists[n-1]
+	m.spareTIDLists[n-1] = nil
+	m.spareTIDLists = m.spareTIDLists[:n-1]
+	return l
+}
+
+// freeTIDListLocked keeps the tid list of a group that is no longer
+// prepared for the next vote. Caller holds m.mu.
+func (m *Manager) freeTIDListLocked(l []xid.TID) {
+	if len(m.spareTIDLists) < maxSpareTIDLists {
+		m.spareTIDLists = append(m.spareTIDLists, l[:0])
 	}
 }
 
@@ -248,15 +220,9 @@ func (m *Manager) failPrepareLocked(gid uint64, gate chan struct{}, group []*txn
 // this manager never prepared returns ErrUnknownGroup.
 func (m *Manager) Decide(gid uint64, commit bool) error {
 	m.mu.Lock()
-	for {
-		gate, ok := m.preparing[gid]
-		if !ok {
-			break
-		}
-		// A vote is mid-flush; the verdict applies to its outcome.
-		m.mu.Unlock()
-		<-gate
-		m.mu.Lock()
+	for m.awaitGateLocked(gid) {
+		// A vote or another verdict is mid-flush; this verdict applies to
+		// its outcome.
 	}
 	tids, ok := m.prepared[gid]
 	if !ok {
@@ -280,9 +246,9 @@ func (m *Manager) Decide(gid uint64, commit bool) error {
 	// commit record or re-run the commit epilogue. Duplicates — and
 	// retransmitted votes — park on the gate and land on the idempotent
 	// verdicts path once it closes.
-	gate := make(chan struct{})
-	m.preparing[gid] = gate
-	group := make([]*txn, 0, len(tids))
+	m.preparing[gid] = nil
+	var groupBuf [4]*txn
+	group := groupBuf[:0]
 	for _, id := range tids {
 		if t, ok := m.txns.Get(uint64(id)); ok {
 			group = append(group, t)
@@ -308,9 +274,9 @@ func (m *Manager) Decide(gid uint64, commit bool) error {
 	if err == nil {
 		m.recordVerdictLocked(gid, commit)
 		delete(m.prepared, gid)
+		m.freeTIDListLocked(tids)
 	}
-	delete(m.preparing, gid)
-	close(gate)
+	m.releaseGateLocked(gid)
 	m.mu.Unlock()
 	return err
 }
@@ -370,12 +336,15 @@ func (m *Manager) InDoubt() []uint64 {
 	return gids
 }
 
-// PreparedMembers returns the local members of a prepared (or in-doubt)
-// group, or nil if the gid is unknown here.
-func (m *Manager) PreparedMembers(gid uint64) []xid.TID {
+// AppendPreparedMembers appends the local members of a prepared (or
+// in-doubt) group to dst — none if the gid is unknown here — and returns
+// the extended slice. The manager's own list is reused once the group is
+// decided, so a caller that needs the members past Decide takes them this
+// way, into a buffer of its own.
+func (m *Manager) AppendPreparedMembers(dst []xid.TID, gid uint64) []xid.TID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]xid.TID(nil), m.prepared[gid]...)
+	return append(dst, m.prepared[gid]...)
 }
 
 // installInDoubt rebuilds the prepared state of groups recovered in doubt:

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/wal"
 	"repro/internal/xid"
 )
 
@@ -172,6 +175,89 @@ func TestDecideDuplicateConcurrent(t *testing.T) {
 		t.Fatalf("commits = %d, want 2 (duplicate verdicts re-ran the epilogue)", got)
 	}
 	// A corrupted live counter would wedge or trip the Close drain check.
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPrepareDuplicateConcurrent races identical votes, and a verdict,
+// against a vote's force window: PrepareCtx releases the manager mutex
+// around the TPrepare force with the members already prepared, and a
+// duplicate vote arriving then must park on the preparing gate — whose
+// channel it makes itself, the first vote having made none — and return
+// the first vote's yes rather than examine a group that looks prepared
+// under another gid. The verdict parks the same way and applies once.
+func TestPrepareDuplicateConcurrent(t *testing.T) {
+	mfs := faultfs.NewMem()
+	// A window long enough that every vote arrives while the first vote's
+	// force, or the verdict's, lingers.
+	m, err := Open(Config{Dir: "/db", FS: mfs, CommitWindow: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := [2]xid.TID{
+		completed(t, m, func(tx *Tx) error { _, err := tx.Create([]byte("a")); return err }),
+		completed(t, m, func(tx *Tx) error { _, err := tx.Create([]byte("b")); return err }),
+	}
+	if err := m.FormDependency(xid.DepGC, ids[0], ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	const gid = 78
+	var ready, wg sync.WaitGroup
+	start := make(chan struct{})
+	votes := make([]error, 8)
+	for i := range votes {
+		ready.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ready.Done()
+			<-start
+			votes[i] = m.PrepareCtx(context.Background(), gid, ids[i%2])
+		}()
+	}
+	verdict := make(chan error, 1)
+	go func() {
+		<-start
+		for {
+			// Until the first vote has appended its record, the group is
+			// unknown here.
+			if err := m.Decide(gid, true); !errors.Is(err, ErrUnknownGroup) {
+				verdict <- err
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	ready.Wait()
+	close(start)
+	wg.Wait()
+	if err := <-verdict; err != nil {
+		t.Fatalf("decide: %v", err)
+	}
+	for i, err := range votes {
+		if err != nil {
+			t.Errorf("vote %d: %v", i, err)
+		}
+	}
+	var prepares, commits int
+	if err := wal.ScanChainFS(mfs, "/db", func(r *wal.Record) error {
+		switch r.Type {
+		case wal.TPrepare:
+			prepares++
+		case wal.TCommit:
+			commits++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if prepares != 1 || commits != 1 {
+		t.Errorf("log holds %d prepare and %d commit records, want 1 and 1", prepares, commits)
+	}
+	if got := m.Stats().Commits; got != 2 {
+		t.Errorf("commits = %d, want 2", got)
+	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ package dep
 import (
 	"errors"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/xid"
@@ -255,28 +254,6 @@ func (g *Graph) appendComponentLocked(dst []xid.TID, t xid.TID) []xid.TID {
 		}
 	}
 	return dst
-}
-
-// GCClosure returns the union of the GC components of the given roots,
-// deduplicated and sorted ascending. This is the atomic commit unit of a
-// distributed prepare: a participant may not prepare half of a GC
-// component, so the vote covers the closure of everything it was asked
-// to prepare.
-func (g *Graph) GCClosure(roots ...xid.TID) []xid.TID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	seen := make(map[xid.TID]bool, len(roots))
-	var closure []xid.TID
-	for _, r := range roots {
-		for _, t := range g.appendComponentLocked(nil, r) {
-			if !seen[t] {
-				seen[t] = true
-				closure = append(closure, t)
-			}
-		}
-	}
-	sort.Slice(closure, func(i, j int) bool { return closure[i] < closure[j] })
-	return closure
 }
 
 // RemoveNode deletes t and all its edges (commit step 5 / abort step 5).

@@ -2,14 +2,29 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/xid"
 )
+
+// encodeTIDs is the tid-list wire encoding written out independently of
+// AppendTIDs, which must reproduce it byte for byte: a count, then each
+// id, as uvarints.
+func encodeTIDs(tids []xid.TID) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(tids)))
+	for _, t := range tids {
+		b = binary.AppendUvarint(b, uint64(t))
+	}
+	return b
+}
 
 func TestDistOpsRoundTrip(t *testing.T) {
 	reqs := []*Request{
-		{ReqID: 1, Op: OpPrepare, Other: 0xfeed, Data: EncodeTIDs([]uint64{3, 5, 900})},
+		{ReqID: 1, Op: OpPrepare, Other: 0xfeed, Data: AppendTIDs(nil, []xid.TID{3, 5, 900})},
 		{ReqID: 2, Op: OpDecide, Other: 7, Mode: 1},
 		{ReqID: 3, Op: OpDecide, Other: 7, Mode: 0},
 		{ReqID: 4, Op: OpVerdictQuery, Other: 1 << 60},
@@ -37,61 +52,68 @@ func TestDistOpsRoundTrip(t *testing.T) {
 }
 
 func TestTIDListRoundTrip(t *testing.T) {
-	lists := [][]uint64{nil, {1}, {1, 2, 3}, {1 << 63, 0, 42}}
+	lists := [][]xid.TID{nil, {1}, {1, 2, 3}, {1 << 63, 0, 42}}
+	var scratch []xid.TID
 	for _, in := range lists {
-		out, err := DecodeTIDs(EncodeTIDs(in))
+		// AppendTIDs appends after whatever dst holds.
+		b := AppendTIDs([]byte("prefix"), in)
+		if got, want := b[len("prefix"):], encodeTIDs(in); string(b[:len("prefix")]) != "prefix" || !bytes.Equal(got, want) {
+			t.Fatalf("%v encoded as %x, want prefix then %x", in, b, want)
+		}
+		out, err := DecodeTIDsInto(scratch, encodeTIDs(in))
 		if err != nil {
 			t.Fatalf("%v: %v", in, err)
 		}
-		if len(out) != len(in) {
+		if !slices.Equal(out, in) {
 			t.Fatalf("%v decoded as %v", in, out)
 		}
-		for i := range in {
-			if out[i] != in[i] {
-				t.Fatalf("%v decoded as %v", in, out)
-			}
-		}
+		scratch = out
 	}
 	// Every strict prefix of a non-empty encoding must fail with
 	// ErrBadFrame — no silent partial decode.
-	full := EncodeTIDs([]uint64{7, 300, 1 << 40})
+	full := encodeTIDs([]xid.TID{7, 300, 1 << 40})
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeTIDs(full[:cut]); !errors.Is(err, ErrBadFrame) {
+		if _, err := DecodeTIDsInto(nil, full[:cut]); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("truncated tid list at %d decoded: %v", cut, err)
 		}
 	}
 	// An absurd count with no bytes behind it is corrupt, not an
 	// allocation request.
-	if _, err := DecodeTIDs([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}); !errors.Is(err, ErrBadFrame) {
+	if _, err := DecodeTIDsInto(nil, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("huge count decoded: %v", err)
 	}
 	// Trailing garbage is rejected too.
-	if _, err := DecodeTIDs(append(EncodeTIDs([]uint64{1}), 0x00)); !errors.Is(err, ErrBadFrame) {
+	if _, err := DecodeTIDsInto(nil, append(encodeTIDs([]xid.TID{1}), 0x00)); !errors.Is(err, ErrBadFrame) {
 		t.Fatal("trailing bytes accepted")
 	}
 }
 
 // FuzzDecodeTIDs drives the tid-list decoder with corrupt inputs: any
-// successful decode must be canonical (re-encoding reproduces the input
-// exactly), so a truncated or padded frame can never half-decode.
+// successful decode must be canonical (the reference encoding reproduces
+// the input exactly), so a truncated or padded frame can never
+// half-decode, and AppendTIDs must give the same bytes back.
 func FuzzDecodeTIDs(f *testing.F) {
-	f.Add(EncodeTIDs(nil))
-	f.Add(EncodeTIDs([]uint64{1}))
-	f.Add(EncodeTIDs([]uint64{3, 5, 900}))
-	f.Add(EncodeTIDs([]uint64{1 << 63, 0, 42}))
-	f.Add(EncodeTIDs([]uint64{7, 300, 1 << 40})[:3]) // truncated
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})      // absurd count
-	f.Add(append(EncodeTIDs([]uint64{1}), 0x00))     // trailing byte
+	f.Add(encodeTIDs(nil))
+	f.Add(encodeTIDs([]xid.TID{1}))
+	f.Add(encodeTIDs([]xid.TID{3, 5, 900}))
+	f.Add(encodeTIDs([]xid.TID{1 << 63, 0, 42}))
+	f.Add(encodeTIDs([]xid.TID{7, 300, 1 << 40})[:3]) // truncated
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})       // absurd count
+	f.Add(append(encodeTIDs([]xid.TID{1}), 0x00))     // trailing byte
 	f.Fuzz(func(t *testing.T, b []byte) {
-		tids, err := DecodeTIDs(b)
+		// The decoder starts from a dirty buffer: it must overwrite it.
+		tids, err := DecodeTIDsInto([]xid.TID{97, 98, 99}, b)
 		if err != nil {
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("non-ErrBadFrame failure: %v", err)
 			}
 			return
 		}
-		if !bytes.Equal(EncodeTIDs(tids), b) {
+		if !bytes.Equal(encodeTIDs(tids), b) {
 			t.Fatalf("non-canonical decode: %x -> %v", b, tids)
+		}
+		if got := AppendTIDs(nil, tids); !bytes.Equal(got, b) {
+			t.Fatalf("AppendTIDs(%v) = %x, want %x", tids, got, b)
 		}
 	})
 }
@@ -102,7 +124,7 @@ func FuzzDecodeTIDs(f *testing.F) {
 // decoded request re-encoded by AppendRequest — after whatever already
 // sits in the destination — decodes to the same request again.
 func FuzzDecodeRequest(f *testing.F) {
-	f.Add(EncodeRequest(&Request{ReqID: 1, Op: OpPrepare, Other: 9, Data: EncodeTIDs([]uint64{3, 5})}))
+	f.Add(EncodeRequest(&Request{ReqID: 1, Op: OpPrepare, Other: 9, Data: AppendTIDs(nil, []xid.TID{3, 5})}))
 	f.Add(EncodeRequest(&Request{ReqID: 2, Op: OpDecide, Other: 9, Mode: 1}))
 	f.Add(EncodeRequest(&Request{ReqID: 3, Op: OpVerdictQuery, Other: 9}))
 	f.Add(EncodeRequest(&Request{ReqID: 4, Op: OpCommit, TID: 8})[:5]) // truncated

@@ -2,7 +2,10 @@ package rpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+
+	"repro/internal/xid"
 )
 
 // Op identifies a protocol request kind.
@@ -69,7 +72,7 @@ const (
 	OpReadCounter
 
 	// OpPrepare asks the manager to prepare the GC closure of the
-	// transactions listed in Data (EncodeTIDs) as distributed group Other.
+	// transactions listed in Data (AppendTIDs) as distributed group Other.
 	// Success is the participant's yes vote: the group is durably
 	// prepared and immune to unilateral abort.
 	OpPrepare
@@ -280,39 +283,47 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-// EncodeTIDs packs a transaction-id list for an OpPrepare Data field.
-func EncodeTIDs(tids []uint64) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(tids)))
+// AppendTIDs appends a transaction-id list, encoded for an OpPrepare Data
+// field, to dst: the count, then each id, as uvarints.
+//
+//asset:noalloc
+func AppendTIDs(dst []byte, tids []xid.TID) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(tids)))
 	for _, t := range tids {
-		b = binary.AppendUvarint(b, t)
+		dst = binary.AppendUvarint(dst, uint64(t))
 	}
-	return b
+	return dst
 }
 
-// DecodeTIDs unpacks an EncodeTIDs list. A truncated or corrupt list
-// returns ErrBadFrame — never a silently shortened decode.
-func DecodeTIDs(b []byte) ([]uint64, error) {
-	d := &decoder{b: b}
+var (
+	errTIDCount    = errors.New("tid count exceeds the bytes left")
+	errTIDTrailing = errors.New("trailing bytes after the tid list")
+)
+
+// DecodeTIDsInto unpacks an AppendTIDs list into dst's storage,
+// overwriting what it held, and returns the list. A truncated or corrupt
+// list returns ErrBadFrame — never a silently shortened decode.
+//
+//asset:noalloc
+func DecodeTIDsInto(dst []xid.TID, b []byte) ([]xid.TID, error) {
+	dst = dst[:0]
+	d := decoder{b: b}
 	n := d.u64()
 	if d.err == nil && n > uint64(len(d.b)) {
 		// Each tid takes at least one byte; a count beyond the remaining
 		// bytes is corrupt, not merely large.
-		d.err = fmt.Errorf("tid count %d exceeds %d remaining bytes", n, len(d.b))
-	}
-	var tids []uint64
-	if d.err == nil && n > 0 {
-		tids = make([]uint64, 0, n)
+		d.err = errTIDCount
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		tids = append(tids, d.u64())
+		dst = append(dst, xid.TID(d.u64()))
 	}
 	if d.err == nil && len(d.b) != 0 {
-		d.err = fmt.Errorf("%d trailing bytes", len(d.b))
+		d.err = errTIDTrailing
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: tid list: %w", ErrBadFrame, d.err)
+		return dst[:0], badMessage("tid list", d.err)
 	}
-	return tids, nil
+	return dst, nil
 }
 
 // decoder is a sticky-error cursor over a payload.

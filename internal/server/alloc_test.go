@@ -9,8 +9,10 @@ import (
 
 	"repro/client"
 	"repro/internal/core"
+	"repro/internal/faultfs"
 	"repro/internal/race"
 	"repro/internal/server"
+	"repro/internal/txcoord"
 	"repro/internal/xid"
 )
 
@@ -115,6 +117,65 @@ func TestRemoteTxnAllocBudget(t *testing.T) {
 	t.Logf("allocs per empty remote transaction: %.1f", got)
 	if got > remoteTxnAllocBudget {
 		t.Errorf("empty remote transaction allocates %.1f objects, budget %d", got, remoteTxnAllocBudget)
+	}
+}
+
+// twoPhaseRoundAllocBudget bounds one presumed-abort 2PC round over two
+// loopback participants, client, server and coordinator sides together. It
+// measured 45 when each vote built its GC closure, group, gate and tid
+// list and each verdict a gate and group, the tid list crossed the wire in
+// two fresh encodings and two fresh decodings, a verdict copied the
+// members it reaped, the coordinator spawned four goroutine closures and
+// made the votes, acks and wait group, and the decision log marshalled a
+// fresh payload. What is left is the members the caller builds (Remote's
+// closures and tid lists), one goroutine closure per phase, and the
+// in-memory filesystem's copies of the decision's write: 10.
+const twoPhaseRoundAllocBudget = 10
+
+// TestTwoPhaseRoundAllocBudget commits one two-member group per run through
+// a txcoord coordinator with txcoord.Remote members, as MACRO twonode's
+// xfer does. Each member is an interactive transaction begun beforehand,
+// which the prepare completes, so the count is the round's alone.
+func TestTwoPhaseRoundAllocBudget(t *testing.T) {
+	a := loopbackClient(t, core.Config{})
+	b := loopbackClient(t, core.Config{})
+	coord, err := txcoord.Open(faultfs.NewMem(), "coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() }) //nolint:errcheck
+	coord.RetireAcked = true
+	ctx := context.Background()
+	const runs = 500
+	begun := func(cli *client.Client) []xid.TID {
+		tids := make([]xid.TID, runs+1) // AllocsPerRun runs once more to warm up
+		for i := range tids {
+			tid, err := cli.Initiate(ctx)
+			if err == nil {
+				err = cli.Begin(ctx, tid)
+			}
+			if err != nil {
+				t.Fatalf("begin: %v", err)
+			}
+			tids[i] = tid
+		}
+		return tids
+	}
+	ta, tb := begun(a), begun(b)
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		ok, err := coord.CommitGroup(ctx, coord.NewGID(), []txcoord.Member{
+			txcoord.Remote("a", a, ta[next]),
+			txcoord.Remote("b", b, tb[next]),
+		})
+		if err != nil || !ok {
+			t.Fatalf("round: %v, %v", ok, err)
+		}
+		next++
+	})
+	t.Logf("allocs per two-member 2PC round: %.1f", got)
+	if got > twoPhaseRoundAllocBudget {
+		t.Errorf("two-member 2PC round allocates %.1f objects, budget %d", got, twoPhaseRoundAllocBudget)
 	}
 }
 

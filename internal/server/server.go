@@ -507,6 +507,9 @@ type worker struct {
 	// is reused only once that response is out: by the worker's next
 	// request.
 	rbuf []byte
+	// tids is what a prepare decodes its tid list into and a verdict
+	// learns its group's members into; the next request reuses it.
+	tids []xid.TID
 
 	// Guarded by session.mu: cur is the request being served, nil between
 	// requests; ctx is replaced, while parking, once it was cancelled.
@@ -754,17 +757,16 @@ func (w *worker) perform(in *inbound) error {
 	case rpc.OpFormDep:
 		return m.FormDependency(xid.DepType(req.Mode), tid, xid.TID(req.Other))
 	case rpc.OpPrepare:
-		raw, err := rpc.DecodeTIDs(req.Data)
+		ids, err := rpc.DecodeTIDsInto(w.tids, req.Data)
+		w.tids = ids
 		if err != nil {
 			return err
 		}
-		ids := make([]xid.TID, len(raw))
-		for i, r := range raw {
-			ids[i] = xid.TID(r)
+		for _, id := range ids {
 			// Complete each transaction first, wherever its session is — the
 			// prepare usually arrives on the coordinator's session for
 			// transactions built by the application's.
-			if ref := sess.srv.findTxn(ids[i]); ref.t != nil {
+			if ref := sess.srv.findTxn(id); ref.t != nil {
 				if err := complete(ctx, ref.t); err != nil {
 					return err
 				}
@@ -775,11 +777,11 @@ func (w *worker) perform(in *inbound) error {
 			return err
 		}
 	case rpc.OpDecide:
-		members := m.PreparedMembers(req.Other)
+		w.tids = m.AppendPreparedMembers(w.tids[:0], req.Other)
 		if err := m.Decide(req.Other, req.Mode == 1); err != nil {
 			return err
 		}
-		sess.srv.reapTerminated(members)
+		sess.srv.reapTerminated(w.tids)
 	case rpc.OpVerdictQuery:
 		if sess.srv.verdicts == nil {
 			return fmt.Errorf("%w: no coordinator at this server", core.ErrUnknownGroup)

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -308,32 +309,34 @@ func Local(name string, m *core.Manager, tids ...xid.TID) Member {
 // committed; a non-nil error with commit=false carries the vote (or
 // log) failure. Verdict delivery failures are NOT errors — a
 // participant that missed the verdict holds its group in doubt and
-// learns the truth from Resolve after its restart or retry.
+// learns the truth from Resolve after its restart or retry. Each phase
+// runs its last member on the calling goroutine and the others on
+// goroutines of their own, so a two-member round spawns one per phase.
 //
 // Decide-before-release: the durable decision (decide forces the
-// coordinator log) must dominate every verdict delivery, including the
-// delivery goroutines — the checker inlines them at their spawn point.
-//asset:durable before=Decide
+// coordinator log) must dominate every verdict delivery, spawned or not.
+//
+//asset:durable before=deliver
 func (c *Coordinator) CommitGroup(ctx context.Context, gid uint64, members []Member) (bool, error) {
 	if gid == 0 {
 		return false, fmt.Errorf("txcoord: zero group id")
 	}
+	r := newRound(ctx, gid, len(members))
+	defer r.recycle()
+	last := len(members) - 1
 	// Phase 1: collect votes in parallel. Any error is a no vote.
-	voteErrs := make([]error, len(members))
-	var wg sync.WaitGroup
+	r.wg.Add(len(members))
 	for i, mb := range members {
-		wg.Add(1)
-		//asset:goroutine joined-by=waitgroup
-		go func() {
-			defer wg.Done()
-			if err := mb.Prepare(ctx, gid, mb.TIDs); err != nil {
-				voteErrs[i] = fmt.Errorf("txcoord: %s voted no: %w", mb.Name, err)
-			}
-		}()
+		if i < last {
+			//asset:goroutine joined-by=waitgroup
+			go r.prepare(i, mb)
+		} else {
+			r.prepare(i, mb)
+		}
 	}
-	wg.Wait()
+	r.wg.Wait()
 	var voteErr error
-	for _, err := range voteErrs {
+	for _, err := range r.votes {
 		if err != nil {
 			voteErr = err
 			break
@@ -348,54 +351,27 @@ func (c *Coordinator) CommitGroup(ctx context.Context, gid uint64, members []Mem
 		return false, err
 	}
 	// Phase 3: deliver the verdict, best-effort with bounded retries.
-	attempts := c.DeliverAttempts
-	if attempts <= 0 {
-		attempts = 3
+	r.verdict = verdict
+	r.attempts = c.DeliverAttempts
+	if r.attempts <= 0 {
+		r.attempts = 3
 	}
-	backoff := c.DeliverBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
+	r.backoff = c.DeliverBackoff
+	if r.backoff <= 0 {
+		r.backoff = 10 * time.Millisecond
 	}
-	acked := make([]bool, len(members))
+	r.wg.Add(len(members))
 	for i, mb := range members {
-		wg.Add(1)
-		//asset:goroutine joined-by=waitgroup
-		go func() {
-			defer wg.Done()
-			for try := 0; try < attempts; try++ {
-				err := mb.Decide(ctx, gid, verdict)
-				if err == nil || errors.Is(err, core.ErrUnknownGroup) {
-					// ErrUnknownGroup is an ack, not a failure: nothing is
-					// left to decide there. The participant voted no (so an
-					// abort verdict finds neither prepared state nor a
-					// recorded verdict), or it already applied the verdict
-					// and has since restarted or pruned it.
-					acked[i] = true
-					return
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				select {
-				case <-time.After(backoff << uint(try)):
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
+		if i < last {
+			//asset:goroutine joined-by=waitgroup
+			go r.deliver(i, mb)
+		} else {
+			r.deliver(i, mb)
+		}
 	}
-	wg.Wait()
-	if c.RetireAcked {
-		all := true
-		for _, a := range acked {
-			if !a {
-				all = false
-				break
-			}
-		}
-		if all {
-			c.retire(gid)
-		}
+	r.wg.Wait()
+	if c.RetireAcked && !slices.Contains(r.acked, false) {
+		c.retire(gid)
 	}
 	if !verdict {
 		if voteErr != nil {
@@ -404,6 +380,90 @@ func (c *Coordinator) CommitGroup(ctx context.Context, gid uint64, members []Mem
 		return false, fmt.Errorf("txcoord: group %d aborted by a prior forced decision", gid)
 	}
 	return true, nil
+}
+
+// round is one CommitGroup's state, shared with the goroutines it spawns:
+// the votes, the acks, and the wait group that joins each phase. Rounds
+// are recycled, so a round allocates none of them. The members travel as
+// arguments, not in the round, so the caller's slice of them does not
+// escape.
+type round struct {
+	wg       sync.WaitGroup
+	ctx      context.Context
+	gid      uint64
+	votes    []error
+	acked    []bool
+	verdict  bool
+	attempts int
+	backoff  time.Duration
+}
+
+var rounds = sync.Pool{New: func() any { return new(round) }}
+
+func newRound(ctx context.Context, gid uint64, n int) *round {
+	r := rounds.Get().(*round)
+	r.ctx, r.gid = ctx, gid
+	if cap(r.votes) < n {
+		r.votes, r.acked = make([]error, n), make([]bool, n)
+	} else {
+		r.votes, r.acked = r.votes[:n], r.acked[:n]
+	}
+	return r
+}
+
+// recycle drops what the round holds of its caller and pools it; each
+// phase has waited for its goroutines.
+func (r *round) recycle() {
+	clear(r.votes)
+	clear(r.acked)
+	r.ctx = nil
+	rounds.Put(r)
+}
+
+// prepare asks member i, mb, for its vote and records a no.
+func (r *round) prepare(i int, mb Member) {
+	defer r.wg.Done()
+	if err := mb.Prepare(r.ctx, r.gid, mb.TIDs); err != nil {
+		r.votes[i] = fmt.Errorf("txcoord: %s voted no: %w", mb.Name, err)
+	}
+}
+
+// deliver hands the verdict to member i, mb, retrying after a backoff,
+// and records whether it was acknowledged. The backoff is one timer,
+// stopped however the delivery ends.
+func (r *round) deliver(i int, mb Member) {
+	defer r.wg.Done()
+	var wait *time.Timer
+	defer func() {
+		if wait != nil {
+			wait.Stop()
+		}
+	}()
+	for try := 0; try < r.attempts; try++ {
+		err := mb.Decide(r.ctx, r.gid, r.verdict)
+		if err == nil || errors.Is(err, core.ErrUnknownGroup) {
+			// ErrUnknownGroup is an ack, not a failure: nothing is
+			// left to decide there. The participant voted no (so an
+			// abort verdict finds neither prepared state nor a
+			// recorded verdict), or it already applied the verdict
+			// and has since restarted or pruned it.
+			r.acked[i] = true
+			return
+		}
+		if r.ctx.Err() != nil {
+			return
+		}
+		if wait == nil {
+			wait = time.NewTimer(r.backoff << uint(try))
+		} else {
+			wait.Reset(r.backoff << uint(try))
+		}
+		select {
+		case <-wait.C:
+		case <-r.ctx.Done():
+			return
+		}
+	}
 }
 
 // ResolveInDoubt drives every in-doubt group of a restarted participant

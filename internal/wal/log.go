@@ -55,7 +55,8 @@ type FileLog struct {
 	nextLSN uint64
 	sync    bool // fsync on Flush
 	dirty   bool
-	err     error // sticky ErrPoisoned state
+	err     error  // sticky ErrPoisoned state
+	frame   []byte // the frame Append builds, reused by the next one
 }
 
 // OpenFile opens (creating if needed) the log at path and positions appends
@@ -101,8 +102,8 @@ func OpenFileFS(fsys faultfs.FS, path string, syncOnFlush bool) (*FileLog, error
 	return &FileLog{f: f, w: bufio.NewWriterSize(f, 1<<16), nextLSN: nextLSN, sync: syncOnFlush}, nil
 }
 
-// Append encodes r, assigns it the next LSN (stored into r.LSN), and buffers
-// it for writing.
+// Append assigns r the next LSN (stored into r.LSN), frames it in a buffer
+// the log keeps, and buffers the frame for writing.
 func (l *FileLog) Append(r *Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -114,17 +115,8 @@ func (l *FileLog) Append(r *Record) (uint64, error) {
 	}
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	payload := r.marshal()
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], r.LSN)
-	crc := crc32.Update(0, crcTable, hdr[8:16])
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return 0, l.poison(err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	l.frame = appendFrame(l.frame[:0], r)
+	if _, err := l.w.Write(l.frame); err != nil {
 		return 0, l.poison(err)
 	}
 	l.dirty = true
@@ -247,9 +239,9 @@ func ScanFileFS(fsys faultfs.FS, path string, fn func(*Record) error) error {
 }
 
 // appendFrame appends the on-disk frame for r — with r.LSN already
-// assigned — to buf and returns the extended slice. The framing matches
-// what FileLog.Append writes; SegmentedLog batches frames into a shared
-// slab with it. Allocation-free once buf has capacity.
+// assigned — to buf and returns the extended slice. Both logs frame with
+// it: FileLog.Append into a buffer of its own, SegmentedLog into a shared
+// slab. Allocation-free once buf has capacity.
 func appendFrame(buf []byte, r *Record) []byte {
 	start := len(buf)
 	var zero [frameHeader]byte
