@@ -53,10 +53,15 @@ import (
 type (
 	// Manager is the ASSET transaction manager.
 	Manager = core.Manager
-	// Tx is the handle passed to every transaction body.
+	// Tx is the handle passed to every transaction body. A body's handle
+	// is valid until the body returns (like a testing.T): the manager
+	// recycles the descriptor behind it, so neither the body nor a
+	// goroutine it starts may keep it. An interactive transaction's handle
+	// (InitiateInteractive, BeginInteractive) stays valid for as long as
+	// its caller keeps it.
 	Tx = core.Tx
 	// TxnFunc is a transaction body; returning an error (or panicking)
-	// aborts the transaction.
+	// aborts the transaction. Its handle dies with it.
 	TxnFunc = core.TxnFunc
 	// Config configures Open. Durability is Dir, SyncCommits,
 	// CommitWindow and WALSegmentBytes; every commit takes one path:

@@ -402,10 +402,13 @@ func TestLatchRegistry(t *testing.T) {
 		"server.session.mu": "order=6",
 		"server.srvConn.mu": "order=8",
 
-		"core.Manager.mu":    "order=10",
-		"lock.lockShard.lat": "order=20 spin",
-		"htab.shard.mu":      "order=30",
-		"lock.txnState.lat":  "order=40 spin",
+		"core.Manager.mu": "order=10",
+		// The free list of recycled transaction descriptors: push and pop
+		// only, taken with nothing but the manager mutex held.
+		"core.txnFreeList.lat": "order=15 spin",
+		"lock.lockShard.lat":   "order=20 spin",
+		"htab.shard.mu":        "order=30",
+		"lock.txnState.lat":    "order=40 spin",
 		// The free list of retired txnStates: push and pop only, taken with
 		// no other lock-manager latch held.
 		"lock.txnFreeList.lat": "order=45 spin",

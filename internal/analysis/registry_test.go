@@ -63,8 +63,8 @@ func TestAnnotationRegistry(t *testing.T) {
 
 	// One annotation per latch class; the classes themselves (names and
 	// orders) are pinned by TestLatchRegistry.
-	if latches != 15 {
-		t.Errorf("latch annotations: got %d, want 15 (update TestLatchRegistry and DESIGN.md §10 too)", latches)
+	if latches != 16 {
+		t.Errorf("latch annotations: got %d, want 16 (update TestLatchRegistry and DESIGN.md §10 too)", latches)
 	}
 
 	wantMechs := map[string]int{"waitgroup": 15, "channel": 5, "ctx": 1}
@@ -95,6 +95,7 @@ func TestAnnotationRegistry(t *testing.T) {
 		"groupcommit.go",
 		"lock.go", "lock.go", "lock.go", // lock.acquire, installGrant, ReleaseAll
 		"ops.go", "ops.go", "ops.go",
+		"primitives.go",          // core.initiateOpts (the descriptor comes off the free list)
 		"server.go", "server.go", // server.worker.run, session.dispatch
 		"shard.go",                      // lock.txnOf
 		"wire.go", "wire.go", "wire.go", // rpc.Append{Request,Response,TIDs}

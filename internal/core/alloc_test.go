@@ -17,14 +17,16 @@ import (
 // over initiate, begin, the body on its goroutine, and commit — and over
 // initiate, execute and commit, where the body runs on the caller.
 //
-// An empty body cost 12 objects at the parent commit: the descriptor and its
-// three channels, the Tx handle, the begin and commit records, the commit's
-// tid list, group and GC component, the descriptor-table entry, and the
-// goroutine's closure. What is left is the descriptor, the closure, and the
-// channel the committer parks on when it gets there before the body has
-// finished (the table entry comes off htab's free list): 3 measured. An
-// executed body has no goroutine to close over and has finished before the
-// committer asks: the descriptor alone, 1 measured.
+// The budgets are pinned at the measured counts. An empty body cost 12
+// objects before the local path was made allocation-free: the descriptor and
+// its three channels, the Tx handle, the begin and commit records, the
+// commit's tid list, group and GC component, the descriptor-table entry, and
+// the goroutine's closure. What is left is the closure and the channel the
+// committer parks on when it gets there before the body has finished: 2 (3
+// while every transaction had a fresh descriptor; it now comes off the
+// manager's free list, as the table entry comes off htab's). An executed body
+// has no goroutine to close over and has finished before the committer asks:
+// 0 (1, the descriptor).
 //
 // A body with one Write, one Read and one Add on warm objects cost 33. On top
 // of the empty body that was a pending and a granted LRD per lock, the
@@ -33,12 +35,12 @@ import (
 // the before copy, after copy and log record of the Write, the copy the Read
 // returns, two counter images and the record of the Add, and the undo list.
 // What is left of those is the Write's after copy and the Read's copy (the
-// lock table's entry for the txnState is recycled too): 5 measured, budgeted
-// with slack for the runtime's own habits and well under half of 33.
+// lock table's entry for the txnState is recycled too): 4 in all (5 with a
+// fresh descriptor).
 const (
-	emptyTxnAllocBudget    = 6
-	smallTxnAllocBudget    = 10
-	executedTxnAllocBudget = 2
+	emptyTxnAllocBudget    = 2
+	smallTxnAllocBudget    = 4
+	executedTxnAllocBudget = 0
 )
 
 func TestLocalTxnAllocBudget(t *testing.T) {
@@ -148,9 +150,9 @@ func TestPrepareDecideAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTxnSizeClass: the descriptor, every transaction's one object, stays in
-// the allocator's 320-byte size class; a field that pushed it past would
-// cost every transaction the 352-byte class.
+// TestTxnSizeClass: the descriptor, made whenever the free list is empty and
+// kept there for the next transaction, stays in the allocator's 320-byte
+// size class; a field that pushed it past would cost the 352-byte class.
 func TestTxnSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(txn{}); got > 320 {
 		t.Fatalf("txn is %d bytes, past the 320-byte size class", got)

@@ -41,6 +41,10 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 		m.mu.Unlock()
 		return err
 	}
+	// The driver reads t's outcome after waits that release the mutex, by
+	// which time t may have been reaped.
+	t.pin()
+	defer m.unpin(t)
 	if done != nil && ctx.Err() != nil {
 		// Dead on arrival: a cancelled caller must not push the group past
 		// the commit point.
@@ -112,7 +116,7 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 		// would acknowledge a commit whose record may never have reached
 		// the disk.
 		if err := m.commitLocked(group); err != nil {
-			m.abortGroupLocked(group, err)
+			m.abortGroupLocked(group, err, false)
 		}
 	}
 }
@@ -239,9 +243,14 @@ func (m *Manager) examineGroupLocked(roots []xid.TID, group []*txn, vote bool) (
 // abort closes (the driver's own transaction aborted) or done closes, and
 // reports whether done did. While it waits every member waits for o in the
 // waits-for graph, so that deadlocks across mechanisms are caught; the
-// victim's reason names the driver's kind. Caller holds m.mu, released
-// while parked.
+// victim's reason names the driver's kind. The members are pinned while it
+// waits: any of them may abort and be reaped meanwhile, and it removes
+// their edges by their tids afterwards. Caller holds m.mu, released while
+// parked.
 func (m *Manager) awaitObstacleLocked(group []*txn, o obstacle, abort, done <-chan struct{}, kind string) bool {
+	for _, member := range group {
+		member.pin()
+	}
 	var victim xid.TID
 	for _, member := range group {
 		if member.id != o.id {
@@ -268,6 +277,7 @@ func (m *Manager) awaitObstacleLocked(group []*txn, o obstacle, abort, done <-ch
 		if member.id != o.id {
 			m.waits.Remove(member.id, o.id)
 		}
+		m.unpin(member)
 	}
 	return cancelled
 }
@@ -283,11 +293,20 @@ func inGroupOf(group []*txn, id xid.TID) bool {
 	return false
 }
 
-// abortGroupLocked aborts every member of group for one reason. Caller
-// holds m.mu.
-func (m *Manager) abortGroupLocked(group []*txn, reason error) {
+// abortGroupLocked aborts every member of group for one reason, prepared
+// members too if includePrepared (see abortCascadeLocked). The members are
+// pinned for the loop: one member's abort cascades over GC edges and may
+// reap the others, whose descriptors must not serve a new transaction by
+// the time the loop reaches them. Caller holds m.mu.
+func (m *Manager) abortGroupLocked(group []*txn, reason error, includePrepared bool) {
 	for _, member := range group {
-		m.abortLocked(member, reason)
+		member.pin()
+	}
+	for _, member := range group {
+		m.abortCascadeLocked(member, reason, includePrepared)
+	}
+	for _, member := range group {
+		m.unpin(member)
 	}
 }
 
@@ -383,15 +402,20 @@ func (m *Manager) commitLocked(group []*txn) error {
 		m.live.Add(-1)
 		m.stats.commits.Add(1)
 		// Reap before waking waiters: whoever observes the outcome must
-		// no longer find the descriptor.
-		if m.cfg.ReapTerminated {
+		// no longer find the descriptor. The table's reference goes after
+		// the wake-ups, which must reach the waiters of this transaction.
+		reap := m.cfg.ReapTerminated
+		if reap {
 			m.txns.Delete(uint64(member.id))
 		}
 		member.closeDone()
 		member.closeTerm()
+		if reap {
+			m.unpin(member)
+		}
 	}
 	if len(forcedAborts) > 0 {
-		m.abortGroupLocked(forcedAborts, errExcludedByCommitted())
+		m.abortGroupLocked(forcedAborts, errExcludedByCommitted(), false)
 	}
 	m.cond.Broadcast()
 	return nil
@@ -411,13 +435,14 @@ func (m *Manager) committingLocked(group []*txn) []xid.TID {
 
 // forcedAbortsLocked collects, into buf, the dependents a commit of group
 // dooms: begin-on-abort transactions (their trigger can no longer fire) and
-// exclusion partners (at most one side commits). Called before the edges
-// disappear with RemoveNode. Caller holds m.mu.
+// exclusion partners (at most one side commits) outside the group, which
+// commits. Called before the edges disappear with RemoveNode. Caller holds
+// m.mu.
 func (m *Manager) forcedAbortsLocked(group, buf []*txn) []*txn {
 	var edgeBuf [4]dep.Edge
 	for _, member := range group {
 		for _, e := range m.deps.AppendIncoming(edgeBuf[:0], member.id) {
-			if e.Types.Has(xid.DepBAD) || e.Types.Has(xid.DepEXC) {
+			if (e.Types.Has(xid.DepBAD) || e.Types.Has(xid.DepEXC)) && !inGroupOf(group, e.Other) {
 				if dependent, ok := m.txns.Get(uint64(e.Other)); ok {
 					buf = append(buf, dependent)
 				}
@@ -450,14 +475,19 @@ func (m *Manager) AbortWith(id xid.TID, reason error) error {
 	if err != nil {
 		return err
 	}
-	for t.st() == xid.StatusCommitting {
+	if t.st() == xid.StatusCommitting {
 		// The transaction is past its commit record and its driver is
 		// parked on the log's force; wait for the outcome rather than
-		// yanking a half-committed group.
-		term := t.termCh()
-		m.mu.Unlock()
-		<-term
-		m.mu.Lock()
+		// yanking a half-committed group, pinned so that the outcome is
+		// still t's when read.
+		t.pin()
+		defer m.unpin(t)
+		for t.st() == xid.StatusCommitting {
+			term := t.termCh()
+			m.mu.Unlock()
+			<-term
+			m.mu.Lock()
+		}
 	}
 	switch t.st() {
 	case xid.StatusCommitted:
@@ -632,11 +662,15 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 		m.live.Add(-1)
 		m.stats.aborts.Add(1)
 		// Reap before waking waiters, as in commitLocked.
-		if m.cfg.ReapTerminated {
+		reap := m.cfg.ReapTerminated
+		if reap {
 			m.txns.Delete(uint64(u.id))
 		}
 		u.closeDone()
 		u.closeTerm()
+		if reap {
+			m.unpin(u)
+		}
 	}
 	m.cond.Broadcast()
 }

@@ -149,6 +149,7 @@ type Manager struct {
 	cond *sync.Cond
 
 	txns    *htab.Map[*txn] // the chained hash table of TDs (§4.1)
+	free    txnFreeList     // recycled TDs
 	nextTID atomic.Uint64
 	live    atomic.Int64 // non-terminated transactions, for MaxTransactions
 
@@ -355,15 +356,21 @@ func (m *Manager) Close() error {
 		return nil
 	}
 	close(m.closeCh)
-	var live, committing []*txn
-	m.txns.Range(func(_ uint64, t *txn) bool {
-		live = append(live, t)
+	var live []xid.TID
+	m.txns.Range(func(id uint64, _ *txn) bool {
+		live = append(live, xid.TID(id))
 		return true
 	})
+	var committing []*txn
 	m.mu.Lock()
-	for _, t := range live {
+	for _, id := range live {
+		t, ok := m.txns.Get(uint64(id))
+		if !ok {
+			continue // terminated and reaped since the listing
+		}
 		switch st := t.st(); {
 		case st == xid.StatusCommitting:
+			t.pin()
 			committing = append(committing, t)
 		case !st.Terminated():
 			m.abortLocked(t, fmt.Errorf("%w: %w", ErrAborted, ErrClosed))
@@ -375,6 +382,7 @@ func (m *Manager) Close() error {
 	// instead of yanking the log from under the force.
 	for _, t := range committing {
 		<-t.termCh()
+		m.unpin(t)
 	}
 	if m.watchdogOn.Load() {
 		<-m.watchdogDone
@@ -407,13 +415,12 @@ func (m *Manager) Stats() Stats {
 
 // StatusOf returns the status of t, or StatusAborted for unknown (reaped)
 // transactions — a terminated descriptor may be dropped at any time.
-// Mutex-free: the descriptor table is a concurrent hash table and status is
-// an atomic field.
+// Mutex-free: the status is read under the descriptor table's shard latch,
+// while the table still vouches that the descriptor is t's.
 func (m *Manager) StatusOf(t xid.TID) xid.Status {
-	if tx, ok := m.txns.Get(uint64(t)); ok {
-		return tx.st()
-	}
-	return xid.StatusAborted
+	st := xid.StatusAborted
+	m.txns.View(uint64(t), func(tx *txn) { st = tx.st() })
+	return st
 }
 
 // TxnInfo describes one live (or unreaped terminated) transaction.
@@ -427,10 +434,10 @@ type TxnInfo struct {
 // one of the §2.1 "primitives to query the status of transactions". The
 // listing is a moment-in-time snapshot, not a consistent cut: it takes no
 // manager-wide lock, so transactions that begin or terminate concurrently
-// may or may not appear.
+// may or may not appear. Each entry is read under its table shard's latch.
 func (m *Manager) Transactions() []TxnInfo {
 	var out []TxnInfo
-	m.txns.Range(func(_ uint64, t *txn) bool {
+	m.txns.Visit(func(_ uint64, t *txn) bool {
 		out = append(out, TxnInfo{ID: t.id, Parent: t.parent, Status: t.st()})
 		return true
 	})

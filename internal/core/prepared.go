@@ -184,9 +184,7 @@ func (m *Manager) refuseVoteLocked(roots []xid.TID, member *txn) error {
 func (m *Manager) failPrepareLocked(gid uint64, tids []xid.TID, group []*txn, cause error) {
 	m.releaseGateLocked(gid)
 	m.freeTIDListLocked(tids)
-	for _, member := range group {
-		m.abortCascadeLocked(member, abortReason(cause), true)
-	}
+	m.abortGroupLocked(group, abortReason(cause), true)
 }
 
 // maxSpareTIDLists bounds the decided groups' tid lists kept for reuse.
@@ -266,10 +264,7 @@ func (m *Manager) Decide(gid uint64, commit bool) error {
 			}
 		}
 	} else {
-		reason := fmt.Errorf("%w: coordinator verdict: group %d aborted", ErrAborted, gid)
-		for _, member := range group {
-			m.abortCascadeLocked(member, reason, true)
-		}
+		m.abortGroupLocked(group, fmt.Errorf("%w: coordinator verdict: group %d aborted", ErrAborted, gid), true)
 	}
 	if err == nil {
 		m.recordVerdictLocked(gid, commit)
@@ -363,7 +358,7 @@ func (m *Manager) installInDoubt(st *wal.State) error {
 	for _, gid := range gids {
 		tids := st.InDoubt[gid]
 		for _, id := range tids {
-			t := m.newTxn(id, xid.NilTID, nil)
+			t := m.newTxn(id, xid.NilTID, nil, 1) // the table's reference only: nobody drives it
 			t.redo = st.InDoubtOps[id]
 			t.setSt(xid.StatusPrepared)
 			t.closeDone() // the body finished before the vote, by definition

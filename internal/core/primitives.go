@@ -43,7 +43,7 @@ func (m *Manager) InitiateWith(fn TxnFunc, opts TxnOptions) (xid.TID, error) {
 // and serializes them on (Tx.Acquire). The transaction is begun with
 // BeginInteractive as usual, which returns this same handle.
 func (m *Manager) InitiateInteractive() (*Tx, error) {
-	t, err := m.initiateOpts(nil, xid.NilTID, TxnOptions{})
+	t, _, err := m.initiateOpts(nil, xid.NilTID, TxnOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -55,31 +55,40 @@ func (m *Manager) initiate(fn TxnFunc, parent xid.TID) (xid.TID, error) {
 }
 
 func (m *Manager) initiateWith(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid.TID, error) {
-	t, err := m.initiateOpts(fn, parent, opts)
-	if err != nil {
-		return xid.NilTID, err
-	}
-	return t.id, nil
+	_, id, err := m.initiateOpts(fn, parent, opts)
+	return id, err
 }
 
-// initiateOpts is mutex-free: the tid counter, live count, closed flag, and
-// descriptor table are all safe for concurrent use, so registering a
-// transaction never contends with commits, aborts, or other initiates.
-func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*txn, error) {
+// initiateOpts is mutex-free: the tid counter, live count, closed flag,
+// descriptor free list and descriptor table are all safe for concurrent
+// use, so registering a transaction never contends with commits, aborts, or
+// other initiates. The descriptor holds the table's reference, and an
+// interactive one a second that nobody drops: its handle goes to callers
+// that may keep it past the end. The caller holds no reference on a bodied
+// descriptor, which Close or the watchdog may abort, reap and recycle the
+// moment it is published, so it learns the tid from the second result and
+// touches the descriptor only if it is interactive.
+//
+//asset:noalloc
+func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*txn, xid.TID, error) {
 	if m.closed.Load() {
-		return nil, ErrClosed
+		return nil, xid.NilTID, ErrClosed
 	}
 	for {
 		n := m.live.Load()
 		if m.cfg.MaxTransactions > 0 && n >= int64(m.cfg.MaxTransactions) {
-			return nil, ErrTooManyTxns
+			return nil, xid.NilTID, ErrTooManyTxns
 		}
 		if m.live.CompareAndSwap(n, n+1) {
 			break
 		}
 	}
 	id := xid.TID(m.nextTID.Add(1))
-	t := m.newTxn(id, parent, fn)
+	refs := int32(1)
+	if fn == nil {
+		refs = 2
+	}
+	t := m.newTxn(id, parent, fn, refs)
 	if opts.Ctx != nil {
 		t.ctx = opts.Ctx
 	}
@@ -97,11 +106,29 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*tx
 	// fences the race — the transaction can no longer Begin and append to a
 	// closed log.
 	if m.closed.Load() {
-		m.txns.Delete(uint64(id))
-		m.live.Add(-1)
-		return nil, ErrClosed
+		m.withdraw(t, id)
+		return nil, xid.NilTID, ErrClosed
 	}
-	return t, nil
+	return t, id, nil
+}
+
+// withdraw takes back out of the table the descriptor t that initiateOpts
+// published as id before it found the manager closed. Close may be aborting
+// it at the same time, so the table's reference is dropped under the mutex
+// and only if the entry is still there: otherwise Close's abort reaped it,
+// and it may be recycled already. An abort that left it tabled
+// (ReapTerminated off) has already taken it off the live count.
+//
+//go:noinline
+func (m *Manager) withdraw(t *txn, id xid.TID) {
+	m.mu.Lock()
+	if m.txns.Delete(uint64(id)) {
+		if !t.st().Terminated() {
+			m.live.Add(-1)
+		}
+		m.unpin(t)
+	}
+	m.mu.Unlock()
 }
 
 // Begin starts execution of the given transactions, each on its own
@@ -129,9 +156,16 @@ func (m *Manager) BeginCtx(ctx context.Context, tids ...xid.TID) error {
 			return err
 		}
 		//asset:goroutine joined-by=channel
-		go m.run(t)
+		go m.runBody(t)
 	}
 	return nil
+}
+
+// runBody runs a body on the goroutine Begin started for it, and then drops
+// the body's reference on the descriptor.
+func (m *Manager) runBody(t *txn) {
+	m.run(t)
+	m.unpin(t)
 }
 
 // Execute is begin followed by wait, with the body run on the calling
@@ -157,7 +191,9 @@ func (m *Manager) ExecuteCtx(ctx context.Context, id xid.TID) error {
 		return err
 	}
 	m.run(t)
-	return waitOutcome(t)
+	err = waitOutcome(t)
+	m.unpin(t) // the body's reference, kept for the outcome
+	return err
 }
 
 // BeginInteractive begins an interactive transaction — one initiated with a
@@ -186,25 +222,36 @@ func (m *Manager) BeginInteractive(ctx context.Context, id xid.TID) (*Tx, error)
 // beginOne takes an initiated transaction to running — status check, context
 // binding, begin-dependency gates, admission, begin record, context watcher
 // — and hands it back for the caller to run its body, or, interactive, to
-// drive it without one.
-func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (*txn, error) {
+// drive it without one. A body's descriptor comes back with a reference for
+// the body, which the caller drops once the body has returned and its
+// outcome has been read.
+func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (_ *txn, err error) {
 	m.mu.Lock()
 	t, err := m.lookup(id)
 	if err != nil {
 		m.mu.Unlock()
 		return nil, err
 	}
-	if t.st() != xid.StatusInitiated {
+	if st := t.st(); st != xid.StatusInitiated { // read under m.mu: t is unpinned
 		m.mu.Unlock()
-		if t.st() == xid.StatusAborted || t.st() == xid.StatusAborting {
+		if st == xid.StatusAborted || st == xid.StatusAborting {
 			return nil, ErrAborted
 		}
-		return nil, fmt.Errorf("%w: %v is %v", ErrAlreadyBegun, id, t.st())
+		return nil, fmt.Errorf("%w: %v is %v", ErrAlreadyBegun, id, st)
 	}
 	if (t.fn == nil) != interactive {
 		m.mu.Unlock()
 		return nil, errBeginForm(id, interactive)
 	}
+	// Pinned across the gates and admission, where m.mu is released; on
+	// success the pin becomes the body's reference (an interactive
+	// transaction's handle holds one of its own).
+	t.pin()
+	defer func() {
+		if err != nil || interactive {
+			m.unpin(t)
+		}
+	}()
 	// Bind the context before the body, watcher, and admission code that
 	// read it exist; an InitiateWith binding wins. An interactive begin binds
 	// nothing: its ctx bounds the waits below and is forgotten.
@@ -227,6 +274,9 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (*
 		if sup == nil {
 			break
 		}
+		// The supporter may terminate and be reaped while t waits; pinned,
+		// its descriptor still holds its outcome when t looks.
+		sup.pin()
 		term := sup.termCh()
 		supID := sup.id
 		m.waits.Add(id, supID)
@@ -235,9 +285,11 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (*
 		case <-term:
 		case <-t.abortCh(): // aborted while gated (watchdog, cascade, Close)
 			m.waits.Remove(id, supID)
+			m.unpin(sup)
 			return nil, txnOutcome(t)
 		case <-ctxDone:
 			m.waits.Remove(id, supID)
+			m.unpin(sup)
 			m.mu.Lock()
 			m.ctxAbortLocked(t, wctx)
 			m.mu.Unlock()
@@ -245,9 +297,11 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (*
 		}
 		m.waits.Remove(id, supID)
 		m.mu.Lock()
-		if !isBAD && sup.st() == xid.StatusAborted {
+		supAborted := sup.st() == xid.StatusAborted
+		m.unpin(sup)
+		if !isBAD && supAborted {
+			m.abortLocked(t, fmt.Errorf("%w: begin dependency on aborted %v", ErrAborted, supID))
 			m.mu.Unlock()
-			m.abortTxn(t, fmt.Errorf("%w: begin dependency on aborted %v", ErrAborted, supID))
 			return nil, ErrAborted
 		}
 	}
@@ -281,6 +335,7 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (*
 	}
 	m.mu.Unlock()
 	if ctxDone != nil && t.ctx != nil {
+		t.pin() // the watcher's reference, dropped when it exits
 		//asset:goroutine joined-by=ctx
 		go m.watchCtx(t)
 	}
@@ -381,13 +436,18 @@ func (m *Manager) WaitCtx(ctx context.Context, id xid.TID) error {
 		m.mu.Unlock()
 		return err
 	}
+	// Pinned: the target may abort and be reaped before this wait reads
+	// its reason.
+	t.pin()
 	m.mu.Unlock()
 	select {
 	case <-t.doneCh():
+		err = waitOutcome(t)
 	case <-ctx.Done():
-		return fmt.Errorf("core: wait on %v abandoned: %w", id, ctx.Err())
+		err = fmt.Errorf("core: wait on %v abandoned: %w", id, ctx.Err())
 	}
-	return waitOutcome(t)
+	m.unpin(t)
+	return err
 }
 
 // waitOutcome is what a wait on t reports once its body is done: the abort
@@ -424,6 +484,9 @@ func (tx *Tx) WaitCtx(ctx context.Context, id xid.TID) error {
 		m.mu.Unlock()
 		return err
 	}
+	// Pinned, as under Manager.Wait; the target may even be the victim.
+	target.pin()
+	defer m.unpin(target)
 	// A target whose execution is over is no wait at all, so it gets no
 	// edge: one could close a cycle with a commit driver's edge pointing
 	// back and make t the victim of a wait that would not have blocked.
@@ -484,15 +547,17 @@ func (m *Manager) Delegate(from, to xid.TID, oids ...xid.OID) error {
 	if ft.st().Terminated() || ft.st() == xid.StatusCommitting || ft.st() == xid.StatusPrepared {
 		// A prepared delegator's undo/lock set is frozen in its TPrepare
 		// promise; moving responsibility now would falsify the vote.
+		err := fmt.Errorf("%w: delegator %v is %v", ErrTerminated, from, ft.st())
 		m.mu.Unlock()
-		return fmt.Errorf("%w: delegator %v is %v", ErrTerminated, from, ft.st())
+		return err
 	}
 	tt, _ := m.txns.Get(uint64(to))
 	if tt.st().Terminated() || tt.st() == xid.StatusCommitting || tt.st() == xid.StatusPrepared {
 		// A committing delegatee has already written its commit record;
 		// work delegated now would be mis-attributed at recovery.
+		err := fmt.Errorf("%w: delegatee %v is %v", ErrTerminated, to, tt.st())
 		m.mu.Unlock()
-		return fmt.Errorf("%w: delegatee %v is %v", ErrTerminated, to, tt.st())
+		return err
 	}
 	// The whole transfer — undo responsibility, locks with permit
 	// grantorship, and the log record — happens inside the manager's
@@ -589,14 +654,17 @@ func (m *Manager) Permit(grantor, grantee xid.TID, oids []xid.OID, ops xid.OpSet
 // aborted ti aborts tj; CD/AD/BD on a terminated ti are vacuously satisfied;
 // a GC with a committed ti cannot be honoured and returns ErrTerminated.
 func (m *Manager) FormDependency(typ xid.DepType, ti, tj xid.TID) error {
+	// Everything below, the aborts included, happens under the mutex the
+	// transactions were looked up under: past it, a descriptor found here
+	// may already serve another transaction.
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	a, err := m.lookup(ti)
 	var b *txn
 	if err == nil {
 		b, err = m.lookup(tj)
 	}
 	if err != nil {
-		m.mu.Unlock()
 		return err
 	}
 	// Terminal states of the dependent tj resolve (or reject) immediately:
@@ -604,50 +672,41 @@ func (m *Manager) FormDependency(typ xid.DepType, ti, tj xid.TID) error {
 	// constraints.
 	switch {
 	case b.st() == xid.StatusAborted || b.st() == xid.StatusAborting:
-		m.mu.Unlock()
 		if typ == xid.DepGC {
 			// Both or neither: tj already aborted, so ti must abort too.
-			m.abortTxn(a, fmt.Errorf("%w: group partner %v aborted", ErrAborted, tj))
+			m.abortLocked(a, fmt.Errorf("%w: group partner %v aborted", ErrAborted, tj))
 		}
 		return nil // every other constraint on an aborted tj is moot
 	case b.st() == xid.StatusCommitted || b.st() == xid.StatusCommitting:
-		m.mu.Unlock()
 		return fmt.Errorf("%w: dependent %v is already %v", ErrTerminated, tj, b.st())
 	case b.st() == xid.StatusPrepared:
 		// A prepared dependent promised a coordinator it can commit; a new
 		// constraint could invalidate the vote.
-		m.mu.Unlock()
 		return fmt.Errorf("%w: dependent %v", ErrPrepared, tj)
 	}
 	switch {
 	case a.st() == xid.StatusAborted || a.st() == xid.StatusAborting:
-		m.mu.Unlock()
 		if typ == xid.DepAD || typ == xid.DepGC ||
 			(typ == xid.DepBD && b.st() == xid.StatusInitiated) {
-			m.abortTxn(b, fmt.Errorf("%w: dependency on aborted %v", ErrAborted, ti))
+			m.abortLocked(b, fmt.Errorf("%w: dependency on aborted %v", ErrAborted, ti))
 		}
 		return nil
 	case a.st() == xid.StatusCommitting && typ == xid.DepGC:
-		m.mu.Unlock()
 		return fmt.Errorf("%w: group commit with committing %v", ErrTerminated, ti)
 	case a.st() == xid.StatusPrepared && typ == xid.DepGC:
 		// The prepared supporter's GC closure was fixed by its vote; the
 		// group cannot grow while the verdict is pending. (CD/AD on a
 		// prepared supporter are fine — the dependent waits on its term.)
-		m.mu.Unlock()
 		return fmt.Errorf("%w: group commit with prepared %v", ErrPrepared, ti)
 	case a.st() == xid.StatusCommitted:
-		m.mu.Unlock()
 		switch typ {
 		case xid.DepGC:
 			return fmt.Errorf("%w: group commit with committed %v", ErrTerminated, ti)
 		case xid.DepBAD, xid.DepEXC:
 			// The committed ti forecloses tj's outcome immediately.
-			m.abortTxn(b, fmt.Errorf("%w: excluded by committed %v", ErrAborted, ti))
-			return nil
+			m.abortLocked(b, fmt.Errorf("%w: excluded by committed %v", ErrAborted, ti))
 		}
 		return nil // CD/AD/BD on a committed supporter are satisfied
 	}
-	defer m.mu.Unlock()
 	return m.deps.Form(typ, ti, tj)
 }

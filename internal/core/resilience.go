@@ -47,17 +47,21 @@ func (m *Manager) watchdog() {
 		case <-tick.C:
 		}
 		now := time.Now().UnixNano()
-		var expired []*txn
-		m.txns.Range(func(_ uint64, t *txn) bool {
+		var expired []xid.TID
+		m.txns.Visit(func(id uint64, t *txn) bool {
 			if d := t.deadline.Load(); d != 0 && now >= d && !t.st().Terminated() {
-				expired = append(expired, t)
+				expired = append(expired, xid.TID(id))
 			}
 			return true
 		})
-		for _, t := range expired {
+		for _, id := range expired {
 			m.mu.Lock()
-			if st := t.st(); !st.Terminated() && st != xid.StatusCommitting {
-				m.abortLocked(t, fmt.Errorf("%w: %w: reaped %v", ErrAborted, ErrTxnDeadline, t.id))
+			// Looked up again: the transaction may have terminated and its
+			// descriptor moved on since the scan.
+			if t, ok := m.txns.Get(uint64(id)); ok {
+				if st := t.st(); !st.Terminated() && st != xid.StatusCommitting {
+					m.abortLocked(t, fmt.Errorf("%w: %w: reaped %v", ErrAborted, ErrTxnDeadline, id))
+				}
 			}
 			m.mu.Unlock()
 		}
@@ -67,7 +71,8 @@ func (m *Manager) watchdog() {
 // watchCtx runs per transaction with a bound cancellable context: it
 // converts the context's expiry into an abort, which wakes every wait the
 // transaction is parked in — lock waits observe the same ctx directly,
-// dependency/commit waits select on abortCh, and begin waits do both.
+// dependency/commit waits select on abortCh, and begin waits do both. It
+// holds a reference on t, which it drops on its way out.
 func (m *Manager) watchCtx(t *txn) {
 	select {
 	case <-t.ctx.Done():
@@ -76,6 +81,7 @@ func (m *Manager) watchCtx(t *txn) {
 		m.mu.Unlock()
 	case <-t.termCh():
 	}
+	m.unpin(t)
 }
 
 // ctxAbortLocked aborts t because a context governing it is done, unless

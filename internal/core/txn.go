@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/latch"
 	"repro/internal/wal"
 	"repro/internal/xid"
 )
@@ -13,7 +14,10 @@ import (
 // TxnFunc is the body of a transaction. It receives the transaction handle
 // (Go's substitute for the paper's implicit self()); returning nil marks the
 // transaction completed (locks retained until commit), returning an error —
-// or panicking — aborts it.
+// or panicking — aborts it. The handle is valid until the function returns,
+// like a testing.T: the manager recycles the descriptor behind it once the
+// transaction has terminated and nothing holds it, so neither the body nor a
+// goroutine it starts may keep the handle past its own end.
 type TxnFunc func(tx *Tx) error
 
 // undoRec is one entry of a transaction's undo responsibility list: enough
@@ -37,13 +41,23 @@ type undoRec struct {
 // again, so any reader that observes an aborting/aborted status also
 // observes the reason.
 //
-// The descriptor is one heap object: the handle its body receives is a
-// field of it, its three lifecycle events and its caller token are flags
-// that grow a channel only when somebody parks on them, and the first undo
-// records live in it. It fills a 320-byte size class exactly
-// (TestTxnSizeClass). Descriptors are not recycled — commit drivers, begin
-// gates, context watchers, Close and the holders of an interactive handle
-// keep *txn across waits with no latch that could vouch for a second life.
+// The descriptor is one object: the handle its body receives is a field of
+// it, its three lifecycle events and its caller token grow a channel only
+// when somebody parks on them, and the first undo records live in it. It
+// stays in the 320-byte size class (TestTxnSizeClass).
+//
+// Descriptors are recycled through the manager's free list. refs counts
+// who holds one: the descriptor table (dropped at the reap, so never under
+// ReapTerminated off), a body from beginOne until it has returned, an
+// interactive transaction's handle for good (so those are never recycled),
+// and every path that keeps the *txn while the manager mutex is released —
+// it pins it under the mutex (or while it already holds it) and unpins it
+// after its last use. Whoever drops the last reference resets the
+// descriptor and puts it on the free list. A reader that holds no
+// reference may read a descriptor only while the table vouches for it:
+// under the table's shard latch, or under the manager mutex after looking
+// it up by tid (tids never repeat, so a recycled descriptor is never found
+// under the old one).
 type txn struct {
 	id     xid.TID
 	parent xid.TID
@@ -54,13 +68,13 @@ type txn struct {
 	// admitted records that the transaction holds a Config.MaxLive
 	// admission slot, which commit/abort must return to the gate.
 	admitted atomic.Bool
-	abErr    error // why the transaction aborted, if it did
+	refs     atomic.Int32 // holders; the last to let go recycles (see above)
+	abErr    error        // why the transaction aborted, if it did
 
 	// done fires when the function finishes or the transaction aborts
 	// (wait() unblocks on either), term on final termination, aborting when
 	// the status turns aborting (waking the commit driver). evMu guards all
-	// three and the caller token; it is a leaf, held for a flag test or a
-	// close.
+	// three and the caller token; it is a leaf, held for a test or a close.
 	evMu     sync.Mutex
 	done     event
 	term     event
@@ -86,15 +100,16 @@ type txn struct {
 	// verdict, discarded on abort. Empty for ordinary transactions, whose
 	// updates live in the cache and roll back via undo.
 	redo []wal.RedoOp
+
+	next *txn // free-list link
 }
 
 // event is a one-shot broadcast that costs nothing until someone waits on
-// it: firing sets a flag, and only a waiter that arrives before the firing
-// makes a channel for the firing to close. Guarded by the owning txn's
-// evMu.
+// it: only a waiter that arrives before the firing makes a channel for the
+// firing to close, and a fired event holds closedCh. Guarded by the owning
+// txn's evMu.
 type event struct {
-	fired bool
-	ch    chan struct{}
+	ch chan struct{} // nil: not fired, nobody waiting; closedCh: fired
 }
 
 // closedCh is what waiters on an already-fired event receive from.
@@ -107,11 +122,11 @@ var closedCh = func() chan struct{} {
 // fire marks e as having happened and wakes its waiters. Idempotent.
 func (t *txn) fire(e *event) {
 	t.evMu.Lock()
-	if !e.fired {
-		e.fired = true
+	if e.ch != closedCh {
 		if e.ch != nil {
 			close(e.ch)
 		}
+		e.ch = closedCh
 	}
 	t.evMu.Unlock()
 }
@@ -120,9 +135,6 @@ func (t *txn) fire(e *event) {
 func (t *txn) wait(e *event) <-chan struct{} {
 	t.evMu.Lock()
 	defer t.evMu.Unlock()
-	if e.fired {
-		return closedCh
-	}
 	if e.ch == nil {
 		e.ch = make(chan struct{})
 	}
@@ -133,7 +145,7 @@ func (t *txn) wait(e *event) <-chan struct{} {
 func (t *txn) fired(e *event) bool {
 	t.evMu.Lock()
 	defer t.evMu.Unlock()
-	return e.fired
+	return e.ch == closedCh
 }
 
 // token is an interactive transaction's one-caller-at-a-time token (see
@@ -207,12 +219,93 @@ func (t *txn) lockCtx() context.Context {
 	return bgCtx
 }
 
-func (m *Manager) newTxn(id, parent xid.TID, fn TxnFunc) *txn {
-	t := &txn{id: id, parent: parent, fn: fn}
-	t.tx = Tx{m: m, t: t}
-	t.undo = t.undoBuf[:0]
+// newTxn hands out a descriptor for transaction id, initiated, from the
+// free list when it has one, holding refs references.
+func (m *Manager) newTxn(id, parent xid.TID, fn TxnFunc, refs int32) *txn {
+	t := m.free.get(m)
+	t.id, t.parent, t.fn = id, parent, fn
+	t.refs.Store(refs)
 	t.setSt(xid.StatusInitiated)
 	return t
+}
+
+// pin takes a reference on t, which the caller must already be entitled
+// to touch: it holds a reference of its own, or it holds m.mu and found t
+// in the table.
+func (t *txn) pin() { t.refs.Add(1) }
+
+// unpin drops a reference on t; the last one recycles the descriptor.
+// Safe with or without m.mu held.
+func (m *Manager) unpin(t *txn) {
+	switch n := t.refs.Add(-1); {
+	case n == 0:
+		t.reset()
+		m.free.put(t)
+	case n < 0:
+		overUnpinned(t)
+	}
+}
+
+//go:noinline
+func overUnpinned(t *txn) {
+	panic(fmt.Sprintf("core: descriptor of %v unpinned more often than pinned", t.id))
+}
+
+// reset empties a descriptor nothing holds any more, so that the free list
+// keeps no body, context, error, image or channel alive. The handle (tx)
+// stays bound to the descriptor, and undo restarts on undoBuf.
+func (t *txn) reset() {
+	t.id, t.parent, t.fn = xid.NilTID, xid.NilTID, nil
+	t.abErr, t.ctx = nil, nil
+	t.deadline.Store(0)
+	t.done, t.term, t.aborting, t.tok = event{}, event{}, event{}, token{}
+	clear(t.undoBuf[:])
+	t.undo = t.undoBuf[:0]
+	t.redo = nil
+}
+
+// maxFreeTxns bounds the descriptor free list; what a burst retires beyond
+// it goes back to the collector.
+const maxFreeTxns = 256
+
+// txnFreeList holds recycled descriptors. Its latch is a leaf: push and pop
+// only, taken with nothing but m.mu held.
+type txnFreeList struct {
+	//asset:latch order=15 spin
+	lat  latch.Latch
+	head *txn
+	n    int
+}
+
+// get pops a recycled descriptor or makes one for m.
+//
+//go:noinline
+func (f *txnFreeList) get(m *Manager) *txn {
+	f.lat.Lock()
+	t := f.head
+	if t != nil {
+		f.head = t.next
+		f.n--
+	}
+	f.lat.Unlock()
+	if t == nil {
+		t = &txn{}
+		t.tx = Tx{m: m, t: t}
+		t.undo = t.undoBuf[:0]
+	}
+	t.next = nil
+	return t
+}
+
+// put takes back a descriptor that reset has emptied.
+func (f *txnFreeList) put(t *txn) {
+	f.lat.Lock()
+	if f.n < maxFreeTxns {
+		t.next = f.head
+		f.head = t
+		f.n++
+	}
+	f.lat.Unlock()
 }
 
 // st reads the transaction status; safe without any lock.
@@ -238,7 +331,9 @@ func (t *txn) checkRunning() error {
 }
 
 // Tx is the handle a TxnFunc uses to operate on the database and to invoke
-// transaction primitives with itself as the implicit subject.
+// transaction primitives with itself as the implicit subject. A body's
+// handle is valid until the body returns; an interactive transaction's
+// (InitiateInteractive, BeginInteractive) for as long as its caller keeps it.
 type Tx struct {
 	m *Manager
 	t *txn
@@ -261,7 +356,9 @@ func (tx *Tx) Initiate(fn TxnFunc) (xid.TID, error) {
 }
 
 // Status returns the transaction's current status (one of the query
-// primitives §2.1 mentions in passing), read from the descriptor itself:
-// lock-free, and still the final status once the manager has dropped a
-// terminated descriptor from its table.
+// primitives §2.1 mentions in passing), read from the descriptor itself,
+// lock-free. An interactive transaction's handle is never recycled, so it
+// still reads the final status once the manager has dropped a terminated
+// descriptor from its table; a body's handle is valid only until the body
+// returns (see TxnFunc).
 func (tx *Tx) Status() xid.Status { return tx.t.st() }

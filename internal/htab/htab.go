@@ -122,6 +122,24 @@ func (m *Map[V]) Get(key uint64) (V, bool) {
 	return zero, false
 }
 
+// View calls fn with the value stored under key while the key's shard is
+// latched, and reports whether the key was present. A caller whose values
+// are recycled once they leave the table reads one safely inside fn. fn must
+// not call back into the map.
+func (m *Map[V]) View(key uint64, fn func(V)) bool {
+	s := m.shardFor(key)
+	h := mix(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for e := s.buckets[h%uint64(len(s.buckets))]; e != nil; e = e.next {
+		if e.key == key {
+			fn(e.val)
+			return true
+		}
+	}
+	return false
+}
+
 // Put stores val under key, replacing any existing value. It reports whether
 // the key was newly inserted.
 func (m *Map[V]) Put(key uint64, val V) bool {
@@ -214,6 +232,32 @@ func (m *Map[V]) Range(fn func(key uint64, val V) bool) {
 			}
 		}
 	}
+}
+
+// Visit is Range with fn called while the entry's shard is latched, as View
+// does for one key: fn sees only values the table still holds. fn must not
+// call back into the map.
+func (m *Map[V]) Visit(fn func(key uint64, val V) bool) {
+	for i := range m.shards {
+		if !m.shards[i].visit(fn) {
+			return
+		}
+	}
+}
+
+// visit calls fn on every entry of the shard under its latch, until fn
+// returns false, and reports whether it never did.
+func (s *shard[V]) visit(fn func(key uint64, val V) bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, head := range s.buckets {
+		for e := head; e != nil; e = e.next {
+			if !fn(e.key, e.val) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // grow doubles the shard's bucket array. Caller holds s.mu.

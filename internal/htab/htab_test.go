@@ -35,6 +35,48 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
+// TestViewAndVisit: View and Visit show exactly what the table holds, with
+// the entry's shard latched while fn runs, and Visit stops when fn says so.
+func TestViewAndVisit(t *testing.T) {
+	m := New[int](4)
+	for k := uint64(1); k <= 100; k++ {
+		m.Put(k, int(k)*3)
+	}
+	m.Delete(50)
+	for _, k := range []uint64{1, 50, 100, 101} {
+		got, ok := -1, false
+		found := m.View(k, func(v int) {
+			if !m.shardFor(k).mu.TryLock() {
+				ok = true // latched, as promised
+			} else {
+				m.shardFor(k).mu.Unlock()
+			}
+			got = v
+		})
+		want := k != 50 && k != 101
+		if found != want || (want && (got != int(k)*3 || !ok)) {
+			t.Errorf("View(%d) = %v, %d (latched %v); want %v", k, found, got, ok, want)
+		}
+	}
+	sum, n := 0, 0
+	m.Visit(func(k uint64, v int) bool {
+		if v != int(k)*3 {
+			t.Errorf("Visit: %d holds %d", k, v)
+		}
+		sum += v
+		n++
+		return true
+	})
+	if n != 99 || sum != 3*(5050-50) {
+		t.Errorf("Visit saw %d entries summing to %d, want 99 and %d", n, sum, 3*(5050-50))
+	}
+	n = 0
+	m.Visit(func(uint64, int) bool { n++; return n < 10 })
+	if n != 10 {
+		t.Errorf("Visit went on for %d entries after fn said stop at the 10th", n)
+	}
+}
+
 func TestPutIfAbsent(t *testing.T) {
 	m := New[int](1)
 	if v, inserted := m.PutIfAbsent(7, 10); !inserted || v != 10 {

@@ -148,14 +148,20 @@ func TestDistributedBeginFailureAbortsAll(t *testing.T) {
 	}
 }
 
-// Budgets for what the models add to the one object an executed transaction
-// costs (its descriptor). Atomic adds nothing: 1 measured. A three-step saga
-// adds the Saga with its steps inside, the result and its list of committed
-// steps: 6 measured, where the parent's 16 had a closure and a channel per
-// step and grew both slices an element at a time.
+// Budgets for what the models allocate on a manager that recycles its
+// transaction descriptors, pinned at the measured counts. Atomic allocates
+// nothing (1 when every transaction cost a fresh descriptor). A three-step
+// saga allocates the Saga with its steps inside, the result and its list of
+// committed steps: 3 (6 with a descriptor per step; 16 before that, with a
+// closure and a channel per step and both slices grown an element at a
+// time). A two-component Distributed allocates what Begin costs its first
+// component — the goroutine's closure — and the channel its commit parks on
+// until that body is done: 2 (5 with the two descriptors and a slice for the
+// component tids).
 const (
-	atomicAllocBudget = 2
-	saga3AllocBudget  = 8
+	atomicAllocBudget      = 0
+	saga3AllocBudget       = 3
+	distributedAllocBudget = 2
 )
 
 func TestModelAllocBudget(t *testing.T) {
@@ -180,6 +186,11 @@ func TestModelAllocBudget(t *testing.T) {
 				t.Fatal(res, err)
 			}
 		}, saga3AllocBudget},
+		{"two-component Distributed", func() {
+			if err := Distributed(m, noop, noop); err != nil {
+				t.Fatal(err)
+			}
+		}, distributedAllocBudget},
 	} {
 		tc.run() // warm the free lists
 		got := testing.AllocsPerRun(500, tc.run)

@@ -65,14 +65,15 @@ func Distributed(m *asset.Manager, fns ...asset.TxnFunc) error {
 	if len(fns) == 0 {
 		return nil
 	}
-	tids := make([]asset.TID, len(fns))
-	for i, fn := range fns {
+	var tidBuf [4]asset.TID // the usual handful of components, in the frame
+	tids := tidBuf[:0]
+	for _, fn := range fns {
 		t, err := m.Initiate(fn)
 		if err != nil {
-			abortAll(m, tids[:i])
+			abortAll(m, tids)
 			return err
 		}
-		tids[i] = t
+		tids = append(tids, t)
 	}
 	// Pairwise GC dependencies make the set a single commit group.
 	for i := 1; i < len(tids); i++ {

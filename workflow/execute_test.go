@@ -61,12 +61,13 @@ func TestRaceBeginFailureAbortsAll(t *testing.T) {
 	}
 }
 
-// workflow3AllocBudget is what a workflow of three single-task steps may
-// allocate on top of its three transaction descriptors: the Workflow with its
-// steps and their tasks inside, the result, and its list of steps. 6 measured
-// (the parent, with a closure and a channel per step, a slice per step and
-// slices grown an element at a time: 24).
-const workflow3AllocBudget = 8
+// workflow3AllocBudget is what a workflow of three single-task steps
+// allocates on a manager that recycles its transaction descriptors: the
+// Workflow with its steps and their tasks inside, the result, and its list of
+// steps, 3 measured and pinned (6 with a descriptor per step; 24 before that,
+// with a closure and a channel per step, a slice per step and slices grown an
+// element at a time).
+const workflow3AllocBudget = 3
 
 func TestWorkflowAllocBudget(t *testing.T) {
 	if race.Enabled {
