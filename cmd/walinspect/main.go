@@ -1,12 +1,13 @@
 // Command walinspect dumps an ASSET write-ahead log in human-readable
-// form, one record per line, and summarizes the recovery outcome.
-// Given a directory it walks the whole segmented chain (manifest,
-// segments, legacy wal.log base) in LSN order; given a file it scans
-// that single log.
+// form, one record per line, and summarizes the recovery outcome. It
+// takes a directory and walks the segmented chain there (manifest, then
+// segments) in LSN order: a database directory dumps the engine's log,
+// and a coordinator's <coord>/decisions directory dumps its TDecide
+// records. A directory holding a retired single-file log is refused.
 //
 // Usage:
 //
-//	walinspect [-v] <db-dir | path-to-wal.log>
+//	walinspect [-v] <dir>
 package main
 
 import (
@@ -21,19 +22,16 @@ func main() {
 	verbose := flag.Bool("v", false, "print image bytes")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: walinspect [-v] <db-dir | wal.log>")
+		fmt.Fprintln(os.Stderr, "usage: walinspect [-v] <db-dir | coord-dir/decisions>")
 		os.Exit(2)
 	}
-	path := flag.Arg(0)
-	info, statErr := os.Stat(path)
-	isDir := statErr == nil && info.IsDir()
-
-	scan := wal.ScanFile
-	if isDir {
-		scan = wal.ScanChain
+	dir := flag.Arg(0)
+	if info, err := os.Stat(dir); err == nil && !info.IsDir() {
+		fmt.Fprintf(os.Stderr, "walinspect: %s is not a directory\n", dir)
+		os.Exit(2)
 	}
 	var count int
-	err := scan(path, func(r *wal.Record) error {
+	err := wal.ScanChain(dir, func(r *wal.Record) error {
 		count++
 		switch r.Type {
 		case wal.TBegin, wal.TAbort:
@@ -74,11 +72,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	recover := func(p string) (*wal.State, error) { return wal.Recover(p) }
-	if isDir {
-		recover = func(p string) (*wal.State, error) { return wal.RecoverDir(p, wal.RecoverOptions{}) }
-	}
-	st, err := recover(path)
+	st, err := wal.RecoverDir(dir, wal.RecoverOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "walinspect: recover: %v\n", err)
 		os.Exit(1)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	asset "repro"
 	"repro/models"
@@ -85,7 +84,7 @@ func main() {
 	data, _ = m2.Cache().Read(greeting)
 	fmt.Printf("after compensation: %q\n", data)
 
-	if _, err := fmt.Println("wal is at", filepath.Join(dir, "wal.log"), "(inspect with cmd/walinspect)"); err != nil {
+	if _, err := fmt.Println("the log is in", dir, "(inspect with cmd/walinspect)"); err != nil {
 		log.Fatal(err)
 	}
 }

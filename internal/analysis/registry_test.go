@@ -76,11 +76,10 @@ func TestAnnotationRegistry(t *testing.T) {
 	wantDurable := []string{
 		"commit.go before=ReleaseAll,EscrowCommit",
 		"groupcommit.go before=createSegment",
-		"groupcommit.go before=createSegment",
+		"groupcommit.go before=startSegment",
 		"manager.go before=Truncate",
 		"manifest.go before=Rename",
 		"prepared.go before=close",
-		"txcoord.go before=Rename",
 		"txcoord.go before=deliver",
 	}
 	if fmt.Sprint(durable) != fmt.Sprint(wantDurable) {

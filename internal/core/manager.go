@@ -103,7 +103,7 @@ const DefaultVerdictRetention = 4096
 // truncatableLog is satisfied by logs that can drop their contents after a
 // checkpoint.
 type truncatableLog interface {
-	Truncate() error
+	Truncate(keep ...*wal.Record) error
 }
 
 // forceableLog is satisfied by logs that can be fsynced on demand
@@ -282,9 +282,8 @@ func open(cfg Config, detect bool) (*Manager, error) {
 		ps.Close()
 		return nil, err
 	}
-	// The log is a segmented chain (with any pre-segmentation wal.log as
-	// its read-only base); recovery scans the segments in parallel across
-	// cores and merges them sequentially in redo order.
+	// The log is a segmented chain; recovery scans the segments in
+	// parallel across cores and merges them sequentially in redo order.
 	// The store reflects every record at or below its checkpoint stamp; the
 	// log, which a checkpoint only ever truncates forward, must lie past it.
 	stamp := ps.CheckpointLSN()

@@ -12,7 +12,8 @@
 //     (lease expiry, watchdog, crash) can touch them.
 //  2. The coordinator collects the votes and records the verdict —
 //     commit iff every vote was yes — in its own durable decision log
-//     BEFORE releasing it to anyone.
+//     (a wal.SegmentedLog under <dir>/decisions) BEFORE releasing it to
+//     anyone.
 //  3. Decide: the verdict is delivered to every participant,
 //     best-effort. Delivery may fail or duplicate freely: participants
 //     apply verdicts idempotently, and a participant that restarts in
@@ -30,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -50,8 +52,8 @@ type Coordinator struct {
 	//asset:latch order=1
 	mu      sync.Mutex
 	fsys    faultfs.FS
-	path    string
-	log     *wal.FileLog
+	path    string // the decision chain's directory
+	log     *wal.SegmentedLog
 	decided map[uint64]bool
 	retired int // decisions forgotten since the last compaction
 
@@ -76,21 +78,34 @@ type Coordinator struct {
 	CompactEvery int
 }
 
-// Open opens (creating if needed) the decision log in dir. A nil fsys
-// means the real filesystem. Every verdict previously recorded is
-// reloaded; a torn tail (crash mid-append) cleanly drops the unwritten
-// decision — which is exactly a coordinator that crashed before
-// deciding, and resolves as presumed abort.
+// Open opens (creating if needed) the decision log in dir: a segment
+// chain in dir/decisions, so that a database sharing dir keeps a chain
+// of its own. A nil fsys means the real filesystem. Every verdict
+// previously recorded is reloaded; a torn tail (crash mid-append)
+// cleanly drops the unwritten decision — which is exactly a coordinator
+// that crashed before deciding, and resolves as presumed abort. A dir
+// holding a coord.log, the retired single-file decision log, is refused
+// with an error wrapping wal.ErrRetiredFormat.
 func Open(fsys faultfs.FS, dir string) (*Coordinator, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("txcoord: mkdir %s: %w", dir, err)
+	retired := filepath.Join(dir, "coord.log")
+	if f, err := fsys.OpenFile(retired, os.O_RDONLY, 0); err == nil {
+		f.Close()
+		return nil, fmt.Errorf("txcoord: %w: %s is a single-file decision log", wal.ErrRetiredFormat, retired)
 	}
-	path := filepath.Join(dir, "coord.log")
+	path := filepath.Join(dir, "decisions")
+	if err := fsys.MkdirAll(path, 0o755); err != nil {
+		return nil, fmt.Errorf("txcoord: mkdir %s: %w", path, err)
+	}
+	// The decisions directory's own entry must be durable before a
+	// decision forced into it is released.
+	if err := fsys.SyncDir(dir); err != nil {
+		return nil, fmt.Errorf("txcoord: sync %s: %w", dir, err)
+	}
 	decided := make(map[uint64]bool)
-	if err := wal.ScanFileFS(fsys, path, func(r *wal.Record) error {
+	if err := wal.ScanChainFS(fsys, path, func(r *wal.Record) error {
 		if r.Type == wal.TDecide {
 			if _, ok := decided[r.GID]; !ok { // first writer won
 				decided[r.GID] = r.Commit
@@ -100,11 +115,20 @@ func Open(fsys faultfs.FS, dir string) (*Coordinator, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("txcoord: scan %s: %w", path, err)
 	}
-	log, err := wal.OpenFileFS(fsys, path, true)
+	log, err := openLog(fsys, path)
 	if err != nil {
 		return nil, err
 	}
 	return &Coordinator{fsys: fsys, path: path, log: log, decided: decided}, nil
+}
+
+// openLog opens the decision chain in dir, forcing every append.
+func openLog(fsys faultfs.FS, dir string) (*wal.SegmentedLog, error) {
+	log, err := wal.OpenSegmentedFS(fsys, dir, wal.SegmentedOptions{Sync: true})
+	if err != nil {
+		return nil, fmt.Errorf("txcoord: open %s: %w", dir, err)
+	}
+	return log, nil
 }
 
 // Close closes the decision log.
@@ -177,8 +201,8 @@ func (c *Coordinator) retire(gid uint64) {
 		every = 1024
 	}
 	if every > 0 && c.retired >= every {
-		// Best-effort: a failed auto-compaction leaves the log intact and
-		// merely oversized; the next retirement tries again.
+		// Best-effort: a failed auto-compaction leaves the live decisions
+		// on disk and the log reopened; the next retirement tries again.
 		if err := c.compactLocked(); err == nil {
 			c.retired = 0
 		}
@@ -187,9 +211,12 @@ func (c *Coordinator) retire(gid uint64) {
 
 // Compact rewrites the decision log to hold exactly the still-live
 // decisions, durably dropping retired ones and bounding the log's
-// otherwise append-only growth. Crash-safe: the replacement is written
-// aside, synced, and renamed over the old log, so every point of failure
-// leaves one intact log containing at least the live decisions.
+// otherwise append-only growth. Crash-safe: the chain's truncation
+// writes and fsyncs the live decisions into a fresh segment before its
+// manifest cutover, so every point of failure leaves a chain holding at
+// least the live decisions. A failed compaction poisons the chain like
+// any failed force; Compact then reopens it once, so the coordinator
+// keeps answering, and returns the failure.
 func (c *Coordinator) Compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -200,60 +227,26 @@ func (c *Coordinator) Compact() error {
 	return nil
 }
 
-// compactLocked rewrites the decision log as one TDecide per decided
-// group and atomically swaps it in. The write-aside log must be fully
-// durable (nl.Close flushes and fsyncs) before the rename publishes it
-// as the log of record. Caller holds c.mu.
-//asset:durable before=Rename
+// compactLocked truncates the decision chain down to one TDecide per
+// decided group, reopening it if the truncation fails. Caller holds c.mu.
 func (c *Coordinator) compactLocked() error {
-	tmp := c.path + ".compact"
-	_ = c.fsys.Remove(tmp) // stale leftover from a crashed compaction
-	nl, err := wal.OpenFileFS(c.fsys, tmp, true)
-	if err != nil {
-		return fmt.Errorf("txcoord: compact: %w", err)
+	keep := make([]*wal.Record, 0, len(c.decided))
+	for gid, commit := range c.decided {
+		keep = append(keep, &wal.Record{Type: wal.TDecide, GID: gid, Commit: commit})
 	}
-	gids := make([]uint64, 0, len(c.decided))
-	for gid := range c.decided {
-		gids = append(gids, gid)
+	sort.Slice(keep, func(i, j int) bool { return keep[i].GID < keep[j].GID })
+	err := c.log.Truncate(keep...)
+	if err == nil {
+		return nil
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, gid := range gids {
-		if _, err := nl.Append(&wal.Record{Type: wal.TDecide, GID: gid, Commit: c.decided[gid]}); err != nil {
-			nl.Close()
-			_ = c.fsys.Remove(tmp)
-			return fmt.Errorf("txcoord: compact append: %w", err)
-		}
-	}
-	if err := nl.Close(); err != nil { // Close flushes and fsyncs
-		_ = c.fsys.Remove(tmp)
-		return fmt.Errorf("txcoord: compact force: %w", err)
-	}
-	if err := c.log.Close(); err != nil {
-		// The old log failed to flush its tail; keep it as the log of
-		// record rather than replacing it with a possibly-older view.
-		reopenErr := c.reopenLocked()
-		return errors.Join(fmt.Errorf("txcoord: compact close: %w", err), reopenErr)
-	}
-	if err := c.fsys.Rename(tmp, c.path); err != nil {
-		reopenErr := c.reopenLocked()
-		return errors.Join(fmt.Errorf("txcoord: compact rename: %w", err), reopenErr)
-	}
-	if err := c.fsys.SyncDir(filepath.Dir(c.path)); err != nil {
-		reopenErr := c.reopenLocked()
-		return errors.Join(fmt.Errorf("txcoord: compact sync dir: %w", err), reopenErr)
-	}
-	return c.reopenLocked()
-}
-
-// reopenLocked re-opens the decision log at c.path after a compaction
-// attempt released the previous handle. Caller holds c.mu.
-func (c *Coordinator) reopenLocked() error {
-	log, err := wal.OpenFileFS(c.fsys, c.path, true)
-	if err != nil {
-		return fmt.Errorf("txcoord: compact reopen: %w", err)
+	err = fmt.Errorf("txcoord: compact: %w", err)
+	_ = c.log.Close() // poisoned: the reopen below rereads what reached the disk
+	log, rerr := openLog(c.fsys, c.path)
+	if rerr != nil {
+		return errors.Join(err, rerr)
 	}
 	c.log = log
-	return nil
+	return err
 }
 
 // Member is one participant's stake in a commit round: the transactions

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
+	"repro/internal/wal"
 	"repro/internal/xid"
 )
 
@@ -335,5 +338,170 @@ func TestResolveInDoubt(t *testing.T) {
 	// Multi-shot: nothing left, still fine.
 	if err := ResolveInDoubt(m, c.Resolve); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesRetiredCoordLog: a coordinator directory holding the
+// retired single-file coord.log is refused, with the file named; opening
+// around it would forget every decision it holds.
+func TestOpenRefusesRetiredCoordLog(t *testing.T) {
+	mfs := faultfs.NewMem()
+	f, err := mfs.OpenFile("coord/coord.log", os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	_, err = Open(mfs, "coord")
+	if !errors.Is(err, wal.ErrRetiredFormat) || !strings.Contains(err.Error(), "coord.log") {
+		t.Fatalf("Open = %v, want ErrRetiredFormat naming coord.log", err)
+	}
+}
+
+// compactWorld opens a coordinator on a fresh filesystem holding live
+// decisions (unacknowledged rounds and forced aborts) and retired ones
+// (fully acknowledged rounds, commit and abort), with auto-compaction
+// off so the caller's Compact is the only one.
+func compactWorld(t *testing.T) (mfs *faultfs.MemFS, c *Coordinator, live, retired map[uint64]bool) {
+	t.Helper()
+	mfs = faultfs.NewMem()
+	c, err := Open(mfs, "coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RetireAcked = true
+	c.CompactEvery = -1
+	c.DeliverAttempts = 1
+	c.DeliverBackoff = 1
+	live, retired = make(map[uint64]bool), make(map[uint64]bool)
+	ctx := context.Background()
+	for gid := uint64(1); gid <= 12; gid++ {
+		switch gid % 4 {
+		case 0: // acknowledged commit: retired
+			c.CommitGroup(ctx, gid, []Member{(&fakeMember{}).member("a")}) //nolint:errcheck
+			retired[gid] = true
+		case 1: // acknowledged abort: retired
+			no := &fakeMember{voteErr: errors.New("no")}
+			c.CommitGroup(ctx, gid, []Member{no.member("a")}) //nolint:errcheck
+			retired[gid] = false
+		case 2: // unacknowledged commit: live
+			deaf := &fakeMember{failFirst: 1 << 30}
+			c.CommitGroup(ctx, gid, []Member{deaf.member("a")}) //nolint:errcheck
+			live[gid] = true
+		case 3: // forced abort: live
+			if _, err := c.Resolve(gid); err != nil {
+				t.Fatal(err)
+			}
+			live[gid] = false
+		}
+	}
+	for gid, want := range live {
+		if commit, decided := c.Verdict(gid); !decided || commit != want {
+			t.Fatalf("setup: live group %d = %v/%v", gid, commit, decided)
+		}
+	}
+	for gid := range retired {
+		if _, decided := c.Verdict(gid); decided {
+			t.Fatalf("setup: group %d not retired", gid)
+		}
+	}
+	return mfs, c, live, retired
+}
+
+// checkVerdicts opens a coordinator on fsys and asserts every live
+// decision kept its verdict and every retired one is absent or carries
+// its original verdict.
+func checkVerdicts(t *testing.T, what string, fsys faultfs.FS, live, retired map[uint64]bool) {
+	t.Helper()
+	c, err := Open(fsys, "coord")
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", what, err)
+	}
+	defer c.Close()
+	for gid, want := range live {
+		if commit, decided := c.Verdict(gid); !decided || commit != want {
+			t.Fatalf("%s: live group %d = commit %v decided %v, want commit %v", what, gid, commit, decided, want)
+		}
+	}
+	for gid, want := range retired {
+		if commit, decided := c.Verdict(gid); decided && commit != want {
+			t.Fatalf("%s: retired group %d came back as commit %v, want %v", what, gid, commit, want)
+		}
+	}
+}
+
+// TestCompactCrashSweep crashes at every filesystem operation Compact
+// performs. Whichever crash image a reboot finds, the reopened coordinator
+// holds every live verdict, and a retired decision is gone or unchanged.
+func TestCompactCrashSweep(t *testing.T) {
+	swept := 0
+	for k := 1; ; k++ {
+		mfs, c, live, retired := compactWorld(t)
+		mfs.SetScript(faultfs.NewScript(faultfs.Rule{Op: faultfs.OpAny, Nth: k, Action: faultfs.ActCrash}))
+		err := c.Compact()
+		crashed := mfs.Crashed()
+		mfs.SetScript(nil)
+		c.Close()
+		if !crashed {
+			if err != nil {
+				t.Fatalf("uncrashed Compact: %v", err)
+			}
+			// k is past the last operation: the compaction completed
+			// and dropped every retired decision.
+			checkVerdicts(t, "completed", mfs, live, nil)
+			c2 := openCoord(t, mfs)
+			for gid := range retired {
+				if _, decided := c2.Verdict(gid); decided {
+					t.Fatalf("retired group %d survived a completed compaction", gid)
+				}
+			}
+			break
+		}
+		if err == nil {
+			t.Fatalf("op %d: Compact succeeded on a crashed filesystem", k)
+		}
+		swept++
+		for _, mode := range []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced} {
+			checkVerdicts(t, fmt.Sprintf("crash at op %d, %v", k, mode), mfs.CrashImage(mode), live, retired)
+		}
+	}
+	if swept < 10 {
+		t.Fatalf("swept %d crash points; Compact performs more operations than that", swept)
+	}
+}
+
+// TestCompactErrorSweep fails each filesystem operation Compact performs
+// in turn. The failed Compact reports the error, the live verdicts still
+// answer, and the next round's decision is durable: it survives a crash
+// that drops everything unsynced.
+func TestCompactErrorSweep(t *testing.T) {
+	swept := 0
+	for k := 1; ; k++ {
+		mfs, c, live, retired := compactWorld(t)
+		mfs.SetScript(faultfs.NewScript(faultfs.Rule{Op: faultfs.OpAny, Nth: k, Action: faultfs.ActError}))
+		err := c.Compact()
+		mfs.SetScript(nil)
+		if err == nil {
+			c.Close()
+			break // k is past the last operation
+		}
+		if !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("op %d: Compact = %v, want the injected fault", k, err)
+		}
+		swept++
+		for gid, want := range live {
+			if commit, err := c.Resolve(gid); err != nil || commit != want {
+				t.Fatalf("op %d: live group %d resolves %v, %v; want %v", k, gid, commit, err, want)
+			}
+		}
+		deaf := &fakeMember{failFirst: 1 << 30}
+		if ok, err := c.CommitGroup(context.Background(), 100, []Member{deaf.member("a")}); err != nil || !ok {
+			t.Fatalf("op %d: round after failed Compact = %v, %v", k, ok, err)
+		}
+		live[100] = true
+		checkVerdicts(t, fmt.Sprintf("error at op %d", k), mfs.CrashImage(faultfs.DropUnsynced), live, retired)
+		c.Close()
+	}
+	if swept < 10 {
+		t.Fatalf("swept %d failure points; Compact performs more operations than that", swept)
 	}
 }

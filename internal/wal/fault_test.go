@@ -8,6 +8,18 @@ import (
 	"repro/internal/xid"
 )
 
+// openFaulty opens a chain on mfs and then installs rule, so the rule's
+// count starts after the opener's own header and manifest I/O.
+func openFaulty(t *testing.T, mfs *faultfs.MemFS, sync bool, rule faultfs.Rule) *SegmentedLog {
+	t.Helper()
+	l, err := OpenSegmentedFS(mfs, "/db", SegmentedOptions{Sync: sync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mfs.SetScript(faultfs.NewScript(rule))
+	return l
+}
+
 // TestFailedSyncPoisonsLog is the regression test for the unpoisoned-
 // handle bug class: on the seed code, a commit whose fsync failed left
 // the log usable, so the *next* commit's flush could succeed and claim
@@ -16,11 +28,7 @@ import (
 // poisoned instead.
 func TestFailedSyncPoisonsLog(t *testing.T) {
 	mfs := faultfs.NewMem()
-	mfs.SetScript(faultfs.NewScript(faultfs.Rule{Op: faultfs.OpSync, Nth: 1, Action: faultfs.ActError}))
-	l, err := OpenFileFS(mfs, "/wal.log", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openFaulty(t, mfs, true, faultfs.Rule{Op: faultfs.OpSync, Nth: 1, Action: faultfs.ActError})
 	defer l.Close()
 	if _, err := l.Append(&Record{Type: TBegin, TID: 1}); err != nil {
 		t.Fatal(err)
@@ -40,15 +48,11 @@ func TestFailedSyncPoisonsLog(t *testing.T) {
 	}
 }
 
-// TestFailedWritePoisonsLog: a failed buffer drain poisons the handle
-// the same way (the buffered suffix is in an unknown state on disk).
+// TestFailedWritePoisonsLog: a failed batch write poisons the handle
+// the same way (the written suffix is in an unknown state on disk).
 func TestFailedWritePoisonsLog(t *testing.T) {
 	mfs := faultfs.NewMem()
-	mfs.SetScript(faultfs.NewScript(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal", Nth: 1, Action: faultfs.ActError}))
-	l, err := OpenFileFS(mfs, "/wal.log", false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openFaulty(t, mfs, false, faultfs.Rule{Op: faultfs.OpWrite, Path: "wal-", Nth: 1, Action: faultfs.ActError})
 	defer l.Close()
 	if _, err := l.Append(&Record{Type: TBegin, TID: 1}); err != nil {
 		t.Fatal(err)
@@ -68,11 +72,7 @@ func TestFailedWritePoisonsLog(t *testing.T) {
 // them — B's "durable" commit evaporates.
 func TestLostFlushNotSilentlyCommitted(t *testing.T) {
 	mfs := faultfs.NewMem()
-	mfs.SetScript(faultfs.NewScript(faultfs.Rule{Op: faultfs.OpSync, Nth: 1, Action: faultfs.ActError}))
-	l, err := OpenFileFS(mfs, "/wal.log", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openFaulty(t, mfs, true, faultfs.Rule{Op: faultfs.OpSync, Nth: 1, Action: faultfs.ActError})
 	l.Append(&Record{Type: TBegin, TID: 1})
 	l.Append(&Record{Type: TCommit, TIDs: []xid.TID{1}})
 	if err := l.Flush(); err == nil {
@@ -87,7 +87,7 @@ func TestLostFlushNotSilentlyCommitted(t *testing.T) {
 	// correct outcome (no acknowledged commit is missing).
 	img := mfs.CrashImage(faultfs.DropUnsynced)
 	var tids []xid.TID
-	if err := ScanFileFS(img, "/wal.log", func(r *Record) error {
+	if err := ScanChainFS(img, "/db", func(r *Record) error {
 		if r.Type == TCommit {
 			tids = append(tids, r.TIDs...)
 		}
@@ -100,11 +100,11 @@ func TestLostFlushNotSilentlyCommitted(t *testing.T) {
 	}
 }
 
-// TestScanOverFaultInjectedFS exercises ScanFileFS/RecoverFS over the
-// in-memory filesystem end to end.
+// TestScanOverFaultInjectedFS exercises ScanChainFS/RecoverDirFS over
+// the in-memory filesystem end to end.
 func TestScanOverFaultInjectedFS(t *testing.T) {
 	mfs := faultfs.NewMem()
-	l, err := OpenFileFS(mfs, "/wal.log", true)
+	l, err := OpenSegmentedFS(mfs, "/db", SegmentedOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,11 @@ func TestScanOverFaultInjectedFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	st, err := RecoverFS(mfs, "/wal.log")
+	n := 0
+	if err := ScanChainFS(mfs, "/db", func(*Record) error { n++; return nil }); err != nil || n != 3 {
+		t.Fatalf("scan = %d records, %v", n, err)
+	}
+	st, err := RecoverDirFS(mfs, "/db", RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestScanOverFaultInjectedFS(t *testing.T) {
 		t.Fatalf("recovered %+v", st)
 	}
 	// A crash image in DropUnsynced mode keeps the synced records.
-	st, err = RecoverFS(mfs.CrashImage(faultfs.DropUnsynced), "/wal.log")
+	st, err = RecoverDirFS(mfs.CrashImage(faultfs.DropUnsynced), "/db", RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,10 @@ package wal
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"encoding/binary"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/xid"
 )
 
@@ -42,18 +42,11 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// realisticLog renders a multi-transaction log — begins, updates, a
-// delegate, an undo, commits, an abort, a checkpoint — to raw bytes, the
-// base for the corrupted-tail corpus.
-func realisticLog(tb testing.TB) []byte {
-	tb.Helper()
-	dir := tb.TempDir()
-	path := filepath.Join(dir, "seed.log")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, r := range []*Record{
+// realisticRecords is a multi-transaction history — begins, updates, a
+// delegate, an undo, commits, an abort, a checkpoint — the base for the
+// corrupted-tail corpus.
+func realisticRecords() []*Record {
+	return []*Record{
 		{Type: TBegin, TID: 1},
 		{Type: TUpdate, TID: 1, OID: 10, Kind: KindCreate, After: []byte("one")},
 		{Type: TCommit, TIDs: []xid.TID{1}},
@@ -65,132 +58,156 @@ func realisticLog(tb testing.TB) []byte {
 		{Type: TAbort, TID: 3},
 		{Type: TCommit, TIDs: []xid.TID{2}},
 		{Type: TCheckpoint},
-	} {
-		if _, err := l.Append(r); err != nil {
-			tb.Fatal(err)
+	}
+}
+
+// frames renders recs, numbered from LSN 1, as the frames a segment
+// holds after its header.
+func frames(recs []*Record) []byte {
+	var buf []byte
+	for i, r := range recs {
+		r.LSN = uint64(i + 1)
+		buf = appendFrame(buf, r)
+	}
+	return buf
+}
+
+// lastFrameStart returns the offset of the last whole frame in a run of
+// frames starting at off.
+func lastFrameStart(data []byte, off int) int {
+	last := off
+	for off+frameHeader <= len(data) {
+		next := off + frameHeader + int(binary.LittleEndian.Uint32(data[off:off+4]))
+		if next > len(data) {
+			break
 		}
+		last, off = off, next
 	}
-	if err := l.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
+	return last
 }
 
-// corruptTail derives the realistic torn-tail shapes a crash leaves:
-// a record truncated mid-payload, a checksum flipped in the last record,
-// and a garbage (absurd) length prefix on the final frame.
-func corruptTail(good []byte) (truncated, badCRC, badLen []byte) {
-	truncated = append([]byte{}, good[:len(good)-3]...)
-	badCRC = append([]byte{}, good...)
-	badCRC[len(badCRC)-1] ^= 0xff
-	badLen = append([]byte{}, good...)
-	// The last frame is the 12-byte TCheckpoint: stamp its length prefix
-	// (frameHeader bytes before the payload end) with garbage.
-	if len(badLen) >= frameHeader {
-		off := len(badLen) - frameHeader
-		badLen[off] = 0xff
-		badLen[off+1] = 0xff
-		badLen[off+2] = 0xff
-		badLen[off+3] = 0x7f
+// tornShapes derives the damage a crash or a bad disk leaves on the last
+// frame of a run of frames starting at off: a record truncated
+// mid-payload, a flipped checksum byte, a garbage length prefix, a tail
+// torn mid-header, a tail torn exactly at the frame boundary, and a hole
+// (a zeroed frame header's worth of bytes) in the middle of the run.
+func tornShapes(good []byte, off int) map[string][]byte {
+	last := lastFrameStart(good, off)
+	dup := func() []byte { return append([]byte{}, good...) }
+	badCRC := dup()
+	badCRC[last+4] ^= 0xff
+	badLen := dup()
+	copy(badLen[last:last+4], []byte{0xff, 0xff, 0xff, 0x7f})
+	hole := dup()
+	mid := off + (len(good)-off)/2
+	for i := mid; i < mid+frameHeader && i < len(hole); i++ {
+		hole[i] = 0
 	}
-	return truncated, badCRC, badLen
+	return map[string][]byte{
+		"truncated-record":  dup()[:len(good)-3],
+		"bad-checksum":      badCRC,
+		"garbage-length":    badLen,
+		"torn-frame-header": good[:last+frameHeader/2],
+		"frame-boundary":    good[:last],
+		"hole":              hole,
+	}
 }
 
-// FuzzScanRobustness: scanning arbitrary bytes as a log file must never
-// panic and must stop cleanly.
+// FuzzScanRobustness: arbitrary bytes as the frames of a chain's only
+// segment must leave the scan, recovery and a reopen panic-free: the
+// scan stops cleanly or fails with a typed chain error, and a chain that
+// scans reopens, drops its torn tail and appends after it.
 func FuzzScanRobustness(f *testing.F) {
-	// Seed with a real log plus garbage suffixes.
-	dir := f.TempDir()
-	path := filepath.Join(dir, "seed.log")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		f.Fatal(err)
-	}
-	l.Append(&Record{Type: TBegin, TID: 1})
-	l.Append(&Record{Type: TCommit, TIDs: []xid.TID{1}})
-	l.Close()
-	good, _ := os.ReadFile(path)
+	good := frames([]*Record{{Type: TBegin, TID: 1}, {Type: TCommit, TIDs: []xid.TID{1}}})
 	f.Add(good)
 	f.Add(append(append([]byte{}, good...), 0xde, 0xad, 0xbe, 0xef))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03})
-	// Corrupted-tail corpus: the torn shapes recover.go must survive.
-	multi := realisticLog(f)
+	// Corrupted-tail corpus: the torn shapes recovery must survive.
+	multi := frames(realisticRecords())
 	f.Add(multi)
-	truncated, badCRC, badLen := corruptTail(multi)
-	f.Add(truncated)
-	f.Add(badCRC)
-	f.Add(badLen)
-	// A tail torn mid-header and one torn exactly at a frame boundary.
-	f.Add(multi[:len(multi)-frameHeader+2])
-	f.Add(multi[:len(multi)-frameHeader])
-	// A hole: an all-zero frame splicing the middle of the log (lost
-	// write under a later durable one).
-	hole := append([]byte{}, multi...)
-	for i := len(hole) / 2; i < len(hole)/2+frameHeader && i < len(hole); i++ {
-		hole[i] = 0
+	shapes := tornShapes(multi, 0)
+	for _, name := range []string{"truncated-record", "bad-checksum", "garbage-length",
+		"torn-frame-header", "frame-boundary", "hole"} {
+		f.Add(shapes[name])
 	}
-	f.Add(hole)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), "fuzz.log")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		mfs := faultfs.NewMem()
+		hdr := encodeSegmentHeader(1, 1)
+		overwrite(t, mfs, segmentPath("/db", 1), append(hdr[:], data...))
 		n := 0
-		if err := ScanFile(p, func(*Record) error { n++; return nil }); err != nil {
-			t.Fatalf("scan errored (must stop cleanly): %v", err)
+		err := ScanChainFS(mfs, "/db", func(*Record) error { n++; return nil })
+		if _, rerr := RecoverDirFS(mfs, "/db", RecoverOptions{}); (err == nil) != (rerr == nil) {
+			t.Fatalf("scan and recovery disagree: %v vs %v", err, rerr)
 		}
-		// Recovery over the same bytes must also be panic-free.
-		if _, err := Recover(p); err != nil {
-			t.Fatalf("recover errored: %v", err)
+		if err != nil {
+			if !typedChainErr(err) {
+				t.Fatalf("untyped scan error: %v", err)
+			}
+			return
 		}
 		// Reopening for append must truncate the torn tail and stay usable.
-		l, err := OpenFile(p, false)
+		l, err := OpenSegmentedFS(mfs, "/db", SegmentedOptions{})
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
 		if _, err := l.Append(&Record{Type: TBegin, TID: 99}); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
-		l.Close()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m := 0
+		if err := ScanChainFS(mfs, "/db", func(*Record) error { m++; return nil }); err != nil || m != n+1 {
+			t.Fatalf("after repair scan saw %d records (%v), want %d", m, err, n+1)
+		}
 	})
 }
 
 // TestRecoverCorruptedTails pins down the exact semantics the fuzz
-// corpus shapes exercise: every torn-tail class stops the scan at the
-// last intact record, and recovery of the intact prefix is unaffected.
+// corpus shapes exercise on the final segment of a chain: every
+// torn-tail class stops the scan at the last intact record, and
+// recovery of the intact prefix is unaffected.
 func TestRecoverCorruptedTails(t *testing.T) {
-	good := realisticLog(t)
-	truncated, badCRC, badLen := corruptTail(good)
-	intact := 0
-	mustWrite := func(data []byte) string {
-		p := filepath.Join(t.TempDir(), "log")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
+	build := func(t *testing.T) *faultfs.MemFS {
+		mfs := faultfs.NewMem()
+		l, err := OpenSegmentedFS(mfs, "/db", SegmentedOptions{SegmentBytes: 128, Sync: true})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		for _, r := range realisticRecords() {
+			if _, err := l.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return mfs
 	}
-	if err := ScanFile(mustWrite(good), func(*Record) error { intact++; return nil }); err != nil {
+	mfs := build(t)
+	last := segmentPath("/db", lastSegment(t, mfs))
+	if last == segmentPath("/db", 1) {
+		t.Fatal("the history fits one segment; the final segment is not exercised")
+	}
+	intact := 0
+	if err := ScanChainFS(mfs, "/db", func(*Record) error { intact++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if intact != 11 {
 		t.Fatalf("intact log has %d records, want 11", intact)
 	}
-	for name, data := range map[string][]byte{
-		"truncated-record":  truncated,
-		"bad-checksum":      badCRC,
-		"garbage-length":    badLen,
-		"torn-frame-header": good[:len(good)-frameHeader+2],
-	} {
+	shapes := tornShapes(readBack(t, mfs, last), segHeaderSize)
+	for _, name := range []string{"truncated-record", "bad-checksum", "garbage-length", "torn-frame-header"} {
 		t.Run(name, func(t *testing.T) {
-			p := mustWrite(data)
+			mfs := build(t)
+			overwrite(t, mfs, last, shapes[name])
 			n := 0
-			if err := ScanFile(p, func(*Record) error { n++; return nil }); err != nil {
+			if err := ScanChainFS(mfs, "/db", func(*Record) error { n++; return nil }); err != nil {
 				t.Fatal(err)
 			}
 			// Every corruption hits the final frame (the checkpoint):
@@ -201,7 +218,7 @@ func TestRecoverCorruptedTails(t *testing.T) {
 			// The committed state of the intact prefix is unaffected:
 			// T1 created oid 10, T2's modify of oid 11 committed after
 			// T3's undo installed the old image.
-			st, err := Recover(p)
+			st, err := RecoverDirFS(mfs, "/db", RecoverOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +27,7 @@ import (
 // forms while batch N syncs, and commits-per-fsync grows with offered
 // load instead of every committer paying a private force.
 //
-// A failed write or fsync poisons the log exactly like FileLog: the
+// A failed write or fsync poisons the log: the
 // batch's records are in an indeterminate state on disk, so the leader
 // returns the cause, every parked follower gets ErrPoisoned (no commit
 // is ever acked over a hole), and all later appends and forces refuse.
@@ -122,19 +121,13 @@ func OpenSegmentedFS(fsys faultfs.FS, dir string, opts SegmentedOptions) (*Segme
 	l.durableLSN = info.nextLSN - 1
 
 	for _, e := range info.entries {
-		if e.legacy {
-			l.man.Legacy = true
-			continue
-		}
 		l.man.Segments = append(l.man.Segments, manifestSegment{Seq: e.seq, FirstLSN: e.firstLSN})
 	}
+	manifestDirty := info.man == nil || len(info.man.Segments) != len(l.man.Segments)
 
-	manifestDirty := info.man == nil || info.man.Legacy != l.man.Legacy ||
-		len(info.man.Segments) != len(l.man.Segments)
-
-	if info.lastIsSegment {
+	if info.lastPath != "" {
 		// Adopt the final segment as the write target, dropping its torn
-		// tail the way FileLog.Open does.
+		// tail.
 		f, err := fsys.OpenFile(info.lastPath, os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: open %s: %w", info.lastPath, err)
@@ -149,30 +142,9 @@ func OpenSegmentedFS(fsys faultfs.FS, dir string, opts SegmentedOptions) (*Segme
 		}
 		l.cur, l.curSeq, l.curSize = f, info.lastSeq, info.lastEnd
 	} else {
-		// Fresh database, legacy-only chain, or a torn trailing segment
-		// whose header never became durable: start a new segment. A
-		// legacy base first has its torn tail dropped so the chain stays
-		// LSN-contiguous.
-		if info.legacyPath != "" {
-			lf, err := fsys.OpenFile(info.legacyPath, os.O_RDWR, 0o644)
-			if err != nil {
-				return nil, err
-			}
-			if err := lf.Truncate(info.legacyEnd); err != nil {
-				lf.Close()
-				return nil, fmt.Errorf("wal: truncate legacy torn tail: %w", err)
-			}
-			if err := lf.Sync(); err != nil {
-				lf.Close()
-				return nil, err
-			}
-			if err := lf.Close(); err != nil {
-				return nil, err
-			}
-		}
-		// A chain with no adoptable segment always starts numbering at 1:
-		// either nothing exists yet, or only a legacy base does (a torn
-		// probed wal-000001.seg is recreated in place by O_TRUNC).
+		// Fresh directory, or a torn trailing segment whose header never
+		// became durable: start the chain at segment 1 (a torn probed
+		// wal-000001.seg is recreated in place by O_TRUNC).
 		seq := uint64(1)
 		f, err := createSegment(fsys, dir, seq, info.nextLSN)
 		if err != nil {
@@ -251,8 +223,10 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 }
 
 // takeBatch swaps the slab for the recycled spare and returns the
-// pending batch. Called by whoever holds force leadership. high is the
-// LSN of the batch's last record (0 for an empty batch), computed while
+// pending batch. Called by whoever holds force leadership. first is the
+// LSN of the batch's first record, or for an empty batch the LSN the
+// next append will take. high is the LSN of the batch's last record (0
+// for an empty batch). Both are computed while
 // the append latch is held: appends race the leader here — the core
 // appends under its mutex while a leader forces with it released — and
 // a record that slips into the fresh slab after the swap belongs
@@ -266,6 +240,8 @@ func (l *SegmentedLog) takeBatch() (batch []byte, first, recs, high uint64) {
 		// LSNs are assigned contiguously under appendMu, so the slab
 		// covers exactly [first, first+recs-1].
 		high = first + recs - 1
+	} else {
+		first = l.nextLSN
 	}
 	l.slab = l.spare[:0]
 	l.spare = nil
@@ -461,36 +437,40 @@ func (l *SegmentedLog) forceDurable() (uint64, error) {
 	return high, nil
 }
 
-// Truncate drops the fully-applied chain after a quiescent checkpoint:
-// a fresh segment (continuing the LSN sequence) becomes the entire log,
-// the manifest is cut over to it atomically, and only then are the old
-// segment files — and any legacy wal.log base — deleted. A crash
-// anywhere in between recovers either the old chain or the new one;
-// orphaned files below the manifest's first segment are ignored by
-// recovery and swept on the next truncation-free open.
-func (l *SegmentedLog) Truncate() error {
+// Truncate drops the fully-applied chain after a quiescent checkpoint
+// and starts a fresh segment, continuing the LSN sequence, whose first
+// batch is keep followed by anything appended since the drain. The new
+// segment is fsynced, whatever the Sync policy, before the manifest is
+// cut over to it atomically; only then are the old segment files
+// deleted. A crash anywhere in between recovers the old chain (possibly
+// followed by the new segment, a probed continuation that repeats keep)
+// or the new chain alone; files below the manifest's first segment are
+// ignored by recovery. Each kept record is appended as by Append, its
+// LSN stored into it, and kept by neither call.
+func (l *SegmentedLog) Truncate(keep ...*Record) error {
 	l.acquireWriter()
-	high, err := l.truncateChain()
+	high, err := l.truncateChain(keep)
 	l.releaseWriter(err, high)
 	return err
 }
 
 // truncateChain performs the cutover, returning the high LSN of the
-// pending batch it drained into the old chain (0 for an empty one) so
-// the release can settle exactly those records.
+// new segment's batch (one below its first LSN when the batch is empty)
+// so the release settles exactly the records it wrote; every lower LSN
+// was in the sealed old chain.
 //
 // Seal-before-publish: the old chain's fsync must dominate the new
 // segment's creation, or a crash between them loses appended records
 // (the PR 6 truncation-without-seal bug, §11).
 //
-//asset:durable before=createSegment
-func (l *SegmentedLog) truncateChain() (uint64, error) {
+//asset:durable before=startSegment
+func (l *SegmentedLog) truncateChain(keep []*Record) (uint64, error) {
 	if l.poisoned.Load() {
 		return 0, l.perr
 	}
 	// Drain whatever is still pending into the old chain first, so the
 	// cutover never discards an appended record.
-	batch, first, _, high := l.takeBatch()
+	batch, first, _, _ := l.takeBatch()
 	err := l.writeBatch(batch, first)
 	l.recycleBatch(batch)
 	if err != nil {
@@ -504,16 +484,20 @@ func (l *SegmentedLog) truncateChain() (uint64, error) {
 	if err := l.cur.Sync(); err != nil {
 		return 0, err
 	}
-	l.appendMu.Lock()
-	next := l.nextLSN
-	l.appendMu.Unlock()
+	for _, r := range keep {
+		if _, err := l.Append(r); err != nil {
+			return 0, err
+		}
+	}
+	batch, first, recs, _ := l.takeBatch()
+	defer l.recycleBatch(batch)
 	seq := l.curSeq + 1
-	f, err := createSegment(l.fsys, l.dir, seq, next)
+	f, err := l.startSegment(seq, first, batch)
 	if err != nil {
 		return 0, err
 	}
 	old := l.man
-	l.man = &manifest{Segments: []manifestSegment{{Seq: seq, FirstLSN: next}}}
+	l.man = &manifest{Segments: []manifestSegment{{Seq: seq, FirstLSN: first}}}
 	if err := writeManifest(l.fsys, l.dir, l.man); err != nil {
 		f.Close()
 		l.man = old
@@ -521,22 +505,39 @@ func (l *SegmentedLog) truncateChain() (uint64, error) {
 	}
 	// The manifest now starts at the new segment: the old chain is dead
 	// regardless of whether these deletes all land before a crash.
-	if err := l.cur.Close(); err != nil {
-		return 0, err
-	}
-	l.cur, l.curSeq, l.curSize = f, seq, segHeaderSize
-	var firstErr error
+	prev := l.cur
+	l.cur, l.curSeq, l.curSize = f, seq, segHeaderSize+int64(len(batch))
+	firstErr := prev.Close()
 	for _, s := range old.Segments {
 		if err := l.fsys.Remove(segmentPath(l.dir, s.Seq)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if old.Legacy {
-		if err := l.fsys.Remove(filepath.Join(l.dir, "wal.log")); err != nil && firstErr == nil {
-			firstErr = err
+	return first + recs - 1, firstErr
+}
+
+// startSegment creates segment seq, whose first record carries firstLSN,
+// holding batch, and fsyncs it: once the manifest names it, it holds the
+// only copy of batch. A segment that fails to become durable is unlinked
+// again, so that a reopen after the failure cannot adopt a file whose
+// lost writes a later append would sit behind.
+func (l *SegmentedLog) startSegment(seq, firstLSN uint64, batch []byte) (faultfs.File, error) {
+	f, err := createSegment(l.fsys, l.dir, seq, firstLSN)
+	if err == nil && len(batch) > 0 {
+		if _, err = f.Write(batch); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
 		}
 	}
-	return high, firstErr
+	if err != nil {
+		if l.fsys.Remove(segmentPath(l.dir, seq)) == nil {
+			_ = l.fsys.SyncDir(l.dir) // best effort: the cause is what the caller reports
+		}
+		return nil, err
+	}
+	return f, nil
 }
 
 // Close drains the pending batch and closes the chain.

@@ -4,15 +4,9 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
-
-	"repro/internal/faultfs"
 )
 
 // Appender is the write side of a log. Append assigns LSNs in strictly
@@ -30,7 +24,7 @@ type Appender interface {
 
 // Frame layout on disk: [payloadLen u32][crc u32][lsn u64][payload].
 // The crc covers lsn+payload. A short or corrupt frame marks the torn tail
-// of the log; scanning stops there.
+// of a segment; scanning stops there.
 const frameHeader = 4 + 4 + 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -46,152 +40,6 @@ var ErrPoisoned = errors.New("wal: log poisoned by an earlier write/sync failure
 // errAppendClosed is a package sentinel so the Append fast path's
 // closed-log check stays allocation-free (//asset:noalloc).
 var errAppendClosed = errors.New("wal: append to closed log")
-
-// FileLog is a durable log backed by a single append-only file.
-type FileLog struct {
-	mu      sync.Mutex
-	f       faultfs.File
-	w       *bufio.Writer
-	nextLSN uint64
-	sync    bool // fsync on Flush
-	dirty   bool
-	err     error  // sticky ErrPoisoned state
-	frame   []byte // the frame Append builds, reused by the next one
-}
-
-// OpenFile opens (creating if needed) the log at path and positions appends
-// after the last intact record. When syncOnFlush is true, Flush issues an
-// fsync, making commits crash-durable; when false, Flush only drains
-// buffers (fast mode for benchmarks).
-func OpenFile(path string, syncOnFlush bool) (*FileLog, error) {
-	return OpenFileFS(faultfs.OS{}, path, syncOnFlush)
-}
-
-// OpenFileFS is OpenFile over an injected filesystem (fault injection
-// and crash simulation use it; production code uses OpenFile).
-func OpenFileFS(fsys faultfs.FS, path string, syncOnFlush bool) (*FileLog, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	// The open may have just created the file; its directory entry must
-	// be durable before any commit forced into it is acked, or a crash
-	// can drop the whole log while every record in it was "fsynced".
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Find the end of the intact prefix and the next LSN.
-	var nextLSN uint64 = 1
-	end, err := scanReader(f, func(r *Record) error {
-		nextLSN = r.LSN + 1
-		return nil
-	})
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileLog{f: f, w: bufio.NewWriterSize(f, 1<<16), nextLSN: nextLSN, sync: syncOnFlush}, nil
-}
-
-// Append assigns r the next LSN (stored into r.LSN), frames it in a buffer
-// the log keeps, and buffers the frame for writing.
-func (l *FileLog) Append(r *Record) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return 0, errAppendClosed
-	}
-	if l.err != nil {
-		return 0, l.err
-	}
-	r.LSN = l.nextLSN
-	l.nextLSN++
-	l.frame = appendFrame(l.frame[:0], r)
-	if _, err := l.w.Write(l.frame); err != nil {
-		return 0, l.poison(err)
-	}
-	l.dirty = true
-	return r.LSN, nil
-}
-
-// poison records a write/sync failure, making every later Append, Flush,
-// and Truncate fail with ErrPoisoned. The failing call itself returns
-// the original cause. Caller holds l.mu.
-func (l *FileLog) poison(cause error) error {
-	if l.err == nil {
-		l.err = fmt.Errorf("%w: %w", ErrPoisoned, cause)
-	}
-	return cause
-}
-
-// Flush drains the buffer and, if the log was opened with syncOnFlush,
-// fsyncs the file.
-func (l *FileLog) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushLocked()
-}
-
-func (l *FileLog) flushLocked() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.f == nil || !l.dirty {
-		return nil
-	}
-	if err := l.w.Flush(); err != nil {
-		return l.poison(err)
-	}
-	if l.sync {
-		if err := l.f.Sync(); err != nil {
-			return l.poison(err)
-		}
-	}
-	l.dirty = false
-	return nil
-}
-
-// Truncate discards the entire log contents (used after a quiescent
-// checkpoint has made the store current) while keeping LSNs monotonic.
-func (l *FileLog) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return l.poison(err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return l.poison(err)
-	}
-	l.w.Reset(l.f)
-	return nil
-}
-
-// Close flushes and closes the log file.
-func (l *FileLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.flushLocked()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
-}
 
 // MemLog is the log of a manager configured without durability: it assigns
 // LSNs and keeps nothing. A directory-less manager never checkpoints and
@@ -218,30 +66,9 @@ func (l *MemLog) Flush() error { return nil }
 // Close does nothing: there is nothing to release.
 func (l *MemLog) Close() error { return nil }
 
-// ScanFile reads every intact record of the log at path in order, invoking
-// fn for each. It stops cleanly at a torn tail. fn errors abort the scan.
-func ScanFile(path string, fn func(*Record) error) error {
-	return ScanFileFS(faultfs.OS{}, path, fn)
-}
-
-// ScanFileFS is ScanFile over an injected filesystem.
-func ScanFileFS(fsys faultfs.FS, path string, fn func(*Record) error) error {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	_, err = scanReader(f, fn)
-	return err
-}
-
 // appendFrame appends the on-disk frame for r — with r.LSN already
-// assigned — to buf and returns the extended slice. Both logs frame with
-// it: FileLog.Append into a buffer of its own, SegmentedLog into a shared
-// slab. Allocation-free once buf has capacity.
+// assigned — to buf and returns the extended slice. Allocation-free once
+// buf has capacity.
 func appendFrame(buf []byte, r *Record) []byte {
 	start := len(buf)
 	var zero [frameHeader]byte
@@ -254,12 +81,6 @@ func appendFrame(buf []byte, r *Record) []byte {
 	crc = crc32.Update(crc, crcTable, payload)
 	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc)
 	return buf
-}
-
-// scanReader scans records from r, returning the byte offset just past the
-// last intact record.
-func scanReader(r io.ReadSeeker, fn func(*Record) error) (int64, error) {
-	return scanFrames(r, 0, fn)
 }
 
 // scanFrames scans record frames from r starting at byte offset start,

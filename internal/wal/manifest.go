@@ -24,14 +24,13 @@ type manifestSegment struct {
 	FirstLSN uint64
 }
 
-// manifest describes the segment chain: an optional legacy single-file
-// wal.log base followed by consecutively numbered segments. The manifest
-// is advisory about the chain's *end* — a crash between segment creation
-// and the manifest update leaves a trailing segment recovery discovers
-// by probing — but authoritative about its *start*: truncation moves the
-// first listed segment forward, and files below it are dead.
+// manifest describes the segment chain: consecutively numbered segments.
+// The manifest is advisory about the chain's *end* — a crash between
+// segment creation and the manifest update leaves a trailing segment
+// recovery discovers by probing — but authoritative about its *start*:
+// truncation moves the first listed segment forward, and files below it
+// are dead.
 type manifest struct {
-	Legacy   bool // a legacy wal.log precedes the segments
 	Segments []manifestSegment
 }
 
@@ -39,17 +38,14 @@ type manifest struct {
 //
 //	magic(8) version(4) crc(4) legacy(1) count(4) {seq(8) firstLSN(8)}*
 //
-// The crc covers everything after itself.
+// The crc covers everything after itself. The legacy byte is always 0: it
+// once flagged a single-file wal.log base, a format no longer read.
 func (m *manifest) encode() []byte {
 	buf := make([]byte, 0, 21+16*len(m.Segments))
 	buf = append(buf, manMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, manVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // crc backfilled below
-	if m.Legacy {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, 0)                           // legacy flag
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Segments)))
 	for _, s := range m.Segments {
 		buf = binary.LittleEndian.AppendUint64(buf, s.Seq)
@@ -61,7 +57,8 @@ func (m *manifest) encode() []byte {
 }
 
 // decodeManifest parses and validates manifest bytes. Errors wrap
-// ErrManifestCorrupt.
+// ErrManifestCorrupt, or ErrRetiredFormat for an intact manifest whose
+// legacy byte says a wal.log base precedes the segments.
 func decodeManifest(b []byte) (*manifest, error) {
 	if len(b) < 21 {
 		return nil, fmt.Errorf("%w: short file (%d bytes)", ErrManifestCorrupt, len(b))
@@ -75,10 +72,13 @@ func decodeManifest(b []byte) (*manifest, error) {
 	if crc := crc32.Update(0, crcTable, b[16:]); crc != binary.LittleEndian.Uint32(b[12:16]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrManifestCorrupt)
 	}
-	m := &manifest{Legacy: b[16] == 1}
+	if b[16] == 1 {
+		return nil, fmt.Errorf("%w: %s puts a wal.log base under the segments", ErrRetiredFormat, manifestName)
+	}
 	if b[16] > 1 {
 		return nil, fmt.Errorf("%w: bad legacy flag %d", ErrManifestCorrupt, b[16])
 	}
+	m := &manifest{}
 	count := binary.LittleEndian.Uint32(b[17:21])
 	rest := b[21:]
 	if uint64(len(rest)) != uint64(count)*16 {
@@ -130,6 +130,7 @@ func readManifest(fsys faultfs.FS, dir string) (*manifest, error) {
 // written to a temporary file, fsynced, and renamed over the old one, so
 // a crash at any point leaves one intact manifest — the old chain or the
 // new, never a torn in-between.
+//
 //asset:durable before=Rename
 func writeManifest(fsys faultfs.FS, dir string, m *manifest) error {
 	tmp := filepath.Join(dir, manifestName+".tmp")

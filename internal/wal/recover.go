@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 
-	"repro/internal/faultfs"
 	"repro/internal/xid"
 )
 
@@ -68,41 +67,6 @@ type replayer struct {
 	prepared   map[uint64][]xid.TID
 	preparedBy map[xid.TID]uint64
 	st         *State
-}
-
-// Recover replays the log at path and returns the committed state. Records
-// before the last checkpoint are skipped (the checkpointed store already
-// reflects them); a checkpoint is only ever written at a quiescent point.
-func Recover(path string) (*State, error) {
-	return RecoverFS(faultfs.OS{}, path)
-}
-
-// RecoverFS is Recover over an injected filesystem.
-func RecoverFS(fsys faultfs.FS, path string) (*State, error) {
-	// First pass: find the LSN of the last checkpoint.
-	var lastCkpt uint64
-	err := ScanFileFS(fsys, path, func(r *Record) error {
-		if r.Type == TCheckpoint {
-			lastCkpt = r.LSN
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rp := newReplayer()
-	err = ScanFileFS(fsys, path, func(r *Record) error {
-		if r.LSN <= lastCkpt {
-			rp.note(r) // keep NextLSN/MaxTID monotone across the skipped prefix
-			return nil
-		}
-		rp.apply(r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rp.finish(), nil
 }
 
 // RecoverRecords replays an in-memory record sequence; tests and the MemLog
@@ -198,14 +162,14 @@ func (rp *replayer) apply(r *Record) {
 		}
 		rp.install(r.OID, r.Kind, r.After)
 	case TCheckpoint:
-		// No-op during replay: Recover already skipped the prefix.
+		// No-op during replay: the caller already skipped the prefix.
 	case TPrepare:
 		rp.prepared[r.GID] = append([]xid.TID(nil), r.TIDs...)
 		for _, t := range r.TIDs {
 			rp.preparedBy[t] = r.GID
 		}
 	case TDecide:
-		// Coordinator decision records live in the coordinator's own log;
+		// Coordinator decision records live in the coordinator's own chain;
 		// a participant log never carries them. Bookkeeping only (note()).
 	}
 }

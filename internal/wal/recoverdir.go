@@ -10,16 +10,16 @@ import (
 	"repro/internal/faultfs"
 )
 
-// legacyLogName is the single-file log a pre-segmented database left
-// behind; it becomes the read-only base of the chain on first open.
-const legacyLogName = "wal.log"
+// retiredLogName is the single-file log of a database older than the
+// segment chain. No writer produces it any more; a directory holding one
+// is refused rather than opened around.
+const retiredLogName = "wal.log"
 
 // chainEntry is one element of the discovered log chain, in replay order.
 type chainEntry struct {
-	legacy   bool
 	listed   bool // named by the manifest (vs discovered by probing)
 	path     string
-	seq      uint64 // 0 for the legacy base
+	seq      uint64
 	firstLSN uint64 // filled from the segment header during the scan
 }
 
@@ -30,37 +30,30 @@ type chainInfo struct {
 	entries []chainEntry // the validated chain, in order
 	nextLSN uint64
 
-	lastIsSegment bool   // the chain ends in a segment to adopt for writing
-	lastPath      string // that segment's path
-	lastSeq       uint64
-	lastEnd       int64 // offset just past its last intact record
-
-	legacyPath string // set when the chain ends at the legacy base
-	legacyEnd  int64  // its intact length (torn tail starts here)
+	// The chain's last valid segment, to adopt for writing; lastPath is
+	// empty when the chain has none.
+	lastPath string
+	lastSeq  uint64
+	lastEnd  int64 // offset just past its last intact record
 }
 
-// discoverChain lists the chain: the manifest's entries (or the legacy
-// wal.log when no manifest exists yet) plus any trailing segments found
-// by probing consecutive sequence numbers past the last listed one — a
-// crash between segment creation and the manifest update leaves exactly
-// such a segment. Files below the manifest's first segment are dead
-// (truncation leftovers) and deliberately not probed.
+// discoverChain lists the chain: the manifest's entries plus any
+// trailing segments found by probing consecutive sequence numbers past
+// the last listed one — a crash between segment creation and the
+// manifest update leaves exactly such a segment. Files below the
+// manifest's first segment are dead (truncation leftovers) and
+// deliberately not probed. A retired wal.log in dir is refused.
 func discoverChain(fsys faultfs.FS, dir string) ([]chainEntry, *manifest, error) {
+	if p := filepath.Join(dir, retiredLogName); fileExists(fsys, p) {
+		return nil, nil, fmt.Errorf("%w: %s is a single-file log", ErrRetiredFormat, p)
+	}
 	man, err := readManifest(fsys, dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	var entries []chainEntry
-	legacyPath := filepath.Join(dir, legacyLogName)
 	probeFrom := uint64(1)
-	if man == nil {
-		if fileExists(fsys, legacyPath) {
-			entries = append(entries, chainEntry{legacy: true, path: legacyPath})
-		}
-	} else {
-		if man.Legacy {
-			entries = append(entries, chainEntry{legacy: true, listed: true, path: legacyPath})
-		}
+	if man != nil {
 		for _, s := range man.Segments {
 			entries = append(entries, chainEntry{
 				listed: true, path: segmentPath(dir, s.Seq), seq: s.Seq, firstLSN: s.FirstLSN,
@@ -98,29 +91,6 @@ type entryScan struct {
 // is fatal — the manifest promised it — while damage to a probed one
 // just ends the chain: its header never became durable before the crash.
 func scanEntry(fsys faultfs.FS, e chainEntry) entryScan {
-	if e.legacy {
-		f, err := fsys.OpenFile(e.path, os.O_RDONLY, 0)
-		if err != nil {
-			if os.IsNotExist(err) {
-				err = fmt.Errorf("%w: legacy %s", ErrSegmentMissing, legacyLogName)
-			}
-			return entryScan{fatal: err}
-		}
-		defer f.Close()
-		sc := &segmentScan{}
-		end, err := scanFrames(f, 0, func(r *Record) error {
-			sc.recs = append(sc.recs, r)
-			return nil
-		})
-		if err != nil {
-			return entryScan{fatal: err}
-		}
-		sc.end = end
-		if st, err := f.Stat(); err == nil && st.Size() > end {
-			sc.torn = true
-		}
-		return entryScan{sc: sc}
-	}
 	sc, err := scanSegment(fsys, e.path, e.seq)
 	if err != nil {
 		if !e.listed {
@@ -205,24 +175,19 @@ func scanChain(fsys faultfs.FS, dir string, parallel int, fn func(*Record) error
 			continue
 		}
 		sc := res.sc
-		if !entries[i].legacy {
-			if expected != 0 && sc.firstLSN != expected {
-				if sc.firstLSN < expected {
-					return nil, fmt.Errorf("%w: %s first LSN %d overlaps the chain (expected %d)",
-						ErrSegmentCorrupt, filepath.Base(entries[i].path), sc.firstLSN, expected)
-				}
-				return nil, fmt.Errorf("%w: chain jumps from LSN %d to %d at %s",
-					ErrSegmentGap, expected, sc.firstLSN, filepath.Base(entries[i].path))
+		if expected != 0 && sc.firstLSN != expected {
+			if sc.firstLSN < expected {
+				return nil, fmt.Errorf("%w: %s first LSN %d overlaps the chain (expected %d)",
+					ErrSegmentCorrupt, filepath.Base(entries[i].path), sc.firstLSN, expected)
 			}
-			if expected == 0 {
-				expected = sc.firstLSN
-			}
-			entries[i].firstLSN = sc.firstLSN
+			return nil, fmt.Errorf("%w: chain jumps from LSN %d to %d at %s",
+				ErrSegmentGap, expected, sc.firstLSN, filepath.Base(entries[i].path))
 		}
+		if expected == 0 {
+			expected = sc.firstLSN
+		}
+		entries[i].firstLSN = sc.firstLSN
 		for _, r := range sc.recs {
-			if expected == 0 {
-				expected = r.LSN // the legacy base starts the sequence
-			}
 			if r.LSN != expected {
 				if r.LSN < expected {
 					return nil, fmt.Errorf("%w: %s repeats LSN %d (expected %d)",
@@ -250,15 +215,7 @@ func scanChain(fsys faultfs.FS, dir string, parallel int, fn func(*Record) error
 	info.entries = entries[:lastValid+1]
 	if lastValid >= 0 {
 		e := entries[lastValid]
-		if e.legacy {
-			info.legacyPath = e.path
-			info.legacyEnd = results[lastValid].sc.end
-		} else {
-			info.lastIsSegment = true
-			info.lastPath = e.path
-			info.lastSeq = e.seq
-			info.lastEnd = results[lastValid].sc.end
-		}
+		info.lastPath, info.lastSeq, info.lastEnd = e.path, e.seq, results[lastValid].sc.end
 	}
 	return info, nil
 }

@@ -174,38 +174,3 @@ func diffStates(t *testing.T, procs int, ref, got *State) {
 		t.Errorf("procs=%d: Losers diverge: got %v, ref %v", procs, got.Losers, ref.Losers)
 	}
 }
-
-// TestRecoverDirMatchesLegacyRecover: on a chain that is just a legacy
-// wal.log (no segments yet), directory recovery must agree with the
-// original single-file Recover — the migration cannot reinterpret
-// history.
-func TestRecoverDirMatchesLegacyRecover(t *testing.T) {
-	mfs := faultfs.NewMem()
-	fl, err := OpenFileFS(mfs, "/db/wal.log", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 8; i++ {
-		tid := xid.TID(i)
-		fl.Append(&Record{Type: TBegin, TID: tid})
-		fl.Append(&Record{Type: TUpdate, TID: tid, OID: xid.OID(i), Kind: KindCreate, After: []byte{byte(i)}})
-		if i%2 == 0 {
-			fl.Append(&Record{Type: TCommit, TIDs: []xid.TID{tid}})
-		} else {
-			fl.Append(&Record{Type: TAbort, TID: tid})
-		}
-	}
-	fl.Flush()
-	if err := fl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := RecoverFS(mfs, "/db/wal.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RecoverDirFS(mfs, "/db", RecoverOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffStates(t, 0, ref, got)
-}

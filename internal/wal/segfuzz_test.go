@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"reflect"
 	"testing"
@@ -17,7 +19,17 @@ func typedChainErr(err error) bool {
 	return errors.Is(err, ErrManifestCorrupt) ||
 		errors.Is(err, ErrSegmentCorrupt) ||
 		errors.Is(err, ErrSegmentMissing) ||
-		errors.Is(err, ErrSegmentGap)
+		errors.Is(err, ErrSegmentGap) ||
+		errors.Is(err, ErrRetiredFormat)
+}
+
+// legacyManifest renders an intact manifest whose legacy byte is 1: the
+// chain index a database with a wal.log base once wrote.
+func legacyManifest(segs ...manifestSegment) []byte {
+	b := (&manifest{Segments: segs}).encode()
+	b[16] = 1
+	binary.LittleEndian.PutUint32(b[12:16], crc32.Update(0, crcTable, b[16:]))
+	return b
 }
 
 // fuzzChain builds a small multi-segment chain and returns the MemFS
@@ -79,7 +91,7 @@ func readBack(t testing.TB, mfs *faultfs.MemFS, path string) []byte {
 func FuzzManifestDecode(f *testing.F) {
 	good := (&manifest{Segments: []manifestSegment{{Seq: 1, FirstLSN: 1}, {Seq: 2, FirstLSN: 9}}}).encode()
 	f.Add(good)
-	f.Add((&manifest{Legacy: true, Segments: []manifestSegment{{Seq: 3, FirstLSN: 77}}}).encode())
+	f.Add(legacyManifest(manifestSegment{Seq: 3, FirstLSN: 77}))
 	f.Add([]byte{})
 	f.Add(good[:15])
 	short := append([]byte{}, good...)
@@ -88,8 +100,8 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
 		if err != nil {
-			if !errors.Is(err, ErrManifestCorrupt) {
-				t.Fatalf("decode error is not ErrManifestCorrupt: %v", err)
+			if !errors.Is(err, ErrManifestCorrupt) && !errors.Is(err, ErrRetiredFormat) {
+				t.Fatalf("decode error is neither ErrManifestCorrupt nor ErrRetiredFormat: %v", err)
 			}
 			return
 		}
@@ -147,6 +159,11 @@ func FuzzChainSegmentFile(f *testing.F) {
 	f.Add(mangled)
 	dup := append(append([]byte{}, good...), good[segHeaderSize:]...) // duplicated frames
 	f.Add(dup)
+	// The torn shapes a crash or a bad disk leaves on the final frame.
+	shapes := tornShapes(good, segHeaderSize)
+	for _, name := range []string{"torn-frame-header", "frame-boundary", "hole", "bad-checksum"} {
+		f.Add(shapes[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mfs, total := fuzzChain(t)
 		last := segmentPath("/db", lastSegmentFuzz(t, mfs))

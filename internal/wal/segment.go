@@ -14,14 +14,13 @@ import (
 // The segmented log lives in the database directory as a chain of
 // fixed-size(ish) segment files plus a manifest:
 //
-//	wal-000001.seg  wal-000002.seg  ...  wal.manifest  [wal.log]
+//	wal-000001.seg  wal-000002.seg  ...  wal.manifest
 //
 // Each segment starts with a 32-byte header naming its sequence number
-// and the LSN of its first record; record frames (the FileLog framing)
+// and the LSN of its first record; record frames (see appendFrame)
 // follow. Segments are append-only and sealed with an fsync before the
 // next segment is created, so at any crash only the final segment of the
-// chain can have a torn tail. A legacy single-file wal.log, when present
-// and flagged in the manifest, is the read-only base of the chain.
+// chain can have a torn tail.
 //
 // Typed errors distinguish corruption (a chain recovery must refuse to
 // silently skip) from the clean torn tail every crash leaves.
@@ -39,6 +38,11 @@ var (
 	// missing region: replaying around the hole would silently drop
 	// committed effects, so recovery refuses.
 	ErrSegmentGap = errors.New("wal: segment chain gap: records follow a torn or missing region")
+	// ErrRetiredFormat marks a directory holding a log format this
+	// package no longer reads: a single-file wal.log, a manifest that
+	// names one as the chain's base, or a coordinator's coord.log.
+	// Opening around it would drop the effects or decisions it holds.
+	ErrRetiredFormat = errors.New("wal: retired log format")
 )
 
 const (

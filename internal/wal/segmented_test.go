@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,50 +197,114 @@ func TestSegmentedTruncate(t *testing.T) {
 	}
 }
 
-// TestLegacyMigration: a database whose log is a pre-segmentation
-// wal.log opens into the segmented world with the legacy file as the
-// chain's read-only base; old and new records both recover.
-func TestLegacyMigration(t *testing.T) {
+// TestSegmentedTruncateKeep: the records Truncate keeps open the new
+// chain, numbered on from the old one and fsynced before the cutover
+// even in buffered mode; records appended after follow them.
+func TestSegmentedTruncateKeep(t *testing.T) {
 	mfs := faultfs.NewMem()
-	fl, err := OpenFileFS(mfs, "/db/wal.log", true)
+	l, err := OpenSegmentedFS(mfs, "/db", testSegOpts(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 5; i++ {
-		tid := xid.TID(i)
-		fl.Append(&Record{Type: TBegin, TID: tid})
-		fl.Append(&Record{Type: TUpdate, TID: tid, OID: xid.OID(i), Kind: KindCreate, After: []byte(fmt.Sprintf("v%d", i))})
-		fl.Append(&Record{Type: TCommit, TIDs: []xid.TID{tid}})
+	appendCommitted(t, l, 1, 10) // LSNs 1..30
+	keep := []*Record{
+		{Type: TDecide, GID: 7, Commit: true},
+		{Type: TDecide, GID: 9, Commit: false},
 	}
-	if err := fl.Close(); err != nil {
+	if err := l.Truncate(keep...); err != nil {
 		t.Fatal(err)
 	}
+	if keep[0].LSN != 31 || keep[1].LSN != 32 {
+		t.Fatalf("kept records numbered %d, %d; want 31, 32", keep[0].LSN, keep[1].LSN)
+	}
+	if _, err := l.Append(&Record{Type: TDecide, GID: 11, Commit: true}); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(fsys faultfs.FS) []uint64 {
+		t.Helper()
+		var gids []uint64
+		if err := ScanChainFS(fsys, "/db", func(r *Record) error {
+			if r.Type != TDecide || r.LSN != 31+uint64(len(gids)) {
+				t.Fatalf("unexpected record %v at LSN %d", r.Type, r.LSN)
+			}
+			gids = append(gids, r.GID)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return gids
+	}
+	// Nothing forced the later append; a crash keeps exactly the kept.
+	if got := scan(mfs.CrashImage(faultfs.DropUnsynced)); len(got) != 2 || got[0] != 7 || got[1] != 9 {
+		t.Fatalf("crash image holds decisions %v, want [7 9]", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := scan(mfs); len(got) != 3 || got[2] != 11 {
+		t.Fatalf("chain holds decisions %v, want [7 9 11]", got)
+	}
+}
+
+// TestRefuseRetiredWALLog: a directory holding a single-file wal.log is
+// refused by every reader and by the opener, with the file named — the
+// retired format's committed effects would otherwise be silently lost.
+func TestRefuseRetiredWALLog(t *testing.T) {
+	for _, withChain := range []bool{false, true} {
+		mfs := faultfs.NewMem()
+		if withChain {
+			l, err := OpenSegmentedFS(mfs, "/db", testSegOpts(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendCommitted(t, l, 1, 3)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		overwrite(t, mfs, "/db/wal.log", frames(realisticRecords()))
+		_, openErr := OpenSegmentedFS(mfs, "/db", testSegOpts(true))
+		_, recErr := RecoverDirFS(mfs, "/db", RecoverOptions{})
+		_, seqErr := RecoverDirSequentialFS(mfs, "/db")
+		scanErr := ScanChainFS(mfs, "/db", func(*Record) error { return nil })
+		for _, err := range []error{openErr, recErr, seqErr, scanErr} {
+			if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "/db/wal.log") {
+				t.Fatalf("chain=%v: err = %v, want ErrRetiredFormat naming /db/wal.log", withChain, err)
+			}
+		}
+	}
+}
+
+// TestRefuseRetiredManifestFlag: an intact manifest whose legacy byte
+// is 1 names a wal.log base the chain no longer reads; it is refused
+// with the manifest named, while any other nonzero byte is corruption.
+func TestRefuseRetiredManifestFlag(t *testing.T) {
+	mfs := faultfs.NewMem()
 	l, err := OpenSegmentedFS(mfs, "/db", testSegOpts(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendCommitted(t, l, 6, 5)
+	appendCommitted(t, l, 1, 10)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := RecoverDirFS(mfs, "/db", RecoverOptions{})
+	man, err := decodeManifest(readBack(t, mfs, "/db/wal.manifest"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRecoveredRange(t, st, 1, 10)
-	// And truncation must clean the legacy base up too.
-	l, err = OpenSegmentedFS(mfs, "/db", testSegOpts(true))
-	if err != nil {
-		t.Fatal(err)
+	overwrite(t, mfs, "/db/wal.manifest", legacyManifest(man.Segments...))
+	_, openErr := OpenSegmentedFS(mfs, "/db", testSegOpts(true))
+	_, recErr := RecoverDirFS(mfs, "/db", RecoverOptions{})
+	for _, err := range []error{openErr, recErr} {
+		if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "wal.manifest") {
+			t.Fatalf("err = %v, want ErrRetiredFormat naming wal.manifest", err)
+		}
 	}
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fileExists(mfs, "/db/wal.log") {
-		t.Fatal("legacy wal.log survived truncation")
+	bad := legacyManifest(man.Segments...)
+	bad[16] = 2
+	binary.LittleEndian.PutUint32(bad[12:16], crc32.Update(0, crcTable, bad[16:]))
+	if _, err := decodeManifest(bad); !errors.Is(err, ErrManifestCorrupt) {
+		t.Fatalf("legacy byte 2: err = %v, want ErrManifestCorrupt", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -41,12 +40,30 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFileLogAppendScan(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenFile(path, true)
+// oneSegment opens a chain in a fresh directory with the default
+// rotation threshold, so a test's few records share one segment.
+func oneSegment(t *testing.T) (string, *SegmentedLog) {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := OpenSegmented(dir, SegmentedOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dir, l
+}
+
+// scanCount returns how many records the chain in dir yields.
+func scanCount(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	if err := ScanChain(dir, func(*Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func TestSegmentedAppendScan(t *testing.T) {
+	dir, l := oneSegment(t)
 	for i := 1; i <= 10; i++ {
 		lsn, err := l.Append(&Record{Type: TBegin, TID: xid.TID(i)})
 		if err != nil {
@@ -63,7 +80,7 @@ func TestFileLogAppendScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []xid.TID
-	if err := ScanFile(path, func(r *Record) error {
+	if err := ScanChain(dir, func(r *Record) error {
 		got = append(got, r.TID)
 		return nil
 	}); err != nil {
@@ -74,43 +91,24 @@ func TestFileLogAppendScan(t *testing.T) {
 	}
 }
 
-func TestFileLogReopenContinuesLSN(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := OpenFile(path, false)
-	l.Append(&Record{Type: TBegin, TID: 1})
-	l.Append(&Record{Type: TBegin, TID: 2})
-	l.Close()
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	lsn, _ := l2.Append(&Record{Type: TBegin, TID: 3})
-	if lsn != 3 {
-		t.Fatalf("lsn after reopen = %d, want 3", lsn)
-	}
-}
-
+// TestTornTailIgnored: garbage after the final segment's last frame is
+// a torn tail: the scan stops before it, and a reopen drops it and
+// appends in its place.
 func TestTornTailIgnored(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := OpenFile(path, true)
+	dir, l := oneSegment(t)
 	l.Append(&Record{Type: TBegin, TID: 1})
 	l.Append(&Record{Type: TCommit, TIDs: []xid.TID{1}})
 	l.Close()
 	// Simulate a crash mid-append: garbage partial frame at the tail.
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, _ := os.OpenFile(segmentPath(dir, 1), os.O_APPEND|os.O_WRONLY, 0)
 	f.Write([]byte{0x10, 0, 0, 0, 0xde, 0xad})
 	f.Close()
 
-	var n int
-	if err := ScanFile(path, func(*Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
+	if n := scanCount(t, dir); n != 2 {
 		t.Fatalf("scan of torn log saw %d records, want 2", n)
 	}
 	// Reopen must truncate the tail and keep appending cleanly.
-	l2, err := OpenFile(path, true)
+	l2, err := OpenSegmented(dir, SegmentedOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,25 +116,21 @@ func TestTornTailIgnored(t *testing.T) {
 		t.Fatalf("lsn after torn reopen = %d, want 3", lsn)
 	}
 	l2.Close()
-	n = 0
-	ScanFile(path, func(*Record) error { n++; return nil })
-	if n != 3 {
+	if n := scanCount(t, dir); n != 3 {
 		t.Fatalf("after repair scan saw %d records, want 3", n)
 	}
 }
 
 func TestCorruptMiddleStopsScan(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := OpenFile(path, true)
+	dir, l := oneSegment(t)
 	l.Append(&Record{Type: TBegin, TID: 1})
 	l.Append(&Record{Type: TBegin, TID: 2})
 	l.Close()
+	path := segmentPath(dir, 1)
 	data, _ := os.ReadFile(path)
 	data[len(data)-3] ^= 0xff // corrupt last record's payload
 	os.WriteFile(path, data, 0o644)
-	var n int
-	ScanFile(path, func(*Record) error { n++; return nil })
-	if n != 1 {
+	if n := scanCount(t, dir); n != 1 {
 		t.Fatalf("scan saw %d records, want 1 (corrupt record must stop scan)", n)
 	}
 }
@@ -251,8 +245,7 @@ func TestRecoverGroupCommitOrdering(t *testing.T) {
 }
 
 func TestRecoverCheckpointSkipsPrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := OpenFile(path, true)
+	dir, l := oneSegment(t)
 	l.Append(&Record{Type: TBegin, TID: 1})
 	l.Append(&Record{Type: TUpdate, TID: 1, OID: 1, Kind: KindCreate, After: []byte("pre")})
 	l.Append(&Record{Type: TCommit, TIDs: []xid.TID{1}})
@@ -261,7 +254,7 @@ func TestRecoverCheckpointSkipsPrefix(t *testing.T) {
 	l.Append(&Record{Type: TUpdate, TID: 2, OID: 2, Kind: KindCreate, After: []byte("post")})
 	l.Append(&Record{Type: TCommit, TIDs: []xid.TID{2}})
 	l.Close()
-	st, err := Recover(path)
+	st, err := RecoverDir(dir, RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,22 +266,6 @@ func TestRecoverCheckpointSkipsPrefix(t *testing.T) {
 	}
 	if st.MaxTID != 2 {
 		t.Fatalf("MaxTID = %d, want 2", st.MaxTID)
-	}
-}
-
-func TestFileLogTruncate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := OpenFile(path, true)
-	l.Append(&Record{Type: TBegin, TID: 1})
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	l.Append(&Record{Type: TBegin, TID: 2})
-	l.Close()
-	var tids []xid.TID
-	ScanFile(path, func(r *Record) error { tids = append(tids, r.TID); return nil })
-	if len(tids) != 1 || tids[0] != 2 {
-		t.Fatalf("post-truncate scan = %v, want [2]", tids)
 	}
 }
 
@@ -369,15 +346,10 @@ func TestAppendersKeepNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "wal.log")
-	file, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rec Record
 	img := make([]byte, 8)
 	tids := make([]xid.TID, 1)
-	for _, l := range []Appender{seg, file, NewMem()} {
+	for _, l := range []Appender{seg, NewMem()} {
 		for i := 1; i <= 50; i++ {
 			copy(img, EncodeCounter(uint64(i)))
 			rec = Record{Type: TUpdate, TID: xid.TID(i), OID: 5, Kind: KindModify, Before: img, After: img}
@@ -408,8 +380,6 @@ func TestAppendersKeepNothing(t *testing.T) {
 	}
 	st, err := RecoverDir(dir, RecoverOptions{})
 	check("segmented", st, err)
-	st, err = Recover(path)
-	check("file", st, err)
 }
 
 func TestTypeAndKindStrings(t *testing.T) {
