@@ -402,18 +402,12 @@ func TestLatchRegistry(t *testing.T) {
 		"server.session.mu": "order=6",
 		"server.srvConn.mu": "order=8",
 
-		"core.Manager.mu": "order=10",
-		// The free list of recycled transaction descriptors: push and pop
-		// only, taken with nothing but the manager mutex held.
-		"core.txnFreeList.lat": "order=15 spin",
-		"lock.lockShard.lat":   "order=20 spin",
-		"htab.shard.mu":        "order=30",
-		"lock.txnState.lat":    "order=40 spin",
-		// The free list of retired txnStates: push and pop only, taken with
-		// no other lock-manager latch held.
-		"lock.txnFreeList.lat": "order=45 spin",
-		"waitgraph.Graph.mu":   "order=50",
-		"dep.Graph.mu":         "order=60",
+		"core.Manager.mu":    "order=10",
+		"lock.lockShard.lat": "order=20 spin",
+		"htab.shard.mu":      "order=30",
+		"lock.txnState.lat":  "order=40 spin",
+		"waitgraph.Graph.mu": "order=50",
+		"dep.Graph.mu":       "order=60",
 
 		// The segmented WAL's group-commit latches order after everything
 		// above: commit paths append to the log while holding core latches
@@ -421,6 +415,11 @@ func TestLatchRegistry(t *testing.T) {
 		// the log's own latches must be innermost.
 		"wal.SegmentedLog.stateMu":  "order=70",
 		"wal.SegmentedLog.appendMu": "order=80",
+
+		// The shared free lists (core's transaction descriptors, lock's
+		// txnStates): push and pop only, nothing acquired under the latch,
+		// so it is innermost of all and any caller's holds are in order.
+		"pool.Shared.lat": "order=90 spin",
 	}
 	for name, attrs := range want {
 		if got[name] != attrs {

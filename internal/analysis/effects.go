@@ -158,8 +158,10 @@ func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
 	case *ast.SelectorExpr:
 		obj = p.Info.Uses[fun.Sel]
 	}
-	fn, _ := obj.(*types.Func)
-	return fn
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin() // a generic method's summary is its declaration's
+	}
+	return nil
 }
 
 func inModule(r *Runner, fn *types.Func) bool {

@@ -59,6 +59,7 @@ func (r *Runner) classifyCall(p *Package, call *ast.CallExpr) callInfo {
 	if !ok {
 		return ci // function value, closure, or unresolvable
 	}
+	fn = fn.Origin() // a generic method's summary is its declaration's
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return ci

@@ -69,3 +69,20 @@ func suppressed(a *low, b *high) {
 	a.mu.Unlock()
 	b.mu.Unlock()
 }
+
+type guarded[T any] struct {
+	//asset:latch order=5
+	mu sync.Mutex
+}
+
+func (g *guarded[T]) touch() {
+	g.mu.Lock()
+	g.mu.Unlock()
+}
+
+// genericTransitive violates the order through an instantiated generic method.
+func genericTransitive(g *guarded[int], b *high) {
+	b.mu.Lock()
+	g.touch() // want `may acquire latchorder\.guarded\.mu \(order 5\) while holding latchorder\.high\.mu \(order 20\)`
+	b.mu.Unlock()
+}

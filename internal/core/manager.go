@@ -17,6 +17,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/htab"
 	"repro/internal/lock"
+	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/waitgraph"
 	"repro/internal/wal"
@@ -148,8 +149,8 @@ type Manager struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	txns    *htab.Map[*txn] // the chained hash table of TDs (§4.1)
-	free    txnFreeList     // recycled TDs
+	txns    *htab.Map[*txn]        // the chained hash table of TDs (§4.1)
+	free    pool.Shared[txn, *txn] // recycled TDs
 	nextTID atomic.Uint64
 	live    atomic.Int64 // non-terminated transactions, for MaxTransactions
 

@@ -385,6 +385,7 @@ func TestRecycleDescriptorInvariants(t *testing.T) {
 		rounds = 200
 	}
 	obj := seedObject(t, m, make([]byte, 8))
+	goroutines := runtime.NumGoroutine()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -433,14 +434,20 @@ func TestRecycleDescriptorInvariants(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	// Begun bodies drop their references as they return; wait for the last.
-	for i := 0; i < 1000 && len(m.checkDescriptors()) > 0; i++ {
-		runtime.Gosched()
+	// Begun bodies and context watchers drop their references on their way
+	// out, after the transaction has left the table: with the table empty
+	// the audit is clean while they may still hold every descriptor. Wait
+	// for their goroutines to exit, then audit.
+	deadline := time.Now().Add(10 * time.Second)
+	for (runtime.NumGoroutine() > goroutines || len(m.checkDescriptors()) > 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	if bad := m.checkDescriptors(); len(bad) > 0 {
 		t.Errorf("descriptor invariants: %v", bad)
 	}
-	if n := m.free.n; n == 0 {
+	recycled := 0
+	_ = m.free.Audit(func(*txn) { recycled++ }) // checkDescriptors reports a broken chain
+	if recycled == 0 {
 		t.Error("nothing was recycled")
 	}
 }
@@ -453,22 +460,17 @@ func TestRecycleDescriptorInvariants(t *testing.T) {
 func (m *Manager) checkDescriptors() []string {
 	var bad []string
 	free := make(map[*txn]bool)
-	m.free.lat.Lock()
-	n := 0
-	for d := m.free.head; d != nil && !free[d]; d = d.next {
+	if err := m.free.Audit(func(d *txn) {
 		free[d] = true
-		n++
 		if r := d.refs.Load(); r != 0 {
 			bad = append(bad, fmt.Sprintf("free descriptor with %d references", r))
 		}
 		if d.fn != nil || d.ctx != nil || d.abErr != nil || len(d.undo) != 0 || d.redo != nil {
 			bad = append(bad, "free descriptor not reset")
 		}
+	}); err != nil {
+		bad = append(bad, fmt.Sprintf("free list: %v", err))
 	}
-	if n != m.free.n {
-		bad = append(bad, fmt.Sprintf("free list holds %d descriptors, count says %d", n, m.free.n))
-	}
-	m.free.lat.Unlock()
 	m.txns.Visit(func(id uint64, d *txn) bool {
 		want := int32(1)
 		if d.fn == nil && d.st() != xid.StatusPrepared {

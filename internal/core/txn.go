@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/latch"
+	"repro/internal/pool"
 	"repro/internal/wal"
 	"repro/internal/xid"
 )
@@ -101,7 +101,7 @@ type txn struct {
 	// updates live in the cache and roll back via undo.
 	redo []wal.RedoOp
 
-	next *txn // free-list link
+	pool.Link[txn]
 }
 
 // event is a one-shot broadcast that costs nothing until someone waits on
@@ -220,9 +220,17 @@ func (t *txn) lockCtx() context.Context {
 }
 
 // newTxn hands out a descriptor for transaction id, initiated, from the
-// free list when it has one, holding refs references.
+// free list when it has one, holding refs references. Not inlined: the
+// make-one path must not be charged to //asset:noalloc callers.
+//
+//go:noinline
 func (m *Manager) newTxn(id, parent xid.TID, fn TxnFunc, refs int32) *txn {
-	t := m.free.get(m)
+	t := m.free.Pop()
+	if t == nil {
+		t = &txn{}
+		t.tx = Tx{m: m, t: t}
+		t.undo = t.undoBuf[:0]
+	}
 	t.id, t.parent, t.fn = id, parent, fn
 	t.refs.Store(refs)
 	t.setSt(xid.StatusInitiated)
@@ -240,7 +248,7 @@ func (m *Manager) unpin(t *txn) {
 	switch n := t.refs.Add(-1); {
 	case n == 0:
 		t.reset()
-		m.free.put(t)
+		m.free.Push(t, maxFreeTxns)
 	case n < 0:
 		overUnpinned(t)
 	}
@@ -267,46 +275,6 @@ func (t *txn) reset() {
 // maxFreeTxns bounds the descriptor free list; what a burst retires beyond
 // it goes back to the collector.
 const maxFreeTxns = 256
-
-// txnFreeList holds recycled descriptors. Its latch is a leaf: push and pop
-// only, taken with nothing but m.mu held.
-type txnFreeList struct {
-	//asset:latch order=15 spin
-	lat  latch.Latch
-	head *txn
-	n    int
-}
-
-// get pops a recycled descriptor or makes one for m.
-//
-//go:noinline
-func (f *txnFreeList) get(m *Manager) *txn {
-	f.lat.Lock()
-	t := f.head
-	if t != nil {
-		f.head = t.next
-		f.n--
-	}
-	f.lat.Unlock()
-	if t == nil {
-		t = &txn{}
-		t.tx = Tx{m: m, t: t}
-		t.undo = t.undoBuf[:0]
-	}
-	t.next = nil
-	return t
-}
-
-// put takes back a descriptor that reset has emptied.
-func (f *txnFreeList) put(t *txn) {
-	f.lat.Lock()
-	if f.n < maxFreeTxns {
-		t.next = f.head
-		f.head = t
-		f.n++
-	}
-	f.lat.Unlock()
-}
 
 // st reads the transaction status; safe without any lock.
 func (t *txn) st() xid.Status { return xid.Status(t.status.Load()) }

@@ -11,6 +11,8 @@ package htab
 
 import (
 	"sync"
+
+	"repro/internal/pool"
 )
 
 const defaultShards = 64
@@ -26,6 +28,7 @@ type entry[V any] struct {
 	key  uint64
 	val  V
 	next *entry[V]
+	pool.Link[entry[V]]
 }
 
 type shard[V any] struct {
@@ -33,23 +36,19 @@ type shard[V any] struct {
 	mu      sync.Mutex
 	buckets []*entry[V]
 	n       int
-	free    *entry[V] // deleted entries, values zeroed, linked through next
-	nfree   int
+	spare   pool.Stack[entry[V], *entry[V]] // deleted entries, values zeroed
 	// Pad each shard to a full cache line (mutex 8 + slice 24 + int 8 +
-	// free list 16 + pad 8 = 64 bytes); adjacent shards otherwise
+	// free list 8 + pad 16 = 64 bytes); adjacent shards otherwise
 	// false-share and serialize under concurrency.
-	_ [8]byte
+	_ [16]byte
 }
 
 // insert links a new entry at the head of bucket b, taking the node off the
 // free list when there is one. Caller holds s.mu and has established that
 // key is absent.
 func (s *shard[V]) insert(b uint64, key uint64, val V) {
-	e := s.free
-	if e != nil {
-		s.free = e.next
-		s.nfree--
-	} else {
+	e := s.spare.Pop()
+	if e == nil {
 		e = new(entry[V])
 	}
 	e.key, e.val, e.next = key, val, s.buckets[b]
@@ -183,12 +182,9 @@ func (m *Map[V]) Delete(key uint64) bool {
 		if e := *p; e.key == key {
 			*p = e.next
 			s.n--
-			if s.nfree < maxFreeEntries {
-				var zero V
-				e.val, e.next = zero, s.free // the list must not keep the value alive
-				s.free = e
-				s.nfree++
-			}
+			var zero V
+			e.val, e.next = zero, nil // the list must not keep the value alive
+			s.spare.Push(e, maxFreeEntries)
 			return true
 		}
 	}

@@ -225,16 +225,17 @@ func TestRecycledEntries(t *testing.T) {
 	old := new(int)
 	m.Put(1, old)
 	m.Delete(1)
-	if s.nfree != 1 || s.free == nil || s.free.val != nil {
-		t.Fatalf("after a delete: %d entries on the free list, head %+v; want one with its value zeroed", s.nfree, s.free)
+	free := spares(t, s)
+	if len(free) != 1 || s.spare.Len() != 1 || free[0].val != nil {
+		t.Fatalf("after a delete: %d entries on the free list (Len %d); want one with its value zeroed", len(free), s.spare.Len())
 	}
-	recycled := s.free
+	recycled := free[0]
 	v := new(int)
 	if _, inserted := m.PutIfAbsent(2, v); !inserted {
 		t.Fatal("PutIfAbsent of an absent key did not insert")
 	}
-	if s.nfree != 0 || s.free != nil {
-		t.Fatalf("insert did not take the free entry: %d left", s.nfree)
+	if free := spares(t, s); len(free) != 0 || s.spare.Len() != 0 {
+		t.Fatalf("insert did not take the free entry: %d left", len(free))
 	}
 	if got, ok := m.Get(2); !ok || got != v || recycled.key != 2 || recycled.val != v {
 		t.Fatalf("recycled entry holds key %d value %p, want 2 %p", recycled.key, recycled.val, v)
@@ -252,15 +253,15 @@ func TestRecycledEntries(t *testing.T) {
 	for i := uint64(1); i <= n; i++ {
 		m.Delete(i)
 	}
-	if s.nfree != maxFreeEntries || m.Len() != 0 {
-		t.Fatalf("after %d deletes: %d on the free list (cap %d), Len %d", n, s.nfree, maxFreeEntries, m.Len())
+	if free := spares(t, s); len(free) != maxFreeEntries || s.spare.Len() != maxFreeEntries || m.Len() != 0 {
+		t.Fatalf("after %d deletes: %d on the free list (cap %d), Len %d", n, len(free), maxFreeEntries, m.Len())
 	}
 	vals := make([]int, n)
 	for i := uint64(1); i <= n; i++ {
 		m.Put(i+n, &vals[i-1])
 	}
-	if s.nfree != 0 {
-		t.Fatalf("%d entries left on the free list after %d inserts", s.nfree, n)
+	if s.spare.Len() != 0 {
+		t.Fatalf("%d entries left on the free list after %d inserts", s.spare.Len(), n)
 	}
 	seen := 0
 	m.Range(func(k uint64, p *int) bool {
@@ -294,6 +295,16 @@ func TestChurnAllocatesNothing(t *testing.T) {
 	if got != 0 {
 		t.Errorf("%.2f allocations per insert/delete pair, want 0", got)
 	}
+}
+
+// spares audits the shard's free list and returns its entries, top first.
+func spares[V any](t *testing.T, s *shard[V]) []*entry[V] {
+	t.Helper()
+	var out []*entry[V]
+	if err := s.spare.Audit(func(e *entry[V]) { out = append(out, e) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestShardIsOneCacheLine: adjacent shards must not share a line, or their

@@ -46,7 +46,8 @@ import (
 //     granted or pending LRD, a PD, a declared ledger); every OD on a free
 //     list is unmapped, empty and in its own shard; no transaction index and
 //     no live PD points at an OD that is not mapped under the oid it is
-//     known by; the shard counts agree with the chains and lists.
+//     known by; the mapped-OD count agrees with the chains, and every free
+//     list passes the pool's audit.
 //
 // The intended use is at quiescent points of a concurrent workload (no
 // Lock/Delegate/Permit/ReleaseAll in flight); it is safe, but noisier, to
@@ -85,33 +86,26 @@ func (m *Manager) CheckInvariants() []string {
 	}
 	pendingOn := make(map[waitKey]int)
 
-	// Nothing on a free list may still be linked into a chain.
-	freeReqs := make(map[*lockReq]bool)
-	for si := range m.shards {
-		n := 0
-		for r := m.shards[si].free; r != nil && !freeReqs[r]; r = r.next {
-			freeReqs[r] = true // also stops the walk should the list loop
-			n++
-		}
-		if n != int(m.shards[si].nfree) {
-			report("shard %d: free list holds %d LRDs, count says %d", si, n, m.shards[si].nfree)
-		}
-	}
-	// Nor may a retired OD carry anything into its next life.
-	freeODs := make(map[*objDesc]bool)
+	// Nothing on a free list may still be linked into a chain, nor may a
+	// retired OD carry anything into its next life.
+	retiredReqs := make(map[*lockReq]bool)
+	retiredODs := make(map[*objDesc]bool)
 	for si := range m.shards {
 		s := &m.shards[si]
-		n := 0
-		for od := s.freeODs; od != nil && !freeODs[od]; od = od.next {
-			freeODs[od] = true
-			n++
+		if err := s.reqPool.Audit(func(r *lockReq) { retiredReqs[r] = true }); err != nil {
+			report("shard %d: LRD free list: %v", si, err)
+		}
+		if err := s.odPool.Audit(func(od *objDesc) {
+			retiredODs[od] = true
 			if od.mapped || od.home != s || !od.idle() {
 				report("shard %d: retired OD (last oid %v) is not empty, unmapped and at home", si, od.oid)
 			}
+		}); err != nil {
+			report("shard %d: OD free list: %v", si, err)
 		}
-		if n != int(s.nfreeODs) {
-			report("shard %d: free list holds %d ODs, count says %d", si, n, s.nfreeODs)
-		}
+	}
+	if err := m.free.Audit(nil); err != nil {
+		report("txnState free list: %v", err)
 	}
 
 	// Object-side walk: shards own the ground truth.
@@ -126,7 +120,7 @@ func (m *Manager) CheckInvariants() []string {
 			if !od.mapped || od.home != s || m.shardOf(oid) != s || s.lookup(oid) != od {
 				report("od %v: misfiled (shard %d, mapped %v)", oid, si, od.mapped)
 			}
-			if freeODs[od] {
+			if retiredODs[od] {
 				report("od %v: mapped and on the free list", oid)
 			}
 			if od.idle() {
@@ -137,7 +131,7 @@ func (m *Manager) CheckInvariants() []string {
 				if gl.od != od {
 					report("granted LRD %v/%v: od backpointer wrong", gl.tid, oid)
 				}
-				if freeReqs[gl] {
+				if retiredReqs[gl] {
 					report("object %v: granted LRD of txn %v is on the free list", oid, gl.tid)
 				}
 				if seen[gl.tid] {
@@ -176,7 +170,7 @@ func (m *Manager) CheckInvariants() []string {
 				if req.od != od {
 					report("pending LRD %v/%v: od backpointer wrong", req.tid, oid)
 				}
-				if freeReqs[req] {
+				if retiredReqs[req] {
 					report("object %v: pending LRD of txn %v is on the free list", oid, req.tid)
 				}
 				pendingTids[req.tid] = true
@@ -389,8 +383,8 @@ func (m *Manager) Footprint() Footprint {
 		s := &m.shards[i]
 		s.lat.Lock()
 		f.ODs += int(s.nods)
-		f.FreeODs += int(s.nfreeODs)
-		f.FreeLRDs += int(s.nfree)
+		f.FreeODs += s.odPool.Len()
+		f.FreeLRDs += s.reqPool.Len()
 		s.lat.Unlock()
 	}
 	return f

@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"repro/internal/htab"
+	"repro/internal/pool"
 	"repro/internal/waitgraph"
 	"repro/internal/xid"
 )
@@ -93,18 +94,18 @@ const (
 type lockReq struct {
 	tid       xid.TID
 	od        *objDesc
+	ctxErr    error // waiter's context was cancelled or expired
+	delta     int64 // reserved delta (meaningful when escrow)
 	mode      xid.OpSet
 	status    reqStatus
-	suspended bool  // granted lock suspended by a permitted conflicting grant
-	cancelled bool  // waiter was aborted; it must give up
-	victim    bool  // waiter was chosen as deadlock victim
-	timedOut  bool  // waiter exceeded Options.WaitTimeout
-	ctxErr    error // waiter's context was cancelled or expired
-	escrow    bool  // request carries an escrow reservation of delta
-	delta     int64 // reserved delta (meaningful when escrow)
-	escNever  bool  // escrow test concluded the reservation can never be admitted
+	suspended bool // granted lock suspended by a permitted conflicting grant
+	cancelled bool // waiter was aborted; it must give up
+	victim    bool // waiter was chosen as deadlock victim
+	timedOut  bool // waiter exceeded Options.WaitTimeout
+	escrow    bool // request carries an escrow reservation of delta
+	escNever  bool // escrow test concluded the reservation can never be admitted
 
-	next *lockReq // free-list link; nil while the LRD is in use
+	pool.Link[lockReq]
 }
 
 // objDesc is the object descriptor (OD) of Figure 1: granted and pending
@@ -117,7 +118,7 @@ type lockReq struct {
 type objDesc struct {
 	oid     xid.OID
 	home    *lockShard
-	next    *objDesc // bucket chain while mapped, free list while retired
+	next    *objDesc // bucket chain while mapped
 	mapped  bool
 	granted []*lockReq
 	pending []*lockReq // FIFO
@@ -127,6 +128,8 @@ type objDesc struct {
 	// grantedBuf backs granted until a second holder arrives: most objects
 	// never have one.
 	grantedBuf [1]*lockReq
+
+	pool.Link[objDesc]
 }
 
 // permit is the permit descriptor (PD): grantor allows grantee (NilTID =
@@ -192,7 +195,7 @@ type Manager struct {
 	shards    []lockShard
 	shardMask uint64
 	txns      *htab.Map[*txnState]
-	free      txnFreeList
+	free      pool.Shared[txnState, *txnState] // retired txnStates
 	wg        *waitgraph.Graph
 }
 
@@ -784,7 +787,7 @@ func (m *Manager) recycle(ts *txnState) {
 	clear(ts.byGrantee)
 	ts.byGrantee = ts.byGrantee[:0]
 	ts.lat.Unlock()
-	m.free.put(ts)
+	m.free.Push(ts, maxFreeTxns)
 }
 
 // emptied clears an index map for reuse, or drops one that grew large.

@@ -272,7 +272,10 @@ func TestOwnershipLateWakeupKeepsLRD(t *testing.T) {
 		s := m.shardOf(oid)
 		s.lat.Lock()
 		defer s.lat.Unlock()
-		return int(s.nfree)
+		if err := s.reqPool.Audit(nil); err != nil {
+			t.Fatal(err)
+		}
+		return s.reqPool.Len()
 	}
 
 	// Timed out: the timer fired, the LRD is abandoned to the collector.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/htab"
 	"repro/internal/latch"
+	"repro/internal/pool"
 	"repro/internal/xid"
 )
 
@@ -64,14 +65,13 @@ const (
 type lockShard struct {
 	//asset:latch order=20 spin
 	lat     latch.Latch
-	buckets []*objDesc // OD hash chains; len is a power of two
-	free    *lockReq   // retired LRDs, linked through lockReq.next
-	freeODs *objDesc   // retired ODs, linked through objDesc.next
-	// Counts of mapped ODs and of the two free lists. With them the shard is
-	// exactly one cache line, so adjacent shards' latch words don't
+	buckets []*objDesc                    // OD hash chains; len is a power of two
+	reqPool pool.Stack[lockReq, *lockReq] // retired LRDs
+	odPool  pool.Stack[objDesc, *objDesc] // retired ODs
+	nods    int32                         // mapped ODs
+	// Pad to exactly one cache line, so adjacent shards' latch words don't
 	// false-share.
-	nods, nfree, nfreeODs int32
-	_                     [4]byte
+	_ [12]byte
 }
 
 // shardIndexOf returns the index of the shard owning oid.
@@ -119,11 +119,8 @@ func (s *lockShard) od(oid xid.OID) *objDesc {
 //
 //go:noinline
 func (s *lockShard) mapOD(oid xid.OID) *objDesc {
-	od := s.freeODs
-	if od != nil {
-		s.freeODs = od.next
-		s.nfreeODs--
-	} else {
+	od := s.odPool.Pop()
+	if od == nil {
 		od = &objDesc{home: s}
 		od.cond.L = &s.lat
 		od.granted = od.grantedBuf[:0]
@@ -181,16 +178,11 @@ func (s *lockShard) retireIfIdle(od *objDesc) {
 	*p = od.next
 	s.nods--
 	od.mapped, od.next = false, nil // oid stays, for whoever reports a stale pointer
-	if s.nfreeODs >= maxFreeODs {
-		return
-	}
-	od.grantedBuf[0] = nil // a stale copy if granted outgrew the buffer
+	od.grantedBuf[0] = nil          // a stale copy if granted outgrew the buffer
 	od.granted = od.grantedBuf[:0]
 	od.pending = keptChain(od.pending)
 	od.permits = keptChain(od.permits)
-	od.next = s.freeODs
-	s.freeODs = od
-	s.nfreeODs++
+	s.odPool.Push(od, maxFreeODs)
 }
 
 // keptChain returns an emptied chain's backing array for reuse, or nil if it
@@ -208,25 +200,17 @@ func keptChain[T any](chain []*T) []*T {
 //
 //go:noinline
 func (s *lockShard) newReq() *lockReq {
-	r := s.free
-	if r == nil {
-		return &lockReq{}
+	if r := s.reqPool.Pop(); r != nil {
+		return r
 	}
-	s.free = r.next
-	s.nfree--
-	r.next = nil
-	return r
+	return &lockReq{}
 }
 
 // freeReq retires an LRD that was just unlinked from its OD chain. Caller
 // holds s.lat, under which the unlinking happened.
 func (s *lockShard) freeReq(r *lockReq) {
-	if s.nfree >= maxFreeReqs {
-		return
-	}
-	*r = lockReq{next: s.free}
-	s.free = r
-	s.nfree++
+	*r = lockReq{}
+	s.reqPool.Push(r, maxFreeReqs)
 }
 
 // ownerReq returns tid's granted LRD on od, or nil. Caller holds the shard
@@ -309,51 +293,25 @@ type txnState struct {
 	byGrantor []*permit
 	byGrantee []*permit
 
-	next *txnState // free-list link
+	pool.Link[txnState]
 }
 
 // is reports whether ts is tid's live state. Caller holds ts.lat.
 func (ts *txnState) is(tid xid.TID) bool { return !ts.dead && ts.tid == tid }
 
-// txnFreeList holds retired txnStates. Its latch is a leaf: push and pop
-// only, taken with no other lock-manager latch held.
-type txnFreeList struct {
-	//asset:latch order=45 spin
-	lat  latch.Latch
-	head *txnState
-	n    int
-}
-
-// get pops a retired state (dead, indexes empty) or makes one.
+// newTxnState pops a retired state (dead, indexes empty) off the manager's
+// free list or makes one.
 //
 //go:noinline
-func (f *txnFreeList) get() *txnState {
-	f.lat.Lock()
-	ts := f.head
-	if ts != nil {
-		f.head = ts.next
-		f.n--
-	}
-	f.lat.Unlock()
+func (m *Manager) newTxnState() *txnState {
+	ts := m.free.Pop()
 	if ts == nil {
 		ts = &txnState{dead: true}
 	}
-	ts.next = nil
 	if ts.locks == nil {
 		ts.locks = make(map[xid.OID]*objDesc)
 	}
 	return ts
-}
-
-// put takes back a state that is dead, unmapped and empty.
-func (f *txnFreeList) put(ts *txnState) {
-	f.lat.Lock()
-	if f.n < maxFreeTxns {
-		ts.next = f.head
-		f.head = ts
-		f.n++
-	}
-	f.lat.Unlock()
 }
 
 // txnOf returns tid's live txnState, creating one if needed. If a concurrent
@@ -379,14 +337,14 @@ func (m *Manager) txnOf(tid xid.TID) *txnState {
 		// Map first, bring to life second: a state that loses the insert
 		// race goes back on the free list without ever having been live, so
 		// no holder of a stale pointer to it can have mistaken it for tid's.
-		ts := m.free.get()
+		ts := m.newTxnState()
 		if _, inserted := m.txns.PutIfAbsent(uint64(tid), ts); inserted {
 			ts.lat.Lock()
 			ts.tid, ts.dead = tid, false
 			ts.lat.Unlock()
 			return ts
 		}
-		m.free.put(ts)
+		m.free.Push(ts, maxFreeTxns)
 	}
 }
 
