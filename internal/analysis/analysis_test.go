@@ -402,7 +402,16 @@ func TestLatchRegistry(t *testing.T) {
 		"server.session.mu": "order=6",
 		"server.srvConn.mu": "order=8",
 
-		"core.Manager.mu":    "order=10",
+		"core.Manager.mu": "order=10",
+
+		// The object cache's directory latch, then one object's latch
+		// (§4.2): a create holds the directory in S mode across the slot's
+		// X latch, and a writer holds the object's X latch across the log
+		// append and, on an Add that fails, across backing the escrow
+		// reservation out of the lock table.
+		"storage.Cache.lat":  "order=12 spin",
+		"storage.Object.Lat": "order=14 spin",
+
 		"lock.lockShard.lat": "order=20 spin",
 		"htab.shard.mu":      "order=30",
 		"lock.txnState.lat":  "order=40 spin",

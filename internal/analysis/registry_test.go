@@ -63,8 +63,8 @@ func TestAnnotationRegistry(t *testing.T) {
 
 	// One annotation per latch class; the classes themselves (names and
 	// orders) are pinned by TestLatchRegistry.
-	if latches != 15 {
-		t.Errorf("latch annotations: got %d, want 15 (update TestLatchRegistry and DESIGN.md §10 too)", latches)
+	if latches != 17 {
+		t.Errorf("latch annotations: got %d, want 17 (update TestLatchRegistry and DESIGN.md §10 too)", latches)
 	}
 
 	wantMechs := map[string]int{"waitgroup": 15, "channel": 5, "ctx": 1}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -254,5 +255,57 @@ func TestDirlessManagerKeepsNoDirtySet(t *testing.T) {
 	}
 	if err := m.Checkpoint(); err != nil {
 		t.Errorf("checkpoint of a directory-less manager: %v", err)
+	}
+}
+
+// TestCacheCreateAbortAtFrontier: a transaction that creates an object and
+// aborts, in a loop, creates each object in the block at the allocator's
+// frontier and empties it again. The cache keeps that block, so the loop
+// makes one block per 31 creates as the frontier moves on, not one per
+// create: it allocates no more objects per transaction than the same loop
+// re-creating one oid whose block a committed neighbour keeps in place.
+func TestCacheCreateAbortAtFrontier(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	m, err := Open(Config{ReapTerminated: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	payload := make([]byte, 8)
+	errRollBack := errors.New("roll back")
+	createAbort := func(create func(tx *Tx) error) func() {
+		body := func(tx *Tx) error {
+			if err := create(tx); err != nil {
+				return err
+			}
+			return errRollBack
+		}
+		return func() {
+			id, err := m.Initiate(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Execute(id); !errors.Is(err, errRollBack) {
+				t.Fatalf("Execute = %v, want the body's error", err)
+			}
+		}
+	}
+	neighbour := seedObject(t, m, payload)
+	pinned := createAbort(func(tx *Tx) error { return tx.CreateAt(neighbour+1, payload) })
+	frontier := createAbort(func(tx *Tx) error { _, err := tx.Create(payload); return err })
+	for i := 0; i < 100; i++ {
+		pinned() // warm the free lists and the undo list
+		frontier()
+	}
+	want := testing.AllocsPerRun(310, pinned)
+	got := testing.AllocsPerRun(310, frontier)
+	t.Logf("create then abort: %.0f objects per transaction at the frontier, %.0f in a kept block", got, want)
+	if got > want {
+		t.Errorf("create then abort at the frontier: %.0f objects per transaction, want %.0f (no block per create)", got, want)
+	}
+	if n := m.Cache().Len(); n != 1 {
+		t.Errorf("cache holds %d objects after every create rolled back, want 1", n)
 	}
 }

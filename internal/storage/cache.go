@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +14,15 @@ import (
 // writer holds it in X mode across logging the before image, performing the
 // write, and logging the after image. Data and SetData access the raw buffer
 // and require the caller to hold the latch in the appropriate mode.
+//
+// Objects live inline in the cache's blocks, one slot per oid, and a
+// Delete and re-Create of the oid empty and refill the same slot. So a
+// caller that keeps an *Object past its lookup holds the oid's lock, which
+// keeps both out from under it (core's Write, Update and Add do).
 type Object struct {
+	// Held in X mode across the log append of the object's update (§4.2),
+	// so it orders before the log's latches.
+	//asset:latch order=14 spin
 	Lat  latch.Latch
 	data []byte
 }
@@ -26,18 +35,48 @@ func (o *Object) Data() []byte { return o.data }
 // mode.
 func (o *Object) SetData(b []byte) { o.data = b }
 
+// blockSlots is the number of objects in a block: 31 slots of 32 B and
+// the presence word make 1,000 B, which fills the 1,024-B size class.
+const blockSlots = 31
+
+// block holds the objects of blockSlots consecutive oids inline. Bit i of
+// live says whether slot i holds an object; it flips only under the slot's
+// X latch and only while the flipper holds the cache latch, so a reader
+// holding a slot's S latch sees a stable bit, and a block whose word is
+// zero under the cache latch in X mode stays empty.
+type block struct {
+	objs [blockSlots]Object
+	live atomic.Uint32
+}
+
+// blockOf splits an oid into its block's key and its slot's presence bit.
+func blockOf(oid xid.OID) (key uint64, slot int, bit uint32) {
+	key, s := uint64(oid)/blockSlots, uint64(oid)%blockSlots
+	return key, int(s), 1 << s
+}
+
 // Cache is the shared object cache transactions operate on directly. The
-// map itself is protected by a latch; individual objects carry their own
-// latches.
+// directory of blocks is protected by a latch; individual objects carry
+// their own latches.
+//
+// An emptied block leaves the directory, except the block at the
+// allocator's frontier (the block of the last allocated oid): a loop of
+// creates rolled back at the frontier would otherwise make and drop a block
+// per create. A frontier block kept empty is dropped when the next block is
+// made, if it is still empty and the frontier has moved on.
 type Cache struct {
+	// Taken in S mode around every directory lookup and held, in S mode,
+	// while a presence bit is set, so an emptiness check under X is stable.
+	//asset:latch order=12 spin
 	lat     latch.Latch
-	objs    map[xid.OID]*Object
+	dir     map[uint64]*block
 	nextOID atomic.Uint64
+	kept    atomic.Uint64 // key of the last emptied block kept at the frontier
 }
 
 // NewCache returns an empty cache whose first allocated oid will be 1.
 func NewCache() *Cache {
-	return &Cache{objs: make(map[xid.OID]*Object)}
+	return &Cache{dir: make(map[uint64]*block)}
 }
 
 // AllocOID reserves a fresh object identifier without creating the object.
@@ -56,12 +95,25 @@ func (c *Cache) SetNextOID(floor xid.OID) {
 	}
 }
 
+// frontier returns the key of the block holding the last allocated oid.
+func (c *Cache) frontier() uint64 { return c.nextOID.Load() / blockSlots }
+
+// lookup returns the directory's block for key, or nil.
+func (c *Cache) lookup(key uint64) *block {
+	c.lat.RLock()
+	b := c.dir[key]
+	c.lat.RUnlock()
+	return b
+}
+
 // Object returns the cached object for oid, or nil if it does not exist.
 func (c *Cache) Object(oid xid.OID) *Object {
-	c.lat.RLock()
-	o := c.objs[oid]
-	c.lat.RUnlock()
-	return o
+	key, slot, bit := blockOf(oid)
+	b := c.lookup(key)
+	if b == nil || b.live.Load()&bit == 0 {
+		return nil
+	}
+	return &b.objs[slot]
 }
 
 // Read returns a copy of the object's contents: AppendRead with no buffer.
@@ -74,12 +126,26 @@ func (c *Cache) Read(oid xid.OID) ([]byte, bool) {
 // dst gets a fresh slice sized to the object. The result never aliases the
 // object's own buffer, which writers replace and counter adds change in
 // place. A missing object leaves dst as it was.
+//
+// Presence is checked again under the S latch: a Delete (and a re-Create)
+// racing the read gives "not found" or a whole image, never an emptied one.
 func (c *Cache) AppendRead(dst []byte, oid xid.OID) ([]byte, bool) {
-	o := c.Object(oid)
-	if o == nil {
+	key, slot, bit := blockOf(oid)
+	b := c.lookup(key)
+	if b == nil {
 		return dst, false
 	}
+	return b.appendSlot(dst, slot, bit)
+}
+
+// appendSlot appends the contents of a present slot under its S latch.
+func (b *block) appendSlot(dst []byte, slot int, bit uint32) ([]byte, bool) {
+	o := &b.objs[slot]
 	o.Lat.RLock()
+	if b.live.Load()&bit == 0 {
+		o.Lat.RUnlock()
+		return dst, false
+	}
 	if dst == nil {
 		dst = make([]byte, 0, len(o.data))
 	}
@@ -93,47 +159,99 @@ func (c *Cache) AppendRead(dst []byte, oid xid.OID) ([]byte, bool) {
 // can be logged under the same X hold). It returns the previous contents,
 // if any.
 func (c *Cache) Install(oid xid.OID, data []byte) (prev []byte, existed bool) {
-	c.lat.Lock()
-	o := c.objs[oid]
-	if o == nil {
-		o = &Object{data: data}
-		c.objs[oid] = o
-		c.lat.Unlock()
-		return nil, false
-	}
-	c.lat.Unlock()
-	o.Lat.Lock()
-	prev = o.data
-	o.data = data
-	o.Lat.Unlock()
-	return prev, true
+	prev, existed, _ = c.put(oid, data, true)
+	return prev, existed
 }
 
 // Create inserts a new object under oid. It reports false if the oid is
 // already present.
 func (c *Cache) Create(oid xid.OID, data []byte) bool {
-	c.lat.Lock()
-	defer c.lat.Unlock()
-	if _, exists := c.objs[oid]; exists {
-		return false
+	_, _, stored := c.put(oid, data, false)
+	return stored
+}
+
+// put stores data in oid's slot, making the slot's block if it is missing;
+// an occupied slot is overwritten only if replace is set. The cache latch
+// is held in S mode across the slot's X hold, so the block cannot leave the
+// directory between the lookup and the presence bit's flip.
+func (c *Cache) put(oid xid.OID, data []byte, replace bool) (prev []byte, existed, stored bool) {
+	key, slot, bit := blockOf(oid)
+	for {
+		c.lat.RLock()
+		b := c.dir[key]
+		if b == nil {
+			c.lat.RUnlock()
+			c.addBlock(key)
+			continue // the new block may be dropped before the S latch is back
+		}
+		o := &b.objs[slot]
+		o.Lat.Lock()
+		existed = b.live.Load()&bit != 0
+		if existed {
+			prev = o.data
+		} else {
+			b.live.Add(bit) // the bit is clear, so the add only sets it
+		}
+		if stored = replace || !existed; stored {
+			o.data = data
+		}
+		o.Lat.Unlock()
+		c.lat.RUnlock()
+		return prev, existed, stored
 	}
-	c.objs[oid] = &Object{data: data}
-	return true
+}
+
+// addBlock makes key's block if the directory has none, and drops the
+// empty block last kept at the frontier if the frontier has left it.
+func (c *Cache) addBlock(key uint64) {
+	c.lat.Lock()
+	if c.dir[key] == nil {
+		c.dir[key] = new(block)
+		if k := c.kept.Load(); k != key {
+			c.dropEmptyLocked(k)
+		}
+	}
+	c.lat.Unlock()
+}
+
+// dropEmptyLocked removes key's block from the directory if it holds no
+// object and is not at the frontier. The caller holds c.lat in X mode.
+func (c *Cache) dropEmptyLocked(key uint64) {
+	if b := c.dir[key]; b != nil && b.live.Load() == 0 && key != c.frontier() {
+		delete(c.dir, key)
+	}
 }
 
 // Delete removes the object, returning its final contents.
 func (c *Cache) Delete(oid xid.OID) ([]byte, bool) {
-	c.lat.Lock()
-	o := c.objs[oid]
-	if o == nil {
-		c.lat.Unlock()
+	key, slot, bit := blockOf(oid)
+	c.lat.RLock()
+	b := c.dir[key]
+	if b == nil {
+		c.lat.RUnlock()
 		return nil, false
 	}
-	delete(c.objs, oid)
-	c.lat.Unlock()
-	o.Lat.RLock()
+	o := &b.objs[slot]
+	o.Lat.Lock()
+	if b.live.Load()&bit == 0 {
+		o.Lat.Unlock()
+		c.lat.RUnlock()
+		return nil, false
+	}
 	data := o.data
-	o.Lat.RUnlock()
+	o.data = nil
+	emptied := b.live.Add(-bit) == 0 // the bit is set, so the add only clears it
+	o.Lat.Unlock()
+	c.lat.RUnlock()
+	if emptied {
+		if key == c.frontier() {
+			c.kept.Store(key)
+		} else {
+			c.lat.Lock()
+			c.dropEmptyLocked(key)
+			c.lat.Unlock()
+		}
+	}
 	return data, true
 }
 
@@ -141,25 +259,37 @@ func (c *Cache) Delete(oid xid.OID) ([]byte, bool) {
 func (c *Cache) Len() int {
 	c.lat.RLock()
 	defer c.lat.RUnlock()
-	return len(c.objs)
+	n := 0
+	for _, b := range c.dir {
+		n += bits.OnesCount32(b.live.Load())
+	}
+	return n
 }
 
 // ForEach calls fn with a copy of every object's contents. Objects created
-// or deleted during the iteration may or may not be visited.
+// or deleted during the iteration may or may not be visited; an object
+// present throughout is visited once.
 func (c *Cache) ForEach(fn func(oid xid.OID, data []byte) bool) {
+	type entry struct {
+		key uint64
+		b   *block
+	}
 	c.lat.RLock()
-	oids := make([]xid.OID, 0, len(c.objs))
-	for oid := range c.objs {
-		oids = append(oids, oid)
+	blocks := make([]entry, 0, len(c.dir))
+	for key, b := range c.dir {
+		blocks = append(blocks, entry{key, b})
 	}
 	c.lat.RUnlock()
-	for _, oid := range oids {
-		data, ok := c.Read(oid)
-		if !ok {
-			continue
-		}
-		if !fn(oid, data) {
-			return
+	for _, e := range blocks {
+		for live := e.b.live.Load(); live != 0; live &= live - 1 {
+			slot := bits.TrailingZeros32(live)
+			data, ok := e.b.appendSlot(nil, slot, 1<<slot)
+			if !ok {
+				continue
+			}
+			if !fn(xid.OID(e.key*blockSlots+uint64(slot)), data) {
+				return
+			}
 		}
 	}
 }

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/xid"
 )
 
@@ -102,6 +104,232 @@ func TestCacheForEach(t *testing.T) {
 	})
 	if n != 10 {
 		t.Fatalf("ForEach visited %d, want 10", n)
+	}
+
+	// Creates and deletes during the walk: an object present throughout is
+	// visited once with its own contents; one deleted or created during the
+	// walk may or may not be; nothing is visited twice. The deletes empty
+	// whole blocks, which leave the directory under the walk.
+	const old, fresh = 400, 800
+	c = NewCache()
+	for i := 1; i <= old; i++ {
+		c.Create(xid.OID(i), []byte{byte(i)})
+	}
+	doomed := func(oid xid.OID) bool { return oid%3 == 0 || (oid >= 2*blockSlots && oid < 5*blockSlots) }
+	seen := make(map[xid.OID]int)
+	first, deleted := true, 0
+	c.ForEach(func(oid xid.OID, data []byte) bool {
+		if first {
+			first = false
+			for i := 1; i <= old; i++ {
+				if doomed(xid.OID(i)) {
+					c.Delete(xid.OID(i))
+					deleted++
+				}
+			}
+			for i := old + 1; i <= fresh; i++ {
+				c.Create(xid.OID(i), []byte{byte(i)})
+			}
+		}
+		if len(data) != 1 || data[0] != byte(oid) {
+			t.Errorf("oid %v has data %v", oid, data)
+		}
+		seen[oid]++
+		return true
+	})
+	for oid, k := range seen {
+		if k != 1 {
+			t.Errorf("oid %v visited %d times", oid, k)
+		}
+		if oid < 1 || oid > fresh {
+			t.Errorf("visited oid %v, which was never created", oid)
+		}
+	}
+	for i := 1; i <= old; i++ {
+		if oid := xid.OID(i); !doomed(oid) && seen[oid] != 1 {
+			t.Errorf("oid %v, present throughout, visited %d times", oid, seen[oid])
+		}
+	}
+	if want := fresh - deleted; c.Len() != want {
+		t.Errorf("Len after the walk = %d, want %d", c.Len(), want)
+	}
+
+	// A walk stops when fn says so.
+	n = 0
+	c.ForEach(func(xid.OID, []byte) bool { n++; return n < 5 })
+	if n != 5 {
+		t.Errorf("ForEach went on for %d calls after fn returned false at 5", n)
+	}
+}
+
+// TestCacheEmptiedBlockLeaves: a block whose last object is deleted leaves
+// the directory, except at the allocator's frontier, where it stays until
+// the next block is made past it.
+func TestCacheEmptiedBlockLeaves(t *testing.T) {
+	c := NewCache()
+	oid := xid.OID(3*blockSlots + 4)
+	c.Create(oid, []byte("x"))
+	c.Create(oid+1, []byte("y"))
+	c.Delete(oid)
+	if len(c.dir) != 1 {
+		t.Fatalf("directory holds %d blocks with one object left, want 1", len(c.dir))
+	}
+	c.Delete(oid + 1)
+	if len(c.dir) != 0 {
+		t.Fatalf("directory holds %d blocks after its only block emptied, want 0", len(c.dir))
+	}
+
+	// At the frontier the emptied block stays, and goes when the frontier
+	// has moved on and the next block is made.
+	oid = c.AllocOID()
+	c.Create(oid, []byte("x"))
+	c.Delete(oid)
+	if len(c.dir) != 1 {
+		t.Fatalf("directory holds %d blocks after the frontier block emptied, want 1 (kept)", len(c.dir))
+	}
+	c.SetNextOID(blockSlots)
+	next := c.AllocOID()
+	c.Create(next, []byte("y"))
+	if _, ok := c.dir[uint64(oid)/blockSlots]; ok || len(c.dir) != 1 {
+		t.Fatalf("directory holds %d blocks, the old frontier's among them: %v", len(c.dir), ok)
+	}
+
+	// Creates rolled back as the frontier moves leave no empty blocks
+	// behind it.
+	for i := 0; i < 20*blockSlots; i++ {
+		oid := c.AllocOID()
+		c.Create(oid, []byte("z"))
+		c.Delete(oid)
+	}
+	if len(c.dir) != 2 {
+		t.Errorf("directory holds %d blocks, want 2: the object's and the frontier's", len(c.dir))
+	}
+}
+
+// TestCacheReadRacesDeleteAndRecreate: readers copying one oid while a
+// writer deletes and re-creates it, and a neighbour creates and deletes
+// the other slots of its block (so the block leaves the directory and comes
+// back), see "not found" or one whole image a writer installed, never an
+// empty, torn or foreign one.
+func TestCacheReadRacesDeleteAndRecreate(t *testing.T) {
+	const size, cycles = 64, 3000
+	c := NewCache()
+	oid := xid.OID(2*blockSlots + 7)
+	image := func(gen int) []byte { return bytes.Repeat([]byte{byte(1 + gen%255)}, size) }
+	c.Create(oid, image(0))
+
+	stop := make(chan struct{})
+	var readers, others sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var buf []byte
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var ok bool
+				buf, ok = c.AppendRead(buf[:0], oid)
+				if !ok {
+					continue
+				}
+				if len(buf) != size || buf[0] == 0 || !bytes.Equal(buf, bytes.Repeat(buf[:1], size)) {
+					t.Errorf("read an image no writer installed: %v", buf)
+					return
+				}
+				if d, ok := c.AppendRead(buf[size:], oid+1); ok && string(d) != "n" {
+					t.Errorf("neighbour's slot holds %q", d)
+				}
+			}
+		}()
+	}
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		base := xid.OID(2 * blockSlots)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := base + xid.OID(i%blockSlots)
+			if n == oid {
+				continue
+			}
+			c.Create(n, []byte("n"))
+			c.Delete(n)
+		}
+	}()
+	for gen := 1; gen <= cycles; gen++ {
+		if _, ok := c.Delete(oid); !ok {
+			t.Fatalf("cycle %d: Delete found no object", gen)
+		}
+		if gen%2 == 0 {
+			if !c.Create(oid, image(gen)) {
+				t.Fatalf("cycle %d: Create found the deleted oid present", gen)
+			}
+		} else if _, existed := c.Install(oid, image(gen)); existed {
+			t.Fatalf("cycle %d: Install found the deleted oid present", gen)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	others.Wait()
+	if got, ok := c.Read(oid); !ok || !bytes.Equal(got, image(cycles)) {
+		t.Fatalf("final image = %v,%v, want the last one installed", got, ok)
+	}
+}
+
+// TestCacheFootprint pins what the cache costs per object beyond its
+// payload: a dense run of oids fills whole blocks, about 33 B per object;
+// an isolated oid costs its whole block, about 1 KB.
+func TestCacheFootprint(t *testing.T) {
+	if race.Enabled {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	payload := make([]byte, 16) // shared by every object, so none of it counts
+	perObject := func(oids func(yield func(xid.OID))) float64 {
+		before := live()
+		c := NewCache()
+		n := 0
+		oids(func(oid xid.OID) {
+			c.Create(oid, payload)
+			n++
+		})
+		grown := live() - before
+		runtime.KeepAlive(c)
+		return float64(grown) / float64(n)
+	}
+	dense := perObject(func(yield func(xid.OID)) {
+		for i := 1; i <= 262_144; i++ {
+			yield(xid.OID(i))
+		}
+		for i := 0; i < 65_536; i++ {
+			yield(xid.OID(2<<20 + i))
+		}
+	})
+	sparse := perObject(func(yield func(xid.OID)) {
+		for i := 1; i <= 4096; i++ {
+			yield(xid.OID(i * 100))
+		}
+	})
+	t.Logf("dense oids: %.1f B per object; one object per block: %.0f B", dense, sparse)
+	if dense > 36 {
+		t.Errorf("dense oids cost %.1f B per object beyond payload, want at most 36", dense)
+	}
+	if sparse > 1.1*1024 {
+		t.Errorf("an isolated oid costs %.0f B, want at most 1.1 KB", sparse)
 	}
 }
 
