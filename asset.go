@@ -194,8 +194,9 @@ var (
 	ErrRetryable = core.ErrRetryable
 )
 
-// Open creates a Manager. With cfg.Dir set the database is durable (WAL +
-// page-store checkpoints, recovered at open); otherwise it is in-memory.
+// Open creates a Manager. With cfg.Dir set the database is durable (a WAL
+// whose checkpoints rewrite it to start with a snapshot, replayed at open);
+// otherwise it is in-memory.
 func Open(cfg Config) (*Manager, error) { return core.Open(cfg) }
 
 // Run executes fn as a transaction on m and automatically retries

@@ -62,6 +62,12 @@ func main() {
 				verdict = "commit"
 			}
 			fmt.Printf("%6d  %-10s gid=%d verdict=%s\n", r.LSN, r.Type, r.GID, verdict)
+		case wal.TImage:
+			if *verbose {
+				fmt.Printf("%6d  %-10s %v %q\n", r.LSN, r.Type, r.OID, r.After)
+			} else {
+				fmt.Printf("%6d  %-10s %v (%dB)\n", r.LSN, r.Type, r.OID, len(r.After))
+			}
 		case wal.TCheckpoint:
 			fmt.Printf("%6d  %-10s\n", r.LSN, r.Type)
 		}
@@ -77,8 +83,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "walinspect: recover: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("\n%d records; recovery: %d committed txn(s), %d loser(s), %d in-doubt group(s), %d object image(s), %d deletion(s), next LSN %d\n",
-		count, len(st.Committed), len(st.Losers), len(st.InDoubt), len(st.Objects), len(st.Deleted), st.NextLSN)
+	fmt.Printf("\n%d records; recovery: %d committed txn(s), %d loser(s), %d in-doubt group(s), %d object(s), next LSN %d\n",
+		count, len(st.Committed), len(st.Losers), len(st.InDoubt), len(st.Objects), st.NextLSN)
 	for gid, tids := range st.InDoubt {
 		fmt.Printf("in doubt: gid=%d group=%v (awaiting coordinator verdict)\n", gid, tids)
 	}

@@ -2,7 +2,7 @@
 // records (gob), a B-tree for ordered title lookups, an escrow counter for
 // loan statistics, and a cursor-stability scan that reports while loans
 // keep committing. Restart the process against the same directory to see
-// recovery (state persists via the WAL + page store).
+// recovery (state persists via the WAL and its checkpoint snapshots).
 //
 //	go run ./examples/catalog
 package main

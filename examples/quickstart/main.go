@@ -21,7 +21,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Open a durable database: WAL + page-store checkpoints live in dir.
+	// Open a durable database: the WAL and its checkpoint snapshots live in dir.
 	m, err := asset.Open(asset.Config{Dir: dir, SyncCommits: true})
 	if err != nil {
 		log.Fatal(err)

@@ -24,8 +24,8 @@ type effects struct {
 	// a Done() call or a done/stop/term/quit/close/ctx-named channel).
 	ctxRecv bool
 	// forces: issues a durable force — a call to a method or function
-	// named Sync, SyncDir, Force, ForceDurable, or Flush (may-force:
-	// name-based so interface and external callees count).
+	// named Sync, SyncDir, Force, or Flush (may-force: name-based so
+	// interface and external callees count).
 	forces  bool
 	callees map[funcKey]bool
 }
@@ -34,7 +34,7 @@ type effects struct {
 // the forceorder checker's force-debt dataflow.
 func forceName(name string) bool {
 	switch name {
-	case "Sync", "SyncDir", "Force", "ForceDurable", "Flush":
+	case "Sync", "SyncDir", "Force", "Flush":
 		return true
 	}
 	return false

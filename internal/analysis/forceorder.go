@@ -14,10 +14,10 @@ import (
 //
 // promises that on every path, each direct call to a named event — the
 // point where a verdict, ack, or manifest becomes visible to others —
-// is dominated by a durable force: a call to Sync/SyncDir/Force/
-// ForceDurable/Flush, directly or through a module callee whose
-// transitive effect summary may force (a may-force model: the checker
-// errs toward trusting callees, like the rest of the analyzer).
+// is dominated by a durable force: a call to Sync/SyncDir/Force/Flush,
+// directly or through a module callee whose transitive effect summary
+// may force (a may-force model: the checker errs toward trusting
+// callees, like the rest of the analyzer).
 //
 // Events match direct calls only. That is deliberate: an abort path
 // calling abortLocked — which transitively releases locks — owes no

@@ -197,10 +197,10 @@ func TestMemLogKeepsNoHeap(t *testing.T) {
 	}
 }
 
-// TestDirlessManagerKeepsNoDirtySet: a manager opened without Dir has
-// NullBackend behind it, so a checkpoint has nothing to write and the
-// manager no reason to remember which objects changed; nor does the lock
-// table remember objects nobody locks any more. 50,000 transactions that
+// TestDirlessManagerKeepsNoDirtySet: a manager opened without Dir has no
+// log to checkpoint into, and no manager remembers which objects changed
+// (a checkpoint writes every object); nor does the lock table remember
+// objects nobody locks any more. 50,000 transactions that
 // each create one object must grow the heap by what the objects cost in the
 // cache and nothing else — measured against the same creates made straight
 // into a bare cache. (The parent kept 43 B of dirty set and 198 B of object
@@ -246,9 +246,6 @@ func TestDirlessManagerKeepsNoDirtySet(t *testing.T) {
 	if grown > objects+1<<20 {
 		t.Errorf("heap grew %d KB over %d created objects that cost %d KB in a bare cache, want no more than 1024 KB on top",
 			grown>>10, n, objects>>10)
-	}
-	if len(m.dirty) != 0 {
-		t.Errorf("dirty set holds %d objects on a manager with nothing to checkpoint into", len(m.dirty))
 	}
 	if f := m.LockManager().Footprint(); f.ODs != 0 {
 		t.Errorf("lock table holds %d object descriptors with no transaction live", f.ODs)
@@ -307,5 +304,49 @@ func TestCacheCreateAbortAtFrontier(t *testing.T) {
 	}
 	if n := m.Cache().Len(); n != 1 {
 		t.Errorf("cache holds %d objects after every create rolled back, want 1", n)
+	}
+}
+
+// TestCheckpointStreamsSnapshot: a checkpoint writes an image of every
+// object through a bounded batch, so the live heap after it is the heap
+// before it: the log keeps no buffer the size of the snapshot (framing
+// all 100,000 images in one batch first would leave about 5 MB behind),
+// and the manager remembers nothing of what it wrote.
+func TestCheckpointStreamsSnapshot(t *testing.T) {
+	if race.Enabled {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
+	const n, perTxn = 100_000, 1000
+	m, err := Open(Config{Dir: t.TempDir(), ReapTerminated: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	payload := make([]byte, 24)
+	for i := 0; i < n/perTxn; i++ {
+		runTxn(t, m, func(tx *Tx) error {
+			for j := 0; j < perTxn; j++ {
+				if _, err := tx.Create(payload); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := live()
+	t.Logf("live heap %d KB before a checkpoint of %d objects, %d KB after", before>>10, m.Cache().Len(), after>>10)
+	if after > before && after-before > 1<<20 {
+		t.Errorf("a checkpoint of %d objects grew the live heap by %d KB, want < 1024 KB", n, (after-before)>>10)
 	}
 }

@@ -380,15 +380,6 @@ func (m *Manager) commitLocked(group []*txn) error {
 			m.installRedoLocked(op)
 		}
 		member.redo = nil
-		// The member's committed updates change durable state relative to
-		// the last checkpoint.
-		for _, u := range member.undo {
-			if u.kind == wal.KindDelete {
-				m.markDirtyLocked(u.oid, dirtyDelete)
-			} else {
-				m.markDirtyLocked(u.oid, dirtyUpsert)
-			}
-		}
 		member.undo = nil
 		member.setSt(xid.StatusCommitted)
 		m.deps.RemoveNode(member.id)
@@ -632,23 +623,19 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 				obj.Lat.Lock()
 				addInPlace(obj, -rec.delta)
 				obj.Lat.Unlock()
-				m.markDirtyLocked(rec.oid, dirtyUpsert)
 			}
 		case wal.KindCreate:
 			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelete})
 			m.cache.Delete(rec.oid)
-			m.markDirtyLocked(rec.oid, dirtyDelete)
 			// The object never existed; any escrow bounds declared for it
 			// (a rolled-back bounded-counter creation) go with it.
 			m.locks.DropEscrow(rec.oid)
 		case wal.KindDelete:
 			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindCreate, After: rec.before})
 			m.cache.Install(rec.oid, rec.before)
-			m.markDirtyLocked(rec.oid, dirtyUpsert)
 		default: // modify
 			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindModify, After: rec.before})
 			m.cache.Install(rec.oid, rec.before)
-			m.markDirtyLocked(rec.oid, dirtyUpsert)
 		}
 	}
 	// Phase 3: cleanup and final statuses.

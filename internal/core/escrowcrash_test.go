@@ -44,17 +44,17 @@ func escrowWorkload(acks *[3]bool) func(m *Manager) {
 	}
 }
 
-// The second escrow workload logs a delta whose base only the store holds,
-// and checkpoints again:
+// The second escrow workload logs a delta whose base only a snapshot
+// holds, and checkpoints again:
 //
 //	T1: create 201 = counter(100), declare escrow [0, 10000]
-//	    checkpoint                       (the store holds 100)
+//	    checkpoint                       (the snapshot holds 100)
 //	T2: add(201, +5)                     -> 105
-//	    checkpoint
+//	    checkpoint                       (the snapshot holds 105)
 //
-// Once the second checkpoint has put 105 in the store, the +5 in the log
-// is already applied; a crash before that checkpoint's own record is
-// durable must not replay it again (110 matches no prefix).
+// A crash before the second checkpoint's cutover leaves the old chain,
+// +5 included, followed by a prefix of the new snapshot; its image of
+// 105 must install, not add the delta again (110 matches no prefix).
 func deltaOverCheckpointWorkload(acks *[3]bool) func(m *Manager) {
 	return func(m *Manager) {
 		acks[0] = runWorkloadTxn(m, createCounter201)

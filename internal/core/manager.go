@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -33,9 +34,10 @@ import (
 // cohort protocol; it complements the paper's GC groups, which share a
 // commit record).
 type Config struct {
-	// Dir, when non-empty, makes the database durable: the write-ahead log
-	// and the page-store checkpoint backend live there, and Open performs
-	// recovery. When empty the manager is purely in-memory.
+	// Dir, when non-empty, makes the database durable: the write-ahead
+	// log's segment chain lives there, a checkpoint rewrites it to start
+	// with an image of every object, and Open recovers by replaying it.
+	// When empty the manager is purely in-memory.
 	Dir string
 	// SyncCommits forces an fsync on every commit record (durable mode
 	// only). Off, commits are buffered and only checkpoints force.
@@ -92,37 +94,14 @@ type Config struct {
 	// retains every verdict forever.
 	VerdictRetention int
 	// FS, when non-nil, replaces the OS filesystem for every durable file
-	// (WAL, page store, double-write journal). Used by the fault-injection
-	// and crash-simulation tests; nil means the real filesystem.
+	// (the WAL's segments and manifest). Used by the fault-injection and
+	// crash-simulation tests; nil means the real filesystem.
 	FS faultfs.FS
 }
 
 // DefaultVerdictRetention is the verdicts-map bound applied when
 // Config.VerdictRetention is zero.
 const DefaultVerdictRetention = 4096
-
-// truncatableLog is satisfied by logs that can drop their contents after a
-// checkpoint.
-type truncatableLog interface {
-	Truncate(keep ...*wal.Record) error
-}
-
-// forceableLog is satisfied by logs that can be fsynced on demand
-// regardless of their commit-durability policy and name their last LSN.
-// The checkpoint uses it as a write-ahead barrier before touching the
-// backend, and stamps the backend with the LSN.
-type forceableLog interface {
-	ForceDurable() error
-	LastLSN() uint64
-}
-
-// dirtyKind records what a checkpoint must do for a changed object.
-type dirtyKind uint8
-
-const (
-	dirtyUpsert dirtyKind = iota + 1
-	dirtyDelete
-)
 
 // Stats are cumulative manager counters, used by the benchmark harness.
 type Stats struct {
@@ -168,13 +147,6 @@ type Manager struct {
 	tidBuf []xid.TID
 	ctr    [8]byte
 
-	backend storage.Backend
-	// dirty holds the committed changes since the last checkpoint. It is nil
-	// for a manager opened without Dir: its backend is NullBackend, so there
-	// is nothing a checkpoint could write and no reason to remember what
-	// changed. Written through markDirtyLocked only.
-	dirty map[xid.OID]dirtyKind
-
 	// Distributed-commit participant state, guarded by mu. prepared maps a
 	// group id to its local members (runtime-prepared or recovered in
 	// doubt), in lists spareTIDLists keeps for the next vote once the group
@@ -210,8 +182,8 @@ type Manager struct {
 }
 
 // Open creates a Manager. With cfg.Dir set it opens (or creates) the
-// durable database there and recovers committed state from the checkpoint
-// and log; otherwise everything is in-memory.
+// durable database there and recovers committed state from the log;
+// otherwise everything is in-memory.
 func Open(cfg Config) (*Manager, error) { return open(cfg, true) }
 
 // open is Open with deadlock detection switchable. Off is ablation A4,
@@ -256,7 +228,6 @@ func open(cfg Config, detect bool) (*Manager, error) {
 
 	if cfg.Dir == "" {
 		m.log = wal.NewMem()
-		m.backend = storage.NullBackend{}
 		return m, nil
 	}
 
@@ -264,71 +235,40 @@ func open(cfg Config, detect bool) (*Manager, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
-	ps, err := storage.OpenPageStore(filepath.Join(cfg.Dir, "pages"), storage.PageStoreOptions{FS: fsys})
+	// A database older than the snapshot segment kept its checkpoint in a
+	// page store the log no longer covers: opening around it would
+	// recover an empty or partial database.
+	retired := filepath.Join(cfg.Dir, "pages")
+	if f, err := fsys.OpenFile(retired, os.O_RDONLY, 0); err == nil {
+		f.Close()
+		return nil, fmt.Errorf("core: %w: %s is a page store", wal.ErrRetiredFormat, retired)
+	}
+	if err := fsys.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	// The log is a segmented chain that starts with the last checkpoint's
+	// images; recovery scans the segments in parallel across cores and
+	// replays them from empty, sequentially in redo order.
+	st, err := wal.RecoverDirFS(fsys, cfg.Dir, wal.RecoverOptions{})
 	if err != nil {
 		return nil, err
 	}
-	m.backend = storage.PageBackend{Store: ps}
-	m.dirty = make(map[xid.OID]dirtyKind)
 	var maxOID xid.OID
-	if err := m.backend.LoadAll(func(oid xid.OID, data []byte) error {
-		if !m.cache.Create(oid, data) {
-			return fmt.Errorf("core: duplicate oid %v in backend", oid)
-		}
-		if oid > maxOID {
-			maxOID = oid
-		}
-		return nil
-	}); err != nil {
-		ps.Close()
-		return nil, err
-	}
-	// The log is a segmented chain; recovery scans the segments in
-	// parallel across cores and merges them sequentially in redo order.
-	// The store reflects every record at or below its checkpoint stamp; the
-	// log, which a checkpoint only ever truncates forward, must lie past it.
-	stamp := ps.CheckpointLSN()
-	st, err := wal.RecoverDirFS(fsys, cfg.Dir, wal.RecoverOptions{Checkpoint: stamp})
-	if err == nil && st.NextLSN <= stamp {
-		err = fmt.Errorf("core: the log ends below LSN %d, which the store already reflects", stamp)
-	}
-	if err != nil {
-		ps.Close()
-		return nil, err
-	}
 	for oid, data := range st.Objects {
 		m.cache.Install(oid, data)
-		m.markDirtyLocked(oid, dirtyUpsert)
-		if oid > maxOID {
-			maxOID = oid
-		}
+		maxOID = max(maxOID, oid)
 	}
-	for oid := range st.Deleted {
-		m.cache.Delete(oid)
-		m.markDirtyLocked(oid, dirtyDelete)
-	}
-	for oid, d := range st.Deltas {
-		base, _ := m.cache.Read(oid) // missing base reads as zero
-		m.cache.Install(oid, wal.EncodeCounter(wal.DecodeCounter(base)+d))
-		m.markDirtyLocked(oid, dirtyUpsert)
-		if oid > maxOID {
-			maxOID = oid
-		}
-	}
-	// An in-doubt transaction's created OIDs are in neither the backend nor
-	// st.Objects (their images are withheld), so fold them into the
-	// allocator's floor before SetNextOID or a new create could collide.
+	// An in-doubt transaction's created OIDs are not in st.Objects (their
+	// images are withheld), so fold them into the allocator's floor before
+	// SetNextOID or a new create could collide.
 	for _, ops := range st.InDoubtOps {
 		for _, op := range ops {
-			if op.OID > maxOID {
-				maxOID = op.OID
-			}
+			maxOID = max(maxOID, op.OID)
 		}
 	}
 	m.cache.SetNextOID(maxOID)
 	m.nextTID.Store(uint64(st.MaxTID))
 	if err := m.installInDoubt(st); err != nil {
-		ps.Close()
 		return nil, err
 	}
 	log, err := wal.OpenSegmentedFS(fsys, cfg.Dir, wal.SegmentedOptions{
@@ -337,7 +277,6 @@ func open(cfg Config, detect bool) (*Manager, error) {
 		Window:       cfg.CommitWindow,
 	})
 	if err != nil {
-		ps.Close()
 		return nil, err
 	}
 	m.log = log
@@ -389,9 +328,6 @@ func (m *Manager) Close() error {
 	}
 	err := m.log.Flush()
 	if cerr := m.log.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := m.backend.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -483,15 +419,6 @@ func (m *Manager) deltaImage(delta int64) []byte {
 	return m.ctr[:]
 }
 
-// markDirtyLocked records that a committed change to oid awaits the next
-// checkpoint. Caller holds m.mu (or is Open, before the manager is shared).
-func (m *Manager) markDirtyLocked(oid xid.OID, kind dirtyKind) {
-	if m.dirty == nil {
-		return // no backend to checkpoint into
-	}
-	m.dirty[oid] = kind
-}
-
 // lookup returns the descriptor for t.
 func (m *Manager) lookup(t xid.TID) (*txn, error) {
 	if tx, ok := m.txns.Get(uint64(t)); ok {
@@ -500,86 +427,53 @@ func (m *Manager) lookup(t xid.TID) (*txn, error) {
 	return nil, fmt.Errorf("%w: %v", ErrUnknownTxn, t)
 }
 
-// Checkpoint persists all committed changes to the backend and truncates
-// the log. The manager must be quiescent (no live transactions); it is the
-// caller's job to arrange that.
+// Checkpoint rewrites the durable log to start with an image of every
+// object, so recovery replays the snapshot and what follows it instead
+// of the whole history. The manager must be quiescent (no live
+// transactions); it is the caller's job to arrange that. A manager
+// opened without Dir has no log to rewrite, and its checkpoint does
+// nothing.
 //
-// Truncation discards the only redo history; the TCheckpoint flush must
-// dominate it (the PR 6 checkpoint-ahead-of-buffered-log bug, §11).
+// Truncation discards the only redo history, so it is reached only
+// behind a force of everything appended so far; Truncate also seals the
+// old chain itself before it writes the snapshot (§11).
 //
 //asset:durable before=Truncate
 func (m *Manager) Checkpoint() error {
-	m.mu.Lock()
-	if m.closed.Load() {
-		m.mu.Unlock()
-		return ErrClosed
-	}
-	if n := m.live.Load(); n != 0 {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %d live transactions", ErrNotQuiescent, n)
-	}
-	dirty := m.dirty
-	if dirty != nil {
-		m.dirty = make(map[xid.OID]dirtyKind)
-	}
 	// Holding m.mu keeps the manager quiescent: initiate is mutex-free, but
 	// a freshly initiated transaction cannot touch any object until Begin,
 	// and beginOne blocks on m.mu.
+	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Write-ahead barrier: force the log durable — even under buffered
-	// commits — before the first backend write. Segment rotation can leave
-	// an old prefix of a buffered log durable on its own (the rotation
-	// seal fsync); if the checkpoint then made the store durable through
-	// later transactions whose records were still buffered, a crash would
-	// replay that stale prefix over the newer store and resurrect old
-	// images. Forcing first keeps the durable log at least as new as
-	// anything the store can reflect. Everything appended so far is what
-	// the store will reflect: through is its last LSN.
-	var through uint64
-	if fl, ok := m.log.(forceableLog); ok {
-		if err := fl.ForceDurable(); err != nil {
-			return err
-		}
-		through = fl.LastLSN()
+	if m.closed.Load() {
+		return ErrClosed
 	}
-	var data []byte // the backend copies what it stores
-	for oid, kind := range dirty {
-		if kind == dirtyDelete {
-			if err := m.backend.Delete(oid); err != nil {
-				return err
-			}
-			continue
-		}
-		var ok bool
-		data, ok = m.cache.AppendRead(data[:0], oid)
-		if !ok {
-			if err := m.backend.Delete(oid); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := m.backend.Put(oid, data); err != nil {
-			return err
-		}
+	if n := m.live.Load(); n != 0 {
+		return fmt.Errorf("%w: %d live transactions", ErrNotQuiescent, n)
 	}
-	// The store's header is stamped with through in the same journaled
-	// batch as the pages, so recovery skips exactly the records the store
-	// reflects even when the crash lands before the TCheckpoint record is
-	// durable: replaying a logical delta over a store that already holds it
-	// would apply it twice.
-	if err := m.backend.Sync(through); err != nil {
+	log, ok := m.log.(*wal.SegmentedLog)
+	if !ok {
+		return nil
+	}
+	if err := log.Flush(); err != nil {
 		return err
 	}
-	if _, err := m.appendLocked(wal.Record{Type: wal.TCheckpoint}); err != nil {
-		return err
-	}
-	if err := m.log.Flush(); err != nil {
-		return err
-	}
-	if tl, ok := m.log.(truncatableLog); ok {
-		return tl.Truncate()
-	}
-	return nil
+	return log.Truncate(m.snapshotLocked)
+}
+
+// snapshotLocked streams a TImage record of every cached object into
+// emit through the manager's reused record: a quiescent cache holds
+// exactly the committed state. The order is ascending oid, so a run
+// writes the same bytes in the same file operations every time, which
+// CrashSim's sweeps rely on. Caller holds m.mu.
+func (m *Manager) snapshotLocked(emit func(*wal.Record) error) error {
+	var err error
+	m.cache.ForEach(func(oid xid.OID, data []byte) bool {
+		m.rec = wal.Record{Type: wal.TImage, OID: oid, After: data}
+		err = emit(&m.rec)
+		return err == nil
+	})
+	return err
 }
 
 // Cache exposes the shared object cache for read-only inspection by tools

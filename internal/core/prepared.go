@@ -305,14 +305,11 @@ func (m *Manager) installRedoLocked(op wal.RedoOp) {
 	switch op.Kind {
 	case wal.KindDelete:
 		m.cache.Delete(op.OID)
-		m.markDirtyLocked(op.OID, dirtyDelete)
 	case wal.KindDelta:
 		base, _ := m.cache.Read(op.OID) // missing base reads as zero
 		m.cache.Install(op.OID, wal.EncodeCounter(wal.DecodeCounter(base)+wal.DecodeCounter(op.After)))
-		m.markDirtyLocked(op.OID, dirtyUpsert)
 	default: // modify/create
 		m.cache.Install(op.OID, op.After)
-		m.markDirtyLocked(op.OID, dirtyUpsert)
 	}
 }
 

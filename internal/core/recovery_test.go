@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/xid"
 )
@@ -142,42 +144,84 @@ func TestCheckpointAndRestart(t *testing.T) {
 	}
 }
 
-// TestLogNumbersPastCheckpointStamp: a checkpoint stamps the store with the
-// last LSN it reflects and truncates the log. The log reopened after that
-// must number its records past the stamp — recovery skips everything at or
-// below it — so a delta logged after a reopen, whose base only the store
-// holds, is applied once: not lost, not doubled.
-func TestLogNumbersPastCheckpointStamp(t *testing.T) {
+// TestCountersSurviveCheckpointCycles: a checkpoint truncates the log to
+// a snapshot that holds each counter's absolute value, numbered past
+// every record before it, and the log reopened after it numbers on from
+// there. A delta logged after a reopen is applied once over the
+// snapshot's value — not lost, not doubled — through checkpoint →
+// reopen → add → reopen cycles, and LSNs only ever rise.
+func TestCountersSurviveCheckpointCycles(t *testing.T) {
 	dir := t.TempDir()
 	m := openDurable(t, dir)
+	lastLSN := func() uint64 { return m.log.(*wal.SegmentedLog).LastLSN() }
 	oid := seedObject(t, m, wal.EncodeCounter(100))
+	last := lastLSN()
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	stamp := m.backend.(storage.PageBackend).Store.CheckpointLSN()
-	if stamp == 0 {
-		t.Fatal("checkpoint left the store unstamped")
+	if got := lastLSN(); got <= last {
+		t.Fatalf("the snapshot ends at LSN %d, not past the history's %d", got, last)
 	}
+	last = lastLSN()
 	m.Close()
-	for i, want := range []uint64{105, 110} {
+	for i, want := range []uint64{105, 110, 115} {
 		m = openDurable(t, dir)
-		if got := m.log.(*wal.SegmentedLog).LastLSN(); got <= stamp {
-			t.Fatalf("reopen %d: the log resumes at LSN %d, at or below the store's stamp %d", i, got+1, stamp)
+		if got := lastLSN(); got != last {
+			t.Fatalf("reopen %d: the log resumes after LSN %d, want %d", i, got, last)
 		}
 		runTxn(t, m, func(tx *Tx) error { return tx.Add(oid, 5) })
-		m.Close() // no checkpoint: the deltas live in the log only
+		if got := lastLSN(); got <= last {
+			t.Fatalf("reopen %d: the add logged at LSN %d, not past %d", i, got, last)
+		}
+		last = lastLSN()
+		m.Close() // no checkpoint: the delta lives in the log only
 		m = openDurable(t, dir)
 		raw, _ := m.Cache().Read(oid)
 		if got := wal.DecodeCounter(raw); got != want {
 			t.Fatalf("reopen %d: counter = %d, want %d", i, got, want)
 		}
-		if i == 0 {
-			if err := m.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			stamp = m.backend.(storage.PageBackend).Store.CheckpointLSN()
+		if err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
 		}
+		if got := lastLSN(); got <= last {
+			t.Fatalf("reopen %d: the snapshot ends at LSN %d, not past %d", i, got, last)
+		}
+		last = lastLSN()
 		m.Close()
+	}
+}
+
+// TestOpenCreatesDir: a durable database may be opened on a directory
+// that does not exist yet; Open makes it.
+func TestOpenCreatesDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a", "db")
+	m := openDurable(t, dir)
+	oid := seedObject(t, m, []byte("x"))
+	m.Close()
+	m = openDurable(t, dir)
+	defer m.Close()
+	if got, _ := m.Cache().Read(oid); string(got) != "x" {
+		t.Fatalf("object = %q after reopen, want x", got)
+	}
+}
+
+// TestOpenRefusesPageStore: a directory holding the page store a
+// checkpoint wrote before checkpoints became snapshot segments is
+// refused, not opened empty over the objects it holds.
+func TestOpenRefusesPageStore(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "pages"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "pages", "store.dat"), make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Config{Dir: dir})
+	if !errors.Is(err, wal.ErrRetiredFormat) {
+		if err == nil {
+			m.Close()
+		}
+		t.Fatalf("Open over a page store: err = %v, want one wrapping wal.ErrRetiredFormat", err)
 	}
 }
 

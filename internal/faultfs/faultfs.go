@@ -1,5 +1,5 @@
 // Package faultfs is the pluggable file abstraction beneath the durable
-// layers (the write-ahead log and the page store), plus a deterministic
+// layers (the write-ahead log's segments and manifest), plus a deterministic
 // fault-injection implementation of it.
 //
 // Production code runs on OS, a zero-cost passthrough to the real
@@ -21,7 +21,7 @@ import (
 	"os"
 )
 
-// File is the handle surface the WAL and page store need. *os.File
+// File is the handle surface the WAL needs. *os.File
 // satisfies it directly.
 type File interface {
 	io.Reader

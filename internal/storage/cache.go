@@ -2,7 +2,7 @@ package storage
 
 import (
 	"math/bits"
-	"sync"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/latch"
@@ -266,9 +266,9 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// ForEach calls fn with a copy of every object's contents. Objects created
-// or deleted during the iteration may or may not be visited; an object
-// present throughout is visited once.
+// ForEach calls fn with a copy of every object's contents, in ascending
+// oid order. Objects created or deleted during the iteration may or may
+// not be visited; an object present throughout is visited once.
 func (c *Cache) ForEach(fn func(oid xid.OID, data []byte) bool) {
 	type entry struct {
 		key uint64
@@ -280,6 +280,7 @@ func (c *Cache) ForEach(fn func(oid xid.OID, data []byte) bool) {
 		blocks = append(blocks, entry{key, b})
 	}
 	c.lat.RUnlock()
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].key < blocks[j].key })
 	for _, e := range blocks {
 		for live := e.b.live.Load(); live != 0; live &= live - 1 {
 			slot := bits.TrailingZeros32(live)
@@ -292,124 +293,4 @@ func (c *Cache) ForEach(fn func(oid xid.OID, data []byte) bool) {
 			}
 		}
 	}
-}
-
-// Backend persists committed cache state across restarts. The manager loads
-// it at open and writes changed objects at checkpoint.
-type Backend interface {
-	// LoadAll streams every stored object into fn.
-	LoadAll(fn func(oid xid.OID, data []byte) error) error
-	// Put stores (or replaces) one object.
-	Put(oid xid.OID, data []byte) error
-	// Delete removes one object.
-	Delete(oid xid.OID) error
-	// Sync makes preceding Puts/Deletes durable, together with the record
-	// that the backend now reflects every log record at or below lsn.
-	Sync(lsn uint64) error
-	// Close releases the backend.
-	Close() error
-}
-
-// NullBackend is the no-durability backend for purely in-memory managers.
-type NullBackend struct{}
-
-// LoadAll loads nothing.
-func (NullBackend) LoadAll(func(xid.OID, []byte) error) error { return nil }
-
-// Put discards the object.
-func (NullBackend) Put(xid.OID, []byte) error { return nil }
-
-// Delete discards the deletion.
-func (NullBackend) Delete(xid.OID) error { return nil }
-
-// Sync does nothing.
-func (NullBackend) Sync(uint64) error { return nil }
-
-// Close does nothing.
-func (NullBackend) Close() error { return nil }
-
-// PageBackend adapts a PageStore to the Backend interface.
-type PageBackend struct {
-	Store *PageStore
-}
-
-// LoadAll streams the page store contents.
-func (b PageBackend) LoadAll(fn func(xid.OID, []byte) error) error {
-	return b.Store.ForEach(fn)
-}
-
-// Put stores one object in the page store.
-func (b PageBackend) Put(oid xid.OID, data []byte) error { return b.Store.Put(oid, data) }
-
-// Delete removes one object from the page store.
-func (b PageBackend) Delete(oid xid.OID) error {
-	_, err := b.Store.Delete(oid)
-	return err
-}
-
-// Sync flushes the page store durably and stamps it with lsn.
-func (b PageBackend) Sync(lsn uint64) error { return b.Store.SyncThrough(lsn) }
-
-// Close closes the page store.
-func (b PageBackend) Close() error { return b.Store.Close() }
-
-// MemBackend keeps a map copy; it exists so tests can observe checkpoint
-// contents without disk.
-type MemBackend struct {
-	mu   sync.Mutex
-	objs map[xid.OID][]byte
-}
-
-// NewMemBackend returns an empty in-memory backend.
-func NewMemBackend() *MemBackend { return &MemBackend{objs: make(map[xid.OID][]byte)} }
-
-// LoadAll streams the backend contents.
-func (b *MemBackend) LoadAll(fn func(xid.OID, []byte) error) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for oid, data := range b.objs {
-		if err := fn(oid, data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Put stores a copy of data.
-func (b *MemBackend) Put(oid xid.OID, data []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	b.objs[oid] = cp
-	return nil
-}
-
-// Delete removes the object.
-func (b *MemBackend) Delete(oid xid.OID) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.objs, oid)
-	return nil
-}
-
-// Sync does nothing.
-func (b *MemBackend) Sync(uint64) error { return nil }
-
-// Close does nothing.
-func (b *MemBackend) Close() error { return nil }
-
-// Len returns the number of stored objects.
-func (b *MemBackend) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.objs)
-}
-
-// Get returns the stored object.
-func (b *MemBackend) Get(oid xid.OID) ([]byte, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, ok := b.objs[oid]
-	return v, ok
 }

@@ -91,7 +91,7 @@ func TestCacheAllocAfterSetNextOID(t *testing.T) {
 
 func TestCacheForEach(t *testing.T) {
 	c := NewCache()
-	for i := 1; i <= 10; i++ {
+	for i := 100; i >= 1; i-- {
 		c.Create(xid.OID(i), []byte{byte(i)})
 	}
 	n := 0
@@ -100,10 +100,13 @@ func TestCacheForEach(t *testing.T) {
 			t.Errorf("oid %v has data %v", oid, data)
 		}
 		n++
+		if oid != xid.OID(n) {
+			t.Errorf("visit %d is oid %v, want ascending oid order", n, oid)
+		}
 		return true
 	})
-	if n != 10 {
-		t.Fatalf("ForEach visited %d, want 10", n)
+	if n != 100 {
+		t.Fatalf("ForEach visited %d, want 100", n)
 	}
 
 	// Creates and deletes during the walk: an object present throughout is
@@ -331,25 +334,4 @@ func TestCacheFootprint(t *testing.T) {
 	if sparse > 1.1*1024 {
 		t.Errorf("an isolated oid costs %.0f B, want at most 1.1 KB", sparse)
 	}
-}
-
-func TestMemBackendRoundTrip(t *testing.T) {
-	b := NewMemBackend()
-	b.Put(1, []byte("x"))
-	b.Put(2, []byte("y"))
-	b.Delete(1)
-	got := map[xid.OID][]byte{}
-	b.LoadAll(func(oid xid.OID, data []byte) error {
-		got[oid] = data
-		return nil
-	})
-	if len(got) != 1 || !bytes.Equal(got[2], []byte("y")) {
-		t.Fatalf("LoadAll = %v", got)
-	}
-}
-
-func TestPageBackendImplementsBackend(t *testing.T) {
-	var _ Backend = PageBackend{}
-	var _ Backend = NullBackend{}
-	var _ Backend = (*MemBackend)(nil)
 }

@@ -230,12 +230,19 @@ func (c *Coordinator) Compact() error {
 // compactLocked truncates the decision chain down to one TDecide per
 // decided group, reopening it if the truncation fails. Caller holds c.mu.
 func (c *Coordinator) compactLocked() error {
-	keep := make([]*wal.Record, 0, len(c.decided))
-	for gid, commit := range c.decided {
-		keep = append(keep, &wal.Record{Type: wal.TDecide, GID: gid, Commit: commit})
+	gids := make([]uint64, 0, len(c.decided))
+	for gid := range c.decided {
+		gids = append(gids, gid)
 	}
-	sort.Slice(keep, func(i, j int) bool { return keep[i].GID < keep[j].GID })
-	err := c.log.Truncate(keep...)
+	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
+	err := c.log.Truncate(func(emit func(*wal.Record) error) error {
+		for _, gid := range gids {
+			if err := emit(&wal.Record{Type: wal.TDecide, GID: gid, Commit: c.decided[gid]}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err == nil {
 		return nil
 	}

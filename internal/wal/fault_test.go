@@ -43,7 +43,7 @@ func TestFailedSyncPoisonsLog(t *testing.T) {
 	if _, err := l.Append(&Record{Type: TCommit, TIDs: []xid.TID{1}}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append after failed sync = %v, want ErrPoisoned", err)
 	}
-	if err := l.Truncate(); !errors.Is(err, ErrPoisoned) {
+	if err := l.Truncate(nil); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("truncate after failed sync = %v, want ErrPoisoned", err)
 	}
 }

@@ -102,8 +102,8 @@ func TestSegmentedFixtureReopensByteIdentical(t *testing.T) {
 	if string(st.Objects[10]) != "TEN" || DecodeCounter(st.Objects[11]) != 105 {
 		t.Errorf("objects 10/11 = %q/%d, want TEN/105", st.Objects[10], DecodeCounter(st.Objects[11]))
 	}
-	if !st.Deleted[12] || st.Objects[13] != nil || st.Objects[14] != nil {
-		t.Errorf("objects 12/13/14: deleted=%v %q %q", st.Deleted[12], st.Objects[13], st.Objects[14])
+	if _, ok := st.Objects[12]; ok || st.Objects[13] != nil || st.Objects[14] != nil {
+		t.Errorf("objects 12/13/14: 12 present=%v %q %q", ok, st.Objects[13], st.Objects[14])
 	}
 	if st.NextLSN != 27 || st.MaxTID != 8 || len(st.InDoubt[0xfeed]) != 1 {
 		t.Errorf("NextLSN %d MaxTID %d InDoubt %v", st.NextLSN, st.MaxTID, st.InDoubt)

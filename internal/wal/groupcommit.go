@@ -404,50 +404,30 @@ func (l *SegmentedLog) releaseWriter(err error, high uint64) {
 	l.stateMu.Unlock()
 }
 
-// ForceDurable drains the pending batch and fsyncs the chain regardless
-// of the Sync policy. It is the checkpoint's write-ahead barrier: a
-// checkpoint makes the store durably reflect every committed record, so
-// before its first store write the log must be durable through those
-// records. Otherwise a crash can leave the store ahead of a shorter
-// durable log prefix (sealed by an earlier rotation), and replaying that
-// stale prefix over the newer store would resurrect old images — the
-// failure mode the crash matrix's buffered-tiny-seg sweep catches.
-func (l *SegmentedLog) ForceDurable() error {
-	l.acquireWriter()
-	high, err := l.forceDurable()
-	l.releaseWriter(err, high)
-	return err
-}
+// Records is a stream of log records: it calls emit with each record in
+// turn and returns the first error emit returns. emit is done with a
+// record when it returns, so a stream may reuse one Record, and the
+// slices it points to, for every call.
+type Records func(emit func(*Record) error) error
 
-// forceDurable drains and fsyncs, returning the high LSN of the batch
-// it drained (0 for an empty one) for the release watermark.
-func (l *SegmentedLog) forceDurable() (uint64, error) {
-	if l.poisoned.Load() {
-		return 0, l.perr
-	}
-	batch, first, _, high := l.takeBatch()
-	err := l.writeBatch(batch, first)
-	l.recycleBatch(batch)
-	if err != nil {
-		return 0, err
-	}
-	if err := l.cur.Sync(); err != nil {
-		return 0, err
-	}
-	return high, nil
-}
+// truncateChunk bounds the batch Truncate frames kept records into
+// before writing them out, so a stream of any length passes through a
+// slab of about this size.
+const truncateChunk = 64 << 10
 
-// Truncate drops the fully-applied chain after a quiescent checkpoint
-// and starts a fresh segment, continuing the LSN sequence, whose first
-// batch is keep followed by anything appended since the drain. The new
-// segment is fsynced, whatever the Sync policy, before the manifest is
-// cut over to it atomically; only then are the old segment files
-// deleted. A crash anywhere in between recovers the old chain (possibly
-// followed by the new segment, a probed continuation that repeats keep)
-// or the new chain alone; files below the manifest's first segment are
-// ignored by recovery. Each kept record is appended as by Append, its
-// LSN stored into it, and kept by neither call.
-func (l *SegmentedLog) Truncate(keep ...*Record) error {
+// Truncate replaces the chain with a fresh segment, continuing the LSN
+// sequence, that holds the records keep streams (nil keeps none)
+// followed by anything appended meanwhile. The old chain is drained and
+// sealed first; the new segment is filled, through a bounded batch, and
+// fsynced, whatever the Sync policy, before the manifest is cut over to
+// it atomically; only then are the old segment files deleted. A crash
+// anywhere in between recovers the old chain (possibly followed by a
+// prefix of the new segment, a probed continuation) or the new chain
+// alone; files below the manifest's first segment are ignored by
+// recovery. The new segment is never rotated while it fills, so a long
+// stream makes one oversized segment. Each kept record is appended as
+// by Append, its LSN stored into it.
+func (l *SegmentedLog) Truncate(keep Records) error {
 	l.acquireWriter()
 	high, err := l.truncateChain(keep)
 	l.releaseWriter(err, high)
@@ -455,8 +435,8 @@ func (l *SegmentedLog) Truncate(keep ...*Record) error {
 }
 
 // truncateChain performs the cutover, returning the high LSN of the
-// new segment's batch (one below its first LSN when the batch is empty)
-// so the release settles exactly the records it wrote; every lower LSN
+// new segment's records (one below its first LSN when it has none) so
+// the release settles exactly the records it wrote; every lower LSN
 // was in the sealed old chain.
 //
 // Seal-before-publish: the old chain's fsync must dominate the new
@@ -464,13 +444,13 @@ func (l *SegmentedLog) Truncate(keep ...*Record) error {
 // (the PR 6 truncation-without-seal bug, §11).
 //
 //asset:durable before=startSegment
-func (l *SegmentedLog) truncateChain(keep []*Record) (uint64, error) {
+func (l *SegmentedLog) truncateChain(keep Records) (uint64, error) {
 	if l.poisoned.Load() {
 		return 0, l.perr
 	}
 	// Drain whatever is still pending into the old chain first, so the
 	// cutover never discards an appended record.
-	batch, first, _, _ := l.takeBatch()
+	batch, first, recs, _ := l.takeBatch()
 	err := l.writeBatch(batch, first)
 	l.recycleBatch(batch)
 	if err != nil {
@@ -484,20 +464,13 @@ func (l *SegmentedLog) truncateChain(keep []*Record) (uint64, error) {
 	if err := l.cur.Sync(); err != nil {
 		return 0, err
 	}
-	for _, r := range keep {
-		if _, err := l.Append(r); err != nil {
-			return 0, err
-		}
-	}
-	batch, first, recs, _ := l.takeBatch()
-	defer l.recycleBatch(batch)
-	seq := l.curSeq + 1
-	f, err := l.startSegment(seq, first, batch)
+	seq, next := l.curSeq+1, first+recs
+	f, size, high, err := l.startSegment(seq, next, keep)
 	if err != nil {
 		return 0, err
 	}
 	old := l.man
-	l.man = &manifest{Segments: []manifestSegment{{Seq: seq, FirstLSN: first}}}
+	l.man = &manifest{Segments: []manifestSegment{{Seq: seq, FirstLSN: next}}}
 	if err := writeManifest(l.fsys, l.dir, l.man); err != nil {
 		f.Close()
 		l.man = old
@@ -506,38 +479,81 @@ func (l *SegmentedLog) truncateChain(keep []*Record) (uint64, error) {
 	// The manifest now starts at the new segment: the old chain is dead
 	// regardless of whether these deletes all land before a crash.
 	prev := l.cur
-	l.cur, l.curSeq, l.curSize = f, seq, segHeaderSize+int64(len(batch))
+	l.cur, l.curSeq, l.curSize = f, seq, size
 	firstErr := prev.Close()
 	for _, s := range old.Segments {
 		if err := l.fsys.Remove(segmentPath(l.dir, s.Seq)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	return first + recs - 1, firstErr
+	return high, firstErr
 }
 
 // startSegment creates segment seq, whose first record carries firstLSN,
-// holding batch, and fsyncs it: once the manifest names it, it holds the
-// only copy of batch. A segment that fails to become durable is unlinked
-// again, so that a reopen after the failure cannot adopt a file whose
-// lost writes a later append would sit behind.
-func (l *SegmentedLog) startSegment(seq, firstLSN uint64, batch []byte) (faultfs.File, error) {
-	f, err := createSegment(l.fsys, l.dir, seq, firstLSN)
-	if err == nil && len(batch) > 0 {
-		if _, err = f.Write(batch); err == nil {
-			err = f.Sync()
+// appends keep's records, writing the batch out whenever it reaches
+// truncateChunk, and fsyncs the segment: once the manifest names it, it
+// holds the only copy of its records. It returns the segment, its size
+// and the LSN of its last record (firstLSN-1 for none). A segment that
+// fails to become durable is unlinked again, so that a reopen after the
+// failure cannot adopt a file whose lost writes a later append would
+// sit behind.
+func (l *SegmentedLog) startSegment(seq, firstLSN uint64, keep Records) (f faultfs.File, size int64, high uint64, err error) {
+	f, err = createSegment(l.fsys, l.dir, seq, firstLSN)
+	if err != nil {
+		l.unlinkSegment(seq)
+		return nil, 0, 0, err
+	}
+	size, high = segHeaderSize, firstLSN-1
+	drain := func() error {
+		batch, _, recs, last := l.takeBatch()
+		defer l.recycleBatch(batch)
+		if recs == 0 {
+			return nil
 		}
-		if err != nil {
-			f.Close()
+		if _, err := f.Write(batch); err != nil {
+			return err
 		}
+		size += int64(len(batch))
+		high = last
+		return nil
+	}
+	if keep != nil {
+		err = keep(func(r *Record) error {
+			if _, err := l.Append(r); err != nil {
+				return err
+			}
+			if l.pendingBytes() < truncateChunk {
+				return nil
+			}
+			return drain()
+		})
+	}
+	if err == nil {
+		err = drain()
+	}
+	if err == nil {
+		err = f.Sync()
 	}
 	if err != nil {
-		if l.fsys.Remove(segmentPath(l.dir, seq)) == nil {
-			_ = l.fsys.SyncDir(l.dir) // best effort: the cause is what the caller reports
-		}
-		return nil, err
+		f.Close()
+		l.unlinkSegment(seq)
+		return nil, 0, 0, err
 	}
-	return f, nil
+	return f, size, high, nil
+}
+
+// unlinkSegment removes an unpublished segment after a failed start.
+func (l *SegmentedLog) unlinkSegment(seq uint64) {
+	if l.fsys.Remove(segmentPath(l.dir, seq)) == nil {
+		_ = l.fsys.SyncDir(l.dir) // best effort: the cause is what the caller reports
+	}
+}
+
+// pendingBytes reports the size of the batch the next drain takes.
+func (l *SegmentedLog) pendingBytes() int {
+	l.appendMu.Lock()
+	defer l.appendMu.Unlock()
+	return len(l.slab)
 }
 
 // Close drains the pending batch and closes the chain.
@@ -563,8 +579,7 @@ func (l *SegmentedLog) Close() error {
 	return err
 }
 
-// LastLSN reports the LSN of the last record appended (0 for none yet):
-// after ForceDurable with no append since, the last durable one.
+// LastLSN reports the LSN of the last record appended (0 for none yet).
 func (l *SegmentedLog) LastLSN() uint64 { return l.lastLSN.Load() }
 
 // Forces reports the number of physical forces (non-empty batches

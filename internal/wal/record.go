@@ -32,7 +32,7 @@ const (
 	TCommit                     // commit record for one tid or a GC group
 	TAbort                      // a transaction aborted (its updates are void)
 	TUndo                       // an installation performed by abort
-	TCheckpoint                 // quiescent checkpoint: store is current
+	TCheckpoint                 // retired: no writer emits it, replay ignores it
 	// TPrepare marks a local GC group as prepared under a distributed
 	// commit: the participant has voted yes for group GID and may no
 	// longer decide the listed transactions' fate unilaterally. Recovery
@@ -42,6 +42,11 @@ const (
 	// group GID commits if Commit, aborts otherwise. The decision is
 	// forced durable before any participant learns it.
 	TDecide
+	// TImage is one object's committed value in a checkpoint's snapshot
+	// segment. Replay installs it unconditionally: a counter's image is
+	// its absolute value, never a delta, so an image replayed over a
+	// state that already holds it changes nothing.
+	TImage
 )
 
 // String returns the record type name.
@@ -65,6 +70,8 @@ func (t Type) String() string {
 		return "prepare"
 	case TDecide:
 		return "decide"
+	case TImage:
+		return "image"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -112,6 +119,7 @@ func (k UpdateKind) String() string {
 //	TCheckpoint: nothing
 //	TPrepare:    GID, TIDs (the prepared local group)
 //	TDecide:     GID, Commit
+//	TImage:      OID, After (the object's committed value)
 type Record struct {
 	LSN    uint64
 	Type   Type
@@ -208,6 +216,9 @@ func (r *Record) marshalInto(buf []byte) []byte {
 		} else {
 			buf = append(buf, 0)
 		}
+	case TImage:
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.OID))
+		buf = appendBytes(buf, r.After)
 	}
 	return buf
 }
@@ -361,6 +372,14 @@ func unmarshal(payload []byte) (*Record, error) {
 			return nil, err
 		}
 		r.Commit = flag == 1
+	case TImage:
+		if v, err = u64(); err != nil {
+			return nil, err
+		}
+		r.OID = xid.OID(v)
+		if r.After, p, err = takeBytes(p); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", r.Type)
 	}

@@ -6,24 +6,18 @@ import (
 	"repro/internal/xid"
 )
 
-// State is the outcome of replaying a log: the committed object images to
-// apply over the checkpointed base store, the committed deletions, and
-// bookkeeping for resuming the manager.
+// State is the outcome of replaying a log chain from empty: the committed
+// object images, and bookkeeping for resuming the manager.
 type State struct {
-	// Objects maps every object touched by a committed (or undo-installed)
-	// operation to its final image.
+	// Objects maps every live object to its final committed image (a
+	// checkpoint's image, then committed operations and undo
+	// installations over it).
 	Objects map[xid.OID][]byte
-	// Deleted holds objects whose final committed operation was a delete
-	// (or whose creation was undone).
-	Deleted map[xid.OID]bool
 	// NextLSN is one past the largest LSN seen.
 	NextLSN uint64
 	// MaxTID is the largest transaction id seen, so a resuming manager can
 	// continue the tid sequence without reuse.
 	MaxTID xid.TID
-	// Deltas carries committed counter deltas whose base value lives in the
-	// checkpointed store (the opener adds them to the loaded objects).
-	Deltas map[xid.OID]uint64
 	// Committed lists the transactions whose commit records were found.
 	Committed []xid.TID
 	// Losers lists transactions that had begun but neither committed nor
@@ -69,8 +63,8 @@ type replayer struct {
 	st         *State
 }
 
-// RecoverRecords replays an in-memory record sequence; tests and the MemLog
-// path use it.
+// RecoverRecords replays an in-memory record sequence from empty state;
+// the replay tests use it.
 func RecoverRecords(recs []*Record) *State {
 	rp := newReplayer()
 	for _, r := range recs {
@@ -87,16 +81,13 @@ func newReplayer() *replayer {
 		preparedBy: make(map[xid.TID]uint64),
 		st: &State{
 			Objects: make(map[xid.OID][]byte),
-			Deleted: make(map[xid.OID]bool),
-			Deltas:  make(map[xid.OID]uint64),
 			NextLSN: 1,
 		},
 	}
 }
 
-// note records LSN/tid bookkeeping for records that precede the checkpoint
-// and therefore need no replay.
-func (rp *replayer) note(r *Record) {
+// apply replays one record.
+func (rp *replayer) apply(r *Record) {
 	if r.LSN >= rp.st.NextLSN {
 		rp.st.NextLSN = r.LSN + 1
 	}
@@ -105,17 +96,6 @@ func (rp *replayer) note(r *Record) {
 	for _, t := range r.TIDs {
 		rp.bumpTID(t)
 	}
-}
-
-func (rp *replayer) bumpTID(t xid.TID) {
-	if t > rp.st.MaxTID {
-		rp.st.MaxTID = t
-	}
-}
-
-// apply replays one record.
-func (rp *replayer) apply(r *Record) {
-	rp.note(r)
 	switch r.Type {
 	case TBegin:
 		rp.began[r.TID] = true
@@ -152,8 +132,8 @@ func (rp *replayer) apply(r *Record) {
 		// permitted cooperator's later committed write — and are redone
 		// unconditionally in log order. A logical inverse delta is the
 		// exception: it is not idempotent, and the forward delta it
-		// cancels is never part of replayed state (checkpoints are
-		// quiescent, so the base holds no uncommitted effects, and the
+		// cancels is never part of replayed state (snapshot images are
+		// taken quiescent, so they hold no uncommitted effects, and the
 		// aborter's forward op is still pending here — TAbort discards
 		// it). Redoing it would subtract the delta a second time, so the
 		// pair cancels by dropping both sides.
@@ -161,8 +141,12 @@ func (rp *replayer) apply(r *Record) {
 			return
 		}
 		rp.install(r.OID, r.Kind, r.After)
-	case TCheckpoint:
-		// No-op during replay: the caller already skipped the prefix.
+	case TImage:
+		// A checkpoint's snapshot: the object's committed value, installed
+		// unconditionally. Checkpoints are quiescent, so the value is what
+		// the chain before the snapshot replays to, and replaying both
+		// (a crash before the cutover leaves them chained) is idempotent.
+		rp.install(r.OID, KindModify, r.After)
 	case TPrepare:
 		rp.prepared[r.GID] = append([]xid.TID(nil), r.TIDs...)
 		for _, t := range r.TIDs {
@@ -170,7 +154,13 @@ func (rp *replayer) apply(r *Record) {
 		}
 	case TDecide:
 		// Coordinator decision records live in the coordinator's own chain;
-		// a participant log never carries them. Bookkeeping only (note()).
+		// a participant log never carries them. Bookkeeping only.
+	}
+}
+
+func (rp *replayer) bumpTID(t xid.TID) {
+	if t > rp.st.MaxTID {
+		rp.st.MaxTID = t
 	}
 }
 
@@ -226,33 +216,16 @@ func (rp *replayer) install(oid xid.OID, kind UpdateKind, image []byte) {
 	switch kind {
 	case KindDelete:
 		delete(rp.st.Objects, oid)
-		delete(rp.st.Deltas, oid)
-		rp.st.Deleted[oid] = true
 		return
 	case KindDelta:
-		d := DecodeCounter(image)
-		if img, ok := rp.st.Objects[oid]; ok {
-			// Full image known: fold the delta in directly.
-			rp.st.Objects[oid] = EncodeCounter(DecodeCounter(img) + d)
-			return
-		}
-		if rp.st.Deleted[oid] {
-			// Recreated-by-delta cannot happen (Apply requires the object),
-			// but fold defensively from zero.
-			delete(rp.st.Deleted, oid)
-			rp.st.Objects[oid] = EncodeCounter(d)
-			return
-		}
-		// Base value lives in the checkpointed store; carry the delta out
-		// for the opener to add.
-		rp.st.Deltas[oid] += d
+		// Every live object's base is in the chain (a snapshot image or
+		// its creation), so a missing base is read as zero.
+		rp.st.Objects[oid] = EncodeCounter(DecodeCounter(rp.st.Objects[oid]) + DecodeCounter(image))
 		return
 	}
 	img := make([]byte, len(image))
 	copy(img, image)
 	rp.st.Objects[oid] = img
-	delete(rp.st.Deltas, oid)
-	delete(rp.st.Deleted, oid)
 }
 
 // EncodeCounter renders a counter value as its 8-byte object image.

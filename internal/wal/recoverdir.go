@@ -225,18 +225,13 @@ type RecoverOptions struct {
 	// Parallel caps the segment-scan workers; 0 means GOMAXPROCS, 1
 	// forces a sequential scan.
 	Parallel int
-	// Checkpoint is the LSN the checkpointed store is stamped with: it
-	// already reflects every record at or below it, so replay skips them
-	// as it skips those before a TCheckpoint record. The stamp covers a
-	// checkpoint whose own record never became durable.
-	Checkpoint uint64
 }
 
-// RecoverDir replays the segmented log chain in dir and returns the
-// committed state. Segments are scanned and CRC-checked in parallel
-// across cores; the redo merge itself is sequential in LSN order, so the
-// result is bit-identical to a sequential replay (the differential suite
-// holds it to that against RecoverDirSequential).
+// RecoverDir replays the segmented log chain in dir from empty state and
+// returns the committed state. Segments are scanned and CRC-checked in
+// parallel across cores; the redo merge itself is sequential in LSN
+// order, so the result is bit-identical to a sequential replay (the
+// differential suite holds it to that against RecoverDirSequential).
 func RecoverDir(dir string, opts RecoverOptions) (*State, error) {
 	return RecoverDirFS(faultfs.OS{}, dir, opts)
 }
@@ -247,40 +242,13 @@ func RecoverDirFS(fsys faultfs.FS, dir string, opts RecoverOptions) (*State, err
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	var recs []*Record
-	info, err := scanChain(fsys, dir, par, func(r *Record) error {
-		recs = append(recs, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	lastCkpt := opts.Checkpoint
-	for _, r := range recs {
-		if r.Type == TCheckpoint && r.LSN > lastCkpt {
-			lastCkpt = r.LSN
-		}
-	}
-	rp := newReplayer()
-	for _, r := range recs {
-		if r.LSN <= lastCkpt {
-			rp.note(r) // the checkpointed store already reflects it
-		} else {
-			rp.apply(r)
-		}
-	}
-	st := rp.finish()
-	if info.nextLSN > st.NextLSN {
-		// An empty tail segment still pins the LSN sequence forward.
-		st.NextLSN = info.nextLSN
-	}
-	return st, nil
+	return replayChain(fsys, dir, par)
 }
 
 // RecoverDirSequential is the reference replayer the differential suite
-// compares RecoverDir against: strictly sequential, two streaming passes
-// (checkpoint hunt, then replay), no worker machinery at all. It is
-// deliberately the dumbest correct implementation.
+// compares RecoverDir against: one strictly sequential streaming pass, no
+// worker machinery at all. It is deliberately the dumbest correct
+// implementation.
 func RecoverDirSequential(dir string) (*State, error) {
 	return RecoverDirSequentialFS(faultfs.OS{}, dir)
 }
@@ -288,23 +256,15 @@ func RecoverDirSequential(dir string) (*State, error) {
 // RecoverDirSequentialFS is RecoverDirSequential over an injected
 // filesystem.
 func RecoverDirSequentialFS(fsys faultfs.FS, dir string) (*State, error) {
-	var lastCkpt uint64
-	_, err := scanChain(fsys, dir, 1, func(r *Record) error {
-		if r.Type == TCheckpoint {
-			lastCkpt = r.LSN
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	return replayChain(fsys, dir, 1)
+}
+
+// replayChain replays every record of the chain in dir, in LSN order, as
+// the scan delivers it.
+func replayChain(fsys faultfs.FS, dir string, parallel int) (*State, error) {
 	rp := newReplayer()
-	info, err := scanChain(fsys, dir, 1, func(r *Record) error {
-		if r.LSN <= lastCkpt {
-			rp.note(r)
-		} else {
-			rp.apply(r)
-		}
+	info, err := scanChain(fsys, dir, parallel, func(r *Record) error {
+		rp.apply(r)
 		return nil
 	})
 	if err != nil {
@@ -312,6 +272,7 @@ func RecoverDirSequentialFS(fsys faultfs.FS, dir string) (*State, error) {
 	}
 	st := rp.finish()
 	if info.nextLSN > st.NextLSN {
+		// An empty tail segment still pins the LSN sequence forward.
 		st.NextLSN = info.nextLSN
 	}
 	return st, nil

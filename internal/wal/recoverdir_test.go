@@ -85,15 +85,15 @@ func randomWorkload(t testing.TB, seed int64, txns int, crash bool) faultfs.FS {
 			}
 		}
 		if rng.Intn(25) == 0 {
+			// A retired checkpoint record, which both replayers ignore,
+			// and sometimes a bare truncation (the snapshot a checkpoint
+			// keeps is exercised by TestSnapshotPrefixRecoversSameState).
 			app(&Record{Type: TCheckpoint})
 			if err := l.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			// Checkpoint without store flush: replay-level tests only
-			// check that both replayers skip the same prefix, so the
-			// truncation step is exercised separately.
 			if rng.Intn(2) == 0 {
-				if err := l.Truncate(); err != nil {
+				if err := l.Truncate(nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -160,12 +160,6 @@ func diffStates(t *testing.T, procs int, ref, got *State) {
 				t.Errorf("  oid %d: extra in parallel result", oid)
 			}
 		}
-	}
-	if !reflect.DeepEqual(got.Deleted, ref.Deleted) {
-		t.Errorf("procs=%d: Deleted diverge: got %v, ref %v", procs, got.Deleted, ref.Deleted)
-	}
-	if !reflect.DeepEqual(got.Deltas, ref.Deltas) {
-		t.Errorf("procs=%d: Deltas diverge: got %v, ref %v", procs, got.Deltas, ref.Deltas)
 	}
 	if !reflect.DeepEqual(got.Committed, ref.Committed) {
 		t.Errorf("procs=%d: Committed diverge: got %v, ref %v", procs, got.Committed, ref.Committed)

@@ -182,7 +182,7 @@ func TestCrashAtTruncationCutover(t *testing.T) {
 		Op: faultfs.OpRename, Path: "wal.manifest", Nth: 1,
 		Action: faultfs.ActCrash, Keep: -1,
 	}))
-	if err := l.Truncate(); err == nil {
+	if err := l.Truncate(nil); err == nil {
 		t.Fatal("Truncate succeeded despite scripted crash")
 	}
 	if !mfs.Crashed() {
@@ -216,7 +216,7 @@ func TestCrashAtTruncationCleanup(t *testing.T) {
 	mfs.SetScript(faultfs.NewScript(faultfs.Rule{
 		Op: faultfs.OpRemove, Nth: 1, Action: faultfs.ActCrash, Keep: -1,
 	}))
-	if err := l.Truncate(); err == nil {
+	if err := l.Truncate(nil); err == nil {
 		t.Fatal("Truncate succeeded despite scripted crash")
 	}
 	if !mfs.Crashed() {

@@ -170,7 +170,7 @@ func TestSegmentedTruncate(t *testing.T) {
 	}
 	appendCommitted(t, l, 1, 20)
 	preTail := l.CurrentSegment()
-	if err := l.Truncate(); err != nil {
+	if err := l.Truncate(nil); err != nil {
 		t.Fatal(err)
 	}
 	if seq := l.CurrentSegment(); seq != preTail+1 {
@@ -211,7 +211,7 @@ func TestSegmentedTruncateKeep(t *testing.T) {
 		{Type: TDecide, GID: 7, Commit: true},
 		{Type: TDecide, GID: 9, Commit: false},
 	}
-	if err := l.Truncate(keep...); err != nil {
+	if err := l.Truncate(recordsOf(keep...)); err != nil {
 		t.Fatal(err)
 	}
 	if keep[0].LSN != 31 || keep[1].LSN != 32 {
@@ -402,7 +402,7 @@ func TestGroupCommitFollowerPoisoned(t *testing.T) {
 	if err := l.Flush(); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("flush after failed force = %v, want ErrPoisoned", err)
 	}
-	if err := l.Truncate(); !errors.Is(err, ErrPoisoned) {
+	if err := l.Truncate(nil); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("truncate after failed force = %v, want ErrPoisoned", err)
 	}
 }
@@ -517,11 +517,11 @@ func TestObserverDoesNotSettlePending(t *testing.T) {
 	}
 }
 
-// TestWriterReleaseSettlesOnlyDrainedRecords: ForceDurable and Truncate
-// settle exactly the records they drained. A record appended while the
-// operation held leadership (appends stay enabled — only forces are
-// serialized) must still be written by the next Flush, not silently
-// marked durable at release.
+// TestWriterReleaseSettlesOnlyDrainedRecords: Truncate settles exactly
+// the records it drained. A record appended while the operation held
+// leadership (appends stay enabled — only forces are serialized) must
+// still be written by the next Flush, not silently marked durable at
+// release.
 func TestWriterReleaseSettlesOnlyDrainedRecords(t *testing.T) {
 	mfs := faultfs.NewMem()
 	l, err := OpenSegmentedFS(mfs, "/db", testSegOpts(true))
@@ -531,9 +531,9 @@ func TestWriterReleaseSettlesOnlyDrainedRecords(t *testing.T) {
 	if _, err := l.Append(&Record{Type: TBegin, TID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// White-box ForceDurable with an append landing mid-operation.
+	// White-box Truncate with an append landing mid-operation.
 	l.acquireWriter()
-	high, ferr := l.forceDurable() // drains TID 1
+	high, ferr := l.truncateChain(nil) // drains TID 1
 	if _, err := l.Append(&Record{Type: TBegin, TID: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -811,4 +811,16 @@ func lastSegment(t *testing.T, fsys faultfs.FS) uint64 {
 		t.Fatal("no segments found")
 	}
 	return last
+}
+
+// recordsOf streams recs as a Truncate keep list.
+func recordsOf(recs ...*Record) Records {
+	return func(emit func(*Record) error) error {
+		for _, r := range recs {
+			if err := emit(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }

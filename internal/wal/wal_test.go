@@ -244,31 +244,6 @@ func TestRecoverGroupCommitOrdering(t *testing.T) {
 	}
 }
 
-func TestRecoverCheckpointSkipsPrefix(t *testing.T) {
-	dir, l := oneSegment(t)
-	l.Append(&Record{Type: TBegin, TID: 1})
-	l.Append(&Record{Type: TUpdate, TID: 1, OID: 1, Kind: KindCreate, After: []byte("pre")})
-	l.Append(&Record{Type: TCommit, TIDs: []xid.TID{1}})
-	l.Append(&Record{Type: TCheckpoint})
-	l.Append(&Record{Type: TBegin, TID: 2})
-	l.Append(&Record{Type: TUpdate, TID: 2, OID: 2, Kind: KindCreate, After: []byte("post")})
-	l.Append(&Record{Type: TCommit, TIDs: []xid.TID{2}})
-	l.Close()
-	st, err := RecoverDir(dir, RecoverOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Objects[1]; ok {
-		t.Fatal("pre-checkpoint update replayed")
-	}
-	if string(st.Objects[2]) != "post" {
-		t.Fatal("post-checkpoint update lost")
-	}
-	if st.MaxTID != 2 {
-		t.Fatalf("MaxTID = %d, want 2", st.MaxTID)
-	}
-}
-
 // TestQuickRecoverEqualsDirectApply: for random sequences of single-txn
 // create/modify/delete + always-commit, recovery equals applying operations
 // directly in order.
