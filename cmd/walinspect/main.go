@@ -31,6 +31,7 @@ func main() {
 		os.Exit(2)
 	}
 	var count int
+	rp := wal.NewReplayer()
 	err := wal.ScanChain(dir, func(r *wal.Record) error {
 		count++
 		switch r.Type {
@@ -71,18 +72,13 @@ func main() {
 		case wal.TCheckpoint:
 			fmt.Printf("%6d  %-10s\n", r.LSN, r.Type)
 		}
-		return nil
+		return rp.Apply(r)
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "walinspect: %v\n", err)
 		os.Exit(1)
 	}
-
-	st, err := wal.RecoverDir(dir, wal.RecoverOptions{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "walinspect: recover: %v\n", err)
-		os.Exit(1)
-	}
+	st := rp.Finish()
 	fmt.Printf("\n%d records; recovery: %d committed txn(s), %d loser(s), %d in-doubt group(s), %d object(s), next LSN %d\n",
 		count, len(st.Committed), len(st.Losers), len(st.InDoubt), len(st.Objects), st.NextLSN)
 	for gid, tids := range st.InDoubt {

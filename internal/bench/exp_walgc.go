@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	asset "repro"
@@ -18,7 +17,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:     "WALGC",
-		Title:  "Group-commit WAL pipeline: commits per fsync, and parallel recovery",
+		Title:  "Group-commit WAL pipeline: commits per fsync, and chain recovery",
 		Anchor: "§4 log / commit protocol",
 		Run:    runWALGC,
 	})
@@ -35,9 +34,8 @@ type WALGCPoint struct {
 	P99Micros       float64 `json:"p99_us"`            // tail commit latency
 }
 
-// WALGCRecoveryPoint is one cell of the parallel-recovery sweep.
+// WALGCRecoveryPoint is the timed replay of one multi-segment chain.
 type WALGCRecoveryPoint struct {
-	Procs   int     `json:"procs"`   // scan workers (and GOMAXPROCS)
 	Records int     `json:"records"` // chain length replayed
 	Millis  float64 `json:"ms"`      // wall time for RecoverDir
 }
@@ -53,8 +51,8 @@ type WALGCBaseline struct {
 // enqueues into the pipelined writer and shares the leader's fsync with
 // whoever arrived in the same window. No commit window is configured:
 // batching is purely the natural overlap of concurrent committers, so a
-// single worker pays no added latency. The recovery sweep replays one
-// multi-segment chain with increasing scan parallelism.
+// single worker pays no added latency. The recovery row times the one
+// sequential scan that replays a multi-segment chain.
 func WALGC(quick bool) WALGCBaseline {
 	dur := pick(quick, 60*time.Millisecond, 400*time.Millisecond)
 	workerCounts := pick(quick, []int{1, 4}, []int{1, 2, 4, 8, 16})
@@ -108,8 +106,7 @@ func walgcCell(workers int, dur time.Duration) WALGCPoint {
 }
 
 // walgcRecovery builds one multi-segment chain of committed updates and
-// times the directory recovery at increasing scan parallelism, moving
-// GOMAXPROCS with the worker count so one-core numbers are honest.
+// times the directory recovery's one streaming scan over it.
 func walgcRecovery(quick bool) []WALGCRecoveryPoint {
 	txns := pick(quick, 2_000, 20_000)
 	dir, err := os.MkdirTemp("", "asset-walgc-rec-*")
@@ -138,26 +135,19 @@ func walgcRecovery(quick bool) []WALGCRecoveryPoint {
 	if err := l.Close(); err != nil {
 		panic(err)
 	}
-	var out []WALGCRecoveryPoint
-	for _, procs := range []int{1, 2, 8} {
-		old := runtime.GOMAXPROCS(procs)
-		start := time.Now()
-		st, err := wal.RecoverDirFS(fsys, dir, wal.RecoverOptions{Parallel: procs})
-		elapsed := time.Since(start)
-		runtime.GOMAXPROCS(old)
-		if err != nil {
-			panic(err)
-		}
-		if st.NextLSN != uint64(3*txns+1) {
-			panic(fmt.Sprintf("walgc recovery replayed to LSN %d, want %d", st.NextLSN, 3*txns+1))
-		}
-		out = append(out, WALGCRecoveryPoint{
-			Procs:   procs,
-			Records: 3 * txns,
-			Millis:  float64(elapsed) / float64(time.Millisecond),
-		})
+	start := time.Now()
+	st, err := wal.RecoverDirFS(fsys, dir, wal.RecoverOptions{})
+	elapsed := time.Since(start)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	if st.NextLSN != uint64(3*txns+1) {
+		panic(fmt.Sprintf("walgc recovery replayed to LSN %d, want %d", st.NextLSN, 3*txns+1))
+	}
+	return []WALGCRecoveryPoint{{
+		Records: 3 * txns,
+		Millis:  float64(elapsed) / float64(time.Millisecond),
+	}}
 }
 
 func runWALGC(w io.Writer, quick bool) error {
@@ -173,11 +163,11 @@ func runWALGC(w io.Writer, quick bool) error {
 	t.Fprint(w)
 	fmt.Fprintln(w, "  (group commit shares one fsync across overlapping committers; no window, so batching is pure overlap)")
 	var rt Table
-	rt.Headers = []string{"scan workers", "records", "recovery"}
+	rt.Headers = []string{"records", "recovery"}
 	for _, p := range b.Recovery {
-		rt.Add(p.Procs, p.Records, time.Duration(p.Millis*float64(time.Millisecond)).Round(time.Millisecond))
+		rt.Add(p.Records, time.Duration(p.Millis*float64(time.Millisecond)).Round(time.Millisecond))
 	}
 	rt.Fprint(w)
-	fmt.Fprintln(w, "  (one chain, segments scanned in parallel then merged in LSN order)")
+	fmt.Fprintln(w, "  (one chain, replayed in one sequential pass as its segments are read)")
 	return nil
 }

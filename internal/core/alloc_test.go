@@ -160,10 +160,11 @@ func TestTxnSizeClass(t *testing.T) {
 	}
 }
 
-// TestMemLogKeepsNoHeap: a directory-less manager has a log nothing can ever
-// replay, so committing must not grow the heap. The retaining in-memory log
-// kept every record with its before and after images — about 650 bytes per
-// small write here, 31 MB over this loop — for the life of the process.
+// TestMemLogKeepsNoHeap: a directory-less manager has no log, since nothing
+// could ever replay one, so committing must not grow the heap. The retaining
+// in-memory log it once had kept every record with its before and after
+// images — about 650 bytes per small write here, 31 MB over this loop — for
+// the life of the process.
 func TestMemLogKeepsNoHeap(t *testing.T) {
 	if race.Enabled {
 		t.Skip("heap sizes are meaningless under the race detector")

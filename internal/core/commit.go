@@ -408,7 +408,6 @@ func (m *Manager) commitLocked(group []*txn) error {
 	if len(forcedAborts) > 0 {
 		m.abortGroupLocked(forcedAborts, errExcludedByCommitted(), false)
 	}
-	m.cond.Broadcast()
 	return nil
 }
 
@@ -611,7 +610,7 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 		// is nothing in the cache to roll back.
 		u.redo = nil
 	}
-	sort.Slice(undos, func(i, j int) bool { return undos[i].rec.lsn > undos[j].rec.lsn })
+	sort.Slice(undos, func(i, j int) bool { return undos[i].rec.seq > undos[j].rec.seq })
 	for _, ur := range undos {
 		rec := ur.rec
 		switch rec.kind {
@@ -659,5 +658,4 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 			m.unpin(u)
 		}
 	}
-	m.cond.Broadcast()
 }

@@ -125,8 +125,7 @@ type Manager struct {
 	// while calling into the lock manager (Delegate, Permit), so it orders
 	// before every latch below.
 	//asset:latch order=10
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	txns    *htab.Map[*txn]        // the chained hash table of TDs (§4.1)
 	free    pool.Shared[txn, *txn] // recycled TDs
@@ -138,11 +137,14 @@ type Manager struct {
 	waits *waitgraph.Graph
 	cache *storage.Cache
 
-	log wal.Appender
-	// rec is the one log record the manager builds its appends in, and
-	// tidBuf and ctr what a commit record's tid list and a delta record's
-	// image point into: no wal.Appender keeps a record or its slices past
+	// log is the durable log; nil for a manager opened without Dir. seq
+	// numbers every append, so undo records keep log order without the
+	// log's LSNs. rec is the one log record the manager builds its appends
+	// in, and tidBuf and ctr what a commit record's tid list and a delta
+	// record's image point into: the log keeps no record or slice past
 	// Append, so under mu they can be overwritten by the next append.
+	log    *wal.SegmentedLog
+	seq    uint64
 	rec    wal.Record
 	tidBuf []xid.TID
 	ctr    [8]byte
@@ -204,7 +206,6 @@ func open(cfg Config, detect bool) (*Manager, error) {
 		closeCh:      make(chan struct{}),
 		watchdogDone: make(chan struct{}),
 	}
-	m.cond = sync.NewCond(&m.mu)
 	if cfg.MaxLive > 0 {
 		m.admit = make(chan struct{}, cfg.MaxLive)
 	}
@@ -227,7 +228,6 @@ func open(cfg Config, detect bool) (*Manager, error) {
 	})
 
 	if cfg.Dir == "" {
-		m.log = wal.NewMem()
 		return m, nil
 	}
 
@@ -247,12 +247,17 @@ func open(cfg Config, detect bool) (*Manager, error) {
 		return nil, err
 	}
 	// The log is a segmented chain that starts with the last checkpoint's
-	// images; recovery scans the segments in parallel across cores and
-	// replays them from empty, sequentially in redo order.
-	st, err := wal.RecoverDirFS(fsys, cfg.Dir, wal.RecoverOptions{})
+	// images; the one scan that positions the writer replays it from empty.
+	rp := wal.NewReplayer()
+	log, err := wal.OpenScanFS(fsys, cfg.Dir, wal.SegmentedOptions{
+		SegmentBytes: cfg.WALSegmentBytes,
+		Sync:         cfg.SyncCommits,
+		Window:       cfg.CommitWindow,
+	}, rp.Apply)
 	if err != nil {
 		return nil, err
 	}
+	st := rp.Finish()
 	var maxOID xid.OID
 	for oid, data := range st.Objects {
 		m.cache.Install(oid, data)
@@ -269,14 +274,7 @@ func open(cfg Config, detect bool) (*Manager, error) {
 	m.cache.SetNextOID(maxOID)
 	m.nextTID.Store(uint64(st.MaxTID))
 	if err := m.installInDoubt(st); err != nil {
-		return nil, err
-	}
-	log, err := wal.OpenSegmentedFS(fsys, cfg.Dir, wal.SegmentedOptions{
-		SegmentBytes: cfg.WALSegmentBytes,
-		Sync:         cfg.SyncCommits,
-		Window:       cfg.CommitWindow,
-	})
-	if err != nil {
+		log.Close()
 		return nil, err
 	}
 	m.log = log
@@ -325,6 +323,9 @@ func (m *Manager) Close() error {
 	}
 	if m.watchdogOn.Load() {
 		<-m.watchdogDone
+	}
+	if m.log == nil {
+		return nil
 	}
 	err := m.log.Flush()
 	if cerr := m.log.Close(); err == nil {
@@ -392,11 +393,17 @@ func (m *Manager) Active() []xid.TID {
 	return out
 }
 
-// appendLocked appends r to the log through the manager's reused record.
-// Caller holds m.mu, which is what makes the reuse safe.
+// appendLocked appends r to the log through the manager's reused record
+// and returns its place in the manager's append sequence. Caller holds
+// m.mu, which is what makes the reuse safe and the sequence log order.
 func (m *Manager) appendLocked(r wal.Record) (uint64, error) {
+	m.seq++
+	if m.log == nil {
+		return m.seq, nil
+	}
 	m.rec = r
-	return m.log.Append(&m.rec)
+	_, err := m.log.Append(&m.rec)
+	return m.seq, err
 }
 
 // forceLocked makes everything appended so far durable, with m.mu
@@ -406,6 +413,9 @@ func (m *Manager) appendLocked(r wal.Record) (uint64, error) {
 // every other path (members committing or prepared, a preparing gate in
 // place). Caller holds m.mu, and holds it again on return.
 func (m *Manager) forceLocked() error {
+	if m.log == nil {
+		return nil
+	}
 	m.mu.Unlock()
 	err := m.log.Flush()
 	m.mu.Lock()
@@ -451,14 +461,13 @@ func (m *Manager) Checkpoint() error {
 	if n := m.live.Load(); n != 0 {
 		return fmt.Errorf("%w: %d live transactions", ErrNotQuiescent, n)
 	}
-	log, ok := m.log.(*wal.SegmentedLog)
-	if !ok {
+	if m.log == nil {
 		return nil
 	}
-	if err := log.Flush(); err != nil {
+	if err := m.log.Flush(); err != nil {
 		return err
 	}
-	return log.Truncate(m.snapshotLocked)
+	return m.log.Truncate(m.snapshotLocked)
 }
 
 // snapshotLocked streams a TImage record of every cached object into
@@ -491,8 +500,8 @@ func (m *Manager) WaitGraph() *waitgraph.Graph { return m.waits }
 // written), or 0 for a manager opened without Dir; compare with
 // Stats().LogForces, which counts the forces commits and votes asked for.
 func (m *Manager) PhysicalForces() uint64 {
-	if s, ok := m.log.(*wal.SegmentedLog); ok {
-		return s.Forces()
+	if m.log == nil {
+		return 0
 	}
-	return 0
+	return m.log.Forces()
 }

@@ -157,14 +157,14 @@ func (tx *Tx) Write(oid xid.OID, data []byte) error {
 	// The copy is what the object keeps: nothing holds on to the caller's
 	// slice, which a server hands in straight from a pooled frame buffer.
 	after := append([]byte(nil), data...)
-	lsn, err := m.appendLocked(wal.Record{
+	seq, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
 		Before: before, After: after,
 	})
 	if err != nil {
 		return err
 	}
-	t.undo = append(t.undo, undoRec{lsn: lsn, oid: oid, kind: wal.KindModify, before: before})
+	t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindModify, before: before})
 	obj.SetData(after)
 	return nil
 }
@@ -190,14 +190,14 @@ func (tx *Tx) Update(oid xid.OID, fn func([]byte) []byte) error {
 	defer obj.Lat.Unlock()
 	before := obj.Data() // handed to the undo record, as in Write
 	after := fn(append([]byte(nil), before...))
-	lsn, err := m.appendLocked(wal.Record{
+	seq, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
 		Before: before, After: after,
 	})
 	if err != nil {
 		return err
 	}
-	t.undo = append(t.undo, undoRec{lsn: lsn, oid: oid, kind: wal.KindModify, before: before})
+	t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindModify, before: before})
 	obj.SetData(after)
 	return nil
 }
@@ -235,14 +235,14 @@ func (tx *Tx) CreateAt(oid xid.OID, data []byte) error {
 	if !m.cache.Create(oid, data) {
 		return fmt.Errorf("%w: %v", ErrObjectExists, oid)
 	}
-	lsn, err := m.appendLocked(wal.Record{
+	seq, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindCreate, After: data,
 	})
 	if err != nil {
 		m.cache.Delete(oid)
 		return err
 	}
-	t.undo = append(t.undo, undoRec{lsn: lsn, oid: oid, kind: wal.KindCreate})
+	t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindCreate})
 	return nil
 }
 
@@ -296,14 +296,14 @@ func (tx *Tx) AddCtx(ctx context.Context, oid xid.OID, delta int64) error {
 		m.locks.EscrowUnreserve(t.id, oid, delta)
 		return fmt.Errorf("core: Add on %v: object is %d bytes, want an 8-byte counter", oid, len(obj.Data()))
 	}
-	lsn, err := m.appendLocked(wal.Record{
+	seq, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelta, After: m.deltaImage(delta),
 	})
 	if err != nil {
 		m.locks.EscrowUnreserve(t.id, oid, delta)
 		return err
 	}
-	t.undo = append(t.undo, undoRec{lsn: lsn, oid: oid, kind: wal.KindDelta, delta: delta})
+	t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindDelta, delta: delta})
 	addInPlace(obj, delta)
 	return nil
 }
@@ -382,13 +382,13 @@ func (tx *Tx) Delete(oid xid.OID) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNoObject, oid)
 	}
-	lsn, err := m.appendLocked(wal.Record{
+	seq, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelete, Before: before,
 	})
 	if err != nil {
 		return err
 	}
-	t.undo = append(t.undo, undoRec{lsn: lsn, oid: oid, kind: wal.KindDelete, before: before})
+	t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindDelete, before: before})
 	m.cache.Delete(oid)
 	// Escrow bounds do not survive the object: deletion clears the
 	// declaration (an aborted delete reinstates the object unbounded).

@@ -410,7 +410,6 @@ func (tx *Tx) Complete() {
 		return
 	}
 	t.closeDone()
-	m.cond.Broadcast()
 }
 
 // Wait blocks until t completes execution; it returns nil once the code has
@@ -571,7 +570,7 @@ func (m *Manager) Delegate(from, to xid.TID, oids ...xid.OID) error {
 	return err
 }
 
-// moveUndoLocked moves matching undo records from ft to tt in LSN order.
+// moveUndoLocked moves matching undo records from ft to tt in log order.
 // Caller holds m.mu.
 func (m *Manager) moveUndoLocked(ft, tt *txn, oids []xid.OID) {
 	if ft == tt {
@@ -581,7 +580,7 @@ func (m *Manager) moveUndoLocked(ft, tt *txn, oids []xid.OID) {
 		if len(ft.undo) == 0 {
 			return
 		}
-		tt.undo = mergeByLSN(tt.undo, ft.undo)
+		tt.undo = mergeBySeq(tt.undo, ft.undo)
 		ft.undo = nil
 		return
 	}
@@ -601,15 +600,15 @@ func (m *Manager) moveUndoLocked(ft, tt *txn, oids []xid.OID) {
 		return
 	}
 	ft.undo = keep
-	tt.undo = mergeByLSN(tt.undo, move)
+	tt.undo = mergeBySeq(tt.undo, move)
 }
 
-// mergeByLSN merges two LSN-ascending undo lists.
-func mergeByLSN(a, b []undoRec) []undoRec {
+// mergeBySeq merges two sequence-ascending undo lists.
+func mergeBySeq(a, b []undoRec) []undoRec {
 	out := make([]undoRec, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if a[i].lsn <= b[j].lsn {
+		if a[i].seq <= b[j].seq {
 			out = append(out, a[i])
 			i++
 		} else {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/faultfs"
 	"repro/internal/wal"
 	"repro/internal/xid"
 )
@@ -153,7 +154,7 @@ func TestCheckpointAndRestart(t *testing.T) {
 func TestCountersSurviveCheckpointCycles(t *testing.T) {
 	dir := t.TempDir()
 	m := openDurable(t, dir)
-	lastLSN := func() uint64 { return m.log.(*wal.SegmentedLog).LastLSN() }
+	lastLSN := func() uint64 { return m.log.LastLSN() }
 	oid := seedObject(t, m, wal.EncodeCounter(100))
 	last := lastLSN()
 	if err := m.Checkpoint(); err != nil {
@@ -336,5 +337,85 @@ func TestQuickRecoveryMatchesLiveState(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// segReads is a filesystem that counts the bytes read from the log's
+// segment files, so a test can tell how often an opener read the chain.
+type segReads struct {
+	faultfs.FS
+	n *int64
+}
+
+func (fs segReads) OpenFile(path string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := fs.FS.OpenFile(path, flag, perm)
+	if ok, _ := filepath.Match("wal-*.seg", filepath.Base(path)); err != nil || !ok {
+		return f, err
+	}
+	return segFile{f, fs.n}, nil
+}
+
+type segFile struct {
+	faultfs.File
+	n *int64
+}
+
+func (f segFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	*f.n += int64(n)
+	return n, err
+}
+
+func (f segFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	*f.n += int64(n)
+	return n, err
+}
+
+// TestOpenReadsChainOnce: Open recovers the database and positions the
+// log's writer in one scan, so it reads no more bytes from the segment
+// files than the chain holds. The chain is a snapshot segment followed
+// by several rotated tail segments.
+func TestOpenReadsChainOnce(t *testing.T) {
+	mfs := faultfs.NewMem()
+	cfg := Config{Dir: "/db", FS: mfs, SyncCommits: true, WALSegmentBytes: 2 << 10}
+	m, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		seedObject(t, m, []byte(fmt.Sprintf("object %d", i)))
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		seedObject(t, m, []byte(fmt.Sprintf("tail %d", i)))
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var size, segs int64
+	for seq := 1; seq < 100; seq++ {
+		if img, ok := mfs.ReadImage(fmt.Sprintf("/db/wal-%06d.seg", seq)); ok {
+			size += int64(len(img))
+			segs++
+		}
+	}
+	if segs < 3 {
+		t.Fatalf("chain has %d segments; the test wants a snapshot and rotated tail segments", segs)
+	}
+	var read int64
+	cfg.FS = segReads{mfs, &read}
+	m, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if n := m.Cache().Len(); n != 100 {
+		t.Fatalf("reopened with %d objects, want 100", n)
+	}
+	if read == 0 || read > size {
+		t.Fatalf("Open read %d bytes from a %d-byte chain of %d segments, want each byte once", read, size, segs)
 	}
 }

@@ -24,7 +24,7 @@ type TxnFunc func(tx *Tx) error
 // to install the before image on abort. Delegation moves these records
 // between transactions together with the locks.
 type undoRec struct {
-	lsn    uint64
+	seq    uint64 // the manager's append sequence: log order
 	oid    xid.OID
 	kind   wal.UpdateKind // the original operation
 	before []byte         // modify, delete: the image to reinstall

@@ -105,26 +105,24 @@ func Open(fsys faultfs.FS, dir string) (*Coordinator, error) {
 		return nil, fmt.Errorf("txcoord: sync %s: %w", dir, err)
 	}
 	decided := make(map[uint64]bool)
-	if err := wal.ScanChainFS(fsys, path, func(r *wal.Record) error {
+	log, err := openLog(fsys, path, func(r *wal.Record) error {
 		if r.Type == wal.TDecide {
 			if _, ok := decided[r.GID]; !ok { // first writer won
 				decided[r.GID] = r.Commit
 			}
 		}
 		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("txcoord: scan %s: %w", path, err)
-	}
-	log, err := openLog(fsys, path)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &Coordinator{fsys: fsys, path: path, log: log, decided: decided}, nil
 }
 
-// openLog opens the decision chain in dir, forcing every append.
-func openLog(fsys faultfs.FS, dir string) (*wal.SegmentedLog, error) {
-	log, err := wal.OpenSegmentedFS(fsys, dir, wal.SegmentedOptions{Sync: true})
+// openLog opens the decision chain in dir, forcing every append, and
+// hands each record it holds to fn (when non-nil) in the same scan.
+func openLog(fsys faultfs.FS, dir string, fn func(*wal.Record) error) (*wal.SegmentedLog, error) {
+	log, err := wal.OpenScanFS(fsys, dir, wal.SegmentedOptions{Sync: true}, fn)
 	if err != nil {
 		return nil, fmt.Errorf("txcoord: open %s: %w", dir, err)
 	}
@@ -248,7 +246,7 @@ func (c *Coordinator) compactLocked() error {
 	}
 	err = fmt.Errorf("txcoord: compact: %w", err)
 	_ = c.log.Close() // poisoned: the reopen below rereads what reached the disk
-	log, rerr := openLog(c.fsys, c.path)
+	log, rerr := openLog(c.fsys, c.path, nil)
 	if rerr != nil {
 		return errors.Join(err, rerr)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -503,5 +504,85 @@ func TestCompactErrorSweep(t *testing.T) {
 	}
 	if swept < 10 {
 		t.Fatalf("swept %d failure points; Compact performs more operations than that", swept)
+	}
+}
+
+// segReads is a filesystem that counts the bytes read from the log's
+// segment files, so a test can tell how often an opener read the chain.
+type segReads struct {
+	faultfs.FS
+	n *int64
+}
+
+func (fs segReads) OpenFile(path string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := fs.FS.OpenFile(path, flag, perm)
+	if ok, _ := filepath.Match("wal-*.seg", filepath.Base(path)); err != nil || !ok {
+		return f, err
+	}
+	return segFile{f, fs.n}, nil
+}
+
+type segFile struct {
+	faultfs.File
+	n *int64
+}
+
+func (f segFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	*f.n += int64(n)
+	return n, err
+}
+
+func (f segFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	*f.n += int64(n)
+	return n, err
+}
+
+// TestOpenReadsChainOnce: Open reloads the verdicts and positions the
+// decision log's writer in one scan, so it reads no more bytes from the
+// segment files than the chain holds. The chain is a compacted segment
+// followed by the decisions recorded after the compaction.
+func TestOpenReadsChainOnce(t *testing.T) {
+	mfs := faultfs.NewMem()
+	c, err := Open(mfs, "coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gid := uint64(1); gid <= 40; gid++ {
+		if _, err := c.Resolve(gid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for gid := uint64(41); gid <= 80; gid++ {
+		if _, err := c.Resolve(gid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for seq := 1; seq < 100; seq++ {
+		if img, ok := mfs.ReadImage(fmt.Sprintf("coord/decisions/wal-%06d.seg", seq)); ok {
+			size += int64(len(img))
+		}
+	}
+	var read int64
+	c, err = Open(segReads{mfs, &read}, "coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for gid := uint64(1); gid <= 80; gid++ {
+		if commit, decided := c.Verdict(gid); !decided || commit {
+			t.Fatalf("gid %d: verdict (commit=%v, decided=%v), want a recorded abort", gid, commit, decided)
+		}
+	}
+	if read == 0 || read > size {
+		t.Fatalf("Open read %d bytes from a %d-byte chain, want each byte once", read, size)
 	}
 }

@@ -92,7 +92,7 @@ func TestSegmentedFixtureReopensByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffStates(t, 0, ref, st)
+	diffStates(t, ref, st)
 	if !reflect.DeepEqual(st.InDoubt, ref.InDoubt) || !reflect.DeepEqual(st.InDoubtOps, ref.InDoubtOps) {
 		t.Errorf("in-doubt state diverges: %v %v, ref %v %v", st.InDoubt, st.InDoubtOps, ref.InDoubt, ref.InDoubtOps)
 	}

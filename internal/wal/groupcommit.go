@@ -100,10 +100,19 @@ func OpenSegmented(dir string, opts SegmentedOptions) (*SegmentedLog, error) {
 
 // OpenSegmentedFS is OpenSegmented over an injected filesystem.
 func OpenSegmentedFS(fsys faultfs.FS, dir string, opts SegmentedOptions) (*SegmentedLog, error) {
+	return OpenScanFS(fsys, dir, opts, nil)
+}
+
+// OpenScanFS is OpenSegmentedFS that also hands every intact record of
+// the chain to fn (when non-nil), in LSN order, during the one scan that
+// finds where appends resume. fn may see records of a chain the scan
+// goes on to refuse: a caller discards what it built when OpenScanFS
+// returns an error.
+func OpenScanFS(fsys faultfs.FS, dir string, opts SegmentedOptions, fn func(*Record) error) (*SegmentedLog, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	info, err := scanChain(fsys, dir, 1, nil)
+	info, err := scanChain(fsys, dir, fn)
 	if err != nil {
 		return nil, err
 	}
@@ -196,10 +205,11 @@ func createSegment(fsys faultfs.FS, dir string, seq, firstLSN uint64) (faultfs.F
 
 // Append encodes r, assigns it the next LSN (stored into r.LSN), and
 // frames it into the pending batch slab. No file I/O happens here; the
-// record becomes durable when a force covering its LSN completes.
-// Allocation-free once the slab has warmed to the batch working set —
-// verified by the compiler on every lint run, not just by the
-// AllocsPerRun benchmark.
+// record becomes durable when a force covering its LSN completes. It
+// keeps neither r nor the slices r points to, so the caller may reuse
+// them as soon as the call is over. Allocation-free once the slab has
+// warmed to the batch working set — verified by the compiler on every
+// lint run, not just by the AllocsPerRun benchmark.
 //
 //asset:noalloc
 func (l *SegmentedLog) Append(r *Record) (uint64, error) {

@@ -6,21 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"sync/atomic"
 )
-
-// Appender is the write side of a log. Append assigns LSNs in strictly
-// increasing order; Flush forces everything appended so far to stable
-// storage (the commit protocol calls it before declaring a commit durable).
-//
-// Append encodes what it needs of r before it returns and keeps neither r
-// nor the slices r points to: the caller may reuse the record, and the
-// images it carries, as soon as the call is over.
-type Appender interface {
-	Append(r *Record) (lsn uint64, err error)
-	Flush() error
-	Close() error
-}
 
 // Frame layout on disk: [payloadLen u32][crc u32][lsn u64][payload].
 // The crc covers lsn+payload. A short or corrupt frame marks the torn tail
@@ -40,31 +26,6 @@ var ErrPoisoned = errors.New("wal: log poisoned by an earlier write/sync failure
 // errAppendClosed is a package sentinel so the Append fast path's
 // closed-log check stays allocation-free (//asset:noalloc).
 var errAppendClosed = errors.New("wal: append to closed log")
-
-// MemLog is the log of a manager configured without durability: it assigns
-// LSNs and keeps nothing. A directory-less manager never checkpoints and
-// nothing can replay an in-memory log, so retaining the records only grew
-// the heap with every append; not retaining them is also what lets a
-// caller reuse the Record it passes to Append. Tests that want the records
-// back wrap an Appender of their own around it.
-type MemLog struct {
-	lsn atomic.Uint64 // last LSN assigned
-}
-
-// NewMem returns an in-memory log whose first LSN is 1.
-func NewMem() *MemLog { return &MemLog{} }
-
-// Append assigns r the next LSN.
-func (l *MemLog) Append(r *Record) (uint64, error) {
-	r.LSN = l.lsn.Add(1)
-	return r.LSN, nil
-}
-
-// Flush returns at once: there is nothing to write, so nothing to share.
-func (l *MemLog) Flush() error { return nil }
-
-// Close does nothing: there is nothing to release.
-func (l *MemLog) Close() error { return nil }
 
 // appendFrame appends the on-disk frame for r — with r.LSN already
 // assigned — to buf and returns the extended slice. Allocation-free once

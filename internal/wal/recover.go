@@ -51,8 +51,11 @@ type pendingOp struct {
 	after []byte
 }
 
-// replayer applies the recovery algorithm described in the package comment.
-type replayer struct {
+// Replayer rebuilds committed state from a record stream in LSN order,
+// applying the recovery algorithm described in the package comment. Its
+// Apply fits a chain scan's callback, so a chain is replayed in the same
+// pass that reads it.
+type Replayer struct {
 	pending map[xid.TID][]pendingOp
 	began   map[xid.TID]bool
 	// prepared tracks TPrepare records awaiting their verdict: group id →
@@ -66,15 +69,16 @@ type replayer struct {
 // RecoverRecords replays an in-memory record sequence from empty state;
 // the replay tests use it.
 func RecoverRecords(recs []*Record) *State {
-	rp := newReplayer()
+	rp := NewReplayer()
 	for _, r := range recs {
-		rp.apply(r)
+		rp.Apply(r)
 	}
-	return rp.finish()
+	return rp.Finish()
 }
 
-func newReplayer() *replayer {
-	return &replayer{
+// NewReplayer returns a replayer over empty state.
+func NewReplayer() *Replayer {
+	return &Replayer{
 		pending:    make(map[xid.TID][]pendingOp),
 		began:      make(map[xid.TID]bool),
 		prepared:   make(map[uint64][]xid.TID),
@@ -86,8 +90,9 @@ func newReplayer() *replayer {
 	}
 }
 
-// apply replays one record.
-func (rp *replayer) apply(r *Record) {
+// Apply replays one record. It keeps slices r points to, so the record
+// must not be reused; it never fails.
+func (rp *Replayer) Apply(r *Record) error {
 	if r.LSN >= rp.st.NextLSN {
 		rp.st.NextLSN = r.LSN + 1
 	}
@@ -138,7 +143,7 @@ func (rp *replayer) apply(r *Record) {
 		// it). Redoing it would subtract the delta a second time, so the
 		// pair cancels by dropping both sides.
 		if r.Kind == KindDelta {
-			return
+			return nil
 		}
 		rp.install(r.OID, r.Kind, r.After)
 	case TImage:
@@ -156,9 +161,10 @@ func (rp *replayer) apply(r *Record) {
 		// Coordinator decision records live in the coordinator's own chain;
 		// a participant log never carries them. Bookkeeping only.
 	}
+	return nil
 }
 
-func (rp *replayer) bumpTID(t xid.TID) {
+func (rp *Replayer) bumpTID(t xid.TID) {
 	if t > rp.st.MaxTID {
 		rp.st.MaxTID = t
 	}
@@ -166,7 +172,7 @@ func (rp *replayer) bumpTID(t xid.TID) {
 
 // resolvePrepared clears the prepared tracking for t's group once a commit
 // or abort record decides it — the group is no longer in doubt.
-func (rp *replayer) resolvePrepared(t xid.TID) {
+func (rp *Replayer) resolvePrepared(t xid.TID) {
 	gid, ok := rp.preparedBy[t]
 	if !ok {
 		return
@@ -179,7 +185,7 @@ func (rp *replayer) resolvePrepared(t xid.TID) {
 
 // delegate moves pending ops for the given objects (nil = all) from one
 // transaction to another, preserving each op's LSN for final ordering.
-func (rp *replayer) delegate(from, to xid.TID, oids []xid.OID) {
+func (rp *Replayer) delegate(from, to xid.TID, oids []xid.OID) {
 	if from == to {
 		return
 	}
@@ -212,7 +218,7 @@ func (rp *replayer) delegate(from, to xid.TID, oids []xid.OID) {
 	rp.pending[to] = append(rp.pending[to], move...)
 }
 
-func (rp *replayer) install(oid xid.OID, kind UpdateKind, image []byte) {
+func (rp *Replayer) install(oid xid.OID, kind UpdateKind, image []byte) {
 	switch kind {
 	case KindDelete:
 		delete(rp.st.Objects, oid)
@@ -251,7 +257,8 @@ func DecodeCounter(b []byte) uint64 {
 	return v
 }
 
-func (rp *replayer) finish() *State {
+// Finish ends the replay and returns the state; the replayer is spent.
+func (rp *Replayer) Finish() *State {
 	// Prepared-but-undecided transactions are in doubt, not losers: carry
 	// their withheld updates out for the opener to hold until the verdict.
 	if len(rp.prepared) > 0 {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 
 	"repro/internal/faultfs"
 )
@@ -18,9 +16,10 @@ const retiredLogName = "wal.log"
 // chainEntry is one element of the discovered log chain, in replay order.
 type chainEntry struct {
 	listed   bool // named by the manifest (vs discovered by probing)
+	dead     bool // probed, and its header never became durable: the chain ends
 	path     string
 	seq      uint64
-	firstLSN uint64 // filled from the segment header during the scan
+	firstLSN uint64 // the manifest's, then the segment header's
 }
 
 // chainInfo is what a chain walk learns beyond the records themselves:
@@ -80,201 +79,127 @@ func fileExists(fsys faultfs.FS, path string) bool {
 	return true
 }
 
-// entryScan is the outcome of scanning one chain element.
-type entryScan struct {
-	sc      *segmentScan
-	fatal   error // corruption recovery must refuse (manifest-listed damage)
-	invalid bool  // a probed segment with a damaged header: clean chain end
+// readHeaders is the header pass of a chain scan: it reads every
+// segment's header, fills in its first LSN, and marks a probed segment
+// whose header never became durable as dead. Damage to a
+// manifest-listed segment is fatal — the manifest promised it — and is
+// reported here, ahead of anything the record pass would find, wherever
+// in the chain it sits.
+func readHeaders(fsys faultfs.FS, entries []chainEntry) error {
+	for i := range entries {
+		e := &entries[i]
+		firstLSN, err := readSegmentHeader(fsys, e.path, e.seq)
+		switch {
+		case err != nil && !e.listed:
+			e.dead = true
+		case os.IsNotExist(err):
+			return fmt.Errorf("%w: %s", ErrSegmentMissing, filepath.Base(e.path))
+		case err != nil:
+			return err
+		case e.listed && firstLSN != e.firstLSN:
+			return fmt.Errorf("%w: %s header first LSN %d, manifest says %d",
+				ErrSegmentCorrupt, filepath.Base(e.path), firstLSN, e.firstLSN)
+		}
+		e.firstLSN = firstLSN
+	}
+	return nil
 }
 
-// scanEntry reads one chain element. Damage to a manifest-listed element
-// is fatal — the manifest promised it — while damage to a probed one
-// just ends the chain: its header never became durable before the crash.
-func scanEntry(fsys faultfs.FS, e chainEntry) entryScan {
-	sc, err := scanSegment(fsys, e.path, e.seq)
-	if err != nil {
-		if !e.listed {
-			return entryScan{invalid: true}
-		}
-		if os.IsNotExist(err) {
-			err = fmt.Errorf("%w: %s", ErrSegmentMissing, filepath.Base(e.path))
-		}
-		return entryScan{fatal: err}
-	}
-	if e.listed && sc.firstLSN != e.firstLSN {
-		return entryScan{fatal: fmt.Errorf("%w: %s header first LSN %d, manifest says %d",
-			ErrSegmentCorrupt, filepath.Base(e.path), sc.firstLSN, e.firstLSN)}
-	}
-	return entryScan{sc: sc}
-}
-
-// scanChain discovers, scans, and validates the chain, delivering every
-// usable record to fn in strict LSN order. Segment scans run on up to
-// parallel goroutines (the chain's order constraint applies to delivery,
-// not to reading); the validation merge is sequential.
+// scanChain discovers and validates the chain in one sequential pass,
+// handing every usable record to fn (when non-nil) in strict LSN order
+// as soon as it is decoded; no segment's records are held. fn may see
+// records of a chain the scan goes on to refuse, so a caller discards
+// what it built when scanChain returns an error.
 //
 // The chain invariant checked here is the crash-consistency argument in
 // miniature: LSNs must be contiguous across the whole chain, only the
 // final element may have a torn tail, and any records found after a
 // torn or missing region mean corruption (ErrSegmentGap) — replaying
 // around a hole would silently drop committed effects.
-func scanChain(fsys faultfs.FS, dir string, parallel int, fn func(*Record) error) (*chainInfo, error) {
+func scanChain(fsys faultfs.FS, dir string, fn func(*Record) error) (*chainInfo, error) {
 	entries, man, err := discoverChain(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]entryScan, len(entries))
-	if parallel <= 1 || len(entries) <= 1 {
-		for i, e := range entries {
-			results[i] = scanEntry(fsys, e)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		workers := parallel
-		if workers > len(entries) {
-			workers = len(entries)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			//asset:goroutine joined-by=waitgroup
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = scanEntry(fsys, entries[i])
-				}
-			}()
-		}
-		for i := range entries {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	if err := readHeaders(fsys, entries); err != nil {
+		return nil, err
 	}
-	for _, res := range results {
-		if res.fatal != nil {
-			return nil, res.fatal
-		}
+	if fn == nil {
+		fn = func(*Record) error { return nil }
 	}
-
 	info := &chainInfo{man: man, nextLSN: 1}
 	var expected uint64 // next LSN the chain must produce; 0 = not yet known
-	broken := false     // a torn/invalid region was passed; nothing may follow
+	broken := false     // a torn/dead region was passed; no record may follow
 	lastValid := -1
-	for i := range entries {
-		res := results[i]
-		if broken {
-			if res.sc != nil && len(res.sc.recs) > 0 {
-				return nil, fmt.Errorf("%w: %s holds records after the break",
-					ErrSegmentGap, filepath.Base(entries[i].path))
-			}
-			continue
-		}
-		if res.invalid {
+	for i, e := range entries {
+		name := filepath.Base(e.path)
+		if e.dead {
 			broken = true
 			continue
 		}
-		sc := res.sc
-		if expected != 0 && sc.firstLSN != expected {
-			if sc.firstLSN < expected {
+		if broken {
+			if _, _, err := scanSegment(fsys, e.path, func(*Record) error {
+				return fmt.Errorf("%w: %s holds records after the break", ErrSegmentGap, name)
+			}); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if expected != 0 && e.firstLSN != expected {
+			if e.firstLSN < expected {
 				return nil, fmt.Errorf("%w: %s first LSN %d overlaps the chain (expected %d)",
-					ErrSegmentCorrupt, filepath.Base(entries[i].path), sc.firstLSN, expected)
+					ErrSegmentCorrupt, name, e.firstLSN, expected)
 			}
 			return nil, fmt.Errorf("%w: chain jumps from LSN %d to %d at %s",
-				ErrSegmentGap, expected, sc.firstLSN, filepath.Base(entries[i].path))
+				ErrSegmentGap, expected, e.firstLSN, name)
 		}
 		if expected == 0 {
-			expected = sc.firstLSN
+			expected = e.firstLSN
 		}
-		entries[i].firstLSN = sc.firstLSN
-		for _, r := range sc.recs {
-			if r.LSN != expected {
-				if r.LSN < expected {
-					return nil, fmt.Errorf("%w: %s repeats LSN %d (expected %d)",
-						ErrSegmentCorrupt, filepath.Base(entries[i].path), r.LSN, expected)
-				}
-				return nil, fmt.Errorf("%w: %s jumps from LSN %d to %d",
-					ErrSegmentGap, filepath.Base(entries[i].path), expected, r.LSN)
+		end, torn, err := scanSegment(fsys, e.path, func(r *Record) error {
+			if r.LSN < expected {
+				return fmt.Errorf("%w: %s repeats LSN %d (expected %d)", ErrSegmentCorrupt, name, r.LSN, expected)
 			}
-			if fn != nil {
-				if err := fn(r); err != nil {
-					return nil, err
-				}
+			if r.LSN > expected {
+				return fmt.Errorf("%w: %s jumps from LSN %d to %d", ErrSegmentGap, name, expected, r.LSN)
 			}
 			expected++
+			return fn(r)
+		})
+		if err != nil {
+			return nil, err
 		}
-		if sc.torn {
-			broken = true // acceptable only if nothing with records follows
-		}
+		broken = torn // acceptable only if nothing with records follows
 		lastValid = i
+		info.lastPath, info.lastSeq, info.lastEnd = e.path, e.seq, end
 	}
-
 	if expected != 0 {
 		info.nextLSN = expected
 	}
 	info.entries = entries[:lastValid+1]
-	if lastValid >= 0 {
-		e := entries[lastValid]
-		info.lastPath, info.lastSeq, info.lastEnd = e.path, e.seq, results[lastValid].sc.end
-	}
 	return info, nil
 }
 
-// RecoverOptions configures RecoverDir.
-type RecoverOptions struct {
-	// Parallel caps the segment-scan workers; 0 means GOMAXPROCS, 1
-	// forces a sequential scan.
-	Parallel int
-}
+// RecoverOptions configures RecoverDir. It has no fields left: recovery
+// is one sequential pass over the chain.
+type RecoverOptions struct{}
 
 // RecoverDir replays the segmented log chain in dir from empty state and
-// returns the committed state. Segments are scanned and CRC-checked in
-// parallel across cores; the redo merge itself is sequential in LSN
-// order, so the result is bit-identical to a sequential replay (the
-// differential suite holds it to that against RecoverDirSequential).
+// returns the committed state, in one streaming pass over the chain.
 func RecoverDir(dir string, opts RecoverOptions) (*State, error) {
 	return RecoverDirFS(faultfs.OS{}, dir, opts)
 }
 
 // RecoverDirFS is RecoverDir over an injected filesystem.
-func RecoverDirFS(fsys faultfs.FS, dir string, opts RecoverOptions) (*State, error) {
-	par := opts.Parallel
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	return replayChain(fsys, dir, par)
-}
-
-// RecoverDirSequential is the reference replayer the differential suite
-// compares RecoverDir against: one strictly sequential streaming pass, no
-// worker machinery at all. It is deliberately the dumbest correct
-// implementation.
-func RecoverDirSequential(dir string) (*State, error) {
-	return RecoverDirSequentialFS(faultfs.OS{}, dir)
-}
-
-// RecoverDirSequentialFS is RecoverDirSequential over an injected
-// filesystem.
-func RecoverDirSequentialFS(fsys faultfs.FS, dir string) (*State, error) {
-	return replayChain(fsys, dir, 1)
-}
-
-// replayChain replays every record of the chain in dir, in LSN order, as
-// the scan delivers it.
-func replayChain(fsys faultfs.FS, dir string, parallel int) (*State, error) {
-	rp := newReplayer()
-	info, err := scanChain(fsys, dir, parallel, func(r *Record) error {
-		rp.apply(r)
-		return nil
-	})
+func RecoverDirFS(fsys faultfs.FS, dir string, _ RecoverOptions) (*State, error) {
+	rp := NewReplayer()
+	info, err := scanChain(fsys, dir, rp.Apply)
 	if err != nil {
 		return nil, err
 	}
-	st := rp.finish()
-	if info.nextLSN > st.NextLSN {
-		// An empty tail segment still pins the LSN sequence forward.
-		st.NextLSN = info.nextLSN
-	}
+	st := rp.Finish()
+	// An empty tail segment still pins the LSN sequence forward.
+	st.NextLSN = max(st.NextLSN, info.nextLSN)
 	return st, nil
 }
 
@@ -286,6 +211,6 @@ func ScanChain(dir string, fn func(*Record) error) error {
 
 // ScanChainFS is ScanChain over an injected filesystem.
 func ScanChainFS(fsys faultfs.FS, dir string, fn func(*Record) error) error {
-	_, err := scanChain(fsys, dir, 1, fn)
+	_, err := scanChain(fsys, dir, fn)
 	return err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -15,8 +14,10 @@ import (
 // creates, modifies, deletes, counter deltas, delegations, commits,
 // aborts, undo installations, checkpoints — through a segmented log with
 // a tiny rotation threshold, so the chain crosses many segment
-// boundaries. Returns the MemFS holding the chain.
-func randomWorkload(t testing.TB, seed int64, txns int, crash bool) faultfs.FS {
+// boundaries. Returns the MemFS holding the chain, the records appended
+// since the last truncation, and the first LSN of that truncation's
+// segment (1 for none): what an independent replay must agree with.
+func randomWorkload(t testing.TB, seed int64, txns int, crash bool) (faultfs.FS, []*Record, uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	mfs := faultfs.NewMem()
@@ -29,10 +30,13 @@ func randomWorkload(t testing.TB, seed int64, txns int, crash bool) faultfs.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var recs []*Record
+	base := uint64(1)
 	app := func(r *Record) {
 		if _, err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
+		recs = append(recs, r)
 	}
 	var nextTID uint64 = 1
 	live := []xid.TID{}
@@ -96,60 +100,79 @@ func randomWorkload(t testing.TB, seed int64, txns int, crash bool) faultfs.FS {
 				if err := l.Truncate(nil); err != nil {
 					t.Fatal(err)
 				}
+				recs, base = nil, l.LastLSN()+1
 			}
 		}
 	}
 	if crash {
 		// Leave the log unclosed and take the post-crash disk image:
 		// the chain ends in a genuinely torn tail.
-		return mfs.CrashImage(faultfs.DropUnsynced)
+		return mfs.CrashImage(faultfs.DropUnsynced), recs, base
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return mfs
+	return mfs, recs, base
 }
 
-// TestDifferentialRecovery: the parallel recovery must produce exactly
-// the state the dumb sequential reference produces, for seeded random
-// workloads, clean and crashed chains, across GOMAXPROCS and worker
-// counts. Any divergence is a merge-ordering bug.
+// TestDifferentialRecovery: recovering a chain must produce exactly the
+// state RecoverRecords builds from the records the workload appended
+// since its last truncation, for seeded random workloads, clean and
+// crashed chains. A crash keeps a prefix of the appends, so a crashed
+// chain is compared with the records below the NextLSN it recovered. The
+// opener, replaying in the scan that positions its writer, must agree.
 func TestDifferentialRecovery(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, crash := range []bool{false, true} {
 			name := fmt.Sprintf("seed=%d/crash=%v", seed, crash)
 			t.Run(name, func(t *testing.T) {
-				fsys := randomWorkload(t, seed, 120, crash)
-				ref, err := RecoverDirSequentialFS(fsys, "/db")
+				fsys, recs, base := randomWorkload(t, seed, 120, crash)
+				st, err := RecoverDirFS(fsys, "/db", RecoverOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, procs := range []int{1, 2, 8} {
-					old := runtime.GOMAXPROCS(procs)
-					st, err := RecoverDirFS(fsys, "/db", RecoverOptions{Parallel: procs})
-					runtime.GOMAXPROCS(old)
-					if err != nil {
-						t.Fatalf("procs=%d: %v", procs, err)
-					}
-					diffStates(t, procs, ref, st)
+				for crash && len(recs) > 0 && recs[len(recs)-1].LSN >= st.NextLSN {
+					recs = recs[:len(recs)-1]
 				}
+				ref := RecoverRecords(recs)
+				ref.NextLSN = max(ref.NextLSN, base)
+				diffStates(t, ref, st)
+				opened, err := openReplay(fsys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffStates(t, ref, opened)
 			})
 		}
 	}
 }
 
+// openReplay opens the chain in /db with a Replayer on the opener's scan,
+// closes it again, and returns the replayed state, its NextLSN pinned to
+// where appends resume as RecoverDirFS pins it.
+func openReplay(fsys faultfs.FS) (*State, error) {
+	rp := NewReplayer()
+	l, err := OpenScanFS(fsys, "/db", SegmentedOptions{}, rp.Apply)
+	if err != nil {
+		return nil, err
+	}
+	st := rp.Finish()
+	st.NextLSN = max(st.NextLSN, l.LastLSN()+1)
+	return st, l.Close()
+}
+
 // diffStates asserts two recovered states are identical, field by field,
 // with readable output on mismatch.
-func diffStates(t *testing.T, procs int, ref, got *State) {
+func diffStates(t *testing.T, ref, got *State) {
 	t.Helper()
 	if got.NextLSN != ref.NextLSN {
-		t.Errorf("procs=%d: NextLSN = %d, ref %d", procs, got.NextLSN, ref.NextLSN)
+		t.Errorf("NextLSN = %d, ref %d", got.NextLSN, ref.NextLSN)
 	}
 	if got.MaxTID != ref.MaxTID {
-		t.Errorf("procs=%d: MaxTID = %d, ref %d", procs, got.MaxTID, ref.MaxTID)
+		t.Errorf("MaxTID = %d, ref %d", got.MaxTID, ref.MaxTID)
 	}
 	if !reflect.DeepEqual(got.Objects, ref.Objects) {
-		t.Errorf("procs=%d: Objects diverge: %d vs %d entries", procs, len(got.Objects), len(ref.Objects))
+		t.Errorf("Objects diverge: %d vs %d entries", len(got.Objects), len(ref.Objects))
 		for oid, img := range ref.Objects {
 			if g, ok := got.Objects[oid]; !ok || string(g) != string(img) {
 				t.Errorf("  oid %d: got %q, ref %q", oid, got.Objects[oid], img)
@@ -157,14 +180,14 @@ func diffStates(t *testing.T, procs int, ref, got *State) {
 		}
 		for oid := range got.Objects {
 			if _, ok := ref.Objects[oid]; !ok {
-				t.Errorf("  oid %d: extra in parallel result", oid)
+				t.Errorf("  oid %d: extra in the result", oid)
 			}
 		}
 	}
 	if !reflect.DeepEqual(got.Committed, ref.Committed) {
-		t.Errorf("procs=%d: Committed diverge: got %v, ref %v", procs, got.Committed, ref.Committed)
+		t.Errorf("Committed diverge: got %v, ref %v", got.Committed, ref.Committed)
 	}
 	if !reflect.DeepEqual(got.Losers, ref.Losers) {
-		t.Errorf("procs=%d: Losers diverge: got %v, ref %v", procs, got.Losers, ref.Losers)
+		t.Errorf("Losers diverge: got %v, ref %v", got.Losers, ref.Losers)
 	}
 }

@@ -80,16 +80,14 @@ func TestCrashAtRotationBoundary(t *testing.T) {
 			}
 			for _, mode := range []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced} {
 				img := mfs.CrashImage(mode)
-				for _, par := range []int{1, 4} {
-					st, err := RecoverDirFS(img, "/db", RecoverOptions{Parallel: par})
-					if err != nil {
-						t.Fatalf("%v parallel=%d: %v", mode, par, err)
-					}
-					checkRecoveredRange(t, st, 1, acked)
-					if want := uint64(3*acked + 1); st.NextLSN != want {
-						t.Fatalf("%v parallel=%d: NextLSN = %d, want %d (exact pre-rotation prefix)",
-							mode, par, st.NextLSN, want)
-					}
+				st, err := RecoverDirFS(img, "/db", RecoverOptions{})
+				if err != nil {
+					t.Fatalf("%v: %v", mode, err)
+				}
+				checkRecoveredRange(t, st, 1, acked)
+				if want := uint64(3*acked + 1); st.NextLSN != want {
+					t.Fatalf("%v: NextLSN = %d, want %d (exact pre-rotation prefix)",
+						mode, st.NextLSN, want)
 				}
 				// The chain must also be adoptable: reopen, extend, recover.
 				l2, err := OpenSegmentedFS(img, "/db", testSegOpts(true))
@@ -100,7 +98,7 @@ func TestCrashAtRotationBoundary(t *testing.T) {
 				if err := l2.Close(); err != nil {
 					t.Fatal(err)
 				}
-				st, err := RecoverDirFS(img, "/db", RecoverOptions{})
+				st, err = RecoverDirFS(img, "/db", RecoverOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +140,7 @@ func TestCrashAtDirectorySyncBoundaries(t *testing.T) {
 		swept++
 		for _, mode := range []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced} {
 			img := mfs.CrashImage(mode)
-			st, rerr := RecoverDirFS(img, "/db", RecoverOptions{Parallel: 4})
+			st, rerr := RecoverDirFS(img, "/db", RecoverOptions{})
 			if rerr != nil {
 				t.Fatalf("syncdir #%d %v: %v", nth, mode, rerr)
 			}
@@ -190,7 +188,7 @@ func TestCrashAtTruncationCutover(t *testing.T) {
 	}
 	for _, mode := range []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced} {
 		img := mfs.CrashImage(mode)
-		st, err := RecoverDirFS(img, "/db", RecoverOptions{Parallel: 4})
+		st, err := RecoverDirFS(img, "/db", RecoverOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -224,7 +222,7 @@ func TestCrashAtTruncationCleanup(t *testing.T) {
 	}
 	for _, mode := range []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced} {
 		img := mfs.CrashImage(mode)
-		st, err := RecoverDirFS(img, "/db", RecoverOptions{Parallel: 4})
+		st, err := RecoverDirFS(img, "/db", RecoverOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

@@ -143,8 +143,8 @@ func FuzzSegmentHeaderDecode(f *testing.F) {
 
 // FuzzChainSegmentFile: replacing the final segment's bytes with
 // arbitrary data must leave recovery panic-free and well-behaved —
-// clean prefix recovery or a typed error — and the parallel and
-// sequential replayers must stay in exact agreement about which.
+// clean prefix recovery or a typed error — and RecoverDirFS and the
+// opener must stay in exact agreement about which.
 func FuzzChainSegmentFile(f *testing.F) {
 	mfs, _ := fuzzChain(f)
 	last := segmentPath("/db", lastSegmentFuzz(f, mfs))
@@ -168,23 +168,15 @@ func FuzzChainSegmentFile(f *testing.F) {
 		mfs, total := fuzzChain(t)
 		last := segmentPath("/db", lastSegmentFuzz(t, mfs))
 		overwrite(t, mfs, last, data)
-		seqSt, seqErr := RecoverDirSequentialFS(mfs, "/db")
-		parSt, parErr := RecoverDirFS(mfs, "/db", RecoverOptions{Parallel: 4})
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("replayer disagreement: sequential=%v parallel=%v", seqErr, parErr)
-		}
-		if seqErr != nil {
-			if !typedChainErr(seqErr) || !typedChainErr(parErr) {
-				t.Fatalf("untyped recovery error: sequential=%v parallel=%v", seqErr, parErr)
-			}
+		st, err := agreeingReaders(t, mfs)
+		if err != nil {
 			return
 		}
-		diffStates(t, 4, seqSt, parSt)
 		// No invented state: the damaged chain can never recover more
 		// LSNs than the pristine one held in its earlier segments plus
 		// whatever the fuzzed tail legitimately decodes to.
-		if parSt.NextLSN > uint64(total)+1+uint64(len(data)/frameHeader) {
-			t.Fatalf("recovered NextLSN %d exceeds any plausible chain length", parSt.NextLSN)
+		if st.NextLSN > uint64(total)+1+uint64(len(data)/frameHeader) {
+			t.Fatalf("recovered NextLSN %d exceeds any plausible chain length", st.NextLSN)
 		}
 	})
 }
@@ -192,7 +184,8 @@ func FuzzChainSegmentFile(f *testing.F) {
 // FuzzChainManifestFile: replacing the manifest's bytes with arbitrary
 // data must yield clean recovery (only if the bytes are a valid
 // manifest for the chain) or a typed error; never a panic, never an
-// untyped failure, and never replayer disagreement.
+// untyped failure, and never disagreement between RecoverDirFS and the
+// opener.
 func FuzzChainManifestFile(f *testing.F) {
 	mfs, _ := fuzzChain(f)
 	good := readBack(f, mfs, "/db/wal.manifest")
@@ -209,19 +202,28 @@ func FuzzChainManifestFile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mfs, _ := fuzzChain(t)
 		overwrite(t, mfs, "/db/wal.manifest", data)
-		seqSt, seqErr := RecoverDirSequentialFS(mfs, "/db")
-		parSt, parErr := RecoverDirFS(mfs, "/db", RecoverOptions{Parallel: 4})
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("replayer disagreement: sequential=%v parallel=%v", seqErr, parErr)
-		}
-		if seqErr != nil {
-			if !typedChainErr(seqErr) || !typedChainErr(parErr) {
-				t.Fatalf("untyped recovery error: sequential=%v parallel=%v", seqErr, parErr)
-			}
-			return
-		}
-		diffStates(t, 4, seqSt, parSt)
+		agreeingReaders(t, mfs)
 	})
+}
+
+// agreeingReaders recovers the chain in /db with RecoverDirFS and then
+// with the opener, and fails unless both refuse it with a typed error or
+// both recover the same state. It returns RecoverDirFS's outcome.
+func agreeingReaders(t *testing.T, mfs *faultfs.MemFS) (*State, error) {
+	t.Helper()
+	st, err := RecoverDirFS(mfs, "/db", RecoverOptions{})
+	opened, openErr := openReplay(mfs)
+	if (err == nil) != (openErr == nil) {
+		t.Fatalf("reader disagreement: RecoverDirFS=%v opener=%v", err, openErr)
+	}
+	if err != nil {
+		if !typedChainErr(err) || !typedChainErr(openErr) {
+			t.Fatalf("untyped recovery error: RecoverDirFS=%v opener=%v", err, openErr)
+		}
+		return nil, err
+	}
+	diffStates(t, st, opened)
+	return st, nil
 }
 
 // lastSegmentFuzz is lastSegment for testing.TB (fuzz seeds run under

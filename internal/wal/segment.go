@@ -93,50 +93,46 @@ func decodeSegmentHeader(b []byte) (seq, firstLSN uint64, err error) {
 	return binary.LittleEndian.Uint64(b[16:24]), binary.LittleEndian.Uint64(b[24:32]), nil
 }
 
-// segmentScan is the outcome of scanning one segment file.
-type segmentScan struct {
-	seq      uint64 // from the header
-	firstLSN uint64 // from the header
-	recs     []*Record
-	end      int64 // offset just past the last intact record
-	torn     bool  // the scan stopped before end-of-file content ran out
-}
-
-// scanSegment reads the segment at path, verifying its header against
-// wantSeq (its name / manifest entry) and collecting every intact record.
-// A torn tail stops the collection cleanly; header damage is reported as
-// ErrSegmentCorrupt for the caller to interpret (fatal for a
-// manifest-listed segment, a clean chain end for a probed one).
-func scanSegment(fsys faultfs.FS, path string, wantSeq uint64) (*segmentScan, error) {
+// readSegmentHeader reads the header of the segment at path and checks
+// it against wantSeq (its name / manifest entry), returning the first
+// LSN it names. Header damage is reported as ErrSegmentCorrupt for the
+// caller to interpret (fatal for a manifest-listed segment, a clean
+// chain end for a probed one).
+func readSegmentHeader(fsys faultfs.FS, path string, wantSeq uint64) (uint64, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer f.Close()
 	var hdr [segHeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		// Shorter than a header: a crash during creation.
-		return nil, fmt.Errorf("%w: truncated header: %w", ErrSegmentCorrupt, err)
+		return 0, fmt.Errorf("%w: truncated header: %w", ErrSegmentCorrupt, err)
 	}
 	seq, firstLSN, err := decodeSegmentHeader(hdr[:])
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if seq != wantSeq {
-		return nil, fmt.Errorf("%w: header says segment %d, expected %d (duplicated or misnamed file)",
+		return 0, fmt.Errorf("%w: header says segment %d, expected %d (duplicated or misnamed file)",
 			ErrSegmentCorrupt, seq, wantSeq)
 	}
-	sc := &segmentScan{seq: seq, firstLSN: firstLSN}
-	end, err := scanFrames(f, segHeaderSize, func(r *Record) error {
-		sc.recs = append(sc.recs, r)
-		return nil
-	})
+	return firstLSN, nil
+}
+
+// scanSegment streams every intact record of the segment at path, whose
+// header readSegmentHeader already checked, to fn. It returns the offset
+// just past the last intact record, and whether bytes follow it (a torn
+// tail, which stops the scan cleanly).
+func scanSegment(fsys faultfs.FS, path string, fn func(*Record) error) (end int64, torn bool, err error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return nil, err
+		return 0, false, err
 	}
-	sc.end = end
-	if st, err := f.Stat(); err == nil && st.Size() > end {
-		sc.torn = true
+	defer f.Close()
+	if end, err = scanFrames(f, segHeaderSize, fn); err != nil {
+		return 0, false, err
 	}
-	return sc, nil
+	st, err := f.Stat()
+	return end, err == nil && st.Size() > end, nil
 }

@@ -62,7 +62,7 @@ func checkRecoveredRange(t *testing.T, st *State, startTID, n int) {
 }
 
 // TestSegmentedRoundTrip: records written through the segmented log
-// across many rotations recover intact, in both recovery modes.
+// across many rotations recover intact.
 func TestSegmentedRoundTrip(t *testing.T) {
 	mfs := faultfs.NewMem()
 	l, err := OpenSegmentedFS(mfs, "/db", testSegOpts(true))
@@ -76,14 +76,7 @@ func TestSegmentedRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 8} {
-		st, err := RecoverDirFS(mfs, "/db", RecoverOptions{Parallel: par})
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", par, err)
-		}
-		checkRecoveredRange(t, st, 1, 40)
-	}
-	st, err := RecoverDirSequentialFS(mfs, "/db")
+	st, err := RecoverDirFS(mfs, "/db", RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +258,8 @@ func TestRefuseRetiredWALLog(t *testing.T) {
 		overwrite(t, mfs, "/db/wal.log", frames(realisticRecords()))
 		_, openErr := OpenSegmentedFS(mfs, "/db", testSegOpts(true))
 		_, recErr := RecoverDirFS(mfs, "/db", RecoverOptions{})
-		_, seqErr := RecoverDirSequentialFS(mfs, "/db")
 		scanErr := ScanChainFS(mfs, "/db", func(*Record) error { return nil })
-		for _, err := range []error{openErr, recErr, seqErr, scanErr} {
+		for _, err := range []error{openErr, recErr, scanErr} {
 			if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "/db/wal.log") {
 				t.Fatalf("chain=%v: err = %v, want ErrRetiredFormat naming /db/wal.log", withChain, err)
 			}
@@ -778,20 +770,18 @@ func TestSegmentChainDamage(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mfs := build(t)
 			tc.mutate(t, mfs)
-			for _, par := range []int{1, 4} {
-				st, err := RecoverDirFS(mfs, "/db", RecoverOptions{Parallel: par})
-				if tc.wantErr != nil {
-					if !errors.Is(err, tc.wantErr) {
-						t.Fatalf("parallel=%d: err = %v, want %v", par, err, tc.wantErr)
-					}
-					continue
+			st, err := RecoverDirFS(mfs, "/db", RecoverOptions{})
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
 				}
-				if err != nil {
-					t.Fatalf("parallel=%d: %v", par, err)
-				}
-				if tc.clean {
-					checkRecoveredRange(t, st, 1, 20)
-				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.clean {
+				checkRecoveredRange(t, st, 1, 20)
 			}
 		})
 	}

@@ -295,51 +295,34 @@ func TestQuickRecoverEqualsDirectApply(t *testing.T) {
 	}
 }
 
-func TestMemLogBasics(t *testing.T) {
-	l := NewMem()
-	lsn1, _ := l.Append(&Record{Type: TBegin, TID: 1})
-	lsn2, _ := l.Append(&Record{Type: TCommit, TIDs: []xid.TID{1}})
-	if lsn1 != 1 || lsn2 != 2 {
-		t.Fatalf("lsns = %d, %d", lsn1, lsn2)
-	}
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAppendersKeepNothing pins the Appender contract the engine's reused
+// TestAppendersKeepNothing pins the Append contract the engine's reused
 // record relies on: a record (and the images it points to) overwritten
 // right after Append returns must not change what the log holds. Every
 // record goes through one Record value and one image buffer, and the scan
 // must still return the original sequence.
 func TestAppendersKeepNothing(t *testing.T) {
 	dir := t.TempDir()
-	seg, err := OpenSegmented(dir, SegmentedOptions{})
+	l, err := OpenSegmented(dir, SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rec Record
 	img := make([]byte, 8)
 	tids := make([]xid.TID, 1)
-	for _, l := range []Appender{seg, NewMem()} {
-		for i := 1; i <= 50; i++ {
-			copy(img, EncodeCounter(uint64(i)))
-			rec = Record{Type: TUpdate, TID: xid.TID(i), OID: 5, Kind: KindModify, Before: img, After: img}
-			if _, err := l.Append(&rec); err != nil {
-				t.Fatal(err)
-			}
-			tids[0] = xid.TID(i)
-			rec = Record{Type: TCommit, TIDs: tids}
-			if _, err := l.Append(&rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := l.Close(); err != nil {
+	for i := 1; i <= 50; i++ {
+		copy(img, EncodeCounter(uint64(i)))
+		rec = Record{Type: TUpdate, TID: xid.TID(i), OID: 5, Kind: KindModify, Before: img, After: img}
+		if _, err := l.Append(&rec); err != nil {
 			t.Fatal(err)
 		}
+		tids[0] = xid.TID(i)
+		rec = Record{Type: TCommit, TIDs: tids}
+		if _, err := l.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 	check := func(name string, st *State, err error) {
 		t.Helper()
