@@ -57,8 +57,9 @@ type (
 	// is valid until the body returns (like a testing.T): the manager
 	// recycles the descriptor behind it, so neither the body nor a
 	// goroutine it starts may keep it. An interactive transaction's handle
-	// (InitiateInteractive, BeginInteractive) stays valid for as long as
-	// its caller keeps it.
+	// (InitiateInteractive, BeginInteractive) stays valid while its caller
+	// holds a reference: initiation gives it one, Tx.Pin takes another and
+	// Tx.Unpin drops one. A caller that never unpins keeps it for good.
 	Tx = core.Tx
 	// TxnFunc is a transaction body; returning an error (or panicking)
 	// aborts the transaction. Its handle dies with it.

@@ -41,7 +41,8 @@ func (m *Manager) InitiateWith(fn TxnFunc, opts TxnOptions) (xid.TID, error) {
 // handle at once instead of its tid: the descriptor itself, which a caller
 // that drives the transaction from several goroutines keeps in its tables
 // and serializes them on (Tx.Acquire). The transaction is begun with
-// BeginInteractive as usual, which returns this same handle.
+// BeginInteractive as usual, which returns this same handle. The caller
+// holds one reference on it, which Tx.Unpin gives back.
 func (m *Manager) InitiateInteractive() (*Tx, error) {
 	t, _, err := m.initiateOpts(nil, xid.NilTID, TxnOptions{})
 	if err != nil {
@@ -63,11 +64,11 @@ func (m *Manager) initiateWith(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid
 // descriptor free list and descriptor table are all safe for concurrent
 // use, so registering a transaction never contends with commits, aborts, or
 // other initiates. The descriptor holds the table's reference, and an
-// interactive one a second that nobody drops: its handle goes to callers
-// that may keep it past the end. The caller holds no reference on a bodied
-// descriptor, which Close or the watchdog may abort, reap and recycle the
-// moment it is published, so it learns the tid from the second result and
-// touches the descriptor only if it is interactive.
+// interactive one a second, its caller's, which the handle's holders drop
+// with Tx.Unpin once they are done with it. The caller holds no reference
+// on a bodied descriptor, which Close or the watchdog may abort, reap and
+// recycle the moment it is published, so it learns the tid from the second
+// result and touches the descriptor only if it is interactive.
 //
 //asset:noalloc
 func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*txn, xid.TID, error) {
@@ -107,6 +108,9 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*tx
 	// closed log.
 	if m.closed.Load() {
 		m.withdraw(t, id)
+		if fn == nil {
+			m.unpin(t) // the caller's, who never gets the handle
+		}
 		return nil, xid.NilTID, ErrClosed
 	}
 	return t, id, nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -303,7 +304,10 @@ func TestRecycleWithdrawAfterClose(t *testing.T) {
 // reports success with the null tid, and once everything has stopped no
 // transaction is live, the table holds nothing but aborted descriptors
 // (nothing at all when reaping) and the free list is sound — with and
-// without reaping.
+// without reaping. Half the initiators are interactive and give their
+// handle's reference back at once, so their descriptors reach the free
+// list (and the audit) too, and one that lost the race to Close must not
+// keep the reference of a handle it never got.
 func TestRecycleCloseRacesInitiate(t *testing.T) {
 	rounds := 100
 	if race.Enabled {
@@ -333,6 +337,7 @@ func TestRecycleCloseRacesInitiate(t *testing.T) {
 							var tx *Tx
 							if tx, err = m.InitiateInteractive(); err == nil {
 								id = tx.ID()
+								tx.Unpin() // the table's reference is left: Close's abort recycles it
 							}
 						} else {
 							id, err = m.Initiate(noop)
@@ -455,10 +460,16 @@ func TestRecycleDescriptorInvariants(t *testing.T) {
 // checkDescriptors audits the descriptor table against the free list at a
 // quiescent point: nothing on the free list is in the table, nothing on
 // either has a negative reference count, a free descriptor has none and is
-// empty, and a tabled one holds the table's (and an interactive one its
-// handle's) and nothing else. It returns a description of each violation.
-func (m *Manager) checkDescriptors() []string {
+// empty, and a tabled one holds the table's and nothing else but the
+// references of the interactive handles the caller still holds, listed in
+// held once per reference. A held descriptor the table has let go of holds
+// those alone. It returns a description of each violation.
+func (m *Manager) checkDescriptors(held ...*Tx) []string {
 	var bad []string
+	holds := make(map[*txn]int32)
+	for _, tx := range held {
+		holds[tx.t]++
+	}
 	free := make(map[*txn]bool)
 	if err := m.free.Audit(func(d *txn) {
 		free[d] = true
@@ -471,11 +482,10 @@ func (m *Manager) checkDescriptors() []string {
 	}); err != nil {
 		bad = append(bad, fmt.Sprintf("free list: %v", err))
 	}
+	tabled := make(map[*txn]bool)
 	m.txns.Visit(func(id uint64, d *txn) bool {
-		want := int32(1)
-		if d.fn == nil && d.st() != xid.StatusPrepared {
-			want = 2
-		}
+		tabled[d] = true
+		want := 1 + holds[d]
 		switch r := d.refs.Load(); {
 		case free[d]:
 			bad = append(bad, fmt.Sprintf("%v: descriptor in the table and on the free list", xid.TID(id)))
@@ -486,5 +496,104 @@ func (m *Manager) checkDescriptors() []string {
 		}
 		return true
 	})
+	for d, n := range holds {
+		switch r := d.refs.Load(); {
+		case tabled[d]:
+		case free[d]:
+			bad = append(bad, fmt.Sprintf("%v: held descriptor on the free list", d.id))
+		case r != n:
+			bad = append(bad, fmt.Sprintf("%v (%v): %d references held, want %d", d.id, d.st(), r, n))
+		}
+	}
 	return bad
+}
+
+// TestInteractiveHandleRecycledAfterUnpin: an interactive transaction's
+// descriptor reaches the free list once the manager has reaped the
+// transaction and its handle's holders have dropped every reference, in
+// either order and not before; a second Pin keeps it across one Unpin, and
+// an Unpin more than was pinned panics.
+func TestInteractiveHandleRecycledAfterUnpin(t *testing.T) {
+	m := newReaping(t)
+	onFree := func(d *txn) bool {
+		found := false
+		_ = m.free.Audit(func(f *txn) { found = found || f == d })
+		return found
+	}
+	audit := func(step string, held ...*Tx) {
+		t.Helper()
+		if bad := m.checkDescriptors(held...); len(bad) > 0 {
+			t.Fatalf("%s: descriptor invariants: %v", step, bad)
+		}
+	}
+
+	// Reaped first, unpinned second: the handle still reads the outcome.
+	tx, err := m.InitiateInteractive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, d := tx.ID(), tx.t
+	if _, err := m.BeginInteractive(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	audit("begun", tx)
+	tx.Complete()
+	if err := m.Commit(id); err != nil {
+		t.Fatal(err)
+	}
+	audit("reaped, held", tx)
+	if onFree(d) || tx.Status() != xid.StatusCommitted {
+		t.Fatalf("reaped %v: on the free list %v, status %v; want held and committed", id, onFree(d), tx.Status())
+	}
+	tx.Unpin()
+	if !onFree(d) {
+		t.Fatalf("%v reaped and unpinned, but its descriptor is not on the free list", id)
+	}
+	audit("reaped, unpinned")
+
+	// Unpinned first, reaped second.
+	if tx, err = m.InitiateInteractive(); err != nil {
+		t.Fatal(err)
+	}
+	id, d = tx.ID(), tx.t
+	tx.Unpin()
+	audit("unpinned, tabled")
+	if onFree(d) {
+		t.Fatalf("%v unpinned but tabled, and its descriptor is on the free list", id)
+	}
+	if err := m.Abort(id); err != nil {
+		t.Fatal(err)
+	}
+	if !onFree(d) {
+		t.Fatalf("%v unpinned and reaped, but its descriptor is not on the free list", id)
+	}
+
+	// A second holder keeps the descriptor across the first one's Unpin.
+	if tx, err = m.InitiateInteractive(); err != nil {
+		t.Fatal(err)
+	}
+	id, d = tx.ID(), tx.t
+	tx.Pin()
+	if err := m.Abort(id); err != nil {
+		t.Fatal(err)
+	}
+	audit("reaped, held twice", tx, tx)
+	tx.Unpin()
+	audit("reaped, held once", tx)
+	if onFree(d) || tx.Status() != xid.StatusAborted {
+		t.Fatalf("%v reaped and held once: on the free list %v, status %v; want held and aborted", id, onFree(d), tx.Status())
+	}
+	tx.Unpin()
+	if !onFree(d) {
+		t.Fatalf("%v reaped and unpinned twice, but its descriptor is not on the free list", id)
+	}
+	audit("reaped, unpinned twice")
+
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "unpinned more often than pinned") {
+			t.Fatalf("an Unpin more than was pinned: recovered %v, want the over-unpin panic", r)
+		}
+	}()
+	tx.Unpin()
 }

@@ -48,16 +48,16 @@ type undoRec struct {
 //
 // Descriptors are recycled through the manager's free list. refs counts
 // who holds one: the descriptor table (dropped at the reap, so never under
-// ReapTerminated off), a body from beginOne until it has returned, an
-// interactive transaction's handle for good (so those are never recycled),
-// and every path that keeps the *txn while the manager mutex is released —
-// it pins it under the mutex (or while it already holds it) and unpins it
-// after its last use. Whoever drops the last reference resets the
-// descriptor and puts it on the free list. A reader that holds no
-// reference may read a descriptor only while the table vouches for it:
-// under the table's shard latch, or under the manager mutex after looking
-// it up by tid (tids never repeat, so a recycled descriptor is never found
-// under the old one).
+// ReapTerminated off), a body from beginOne until it has returned, the
+// caller of an interactive transaction's handle until it calls Tx.Unpin
+// (for good if it never does), and every path that keeps the *txn while
+// the manager mutex is released — it pins it under the mutex (or while it
+// already holds it) and unpins it after its last use. Whoever drops the
+// last reference resets the descriptor and puts it on the free list. A
+// reader that holds no reference may read a descriptor only while the
+// table vouches for it: under the table's shard latch, or under the
+// manager mutex after looking it up by tid (tids never repeat, so a
+// recycled descriptor is never found under the old one).
 type txn struct {
 	id     xid.TID
 	parent xid.TID
@@ -301,11 +301,23 @@ func (t *txn) checkRunning() error {
 // Tx is the handle a TxnFunc uses to operate on the database and to invoke
 // transaction primitives with itself as the implicit subject. A body's
 // handle is valid until the body returns; an interactive transaction's
-// (InitiateInteractive, BeginInteractive) for as long as its caller keeps it.
+// (InitiateInteractive, BeginInteractive) for as long as its caller holds a
+// reference: the one initiation hands it, and any it takes with Pin.
 type Tx struct {
 	m *Manager
 	t *txn
 }
+
+// Pin takes another reference on an interactive transaction's descriptor,
+// for a second holder of the handle. The caller must hold one already.
+func (tx *Tx) Pin() { tx.t.pin() }
+
+// Unpin drops a reference Pin or initiation gave. Once the last is gone and
+// the manager has reaped the terminated transaction, the descriptor is
+// recycled and the handle names whatever transaction gets it next, so the
+// holder must not touch it again. A caller that never unpins keeps its
+// handle valid for good, and its descriptor is never recycled.
+func (tx *Tx) Unpin() { tx.m.unpin(tx.t) }
 
 // ID returns the transaction identifier (the paper's self()).
 func (tx *Tx) ID() xid.TID { return tx.t.id }
@@ -325,8 +337,8 @@ func (tx *Tx) Initiate(fn TxnFunc) (xid.TID, error) {
 
 // Status returns the transaction's current status (one of the query
 // primitives §2.1 mentions in passing), read from the descriptor itself,
-// lock-free. An interactive transaction's handle is never recycled, so it
-// still reads the final status once the manager has dropped a terminated
-// descriptor from its table; a body's handle is valid only until the body
-// returns (see TxnFunc).
+// lock-free. An interactive transaction's handle stays valid while its
+// caller holds a reference, so it still reads the final status once the
+// manager has dropped a terminated descriptor from its table; a body's
+// handle is valid only until the body returns (see TxnFunc).
 func (tx *Tx) Status() xid.Status { return tx.t.st() }

@@ -41,9 +41,16 @@ const (
 // goroutines, the watcher's Done channel, the termination channel it
 // parked on), and 4 when the workers drove the interactive transaction
 // through a server object and its channel token. The server's tables hold
-// core's handle now, whose token is a flag in the descriptor: what is left
-// is the descriptor and its table entry, 2.
-const remoteTxnAllocBudget = 2
+// core's handle now, whose token is a flag in the descriptor, and drop
+// their reference on it when they forget the transaction. On a manager
+// that reaps terminated transactions the descriptor and its table entry
+// are then both recycled: 0. One that does not reap keeps every
+// descriptor in its table, so each transaction makes a descriptor and a
+// table entry: 2.
+const (
+	remoteTxnAllocBudget       = 0
+	remoteTxnNoReapAllocBudget = 2
+)
 
 // TestRoundTripAllocBudget drives a Lock, a Write and a Read round trip
 // over loopback TCP against a running Serve and counts every heap object
@@ -109,14 +116,26 @@ func TestRoundTripAllocBudget(t *testing.T) {
 // TestRemoteTxnAllocBudget counts what a whole remote transaction with no
 // operations in it allocates, client and server sides together: what the
 // tier adds to a transaction, as the round-trip budget is what it adds to
-// an operation.
+// an operation. It measures a manager that reaps terminated transactions,
+// as assetd's does, and one that keeps them.
 func TestRemoteTxnAllocBudget(t *testing.T) {
-	txn := emptyRemoteTxn(t, loopbackClient(t, core.Config{}))
-	txn()
-	got := testing.AllocsPerRun(2000, txn)
-	t.Logf("allocs per empty remote transaction: %.1f", got)
-	if got > remoteTxnAllocBudget {
-		t.Errorf("empty remote transaction allocates %.1f objects, budget %d", got, remoteTxnAllocBudget)
+	for _, c := range []struct {
+		name   string
+		reap   bool
+		budget int
+	}{
+		{"reap", true, remoteTxnAllocBudget},
+		{"noreap", false, remoteTxnNoReapAllocBudget},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			txn := emptyRemoteTxn(t, loopbackClient(t, core.Config{ReapTerminated: c.reap}))
+			txn()
+			got := testing.AllocsPerRun(2000, txn)
+			t.Logf("allocs per empty remote transaction: %.1f", got)
+			if got > float64(c.budget) {
+				t.Errorf("empty remote transaction allocates %.1f objects, budget %d", got, c.budget)
+			}
+		})
 	}
 }
 

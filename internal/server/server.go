@@ -44,6 +44,17 @@
 // response, releases the inbound — whose buffer is held that long because
 // the request's Data aliases it (see package rpc).
 //
+// Who holds the handle: the session's table owns the reference
+// initiation hands out, and the server's index shares it; forgetting the
+// transaction (a commit or abort, a vote or verdict that terminated it,
+// the session's expiry, an adopt that found the session dead) drops it
+// exactly once, and core recycles the descriptor once it has also reaped
+// the transaction. Whoever uses the handle after releasing the latch it
+// found it under pins it there, while the table still vouches for it:
+// dispatch for the inbound (released with it), findTxn for its callers.
+// Nothing reads a handle's tid once it was adopted, since a racing expiry
+// may have recycled the descriptor by then.
+//
 // A Read costs the server no fresh copy either: the worker reads the object
 // into a buffer of its own, which the response it sends aliases, and the
 // dedup window records the response's Data in a buffer of its own free
@@ -292,8 +303,9 @@ func (s *Server) expire(sess *session, reason error) {
 	// (reason) rather than a bare abort. Abort leaves alone what is past the
 	// commit point or prepared: expiry never decides a verdict.
 	sess.cancel(reason)
-	for tid := range txns {
+	for tid, t := range txns {
 		s.m.AbortWith(tid, reason) //nolint:errcheck
+		t.Unpin()
 	}
 }
 
@@ -353,10 +365,11 @@ func (s *Server) serveConn(nc net.Conn) {
 // inbound is one request on its way through the server, recycled through
 // inboundPool: the frame buffer it arrived in, the request decoded in
 // place (req.Data aliases buf), the response being built, and the
-// session's transaction req.TID names, if any, as dispatch found it. The
-// reader owns it until dispatch hands it to a worker, then the worker; the
-// owner releases it once nothing reads req, resp or buf any more — after
-// the response was sent; a response recorded for replay is a copy.
+// session's transaction req.TID names, if any, as dispatch found and
+// pinned it. The reader owns it until dispatch hands it to a worker, then
+// the worker; the owner releases it once nothing reads req, resp or buf
+// any more — after the response was sent; a response recorded for replay
+// is a copy.
 type inbound struct {
 	buf  *rpc.Buffer
 	req  rpc.Request
@@ -382,6 +395,9 @@ func readInbound(fr *rpc.FrameReader) (*inbound, error) {
 }
 
 func (in *inbound) release() {
+	if in.t != nil {
+		in.t.Unpin()
+	}
 	in.buf.Release()
 	in.buf, in.req, in.resp, in.t = nil, rpc.Request{}, rpc.Response{}, nil
 	inboundPool.Put(in)
@@ -652,7 +668,10 @@ func (sess *session) dispatch(conn *srvConn, in *inbound) {
 	verdict, slot := sess.reqs.admit(req.ReqID, sess.dead)
 	switch verdict {
 	case admitExecute:
-		in.t = sess.txns[xid.TID(req.TID)]
+		if t := sess.txns[xid.TID(req.TID)]; t != nil {
+			t.Pin() // the table vouches for it while sess.mu is held
+			in.t = t
+		}
 		w := sess.getWorker()
 		slot.w, w.cur = w, in
 		w.in <- in
@@ -710,11 +729,15 @@ func (w *worker) perform(in *inbound) error {
 		if err != nil {
 			return err
 		}
-		if !sess.adopt(t) {
-			m.Abort(t.ID()) //nolint:errcheck
+		// Read before adopt: once the tables own the handle, a racing
+		// expiry may abort, unpin and recycle it.
+		tid := t.ID()
+		if !sess.adopt(tid, t) {
+			m.Abort(tid) //nolint:errcheck
+			t.Unpin()
 			return core.ErrLeaseExpired
 		}
-		resp.TID = uint64(t.ID())
+		resp.TID = uint64(tid)
 	case rpc.OpBegin:
 		if t == nil {
 			return core.ErrUnknownTxn
@@ -767,7 +790,9 @@ func (w *worker) perform(in *inbound) error {
 			// prepare usually arrives on the coordinator's session for
 			// transactions built by the application's.
 			if ref := sess.srv.findTxn(id); ref.t != nil {
-				if err := complete(ctx, ref.t); err != nil {
+				err := complete(ctx, ref.t)
+				ref.t.Unpin()
+				if err != nil {
 					return err
 				}
 			}
@@ -917,9 +942,10 @@ func dataOp(ctx context.Context, tx *core.Tx, req *rpc.Request, resp *rpc.Respon
 	return fmt.Errorf("server: not a data op: %v", req.Op)
 }
 
-// adopt enters a freshly initiated transaction into the session's table
-// and the server's index; false means the session died first.
-func (sess *session) adopt(t *core.Tx) bool {
+// adopt enters tid, freshly initiated as t, into the session's table and
+// the server's index, which take over the caller's reference on t; false
+// means the session died first, and the reference stays the caller's.
+func (sess *session) adopt(tid xid.TID, t *core.Tx) bool {
 	s := sess.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -928,17 +954,22 @@ func (sess *session) adopt(t *core.Tx) bool {
 	if sess.dead {
 		return false
 	}
-	sess.txns[t.ID()] = t
-	s.txns[t.ID()] = txnRef{sess: sess, t: t}
+	sess.txns[tid] = t
+	s.txns[tid] = txnRef{sess: sess, t: t}
 	return true
 }
 
-// findTxn locates tid's handle, whichever session owns it; the zero txnRef
-// means no live session does.
+// findTxn locates tid's handle, whichever session owns it, and pins it;
+// the caller unpins it after its last use. The zero txnRef means no live
+// session does.
 func (s *Server) findTxn(tid xid.TID) txnRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.txns[tid]
+	ref := s.txns[tid]
+	if ref.t != nil {
+		ref.t.Pin() // the index vouches for it while s.mu is held
+	}
+	return ref
 }
 
 // unindex drops a dead session's transactions from the server's index.
@@ -960,23 +991,30 @@ func (s *Server) reapTerminated(ids []xid.TID) {
 		if !s.m.StatusOf(id).Terminated() {
 			continue
 		}
-		if ref := s.findTxn(id); ref.sess != nil {
+		if ref := s.findTxn(id); ref.t != nil {
 			ref.sess.forget(id)
+			ref.t.Unpin()
 		}
 	}
 }
 
 // forget drops tid from the session's transaction table and the server's
-// index (terminal ops).
+// index (terminal ops), and with them the tables' reference on its handle.
+// Only the call that finds it in the table drops it: expiry takes the whole
+// table at once under sess.mu.
 func (sess *session) forget(tid xid.TID) {
 	s := sess.srv
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if t := sess.txns[tid]; t != nil {
+	t := sess.txns[tid]
+	if t != nil {
 		delete(sess.txns, tid)
 		delete(s.txns, tid)
+	}
+	sess.mu.Unlock()
+	s.mu.Unlock()
+	if t != nil {
+		t.Unpin()
 	}
 }
 

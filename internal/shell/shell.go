@@ -22,7 +22,7 @@ import (
 type Shell struct {
 	m    *asset.Manager
 	out  io.Writer
-	txns map[asset.TID]*asset.Tx // open interactive transactions, driven through their handles
+	txns map[asset.TID]*asset.Tx // open interactive transactions' handles, a reference held on each
 	// Echo makes the shell print each command before its output (script
 	// transcripts).
 	Echo bool
@@ -62,7 +62,17 @@ func (s *Shell) Run(r io.Reader) error {
 func (s *Shell) closeAll() {
 	for id, tx := range s.txns {
 		tx.Complete()
+		s.drop(id)
+	}
+}
+
+// drop forgets the handle of transaction id, if the shell holds it, and
+// gives back its reference: the manager recycles the descriptor once the
+// transaction is reaped too.
+func (s *Shell) drop(id asset.TID) {
+	if tx, ok := s.txns[id]; ok {
 		delete(s.txns, id)
+		tx.Unpin()
 	}
 }
 
@@ -178,7 +188,9 @@ func (s *Shell) begin() error {
 	return nil
 }
 
-// commitCmd completes the transaction and commits it.
+// commitCmd completes the transaction and commits it. The status printed
+// is the handle's, read before the shell drops it: a manager that reaps
+// terminated transactions no longer knows the tid.
 func (s *Shell) commitCmd(args []string) error {
 	if len(args) != 1 {
 		return errors.New("usage: commit <t>")
@@ -189,11 +201,13 @@ func (s *Shell) commitCmd(args []string) error {
 	}
 	id := tx.ID()
 	tx.Complete()
-	delete(s.txns, id)
-	if err := s.m.Commit(id); err != nil {
+	err = s.m.Commit(id)
+	st := tx.Status()
+	s.drop(id)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "%v %v\n", id, s.m.StatusOf(id))
+	fmt.Fprintf(s.out, "%v %v\n", id, st)
 	return nil
 }
 
@@ -205,7 +219,7 @@ func (s *Shell) abortCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	delete(s.txns, asset.TID(id))
+	s.drop(asset.TID(id))
 	if err := s.m.Abort(asset.TID(id)); err != nil {
 		return err
 	}

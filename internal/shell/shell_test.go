@@ -1,6 +1,7 @@
 package shell
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -297,5 +298,62 @@ commit t2
 `)
 	if m.Cache().Len() != 0 {
 		t.Fatal("delete command did not remove the object")
+	}
+}
+
+// TestBeginCommitLoopRecyclesHandles: the shell gives back the reference of
+// every handle that commit, abort or the end of a script drops, so on a
+// manager that reaps terminated transactions the descriptors behind them
+// are recycled from one begin to the next, and every command still lands
+// on its own transaction.
+func TestBeginCommitLoopRecyclesHandles(t *testing.T) {
+	m, err := asset.Open(asset.Config{ReapTerminated: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	var out strings.Builder
+	sh := New(m, &out)
+	exec := func(line string) string {
+		t.Helper()
+		out.Reset()
+		if _, err := sh.Exec(line); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		return strings.TrimSpace(out.String())
+	}
+	tid := exec("begin")
+	exec("create " + tid + " v0")
+	exec("commit " + tid)
+	handles := make(map[*asset.Tx]bool)
+	want := "v0"
+	for i := 1; i <= 200; i++ {
+		tid := exec("begin")
+		id, err := parseID(tid)
+		if err != nil {
+			t.Fatalf("begin printed %q", tid)
+		}
+		handles[sh.txns[asset.TID(id)]] = true
+		val := fmt.Sprintf("v%d", i)
+		exec("write " + tid + " ob1 " + val)
+		if i%3 == 0 {
+			if got := exec("abort " + tid); got != tid+" aborted" {
+				t.Fatalf("abort %s printed %q", tid, got)
+			}
+		} else {
+			if got := exec("commit " + tid); got != tid+" committed" {
+				t.Fatalf("commit %s printed %q", tid, got)
+			}
+			want = val
+		}
+		if b, _ := m.Cache().Read(1); string(b) != want {
+			t.Fatalf("after %s: ob1 = %q, want %q", tid, b, want)
+		}
+	}
+	if len(sh.txns) != 0 || len(m.Transactions()) != 0 {
+		t.Fatalf("%d handles and %d transactions left open", len(sh.txns), len(m.Transactions()))
+	}
+	if len(handles) > 2 {
+		t.Fatalf("200 transactions ran on %d handles: the shell keeps the descriptors it drops", len(handles))
 	}
 }
