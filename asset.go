@@ -64,9 +64,9 @@ type (
 	// TxnFunc is a transaction body; returning an error (or panicking)
 	// aborts the transaction. Its handle dies with it.
 	TxnFunc = core.TxnFunc
-	// Config configures Open. Durability is Dir, SyncCommits,
-	// CommitWindow and WALSegmentBytes; every commit takes one path:
-	// append, release the manager mutex, park on the log's force.
+	// Config configures Open. Durability is Dir, SyncCommits and
+	// WALSegmentBytes; every commit takes one path: append, release the
+	// manager mutex, park on the log's force.
 	Config = core.Config
 	// Stats are cumulative manager counters.
 	Stats = core.Stats

@@ -67,7 +67,7 @@ func TestAnnotationRegistry(t *testing.T) {
 		t.Errorf("latch annotations: got %d, want 17 (update TestLatchRegistry and DESIGN.md §10 too)", latches)
 	}
 
-	wantMechs := map[string]int{"waitgroup": 14, "channel": 5, "ctx": 1}
+	wantMechs := map[string]int{"waitgroup": 12, "channel": 3, "ctx": 1}
 	if fmt.Sprint(sortedCounts(mechs)) != fmt.Sprint(sortedCounts(wantMechs)) {
 		t.Errorf("goroutine join mechanisms: got %v, want %v", sortedCounts(mechs), sortedCounts(wantMechs))
 	}

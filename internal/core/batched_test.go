@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -10,17 +11,42 @@ import (
 	"repro/internal/xid"
 )
 
-// windowedConfig is a durable manager on an in-memory filesystem whose
-// log's force leader lingers 2ms before it drains: committers sit off
-// the manager mutex, parked on the cohort force, long enough for the
-// races in these tests to land in that window.
-func windowedConfig() Config {
-	return Config{Dir: "/db", FS: faultfs.NewMem(), CommitWindow: 2 * time.Millisecond}
+// slowForceConfig is a durable manager with synchronous commits on an
+// in-memory filesystem whose fsyncs take 2ms: committers sit off the
+// manager mutex, parked on the cohort force, long enough for the races
+// in these tests to land in that window.
+func slowForceConfig() Config {
+	return Config{Dir: "/db", FS: slowSyncFS{faultfs.NewMem(), 2 * time.Millisecond}, SyncCommits: true}
+}
+
+// slowSyncFS is a disk whose fsyncs are slow: every file Sync sleeps d
+// before it runs.
+type slowSyncFS struct {
+	faultfs.FS
+	d time.Duration
+}
+
+func (s slowSyncFS) OpenFile(path string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := s.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{f, s.d}, nil
+}
+
+type slowSyncFile struct {
+	faultfs.File
+	d time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.d)
+	return f.File.Sync()
 }
 
 func newBatched(t *testing.T) *Manager {
 	t.Helper()
-	m, err := Open(windowedConfig())
+	m, err := Open(slowForceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +170,7 @@ func TestBatchedExclusionStillExclusive(t *testing.T) {
 }
 
 func TestBatchedDurableCommits(t *testing.T) {
-	cfg := windowedConfig()
-	cfg.SyncCommits = true
+	cfg := slowForceConfig()
 	m, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

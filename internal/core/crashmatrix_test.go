@@ -121,7 +121,7 @@ type crashConfig struct {
 	name     string
 	sync     bool
 	segBytes int64
-	window   time.Duration // CommitWindow: the force leader's linger
+	slowSync time.Duration // every fsync's delay: the force leader stays on the disk
 }
 
 // TestCrashRecoveryMatrix sweeps a simulated crash across every
@@ -130,19 +130,19 @@ type crashConfig struct {
 // Checkpoint, and Close — under every commit configuration, with the
 // crashing write either wholly lost or torn at 512 bytes, and recovers
 // under both crash-image corners. Besides crashConfigs it sweeps
-// groupcommit: sync-tiny-seg with a commit window, so every force is
-// made by a leader that lingered for followers before draining.
+// groupcommit: sync-tiny-seg on a disk whose fsyncs are slow, so every
+// force is made by a leader that stays on the disk while followers could
+// park behind it.
 func TestCrashRecoveryMatrix(t *testing.T) {
 	tears := []int{-1, 512}
 	modes := []faultfs.CrashMode{faultfs.KeepAll, faultfs.DropUnsynced}
 	configs := append(crashConfigs[:len(crashConfigs):len(crashConfigs)],
-		crashConfig{name: "groupcommit", sync: true, segBytes: 128, window: 100 * time.Microsecond})
+		crashConfig{name: "groupcommit", sync: true, segBytes: 128, slowSync: 100 * time.Microsecond})
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
 			var acks [3]bool
 			sim := CrashSim{
-				Cfg: Config{Dir: "/db", SyncCommits: tc.sync, WALSegmentBytes: tc.segBytes,
-					CommitWindow: tc.window},
+				Cfg:      Config{Dir: "/db", SyncCommits: tc.sync, WALSegmentBytes: tc.segBytes},
 				Workload: matrixWorkload(&acks),
 			}
 			n := sim.CountOps()
@@ -152,7 +152,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			for at := 1; at <= n; at++ {
 				for _, tear := range tears {
 					acks = [3]bool{}
-					mfs := sim.RunToCrash(at, tear)
+					mfs := runToCrash(sim, at, tear, tc.slowSync)
 					if !mfs.Crashed() {
 						t.Fatalf("crash point %d/%d never fired", at, n)
 					}
@@ -164,6 +164,17 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runToCrash is sim.RunToCrash on a disk whose fsyncs each take
+// slowSync.
+func runToCrash(sim CrashSim, at, tear int, slowSync time.Duration) *faultfs.MemFS {
+	mfs := faultfs.NewMem()
+	mfs.SetScript(faultfs.NewScript(faultfs.Rule{
+		Op: faultfs.OpAny, Nth: at, Action: faultfs.ActCrash, Keep: tear,
+	}))
+	sim.runOn(slowSyncFS{mfs, slowSync})
+	return mfs
 }
 
 func testCtx(at, n, tear int, mode faultfs.CrashMode) string {

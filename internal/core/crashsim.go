@@ -74,7 +74,7 @@ func (s CrashSim) RunWithScript(script *faultfs.Script) *faultfs.MemFS {
 // runOn opens the manager over fsys, runs the workload, and closes,
 // swallowing errors: the injected fault can fire anywhere, including
 // inside Open or Close.
-func (s CrashSim) runOn(fsys *faultfs.MemFS) {
+func (s CrashSim) runOn(fsys faultfs.FS) {
 	cfg := s.Cfg
 	cfg.FS = fsys
 	m, err := Open(cfg)

@@ -45,11 +45,6 @@ type Config struct {
 	// Deprecated: GroupCommit is ignored; every commit takes the one
 	// path described on Config.
 	GroupCommit bool
-	// CommitWindow makes the durable log's force leader linger this long
-	// before it drains, so more committers join the same force (latency
-	// for throughput). Durable mode only: without Dir a force has
-	// nothing to write, so there is nothing to share.
-	CommitWindow time.Duration
 	// WALSegmentBytes sets the segmented log's rotation threshold
 	// (durable mode only). 0 picks the default (16 MiB). Small values
 	// are useful to tests that need to cross many rotation boundaries.
@@ -252,7 +247,6 @@ func open(cfg Config, detect bool) (*Manager, error) {
 	log, err := wal.OpenScanFS(fsys, cfg.Dir, wal.SegmentedOptions{
 		SegmentBytes: cfg.WALSegmentBytes,
 		Sync:         cfg.SyncCommits,
-		Window:       cfg.CommitWindow,
 	}, rp.Apply)
 	if err != nil {
 		return nil, err

@@ -137,7 +137,7 @@ func TestPrepareDecideAbort(t *testing.T) {
 // would append a second commit record, double-count stats, and drive
 // the live counter negative.
 func TestDecideDuplicateConcurrent(t *testing.T) {
-	m, err := Open(windowedConfig())
+	m, err := Open(slowForceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +189,9 @@ func TestDecideDuplicateConcurrent(t *testing.T) {
 // under another gid. The verdict parks the same way and applies once.
 func TestPrepareDuplicateConcurrent(t *testing.T) {
 	mfs := faultfs.NewMem()
-	// A window long enough that every vote arrives while the first vote's
-	// force, or the verdict's, lingers.
-	m, err := Open(Config{Dir: "/db", FS: mfs, CommitWindow: 20 * time.Millisecond})
+	// An fsync slow enough that every vote arrives while the first vote's
+	// force, or the verdict's, is on the disk.
+	m, err := Open(Config{Dir: "/db", FS: slowSyncFS{mfs, 20 * time.Millisecond}, SyncCommits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

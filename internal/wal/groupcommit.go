@@ -6,7 +6,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faultfs"
 )
@@ -36,7 +35,6 @@ type SegmentedLog struct {
 	dir      string
 	segBytes int64
 	syncOn   bool
-	window   time.Duration
 
 	// Cohort state: force leadership, the durability watermark the
 	// cohort parks on, and the force counters. Ordered before the
@@ -83,9 +81,6 @@ type SegmentedOptions struct {
 	// Sync makes every force an fsync (durable commits); false drains
 	// to the OS cache only, the fast mode.
 	Sync bool
-	// Window makes the force leader linger before draining the slab,
-	// letting more committers join the batch (latency for throughput).
-	Window time.Duration
 }
 
 // DefaultSegmentBytes is the rotation threshold when
@@ -121,7 +116,6 @@ func OpenScanFS(fsys faultfs.FS, dir string, opts SegmentedOptions, fn func(*Rec
 		dir:      dir,
 		segBytes: opts.SegmentBytes,
 		syncOn:   opts.Sync,
-		window:   opts.Window,
 		nextLSN:  info.nextLSN,
 		man:      &manifest{},
 	}
@@ -297,9 +291,6 @@ func (l *SegmentedLog) Flush() error {
 		// records included.
 		l.inFlight = true
 		l.stateMu.Unlock()
-		if l.window > 0 {
-			time.Sleep(l.window) // accumulate followers into the batch
-		}
 		batch, first, recs, high := l.takeBatch()
 		err := l.writeBatch(batch, first)
 		l.recycleBatch(batch)

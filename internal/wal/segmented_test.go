@@ -305,7 +305,7 @@ func TestRefuseRetiredManifestFlag(t *testing.T) {
 // property the WALGC experiment measures, in its deterministic core.
 func TestGroupCommitSharesForce(t *testing.T) {
 	mfs := faultfs.NewMem()
-	l, err := OpenSegmentedFS(mfs, "/db", SegmentedOptions{Sync: true, Window: 2 * time.Millisecond})
+	l, err := OpenSegmentedFS(mfs, "/db", SegmentedOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,13 +343,40 @@ func TestGroupCommitSharesForce(t *testing.T) {
 	}
 }
 
+// slowSyncFS is a disk whose fsyncs are slow: every file Sync sleeps d
+// before it runs.
+type slowSyncFS struct {
+	faultfs.FS
+	d time.Duration
+}
+
+func (s slowSyncFS) OpenFile(path string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := s.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{f, s.d}, nil
+}
+
+type slowSyncFile struct {
+	faultfs.File
+	d time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.d)
+	return f.File.Sync()
+}
+
 // TestGroupCommitFollowerPoisoned: when the leader's fsync fails, a
 // follower parked on the cohort must get ErrPoisoned — its records sit
 // after an indeterminate hole, so acking its commit would be a lie. The
 // leader itself reports the raw cause.
 func TestGroupCommitFollowerPoisoned(t *testing.T) {
 	mfs := faultfs.NewMem()
-	l, err := OpenSegmentedFS(mfs, "/db", SegmentedOptions{Sync: true, Window: 30 * time.Millisecond})
+	// Fsyncs slow enough that the second append lands while the leader's
+	// force is still on the disk.
+	l, err := OpenSegmentedFS(slowSyncFS{mfs, 30 * time.Millisecond}, "/db", SegmentedOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +389,7 @@ func TestGroupCommitFollowerPoisoned(t *testing.T) {
 	}
 	leaderErr := make(chan error, 1)
 	go func() { leaderErr <- l.Flush() }()
-	time.Sleep(10 * time.Millisecond) // let the leader take the latch and linger
+	time.Sleep(10 * time.Millisecond) // let the leader take the latch and reach its fsync
 	if _, err := l.Append(&Record{Type: TBegin, TID: 2}); err != nil {
 		t.Fatal(err)
 	}
