@@ -20,7 +20,9 @@ import (
 // of every `-bench` command they give matches a declared benchmark, and
 // every internal/ or cmd/ path they cite exists, so a renamed or deleted
 // test, benchmark, package or command cannot leave a document pointing
-// at nothing.
+// at nothing. Every Test* or Fuzz* name in a `-run` pattern of the CI
+// workflow resolves the same way: a step whose pattern names nothing runs
+// nothing, and passes.
 func TestDocsCiteExistingTests(t *testing.T) {
 	declared := declaredTests(t)
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
@@ -59,6 +61,24 @@ func TestDocsCiteExistingTests(t *testing.T) {
 		for _, p := range sortedNames(missing) {
 			t.Errorf("%s cites %s, which does not exist", doc, p)
 		}
+	}
+	const workflow = ".github/workflows/ci.yml"
+	text, err := os.ReadFile(workflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := regexp.MustCompile(`-run (?:'([^']*)'|(\S+))`)
+	named := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
+	missing := make(map[string]bool)
+	for _, m := range run.FindAllStringSubmatch(string(text), -1) {
+		for _, name := range named.FindAllString(m[1]+m[2], -1) {
+			if !declaresPrefix(declared, name) {
+				missing[name] = true
+			}
+		}
+	}
+	for _, name := range sortedNames(missing) {
+		t.Errorf("%s runs %s, which no test or fuzz target in the tree is named or begins with", workflow, name)
 	}
 }
 

@@ -22,12 +22,13 @@ import (
 // objects before the local path was made allocation-free: the descriptor and
 // its three channels, the Tx handle, the begin and commit records, the
 // commit's tid list, group and GC component, the descriptor-table entry, and
-// the goroutine's closure. What is left is the closure and the channel the
-// committer parks on when it gets there before the body has finished: 2 (3
-// while every transaction had a fresh descriptor; it now comes off the
-// manager's free list, as the table entry comes off htab's). An executed body
-// has no goroutine to close over and has finished before the committer asks:
-// 0 (1, the descriptor).
+// the goroutine's closure. What is left is the closure: 1 (2 while the
+// committer that got there before the body had finished made a channel to
+// park on, which it now borrows from the manager's free list of wake
+// channels; 3 while every transaction had a fresh descriptor, which now
+// comes off the manager's free list, as the table entry comes off htab's).
+// An executed body has no goroutine to close over and has finished before
+// the committer asks: 0 (1, the descriptor).
 //
 // A body with one Write, one Read and one Add on warm objects cost 33. On top
 // of the empty body that was a pending and a granted LRD per lock, the
@@ -35,12 +36,14 @@ import (
 // release and settlement snapshots, the escrow reservation and its index,
 // the before copy, after copy and log record of the Write, the copy the Read
 // returns, two counter images and the record of the Add, and the undo list.
-// What is left of those is the Write's after copy and the Read's copy (the
-// lock table's entry for the txnState is recycled too): 4 in all (5 with a
-// fresh descriptor).
+// What is left of those is the copy the Read returns, which the caller
+// keeps: 2 in all with the closure (4 while the Write made an after copy for
+// the object to keep, where it now overwrites the object in place with the
+// before image kept in the descriptor, and the committer made its channel;
+// 5 with a fresh descriptor).
 const (
-	emptyTxnAllocBudget    = 2
-	smallTxnAllocBudget    = 4
+	emptyTxnAllocBudget    = 1
+	smallTxnAllocBudget    = 2
 	executedTxnAllocBudget = 0
 )
 

@@ -79,11 +79,8 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 			return fmt.Errorf("%w: %v", ErrPrepared, id)
 		case xid.StatusRunning:
 			// commit blocks until execution completes (§2.1).
-			ch := t.doneCh()
 			m.mu.Unlock()
-			select {
-			case <-ch:
-			case <-done:
+			if m.await(t, &t.done, nil, nil, done) == 2 {
 				m.mu.Lock()
 				m.ctxAbortLocked(t, ctx)
 				m.mu.Unlock()
@@ -100,9 +97,9 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 			// The group aborted underneath us.
 			continue
 		}
-		if waitFor.waitCh != nil {
+		if waitFor.t != nil {
 			// Block until the obstacle resolves, watching for our own abort.
-			if m.awaitObstacleLocked(group, waitFor, t.abortCh(), done, "commit") {
+			if m.awaitObstacleLocked(group, waitFor, t, done, "commit") {
 				m.ctxAbortLocked(t, ctx)
 				done = nil
 			}
@@ -121,12 +118,12 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 	}
 }
 
-// obstacle names what a commit driver must wait for: a transaction's
-// completion or termination. The zero value (nil waitCh) means nothing
+// obstacle names what a commit driver must wait for: an event of t, its
+// completion or its termination. The zero value (nil t) means nothing
 // stands in the way.
 type obstacle struct {
-	id     xid.TID
-	waitCh <-chan struct{}
+	t  *txn
+	ev *event
 }
 
 // examineGroupLocked inspects the GC closure of roots — the transactions
@@ -182,7 +179,7 @@ func (m *Manager) examineGroupLocked(roots []xid.TID, group []*txn, vote bool) (
 	for _, member := range group {
 		switch member.st() {
 		case xid.StatusInitiated, xid.StatusRunning:
-			return group, obstacle{id: member.id, waitCh: member.doneCh()}, nil
+			return group, obstacle{t: member, ev: &member.done}, nil
 		case xid.StatusCommitting, xid.StatusPrepared, xid.StatusCommitted:
 			// Prepared is "committing with the verdict pending": the local
 			// driver waits for the coordinator's decision like it waits for
@@ -192,7 +189,7 @@ func (m *Manager) examineGroupLocked(roots []xid.TID, group []*txn, vote bool) (
 			if vote {
 				return nil, obstacle{}, m.refuseVoteLocked(roots, member)
 			}
-			return group, obstacle{id: member.id, waitCh: member.termCh()}, nil
+			return group, obstacle{t: member, ev: &member.term}, nil
 		}
 	}
 	// Exclusion: a group containing a transaction whose EXC partner is
@@ -233,28 +230,31 @@ func (m *Manager) examineGroupLocked(roots []xid.TID, group []*txn, vote bool) (
 				// aborted one with an AD would have aborted us already.
 				continue
 			}
-			return group, obstacle{id: sup.id, waitCh: sup.termCh()}, nil
+			return group, obstacle{t: sup, ev: &sup.term}, nil
 		}
 	}
 	return group, obstacle{}, nil
 }
 
 // awaitObstacleLocked parks the driver of group until obstacle o resolves,
-// abort closes (the driver's own transaction aborted) or done closes, and
-// reports whether done did. While it waits every member waits for o in the
-// waits-for graph, so that deadlocks across mechanisms are caught; the
-// victim's reason names the driver's kind. The members are pinned while it
-// waits: any of them may abort and be reaped meanwhile, and it removes
-// their edges by their tids afterwards. Caller holds m.mu, released while
-// parked.
-func (m *Manager) awaitObstacleLocked(group []*txn, o obstacle, abort, done <-chan struct{}, kind string) bool {
+// self (the driver's own transaction, if not nil) aborts or done closes,
+// and reports whether done did. While it waits every member waits for o in
+// the waits-for graph, so that deadlocks across mechanisms are caught; the
+// victim's reason names the driver's kind. The members and o's transaction
+// are pinned while it waits: any of them may abort and be reaped meanwhile,
+// it removes the members' edges by their tids afterwards, and it takes its
+// wake channel back from o's event. The caller holds a reference on self.
+// Caller holds m.mu, released while parked.
+func (m *Manager) awaitObstacleLocked(group []*txn, o obstacle, self *txn, done <-chan struct{}, kind string) bool {
 	for _, member := range group {
 		member.pin()
 	}
+	o.t.pin()
+	oid := o.t.id
 	var victim xid.TID
 	for _, member := range group {
-		if member.id != o.id {
-			if v, _ := m.waits.Add(member.id, o.id); !v.IsNil() {
+		if member.id != oid {
+			if v, _ := m.waits.Add(member.id, oid); !v.IsNil() {
 				victim = v
 			}
 		}
@@ -265,20 +265,19 @@ func (m *Manager) awaitObstacleLocked(group []*txn, o obstacle, abort, done <-ch
 		}
 	}
 	m.mu.Unlock()
-	cancelled := false
-	select {
-	case <-o.waitCh:
-	case <-abort:
-	case <-done:
-		cancelled = true
+	var aborting *event
+	if self != nil {
+		aborting = &self.aborting
 	}
+	cancelled := m.await(o.t, o.ev, self, aborting, done) == 2
 	m.mu.Lock()
 	for _, member := range group {
-		if member.id != o.id {
-			m.waits.Remove(member.id, o.id)
+		if member.id != oid {
+			m.waits.Remove(member.id, oid)
 		}
 		m.unpin(member)
 	}
+	m.unpin(o.t)
 	return cancelled
 }
 
@@ -376,10 +375,12 @@ func (m *Manager) commitLocked(group []*txn) error {
 	for _, member := range group {
 		// A member recovered in doubt installs the images it withheld
 		// since recovery; redo is nil for every other member.
-		for _, op := range member.redo {
-			m.installRedoLocked(op)
+		if member.redo != nil {
+			for _, op := range *member.redo {
+				m.installRedoLocked(op)
+			}
+			member.redo = nil
 		}
-		member.redo = nil
 		member.undo = nil
 		member.setSt(xid.StatusCommitted)
 		m.deps.RemoveNode(member.id)
@@ -473,9 +474,8 @@ func (m *Manager) AbortWith(id xid.TID, reason error) error {
 		t.pin()
 		defer m.unpin(t)
 		for t.st() == xid.StatusCommitting {
-			term := t.termCh()
 			m.mu.Unlock()
-			<-term
+			m.await(t, &t.term, nil, nil, nil)
 			m.mu.Lock()
 		}
 	}
@@ -633,8 +633,10 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindCreate, After: rec.before})
 			m.cache.Install(rec.oid, rec.before)
 		default: // modify
+			// Copied back, never installed: an in-place write's image lives
+			// in a descriptor buffer the next transaction reuses.
 			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindModify, After: rec.before})
-			m.cache.Install(rec.oid, rec.before)
+			m.cache.Restore(rec.oid, rec.before)
 		}
 	}
 	// Phase 3: cleanup and final statuses.

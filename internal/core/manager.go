@@ -122,8 +122,9 @@ type Manager struct {
 	//asset:latch order=10
 	mu sync.Mutex
 
-	txns    *htab.Map[*txn]        // the chained hash table of TDs (§4.1)
-	free    pool.Shared[txn, *txn] // recycled TDs
+	txns    *htab.Map[*txn]            // the chained hash table of TDs (§4.1)
+	free    pool.Shared[txn, *txn]     // recycled TDs
+	wakers  pool.Shared[waker, *waker] // wake channels between waits (await)
 	nextTID atomic.Uint64
 	live    atomic.Int64 // non-terminated transactions, for MaxTransactions
 
@@ -312,7 +313,7 @@ func (m *Manager) Close() error {
 	// the mutex, parked on the log's force, so wait for the outcome
 	// instead of yanking the log from under the force.
 	for _, t := range committing {
-		<-t.termCh()
+		m.await(t, &t.term, nil, nil, nil)
 		m.unpin(t)
 	}
 	if m.watchdogOn.Load() {

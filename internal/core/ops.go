@@ -133,7 +133,9 @@ func errNoObject(oid xid.OID) error {
 // before and after images are logged before the cache is updated (§4.2
 // write: write-lock, X-latch, log before image, write, log after image,
 // unlatch — this implementation logs both images in one record under the
-// same X hold).
+// same X hold). Data of the object's length is written in place; nothing
+// keeps the caller's slice, which a server hands in straight from a pooled
+// frame buffer.
 func (tx *Tx) Write(oid xid.OID, data []byte) error {
 	m, t := tx.m, tx.t
 	if err := m.locks.LockCtx(t.lockCtx(), t.id, oid, xid.OpWrite); err != nil {
@@ -151,26 +153,12 @@ func (tx *Tx) Write(oid xid.OID, data []byte) error {
 	}
 	obj.Lat.Lock()
 	defer obj.Lat.Unlock()
-	// The object's buffer is referenced by the object alone (see Add), so
-	// replacing it leaves the old one to the undo record: no before copy.
-	before := obj.Data()
-	// The copy is what the object keeps: nothing holds on to the caller's
-	// slice, which a server hands in straight from a pooled frame buffer.
-	after := append([]byte(nil), data...)
-	seq, err := m.appendLocked(wal.Record{
-		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
-		Before: before, After: after,
-	})
-	if err != nil {
-		return err
-	}
-	t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindModify, before: before})
-	obj.SetData(after)
-	return nil
+	return m.modifyLocked(t, oid, obj, data)
 }
 
 // Update applies fn to the object's current contents and writes the result
-// back, all under the transaction's write lock.
+// back, all under the transaction's write lock, as Write would. fn gets a
+// copy of its own, which it may change, keep and return.
 func (tx *Tx) Update(oid xid.OID, fn func([]byte) []byte) error {
 	m, t := tx.m, tx.t
 	if err := m.locks.LockCtx(t.lockCtx(), t.id, oid, xid.OpWrite); err != nil {
@@ -188,17 +176,42 @@ func (tx *Tx) Update(oid xid.OID, fn func([]byte) []byte) error {
 	}
 	obj.Lat.Lock()
 	defer obj.Lat.Unlock()
-	before := obj.Data() // handed to the undo record, as in Write
-	after := fn(append([]byte(nil), before...))
+	return m.modifyLocked(t, oid, obj, fn(append([]byte(nil), obj.Data()...)))
+}
+
+// modifyLocked logs a modify of obj to data and applies it. When data has
+// the object's length, the old bytes are copied into t's image buffer for
+// the log record and the undo record, and data overwrites the object's
+// buffer in place: a write allocates nothing once the descriptor's buffer
+// has grown. Otherwise the object gets a copy of data, and the replaced
+// buffer goes to the undo record, since nothing else holds it (see
+// addInPlace). Nothing keeps data itself. Caller holds m.mu and obj.Lat in
+// X mode.
+func (m *Manager) modifyLocked(t *txn, oid xid.OID, obj *storage.Object, data []byte) error {
+	cur := obj.Data()
+	if len(data) == len(cur) {
+		before := t.keepImage(cur)
+		seq, err := m.appendLocked(wal.Record{
+			Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
+			Before: before, After: data,
+		})
+		if err != nil {
+			return err
+		}
+		t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindModify, kept: true, before: before})
+		copy(cur, data)
+		return nil
+	}
+	data = append([]byte(nil), data...)
 	seq, err := m.appendLocked(wal.Record{
 		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
-		Before: before, After: after,
+		Before: cur, After: data,
 	})
 	if err != nil {
 		return err
 	}
-	t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindModify, before: before})
-	obj.SetData(after)
+	t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindModify, before: cur})
+	obj.SetData(data)
 	return nil
 }
 
@@ -310,12 +323,14 @@ func (tx *Tx) AddCtx(ctx context.Context, oid xid.OID, delta int64) error {
 
 // addInPlace adds delta to the counter held by obj, in the object's own
 // buffer. An object's buffer is referenced by the object alone: every path
-// that installs one (Write, Update, CreateAt, undo, redo, recovery) hands
-// over a slice nobody else keeps, and a replaced buffer belongs to the undo
-// record that took it, which nobody updates. So the counter can change where
-// it stands instead of in a fresh 8 bytes per Add. (A buffer that is not a
-// full counter image — only abort's logical undo can meet one — is replaced
-// as before.) Caller holds obj.Lat in X mode.
+// that installs one (a length-changing Write or Update, CreateAt, undo,
+// redo, recovery) hands over a slice nobody else keeps, a replaced buffer
+// belongs to the undo record that took it, which nobody updates, and the
+// before image of a write made in place is a copy in the writer's
+// descriptor. So the counter can change where it stands instead of in a
+// fresh 8 bytes per Add, as a same-length Write does. (A buffer that is not
+// a full counter image — only abort's logical undo can meet one — is
+// replaced as before.) Caller holds obj.Lat in X mode.
 func addInPlace(obj *storage.Object, delta int64) {
 	b := obj.Data()
 	v := wal.DecodeCounter(b) + uint64(delta)

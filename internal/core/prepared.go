@@ -86,7 +86,7 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 			m.mu.Unlock()
 			return err
 		}
-		if waitFor.waitCh != nil {
+		if waitFor.t != nil {
 			// A cancelled wait is the no vote of the next pass.
 			m.awaitObstacleLocked(group, waitFor, nil, done, "prepare")
 			continue
@@ -356,12 +356,13 @@ func (m *Manager) installInDoubt(st *wal.State) error {
 		tids := st.InDoubt[gid]
 		for _, id := range tids {
 			t := m.newTxn(id, xid.NilTID, nil, 1) // the table's reference only: nobody drives it
-			t.redo = st.InDoubtOps[id]
+			ops := st.InDoubtOps[id]
+			t.redo = &ops
 			t.setSt(xid.StatusPrepared)
 			t.closeDone() // the body finished before the vote, by definition
 			m.txns.Put(uint64(id), t)
 			m.live.Add(1)
-			for _, op := range t.redo {
+			for _, op := range ops {
 				mode := xid.OpWrite
 				if op.Kind == wal.KindDelta {
 					mode = xid.OpIncr

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/dep"
@@ -281,17 +283,15 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (_
 		// The supporter may terminate and be reaped while t waits; pinned,
 		// its descriptor still holds its outcome when t looks.
 		sup.pin()
-		term := sup.termCh()
 		supID := sup.id
 		m.waits.Add(id, supID)
 		m.mu.Unlock()
-		select {
-		case <-term:
-		case <-t.abortCh(): // aborted while gated (watchdog, cascade, Close)
+		switch m.await(sup, &sup.term, t, &t.aborting, ctxDone) {
+		case 1: // aborted while gated (watchdog, cascade, Close)
 			m.waits.Remove(id, supID)
 			m.unpin(sup)
 			return nil, txnOutcome(t)
-		case <-ctxDone:
+		case 2:
 			m.waits.Remove(id, supID)
 			m.unpin(sup)
 			m.mu.Lock()
@@ -443,10 +443,9 @@ func (m *Manager) WaitCtx(ctx context.Context, id xid.TID) error {
 	// its reason.
 	t.pin()
 	m.mu.Unlock()
-	select {
-	case <-t.doneCh():
+	if m.await(t, &t.done, nil, nil, ctx.Done()) == 0 {
 		err = waitOutcome(t)
-	case <-ctx.Done():
+	} else {
 		err = fmt.Errorf("core: wait on %v abandoned: %w", id, ctx.Err())
 	}
 	m.unpin(t)
@@ -507,10 +506,7 @@ func (tx *Tx) WaitCtx(ctx context.Context, id xid.TID) error {
 	if ctx != nil {
 		ctxDone = ctx.Done()
 	}
-	select {
-	case <-target.doneCh():
-	case <-t.abortCh():
-	case <-ctxDone:
+	if m.await(target, &target.done, t, &t.aborting, ctxDone) == 2 {
 		m.abortTxn(t, abortReason(fmt.Errorf("core: wait on %v cancelled: %w", id, ctx.Err())))
 	}
 	if edge {
@@ -568,61 +564,60 @@ func (m *Manager) Delegate(from, to xid.TID, oids ...xid.OID) error {
 	// the TDelegate record is always ordered before any TCommit that
 	// covers the delegated updates, which is what recovery relies on.
 	m.moveUndoLocked(ft, tt, oidSet)
-	m.locks.Delegate(from, to, oidSet)
+	var moved [8]xid.OID // unused: the undo records are moved by oid above
+	m.locks.AppendDelegate(moved[:0], from, to, oidSet)
 	_, err = m.appendLocked(wal.Record{Type: wal.TDelegate, TID: from, TID2: to, OIDs: oidSet})
 	m.mu.Unlock()
 	return err
 }
 
-// moveUndoLocked moves matching undo records from ft to tt in log order.
-// Caller holds m.mu.
+// moveUndoLocked moves matching undo records from ft to tt, keeping tt's in
+// log order, within the two lists' own arrays where they have room. A moved
+// record whose before image lies in ft's image buffer gets a copy in tt's:
+// ft's buffer serves the next transaction once ft is recycled, which may be
+// long before tt aborts. Caller holds m.mu.
 func (m *Manager) moveUndoLocked(ft, tt *txn, oids []xid.OID) {
 	if ft == tt {
 		return
 	}
-	if oids == nil {
-		if len(ft.undo) == 0 {
-			return
+	var want map[xid.OID]bool // for a set too large to scan per record
+	if len(oids) > maxScannedOIDs {
+		want = make(map[xid.OID]bool, len(oids))
+		for _, o := range oids {
+			want[o] = true
 		}
-		tt.undo = mergeBySeq(tt.undo, ft.undo)
-		ft.undo = nil
-		return
 	}
-	want := make(map[xid.OID]bool, len(oids))
-	for _, o := range oids {
-		want[o] = true
+	moves := func(oid xid.OID) bool {
+		switch {
+		case oids == nil:
+			return true
+		case want != nil:
+			return want[oid]
+		}
+		return slices.Contains(oids, oid)
 	}
-	var keep, move []undoRec
+	n := len(tt.undo)
+	keep := ft.undo[:0]
 	for _, u := range ft.undo {
-		if want[u.oid] {
-			move = append(move, u)
-		} else {
+		if !moves(u.oid) {
 			keep = append(keep, u)
+			continue
 		}
+		if u.kept {
+			u.before = tt.keepImage(u.before)
+		}
+		tt.undo = append(tt.undo, u)
 	}
-	if len(move) == 0 {
-		return
-	}
+	clear(ft.undo[len(keep):])
 	ft.undo = keep
-	tt.undo = mergeBySeq(tt.undo, move)
+	if n > 0 && len(tt.undo) > n && tt.undo[n-1].seq > tt.undo[n].seq {
+		slices.SortFunc(tt.undo, func(a, b undoRec) int { return cmp.Compare(a.seq, b.seq) })
+	}
 }
 
-// mergeBySeq merges two sequence-ascending undo lists.
-func mergeBySeq(a, b []undoRec) []undoRec {
-	out := make([]undoRec, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].seq <= b[j].seq {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
+// maxScannedOIDs is the largest delegated object set moveUndoLocked scans
+// per record instead of indexing it.
+const maxScannedOIDs = 16
 
 // Permit lets grantee perform the given operations on the given objects
 // despite conflicts with grantor's locks. Wildcards per §2.2: grantee

@@ -463,9 +463,10 @@ func TestRecycleDescriptorInvariants(t *testing.T) {
 // empty, and a tabled one holds the table's and nothing else but the
 // references of the interactive handles the caller still holds, listed in
 // held once per reference. A held descriptor the table has let go of holds
-// those alone. It returns a description of each violation.
+// those alone. Every free waker is empty (checkWakers). It returns a
+// description of each violation.
 func (m *Manager) checkDescriptors(held ...*Tx) []string {
-	var bad []string
+	bad := m.checkWakers()
 	holds := make(map[*txn]int32)
 	for _, tx := range held {
 		holds[tx.t]++

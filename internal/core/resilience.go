@@ -74,12 +74,10 @@ func (m *Manager) watchdog() {
 // dependency/commit waits select on abortCh, and begin waits do both. It
 // holds a reference on t, which it drops on its way out.
 func (m *Manager) watchCtx(t *txn) {
-	select {
-	case <-t.ctx.Done():
+	if m.await(t, &t.term, nil, nil, t.ctx.Done()) == 2 {
 		m.mu.Lock()
 		m.ctxAbortLocked(t, t.ctx)
 		m.mu.Unlock()
-	case <-t.termCh():
 	}
 	m.unpin(t)
 }

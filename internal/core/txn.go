@@ -24,11 +24,15 @@ type TxnFunc func(tx *Tx) error
 // to install the before image on abort. Delegation moves these records
 // between transactions together with the locks.
 type undoRec struct {
-	seq    uint64 // the manager's append sequence: log order
-	oid    xid.OID
-	kind   wal.UpdateKind // the original operation
-	before []byte         // modify, delete: the image to reinstall
-	delta  int64          // delta: what was added, to be subtracted
+	seq  uint64 // the manager's append sequence: log order
+	oid  xid.OID
+	kind wal.UpdateKind // the original operation
+	// kept says before is a copy in the responsible descriptor's image
+	// buffer (an in-place write's), which a delegation must copy on, rather
+	// than a buffer of the record's own.
+	kept   bool
+	before []byte // modify, delete: the image to reinstall
+	delta  int64  // delta: what was added, to be subtracted
 }
 
 // txn is the transaction descriptor (TD of §4.1): identity, parentage,
@@ -42,9 +46,10 @@ type undoRec struct {
 // observes the reason.
 //
 // The descriptor is one object: the handle its body receives is a field of
-// it, its three lifecycle events and its caller token grow a channel only
-// when somebody parks on them, and the first undo records live in it. It
-// stays in the 320-byte size class (TestTxnSizeClass).
+// it, its three lifecycle events borrow a waiter's recycled wake channel
+// (see event) and its caller token grows a channel only when somebody parks
+// on it, and the first undo records and the before images of in-place
+// writes live in it. It stays in the 320-byte size class (TestTxnSizeClass).
 //
 // Descriptors are recycled through the manager's free list. refs counts
 // who holds one: the descriptor table (dropped at the reap, so never under
@@ -68,18 +73,23 @@ type txn struct {
 	// admitted records that the transaction holds a Config.MaxLive
 	// admission slot, which commit/abort must return to the gate.
 	admitted atomic.Bool
-	refs     atomic.Int32 // holders; the last to let go recycles (see above)
-	abErr    error        // why the transaction aborted, if it did
+	// tokHeld says a caller holds the handle's token (Tx.Acquire); tok is
+	// the channel its acquirers park on while it is held, made by the first
+	// of them. Both are guarded by evMu.
+	tokHeld bool
+	refs    atomic.Int32 // holders; the last to let go recycles (see above)
+	abErr   error        // why the transaction aborted, if it did
 
 	// done fires when the function finishes or the transaction aborts
-	// (wait() unblocks on either), term on final termination, aborting when
+	// (Wait unblocks on either), term on final termination, aborting when
 	// the status turns aborting (waking the commit driver). evMu guards all
-	// three and the caller token; it is a leaf, held for a test or a close.
+	// three and the caller token; it is a leaf, held for a test, a lend, a
+	// reclaim or a firing.
 	evMu     sync.Mutex
 	done     event
 	term     event
 	aborting event
-	tok      token
+	tok      chan struct{}
 
 	// ctx binds external cancellation to the transaction. Written at
 	// InitiateWith, or by BeginCtx before the status turns running (under
@@ -95,19 +105,29 @@ type txn struct {
 	// undoBuf backs undo for a transaction's first updates, which is all
 	// most transactions make.
 	undoBuf [2]undoRec
+	// imgs holds the before images of the transaction's in-place writes,
+	// which its undo records (kept set) point into. Guarded by the manager
+	// mutex, like undo; emptied, not dropped, when the descriptor is
+	// recycled, unless it grew past maxKeptImages.
+	imgs []byte
 	// redo holds the withheld after-images of a transaction recovered in
 	// doubt (prepared in the WAL, verdict unknown): installed on a commit
-	// verdict, discarded on abort. Empty for ordinary transactions, whose
+	// verdict, discarded on abort. Nil for ordinary transactions, whose
 	// updates live in the cache and roll back via undo.
-	redo []wal.RedoOp
+	redo *[]wal.RedoOp
 
 	pool.Link[txn]
 }
 
-// event is a one-shot broadcast that costs nothing until someone waits on
-// it: only a waiter that arrives before the firing makes a channel for the
-// firing to close, and a fired event holds closedCh. Guarded by the owning
-// txn's evMu.
+// event is a one-shot signal that costs nothing to wait on. Its channel is
+// nil until somebody waits. The first waiter lends it the one-token wake
+// channel it took from the manager's free list (waker); a second waiter
+// makes a broadcast channel for all of them and moves the first onto it
+// with a token. Firing sends the token to a lent channel, closes a
+// broadcast one, and leaves closedCh. A waiter holds a reference on the
+// descriptor while it waits and takes its channel back (reclaim) before it
+// lets go, so a recycled descriptor never holds another's channel. Guarded
+// by the owning txn's evMu.
 type event struct {
 	ch chan struct{} // nil: not fired, nobody waiting; closedCh: fired
 }
@@ -119,26 +139,72 @@ var closedCh = func() chan struct{} {
 	return ch
 }()
 
+// waker is the one-token wake channel a waiter lends to the events it
+// waits on. Wakers are recycled through the manager's free list, which
+// gets each back empty: its borrower reclaimed it from every event first,
+// so nothing sends to it any more, and drained it.
+type waker struct {
+	ch chan struct{} // capacity 1: a lent channel is the only kind with room
+	pool.Link[waker]
+}
+
+// maxFreeWakers bounds the manager's waker free list.
+const maxFreeWakers = 256
+
+// lent reports whether ch is a waiter's wake channel rather than a
+// broadcast channel or closedCh.
+func lent(ch chan struct{}) bool { return cap(ch) == 1 }
+
+// wake puts the token in a lent channel unless it holds one already.
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
 // fire marks e as having happened and wakes its waiters. Idempotent.
 func (t *txn) fire(e *event) {
 	t.evMu.Lock()
-	if e.ch != closedCh {
-		if e.ch != nil {
-			close(e.ch)
-		}
-		e.ch = closedCh
+	switch {
+	case e.ch == nil || e.ch == closedCh:
+	case lent(e.ch):
+		wake(e.ch)
+	default:
+		close(e.ch)
 	}
+	e.ch = closedCh
 	t.evMu.Unlock()
 }
 
-// wait returns a channel that is closed once e has fired.
-func (t *txn) wait(e *event) <-chan struct{} {
+// lend returns the channel a waiter on e receives from: closedCh once e has
+// fired; w's channel, which e keeps until it fires or w is reclaimed, if
+// nobody else waits; otherwise the broadcast channel the waiters share. A
+// waiter that finds another's channel lent makes that channel, wakes the
+// other so that it lends again and finds it, and installs it. A nil w asks
+// for the broadcast channel.
+func (t *txn) lend(e *event, w *waker) <-chan struct{} {
 	t.evMu.Lock()
 	defer t.evMu.Unlock()
-	if e.ch == nil {
+	switch {
+	case e.ch == nil && w != nil:
+		e.ch = w.ch
+	case e.ch == nil:
+		e.ch = make(chan struct{})
+	case lent(e.ch) && (w == nil || e.ch != w.ch):
+		wake(e.ch)
 		e.ch = make(chan struct{})
 	}
 	return e.ch
+}
+
+// reclaim takes w's channel back from e if e still holds it.
+func (t *txn) reclaim(e *event, w *waker) {
+	t.evMu.Lock()
+	if e.ch == w.ch {
+		e.ch = nil
+	}
+	t.evMu.Unlock()
 }
 
 // fired reports whether e has fired.
@@ -148,14 +214,55 @@ func (t *txn) fired(e *event) bool {
 	return e.ch == closedCh
 }
 
-// token is an interactive transaction's one-caller-at-a-time token (see
-// Tx.Acquire). Taking a free token sets a flag; only an acquirer that finds
-// it held makes a channel, which the release closes to wake every such
-// acquirer to try again. Guarded by the owning txn's evMu.
-type token struct {
-	held bool
-	ch   chan struct{}
+// await parks the caller until e, an event of t, fires (it returns 0),
+// until also, an event of u, fires (1), or until stop closes (2). u and
+// also may be nil, and so may stop. The caller holds a reference on t and
+// on u, so that the events are still theirs when the waker is reclaimed
+// from them. One waker from the manager's free list serves both events;
+// woken without a closed channel to show for it, the caller lends again,
+// which tells a firing (closedCh) from a move onto a broadcast channel.
+func (m *Manager) await(t *txn, e *event, u *txn, also *event, stop <-chan struct{}) int {
+	w := m.wakers.Pop()
+	if w == nil {
+		w = newWaker()
+	}
+	which := -1
+	for which < 0 {
+		a := t.lend(e, w)
+		var b <-chan struct{}
+		if also != nil {
+			b = u.lend(also, w)
+		}
+		select {
+		case <-a:
+			if a != w.ch {
+				which = 0
+			}
+		case <-b:
+			if b != w.ch {
+				which = 1
+			}
+		case <-stop:
+			which = 2
+		}
+	}
+	t.reclaim(e, w)
+	if also != nil {
+		u.reclaim(also, w)
+	}
+	select { // a token that came after the wake-up this wait acted on
+	case <-w.ch:
+	default:
+	}
+	m.wakers.Push(w, maxFreeWakers)
+	return which
 }
+
+// newWaker makes a waker when the free list is empty. Not inlined, so that
+// the make is charged here.
+//
+//go:noinline
+func newWaker() *waker { return &waker{ch: make(chan struct{}, 1)} }
 
 // Acquire takes the handle's token, waiting while another caller holds it
 // unless ctx ends first, in which case it returns ctx's cause and holds
@@ -163,20 +270,22 @@ type token struct {
 // goroutine hold the token across each operation and across Complete, which
 // serializes them as a body's one goroutine would. The token guards the
 // handle's callers only: primitives that name the transaction from outside
-// (Abort, Commit, Wait, Delegate and the rest) take none.
+// (Abort, Commit, Wait, Delegate and the rest) take none. Taking a free
+// token sets a flag; only an acquirer that finds it held makes a channel,
+// which the release closes to wake every such acquirer to try again.
 func (tx *Tx) Acquire(ctx context.Context) error {
 	t := tx.t
 	for {
 		t.evMu.Lock()
-		if !t.tok.held {
-			t.tok.held = true
+		if !t.tokHeld {
+			t.tokHeld = true
 			t.evMu.Unlock()
 			return nil
 		}
-		if t.tok.ch == nil {
-			t.tok.ch = make(chan struct{})
+		if t.tok == nil {
+			t.tok = make(chan struct{})
 		}
-		ch := t.tok.ch
+		ch := t.tok
 		t.evMu.Unlock()
 		select {
 		case <-ch:
@@ -190,9 +299,9 @@ func (tx *Tx) Acquire(ctx context.Context) error {
 func (tx *Tx) Release() {
 	t := tx.t
 	t.evMu.Lock()
-	t.tok.held = false
-	if ch := t.tok.ch; ch != nil {
-		t.tok.ch = nil
+	t.tokHeld = false
+	if ch := t.tok; ch != nil {
+		t.tok = nil
 		close(ch)
 	}
 	t.evMu.Unlock()
@@ -202,9 +311,9 @@ func (t *txn) closeDone()  { t.fire(&t.done) }
 func (t *txn) closeTerm()  { t.fire(&t.term) }
 func (t *txn) closeAbort() { t.fire(&t.aborting) }
 
-func (t *txn) doneCh() <-chan struct{}  { return t.wait(&t.done) }
-func (t *txn) termCh() <-chan struct{}  { return t.wait(&t.term) }
-func (t *txn) abortCh() <-chan struct{} { return t.wait(&t.aborting) }
+// abortCh returns a channel that is closed once t turns aborting, for a
+// waiter that selects on a send as well, which await cannot.
+func (t *txn) abortCh() <-chan struct{} { return t.lend(&t.aborting, nil) }
 
 // bgCtx caches context.Background() so lockCtx stays allocation-free:
 // the literal backgroundCtx{} composite escapes at every call site it is
@@ -261,20 +370,47 @@ func overUnpinned(t *txn) {
 
 // reset empties a descriptor nothing holds any more, so that the free list
 // keeps no body, context, error, image or channel alive. The handle (tx)
-// stays bound to the descriptor, and undo restarts on undoBuf.
+// stays bound to the descriptor, undo restarts on undoBuf, and imgs keeps
+// its array for the next transaction's before images.
 func (t *txn) reset() {
 	t.id, t.parent, t.fn = xid.NilTID, xid.NilTID, nil
 	t.abErr, t.ctx = nil, nil
 	t.deadline.Store(0)
-	t.done, t.term, t.aborting, t.tok = event{}, event{}, event{}, token{}
+	t.done, t.term, t.aborting = event{}, event{}, event{}
+	t.tokHeld, t.tok = false, nil
 	clear(t.undoBuf[:])
 	t.undo = t.undoBuf[:0]
+	t.imgs = keptImages(t.imgs)
 	t.redo = nil
+}
+
+// keptImages returns an image buffer emptied for reuse, or nil if it grew
+// past maxKeptImages.
+func keptImages(b []byte) []byte {
+	if cap(b) > maxKeptImages {
+		return nil
+	}
+	return b[:0]
+}
+
+// keepImage appends a copy of b to the descriptor's image buffer and
+// returns the copy, capped so that a later append cannot reach it. An
+// append that outgrows the buffer moves on to a larger array and leaves
+// the earlier copies where they are, in the old one. Caller holds m.mu.
+func (t *txn) keepImage(b []byte) []byte {
+	n := len(t.imgs)
+	t.imgs = append(t.imgs, b...)
+	return t.imgs[n:len(t.imgs):len(t.imgs)]
 }
 
 // maxFreeTxns bounds the descriptor free list; what a burst retires beyond
 // it goes back to the collector.
 const maxFreeTxns = 256
+
+// maxKeptImages bounds the image buffer a recycled descriptor keeps: a
+// transaction whose before images outgrew it gives the buffer back to the
+// collector, so that the free list holds at most maxFreeTxns of these.
+const maxKeptImages = 1024
 
 // st reads the transaction status; safe without any lock.
 func (t *txn) st() xid.Status { return xid.Status(t.status.Load()) }

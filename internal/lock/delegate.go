@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/xid"
@@ -12,27 +13,44 @@ import (
 // to. A nil oids delegates everything from is responsible for. It returns
 // the objects whose locks actually moved, so the caller can log the
 // delegation and move undo responsibility the same way.
+func (m *Manager) Delegate(from, to xid.TID, oids []xid.OID) []xid.OID {
+	return m.AppendDelegate(nil, from, to, oids)
+}
+
+// AppendDelegate is Delegate appending the moved objects to moved, a
+// buffer of the caller's, and returning the extended slice.
 //
 // Cross-shard discipline: the candidate set is snapshotted from from's
 // txnState (its latch alone), then each shard is visited once, in ascending
 // index order, with only that shard's latch held; every per-object decision
 // is re-validated under the owning shard latch, so candidates that moved or
-// vanished in the window are simply skipped.
-func (m *Manager) Delegate(from, to xid.TID, oids []xid.OID) []xid.OID {
+// vanished in the window are simply skipped. The snapshot holds a reference
+// on each live PD granted by from, which reassignGrantor drops. A delegation
+// of a few objects keeps its scratch in its frame.
+func (m *Manager) AppendDelegate(moved []xid.OID, from, to xid.TID, oids []xid.OID) []xid.OID {
 	if from == to {
-		return nil
+		return moved
 	}
 	fromTS := m.stateOf(from)
 	if fromTS == nil {
-		return nil // nothing held and nothing granted by from
+		return moved // nothing held and nothing granted by from
+	}
+	var want map[xid.OID]bool // for a set too large to scan per PD
+	if len(oids) > maxScannedOIDs {
+		want = make(map[xid.OID]bool, len(oids))
+		for _, o := range oids {
+			want[o] = true
+		}
 	}
 	// Snapshot the candidate objects and the PDs granted by from.
+	var candBuf [8]xid.OID
+	var pdBuf [4]*permit
+	candidates, grantorPDs := candBuf[:0], pdBuf[:0]
 	fromTS.lat.Lock()
 	if !fromTS.is(from) {
 		fromTS.lat.Unlock()
-		return nil
+		return moved
 	}
-	var candidates []xid.OID
 	if oids == nil {
 		for oid := range fromTS.locks {
 			candidates = append(candidates, oid)
@@ -44,47 +62,52 @@ func (m *Manager) Delegate(from, to xid.TID, oids []xid.OID) []xid.OID {
 			}
 		}
 	}
-	grantorPDs := append([]*permit(nil), fromTS.byGrantor...)
+	named := func(oid xid.OID) bool {
+		switch {
+		case oids == nil:
+			return true
+		case want != nil:
+			return want[oid]
+		}
+		return slices.Contains(oids, oid)
+	}
+	for _, p := range fromTS.byGrantor {
+		// A dead PD is skipped below anyway; oid is readable without the
+		// shard latch.
+		if !p.isDead() && named(p.oid) {
+			p.refs.Add(1) // the index holds one, and cannot let go meanwhile
+			grantorPDs = append(grantorPDs, p)
+		}
+	}
 	fromTS.lat.Unlock()
 	toTS := m.txnOf(to)
 
-	// Visit shards in ascending order, one latch at a time.
-	byShard := make(map[uint64][]xid.OID)
-	for _, oid := range candidates {
-		i := m.shardIndexOf(oid)
-		byShard[i] = append(byShard[i], oid)
-	}
-	var moved []xid.OID
-	m.forShardsAscending(byShard, func(s *lockShard, oids []xid.OID) {
+	// Visit shards in ascending order, one latch at a time. The order is not
+	// required for deadlock freedom (only one latch is held at a time) but
+	// makes delegation outcomes deterministic for tests.
+	slices.SortFunc(candidates, func(a, b xid.OID) int {
+		if c := cmp.Compare(m.shardIndexOf(a), m.shardIndexOf(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for i := 0; i < len(candidates); {
+		si := m.shardIndexOf(candidates[i])
+		s := &m.shards[si]
 		s.lat.Lock()
-		for _, oid := range oids {
-			if m.delegateOneLocked(from, to, fromTS, toTS, s, oid) {
-				moved = append(moved, oid)
+		for ; i < len(candidates) && m.shardIndexOf(candidates[i]) == si; i++ {
+			if m.delegateOneLocked(from, to, fromTS, toTS, s, candidates[i]) {
+				moved = append(moved, candidates[i])
 			}
 		}
 		s.lat.Unlock()
-	})
+	}
 
 	// §4.2 delegate step (b): permissions given by from on the delegated
 	// objects (all of them for delegate-all) become permissions given by to,
 	// whether or not from also held a lock there.
-	m.reassignGrantor(to, grantorPDs, oids)
+	m.reassignGrantor(to, grantorPDs)
 	return moved
-}
-
-// forShardsAscending runs fn over the groups, keyed by shard index, in
-// ascending order. Ordering is not required for deadlock freedom (only one
-// latch is held at a time) but makes delegation outcomes deterministic for
-// tests.
-func (m *Manager) forShardsAscending(groups map[uint64][]xid.OID, fn func(*lockShard, []xid.OID)) {
-	idx := make([]uint64, 0, len(groups))
-	for i := range groups {
-		idx = append(idx, i)
-	}
-	slices.Sort(idx)
-	for _, i := range idx {
-		fn(&m.shards[i], groups[i])
-	}
 }
 
 // delegateOneLocked moves from's LRD on oid into to's lock list, merging
@@ -189,42 +212,35 @@ func (m *Manager) moveReservationLocked(od *objDesc, from, to xid.TID, toTS *txn
 	toTS.lat.Unlock()
 }
 
-// reassignGrantor rewrites PDs of the form (from, tk, op) to (to, tk, op)
-// on the given objects (nil = all), working from the snapshot taken by
-// Delegate. Each PD is re-validated under its own shard latch: one found
-// dead is skipped without looking at its od, which may have been reused; one
+// maxScannedOIDs is the largest delegated object set AppendDelegate scans
+// per PD instead of indexing it.
+const maxScannedOIDs = 16
+
+// reassignGrantor rewrites PDs of the form (from, tk, op) to (to, tk, op),
+// working from the snapshot taken by AppendDelegate, whose references it
+// drops. Each PD is re-validated under its own shard latch: one found dead
+// is skipped without looking at its od, which may have been reused; one
 // found live is on its OD's list, which keeps that OD mapped.
-func (m *Manager) reassignGrantor(to xid.TID, pds []*permit, oids []xid.OID) {
-	var want map[xid.OID]bool
-	if oids != nil {
-		want = make(map[xid.OID]bool, len(oids))
-		for _, o := range oids {
-			want[o] = true
-		}
-	}
+func (m *Manager) reassignGrantor(to xid.TID, pds []*permit) {
 	for _, p := range pds {
-		if want != nil && !want[p.oid] {
-			continue
-		}
 		s := p.od.home
 		s.lat.Lock()
-		if p.isDead() {
-			s.lat.Unlock()
-			continue
+		if !p.isDead() {
+			od := p.od
+			if p.grantee == to {
+				// A permission from `from` to `to` collapses on delegation:
+				// to does not need its own permission.
+				od.dropPermit(p)
+			} else {
+				// Re-grant under to's name (widening any PD to already has
+				// there), then retire from's descriptor.
+				m.insertPD(od, to, p.grantee, p.ops)
+				od.dropPermit(p)
+			}
+			od.cond.Broadcast()
+			s.retireIfIdle(od)
 		}
-		od := p.od
-		if p.grantee == to {
-			// A permission from `from` to `to` collapses on delegation:
-			// to does not need its own permission.
-			od.dropPermit(p)
-		} else {
-			// Re-grant under to's name (widening any PD to already has
-			// there), then retire from's descriptor.
-			m.insertPD(od, to, p.grantee, p.ops)
-			od.dropPermit(p)
-		}
-		od.cond.Broadcast()
-		s.retireIfIdle(od)
+		s.unrefPermit(p)
 		s.lat.Unlock()
 	}
 }

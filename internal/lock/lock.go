@@ -137,6 +137,13 @@ type objDesc struct {
 // grantor's locks. ops is guarded by the shard latch; dead is atomic because
 // transaction-side index scans (accessible, invariant checks) read it under
 // a txnState latch while shard-side code flips it under the shard latch.
+//
+// PDs are recycled through their OD's shard's free list. refs counts what
+// holds one: the OD's PD list while it is live, each transaction-side index
+// it is in (a dead PD lingers there until the state is recycled), and a
+// delegation's snapshot of the delegator's grants. A reference is taken
+// only by a holder of another, and dropped under the home shard's latch;
+// the last drop puts the PD on that shard's list.
 type permit struct {
 	od      *objDesc
 	oid     xid.OID // od's oid for the PD's whole life; readable without the shard latch
@@ -144,6 +151,9 @@ type permit struct {
 	grantee xid.TID // NilTID = any transaction
 	ops     xid.OpSet
 	dead    atomic.Bool // lazily removed from secondary indexes
+	refs    atomic.Int32
+
+	pool.Link[permit]
 }
 
 func (p *permit) isDead() bool { return p.dead.Load() }
@@ -289,7 +299,9 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 	}
 	// Not being on the pending queue, the probe stands behind every request
 	// that is: exactly where it would be appended.
-	blockers, permitted := m.tryGrant(&probe)
+	var blockBuf [4]xid.TID
+	var permitBuf [4]*lockReq
+	blockers, permitted := m.tryGrant(&probe, blockBuf[:0], permitBuf[:0])
 	if len(blockers) > 0 {
 		// Nothing of this request is on od yet, so once the latch is gone od
 		// may be retired and handed to another oid: park is given the oid and
@@ -417,8 +429,10 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 	}
 
 	var lastKilled xid.TID
+	var blockBuf [4]xid.TID
+	var permitBuf [4]*lockReq
 	for {
-		blockers, permitted := m.tryGrant(req)
+		blockers, permitted := m.tryGrant(req, blockBuf[:0], permitBuf[:0])
 		if req.cancelled {
 			return exit(ErrCancelled)
 		}
@@ -495,7 +509,10 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 // grant). The requester's own granted LRD, if any, is recognized by tid on
 // the OD chain — never by a caller-held pointer, which delegation can
 // stale. Caller holds the shard latch.
-func (m *Manager) tryGrant(req *lockReq) (blockers []xid.TID, permitted []*lockReq) {
+//
+// The results are appended to blockers and permitted, buffers of the
+// caller's, which a request that is decided in one pass keeps in its frame.
+func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockReq) ([]xid.TID, []*lockReq) {
 	od := req.od
 	for _, gl := range od.granted {
 		if gl.tid == req.tid {
@@ -736,19 +753,21 @@ func (m *Manager) ReleaseAll(tid xid.TID) {
 	m.wg.RemoveNode(tid)
 }
 
-// releasePermits drops the PDs of a retired state that are still live. A
-// dead PD's od may have been retired and reused since: only home is read from
-// it, and a PD found live under the latch is on its OD's list, which keeps
-// that OD mapped.
+// releasePermits drops the PDs of a retired state that are still live, and
+// the index's reference on every one. A dead PD's od may have been retired
+// and reused since: only home is read from it, and a PD found live under
+// the latch is on its OD's list, which keeps that OD mapped.
 func releasePermits(pds []*permit) {
 	for _, p := range pds {
 		s := p.od.home
 		s.lat.Lock()
 		if !p.isDead() {
-			p.od.dropPermit(p)
-			p.od.cond.Broadcast()
-			s.retireIfIdle(p.od)
+			od := p.od
+			od.dropPermit(p)
+			od.cond.Broadcast()
+			s.retireIfIdle(od)
 		}
+		s.unrefPermit(p)
 		s.lat.Unlock()
 	}
 }

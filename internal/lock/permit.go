@@ -137,12 +137,14 @@ func (m *Manager) insertPD(od *objDesc, grantor, grantee xid.TID, ops xid.OpSet)
 	if grantorTS == nil {
 		return false // grantor terminated; nothing to permit
 	}
-	p := &permit{od: od, oid: od.oid, grantor: grantor, grantee: grantee, ops: ops}
 	grantorTS.lat.Lock()
 	if !grantorTS.is(grantor) {
 		grantorTS.lat.Unlock()
 		return false
 	}
+	p := od.home.newPermit()
+	p.od, p.oid, p.grantor, p.grantee, p.ops = od, od.oid, grantor, grantee, ops
+	p.refs.Store(2) // the grantor's index and od's list
 	grantorTS.byGrantor = append(grantorTS.byGrantor, p)
 	grantorTS.lat.Unlock()
 	od.permits = append(od.permits, p)
@@ -151,6 +153,7 @@ func (m *Manager) insertPD(od *objDesc, grantor, grantee xid.TID, ops xid.OpSet)
 		if granteeTS := m.stateOf(grantee); granteeTS != nil {
 			granteeTS.lat.Lock()
 			if granteeTS.is(grantee) {
+				p.refs.Add(1)
 				granteeTS.byGrantee = append(granteeTS.byGrantee, p)
 				alive = true
 			}

@@ -21,6 +21,7 @@ const defaultShards = 64
 // into the table.
 const (
 	maxFreeReqs = 256  // per shard
+	maxFreePDs  = 64   // per shard
 	maxFreeTxns = 1024 // per manager
 	// ODs are nearly twice an LRD's size, and a shard needs spares only for
 	// the objects that are released together: 64 per shard is 4,096 across
@@ -68,10 +69,11 @@ type lockShard struct {
 	buckets []*objDesc                    // OD hash chains; len is a power of two
 	reqPool pool.Stack[lockReq, *lockReq] // retired LRDs
 	odPool  pool.Stack[objDesc, *objDesc] // retired ODs
+	pdPool  pool.Stack[permit, *permit]   // retired PDs
 	nods    int32                         // mapped ODs
 	// Pad to exactly one cache line, so adjacent shards' latch words don't
 	// false-share.
-	_ [12]byte
+	_ [4]byte
 }
 
 // shardIndexOf returns the index of the shard owning oid.
@@ -179,7 +181,9 @@ func (s *lockShard) retireIfIdle(od *objDesc) {
 	s.nods--
 	od.mapped, od.next = false, nil // oid stays, for whoever reports a stale pointer
 	od.grantedBuf[0] = nil          // a stale copy if granted outgrew the buffer
-	od.granted = od.grantedBuf[:0]
+	if od.granted = keptChain(od.granted); od.granted == nil {
+		od.granted = od.grantedBuf[:0]
+	}
 	od.pending = keptChain(od.pending)
 	od.permits = keptChain(od.permits)
 	s.odPool.Push(od, maxFreeODs)
@@ -213,6 +217,28 @@ func (s *lockShard) freeReq(r *lockReq) {
 	s.reqPool.Push(r, maxFreeReqs)
 }
 
+// newPermit takes a PD off the shard's free list, or makes one, holding no
+// reference yet. Caller holds s.lat. Not inlined, as newReq.
+//
+//go:noinline
+func (s *lockShard) newPermit() *permit {
+	if p := s.pdPool.Pop(); p != nil {
+		return p
+	}
+	return &permit{}
+}
+
+// unrefPermit drops a reference on p, a PD of this shard's; the last one
+// retires it. Caller holds s.lat.
+func (s *lockShard) unrefPermit(p *permit) {
+	if p.refs.Add(-1) != 0 {
+		return
+	}
+	p.od, p.oid, p.grantor, p.grantee, p.ops = nil, xid.NilOID, xid.NilTID, xid.NilTID, 0
+	p.dead.Store(false)
+	s.pdPool.Push(p, maxFreePDs)
+}
+
 // ownerReq returns tid's granted LRD on od, or nil. Caller holds the shard
 // latch. The OD chain — not the transaction's own index — is the ground
 // truth consulted by the grant path, so a delegation that retagged or merged
@@ -235,9 +261,9 @@ func (od *objDesc) dropGranted(gl *lockReq) {
 	}
 }
 
-// dropPermit marks p dead and removes it from od's PD list. The descriptor
-// stays in the transaction-side indexes and is skipped there lazily. Caller
-// holds the shard latch.
+// dropPermit marks p dead and removes it from od's PD list, dropping the
+// list's reference. The descriptor stays in the transaction-side indexes
+// and is skipped there lazily. Caller holds the shard latch.
 func (od *objDesc) dropPermit(p *permit) {
 	if p.dead.Swap(true) {
 		return
@@ -245,6 +271,7 @@ func (od *objDesc) dropPermit(p *permit) {
 	if i := slices.Index(od.permits, p); i >= 0 {
 		od.permits = slices.Delete(od.permits, i, i+1) // clears the vacated slot
 	}
+	od.home.unrefPermit(p)
 }
 
 // txnState is the per-transaction side of the lock table: the objects the

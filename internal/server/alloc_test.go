@@ -20,16 +20,16 @@ import (
 // pinned at what the wire path measures. An early version measured 22
 // (Lock) and 25 (Write) on this same test, then 3 and 4: the per-request
 // goroutine closure and cancel context that the session's parked workers
-// replaced. What is left is the engine's one for Write: the copy of the
-// data that the object keeps (the before image is the object's old buffer
-// and the log record is the manager's reused one). A Read is the copy the
-// client hands its caller, and nothing on the server: it measured 2 when
-// the server read into a fresh copy, which the response and the dedup
-// window shared; the worker now reads into a buffer of its own and the
-// window copies into one of its own.
+// replaced. A Write then measured 1, the engine's copy of the data that the
+// object kept; it now overwrites the object in place, the before image in
+// the transaction's descriptor and the log record the manager's reused
+// one: 0. A Read is the copy the client hands its caller, and nothing on
+// the server: it measured 2 when the server read into a fresh copy, which
+// the response and the dedup window shared; the worker now reads into a
+// buffer of its own and the window copies into one of its own.
 const (
 	lockRoundTripAllocBudget  = 0
-	writeRoundTripAllocBudget = 1
+	writeRoundTripAllocBudget = 0
 	readRoundTripAllocBudget  = 1
 )
 

@@ -124,8 +124,10 @@ func (c *Cache) Read(oid xid.OID) ([]byte, bool) {
 // AppendRead appends the object's contents to dst, taking the object's S
 // latch for the duration of the copy, and returns the extended slice; a nil
 // dst gets a fresh slice sized to the object. The result never aliases the
-// object's own buffer, which writers replace and counter adds change in
-// place. A missing object leaves dst as it was.
+// object's own buffer, which same-length writes, counter adds and an
+// abort's restore change in place and length-changing writes replace. A
+// missing object leaves dst as it was. The copy is made under the S latch
+// that every such writer excludes with its X hold, so it is a whole image.
 //
 // Presence is checked again under the S latch: a Delete (and a re-Create)
 // racing the read gives "not found" or a whole image, never an emptied one.
@@ -154,27 +156,44 @@ func (b *block) appendSlot(dst []byte, slot int, bit uint32) ([]byte, bool) {
 	return dst, true
 }
 
-// Install creates or replaces the object outright (recovery and undo paths;
-// transactional writes go through Object and its latch so the before image
-// can be logged under the same X hold). It returns the previous contents,
-// if any.
+// Install creates or replaces the object outright with data, which the
+// object keeps (recovery and undo paths; transactional writes go through
+// Object and its latch so the before image can be logged under the same X
+// hold). It returns the previous contents, if any.
 func (c *Cache) Install(oid xid.OID, data []byte) (prev []byte, existed bool) {
-	prev, existed, _ = c.put(oid, data, true)
+	prev, existed, _ = c.put(oid, data, putReplace)
 	return prev, existed
+}
+
+// Restore makes the object's contents a copy of img, creating the object if
+// it is missing: in place when its buffer has img's length, in a new buffer
+// otherwise. It keeps nothing of img, which an abort's undo hands in from a
+// buffer its descriptor reuses.
+func (c *Cache) Restore(oid xid.OID, img []byte) {
+	c.put(oid, img, putCopy)
 }
 
 // Create inserts a new object under oid. It reports false if the oid is
 // already present.
 func (c *Cache) Create(oid xid.OID, data []byte) bool {
-	_, _, stored := c.put(oid, data, false)
+	_, _, stored := c.put(oid, data, putCreate)
 	return stored
 }
 
-// put stores data in oid's slot, making the slot's block if it is missing;
-// an occupied slot is overwritten only if replace is set. The cache latch
-// is held in S mode across the slot's X hold, so the block cannot leave the
-// directory between the lookup and the presence bit's flip.
-func (c *Cache) put(oid xid.OID, data []byte, replace bool) (prev []byte, existed, stored bool) {
+// putMode is what put does with an occupied slot and with data.
+type putMode int8
+
+const (
+	putCreate  putMode = iota // leave an occupied slot as it is; keep data
+	putReplace                // replace an occupied slot's buffer with data
+	putCopy                   // copy data into the slot's buffer, or a new one
+)
+
+// put stores data in oid's slot as mode says, making the slot's block if it
+// is missing. The cache latch is held in S mode across the slot's X hold,
+// so the block cannot leave the directory between the lookup and the
+// presence bit's flip.
+func (c *Cache) put(oid xid.OID, data []byte, mode putMode) (prev []byte, existed, stored bool) {
 	key, slot, bit := blockOf(oid)
 	for {
 		c.lat.RLock()
@@ -192,9 +211,15 @@ func (c *Cache) put(oid xid.OID, data []byte, replace bool) (prev []byte, existe
 		} else {
 			b.live.Add(bit) // the bit is clear, so the add only sets it
 		}
-		if stored = replace || !existed; stored {
+		switch {
+		case mode == putCopy && existed && len(o.data) == len(data):
+			copy(o.data, data)
+		case mode == putCopy:
+			o.data = append([]byte(nil), data...)
+		case mode == putReplace || !existed:
 			o.data = data
 		}
+		stored = mode != putCreate || !existed
 		o.Lat.Unlock()
 		c.lat.RUnlock()
 		return prev, existed, stored

@@ -155,13 +155,14 @@ func TestDistributedBeginFailureAbortsAll(t *testing.T) {
 // committed steps: 3 (6 with a descriptor per step; 16 before that, with a
 // closure and a channel per step and both slices grown an element at a
 // time). A two-component Distributed allocates what Begin costs its first
-// component — the goroutine's closure — and the channel its commit parks on
-// until that body is done: 2 (5 with the two descriptors and a slice for the
+// component, the goroutine's closure: 1 (2 while its commit made a channel
+// to park on until that body was done, which it now borrows from the
+// manager's free list; 5 with the two descriptors and a slice for the
 // component tids).
 const (
 	atomicAllocBudget      = 0
 	saga3AllocBudget       = 3
-	distributedAllocBudget = 2
+	distributedAllocBudget = 1
 )
 
 func TestModelAllocBudget(t *testing.T) {
