@@ -262,7 +262,7 @@ func TestDirlessManagerKeepsNoDirtySet(t *testing.T) {
 // TestCacheCreateAbortAtFrontier: a transaction that creates an object and
 // aborts, in a loop, creates each object in the block at the allocator's
 // frontier and empties it again. The cache keeps that block, so the loop
-// makes one block per 31 creates as the frontier moves on, not one per
+// makes one block per 63 creates as the frontier moves on, not one per
 // create: it allocates no more objects per transaction than the same loop
 // re-creating one oid whose block a committed neighbour keeps in place.
 func TestCacheCreateAbortAtFrontier(t *testing.T) {

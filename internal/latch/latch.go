@@ -8,6 +8,11 @@
 // waiting for the latch). The X-bit blocks new readers, preventing
 // starvation of update transactions. A process that cannot set the latch
 // spins on it with a time-varying backoff.
+//
+// The word is 32 bits, so a latch costs 4 bytes: bit 31 is the X-bit and
+// bits 0..30 count S holders. At most 2³¹−1 goroutines may hold one latch
+// in S mode at once; one more would carry into the X-bit. Each holder is a
+// live goroutine, so the bound is far past any that can exist.
 package latch
 
 import (
@@ -15,17 +20,17 @@ import (
 	"sync/atomic"
 )
 
-// Word layout: bit 63 = X-bit (exclusive held or wanted), bits 0..62 =
+// Word layout: bit 31 = X-bit (exclusive held or wanted), bits 0..30 =
 // S-counter (number of shared holders).
 const (
-	xBit  = uint64(1) << 63
+	xBit  = uint32(1) << 31
 	sMask = xBit - 1
 )
 
 // Latch is a shared/exclusive spin latch. The zero value is an unheld latch
 // ready for use.
 type Latch struct {
-	word atomic.Uint64
+	word atomic.Uint32
 }
 
 // backoff yields the processor with an escalating delay so spinners do not
@@ -129,7 +134,7 @@ func (l *Latch) Upgrade() bool {
 		}
 	}
 	// Drop our own S hold, then wait for other readers to drain.
-	l.word.Add(^uint64(0)) // -1 on the S-counter
+	l.word.Add(^uint32(0)) // -1 on the S-counter
 	for spin := 0; l.word.Load()&sMask != 0; spin++ {
 		backoff(spin)
 	}

@@ -192,3 +192,109 @@ func TestMixedReadersWriters(t *testing.T) {
 		t.Fatalf("shared[0] = %d, want %d", shared[0], 4*500)
 	}
 }
+
+// TestUpgradeAmongManyReaders: an upgrader among many S holders claims the
+// X-bit at once, blocks new readers, and has X only once every other holder
+// has left; with a writer already waiting it gives up, its S hold and
+// everyone else's intact, and the writer gets in once they all leave.
+func TestUpgradeAmongManyReaders(t *testing.T) {
+	const others = 64
+	var l Latch
+	for i := 0; i < others+1; i++ {
+		l.RLock()
+	}
+	upgraded := make(chan bool)
+	go func() { upgraded <- l.Upgrade() }()
+	awaitXBit(t, &l, "upgrader")
+	if l.TryRLock() {
+		t.Fatal("new reader admitted while an upgrade waits")
+	}
+	for i := 0; i < others; i++ {
+		select {
+		case <-upgraded:
+			t.Fatalf("upgrade finished with %d other readers still in", others-i)
+		default:
+		}
+		l.RUnlock()
+	}
+	if !<-upgraded {
+		t.Fatal("Upgrade failed with no writer waiting")
+	}
+	if got := l.word.Load(); got != xBit {
+		t.Fatalf("word after upgrade = %#x, want the X-bit alone", got)
+	}
+	l.Unlock()
+
+	for i := 0; i < others+1; i++ {
+		l.RLock()
+	}
+	writerIn := make(chan struct{})
+	go func() {
+		l.Lock()
+		close(writerIn)
+		l.Unlock()
+	}()
+	awaitXBit(t, &l, "writer")
+	if l.Upgrade() {
+		t.Fatal("Upgrade succeeded with a writer waiting")
+	}
+	if got := l.word.Load(); got != xBit|(others+1) {
+		t.Fatalf("word after a refused upgrade = %#x, want the X-bit and %d readers", got, others+1)
+	}
+	for i := 0; i < others+1; i++ {
+		l.RUnlock()
+	}
+	select {
+	case <-writerIn:
+	case <-time.After(2 * time.Second):
+		t.Fatal("writer never acquired after readers drained")
+	}
+}
+
+// awaitXBit waits for who, on another goroutine, to set l's X-bit.
+func awaitXBit(t *testing.T, l *Latch, who string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for l.word.Load()&xBit == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never set the X-bit", who)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTryAcrossXBit: the S-counter fills bits 0..30 of the 32-bit word
+// without reaching the X-bit, and the X-bit alone is a full X hold.
+func TestTryAcrossXBit(t *testing.T) {
+	var l Latch
+	l.word.Store(sMask - 1)
+	if !l.TryRLock() {
+		t.Fatal("TryRLock failed one reader short of the bound")
+	}
+	if got := l.word.Load(); got != sMask || got&xBit != 0 {
+		t.Fatalf("word at the reader bound = %#x, want %#x with the X-bit clear", got, sMask)
+	}
+	if l.TryLock() {
+		t.Fatal("TryLock succeeded with 2^31-1 readers")
+	}
+	l.RUnlock()
+	if got := l.word.Load(); got != sMask-1 {
+		t.Fatalf("word after RUnlock = %#x, want %#x", got, sMask-1)
+	}
+	l.word.Store(0)
+
+	if !l.TryLock() {
+		t.Fatal("TryLock failed on a free latch")
+	}
+	if got := l.word.Load(); got != 1<<31 {
+		t.Fatalf("X-held word = %#x, want bit 31 alone", got)
+	}
+	if l.TryRLock() || l.TryLock() {
+		t.Fatal("a Try succeeded on an X-held latch")
+	}
+	l.Unlock()
+	if l.Held() || !l.TryRLock() {
+		t.Fatal("latch not free after Unlock")
+	}
+	l.RUnlock()
+}

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/latch"
 	"repro/internal/xid"
@@ -19,25 +20,39 @@ import (
 // Delete and re-Create of the oid empty and refill the same slot. So a
 // caller that keeps an *Object past its lookup holds the oid's lock, which
 // keeps both out from under it (core's Write, Update and Add do).
+//
+// A slot is 16 bytes: the 4-byte latch word, the buffer's length, and a
+// pointer to its first byte. The pointer is an ordinary Go pointer, so it
+// keeps the buffer alive; a slice header would cost 24 bytes, and nothing
+// reads an object's capacity. A length fits 32 bits, as it must to be
+// logged (a record frames each byte field with a 32-bit length).
 type Object struct {
 	// Held in X mode across the log append of the object's update (§4.2),
 	// so it orders before the log's latches.
 	//asset:latch order=14 spin
-	Lat  latch.Latch
-	data []byte
+	Lat latch.Latch
+	n   uint32
+	p   *byte // nil for an empty buffer
 }
 
-// Data returns the object's buffer without copying. The caller must hold
-// Lat (S for inspection, X for mutation via SetData).
-func (o *Object) Data() []byte { return o.data }
+// Data returns the object's buffer without copying; its capacity is its
+// length. The caller must hold Lat (S for inspection, X for mutation via
+// SetData).
+func (o *Object) Data() []byte { return unsafe.Slice(o.p, o.n) }
 
-// SetData replaces the object's contents. The caller must hold Lat in X
-// mode.
-func (o *Object) SetData(b []byte) { o.data = b }
+// SetData replaces the object's contents with b, which the object keeps.
+// The caller must hold Lat in X mode.
+func (o *Object) SetData(b []byte) {
+	if len(b) == 0 {
+		o.p, o.n = nil, 0 // an empty object keeps no buffer alive
+		return
+	}
+	o.p, o.n = unsafe.SliceData(b), uint32(len(b))
+}
 
-// blockSlots is the number of objects in a block: 31 slots of 32 B and
-// the presence word make 1,000 B, which fills the 1,024-B size class.
-const blockSlots = 31
+// blockSlots is the number of objects in a block: 63 slots of 16 B and
+// the presence word make 1,016 B, which fills the 1,024-B size class.
+const blockSlots = 63
 
 // block holds the objects of blockSlots consecutive oids inline. Bit i of
 // live says whether slot i holds an object; it flips only under the slot's
@@ -46,11 +61,11 @@ const blockSlots = 31
 // zero under the cache latch in X mode stays empty.
 type block struct {
 	objs [blockSlots]Object
-	live atomic.Uint32
+	live atomic.Uint64
 }
 
 // blockOf splits an oid into its block's key and its slot's presence bit.
-func blockOf(oid xid.OID) (key uint64, slot int, bit uint32) {
+func blockOf(oid xid.OID) (key uint64, slot int, bit uint64) {
 	key, s := uint64(oid)/blockSlots, uint64(oid)%blockSlots
 	return key, int(s), 1 << s
 }
@@ -141,17 +156,18 @@ func (c *Cache) AppendRead(dst []byte, oid xid.OID) ([]byte, bool) {
 }
 
 // appendSlot appends the contents of a present slot under its S latch.
-func (b *block) appendSlot(dst []byte, slot int, bit uint32) ([]byte, bool) {
+func (b *block) appendSlot(dst []byte, slot int, bit uint64) ([]byte, bool) {
 	o := &b.objs[slot]
 	o.Lat.RLock()
 	if b.live.Load()&bit == 0 {
 		o.Lat.RUnlock()
 		return dst, false
 	}
+	data := o.Data()
 	if dst == nil {
-		dst = make([]byte, 0, len(o.data))
+		dst = make([]byte, 0, len(data))
 	}
-	dst = append(dst, o.data...)
+	dst = append(dst, data...)
 	o.Lat.RUnlock()
 	return dst, true
 }
@@ -207,17 +223,17 @@ func (c *Cache) put(oid xid.OID, data []byte, mode putMode) (prev []byte, existe
 		o.Lat.Lock()
 		existed = b.live.Load()&bit != 0
 		if existed {
-			prev = o.data
+			prev = o.Data()
 		} else {
 			b.live.Add(bit) // the bit is clear, so the add only sets it
 		}
 		switch {
-		case mode == putCopy && existed && len(o.data) == len(data):
-			copy(o.data, data)
+		case mode == putCopy && existed && len(prev) == len(data):
+			copy(prev, data)
 		case mode == putCopy:
-			o.data = append([]byte(nil), data...)
+			o.SetData(append([]byte(nil), data...))
 		case mode == putReplace || !existed:
-			o.data = data
+			o.SetData(data)
 		}
 		stored = mode != putCreate || !existed
 		o.Lat.Unlock()
@@ -263,8 +279,8 @@ func (c *Cache) Delete(oid xid.OID) ([]byte, bool) {
 		c.lat.RUnlock()
 		return nil, false
 	}
-	data := o.data
-	o.data = nil
+	data := o.Data()
+	o.SetData(nil)
 	emptied := b.live.Add(-bit) == 0 // the bit is set, so the add only clears it
 	o.Lat.Unlock()
 	c.lat.RUnlock()
@@ -286,7 +302,7 @@ func (c *Cache) Len() int {
 	defer c.lat.RUnlock()
 	n := 0
 	for _, b := range c.dir {
-		n += bits.OnesCount32(b.live.Load())
+		n += bits.OnesCount64(b.live.Load())
 	}
 	return n
 }
@@ -308,7 +324,7 @@ func (c *Cache) ForEach(fn func(oid xid.OID, data []byte) bool) {
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].key < blocks[j].key })
 	for _, e := range blocks {
 		for live := e.b.live.Load(); live != 0; live &= live - 1 {
-			slot := bits.TrailingZeros32(live)
+			slot := bits.TrailingZeros64(live)
 			data, ok := e.b.appendSlot(nil, slot, 1<<slot)
 			if !ok {
 				continue

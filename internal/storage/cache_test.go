@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/race"
 	"repro/internal/xid"
@@ -288,8 +289,9 @@ func TestCacheReadRacesDeleteAndRecreate(t *testing.T) {
 }
 
 // TestCacheFootprint pins what the cache costs per object beyond its
-// payload: a dense run of oids fills whole blocks, about 33 B per object;
-// an isolated oid costs its whole block, about 1 KB.
+// payload: a dense run of oids fills whole blocks, about 17 B per object;
+// every other oid (a node of a two-way hash-partitioned layout) fills half
+// of each, about 33 B; an isolated oid costs its whole block, about 1 KB.
 func TestCacheFootprint(t *testing.T) {
 	if race.Enabled {
 		t.Skip("heap sizes are meaningless under the race detector")
@@ -322,16 +324,110 @@ func TestCacheFootprint(t *testing.T) {
 			yield(xid.OID(2<<20 + i))
 		}
 	})
+	alternate := perObject(func(yield func(xid.OID)) {
+		for i := 1; i <= 2*262_144; i += 2 {
+			yield(xid.OID(i))
+		}
+	})
 	sparse := perObject(func(yield func(xid.OID)) {
 		for i := 1; i <= 4096; i++ {
 			yield(xid.OID(i * 100))
 		}
 	})
-	t.Logf("dense oids: %.1f B per object; one object per block: %.0f B", dense, sparse)
-	if dense > 36 {
-		t.Errorf("dense oids cost %.1f B per object beyond payload, want at most 36", dense)
+	t.Logf("dense oids: %.1f B per object; every other oid: %.1f B; one object per block: %.0f B", dense, alternate, sparse)
+	if dense > 17 {
+		t.Errorf("dense oids cost %.1f B per object beyond payload, want at most 17", dense)
+	}
+	if alternate > 34 {
+		t.Errorf("every other oid costs %.1f B per object beyond payload, want at most 34", alternate)
 	}
 	if sparse > 1.1*1024 {
 		t.Errorf("an isolated oid costs %.0f B, want at most 1.1 KB", sparse)
+	}
+}
+
+// TestCacheSlotSize: a slot is a latch word, a length and a pointer, and a
+// block of them with its presence word fits the 1,024-B size class.
+func TestCacheSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 16 {
+		t.Errorf("Object is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(block{}); got > 1024 {
+		t.Errorf("block is %d bytes, want at most 1,024", got)
+	}
+}
+
+// TestCacheSlotKeepsDataAlive: a slot's pointer is all that holds the
+// buffer it was given, and it keeps the buffer alive and intact through
+// collections that reuse the memory of everything dropped around it. An
+// empty object is present, not missing, through every operation.
+func TestCacheSlotKeepsDataAlive(t *testing.T) {
+	const objects = 500
+	image := func(oid xid.OID) []byte {
+		b := make([]byte, 1+int(oid)%97)
+		for i := range b {
+			b[i] = byte(int(oid)*7 + i)
+		}
+		return b
+	}
+	c := NewCache()
+	for oid := xid.OID(1); oid <= objects; oid++ {
+		data := image(oid)
+		if oid%2 == 0 {
+			data = append(make([]byte, 0, 2*len(data)), data...) // spare capacity
+		}
+		if oid%3 == 0 {
+			c.Install(oid, data)
+		} else {
+			c.Create(oid, data)
+		}
+	}
+	var garbage [][]byte
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 20_000; i++ {
+			garbage = append(garbage, bytes.Repeat([]byte{0xee}, 1+i%97))
+			if len(garbage) > 1000 {
+				garbage = garbage[:0]
+			}
+		}
+		runtime.GC()
+	}
+	runtime.KeepAlive(garbage)
+	for oid := xid.OID(1); oid <= objects; oid++ {
+		if got, ok := c.Read(oid); !ok || !bytes.Equal(got, image(oid)) {
+			t.Fatalf("oid %v reads %v,%v after collections, want %v", oid, got, ok, image(oid))
+		}
+	}
+
+	const empty = xid.OID(objects + 1)
+	if got, ok := c.Read(empty); ok {
+		t.Fatalf("missing oid reads %v,%v", got, ok)
+	}
+	if !c.Create(empty, []byte{}) {
+		t.Fatal("Create of an empty object failed")
+	}
+	if c.Create(empty, []byte("x")) {
+		t.Fatal("Create over a present empty object succeeded")
+	}
+	if got, ok := c.Read(empty); !ok || len(got) != 0 {
+		t.Fatalf("empty object reads %v,%v, want present and empty", got, ok)
+	}
+	if prev, existed := c.Install(empty, nil); !existed || len(prev) != 0 {
+		t.Fatalf("Install over the empty object = %v,%v, want present and empty", prev, existed)
+	}
+	if got, ok := c.Read(empty); !ok || len(got) != 0 {
+		t.Fatalf("empty object reads %v,%v after Install, want present and empty", got, ok)
+	}
+	if data, ok := c.Delete(empty); !ok || len(data) != 0 {
+		t.Fatalf("Delete of the empty object = %v,%v, want present and empty", data, ok)
+	}
+	if got, ok := c.Read(empty); ok {
+		t.Fatalf("deleted empty object reads %v,%v, want missing", got, ok)
+	}
+	if _, ok := c.Delete(empty); ok {
+		t.Fatal("second Delete of the empty object found it")
+	}
+	if c.Len() != objects {
+		t.Fatalf("Len = %d, want %d", c.Len(), objects)
 	}
 }

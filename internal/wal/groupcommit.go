@@ -254,9 +254,22 @@ func (l *SegmentedLog) takeBatch() (batch []byte, first, recs, high uint64) {
 	return batch, first, recs, high
 }
 
+// maxKeptBatch is the largest batch buffer the log keeps once its batches
+// are small again: room for a truncation chunk and the record that
+// crosses it, so Truncate's slab is reused from chunk to chunk.
+const maxKeptBatch = 2 * truncateChunk
+
 // recycleBatch returns a drained batch buffer for reuse as the next
-// spare slab.
+// spare slab. A buffer grown past maxKeptBatch is kept only while the
+// batch it carried needed it: a run of bulk-load batches reuses one
+// buffer rather than regrowing it for every batch, and the first batch
+// within maxKeptBatch drained from it lets it go, so a load's buffer,
+// and through the slab swap a second one, is not held for the life of
+// the log.
 func (l *SegmentedLog) recycleBatch(batch []byte) {
+	if cap(batch) > maxKeptBatch && len(batch) <= maxKeptBatch {
+		return
+	}
 	l.appendMu.Lock()
 	if l.spare == nil {
 		l.spare = batch[:0]

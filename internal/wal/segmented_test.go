@@ -609,6 +609,73 @@ func TestSegmentedAppendAllocFree(t *testing.T) {
 	}
 }
 
+// TestSegmentedKeepsNoLargeBatch: a buffer grown past maxKeptBatch by a
+// large batch (a bulk load's) is kept for the next large batch, and let
+// go, as the slab and as the spare, once smaller batches follow; smaller
+// batches, TestSegmentedAppendAllocFree's 500-record warm-up among them,
+// and a truncation's chunks are kept for reuse.
+func TestSegmentedKeepsNoLargeBatch(t *testing.T) {
+	mfs := faultfs.NewMem()
+	l, err := OpenSegmentedFS(mfs, "/db", SegmentedOptions{Sync: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := &Record{Type: TUpdate, TID: 1, OID: 2, Kind: KindModify, Before: make([]byte, 64), After: make([]byte, 64)}
+	batch := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept := func(when string) (slab, spare int) {
+		t.Helper()
+		l.appendMu.Lock()
+		slab, spare = cap(l.slab), cap(l.spare)
+		l.appendMu.Unlock()
+		if slab > maxKeptBatch || spare > maxKeptBatch {
+			t.Errorf("%s: the log keeps a %d-B slab and a %d-B spare, want neither over %d", when, slab, spare, maxKeptBatch)
+		}
+		return slab, spare
+	}
+	batch(500)
+	batch(500)
+	if slab, spare := kept("after small batches"); slab == 0 || spare == 0 {
+		t.Errorf("after small batches: slab %d B, spare %d B, want both kept", slab, spare)
+	}
+	batch(8 * maxKeptBatch / 100) // records are over 100 B framed
+	l.appendMu.Lock()
+	spare := cap(l.spare)
+	l.appendMu.Unlock()
+	if spare <= maxKeptBatch {
+		t.Errorf("after a large batch: spare %d B, want its buffer kept for the next large batch", spare)
+	}
+	batch(8 * maxKeptBatch / 100)
+	batch(500)
+	batch(500)
+	kept("after two large batches and two small ones")
+
+	err = l.Truncate(func(emit func(*Record) error) error {
+		for i := 0; i < 8*maxKeptBatch/100; i++ {
+			if err := emit(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slab, spare := kept("after a long truncation"); slab == 0 || spare == 0 {
+		t.Errorf("after a long truncation: slab %d B, spare %d B, want both kept", slab, spare)
+	}
+}
+
 // BenchmarkSegmentedAppend measures the enqueue fast path (run with
 // -benchmem; the steady-state figure is 0 allocs/op — the CI wal-stress
 // job asserts that via TestSegmentedAppendAllocFree, which is the same
