@@ -66,7 +66,9 @@ type (
 	TxnFunc = core.TxnFunc
 	// Config configures Open. Durability is Dir, SyncCommits and
 	// WALSegmentBytes; every commit takes one path: append, release the
-	// manager mutex, park on the log's force.
+	// manager mutex, park on the log's force. A lock wait ends when it is
+	// granted, chosen as a deadlock victim, or aborted; TxnDeadline and a
+	// TxnOptions context or deadline bound it by aborting the transaction.
 	Config = core.Config
 	// Stats are cumulative manager counters.
 	Stats = core.Stats
@@ -163,8 +165,6 @@ var (
 	ErrAlreadyBegun = core.ErrAlreadyBegun
 	// ErrUnknownTxn reports a tid that names no live transaction.
 	ErrUnknownTxn = core.ErrUnknownTxn
-	// ErrTooManyTxns reports transaction-limit exhaustion at initiate.
-	ErrTooManyTxns = core.ErrTooManyTxns
 	// ErrTerminated reports a primitive applied to a terminated target.
 	ErrTerminated = core.ErrTerminated
 	// ErrNoObject reports a data operation on a missing object.
@@ -175,8 +175,6 @@ var (
 	ErrClosed = core.ErrClosed
 	// ErrDeadlock reports that the transaction was a deadlock victim.
 	ErrDeadlock = core.ErrDeadlock
-	// ErrLockTimeout reports a lock wait that exceeded Config.LockTimeout.
-	ErrLockTimeout = core.ErrLockTimeout
 	// ErrEscrow reports an Add whose delta can never be admitted within
 	// the counter's declared escrow bounds.
 	ErrEscrow = core.ErrEscrow
@@ -201,8 +199,8 @@ var (
 func Open(cfg Config) (*Manager, error) { return core.Open(cfg) }
 
 // Run executes fn as a transaction on m and automatically retries
-// retryable failures — deadlock victimhood, lock timeouts, watchdog reaps,
-// admission sheds — with capped exponential backoff plus jitter under an
+// retryable failures — deadlock victimhood, watchdog reaps, admission
+// sheds — with capped exponential backoff plus jitter under an
 // attempt budget. It is the convenience form of (*Manager).Run; ctx bounds
 // the whole engagement.
 func Run(ctx context.Context, m *Manager, opts RunOptions, fn TxnFunc) error {
@@ -210,6 +208,6 @@ func Run(ctx context.Context, m *Manager, opts RunOptions, fn TxnFunc) error {
 }
 
 // Retryable reports whether err is worth a fresh attempt (the
-// classification Run uses): deadlock victims, lock and transaction
-// deadline expiries, admission sheds, and anything tagged ErrRetryable.
+// classification Run uses): deadlock victims, transaction deadline
+// expiries, admission sheds, and anything tagged ErrRetryable.
 func Retryable(err error) bool { return core.Retryable(err) }

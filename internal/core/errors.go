@@ -26,9 +26,6 @@ var (
 	// ErrUnknownTxn is returned when a tid does not name a live
 	// transaction.
 	ErrUnknownTxn = errors.New("core: unknown transaction")
-	// ErrTooManyTxns is returned by initiate when the configured
-	// transaction limit is reached ("if no resources are available").
-	ErrTooManyTxns = errors.New("core: too many concurrent transactions")
 	// ErrTerminated is returned when a primitive requires a live
 	// transaction but the target has terminated.
 	ErrTerminated = errors.New("core: transaction already terminated")
@@ -51,10 +48,10 @@ var (
 	// override in TxnOptions).
 	ErrTxnDeadline = errors.New("core: transaction deadline exceeded")
 	// ErrRetryable classifies failures that a fresh attempt may not hit
-	// again (deadlock victims, lock timeouts, overload sheds, reaped
-	// deadlines). Run retries errors matching errors.Is(err, ErrRetryable)
-	// — see Retryable — and wraps its own give-up error with it so callers
-	// can distinguish "lost every race" from terminal failures.
+	// again (deadlock victims, overload sheds, reaped deadlines). Run
+	// retries errors matching errors.Is(err, ErrRetryable) — see
+	// Retryable — and wraps its own give-up error with it so callers can
+	// distinguish "lost every race" from terminal failures.
 	ErrRetryable = errors.New("core: retryable transaction failure")
 	// ErrLeaseExpired is returned by the networked tier when a session's
 	// lease lapsed (heartbeats stopped reaching the server) and its live
@@ -84,9 +81,6 @@ var (
 	// ErrDeadlock is returned to deadlock victims (re-exported from the
 	// lock manager so callers need only this package).
 	ErrDeadlock = lock.ErrDeadlock
-	// ErrLockTimeout is returned when a lock request exceeded
-	// Config.LockTimeout.
-	ErrLockTimeout = lock.ErrTimeout
 	// ErrEscrow is returned by Add on a bounds-declared counter when the
 	// delta can never be admitted within the declared escrow bounds
 	// (re-exported from the lock manager).

@@ -249,27 +249,6 @@ func TestSelfAndParent(t *testing.T) {
 	}
 }
 
-func TestMaxTransactions(t *testing.T) {
-	m, err := Open(Config{MaxTransactions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	a, _ := m.Initiate(func(tx *Tx) error { return nil })
-	if _, err := m.Initiate(func(tx *Tx) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Initiate(func(tx *Tx) error { return nil }); !errors.Is(err, ErrTooManyTxns) {
-		t.Fatalf("err = %v, want ErrTooManyTxns", err)
-	}
-	// Terminating one frees a slot.
-	m.Begin(a)
-	m.Commit(a)
-	if _, err := m.Initiate(func(tx *Tx) error { return nil }); err != nil {
-		t.Fatalf("after commit: %v", err)
-	}
-}
-
 func TestUnknownTxn(t *testing.T) {
 	m := newMem(t)
 	if err := m.Begin(999); !errors.Is(err, ErrUnknownTxn) {
@@ -364,37 +343,6 @@ func TestExplicitLockPrimitive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := <-bDone; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLockTimeoutConfig(t *testing.T) {
-	m, err := open(Config{LockTimeout: 40 * time.Millisecond}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	oid := seedObject(t, m, []byte("v"))
-	hold := make(chan struct{})
-	holdStarted := make(chan struct{})
-	a, _ := m.Initiate(func(tx *Tx) error {
-		if err := tx.Lock(oid, xid.OpWrite); err != nil {
-			return err
-		}
-		close(holdStarted)
-		<-hold
-		return nil
-	})
-	m.Begin(a)
-	<-holdStarted
-	b, _ := m.Initiate(func(tx *Tx) error { return tx.Write(oid, []byte("b")) })
-	m.Begin(b)
-	err = m.Wait(b)
-	if !errors.Is(err, ErrAborted) || !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("wait = %v, want aborted-by-lock-timeout", err)
-	}
-	close(hold)
-	if err := m.Commit(a); err != nil {
 		t.Fatal(err)
 	}
 }

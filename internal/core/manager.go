@@ -49,25 +49,17 @@ type Config struct {
 	// (durable mode only). 0 picks the default (16 MiB). Small values
 	// are useful to tests that need to cross many rotation boundaries.
 	WALSegmentBytes int64
-	// MaxTransactions bounds concurrently live (non-terminated)
-	// transactions; initiate fails beyond it. 0 means no limit.
-	MaxTransactions int
 	// LockShards sets the number of lock-table shards (rounded up to a
 	// power of two). 0 picks the default (64); 1 degenerates to a single
 	// global lock-table latch, the pre-sharding behaviour.
 	LockShards int
-	// LockTimeout bounds how long any lock request may block; 0 = forever.
-	// Per-transaction deadlines (TxnDeadline, TxnOptions) and contexts
-	// bound via BeginCtx give finer-grained bounds per request.
-	LockTimeout time.Duration
 	// TxnDeadline bounds the lifetime of every transaction: the watchdog
 	// reaper aborts (with ErrTxnDeadline) any transaction still live that
 	// long after initiation. 0 disables the watchdog unless individual
 	// transactions set deadlines via TxnOptions.
 	TxnDeadline time.Duration
 	// MaxLive bounds transactions admitted past begin — the running set
-	// that actually holds locks — independent of MaxTransactions, which
-	// bounds initiated descriptors. When the gate is full, begin queues
+	// that actually holds locks. When the gate is full, begin queues
 	// (deadline-aware, see AdmitTimeout) and sheds with ErrOverload rather
 	// than letting the lock table collapse under contention. 0 = no gate.
 	MaxLive int
@@ -81,22 +73,17 @@ type Config struct {
 	// reaped transactions return ErrUnknownTxn, so enable it only when
 	// callers act solely on commit/abort return values (benchmarks do).
 	ReapTerminated bool
-	// VerdictRetention bounds how many decided distributed-commit groups
-	// the manager remembers for idempotent verdict redelivery. Beyond it
-	// the oldest entries are dropped, and a duplicate Decide for a dropped
-	// group reports ErrUnknownGroup — which coordinators treat as already
-	// delivered. 0 picks the default (DefaultVerdictRetention); negative
-	// retains every verdict forever.
-	VerdictRetention int
 	// FS, when non-nil, replaces the OS filesystem for every durable file
 	// (the WAL's segments and manifest). Used by the fault-injection and
 	// crash-simulation tests; nil means the real filesystem.
 	FS faultfs.FS
 }
 
-// DefaultVerdictRetention is the verdicts-map bound applied when
-// Config.VerdictRetention is zero.
-const DefaultVerdictRetention = 4096
+// verdictRetention bounds how many decided distributed-commit groups the
+// manager remembers for idempotent verdict redelivery. Beyond it the oldest
+// entries are dropped, and a duplicate Decide for a dropped group reports
+// ErrUnknownGroup — which coordinators treat as already delivered.
+const verdictRetention = 4096
 
 // Stats are cumulative manager counters, used by the benchmark harness.
 type Stats struct {
@@ -126,7 +113,7 @@ type Manager struct {
 	free    pool.Shared[txn, *txn]     // recycled TDs
 	wakers  pool.Shared[waker, *waker] // wake channels between waits (await)
 	nextTID atomic.Uint64
-	live    atomic.Int64 // non-terminated transactions, for MaxTransactions
+	live    atomic.Int64 // non-terminated transactions, for Checkpoint's quiescence
 
 	locks *lock.Manager
 	deps  *dep.Graph
@@ -150,7 +137,7 @@ type Manager struct {
 	// doubt), in lists spareTIDLists keeps for the next vote once the group
 	// is decided; verdicts remembers decided groups so retransmitted votes
 	// and verdicts stay idempotent, with verdictOrder the FIFO pruning
-	// order bounding it to cfg.VerdictRetention; preparing gates the window
+	// order bounding it to verdictRetention; preparing gates the window
 	// in which a vote's TPrepare force or a verdict's TCommit force has
 	// released mu — duplicate votes and verdicts wait it out on a channel
 	// the first of them makes (awaitGateLocked).
@@ -182,14 +169,7 @@ type Manager struct {
 // Open creates a Manager. With cfg.Dir set it opens (or creates) the
 // durable database there and recovers committed state from the log;
 // otherwise everything is in-memory.
-func Open(cfg Config) (*Manager, error) { return open(cfg, true) }
-
-// open is Open with deadlock detection switchable. Off is ablation A4,
-// which only this package's tests reach: the waits-for graph is still
-// maintained for diagnostics, but no victims are selected, so a blocked
-// request waits until granted, cancelled by an abort, or timed out by
-// LockTimeout.
-func open(cfg Config, detect bool) (*Manager, error) {
+func Open(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:          cfg,
 		deps:         dep.New(),
@@ -205,22 +185,16 @@ func open(cfg Config, detect bool) (*Manager, error) {
 	if cfg.MaxLive > 0 {
 		m.admit = make(chan struct{}, cfg.MaxLive)
 	}
-	var onVictim func(xid.TID)
-	if detect {
-		onVictim = func(t xid.TID) {
+	m.locks = lock.New(m.waits, lock.Options{
+		OnVictim: func(t xid.TID) {
 			m.mu.Lock()
 			if vt, ok := m.txns.Get(uint64(t)); ok {
 				m.abortLocked(vt, fmt.Errorf("%w: chosen as deadlock victim: %w", ErrAborted, ErrDeadlock))
 			}
 			m.mu.Unlock()
-		}
-	}
-	m.locks = lock.New(m.waits, lock.Options{
-		OnVictim:     onVictim,
+		},
 		Shards:       cfg.LockShards,
 		EagerClosure: true,
-		WaitTimeout:  cfg.LockTimeout,
-		NoDetection:  !detect,
 	})
 
 	if cfg.Dir == "" {

@@ -286,14 +286,7 @@ func (m *Manager) recordVerdictLocked(gid uint64, commit bool) {
 		m.verdictOrder = append(m.verdictOrder, gid)
 	}
 	m.verdicts[gid] = commit
-	limit := m.cfg.VerdictRetention
-	if limit == 0 {
-		limit = DefaultVerdictRetention
-	}
-	if limit < 0 {
-		return
-	}
-	for len(m.verdictOrder) > limit {
+	for len(m.verdictOrder) > verdictRetention {
 		delete(m.verdicts, m.verdictOrder[0])
 		m.verdictOrder = m.verdictOrder[1:]
 	}

@@ -268,13 +268,10 @@ func TestPrepareDuplicateConcurrent(t *testing.T) {
 // forgotten group reports ErrUnknownGroup — which coordinators treat as
 // already delivered.
 func TestVerdictRetention(t *testing.T) {
-	m, err := Open(Config{VerdictRetention: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	gids := []uint64{101, 102, 103}
-	for _, gid := range gids {
+	m := newMem(t)
+	const first = uint64(101)
+	last := first + verdictRetention
+	for gid := first; gid <= last; gid++ {
 		id := completed(t, m, noop)
 		if err := m.PrepareCtx(context.Background(), gid, id); err != nil {
 			t.Fatal(err)
@@ -283,14 +280,17 @@ func TestVerdictRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Decide(101, true); !errors.Is(err, ErrUnknownGroup) {
+	if n := len(m.verdicts); n != verdictRetention {
+		t.Errorf("%d verdicts remembered after %d decisions, want the cap %d", n, last-first+1, verdictRetention)
+	}
+	if err := m.Decide(first, true); !errors.Is(err, ErrUnknownGroup) {
 		t.Fatalf("pruned verdict redelivery = %v, want ErrUnknownGroup", err)
 	}
-	if err := m.Decide(102, true); err != nil {
-		t.Fatalf("retained verdict redelivery: %v", err)
+	if err := m.Decide(first+1, true); err != nil {
+		t.Fatalf("oldest retained verdict redelivery: %v", err)
 	}
-	if err := m.Decide(103, true); err != nil {
-		t.Fatalf("retained verdict redelivery: %v", err)
+	if err := m.Decide(last, true); err != nil {
+		t.Fatalf("newest verdict redelivery: %v", err)
 	}
 }
 

@@ -28,8 +28,8 @@ type TxnOptions struct {
 // Initiate registers a new top-level transaction that will execute fn. The
 // transaction does not start executing; call Begin. A nil fn makes the
 // transaction interactive: its caller drives it through the handle that
-// BeginInteractive returns. On resource exhaustion it returns
-// ErrTooManyTxns with the null tid (the paper returns the null tid alone).
+// BeginInteractive returns. On failure (a closed manager) it returns the
+// null tid with the error.
 func (m *Manager) Initiate(fn TxnFunc) (xid.TID, error) {
 	return m.initiate(fn, xid.NilTID)
 }
@@ -77,15 +77,7 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*tx
 	if m.closed.Load() {
 		return nil, xid.NilTID, ErrClosed
 	}
-	for {
-		n := m.live.Load()
-		if m.cfg.MaxTransactions > 0 && n >= int64(m.cfg.MaxTransactions) {
-			return nil, xid.NilTID, ErrTooManyTxns
-		}
-		if m.live.CompareAndSwap(n, n+1) {
-			break
-		}
-	}
+	m.live.Add(1)
 	id := xid.TID(m.nextTID.Add(1))
 	refs := int32(1)
 	if fn == nil {

@@ -194,24 +194,22 @@ type RunOptions struct {
 }
 
 // Retryable reports whether err is worth a fresh attempt: deadlock
-// victims, lock and transaction deadline expiries, admission sheds,
+// victims, transaction deadline expiries, admission sheds,
 // networked-tier transport drops and lease expiries, and anything
 // explicitly tagged ErrRetryable. Context expiry, logic errors, and
 // unknown commit outcomes are terminal.
 func Retryable(err error) bool {
 	return err != nil && (errors.Is(err, ErrRetryable) ||
 		errors.Is(err, ErrDeadlock) ||
-		errors.Is(err, ErrLockTimeout) ||
 		errors.Is(err, ErrOverload) ||
 		errors.Is(err, ErrTxnDeadline) ||
-		errors.Is(err, ErrTooManyTxns) ||
 		errors.Is(err, ErrLeaseExpired) ||
 		errors.Is(err, ErrConnLost))
 }
 
 // Run executes fn as a transaction (initiate, execute, commit) and
-// automatically retries retryable failures — deadlock victimhood, lock
-// timeouts, watchdog reaps, admission sheds — with capped exponential
+// automatically retries retryable failures — deadlock victimhood,
+// watchdog reaps, admission sheds — with capped exponential
 // backoff plus jitter, under an attempt budget. ctx bounds the whole
 // engagement: each attempt's transaction is bound to it, and backoff sleeps
 // abort when it dies. Terminal errors (and ctx expiry) return immediately;

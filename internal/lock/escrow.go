@@ -221,7 +221,7 @@ func (m *Manager) EscrowInfo(oid xid.OID) (val, lo, hi, infPos, infNeg uint64, o
 // EscrowReserve acquires the commutative lock mode for delta's sign
 // (increment for delta >= 0, decrement for delta < 0) on oid and, when the
 // object has a declared escrow, reserves delta against its bounds. It
-// blocks — composing with deadlock detection, victim marking, timeouts,
+// blocks — composing with deadlock detection, victim marking, aborts
 // and cancellation exactly like Lock — while other holders' in-flight
 // reservations exhaust the headroom, and fails fast with ErrEscrow when no
 // resolution of theirs could ever admit the request.

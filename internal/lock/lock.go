@@ -47,7 +47,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/htab"
 	"repro/internal/pool"
@@ -62,17 +61,12 @@ var (
 	// ErrCancelled is returned when the waiter's transaction was aborted
 	// while it was blocked.
 	ErrCancelled = errors.New("lock: wait cancelled (transaction aborted)")
-	// ErrTimeout is returned when a request waited longer than the
-	// configured WaitTimeout (the fallback resolution when deadlock
-	// detection is disabled).
-	ErrTimeout = errors.New("lock: wait timed out")
 	// ErrContext is returned by LockCtx when the request's context was
 	// cancelled or its deadline expired; the returned error wraps the
 	// context's cancellation cause (context.Cause), so errors.Is against
 	// context.Canceled, context.DeadlineExceeded, or a caller-supplied
 	// cause (e.g. a session's lease expiry) classifies the abandonment.
-	// Per-request deadlines travel in the context, superseding the single
-	// global WaitTimeout for callers that use them.
+	// A context deadline is how a caller bounds a wait.
 	ErrContext = errors.New("lock: wait abandoned by context")
 )
 
@@ -101,7 +95,6 @@ type lockReq struct {
 	suspended bool // granted lock suspended by a permitted conflicting grant
 	cancelled bool // waiter was aborted; it must give up
 	victim    bool // waiter was chosen as deadlock victim
-	timedOut  bool // waiter exceeded Options.WaitTimeout
 	escrow    bool // request carries an escrow reservation of delta
 	escNever  bool // escrow test concluded the reservation can never be admitted
 
@@ -174,24 +167,11 @@ type Options struct {
 	// selects a transaction other than the requester as the victim; the
 	// transaction system should abort it. May be nil.
 	OnVictim func(xid.TID)
-	// NoQueueFairness disables FIFO ordering of pending requests (a request
-	// is granted as soon as it is compatible with the granted group). Used
-	// by ablation benchmarks.
-	NoQueueFairness bool
 	// EagerClosure controls permit transitivity. When true (the default
 	// used by New), implied permits are materialized at insertion. When
 	// false they are discovered by walking grantor chains at lock time
 	// (ablation A2).
 	EagerClosure bool
-	// WaitTimeout bounds how long a request may block; 0 means forever.
-	// Timeouts are the deadlock resolution of last resort when detection
-	// is disabled (and a belt-and-braces bound when it is not).
-	WaitTimeout time.Duration
-	// NoDetection disables deadlock victim selection entirely (ablation
-	// A4): wait-for edges are still recorded for diagnostics, but cycles
-	// go unnoticed and blocked requests wait until granted, cancelled, or
-	// timed out. Combine with WaitTimeout, or deadlocks wait forever.
-	NoDetection bool
 	// Shards is the lock-table shard count, rounded up to a power of two;
 	// <= 0 selects the default (64). 1 reproduces the legacy fully-serial
 	// lock table.
@@ -242,7 +222,7 @@ func (m *Manager) NumShards() int { return len(m.shards) }
 // Lock acquires (or upgrades to) the given mode on oid for tid, blocking
 // until granted. It returns ErrDeadlock if the request was chosen as a
 // deadlock victim and ErrCancelled if the transaction was aborted while
-// waiting.
+// waiting. Nothing else ends the wait; LockCtx adds the context.
 func (m *Manager) Lock(tid xid.TID, oid xid.OID, mode xid.OpSet) error {
 	return m.LockCtx(context.Background(), tid, oid, mode)
 }
@@ -251,10 +231,9 @@ func (m *Manager) Lock(tid xid.TID, oid xid.OID, mode xid.OpSet) error {
 // deadline-expired context wakes the waiter parked on the object's cond and
 // returns ErrContext (wrapping the context error), with the pending request
 // removed and its wait-graph edges cleared — the lock table is left exactly
-// as if the request had never been made. Context deadlines are the
-// per-request replacement for the single global Options.WaitTimeout, which
-// still applies as a backstop when both are configured. A background (or
-// never-cancellable) context adds no overhead over Lock.
+// as if the request had never been made. A context deadline is how a caller
+// bounds a wait. A background (or never-cancellable) context adds no
+// overhead over Lock.
 func (m *Manager) LockCtx(ctx context.Context, tid xid.TID, oid xid.OID, mode xid.OpSet) error {
 	return m.acquire(ctx, tid, oid, mode, 0, false)
 }
@@ -266,7 +245,7 @@ func (m *Manager) LockCtx(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 //
 // The first pass evaluates the request from a descriptor on the stack: a
 // request that is granted without waiting — every uncontended lock — never
-// has a pending LRD, a wait registration, a timer or a ctx watcher, and
+// has a pending LRD, a wait registration or a ctx watcher, and
 // costs at most the one granted LRD installGrant takes off the shard's free
 // list. Only a request that has to wait goes through park.
 //
@@ -360,11 +339,12 @@ func (m *Manager) grant(ts *txnState, req *lockReq, permitted []*lockReq) error 
 // cancel/victim marking can find it without a table scan, and waits on the
 // object's cond until the request is granted or given up — which may be at
 // once, the table having moved on since acquire let go of the shard latch.
-// The timeout timer and the ctx watcher are armed only here, just before
-// the first Wait. The OD acquire evaluated the probe on is not trusted: it
-// is looked up again by oid, and mapped again if it was retired in between.
-// From the enqueue to leave the pending LRD keeps it mapped. Called with no
-// latches held.
+// It wakes on a grant, a victim marking, an abort (CancelWaits) or its
+// context's AfterFunc, which is armed only here, just before the first
+// Wait. The OD acquire evaluated the probe on is not trusted: it is looked
+// up again by oid, and mapped again if it was retired in between. From the
+// enqueue to leave the pending LRD keeps it mapped. Called with no latches
+// held.
 //
 //go:noinline
 func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.OID, probe lockReq) error {
@@ -381,12 +361,11 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 	od.pending = append(od.pending, req)
 	ts.registerWait(tid, oid)
 
-	// Both wake-up sources flag req under the shard latch. Either may fire
-	// after the request is already resolved (the stop and the firing race);
-	// leave accounts for that before it lets req be recycled. Neither can
-	// fire unseen before a Wait: it needs the shard latch, which this
-	// goroutine holds until Wait releases it.
-	var timer *time.Timer
+	// The ctx watcher flags req under the shard latch. It may fire after the
+	// request is already resolved (the stop and the firing race); leave
+	// accounts for that before it lets req be recycled. It cannot fire unseen
+	// before a Wait: it needs the shard latch, which this goroutine holds
+	// until Wait releases it.
 	var stopWatch func() bool
 
 	// Wait-for edges registered for the current blocker set. Always cleared
@@ -400,22 +379,15 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 		waitedOn = nil
 	}
 	// leave takes the request off the queue, under the shard latch. The
-	// LRD goes back on the free list only if no wake-up callback can still
-	// be on its way to flag it: a callback that already started is blocked
-	// on this latch holding the pointer, so that LRD is left to the
-	// collector instead.
+	// LRD goes back on the free list only if the ctx watcher cannot still be
+	// on its way to flag it: a watcher that already started is blocked on
+	// this latch holding the pointer, so that LRD is left to the collector
+	// instead.
 	leave := func() {
 		m.removePending(od, req)
 		ts.unregisterWait(tid, oid)
 		clearEdges()
-		quiet := true
-		if timer != nil && !timer.Stop() {
-			quiet = false
-		}
-		if stopWatch != nil && !stopWatch() {
-			quiet = false
-		}
-		if quiet {
+		if stopWatch == nil || stopWatch() {
 			s.freeReq(req)
 		}
 	}
@@ -445,9 +417,6 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 			// transaction down and must not pick up new grants.
 			return exit(fmt.Errorf("%w: %w", ErrContext, req.ctxErr))
 		}
-		if req.timedOut && len(blockers) > 0 {
-			return exit(ErrTimeout)
-		}
 		if req.escNever {
 			// The escrow test proved no resolution of the other holders'
 			// reservations can admit this delta within the declared bounds.
@@ -466,7 +435,7 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 		clearEdges()
 		victim, _ := m.wg.Add(tid, blockers...)
 		waitedOn = append(waitedOn, blockers...)
-		if !m.opts.NoDetection && !victim.IsNil() {
+		if !victim.IsNil() {
 			if victim == tid {
 				return exit(ErrDeadlock)
 			}
@@ -479,14 +448,6 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 				s.lat.Lock()
 				continue
 			}
-		}
-		if timer == nil && m.opts.WaitTimeout > 0 {
-			timer = time.AfterFunc(m.opts.WaitTimeout, func() {
-				s.lat.Lock()
-				req.timedOut = true
-				od.cond.Broadcast()
-				s.lat.Unlock()
-			})
 		}
 		if stopWatch == nil && ctx.Done() != nil {
 			stopWatch = context.AfterFunc(ctx, func() {
@@ -533,13 +494,13 @@ func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockRe
 	}
 	// FIFO fairness: an ordinary pending request also waits behind earlier
 	// conflicting pending requests; upgrades jump the queue.
-	if !m.opts.NoQueueFairness && req.status != statusUpgrading {
+	if req.status != statusUpgrading {
 		for _, p := range od.pending {
 			if p == req {
 				break
 			}
 			if p.tid != req.tid && p.mode.Conflicts(req.mode) &&
-				!p.victim && !p.cancelled && !p.timedOut && p.ctxErr == nil {
+				!p.victim && !p.cancelled && p.ctxErr == nil {
 				blockers = append(blockers, p.tid)
 			}
 		}

@@ -1,6 +1,7 @@
 package locktest
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -25,7 +26,7 @@ type EscrowConfig struct {
 	Init         uint64        // every counter's starting value
 	Lo, Hi       uint64        // escrow bounds (tight: force blocking + never)
 	MaxDelta     int64         // deltas drawn from [-MaxDelta, MaxDelta]\{0}
-	WaitTimeout  time.Duration // 0 picks a stress default
+	WaitBound    time.Duration // each request's context deadline; 0 picks a stress default
 }
 
 func (c *EscrowConfig) fill() {
@@ -50,8 +51,8 @@ func (c *EscrowConfig) fill() {
 	if c.MaxDelta <= 0 {
 		c.MaxDelta = 8
 	}
-	if c.WaitTimeout <= 0 {
-		c.WaitTimeout = 50 * time.Millisecond
+	if c.WaitBound <= 0 {
+		c.WaitBound = 50 * time.Millisecond
 	}
 }
 
@@ -76,9 +77,9 @@ func (c *EscrowConfig) fill() {
 // The op mix includes plain read/write locks on the counters (which
 // conflict with increment/decrement grants), immediate unreserves
 // (simulating a failed downstream operation), never-admittable deltas
-// (ErrEscrow), and bounds-blocked waits resolved by WaitTimeout, so the
-// pending-queue interplay is exercised, not just the commuting fast
-// path. Run under -race.
+// (ErrEscrow), and bounds-blocked waits ended by their context's
+// deadline, so the pending-queue interplay is exercised, not just the
+// commuting fast path. Run under -race.
 func RunEscrow(t *testing.T, cfg EscrowConfig) {
 	t.Helper()
 	cfg.fill()
@@ -87,7 +88,6 @@ func RunEscrow(t *testing.T, cfg EscrowConfig) {
 	lm := lock.New(wg, lock.Options{
 		Shards:       cfg.Shards,
 		EagerClosure: true,
-		WaitTimeout:  cfg.WaitTimeout,
 	})
 
 	oids := make([]xid.OID, cfg.Objects)
@@ -109,6 +109,13 @@ func RunEscrow(t *testing.T, cfg EscrowConfig) {
 	var nextTID atomic.Uint64
 	var committed, abortedCnt, neverCnt, timeoutCnt atomic.Uint64
 
+	// Every request is bounded by a context deadline, so a wait no
+	// resolution will end withdraws instead of stalling its batch.
+	bounded := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), cfg.WaitBound)
+	}
+	expired := func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }
+
 	type pendingDelta struct {
 		obj   int
 		delta int64
@@ -127,9 +134,11 @@ func RunEscrow(t *testing.T, cfg EscrowConfig) {
 				if rng.Intn(2) == 0 {
 					mode = xid.OpWrite
 				}
-				err := lm.Lock(tid, oids[o], mode)
+				ctx, cancel := bounded()
+				err := lm.LockCtx(ctx, tid, oids[o], mode)
+				cancel()
 				switch {
-				case err == nil, errors.Is(err, lock.ErrTimeout):
+				case err == nil, expired(err):
 				case errors.Is(err, lock.ErrDeadlock), errors.Is(err, lock.ErrCancelled):
 					doomed = true
 					break ops
@@ -143,7 +152,9 @@ func RunEscrow(t *testing.T, cfg EscrowConfig) {
 				if d == 0 {
 					d = 1
 				}
-				err := lm.EscrowReserve(tid, oids[o], d)
+				ctx, cancel := bounded()
+				err := lm.EscrowReserveCtx(ctx, tid, oids[o], d)
+				cancel()
 				switch {
 				case err == nil:
 					if rng.Float64() < 0.10 {
@@ -154,7 +165,7 @@ func RunEscrow(t *testing.T, cfg EscrowConfig) {
 					}
 				case errors.Is(err, lock.ErrEscrow):
 					neverCnt.Add(1) // never admittable; txn continues
-				case errors.Is(err, lock.ErrTimeout):
+				case expired(err):
 					timeoutCnt.Add(1) // bounds-blocked, withdrew; txn continues
 				case errors.Is(err, lock.ErrDeadlock), errors.Is(err, lock.ErrCancelled):
 					doomed = true
@@ -228,7 +239,10 @@ func RunEscrow(t *testing.T, cfg EscrowConfig) {
 	// counter immediately (no grant survived its transaction).
 	drain := xid.TID(nextTID.Add(1))
 	for _, oid := range oids {
-		if err := lm.Lock(drain, oid, xid.OpWrite); err != nil {
+		ctx, cancel := bounded()
+		err := lm.LockCtx(ctx, drain, oid, xid.OpWrite)
+		cancel()
+		if err != nil {
 			t.Errorf("drain: write lock on %d: %v", oid, err)
 		}
 	}

@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// TestEscrowModel sweeps the escrow model checker across the shard counts
-// the issue calls out: 1 (the legacy serial table, maximal latch
+// TestEscrowModel sweeps the escrow model checker across three shard
+// counts: 1 (the legacy serial table, maximal latch
 // conflict), 4 (heavy cross-shard traffic), and 64 (the default spread).
 // Tight bounds [0,100] with ±8 deltas and 8 workers keep the counters
 // under constant bound pressure so blocking admission, never-admittable
-// rejection, and timeout withdrawal all fire. Run with -race.
+// rejection, and withdrawal at a deadline all fire. Run with -race.
 func TestEscrowModel(t *testing.T) {
 	for _, shards := range []int{1, 4, 64} {
 		shards := shards
@@ -39,6 +39,6 @@ func TestEscrowModelHotSpot(t *testing.T) {
 		Hi:           40,
 		MaxDelta:     12,
 		Seed:         99,
-		WaitTimeout:  20 * time.Millisecond,
+		WaitBound:    20 * time.Millisecond,
 	})
 }

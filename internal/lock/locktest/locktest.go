@@ -22,6 +22,7 @@
 package locktest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -42,7 +43,7 @@ type Config struct {
 	Objects      int           // size of the shared hot object set
 	Seed         int64         // root seed; worker w uses Seed + w
 	EagerClosure bool          // permit transitivity mode
-	WaitTimeout  time.Duration // 0 picks a default suited to stress runs
+	WaitBound    time.Duration // each lock request's context deadline; 0 picks a default suited to stress runs
 }
 
 func (c *Config) fill() {
@@ -58,10 +59,10 @@ func (c *Config) fill() {
 	if c.Objects <= 0 {
 		c.Objects = 24
 	}
-	if c.WaitTimeout <= 0 {
+	if c.WaitBound <= 0 {
 		// Short enough that a worker blocked behind a held lock cannot
 		// stall a batch, long enough that grants still happen under -race.
-		c.WaitTimeout = 3 * time.Millisecond
+		c.WaitBound = 3 * time.Millisecond
 	}
 }
 
@@ -73,7 +74,6 @@ func Run(t *testing.T, cfg Config) {
 	m := lock.New(wg, lock.Options{
 		Shards:       cfg.Shards,
 		EagerClosure: cfg.EagerClosure,
-		WaitTimeout:  cfg.WaitTimeout,
 	})
 
 	h := &harness{cfg: cfg, m: m, wg: wg, tids: make([]xid.TID, cfg.Workers)}
@@ -112,10 +112,10 @@ func Run(t *testing.T, cfg Config) {
 		t.Fatalf("waits-for graph not empty after drain: %v", ws)
 	}
 	// Every object must be immediately lockable: a leaked grant would make
-	// this exclusive request time out.
+	// this exclusive request wait out its deadline.
 	probe := h.nextTID()
 	for i := 0; i < cfg.Objects; i++ {
-		if err := m.Lock(probe, xid.OID(i+1), xid.OpWrite); err != nil {
+		if err := h.lock(probe, xid.OID(i+1), xid.OpWrite); err != nil {
 			t.Fatalf("object %d not lockable after drain: %v (leaked grant)", i+1, err)
 		}
 	}
@@ -152,9 +152,9 @@ func (h *harness) workerBatch(w int, rng *rand.Rand) {
 		oid := xid.OID(rng.Intn(h.cfg.Objects) + 1)
 		switch r := rng.Intn(100); {
 		case r < 70:
-			err := h.m.Lock(my, oid, modes[rng.Intn(len(modes))])
+			err := h.lock(my, oid, modes[rng.Intn(len(modes))])
 			if err != nil {
-				// Deadlock victim, timeout, or cancelled: the transaction
+				// Deadlock victim, deadline, or cancelled: the transaction
 				// gives up and a new one takes its place, exactly like an
 				// abort in the full system.
 				h.retire(w)
@@ -184,6 +184,15 @@ func (h *harness) workerBatch(w int, rng *rand.Rand) {
 			h.retire(w)
 		}
 	}
+}
+
+// lock requests mode on oid for tid under a context that expires after
+// the configured wait bound, so a request blocked behind a held lock gives
+// up instead of stalling its batch.
+func (h *harness) lock(tid xid.TID, oid xid.OID, mode xid.OpSet) error {
+	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.WaitBound)
+	defer cancel()
+	return h.m.LockCtx(ctx, tid, oid, mode)
 }
 
 // retire terminates worker w's transaction and gives it a fresh one.

@@ -42,6 +42,6 @@ func TestInvariantsHotSpot(t *testing.T) {
 		OpsPerBatch: 100,
 		Objects:     3,
 		Seed:        42,
-		WaitTimeout: 2 * time.Millisecond,
+		WaitBound:   2 * time.Millisecond,
 	})
 }

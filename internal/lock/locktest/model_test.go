@@ -1,6 +1,8 @@
 package locktest
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,9 +19,9 @@ import (
 // means the sharding refactor changed semantics, not just concurrency.
 //
 // Sequential schedules keep the pending queues empty (a blocked request
-// times out and is withdrawn before the next operation runs), so queue
-// fairness never influences outcomes and the model can decide grant/block
-// from the granted group and permit set alone.
+// reaches its context's deadline and is withdrawn before the next operation
+// runs), so queue fairness never influences outcomes and the model can
+// decide grant/block from the granted group and permit set alone.
 type refModel struct {
 	eager   bool
 	locks   map[xid.OID]map[xid.TID]*refLock
@@ -291,9 +293,6 @@ func runModelComparison(t *testing.T, shards int, eager bool, seed int64, nTxns,
 	m := lock.New(waitgraph.New(), lock.Options{
 		Shards:       shards,
 		EagerClosure: eager,
-		// A blocked sequential request must withdraw quickly so the
-		// schedule can continue; 1ms keeps the full sweep fast.
-		WaitTimeout: time.Millisecond,
 	})
 	ref := newRefModel(eager)
 
@@ -307,13 +306,23 @@ func runModelComparison(t *testing.T, shards int, eager bool, seed int64, nTxns,
 		case r < 55:
 			mode := randOps()
 			want := ref.lock(me, oid, mode)
-			err := m.Lock(me, oid, mode)
+			// A blocked sequential request must withdraw quickly so the
+			// schedule can continue; 1ms keeps the full sweep fast. One the
+			// model grants is granted at once or never, so it gets a long
+			// bound that only a wrongly blocked request reaches.
+			bound := time.Millisecond
+			if want {
+				bound = 10 * time.Second
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), bound)
+			err := m.LockCtx(ctx, me, oid, mode)
+			cancel()
 			if got := err == nil; got != want {
 				t.Fatalf("op %d (seed %d): Lock(%v,%v,%v) granted=%v, model says %v (err=%v)",
 					op, seed, me, oid, mode, got, want, err)
 			}
-			if err != nil && err != lock.ErrTimeout {
-				t.Fatalf("op %d (seed %d): sequential blocked Lock returned %v, want ErrTimeout", op, seed, err)
+			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("op %d (seed %d): sequential blocked Lock returned %v, want its deadline", op, seed, err)
 			}
 		case r < 72:
 			grantee := xid.NilTID

@@ -261,11 +261,11 @@ func TestOwnershipStaleStatePointerRefused(t *testing.T) {
 	wantEmpty(t, m, "stale state pointer")
 }
 
-// TestOwnershipLateWakeupKeepsLRD: the timeout timer and the ctx watcher of
-// a parked request hold its LRD. When the request leaves the queue with one
-// of them already fired — its callback may still be on its way to the shard
-// latch — the LRD must not go back on the free list, where the next request
-// would pick it up and inherit the flag; when neither fired it must.
+// TestOwnershipLateWakeupKeepsLRD: the ctx watcher of a parked request holds
+// its LRD. When the request leaves the queue with the watcher already fired
+// — its callback may still be on its way to the shard latch — the LRD must
+// not go back on the free list, where the next request would pick it up and
+// inherit the flag; when it has not fired it must.
 func TestOwnershipLateWakeupKeepsLRD(t *testing.T) {
 	const oid = xid.OID(7)
 	free := func(m *Manager) int {
@@ -278,27 +278,33 @@ func TestOwnershipLateWakeupKeepsLRD(t *testing.T) {
 		return s.reqPool.Len()
 	}
 
-	// Timed out: the timer fired, the LRD is abandoned to the collector.
-	m := newTest(Options{WaitTimeout: 2 * time.Millisecond, NoDetection: true})
+	// Past its deadline: the watcher fired, the LRD is abandoned to the
+	// collector.
+	m := newTest(Options{})
 	mustLock(t, m, 1, oid, xid.OpWrite)
 	before := free(m)
-	if err := m.Lock(2, oid, xid.OpWrite); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("parked request: %v, want timeout", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	if err := m.LockCtx(ctx, 2, oid, xid.OpWrite); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("parked request: %v, want its deadline", err)
 	}
 	if got := free(m); got != before {
-		t.Errorf("free list went %d → %d over a timed-out request; its LRD must not be recycled", before, got)
+		t.Errorf("free list went %d → %d over a request past its deadline; its LRD must not be recycled", before, got)
 	}
 	m.ReleaseAll(1)
 	m.ReleaseAll(2)
 	wantEmpty(t, m, "late wake-up, fired")
 
-	// Granted with the timer armed but far from firing: it is stopped and
+	// Granted with the watcher armed but far from firing: it is stopped and
 	// the pending LRD is recycled. The release retires 1's granted LRD (+1),
 	// 3's pending LRD goes back (+1) and its granted one comes off (-1).
-	m = newTest(Options{WaitTimeout: time.Hour})
+	m = newTest(Options{})
 	mustLock(t, m, 1, oid, xid.OpWrite)
 	before = free(m)
-	granted := lockAsync(m, 3, oid, xid.OpWrite)
+	far, cancelFar := context.WithTimeout(context.Background(), time.Hour)
+	defer cancelFar()
+	granted := make(chan error, 1)
+	go func() { granted <- m.LockCtx(far, 3, oid, xid.OpWrite) }()
 	waitParked(t, m, 3)
 	m.ReleaseAll(1)
 	if err := <-granted; err != nil {
@@ -362,7 +368,7 @@ func TestOwnershipParkRacesRetirement(t *testing.T) {
 // must resolve A again — finding no OD, hence no blocker — instead of
 // queueing T's request for A behind the holder of B.
 func TestOwnershipStaleODRefusedByPark(t *testing.T) {
-	m := newTest(Options{Shards: 1, WaitTimeout: 200 * time.Millisecond})
+	m := newTest(Options{Shards: 1})
 	const A, B = xid.OID(1), xid.OID(2)
 	const H, T, U = xid.TID(1), xid.TID(2), xid.TID(3)
 	mustLock(t, m, H, A, xid.OpWrite)
@@ -374,7 +380,10 @@ func TestOwnershipStaleODRefusedByPark(t *testing.T) {
 	if odOf(m, B) != stale { // ... and reused
 		t.Fatal("free list did not hand A's retired OD to B; the test needs it to")
 	}
-	if err := m.park(context.Background(), ts, m.shardOf(A), A, probe); err != nil {
+	// The deadline only keeps a wrongly queued request from parking forever.
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := m.park(ctx, ts, m.shardOf(A), A, probe); err != nil {
 		t.Fatalf("T's request for %v, parked with a stale OD: %v", A, err)
 	}
 	if !m.Holds(T, A, xid.OpWrite) || m.Holds(T, B, xid.OpWrite) || !m.Holds(U, B, xid.OpWrite) {
@@ -545,11 +554,11 @@ func TestOwnershipGrantorReleaseOverDeadPDs(t *testing.T) {
 	wantEmpty(t, m, "dead PD, released")
 }
 
-// TestOwnershipLateBroadcastIsSpurious: a wake-up callback (timeout timer,
-// ctx watcher) that had already started when its request left holds the OD
-// and will Broadcast on it. If the OD has been retired and reused by then,
-// that wakes the new object's waiters for nothing: they re-evaluate and park
-// again. Here the late callback is played by hand.
+// TestOwnershipLateBroadcastIsSpurious: a ctx watcher that had already
+// started when its request left holds the OD and will Broadcast on it. If
+// the OD has been retired and reused by then, that wakes the new object's
+// waiters for nothing: they re-evaluate and park again. Here the late
+// callback is played by hand.
 func TestOwnershipLateBroadcastIsSpurious(t *testing.T) {
 	m := newTest(Options{Shards: 1})
 	const A, B = xid.OID(1), xid.OID(2)

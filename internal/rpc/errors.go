@@ -15,14 +15,16 @@ import (
 // both sides of the wire, including multi-sentinel identities like an
 // abort caused by manager close.
 //
-// Order is wire ABI: append only, never reorder.
+// Order is wire ABI: append only, never reorder. A sentinel the engine no
+// longer has is retired, not deleted: a placeholder nothing wraps holds its
+// index, so every later entry keeps its bit.
 var Sentinels = []error{
 	core.ErrAborted,
 	core.ErrAlreadyCommitted,
 	core.ErrNotBegun,
 	core.ErrAlreadyBegun,
 	core.ErrUnknownTxn,
-	core.ErrTooManyTxns,
+	errRetiredTxnLimit,
 	core.ErrTerminated,
 	core.ErrNoObject,
 	core.ErrObjectExists,
@@ -32,7 +34,7 @@ var Sentinels = []error{
 	core.ErrTxnDeadline,
 	core.ErrRetryable,
 	core.ErrDeadlock,
-	core.ErrLockTimeout,
+	errRetiredLockWait,
 	core.ErrEscrow,
 	core.ErrDependencyCycle,
 	core.ErrLeaseExpired,
@@ -41,6 +43,13 @@ var Sentinels = []error{
 	core.ErrPrepared,
 	core.ErrUnknownGroup,
 }
+
+// Retired sentinels: the transaction limit and the lock-wait timeout, whose
+// settings are gone. Nothing produces them, so their bits are never set.
+var (
+	errRetiredTxnLimit = errors.New("rpc: retired sentinel (transaction limit)")
+	errRetiredLockWait = errors.New("rpc: retired sentinel (lock wait timeout)")
+)
 
 // WireError is an error decoded from a response: the message text plus
 // the sentinel membership bits, so errors.Is classification (and the

@@ -243,7 +243,6 @@ func TestWireErrorRetryableClassification(t *testing.T) {
 		want bool
 	}{
 		{core.ErrDeadlock, true},
-		{core.ErrLockTimeout, true},
 		{fmt.Errorf("%w (MaxLive=4)", core.ErrOverload), true},
 		{core.ErrTxnDeadline, true},
 		{core.ErrLeaseExpired, true},
@@ -285,17 +284,42 @@ func TestRetryAfterHint(t *testing.T) {
 }
 
 func TestSentinelTableStable(t *testing.T) {
-	// The bitmask is wire ABI: position changes silently corrupt error
-	// identity between mismatched builds. Pin the first rows and the
-	// length floor.
-	want := []error{core.ErrAborted, core.ErrAlreadyCommitted, core.ErrNotBegun}
+	// The bitmask is wire ABI: a sentinel's bit is its index, so a row
+	// moved, deleted or inserted anywhere but the end silently corrupts
+	// error identity between mismatched builds. Every row is pinned, the
+	// retired placeholders included; a new sentinel is appended here too.
+	want := []error{
+		core.ErrAborted,
+		core.ErrAlreadyCommitted,
+		core.ErrNotBegun,
+		core.ErrAlreadyBegun,
+		core.ErrUnknownTxn,
+		errRetiredTxnLimit,
+		core.ErrTerminated,
+		core.ErrNoObject,
+		core.ErrObjectExists,
+		core.ErrClosed,
+		core.ErrNotQuiescent,
+		core.ErrOverload,
+		core.ErrTxnDeadline,
+		core.ErrRetryable,
+		core.ErrDeadlock,
+		errRetiredLockWait,
+		core.ErrEscrow,
+		core.ErrDependencyCycle,
+		core.ErrLeaseExpired,
+		core.ErrConnLost,
+		core.ErrUnknownOutcome,
+		core.ErrPrepared,
+		core.ErrUnknownGroup,
+	}
+	if len(Sentinels) != len(want) {
+		t.Fatalf("sentinel table has %d entries, want %d", len(Sentinels), len(want))
+	}
 	for i, s := range want {
 		if Sentinels[i] != s {
 			t.Fatalf("Sentinels[%d] = %v, want %v", i, Sentinels[i], s)
 		}
-	}
-	if len(Sentinels) < 21 {
-		t.Fatalf("sentinel table shrank to %d entries", len(Sentinels))
 	}
 	if len(Sentinels) > 62 {
 		t.Fatal("sentinel table exceeds the 64-bit bitmask")

@@ -23,8 +23,8 @@ type SagaStep struct {
 // compensations.
 type SagaOptions struct {
 	// StepAttempts is the attempt budget per component transaction:
-	// transient failures (deadlock victims, lock timeouts, overload
-	// sheds, anything tagged asset.ErrRetryable) are retried with backoff
+	// transient failures (deadlock victims, overload sheds, anything
+	// tagged asset.ErrRetryable) are retried with backoff
 	// that many times before the saga gives up on the step and
 	// compensates. <=0 means 3.
 	StepAttempts int

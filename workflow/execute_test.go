@@ -43,7 +43,7 @@ func TestReapedStepFailureCompensates(t *testing.T) {
 // TestRaceBeginFailureAbortsAll: a competitor shed at the admission gate
 // fails the race, and no competitor stays behind — not the one already
 // running with nobody to commit it, nor the one never begun, which would
-// hold its place against MaxTransactions for good.
+// stay live for good and keep the manager from a quiescent checkpoint.
 func TestRaceBeginFailureAbortsAll(t *testing.T) {
 	m := newReaping(t, asset.Config{MaxLive: 1})
 	release := make(chan struct{})
