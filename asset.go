@@ -72,7 +72,7 @@ type (
 	Config = core.Config
 	// Stats are cumulative manager counters.
 	Stats = core.Stats
-	// TxnInfo describes one transaction in (*Manager).Transactions.
+	// TxnInfo describes one live transaction in (*Manager).Transactions.
 	TxnInfo = core.TxnInfo
 	// TxnOptions carries per-transaction resilience settings (context
 	// binding, deadline override) for (*Manager).InitiateWith.
@@ -163,7 +163,10 @@ var (
 	ErrNotBegun = core.ErrNotBegun
 	// ErrAlreadyBegun reports a begin of a non-initiated transaction.
 	ErrAlreadyBegun = core.ErrAlreadyBegun
-	// ErrUnknownTxn reports a tid that names no live transaction.
+	// ErrUnknownTxn reports a tid that names no transaction the manager
+	// knows: never issued, or terminated and forgotten by the outcome
+	// ring, which keeps a tid's outcome until a tid 4096 (or a multiple
+	// of it) newer has terminated.
 	ErrUnknownTxn = core.ErrUnknownTxn
 	// ErrTerminated reports a primitive applied to a terminated target.
 	ErrTerminated = core.ErrTerminated

@@ -3,15 +3,18 @@
 package asset_test
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	asset "repro"
+	"repro/internal/race"
 	"repro/models"
 )
 
@@ -23,6 +26,42 @@ func newMem(t *testing.T) *asset.Manager {
 	}
 	t.Cleanup(func() { m.Close() })
 	return m
+}
+
+// TestDefaultConfigKeepsNoDescriptors: 100,000 no-op transactions run on
+// the zero Config leave no descriptor in the table and the live heap where
+// it was. The default manager once kept every terminated descriptor for
+// its life, about 370 B a transaction: 37 MB here.
+func TestDefaultConfigKeepsNoDescriptors(t *testing.T) {
+	if race.Enabled {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
+	m := newMem(t)
+	ctx := context.Background()
+	noop := func(*asset.Tx) error { return nil }
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := m.Run(ctx, asset.RunOptions{}, noop); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(1000) // warm free lists and table buckets
+	before := live()
+	run(100_000)
+	after := live()
+	if txns := m.Transactions(); len(txns) != 0 {
+		t.Errorf("%d transactions tabled after 100,000 have terminated", len(txns))
+	}
+	if after > before && after-before > 1<<20 {
+		t.Errorf("live heap grew %d KB over 100,000 transactions, want < 1024 KB", (after-before)>>10)
+	}
 }
 
 func putU64(v uint64) []byte {

@@ -45,7 +45,7 @@ import (
 
 func benchManager(b *testing.B) *asset.Manager {
 	b.Helper()
-	return benchOpen(b, asset.Config{ReapTerminated: true})
+	return benchOpen(b, asset.Config{})
 }
 
 func benchOpen(b *testing.B, cfg asset.Config) *asset.Manager {
@@ -537,7 +537,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 	}
 	for _, par := range []int{1, 2, 4, 8, 16, 64} {
 		b.Run(fmt.Sprintf("cohort/par=%d", par), func(b *testing.B) {
-			m := benchOpen(b, asset.Config{Dir: b.TempDir(), SyncCommits: true, ReapTerminated: true})
+			m := benchOpen(b, asset.Config{Dir: b.TempDir(), SyncCommits: true})
 			oids := benchSeed(b, m, 64, 64)
 			commits, forces := m.Stats().Commits, m.PhysicalForces()
 			closedLoop(b, par, func(w, i int) error {
@@ -784,7 +784,7 @@ func BenchmarkRecovery(b *testing.B) {
 // transactions of 50, then closes the manager under a loser that has
 // written an object, and returns each object's committed first byte.
 func crashedDatabase(b *testing.B, dir string, n int) map[asset.OID]byte {
-	m, err := asset.Open(asset.Config{Dir: dir, ReapTerminated: true})
+	m, err := asset.Open(asset.Config{Dir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1216,7 +1216,7 @@ func BenchmarkAdmission(b *testing.B) {
 				name = fmt.Sprint(gate)
 			}
 			b.Run(fmt.Sprintf("gate=%s/par=%d", name, par), func(b *testing.B) {
-				m := benchOpen(b, asset.Config{ReapTerminated: true, MaxLive: gate, AdmitTimeout: 50 * time.Millisecond})
+				m := benchOpen(b, asset.Config{MaxLive: gate, AdmitTimeout: 50 * time.Millisecond})
 				hot := benchSeed(b, m, 8, 64)
 				opts := asset.RunOptions{MaxAttempts: 8, BaseBackoff: 100 * time.Microsecond}
 				closedLoop(b, par, func(w, i int) error {

@@ -24,8 +24,8 @@
 //     are not blindly retried: the client opens a fresh session and,
 //     when the server's epoch proves it is the same incarnation, asks
 //     for the recorded status of each in-doubt transaction. A changed
-//     epoch means the verdict is unlearnable: ErrUnknownOutcome,
-//     terminal by design.
+//     epoch, or a tid the server has since forgotten, means the verdict
+//     is unlearnable: ErrUnknownOutcome, terminal by design.
 //   - Run drives transaction bodies through core.Retry — the same
 //     backoff engine local transactions use — with transport errors
 //     (ErrConnLost) and lease expiries classified retryable, and server
@@ -474,8 +474,8 @@ func (c *Client) resumeExpired(ctx context.Context) error {
 	c.adopt(conn, resp)
 	c.failAfterExpiry(pend, oldEpoch, resp.Val)
 
-	// In-doubt commits: with epoch continuity the server still knows
-	// every verdict durably decided (descriptors are not reaped), so ask.
+	// In-doubt commits: with epoch continuity the server may still
+	// remember their verdicts, so ask.
 	if resp.Val == oldEpoch {
 		c.resolveInDoubt(ctx, pend)
 	}
@@ -501,20 +501,31 @@ func (c *Client) failAfterExpiry(pend []stranded, oldEpoch, newEpoch uint64) {
 
 // resolveInDoubt learns the verdict of each in-doubt commit via a status
 // query on the new session. Committed resolves to success — the decision
-// was made and must not be re-executed; anything else resolves to
-// ErrLeaseExpired (the transaction died with the session; a retry is a
-// fresh transaction).
+// was made and must not be re-executed. Aborted, or short of the commit
+// point, resolves to ErrLeaseExpired: the transaction died with the
+// session (the expiry aborts what has not reached its commit point), and
+// a retry is a fresh transaction. Everything else resolves to
+// ErrUnknownOutcome: a commit under way or prepared may still commit, and
+// a tid the server has forgotten (its outcome ring keeps a bounded number
+// of outcomes) may have committed, so neither may run again.
 func (c *Client) resolveInDoubt(ctx context.Context, pend []stranded) {
 	for _, st := range pend {
 		if st.op != rpc.OpCommit {
 			continue
 		}
-		status, err := c.Status(ctx, xid.TID(st.tid))
+		resp, err := c.roundTrip(ctx, rpc.Request{Op: rpc.OpStatus, TID: st.tid})
+		status := xid.Status(resp.Status)
 		switch {
 		case err != nil:
 			c.fail(st, fmt.Errorf("client: commit verdict unresolved: %w: %w", core.ErrUnknownOutcome, err))
+		case resp.Val == 0:
+			c.fail(st, fmt.Errorf("client: commit verdict of %v forgotten by the server: %w",
+				xid.TID(st.tid), core.ErrUnknownOutcome))
 		case status == xid.StatusCommitted:
 			c.complete(st.cl, st.id, &rpc.Response{ReqID: st.id, Status: byte(status)})
+		case status == xid.StatusCommitting || status == xid.StatusPrepared:
+			c.fail(st, fmt.Errorf("client: transaction %v still %v after its session died: %w",
+				xid.TID(st.tid), status, core.ErrUnknownOutcome))
 		default:
 			c.fail(st, fmt.Errorf("client: transaction %v died with its session (status %v): %w",
 				xid.TID(st.tid), status, core.ErrLeaseExpired))
@@ -590,8 +601,9 @@ func (c *Client) deliver(resp *rpc.Response) {
 // verdicts may already be decided. Instead the session is forgotten and
 // the pending table drained exactly as resumeExpired drains it:
 // non-commit calls fail with ErrLeaseExpired, and in-doubt commits are
-// resolved against the server's durable state on a fresh session —
-// when epoch continuity proves the verdicts are still learnable.
+// resolved on a fresh session when epoch continuity proves the server is
+// the one that decided them — learned where it still remembers the
+// verdict, ErrUnknownOutcome where it has forgotten it.
 func (c *Client) sessionExpired() {
 	c.mu.Lock()
 	oldEpoch := c.epoch

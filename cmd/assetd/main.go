@@ -16,9 +16,12 @@
 // prepared groups — querying an undecided group forces a durable abort
 // (presumed abort), so the answer is always final.
 //
-// The server keeps terminated transaction descriptors (reaping off) so a
+// The manager drops a terminated transaction's descriptor at once and
+// keeps its outcome in a fixed ring of 4096 slots, indexed by tid, so a
 // reconnecting client can learn the verdict of a commit whose response
-// was lost; restart the server to shed them.
+// was lost while the ring still remembers it; once a tid 4096 (or a
+// multiple) newer has terminated, the client reports the verdict
+// unknown rather than guess.
 package main
 
 import (

@@ -14,9 +14,9 @@ import (
 )
 
 // Budgets for what one local transaction may allocate on a directory-less
-// manager that reaps its descriptors (what the MACRO benchmark runs), counted
-// over initiate, begin, the body on its goroutine, and commit — and over
-// initiate, execute and commit, where the body runs on the caller.
+// manager (what the MACRO benchmark runs), counted over initiate, begin,
+// the body on its goroutine, and commit — and over initiate, execute and
+// commit, where the body runs on the caller.
 //
 // The budgets are pinned at the measured counts. An empty body cost 12
 // objects before the local path was made allocation-free: the descriptor and
@@ -51,7 +51,7 @@ func TestLocalTxnAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	m, err := Open(Config{ReapTerminated: true})
+	m, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +104,12 @@ func TestLocalTxnAllocBudget(t *testing.T) {
 
 // prepareDecideAllocBudget bounds a participant's share of a 2PC round: a
 // local PrepareCtx and a commit Decide of one completed transaction on a
-// directory-less manager that reaps its descriptors. It measured 8 when the
-// vote built its GC closure, group, gate channel and tid list, and the
-// verdict another gate and group. The vote now walks the closure through
-// the commit path's frame-buffered examine, a gate's channel is made only
-// when someone waits on it, and the tid list comes off a free list the
-// verdict gives it back to: 0.
+// directory-less manager. It measured 8 when the vote built its GC
+// closure, group, gate channel and tid list, and the verdict another gate
+// and group. The vote now walks the closure through the commit path's
+// frame-buffered examine, a gate's channel is made only when someone waits
+// on it, and the tid list comes off a free list the verdict gives it back
+// to: 0.
 const prepareDecideAllocBudget = 0
 
 // TestPrepareDecideAllocBudget counts what PrepareCtx and Decide allocate
@@ -119,7 +119,7 @@ func TestPrepareDecideAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	m, err := Open(Config{ReapTerminated: true})
+	m, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMemLogKeepsNoHeap(t *testing.T) {
 	if race.Enabled {
 		t.Skip("heap sizes are meaningless under the race detector")
 	}
-	m, err := Open(Config{ReapTerminated: true})
+	m, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestDirlessManagerKeepsNoDirtySet(t *testing.T) {
 	objects := live() - before
 	runtime.KeepAlive(bare)
 
-	m, err := Open(Config{ReapTerminated: true})
+	m, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestCacheCreateAbortAtFrontier(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	m, err := Open(Config{ReapTerminated: true})
+	m, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestCheckpointStreamsSnapshot(t *testing.T) {
 		t.Skip("heap sizes are meaningless under the race detector")
 	}
 	const n, perTxn = 100_000, 1000
-	m, err := Open(Config{Dir: t.TempDir(), ReapTerminated: true})
+	m, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,20 +36,22 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 		done = ctx.Done()
 	}
 	m.mu.Lock()
-	t, err := m.lookup(id)
+	t, o, err := m.lookup(id)
 	if err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	// The driver reads t's outcome after waits that release the mutex, by
-	// which time t may have been reaped.
-	t.pin()
-	defer m.unpin(t)
-	if done != nil && ctx.Err() != nil {
-		// Dead on arrival: a cancelled caller must not push the group past
-		// the commit point.
-		m.ctxAbortLocked(t, ctx)
-		done = nil
+	if t != nil {
+		// The driver reads t's outcome after waits that release the mutex,
+		// by which time t may have been reaped.
+		t.pin()
+		defer m.unpin(t)
+		if done != nil && ctx.Err() != nil {
+			// Dead on arrival: a cancelled caller must not push the group
+			// past the commit point.
+			m.ctxAbortLocked(t, ctx)
+			done = nil
+		}
 	}
 	// The group lives in this driver's frame, not in manager-owned scratch:
 	// the driver keeps using it after commitLocked has released the mutex
@@ -58,17 +60,16 @@ func (m *Manager) CommitCtx(ctx context.Context, id xid.TID) error {
 	var groupBuf [4]*txn
 	root := [1]xid.TID{id}
 	for {
-		switch t.st() {
+		if t != nil {
+			o = t.outcome()
+		}
+		switch o.st {
 		case xid.StatusCommitted:
 			m.mu.Unlock()
 			return nil
 		case xid.StatusAborted, xid.StatusAborting:
-			err := t.abErr
 			m.mu.Unlock()
-			if err == nil {
-				err = ErrAborted
-			}
-			return err
+			return o.err()
 		case xid.StatusInitiated:
 			m.mu.Unlock()
 			return ErrNotBegun
@@ -158,16 +159,22 @@ func (m *Manager) examineGroupLocked(roots []xid.TID, group []*txn, vote bool) (
 	for _, mid := range comp {
 		member, ok := m.txns.Get(uint64(mid))
 		if !ok {
-			continue // reaped: cannot happen for live groups
+			// Terminated, its descriptor reaped: only a vote's root can be
+			// (a commit driver's own transaction is settled before it
+			// examines, and a terminated one has no edges), and its outcome
+			// answers for it: aborted, it dooms the group; committed, the
+			// vote refuses it.
+			if o, _ := m.endedLocked(mid); o.st == xid.StatusCommitted {
+				return nil, obstacle{}, m.refuseVoteLocked(roots, mid, o.st)
+			}
+			return nil, obstacle{}, m.doomLocked(roots, mid)
 		}
 		group = append(group, member)
 	}
 	// An aborted member dooms the group.
 	for _, member := range group {
 		if member.st() == xid.StatusAborting || member.st() == xid.StatusAborted {
-			err := errMemberAborted(member.id)
-			m.abortRootsLocked(roots, err)
-			return nil, obstacle{}, err
+			return nil, obstacle{}, m.doomLocked(roots, member.id)
 		}
 	}
 	// Every member must have completed execution. (An initiated member
@@ -187,7 +194,7 @@ func (m *Manager) examineGroupLocked(roots []xid.TID, group []*txn, vote bool) (
 			// a vote's root can be found committed: a commit drops the
 			// transaction's edges).
 			if vote {
-				return nil, obstacle{}, m.refuseVoteLocked(roots, member)
+				return nil, obstacle{}, m.refuseVoteLocked(roots, member.id, member.st())
 			}
 			return group, obstacle{t: member, ev: &member.term}, nil
 		}
@@ -322,6 +329,16 @@ func (m *Manager) abortRootsLocked(roots []xid.TID, reason error) {
 	}
 }
 
+// doomLocked aborts the group of roots for its member id, which aborted,
+// and returns the reason. Caller holds m.mu.
+//
+//go:noinline
+func (m *Manager) doomLocked(roots []xid.TID, id xid.TID) error {
+	err := errMemberAborted(id)
+	m.abortRootsLocked(roots, err)
+	return err
+}
+
 // The abort reasons of the group paths, built off the //asset:noalloc
 // functions that use them.
 
@@ -393,18 +410,10 @@ func (m *Manager) commitLocked(group []*txn) error {
 		m.releaseSlot(member)
 		m.live.Add(-1)
 		m.stats.commits.Add(1)
-		// Reap before waking waiters: whoever observes the outcome must
-		// no longer find the descriptor. The table's reference goes after
-		// the wake-ups, which must reach the waiters of this transaction.
-		reap := m.cfg.ReapTerminated
-		if reap {
-			m.txns.Delete(uint64(member.id))
-		}
+		m.reapLocked(member)
 		member.closeDone()
 		member.closeTerm()
-		if reap {
-			m.unpin(member)
-		}
+		m.unpin(member) // the table's
 	}
 	if len(forcedAborts) > 0 {
 		m.abortGroupLocked(forcedAborts, errExcludedByCommitted(), false)
@@ -462,11 +471,11 @@ var errExplicitAbort = fmt.Errorf("%w: explicit abort", ErrAborted)
 func (m *Manager) AbortWith(id xid.TID, reason error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t, err := m.lookup(id)
+	t, o, err := m.lookup(id)
 	if err != nil {
 		return err
 	}
-	if t.st() == xid.StatusCommitting {
+	if o.st == xid.StatusCommitting {
 		// The transaction is past its commit record and its driver is
 		// parked on the log's force; wait for the outcome rather than
 		// yanking a half-committed group, pinned so that the outcome is
@@ -478,8 +487,9 @@ func (m *Manager) AbortWith(id xid.TID, reason error) error {
 			m.await(t, &t.term, nil, nil, nil)
 			m.mu.Lock()
 		}
+		o = t.outcome()
 	}
-	switch t.st() {
+	switch o.st {
 	case xid.StatusCommitted:
 		return ErrAlreadyCommitted
 	case xid.StatusAborted:
@@ -504,14 +514,12 @@ func abortReason(err error) error {
 }
 
 // AbortReason returns why the transaction aborted, or nil if it has not
-// aborted (or was reaped).
+// aborted or is unknown — never issued, or forgotten by the outcome ring.
 func (m *Manager) AbortReason(id xid.TID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if t, ok := m.txns.Get(uint64(id)); ok {
-		return t.abErr
-	}
-	return nil
+	_, o, _ := m.lookup(id)
+	return o.reason
 }
 
 // abortTxn is the internal abort entry point (function failure, panic,
@@ -649,15 +657,9 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 		u.setSt(xid.StatusAborted)
 		m.live.Add(-1)
 		m.stats.aborts.Add(1)
-		// Reap before waking waiters, as in commitLocked.
-		reap := m.cfg.ReapTerminated
-		if reap {
-			m.txns.Delete(uint64(u.id))
-		}
+		m.reapLocked(u)
 		u.closeDone()
 		u.closeTerm()
-		if reap {
-			m.unpin(u)
-		}
+		m.unpin(u) // the table's
 	}
 }

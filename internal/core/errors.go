@@ -23,8 +23,9 @@ var (
 	// ErrAlreadyBegun is returned by begin on a transaction that is not in
 	// the initiated state.
 	ErrAlreadyBegun = errors.New("core: transaction already begun")
-	// ErrUnknownTxn is returned when a tid does not name a live
-	// transaction.
+	// ErrUnknownTxn is returned when a tid names no transaction the
+	// manager knows: never issued, or terminated and forgotten by the
+	// outcome ring (see outcome).
 	ErrUnknownTxn = errors.New("core: unknown transaction")
 	// ErrTerminated is returned when a primitive requires a live
 	// transaction but the target has terminated.

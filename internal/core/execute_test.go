@@ -77,29 +77,21 @@ func TestExecuteRefusesWhatBeginRefuses(t *testing.T) {
 // TestExecuteReportsBodyFailure: a body error and a body panic both come back
 // as the abort reason, and the caller is still standing.
 func TestExecuteReportsBodyFailure(t *testing.T) {
-	for _, reap := range []bool{false, true} {
-		m, err := Open(Config{ReapTerminated: reap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		boom := errors.New("boom")
-		id := initiated(t, m, func(*Tx) error { return boom })
-		if err := m.Execute(id); !errors.Is(err, ErrAborted) || !errors.Is(err, boom) {
-			t.Errorf("reap=%v: Execute of a failing body = %v, want ErrAborted wrapping the body's error", reap, err)
-		}
-		id = initiated(t, m, func(*Tx) error { panic("kaboom") })
-		if err := m.Execute(id); !errors.Is(err, ErrAborted) || !contains(err.Error(), "kaboom") {
-			t.Errorf("reap=%v: Execute of a panicking body = %v, want ErrAborted naming the panic", reap, err)
-		}
-		if !reap {
-			if st := m.StatusOf(id); st != xid.StatusAborted {
-				t.Errorf("panicked transaction is %v, want aborted", st)
-			}
-		}
-		if s := m.Stats(); s.Aborts != 2 {
-			t.Errorf("reap=%v: Aborts = %d, want 2", reap, s.Aborts)
-		}
-		m.Close()
+	m := newMem(t)
+	boom := errors.New("boom")
+	id := initiated(t, m, func(*Tx) error { return boom })
+	if err := m.Execute(id); !errors.Is(err, ErrAborted) || !errors.Is(err, boom) {
+		t.Errorf("Execute of a failing body = %v, want ErrAborted wrapping the body's error", err)
+	}
+	id = initiated(t, m, func(*Tx) error { panic("kaboom") })
+	if err := m.Execute(id); !errors.Is(err, ErrAborted) || !contains(err.Error(), "kaboom") {
+		t.Errorf("Execute of a panicking body = %v, want ErrAborted naming the panic", err)
+	}
+	if st := m.StatusOf(id); st != xid.StatusAborted {
+		t.Errorf("panicked transaction is %v, want aborted", st)
+	}
+	if s := m.Stats(); s.Aborts != 2 {
+		t.Errorf("Aborts = %d, want 2", s.Aborts)
 	}
 }
 
@@ -267,15 +259,11 @@ func TestExecuteCtxCancelWhileBlockedOnLock(t *testing.T) {
 	}
 }
 
-// TestExecuteRunReportsBodyErrorUnderReap: under ReapTerminated a failed
-// body is gone before anybody could ask Commit about it; Run reports the
-// body's own error all the same, because Execute handed it back.
+// TestExecuteRunReportsBodyErrorUnderReap: a failed body is reaped before
+// anybody could ask Commit about it; Run reports the body's own error all
+// the same, because Execute handed it back.
 func TestExecuteRunReportsBodyErrorUnderReap(t *testing.T) {
-	m, err := Open(Config{ReapTerminated: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := newMem(t)
 	bodyErr := errors.New("no stock")
 	for i := 0; i < 1000; i++ {
 		err := m.Run(context.Background(), RunOptions{}, func(*Tx) error { return bodyErr })

@@ -49,7 +49,7 @@ func readObject(t *testing.T, m *Manager, oid xid.OID) []byte {
 // before image into T2's descriptor: left in T1's buffer, it would have
 // been overwritten with the other object's image by then.
 func TestInPlaceDelegatedImageSurvivesRecycling(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	orig, other := bytes.Repeat([]byte("x"), 32), bytes.Repeat([]byte("y"), 32)
 	x, y := seedObject(t, m, orig), seedObject(t, m, other)
 	for round := 0; round < 20; round++ {
@@ -99,7 +99,7 @@ func TestInPlaceDelegatedImageSurvivesRecycling(t *testing.T) {
 // writes its own before images there. A length-changing write is undone
 // too, alone and after an in-place write of the same object.
 func TestAbortRestoresByCopy(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	orig, other := bytes.Repeat([]byte("o"), 48), bytes.Repeat([]byte("p"), 48)
 	x, y := seedObject(t, m, orig), seedObject(t, m, other)
 	buf := func(oid xid.OID) *byte {
@@ -160,7 +160,7 @@ func TestAbortRestoresByCopy(t *testing.T) {
 // TestInPlaceWritesReadWhole: AppendRead and ForEach racing in-place
 // writes of a 4 KB object see only whole images, each one byte repeated.
 func TestInPlaceWritesReadWhole(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	const size = 4096
 	oid := seedObject(t, m, make([]byte, size))
 	whole := func(img []byte) error {
@@ -273,7 +273,7 @@ func blockedBody(release <-chan struct{}) TxnFunc {
 // to the event, the second moves it onto a broadcast channel with a token,
 // and both return once the body completes; every waker goes back empty.
 func TestWakeCommitAndWaitShareEvent(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	for round := 0; round < 100; round++ {
 		release := make(chan struct{})
 		id := initiated(t, m, blockedBody(release))
@@ -334,7 +334,7 @@ func broadcastOn(d *txn, e *event) bool {
 // empty. A Tx.WaitCtx whose context ends as its target completes does the
 // same from inside a transaction.
 func TestWakeAbandonedWaitRacesFire(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	procs := runtime.GOMAXPROCS(1)
 	for round := 0; round < 20; round++ {
 		tx := begunItx(t, m)
@@ -402,8 +402,9 @@ func TestWakeAbandonedWaitRacesFire(t *testing.T) {
 		if err := m.Commit(target); err != nil {
 			t.Fatal(err)
 		}
-		// A cancelled wait aborts the waiter, whose descriptor is reaped.
-		if err := m.Commit(waiter); err != nil && !errors.Is(err, ErrAborted) && !errors.Is(err, ErrUnknownTxn) {
+		// A cancelled wait aborts the waiter, whose descriptor is reaped;
+		// its commit reads the abort from the outcome ring.
+		if err := m.Commit(waiter); err != nil && !errors.Is(err, ErrAborted) {
 			t.Fatalf("round %d: the waiter's commit = %v", round, err)
 		}
 		cancel()

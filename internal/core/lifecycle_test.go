@@ -347,6 +347,9 @@ func TestExplicitLockPrimitive(t *testing.T) {
 	}
 }
 
+// TestTransactionsListing: Transactions lists the live transactions only;
+// a committed one has left the table, and StatusOf still reports it
+// committed.
 func TestTransactionsListing(t *testing.T) {
 	m := newMem(t)
 	hold := make(chan struct{})
@@ -355,15 +358,21 @@ func TestTransactionsListing(t *testing.T) {
 	m.Begin(running)
 	done := runTxn(t, m, noop)
 	infos := m.Transactions()
-	if len(infos) != 3 {
-		t.Fatalf("listed %d transactions", len(infos))
+	if len(infos) != 2 {
+		t.Fatalf("listed %d transactions, want the 2 live ones: %v", len(infos), infos)
 	}
 	byID := map[xid.TID]xid.Status{}
 	for _, info := range infos {
 		byID[info.ID] = info.Status
 	}
-	if byID[pending] != xid.StatusInitiated || byID[done] != xid.StatusCommitted {
+	if byID[pending] != xid.StatusInitiated {
 		t.Fatalf("statuses = %v", byID)
+	}
+	if _, listed := byID[done]; listed {
+		t.Fatalf("committed %v listed: %v", done, byID)
+	}
+	if st := m.StatusOf(done); st != xid.StatusCommitted {
+		t.Fatalf("StatusOf(committed %v) = %v", done, st)
 	}
 	active := m.Active()
 	if len(active) != 1 || active[0] != running {

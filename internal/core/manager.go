@@ -68,10 +68,9 @@ type Config struct {
 	// transaction's deadline and context. 0 means shed immediately unless
 	// a deadline or context bounds the wait.
 	AdmitTimeout time.Duration
-	// ReapTerminated drops transaction descriptors as soon as they
-	// terminate, bounding memory in long runs. Status queries and waits on
-	// reaped transactions return ErrUnknownTxn, so enable it only when
-	// callers act solely on commit/abort return values (benchmarks do).
+	// Deprecated: ReapTerminated is ignored; every terminated
+	// transaction's descriptor is dropped at once, and its outcome stays
+	// answerable by tid from the manager's outcome ring.
 	ReapTerminated bool
 	// FS, when non-nil, replaces the OS filesystem for every durable file
 	// (the WAL's segments and manifest). Used by the fault-injection and
@@ -79,11 +78,47 @@ type Config struct {
 	FS faultfs.FS
 }
 
-// verdictRetention bounds how many decided distributed-commit groups the
-// manager remembers for idempotent verdict redelivery. Beyond it the oldest
-// entries are dropped, and a duplicate Decide for a dropped group reports
-// ErrUnknownGroup — which coordinators treat as already delivered.
-const verdictRetention = 4096
+// retention bounds what the manager remembers of what is over: the
+// outcomes of terminated transactions, answerable by tid (see outcome), and
+// the decided distributed-commit groups, for idempotent verdict
+// redelivery. Beyond it the oldest are forgotten: a by-tid primitive on a
+// forgotten transaction reports ErrUnknownTxn, and a duplicate Decide for a
+// forgotten group ErrUnknownGroup — which coordinators treat as already
+// delivered.
+const retention = 4096
+
+// outcome is what a by-tid primitive reads of a transaction: its status
+// and, aborting or aborted, its reason. It is also the slot of the
+// manager's outcome ring, which holds a terminated transaction's outcome
+// once its descriptor has left the table, at index tid % retention: 32
+// bytes, so the ring costs 128 KiB a manager and nothing a termination.
+// A slot keeps the newest terminated tid of its residue, so a tid is
+// forgotten once a tid a multiple of retention newer has terminated,
+// whether before it or after: a long-lived transaction never evicts the
+// outcome of a younger one.
+type outcome struct {
+	tid    xid.TID
+	st     xid.Status
+	reason error
+}
+
+// err is what a wait on the transaction reports once its body is done:
+// nil unless it aborted, and then abortedErr of its reason.
+func (o outcome) err() error {
+	if o.st != xid.StatusAborted && o.st != xid.StatusAborting {
+		return nil
+	}
+	return abortedErr(o.reason)
+}
+
+// abortedErr is what a transaction that aborted reports: its abort reason,
+// or ErrAborted if none was recorded.
+func abortedErr(reason error) error {
+	if reason == nil {
+		return ErrAborted
+	}
+	return reason
+}
 
 // Stats are cumulative manager counters, used by the benchmark harness.
 type Stats struct {
@@ -110,6 +145,7 @@ type Manager struct {
 	mu sync.Mutex
 
 	txns    *htab.Map[*txn]            // the chained hash table of TDs (§4.1)
+	ended   [retention]outcome         // the outcome ring, guarded by mu
 	free    pool.Shared[txn, *txn]     // recycled TDs
 	wakers  pool.Shared[waker, *waker] // wake channels between waits (await)
 	nextTID atomic.Uint64
@@ -137,10 +173,10 @@ type Manager struct {
 	// doubt), in lists spareTIDLists keeps for the next vote once the group
 	// is decided; verdicts remembers decided groups so retransmitted votes
 	// and verdicts stay idempotent, with verdictOrder the FIFO pruning
-	// order bounding it to verdictRetention; preparing gates the window
-	// in which a vote's TPrepare force or a verdict's TCommit force has
-	// released mu — duplicate votes and verdicts wait it out on a channel
-	// the first of them makes (awaitGateLocked).
+	// order bounding it to retention; preparing gates the window in which
+	// a vote's TPrepare force or a verdict's TCommit force has released
+	// mu — duplicate votes and verdicts wait it out on a channel the first
+	// of them makes (awaitGateLocked).
 	prepared      map[uint64][]xid.TID
 	spareTIDLists [][]xid.TID
 	verdicts      map[uint64]bool
@@ -319,25 +355,44 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// StatusOf returns the status of t, or StatusAborted for unknown (reaped)
-// transactions — a terminated descriptor may be dropped at any time.
-// Mutex-free: the status is read under the descriptor table's shard latch,
-// while the table still vouches that the descriptor is t's.
+// StatusOf returns the status of t, and StatusAborted for a tid the
+// manager does not know (see LookupStatus).
 func (m *Manager) StatusOf(t xid.TID) xid.Status {
-	st := xid.StatusAborted
-	m.txns.View(uint64(t), func(tx *txn) { st = tx.st() })
+	st, _ := m.LookupStatus(t)
 	return st
 }
 
-// TxnInfo describes one live (or unreaped terminated) transaction.
+// LookupStatus returns the status of t and whether the manager knows t: a
+// live transaction's status, read mutex-free under the descriptor table's
+// shard latch while the table still vouches that the descriptor is t's; a
+// terminated one's from the outcome ring, under the manager mutex. For a
+// tid neither knows — never issued, or forgotten by the ring — it returns
+// StatusAborted and false: a fallback, not a verdict, which a caller that
+// must not mistake a forgotten commit for an abort tells apart by the bool.
+func (m *Manager) LookupStatus(t xid.TID) (xid.Status, bool) {
+	var st xid.Status
+	if m.txns.View(uint64(t), func(tx *txn) { st = tx.st() }) {
+		return st, true
+	}
+	m.mu.Lock()
+	o, ok := m.endedLocked(t)
+	m.mu.Unlock()
+	if !ok {
+		return xid.StatusAborted, false
+	}
+	return o.st, true
+}
+
+// TxnInfo describes one live transaction.
 type TxnInfo struct {
 	ID     xid.TID
 	Parent xid.TID
 	Status xid.Status
 }
 
-// Transactions lists every tracked transaction in ascending tid order —
-// one of the §2.1 "primitives to query the status of transactions". The
+// Transactions lists the live transactions in ascending tid order — one
+// of the §2.1 "primitives to query the status of transactions"; a
+// terminated one has left the table, and StatusOf answers for it. The
 // listing is a moment-in-time snapshot, not a consistent cut: it takes no
 // manager-wide lock, so transactions that begin or terminate concurrently
 // may or may not appear. Each entry is read under its table shard's latch.
@@ -398,12 +453,41 @@ func (m *Manager) deltaImage(delta int64) []byte {
 	return m.ctr[:]
 }
 
-// lookup returns the descriptor for t.
-func (m *Manager) lookup(t xid.TID) (*txn, error) {
-	if tx, ok := m.txns.Get(uint64(t)); ok {
-		return tx, nil
+// lookup is how a primitive that names a transaction by tid finds it: the
+// descriptor and its outcome while the table holds it; once it has
+// terminated, a nil descriptor and the outcome the ring keeps. Either way
+// the primitive decides on the outcome's status, and touches the
+// descriptor only where that status is not terminal. A tid neither knows
+// is ErrUnknownTxn. Caller holds m.mu.
+func (m *Manager) lookup(id xid.TID) (*txn, outcome, error) {
+	if t, ok := m.txns.Get(uint64(id)); ok {
+		return t, t.outcome(), nil
 	}
-	return nil, fmt.Errorf("%w: %v", ErrUnknownTxn, t)
+	if o, ok := m.endedLocked(id); ok {
+		return nil, o, nil
+	}
+	return nil, outcome{}, fmt.Errorf("%w: %v", ErrUnknownTxn, id)
+}
+
+// endedLocked returns the ring's outcome for id, if the ring still holds
+// it. Caller holds m.mu.
+func (m *Manager) endedLocked(id xid.TID) (outcome, bool) {
+	o := m.ended[id%retention]
+	return o, o.tid == id && !id.IsNil()
+}
+
+// reapLocked drops the terminated t from the table, its outcome put in the
+// ring first so that a by-tid primitive finds one or the other — unless
+// the slot already holds a newer tid's, which t's must not evict (see
+// outcome). It runs before t's waiters are woken, so that whoever observes
+// the outcome no longer finds the descriptor; the caller drops the table's
+// reference after the wake-ups, which must reach t's waiters. Caller holds
+// m.mu.
+func (m *Manager) reapLocked(t *txn) {
+	if slot := &m.ended[t.id%retention]; t.id > slot.tid {
+		*slot = t.outcome()
+	}
+	m.txns.Delete(uint64(t.id))
 }
 
 // Checkpoint rewrites the durable log to start with an image of every

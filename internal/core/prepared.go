@@ -74,7 +74,7 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 			return err
 		}
 		for _, id := range ids {
-			if _, err := m.lookup(id); err != nil {
+			if _, _, err := m.lookup(id); err != nil {
 				m.abortRootsLocked(ids, fmt.Errorf("%w: prepare of unknown member %v", ErrAborted, id))
 				m.mu.Unlock()
 				return err
@@ -169,13 +169,13 @@ func (m *Manager) releaseGateLocked(gid uint64) {
 // Caller holds m.mu.
 //
 //go:noinline
-func (m *Manager) refuseVoteLocked(roots []xid.TID, member *txn) error {
-	if member.st() == xid.StatusPrepared {
-		m.abortRootsLocked(roots, fmt.Errorf("%w: group member %v prepared under another group", ErrAborted, member.id))
-		return fmt.Errorf("%w: member %v", ErrPrepared, member.id)
+func (m *Manager) refuseVoteLocked(roots []xid.TID, member xid.TID, st xid.Status) error {
+	if st == xid.StatusPrepared {
+		m.abortRootsLocked(roots, fmt.Errorf("%w: group member %v prepared under another group", ErrAborted, member))
+		return fmt.Errorf("%w: member %v", ErrPrepared, member)
 	}
-	m.abortRootsLocked(roots, fmt.Errorf("%w: group member %v already committing", ErrAborted, member.id))
-	return fmt.Errorf("%w: member %v", ErrAlreadyCommitted, member.id)
+	m.abortRootsLocked(roots, fmt.Errorf("%w: group member %v already committing", ErrAborted, member))
+	return fmt.Errorf("%w: member %v", ErrAlreadyCommitted, member)
 }
 
 // failPrepareLocked unwinds a prepare whose record could not be made
@@ -286,7 +286,7 @@ func (m *Manager) recordVerdictLocked(gid uint64, commit bool) {
 		m.verdictOrder = append(m.verdictOrder, gid)
 	}
 	m.verdicts[gid] = commit
-	for len(m.verdictOrder) > verdictRetention {
+	for len(m.verdictOrder) > retention {
 		delete(m.verdicts, m.verdictOrder[0])
 		m.verdictOrder = m.verdictOrder[1:]
 	}

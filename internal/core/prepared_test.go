@@ -270,7 +270,7 @@ func TestPrepareDuplicateConcurrent(t *testing.T) {
 func TestVerdictRetention(t *testing.T) {
 	m := newMem(t)
 	const first = uint64(101)
-	last := first + verdictRetention
+	last := first + retention
 	for gid := first; gid <= last; gid++ {
 		id := completed(t, m, noop)
 		if err := m.PrepareCtx(context.Background(), gid, id); err != nil {
@@ -280,8 +280,8 @@ func TestVerdictRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(m.verdicts); n != verdictRetention {
-		t.Errorf("%d verdicts remembered after %d decisions, want the cap %d", n, last-first+1, verdictRetention)
+	if n := len(m.verdicts); n != retention {
+		t.Errorf("%d verdicts remembered after %d decisions, want the cap %d", n, last-first+1, retention)
 	}
 	if err := m.Decide(first, true); !errors.Is(err, ErrUnknownGroup) {
 		t.Fatalf("pruned verdict redelivery = %v, want ErrUnknownGroup", err)

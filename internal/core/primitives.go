@@ -70,7 +70,8 @@ func (m *Manager) initiateWith(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid
 // with Tx.Unpin once they are done with it. The caller holds no reference
 // on a bodied descriptor, which Close or the watchdog may abort, reap and
 // recycle the moment it is published, so it learns the tid from the second
-// result and touches the descriptor only if it is interactive.
+// result and touches the descriptor only if it is interactive; by tid, a
+// reaped transaction still answers from the outcome ring.
 //
 //asset:noalloc
 func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*txn, xid.TID, error) {
@@ -114,16 +115,14 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*tx
 // published as id before it found the manager closed. Close may be aborting
 // it at the same time, so the table's reference is dropped under the mutex
 // and only if the entry is still there: otherwise Close's abort reaped it,
-// and it may be recycled already. An abort that left it tabled
-// (ReapTerminated off) has already taken it off the live count.
+// and it may be recycled already. An entry still there is live: every
+// termination reaps under the mutex it sets the status under.
 //
 //go:noinline
 func (m *Manager) withdraw(t *txn, id xid.TID) {
 	m.mu.Lock()
 	if m.txns.Delete(uint64(id)) {
-		if !t.st().Terminated() {
-			m.live.Add(-1)
-		}
+		m.live.Add(-1)
 		m.unpin(t)
 	}
 	m.mu.Unlock()
@@ -189,7 +188,7 @@ func (m *Manager) ExecuteCtx(ctx context.Context, id xid.TID) error {
 		return err
 	}
 	m.run(t)
-	err = waitOutcome(t)
+	err = t.outcome().err()
 	m.unpin(t) // the body's reference, kept for the outcome
 	return err
 }
@@ -225,12 +224,12 @@ func (m *Manager) BeginInteractive(ctx context.Context, id xid.TID) (*Tx, error)
 // outcome has been read.
 func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (_ *txn, err error) {
 	m.mu.Lock()
-	t, err := m.lookup(id)
+	t, o, err := m.lookup(id)
 	if err != nil {
 		m.mu.Unlock()
 		return nil, err
 	}
-	if st := t.st(); st != xid.StatusInitiated { // read under m.mu: t is unpinned
+	if st := o.st; st != xid.StatusInitiated { // read under m.mu: t is unpinned
 		m.mu.Unlock()
 		if st == xid.StatusAborted || st == xid.StatusAborting {
 			return nil, ErrAborted
@@ -282,14 +281,14 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (_
 		case 1: // aborted while gated (watchdog, cascade, Close)
 			m.waits.Remove(id, supID)
 			m.unpin(sup)
-			return nil, txnOutcome(t)
+			return nil, abortedErr(t.abErr)
 		case 2:
 			m.waits.Remove(id, supID)
 			m.unpin(sup)
 			m.mu.Lock()
 			m.ctxAbortLocked(t, wctx)
 			m.mu.Unlock()
-			return nil, txnOutcome(t)
+			return nil, abortedErr(t.abErr)
 		}
 		m.waits.Remove(id, supID)
 		m.mu.Lock()
@@ -303,7 +302,7 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (_
 	}
 	if t.st() != xid.StatusInitiated { // aborted while waiting to begin
 		m.mu.Unlock()
-		return nil, txnOutcome(t)
+		return nil, abortedErr(t.abErr)
 	}
 	// Admission control: the MaxLive gate bounds the set of transactions
 	// that run and hold locks. Crossed after the begin-dependency gates
@@ -318,7 +317,7 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (_
 		if t.st() != xid.StatusInitiated { // aborted while queued
 			m.releaseSlot(t)
 			m.mu.Unlock()
-			return nil, txnOutcome(t)
+			return nil, abortedErr(t.abErr)
 		}
 	}
 	t.setSt(xid.StatusRunning)
@@ -410,7 +409,9 @@ func (tx *Tx) Complete() {
 
 // Wait blocks until t completes execution; it returns nil once the code has
 // completed (or the transaction already committed) and ErrAborted if t
-// aborted (the paper's wait returns 1 and 0 respectively).
+// aborted (the paper's wait returns 1 and 0 respectively). On a transaction
+// that has terminated it returns at once, with its outcome while the
+// manager's outcome ring remembers it and ErrUnknownTxn after.
 //
 // Wait is for application code outside any transaction. A transaction
 // waiting on another transaction MUST use Tx.Wait instead: that wait is a
@@ -426,32 +427,25 @@ func (m *Manager) Wait(id xid.TID) error {
 // or bind the context at begin, to propagate cancellation).
 func (m *Manager) WaitCtx(ctx context.Context, id xid.TID) error {
 	m.mu.Lock()
-	t, err := m.lookup(id)
+	t, o, err := m.lookup(id)
+	if t != nil {
+		// Pinned: the target may abort and be reaped before this wait reads
+		// its reason.
+		t.pin()
+	}
+	m.mu.Unlock()
 	if err != nil {
-		m.mu.Unlock()
 		return err
 	}
-	// Pinned: the target may abort and be reaped before this wait reads
-	// its reason.
-	t.pin()
-	m.mu.Unlock()
-	if m.await(t, &t.done, nil, nil, ctx.Done()) == 0 {
-		err = waitOutcome(t)
-	} else {
-		err = fmt.Errorf("core: wait on %v abandoned: %w", id, ctx.Err())
+	if t != nil {
+		stopped := m.await(t, &t.done, nil, nil, ctx.Done()) != 0
+		o = t.outcome()
+		m.unpin(t)
+		if stopped {
+			return fmt.Errorf("core: wait on %v abandoned: %w", id, ctx.Err())
+		}
 	}
-	m.unpin(t)
-	return err
-}
-
-// waitOutcome is what a wait on t reports once its body is done: the abort
-// reason if it aborted, nil otherwise. Lock-free: the reason is written
-// before the status that makes it readable.
-func waitOutcome(t *txn) error {
-	if st := t.st(); st == xid.StatusAborted || st == xid.StatusAborting {
-		return txnOutcome(t)
-	}
-	return nil
+	return o.err()
 }
 
 // Wait blocks until the target transaction completes, like Manager.Wait,
@@ -473,18 +467,22 @@ func (tx *Tx) Wait(id xid.TID) error {
 func (tx *Tx) WaitCtx(ctx context.Context, id xid.TID) error {
 	m, t := tx.m, tx.t
 	m.mu.Lock()
-	target, err := m.lookup(id)
+	target, o, err := m.lookup(id)
 	if err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	// Pinned, as under Manager.Wait; the target may even be the victim.
-	target.pin()
-	defer m.unpin(target)
 	// A target whose execution is over is no wait at all, so it gets no
 	// edge: one could close a cycle with a commit driver's edge pointing
-	// back and make t the victim of a wait that would not have blocked.
-	edge := !target.fired(&target.done)
+	// back and make t the victim of a wait that would not have blocked. A
+	// terminated one's descriptor is gone, and nothing is waited for.
+	edge := false
+	if target != nil {
+		// Pinned, as under Manager.Wait; the target may even be the victim.
+		target.pin()
+		defer m.unpin(target)
+		edge = !target.fired(&target.done)
+	}
 	if edge {
 		victim, _ := m.waits.Add(t.id, id)
 		if !victim.IsNil() {
@@ -494,15 +492,18 @@ func (tx *Tx) WaitCtx(ctx context.Context, id xid.TID) error {
 		}
 	}
 	m.mu.Unlock()
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
-	if m.await(target, &target.done, t, &t.aborting, ctxDone) == 2 {
-		m.abortTxn(t, abortReason(fmt.Errorf("core: wait on %v cancelled: %w", id, ctx.Err())))
-	}
-	if edge {
-		m.waits.Remove(t.id, id)
+	if target != nil {
+		var ctxDone <-chan struct{}
+		if ctx != nil {
+			ctxDone = ctx.Done()
+		}
+		if m.await(target, &target.done, t, &t.aborting, ctxDone) == 2 {
+			m.abortTxn(t, abortReason(fmt.Errorf("core: wait on %v cancelled: %w", id, ctx.Err())))
+		}
+		if edge {
+			m.waits.Remove(t.id, id)
+		}
+		o = target.outcome()
 	}
 	m.mu.Lock()
 	if t.st() == xid.StatusAborting || t.st() == xid.StatusAborted {
@@ -514,7 +515,7 @@ func (tx *Tx) WaitCtx(ctx context.Context, id xid.TID) error {
 		return err
 	}
 	m.mu.Unlock()
-	return waitOutcome(target)
+	return o.err()
 }
 
 // Delegate transfers from ti to tj the responsibility for ti's operations
@@ -527,28 +528,27 @@ func (m *Manager) Delegate(from, to xid.TID, oids ...xid.OID) error {
 		oidSet = oids
 	}
 	m.mu.Lock()
-	ft, err := m.lookup(from)
+	ft, fo, err := m.lookup(from)
+	var tt *txn
+	var tto outcome
 	if err == nil {
-		_, err = m.lookup(to)
+		tt, tto, err = m.lookup(to)
 	}
 	if err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	if ft.st().Terminated() || ft.st() == xid.StatusCommitting || ft.st() == xid.StatusPrepared {
+	if st := fo.st; st.Terminated() || st == xid.StatusCommitting || st == xid.StatusPrepared {
 		// A prepared delegator's undo/lock set is frozen in its TPrepare
 		// promise; moving responsibility now would falsify the vote.
-		err := fmt.Errorf("%w: delegator %v is %v", ErrTerminated, from, ft.st())
 		m.mu.Unlock()
-		return err
+		return fmt.Errorf("%w: delegator %v is %v", ErrTerminated, from, st)
 	}
-	tt, _ := m.txns.Get(uint64(to))
-	if tt.st().Terminated() || tt.st() == xid.StatusCommitting || tt.st() == xid.StatusPrepared {
+	if st := tto.st; st.Terminated() || st == xid.StatusCommitting || st == xid.StatusPrepared {
 		// A committing delegatee has already written its commit record;
 		// work delegated now would be mis-attributed at recovery.
-		err := fmt.Errorf("%w: delegatee %v is %v", ErrTerminated, to, tt.st())
 		m.mu.Unlock()
-		return err
+		return fmt.Errorf("%w: delegatee %v is %v", ErrTerminated, to, st)
 	}
 	// The whole transfer — undo responsibility, locks with permit
 	// grantorship, and the log record — happens inside the manager's
@@ -617,17 +617,17 @@ const maxScannedOIDs = 16
 // object grantor has accessed or has permission to access.
 func (m *Manager) Permit(grantor, grantee xid.TID, oids []xid.OID, ops xid.OpSet) error {
 	m.mu.Lock()
-	gt, err := m.lookup(grantor)
+	_, g, err := m.lookup(grantor)
 	if err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	if gt.st().Terminated() {
+	if g.st.Terminated() {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: grantor %v", ErrTerminated, grantor)
 	}
 	if !grantee.IsNil() {
-		if _, err := m.lookup(grantee); err != nil {
+		if _, _, err := m.lookup(grantee); err != nil {
 			m.mu.Unlock()
 			return err
 		}
@@ -649,46 +649,48 @@ func (m *Manager) FormDependency(typ xid.DepType, ti, tj xid.TID) error {
 	// may already serve another transaction.
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	a, err := m.lookup(ti)
+	a, ao, err := m.lookup(ti)
 	var b *txn
+	var bo outcome
 	if err == nil {
-		b, err = m.lookup(tj)
+		b, bo, err = m.lookup(tj)
 	}
 	if err != nil {
 		return err
 	}
 	// Terminal states of the dependent tj resolve (or reject) immediately:
 	// a transaction that is committing or has terminated cannot take on new
-	// constraints.
+	// constraints. Past them tj is live, and so is its descriptor b.
 	switch {
-	case b.st() == xid.StatusAborted || b.st() == xid.StatusAborting:
-		if typ == xid.DepGC {
-			// Both or neither: tj already aborted, so ti must abort too.
+	case bo.st == xid.StatusAborted || bo.st == xid.StatusAborting:
+		if typ == xid.DepGC && a != nil {
+			// Both or neither: tj already aborted, so ti must abort too
+			// (a terminated ti, whose descriptor is gone, is past it).
 			m.abortLocked(a, fmt.Errorf("%w: group partner %v aborted", ErrAborted, tj))
 		}
 		return nil // every other constraint on an aborted tj is moot
-	case b.st() == xid.StatusCommitted || b.st() == xid.StatusCommitting:
-		return fmt.Errorf("%w: dependent %v is already %v", ErrTerminated, tj, b.st())
-	case b.st() == xid.StatusPrepared:
+	case bo.st == xid.StatusCommitted || bo.st == xid.StatusCommitting:
+		return fmt.Errorf("%w: dependent %v is already %v", ErrTerminated, tj, bo.st)
+	case bo.st == xid.StatusPrepared:
 		// A prepared dependent promised a coordinator it can commit; a new
 		// constraint could invalidate the vote.
 		return fmt.Errorf("%w: dependent %v", ErrPrepared, tj)
 	}
 	switch {
-	case a.st() == xid.StatusAborted || a.st() == xid.StatusAborting:
+	case ao.st == xid.StatusAborted || ao.st == xid.StatusAborting:
 		if typ == xid.DepAD || typ == xid.DepGC ||
-			(typ == xid.DepBD && b.st() == xid.StatusInitiated) {
+			(typ == xid.DepBD && bo.st == xid.StatusInitiated) {
 			m.abortLocked(b, fmt.Errorf("%w: dependency on aborted %v", ErrAborted, ti))
 		}
 		return nil
-	case a.st() == xid.StatusCommitting && typ == xid.DepGC:
+	case ao.st == xid.StatusCommitting && typ == xid.DepGC:
 		return fmt.Errorf("%w: group commit with committing %v", ErrTerminated, ti)
-	case a.st() == xid.StatusPrepared && typ == xid.DepGC:
+	case ao.st == xid.StatusPrepared && typ == xid.DepGC:
 		// The prepared supporter's GC closure was fixed by its vote; the
 		// group cannot grow while the verdict is pending. (CD/AD on a
 		// prepared supporter are fine — the dependent waits on its term.)
 		return fmt.Errorf("%w: group commit with prepared %v", ErrPrepared, ti)
-	case a.st() == xid.StatusCommitted:
+	case ao.st == xid.StatusCommitted:
 		switch typ {
 		case xid.DepGC:
 			return fmt.Errorf("%w: group commit with committed %v", ErrTerminated, ti)

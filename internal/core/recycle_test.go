@@ -20,16 +20,6 @@ import (
 // terminated, left the table and nothing pins it, and every path that keeps
 // one while the manager mutex is released pins it first.
 
-func newReaping(t *testing.T) *Manager {
-	t.Helper()
-	m, err := Open(Config{ReapTerminated: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	return m
-}
-
 // descriptor returns the descriptor the table holds for id, looked up
 // under the manager mutex.
 func descriptor(t *testing.T, m *Manager, id xid.TID) *txn {
@@ -59,7 +49,7 @@ func parked(d *txn, e *event) bool {
 // Wait reports the new, initiated transaction: nil.
 func TestRecycleWaitKeepsAbortReason(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	m := newReaping(t)
+	m := newMem(t)
 	reason := errors.New("the target's own reason")
 	for round := 0; round < 50; round++ {
 		// Never begun: the table holds the target's only reference.
@@ -92,7 +82,7 @@ func TestRecycleWaitKeepsAbortReason(t *testing.T) {
 // status of the wrong parity. (A reader that read a descriptor after the
 // table let go of it also races reset under the race detector.)
 func TestRecycleReadersNeverMixTransactions(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	const rounds = 10_000
 	committed := func(st xid.Status) bool {
 		return st == xid.StatusRunning || st == xid.StatusCompleted ||
@@ -125,8 +115,8 @@ func TestRecycleReadersNeverMixTransactions(t *testing.T) {
 				}
 				last := xid.TID(m.nextTID.Load())
 				for _, id := range []xid.TID{last, last - 1} {
-					// StatusOf says aborted for a reaped tid, so only an even
-					// tid's status can show another transaction's.
+					// StatusOf says aborted for a tid not yet tabled, so only
+					// an even tid's status can show another transaction's.
 					if st := m.StatusOf(id); id%2 == 0 && committed(st) {
 						fail(fmt.Errorf("StatusOf(%v) = %v", id, st))
 						return
@@ -171,7 +161,7 @@ func TestRecycleReadersNeverMixTransactions(t *testing.T) {
 // new transaction's edge, leaving a real wait the deadlock detector cannot
 // see. The waits-for graph is empty once everything has terminated.
 func TestRecycleObstacleWaitKeepsOthersEdges(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	release := make(chan struct{})
 	sup := initiated(t, m, func(*Tx) error { <-release; return nil })
 	t1, g := initiated(t, m, noop), initiated(t, m, noop)
@@ -254,7 +244,7 @@ func TestRecycleObstacleWaitKeepsOthersEdges(t *testing.T) {
 // descriptor, and one that does not wait for the mutex recycles the
 // descriptor under Close's abort; either panics.
 func TestRecycleWithdrawAfterClose(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	id := initiated(t, m, noop)
 	d := descriptor(t, m, id)
 	if err := m.Close(); err != nil {
@@ -270,7 +260,7 @@ func TestRecycleWithdrawAfterClose(t *testing.T) {
 
 	// Close's part, by hand: find the descriptor and abort it under the
 	// mutex, with the withdrawal started in between.
-	m = newReaping(t)
+	m = newMem(t)
 	id = initiated(t, m, noop)
 	withdrawn := make(chan struct{})
 	func() {
@@ -302,89 +292,84 @@ func TestRecycleWithdrawAfterClose(t *testing.T) {
 // reference; TestRecycleWithdrawAfterClose forces the two interleavings
 // where they could disagree, and this test runs the real race. No Initiate
 // reports success with the null tid, and once everything has stopped no
-// transaction is live, the table holds nothing but aborted descriptors
-// (nothing at all when reaping) and the free list is sound — with and
-// without reaping. Half the initiators are interactive and give their
-// handle's reference back at once, so their descriptors reach the free
-// list (and the audit) too, and one that lost the race to Close must not
-// keep the reference of a handle it never got.
+// transaction is live, the table holds nothing and the free list is
+// sound. Half the initiators are interactive and give their handle's
+// reference back at once, so their descriptors reach the free list (and
+// the audit) too, and one that lost the race to Close must not keep the
+// reference of a handle it never got.
 func TestRecycleCloseRacesInitiate(t *testing.T) {
-	rounds := 100
+	rounds := 200
 	if race.Enabled {
-		rounds = 30
+		rounds = 60
 	}
-	for _, reap := range []bool{true, false} {
-		for round := 0; round < rounds; round++ {
-			m, err := Open(Config{ReapTerminated: reap})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var started sync.WaitGroup
-			var wg sync.WaitGroup
-			errs := make(chan error, 4)
-			for w := 0; w < 4; w++ {
-				started.Add(1)
-				wg.Add(1)
-				go func(interactive bool) {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						if i == 8 {
-							started.Done()
-						}
-						var id xid.TID
-						var err error
-						if interactive {
-							var tx *Tx
-							if tx, err = m.InitiateInteractive(); err == nil {
-								id = tx.ID()
-								tx.Unpin() // the table's reference is left: Close's abort recycles it
-							}
-						} else {
-							id, err = m.Initiate(noop)
-						}
-						switch {
-						case errors.Is(err, ErrClosed): // only after started.Wait
-							return
-						case err != nil:
-							errs <- err
-						case id == xid.NilTID:
-							errs <- errors.New("Initiate succeeded with the null tid")
-						}
+	for round := 0; round < rounds; round++ {
+		m, err := Open(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var started sync.WaitGroup
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for w := 0; w < 4; w++ {
+			started.Add(1)
+			wg.Add(1)
+			go func(interactive bool) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					if i == 8 {
+						started.Done()
 					}
-				}(w%2 == 1)
-			}
-			started.Wait()
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatalf("reap=%v round %d: %v", reap, round, err)
-			}
-			if n := m.live.Load(); n != 0 {
-				t.Fatalf("reap=%v round %d: %d transactions live after Close", reap, round, n)
-			}
-			m.txns.Visit(func(id uint64, d *txn) bool {
-				if reap || d.st() != xid.StatusAborted {
-					t.Fatalf("reap=%v round %d: %v tabled as %v after Close", reap, round, xid.TID(id), d.st())
+					var id xid.TID
+					var err error
+					if interactive {
+						var tx *Tx
+						if tx, err = m.InitiateInteractive(); err == nil {
+							id = tx.ID()
+							tx.Unpin() // the table's reference is left: Close's abort recycles it
+						}
+					} else {
+						id, err = m.Initiate(noop)
+					}
+					switch {
+					case errors.Is(err, ErrClosed): // only after started.Wait
+						return
+					case err != nil:
+						errs <- err
+					case id == xid.NilTID:
+						errs <- errors.New("Initiate succeeded with the null tid")
+					}
 				}
-				return true
-			})
-			if bad := m.checkDescriptors(); len(bad) > 0 {
-				t.Fatalf("reap=%v round %d: descriptor invariants: %v", reap, round, bad)
-			}
+			}(w%2 == 1)
+		}
+		started.Wait()
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if n := m.live.Load(); n != 0 {
+			t.Fatalf("round %d: %d transactions live after Close", round, n)
+		}
+		m.txns.Visit(func(id uint64, d *txn) bool {
+			t.Fatalf("round %d: %v tabled as %v after Close", round, xid.TID(id), d.st())
+			return true
+		})
+		if bad := m.checkDescriptors(); len(bad) > 0 {
+			t.Fatalf("round %d: descriptor invariants: %v", round, bad)
 		}
 	}
 }
 
 // TestRecycleDescriptorInvariants runs a mixed workload of executed and
 // begun bodies, commits, aborts, outside waits, group commits and context
-// binding over a reaping manager, then checks that no descriptor is both in
-// the table and on the free list and that every reference count is what its
-// holders account for.
+// binding, then checks that no descriptor is both in the table and on the
+// free list and that every reference count is what its holders account
+// for.
 func TestRecycleDescriptorInvariants(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	workers, rounds := 4, 500
 	if race.Enabled {
 		rounds = 200
@@ -515,7 +500,7 @@ func (m *Manager) checkDescriptors(held ...*Tx) []string {
 // either order and not before; a second Pin keeps it across one Unpin, and
 // an Unpin more than was pinned panics.
 func TestInteractiveHandleRecycledAfterUnpin(t *testing.T) {
-	m := newReaping(t)
+	m := newMem(t)
 	onFree := func(d *txn) bool {
 		found := false
 		_ = m.free.Audit(func(f *txn) { found = found || f == d })

@@ -134,9 +134,9 @@ func (m *Manager) admitOne(ctx context.Context, t *txn) error {
 		m.mu.Lock()
 		m.ctxAbortLocked(t, ctx)
 		m.mu.Unlock()
-		return txnOutcome(t)
+		return abortedErr(t.abErr)
 	case <-t.abortCh(): // e.g. reaped by the watchdog while queued
-		return txnOutcome(t)
+		return abortedErr(t.abErr)
 	case <-m.closeCh:
 		return ErrClosed
 	}
@@ -159,15 +159,6 @@ func (m *Manager) releaseSlot(t *txn) {
 	if t.admitted.Swap(false) {
 		<-m.admit
 	}
-}
-
-// txnOutcome reports t's abort reason (ErrAborted if none was recorded),
-// for paths that observed the transaction die while waiting on it.
-func txnOutcome(t *txn) error {
-	if err := t.abErr; err != nil {
-		return err
-	}
-	return ErrAborted
 }
 
 // RunOptions configures the Run retry engine. The zero value is usable:
@@ -296,11 +287,12 @@ func (m *Manager) runOnce(ctx context.Context, opts RunOptions, fn TxnFunc) erro
 		err = m.CommitCtx(ctx, id)
 	}
 	if errors.Is(err, ErrUnknownTxn) {
-		// Only under ReapTerminated, and never for a body that failed (Execute
-		// reported that itself): the descriptor was gone before this driver
-		// asked for it. Nobody else commits a transaction Run initiated, so it
-		// was aborted (context watcher, watchdog, victim callback); its reason
-		// went with the descriptor, the context's own is still known.
+		// The transaction terminated before this driver asked for it, and
+		// the outcome ring had already forgotten it (a tid a multiple of
+		// its size newer had terminated). Nobody else commits a transaction
+		// Run initiated, so it was aborted (context watcher, watchdog,
+		// victim callback); its reason is lost with its outcome, the
+		// context's own is still known.
 		return errors.Join(ErrAborted, ctx.Err(), err)
 	}
 	return err

@@ -52,17 +52,18 @@ type undoRec struct {
 // writes live in it. It stays in the 320-byte size class (TestTxnSizeClass).
 //
 // Descriptors are recycled through the manager's free list. refs counts
-// who holds one: the descriptor table (dropped at the reap, so never under
-// ReapTerminated off), a body from beginOne until it has returned, the
-// caller of an interactive transaction's handle until it calls Tx.Unpin
-// (for good if it never does), and every path that keeps the *txn while
-// the manager mutex is released — it pins it under the mutex (or while it
-// already holds it) and unpins it after its last use. Whoever drops the
-// last reference resets the descriptor and puts it on the free list. A
-// reader that holds no reference may read a descriptor only while the
-// table vouches for it: under the table's shard latch, or under the
-// manager mutex after looking it up by tid (tids never repeat, so a
-// recycled descriptor is never found under the old one).
+// who holds one: the descriptor table (dropped at the reap, which follows
+// termination at once and leaves the outcome in the manager's ring), a
+// body from beginOne until it has returned, the caller of an interactive
+// transaction's handle until it calls Tx.Unpin (for good if it never
+// does), and every path that keeps the *txn while the manager mutex is
+// released — it pins it under the mutex (or while it already holds it)
+// and unpins it after its last use. Whoever drops the last reference
+// resets the descriptor and puts it on the free list. A reader that holds
+// no reference may read a descriptor only while the table vouches for it:
+// under the table's shard latch, or under the manager mutex after looking
+// it up by tid (tids never repeat, so a recycled descriptor is never found
+// under the old one).
 type txn struct {
 	id     xid.TID
 	parent xid.TID
@@ -412,6 +413,18 @@ const maxFreeTxns = 256
 // collector, so that the free list holds at most maxFreeTxns of these.
 const maxKeptImages = 1024
 
+// outcome reads the transaction's status and, aborting or aborted, its
+// reason. Safe without any lock on a descriptor the caller holds: the
+// reason is written before the status that makes it readable, and read
+// only after it.
+func (t *txn) outcome() outcome {
+	o := outcome{tid: t.id, st: t.st()}
+	if o.st == xid.StatusAborting || o.st == xid.StatusAborted {
+		o.reason = t.abErr
+	}
+	return o
+}
+
 // st reads the transaction status; safe without any lock.
 func (t *txn) st() xid.Status { return xid.Status(t.status.Load()) }
 
@@ -449,10 +462,12 @@ type Tx struct {
 func (tx *Tx) Pin() { tx.t.pin() }
 
 // Unpin drops a reference Pin or initiation gave. Once the last is gone and
-// the manager has reaped the terminated transaction, the descriptor is
-// recycled and the handle names whatever transaction gets it next, so the
-// holder must not touch it again. A caller that never unpins keeps its
-// handle valid for good, and its descriptor is never recycled.
+// the transaction has terminated (the manager reaps it then), the
+// descriptor is recycled and the handle names whatever transaction gets it
+// next, so the holder must not touch it again; the outcome stays
+// answerable by tid (Manager.StatusOf) while the manager's outcome ring
+// remembers it. A caller that never unpins keeps its handle valid for good,
+// and its descriptor is never recycled.
 func (tx *Tx) Unpin() { tx.m.unpin(tx.t) }
 
 // ID returns the transaction identifier (the paper's self()).

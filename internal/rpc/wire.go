@@ -42,9 +42,11 @@ const (
 	OpAbort
 	// OpWait waits for TID to terminate (response Status).
 	OpWait
-	// OpStatus queries TID's status without waiting (response Status) —
-	// the recovery path a reconnecting client uses to learn a verdict
-	// its old session never heard.
+	// OpStatus queries TID's status without waiting (response Status;
+	// Val 1 if the server knows TID, 0 if Status is the aborted fallback
+	// for a tid it never issued or has forgotten) — the recovery path a
+	// reconnecting client uses to learn a verdict its old session never
+	// heard.
 	OpStatus
 	// OpDelegate delegates locks on OID (Mode ops; OID 0 = all) from
 	// TID to Other.
@@ -143,7 +145,7 @@ type Response struct {
 	Msg        string
 	TID        uint64 // initiate result / hello session token
 	OID        uint64 // create result
-	Val        uint64 // counter value / hello epoch
+	Val        uint64 // counter value / hello epoch / status known
 	Aux        uint64 // hello & heartbeat lease TTL (µs)
 	Status     byte   // xid.Status for wait/status
 	Data       []byte

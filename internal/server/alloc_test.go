@@ -42,15 +42,10 @@ const (
 // parked on), and 4 when the workers drove the interactive transaction
 // through a server object and its channel token. The server's tables hold
 // core's handle now, whose token is a flag in the descriptor, and drop
-// their reference on it when they forget the transaction. On a manager
-// that reaps terminated transactions the descriptor and its table entry
-// are then both recycled: 0. One that does not reap keeps every
-// descriptor in its table, so each transaction makes a descriptor and a
-// table entry: 2.
-const (
-	remoteTxnAllocBudget       = 0
-	remoteTxnNoReapAllocBudget = 2
-)
+// their reference on it when they forget the transaction. The manager
+// reaps a terminated transaction, so the descriptor and its table entry
+// are then both recycled: 0.
+const remoteTxnAllocBudget = 0
 
 // TestRoundTripAllocBudget drives a Lock, a Write and a Read round trip
 // over loopback TCP against a running Serve and counts every heap object
@@ -116,27 +111,18 @@ func TestRoundTripAllocBudget(t *testing.T) {
 // TestRemoteTxnAllocBudget counts what a whole remote transaction with no
 // operations in it allocates, client and server sides together: what the
 // tier adds to a transaction, as the round-trip budget is what it adds to
-// an operation. It measures a manager that reaps terminated transactions,
-// as assetd's does, and one that keeps them.
+// an operation. Its one subtest is named "reap" because every manager
+// reaps terminated transactions.
 func TestRemoteTxnAllocBudget(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		reap   bool
-		budget int
-	}{
-		{"reap", true, remoteTxnAllocBudget},
-		{"noreap", false, remoteTxnNoReapAllocBudget},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			txn := emptyRemoteTxn(t, loopbackClient(t, core.Config{ReapTerminated: c.reap}))
-			txn()
-			got := testing.AllocsPerRun(2000, txn)
-			t.Logf("allocs per empty remote transaction: %.1f", got)
-			if got > float64(c.budget) {
-				t.Errorf("empty remote transaction allocates %.1f objects, budget %d", got, c.budget)
-			}
-		})
-	}
+	t.Run("reap", func(t *testing.T) {
+		txn := emptyRemoteTxn(t, loopbackClient(t, core.Config{}))
+		txn()
+		got := testing.AllocsPerRun(2000, txn)
+		t.Logf("allocs per empty remote transaction: %.1f", got)
+		if got > remoteTxnAllocBudget {
+			t.Errorf("empty remote transaction allocates %.1f objects, budget %d", got, remoteTxnAllocBudget)
+		}
+	})
 }
 
 // twoPhaseRoundAllocBudget bounds one presumed-abort 2PC round over two
@@ -199,12 +185,12 @@ func TestTwoPhaseRoundAllocBudget(t *testing.T) {
 }
 
 // TestCommittedTxnsLeaveNoHeap commits 50,000 remote transactions on one
-// session of a manager that drops terminated descriptors and asks whether
+// session of a manager opened on the zero Config and asks whether
 // anything of them stays behind. A context per transaction, child of the
 // session's and cancelled only on abort, once kept each committed one in
 // the session context's children: +10.8 MB.
 func TestCommittedTxnsLeaveNoHeap(t *testing.T) {
-	txn := emptyRemoteTxn(t, loopbackClient(t, core.Config{ReapTerminated: true}))
+	txn := emptyRemoteTxn(t, loopbackClient(t, core.Config{}))
 	for i := 0; i < 1000; i++ { // pools, maps and windows at their working size
 		txn()
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -844,6 +845,93 @@ func TestCommitVerdictSurvivesLeaseExpiry(t *testing.T) {
 		t.Fatalf("counter = %d, want 5 (exactly-once commit)", v)
 	}
 	f.quiesce()
+}
+
+// TestInDoubtCommitResolvedOnlyWhileRemembered: a commit executes, its
+// response is lost with the connection, and the session's lease expires
+// before the client can redial, so the client asks a fresh session for the
+// verdict. While the server's outcome ring remembers the tid, the commit
+// resolves as committed; once more transactions than the ring keeps (4096)
+// have terminated after it, it resolves as ErrUnknownOutcome — never as an
+// abort, which Run would retry. Either way the body runs exactly once.
+func TestInDoubtCommitResolvedOnlyWhileRemembered(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		others int
+	}{{"remembered", 0}, {"forgotten", 4096 + 16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, core.Config{}, server.Config{LeaseTTL: 40 * time.Millisecond})
+			var unreachable atomic.Bool
+			cli := f.dial(client.Options{
+				Dial: func(ctx context.Context) (net.Conn, error) {
+					if unreachable.Load() {
+						return nil, errors.New("server unreachable")
+					}
+					return f.fabric.DialContext(ctx, "assetd")
+				},
+				HeartbeatEvery:  time.Hour, // the lease lapses while the client is cut off
+				RetransmitEvery: 15 * time.Millisecond,
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			oid := seedCounter(ctx, t, cli, 0, 1000)
+
+			var runs atomic.Int32
+			done := make(chan error, 1)
+			go func() {
+				done <- cli.Run(ctx, core.RunOptions{}, func(ctx context.Context, tx *client.Tx) error {
+					if err := tx.Add(ctx, oid, 5); err != nil {
+						return err
+					}
+					if runs.Add(1) == 1 {
+						// The commit that follows executes, but its response
+						// resets the connection, and no redial gets through.
+						unreachable.Store(true)
+						f.fabric.SetScript(faultnet.NewScript(faultnet.Rule{Dir: faultnet.ServerToClient, Kind: faultnet.Disconnect}))
+					}
+					return nil
+				})
+			}()
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if _, expired := f.srv.SessionCounts(); expired > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("session never expired")
+				}
+			}
+			for i := 0; i < tc.others; i++ {
+				if err := f.m.Run(ctx, core.RunOptions{}, func(*core.Tx) error { return nil }); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+			}
+			f.fabric.SetScript(nil)
+			unreachable.Store(false)
+
+			err := <-done
+			if tc.others == 0 && err != nil {
+				t.Fatalf("Run across the expiry = %v, want the recorded commit", err)
+			}
+			if tc.others > 0 && !errors.Is(err, core.ErrUnknownOutcome) {
+				t.Fatalf("Run across the expiry = %v, want ErrUnknownOutcome", err)
+			}
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("body ran %d times, want 1 (its commit had executed)", n)
+			}
+			var v uint64
+			if err := cli.Run(ctx, core.RunOptions{}, func(ctx context.Context, tx *client.Tx) error {
+				got, err := tx.ReadCounter(ctx, oid)
+				v = got
+				return err
+			}); err != nil {
+				t.Fatalf("read counter: %v", err)
+			}
+			if v != 5 {
+				t.Fatalf("counter = %d, want 5", v)
+			}
+			f.quiesce()
+		})
+	}
 }
 
 // TestServerCloseFailsSessions: closing the server fails in-flight

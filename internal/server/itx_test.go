@@ -288,7 +288,7 @@ func TestItxHandleOutlivesForget(t *testing.T) {
 
 	for _, f := range forgets {
 		t.Run("write/"+f.name, func(t *testing.T) {
-			m := openManager(t, core.Config{ReapTerminated: true})
+			m := openManager(t, core.Config{})
 			s := itxServer(t, m)
 			app, other := openTestSession(t, s), openTestSession(t, s)
 			oid := committedObject(t, m) // holds "held"
@@ -312,7 +312,7 @@ func TestItxHandleOutlivesForget(t *testing.T) {
 	}
 
 	t.Run("prepare/abort", func(t *testing.T) {
-		m := openManager(t, core.Config{ReapTerminated: true})
+		m := openManager(t, core.Config{})
 		s := itxServer(t, m)
 		app, coord := openTestSession(t, s), openTestSession(t, s)
 		_, held := heldObject(t, m)
@@ -341,7 +341,7 @@ func TestItxHandleOutlivesForget(t *testing.T) {
 
 	t.Run("race", func(t *testing.T) {
 		runtime.GOMAXPROCS(2)
-		m := openManager(t, core.Config{ReapTerminated: true})
+		m := openManager(t, core.Config{})
 		s := itxServer(t, m)
 		other := openTestSession(t, s)
 		rounds := 200

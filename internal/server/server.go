@@ -772,7 +772,11 @@ func (w *worker) perform(in *inbound) error {
 		resp.Status = byte(m.StatusOf(tid))
 		return err
 	case rpc.OpStatus:
-		resp.Status = byte(m.StatusOf(tid))
+		st, known := m.LookupStatus(tid)
+		resp.Status = byte(st)
+		if known {
+			resp.Val = 1
+		}
 	case rpc.OpDelegate:
 		return m.Delegate(tid, xid.TID(req.Other), oidsOf(req)...)
 	case rpc.OpPermit:

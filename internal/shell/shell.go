@@ -189,8 +189,7 @@ func (s *Shell) begin() error {
 }
 
 // commitCmd completes the transaction and commits it. The status printed
-// is the handle's, read before the shell drops it: a manager that reaps
-// terminated transactions no longer knows the tid.
+// is the handle's, read before the shell drops it.
 func (s *Shell) commitCmd(args []string) error {
 	if len(args) != 1 {
 		return errors.New("usage: commit <t>")

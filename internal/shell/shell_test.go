@@ -302,12 +302,11 @@ commit t2
 }
 
 // TestBeginCommitLoopRecyclesHandles: the shell gives back the reference of
-// every handle that commit, abort or the end of a script drops, so on a
-// manager that reaps terminated transactions the descriptors behind them
-// are recycled from one begin to the next, and every command still lands
-// on its own transaction.
+// every handle that commit, abort or the end of a script drops, so the
+// descriptors behind them are recycled from one begin to the next, and
+// every command still lands on its own transaction.
 func TestBeginCommitLoopRecyclesHandles(t *testing.T) {
-	m, err := asset.Open(asset.Config{ReapTerminated: true})
+	m, err := asset.Open(asset.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,8 @@ import (
 // on their caller (Manager.Execute). These tests hold what that must not
 // change and what it fixes.
 
-func newReaping(t *testing.T, cfg asset.Config) *asset.Manager {
+func openManager(t *testing.T, cfg asset.Config) *asset.Manager {
 	t.Helper()
-	cfg.ReapTerminated = true
 	m, err := asset.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +27,7 @@ func newReaping(t *testing.T, cfg asset.Config) *asset.Manager {
 // TestAtomicStartsNoGoroutine: ten thousand atomic transactions leave the
 // goroutine count where it was, and no body ever sees one more.
 func TestAtomicStartsNoGoroutine(t *testing.T) {
-	m := newReaping(t, asset.Config{})
+	m := newMem(t)
 	before := runtime.NumGoroutine()
 	peak := before
 	body := func(*asset.Tx) error {
@@ -66,11 +65,11 @@ func TestAtomicPanicLeavesCallerStanding(t *testing.T) {
 	}
 }
 
-// TestReapedFailureIsStillAFailure: under ReapTerminated a body that fails is
-// gone before anyone could ask Commit about it. The models used to hear
-// ErrUnknownTxn then, which is no step failure; they now hear the body.
+// TestReapedFailureIsStillAFailure: a body that fails is reaped before
+// anyone could ask Commit about it. The models used to hear ErrUnknownTxn
+// then, which is no step failure; they now hear the body.
 func TestReapedFailureIsStillAFailure(t *testing.T) {
-	m := newReaping(t, asset.Config{})
+	m := newMem(t)
 	bodyErr := errors.New("card declined")
 	failing := func(*asset.Tx) error { return bodyErr }
 	ok := func(*asset.Tx) error { return nil }
@@ -129,7 +128,7 @@ func TestDistributedComponentWaitsOnSibling(t *testing.T) {
 // gate fails the group and leaves no component behind, whether the shed one
 // was being begun or executed.
 func TestDistributedBeginFailureAbortsAll(t *testing.T) {
-	m := newReaping(t, asset.Config{MaxLive: 1})
+	m := openManager(t, asset.Config{MaxLive: 1})
 	release := make(chan struct{})
 	defer close(release)
 	parked := func(*asset.Tx) error { <-release; return nil }
@@ -169,7 +168,7 @@ func TestModelAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	m := newReaping(t, asset.Config{})
+	m := newMem(t)
 	noop := func(*asset.Tx) error { return nil }
 	for _, tc := range []struct {
 		name   string

@@ -179,7 +179,7 @@ func TestTortureCancellation(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			tortureCancellation(t,
-				asset.Config{LockShards: shards, ReapTerminated: true},
+				asset.Config{LockShards: shards},
 				int64(shards)*7919)
 		})
 	}

@@ -8,9 +8,8 @@ import (
 	"repro/internal/race"
 )
 
-func newReaping(t *testing.T, cfg asset.Config) *asset.Manager {
+func openManager(t *testing.T, cfg asset.Config) *asset.Manager {
 	t.Helper()
-	cfg.ReapTerminated = true
 	m, err := asset.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -19,12 +18,12 @@ func newReaping(t *testing.T, cfg asset.Config) *asset.Manager {
 	return m
 }
 
-// TestReapedStepFailureCompensates: under ReapTerminated a step whose body
-// fails is gone before anyone could ask Commit about it. The workflow used to
-// hear ErrUnknownTxn then, took it for an infrastructure error and returned
+// TestReapedStepFailureCompensates: a step whose body fails is reaped
+// before anyone could ask Commit about it. The workflow used to hear
+// ErrUnknownTxn then, took it for an infrastructure error and returned
 // without compensating; it now hears the body's own abort.
 func TestReapedStepFailureCompensates(t *testing.T) {
-	m := newReaping(t, asset.Config{})
+	m := newMem(t)
 	ok := func(*asset.Tx) error { return nil }
 	for i := 0; i < 1000; i++ {
 		undone := 0
@@ -45,7 +44,7 @@ func TestReapedStepFailureCompensates(t *testing.T) {
 // running with nobody to commit it, nor the one never begun, which would
 // stay live for good and keep the manager from a quiescent checkpoint.
 func TestRaceBeginFailureAbortsAll(t *testing.T) {
-	m := newReaping(t, asset.Config{MaxLive: 1})
+	m := openManager(t, asset.Config{MaxLive: 1})
 	release := make(chan struct{})
 	defer close(release)
 	parked := Task{Name: "parked", Action: func(*asset.Tx) error { <-release; return nil }}
@@ -73,7 +72,7 @@ func TestWorkflowAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	m := newReaping(t, asset.Config{})
+	m := newMem(t)
 	noop := func(*asset.Tx) error { return nil }
 	run := func() {
 		res, err := New("w").
