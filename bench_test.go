@@ -285,7 +285,10 @@ func lockMix(objects uint64, zipf bool, writePct int) lockKeys {
 // transaction over 1k or 100k objects, uniform or Zipf, 10% or 50%
 // writes. LOCK's take 16: disjoint write-locks keys private to each
 // worker, so only the lock table's latches are shared; hotspot
-// read-locks 8 keys every worker shares.
+// read-locks 8 keys every worker shares. Its bulk arms take 256 and 8192
+// (disjoint-fresh): write locks on keys private to the worker that no
+// transaction has locked before, the shape of a bulk load, so a lock's
+// cost shows against the size of its transaction.
 func BenchmarkLockThroughput(b *testing.B) {
 	type load struct {
 		name   string
@@ -313,6 +316,11 @@ func BenchmarkLockThroughput(b *testing.B) {
 		load{"hotspot", 16, func(w int) func(i int) (xid.OID, xid.OpSet) {
 			return func(i int) (xid.OID, xid.OpSet) { return xid.OID(uint64(i+w)%8 + 1), xid.OpRead }
 		}})
+	for _, perTxn := range []int{256, 8192} {
+		loads = append(loads, load{"disjoint-fresh", perTxn, func(w int) func(i int) (xid.OID, xid.OpSet) {
+			return func(i int) (xid.OID, xid.OpSet) { return xid.OID(uint64(w)<<40 | uint64(i) + 1), xid.OpWrite }
+		}})
+	}
 	for _, shards := range []int{1, 4, 16, 64} {
 		for _, l := range loads {
 			b.Run(fmt.Sprintf("shards=%d/txn=%d/%s", shards, l.perTxn, l.name), func(b *testing.B) {

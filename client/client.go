@@ -686,7 +686,7 @@ func (c *Client) roundTripOn(ctx context.Context, cl *call, req rpc.Request) (rp
 		resp := cl.resp
 		recycle(cl)
 		if rerr := resp.Err(); rerr != nil {
-			if errors.Is(rerr, core.ErrLeaseExpired) {
+			if sessionDead(rerr) {
 				// The session is dead on the server; forget it and drain
 				// everything still pending on it. (This call's own verdict is
 				// safe: the server answers retransmits from its completed
@@ -704,6 +704,16 @@ func (c *Client) roundTripOn(ctx context.Context, cl *call, req rpc.Request) (rp
 		c.abandon(cl, id)
 		return rpc.Response{}, fmt.Errorf("client: closed: %w", core.ErrClosed)
 	}
+}
+
+// sessionDead reports whether a response error says this client's own
+// session is dead: the server answers a request on a dead session with
+// ErrLeaseExpired alone. An error that also carries ErrAborted is a
+// transaction's abort reason — a Wait on a transaction whose session's
+// lease expired answers with one — and says nothing of this session, which
+// the next request or heartbeat on it learns about if it did die.
+func sessionDead(err error) bool {
+	return errors.Is(err, core.ErrLeaseExpired) && !errors.Is(err, core.ErrAborted)
 }
 
 // abandon ends the wait of a call whose waiter gave up, recycles it, and

@@ -51,17 +51,6 @@ func (m *Manager) AppendDelegate(moved []xid.OID, from, to xid.TID, oids []xid.O
 		fromTS.lat.Unlock()
 		return moved
 	}
-	if oids == nil {
-		for oid := range fromTS.locks {
-			candidates = append(candidates, oid)
-		}
-	} else {
-		for _, oid := range oids {
-			if _, held := fromTS.locks[oid]; held {
-				candidates = append(candidates, oid)
-			}
-		}
-	}
 	named := func(oid xid.OID) bool {
 		switch {
 		case oids == nil:
@@ -70,6 +59,11 @@ func (m *Manager) AppendDelegate(moved []xid.OID, from, to xid.TID, oids []xid.O
 			return want[oid]
 		}
 		return slices.Contains(oids, oid)
+	}
+	for _, h := range fromTS.locks {
+		if named(h.oid) {
+			candidates = append(candidates, h.oid)
+		}
 	}
 	for _, p := range fromTS.byGrantor {
 		// A dead PD is skipped below anyway; oid is readable without the
@@ -91,6 +85,7 @@ func (m *Manager) AppendDelegate(moved []xid.OID, from, to xid.TID, oids []xid.O
 		}
 		return cmp.Compare(a, b)
 	})
+	start := len(moved)
 	for i := 0; i < len(candidates); {
 		si := m.shardIndexOf(candidates[i])
 		s := &m.shards[si]
@@ -102,6 +97,7 @@ func (m *Manager) AppendDelegate(moved []xid.OID, from, to xid.TID, oids []xid.O
 		}
 		s.lat.Unlock()
 	}
+	fromTS.dropMoved(from, moved[start:])
 
 	// §4.2 delegate step (b): permissions given by from on the delegated
 	// objects (all of them for delegate-all) become permissions given by to,
@@ -134,8 +130,7 @@ func (m *Manager) delegateOneLocked(from, to xid.TID, fromTS, toTS *txnState, s 
 		fromTS.lat.Unlock()
 		return false // from is being released; the lock goes with it
 	}
-	delete(fromTS.locks, oid)
-	delete(fromTS.escrows, oid)
+	delete(fromTS.escrows, oid) // its lock entry leaves in dropMoved
 	fromTS.lat.Unlock()
 	if existing := od.ownerReq(to); existing != nil {
 		// Merge: the union of modes. Suspension is sticky — clearing it just
@@ -170,7 +165,7 @@ func (m *Manager) delegateOneLocked(from, to xid.TID, fromTS, toTS *txnState, s 
 			}
 		} else {
 			gl.tid = to
-			toTS.locks[oid] = od
+			toTS.locks = append(toTS.locks, held{oid, od})
 			toTS.lat.Unlock()
 			m.moveReservationLocked(od, from, to, toTS)
 		}
@@ -180,6 +175,56 @@ func (m *Manager) delegateOneLocked(from, to xid.TID, fromTS, toTS *txnState, s 
 	od.cond.Broadcast()
 	s.retireIfIdle(od)
 	return true
+}
+
+// dropMoved takes a delegation's moved objects out of the delegator's lock
+// list, one entry per moved oid, in one pass: the earliest entry of each,
+// so a lock the delegator took again on a moved object while the delegation
+// visited its shards keeps the entry it appended. The moved oids are
+// distinct (one LRD per transaction and object); a set of more than
+// maxScannedOIDs is indexed rather than scanned per entry. Takes ts.lat; a
+// delegator whose release has begun is left alone, its release owns the
+// list.
+func (ts *txnState) dropMoved(tid xid.TID, moved []xid.OID) {
+	if len(moved) == 0 {
+		return
+	}
+	var left map[xid.OID]bool
+	var takenBuf [maxScannedOIDs]bool
+	if len(moved) > maxScannedOIDs {
+		left = make(map[xid.OID]bool, len(moved))
+		for _, oid := range moved {
+			left[oid] = true
+		}
+	}
+	take := func(oid xid.OID) bool {
+		if left != nil {
+			if left[oid] {
+				delete(left, oid)
+				return true
+			}
+			return false
+		}
+		i := slices.Index(moved, oid)
+		if i < 0 || takenBuf[i] {
+			return false
+		}
+		takenBuf[i] = true
+		return true
+	}
+	ts.lat.Lock()
+	defer ts.lat.Unlock()
+	if !ts.is(tid) {
+		return
+	}
+	kept := ts.locks[:0]
+	for _, h := range ts.locks {
+		if !take(h.oid) {
+			kept = append(kept, h)
+		}
+	}
+	clear(ts.locks[len(kept):])
+	ts.locks = kept
 }
 
 // moveReservationLocked re-tags from's escrow reservation on od to the

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/xid"
 )
@@ -20,10 +21,13 @@ import (
 //     modes coexist on one object (suspension is the only sanctioned form
 //     of conflicting co-grant, per the permit semantics of §2.2).
 //  2. Index agreement: every granted LRD belongs to a live transaction
-//     whose lock index names the LRD's object, and every indexed object
-//     carries a granted LRD of that transaction — so no grant is held by a
+//     whose lock list has exactly one entry for the LRD's object, naming
+//     the LRD's OD, and every entry names a mapped OD that carries a
+//     granted LRD of that transaction — so no grant is held by a
 //     terminated (released) transaction, and ReleaseAll can always find
-//     what it must free. No LRD in use is on a free list.
+//     what it must free. No LRD in use is on a free list. An OD's own first
+//     LRD is in use exactly while it is on the OD's granted chain, is never
+//     on a free list, and is zero on every free-listed OD.
 //  3. Wait registration: every pending request has an entry for its object
 //     in its transaction's wait set and vice versa (counted per object), so
 //     aborts and victim marking reach every blocked request.
@@ -107,6 +111,39 @@ func (m *Manager) CheckInvariants() []string {
 	if err := m.free.Audit(nil); err != nil {
 		report("txnState free list: %v", err)
 	}
+	for od := range retiredODs {
+		if retiredReqs[&od.first] {
+			report("retired OD (last oid %v): its first LRD is on an LRD free list", od.oid)
+		}
+		if od.first != (lockReq{}) {
+			report("retired OD (last oid %v): first LRD not zeroed", od.oid)
+		}
+	}
+
+	// The live states' lock lists, counted once per (transaction, object),
+	// so the object-side walk checks each grant against them in constant
+	// time.
+	type listed struct {
+		od *objDesc // the entry's OD (the first one, if there are several)
+		n  int      // entries for this object
+	}
+	lockEntries := make(map[waitKey]listed)
+	m.txns.Range(func(_ uint64, ts *txnState) bool {
+		ts.lat.Lock()
+		if !ts.dead {
+			for _, h := range ts.locks {
+				k := waitKey{ts.tid, h.oid}
+				e := lockEntries[k]
+				if e.n == 0 {
+					e.od = h.od
+				}
+				e.n++
+				lockEntries[k] = e
+			}
+		}
+		ts.lat.Unlock()
+		return true
+	})
 
 	// Object-side walk: shards own the ground truth.
 	for si := range m.shards {
@@ -125,6 +162,12 @@ func (m *Manager) CheckInvariants() []string {
 			}
 			if od.idle() {
 				report("od %v: mapped with no lock, waiter, permit or ledger", oid)
+			}
+			if inUse := od.first.od != nil; inUse != slices.Contains(od.granted, &od.first) {
+				report("od %v: first LRD in use %v, on the granted chain %v", oid, inUse, !inUse)
+			}
+			if retiredReqs[&od.first] {
+				report("od %v: first LRD is on an LRD free list", oid)
 			}
 			seen := make(map[xid.TID]bool)
 			for _, gl := range od.granted {
@@ -145,14 +188,13 @@ func (m *Manager) CheckInvariants() []string {
 				}
 				ts.lat.Lock()
 				live := ts.is(gl.tid)
-				var indexed *objDesc
-				if live {
-					indexed = ts.locks[oid]
-				}
 				ts.lat.Unlock()
-				if !live {
+				switch e := lockEntries[waitKey{gl.tid, oid}]; {
+				case !live:
 					report("object %v: grant held by dead txn %v", oid, gl.tid)
-				} else if indexed != od {
+				case e.n != 1:
+					report("object %v: txn %v lock list has %d entries for its granted LRD, want 1", oid, gl.tid, e.n)
+				case e.od != od:
 					report("object %v: txn %v LRD index disagrees with OD chain", oid, gl.tid)
 				}
 				// Mutual exclusion among unsuspended grants.
@@ -253,13 +295,13 @@ func (m *Manager) CheckInvariants() []string {
 			report("txn %v: dead state still mapped", ts.tid)
 			return true
 		}
-		for oid, od := range ts.locks {
-			if !od.is(oid) {
-				report("txn %v: lock index entry for %v points at an OD not mapped under it (oid %v)", ts.tid, oid, od.oid)
+		for _, h := range ts.locks {
+			if !h.od.is(h.oid) {
+				report("txn %v: lock index entry for %v points at an OD not mapped under it (oid %v)", ts.tid, h.oid, h.od.oid)
 				continue
 			}
-			if od.ownerReq(ts.tid) == nil {
-				report("txn %v: indexed LRD on %v absent from OD chain", ts.tid, oid)
+			if h.od.ownerReq(ts.tid) == nil {
+				report("txn %v: indexed LRD on %v absent from OD chain", ts.tid, h.oid)
 			}
 		}
 		for _, oid := range ts.waits {

@@ -26,7 +26,7 @@
 // The lock table is sharded: oids hash onto Options.Shards lockShards, each
 // owning its ODs' LRD/PD chains under one short-term latch, the way §4.1
 // latches the OD hash chains in EOS. Lock traffic on objects in different
-// shards never serializes. Transaction-side state (LRD index, wait set,
+// shards never serializes. Transaction-side state (lock list, wait set,
 // permit indexes) lives in per-transaction txnState records in a sharded
 // hash table. Latches nest in one global order (see DESIGN.md §8):
 //
@@ -108,6 +108,13 @@ type lockReq struct {
 // escrow ledger is declared on it; lockShard.retireIfIdle unmaps and recycles
 // it otherwise, so a pointer kept across an unlatched window is believed only
 // after is(oid) has confirmed it under the latch.
+//
+// The OD carries one granted LRD of its own, first: a grant takes it while
+// it is free (first.od == nil) and an LRD off the shard's free list only
+// beside another holder, so an uncontended lock is one descriptor. first is
+// on granted exactly while it is in use, is never on a free list, and is
+// zeroed when it leaves granted (dropGranted). Pending LRDs always come from
+// the free list.
 type objDesc struct {
 	oid     xid.OID
 	home    *lockShard
@@ -121,6 +128,7 @@ type objDesc struct {
 	// grantedBuf backs granted until a second holder arrives: most objects
 	// never have one.
 	grantedBuf [1]*lockReq
+	first      lockReq // the LRD of a holder that found it free
 
 	pool.Link[objDesc]
 }
@@ -527,7 +535,8 @@ func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockRe
 }
 
 // installGrant merges the granted mode into the requester's LRD on the OD
-// chain (taking one off the shard's free list if needed) and clears any
+// chain (taking the OD's own first LRD, or one off the shard's free list
+// beside another holder, if needed) and clears any
 // suspension (§4.2 step 2). An escrow grant also records its reservation in
 // the OD's ledger and the transaction's reservation index under the same
 // txnState-latch hold, so a concurrent ReleaseAll either finds both the
@@ -554,10 +563,13 @@ func (m *Manager) installGrant(ts *txnState, od *objDesc, tid xid.TID, mode xid.
 		gl.mode = gl.mode.Union(mode)
 		gl.suspended = false
 	} else {
-		gl := od.home.newReq()
+		gl := &od.first
+		if gl.od != nil {
+			gl = od.home.newReq()
+		}
 		gl.tid, gl.od, gl.mode, gl.status = tid, od, mode, statusGranted
 		od.granted = append(od.granted, gl)
-		ts.locks[od.oid] = od
+		ts.locks = append(ts.locks, held{od.oid, od})
 	}
 	if reserve {
 		od.esc.reserve(tid, delta)
@@ -648,7 +660,8 @@ func (m *Manager) Holds(tid xid.TID, oid xid.OID, mode xid.OpSet) bool {
 	return gl != nil && !gl.suspended && gl.mode.Has(mode)
 }
 
-// HeldObjects returns the objects tid holds locks on, in unspecified order.
+// HeldObjects returns the objects tid holds locks on, in the order it
+// acquired them.
 func (m *Manager) HeldObjects(tid xid.TID) []xid.OID {
 	ts := m.stateOf(tid)
 	if ts == nil {
@@ -660,8 +673,8 @@ func (m *Manager) HeldObjects(tid xid.TID) []xid.OID {
 		return nil
 	}
 	out := make([]xid.OID, 0, len(ts.locks))
-	for oid := range ts.locks {
-		out = append(out, oid)
+	for _, h := range ts.locks {
+		out = append(out, h.oid)
 	}
 	return out
 }
@@ -674,11 +687,12 @@ func (m *Manager) HeldObjects(tid xid.TID) []xid.OID {
 // retired under its latch (see txnState), then each affected shard is
 // visited in turn — at most one shard latch held at a time — straight from
 // the retired indexes, which nobody else may touch any more; then the
-// emptied state is recycled. The indexes are kept in step with the chains,
-// so an entry's OD should still carry tid's lock and hence be mapped under
-// the entry's oid; the walk confirms is(oid) under the shard latch all the
-// same, rather than rest the safety of a recycled descriptor on an argument
-// that spans two structures.
+// emptied state is recycled. The lock list is walked in acquisition order.
+// An entry's OD carries tid's lock, and hence is mapped under the entry's
+// oid, except while a delegation that moved the lock has yet to take the
+// entry out (it does so after its shard visits); the walk confirms is(oid)
+// and finds tid's LRD on the chain under the shard latch, so such an entry
+// drops nothing.
 //
 //asset:noalloc
 func (m *Manager) ReleaseAll(tid xid.TID) {
@@ -692,13 +706,14 @@ func (m *Manager) ReleaseAll(tid xid.TID) {
 			}
 			s.lat.Unlock()
 		}
-		for oid, od := range ts.locks {
+		for _, h := range ts.locks {
+			od := h.od
 			s := od.home
 			s.lat.Lock()
 			// The chain decides, under the latch: a racing delegation may
 			// have retagged the LRD to another transaction, whose lock must
 			// survive.
-			if od.is(oid) {
+			if od.is(h.oid) {
 				if gl := od.ownerReq(tid); gl != nil {
 					od.dropGranted(gl)
 					od.cond.Broadcast()
@@ -760,7 +775,12 @@ func (m *Manager) retire(tid xid.TID) *txnState {
 func (m *Manager) recycle(ts *txnState) {
 	ts.lat.Lock()
 	ts.tid = xid.NilTID
-	ts.locks = emptied(ts.locks)
+	if cap(ts.locks) > maxKeptIndex {
+		ts.locks = nil
+	} else {
+		clear(ts.locks)
+		ts.locks = ts.locks[:0]
+	}
 	ts.escrows = emptied(ts.escrows)
 	clear(ts.byGrantor)
 	ts.byGrantor = ts.byGrantor[:0]

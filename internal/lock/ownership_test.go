@@ -613,3 +613,60 @@ func TestOwnershipLedgerKeepsItsOD(t *testing.T) {
 	}
 	wantEmpty(t, m, "ledger dropped")
 }
+
+// TestOwnershipDelegatorRelocksDuringDelegation: a delegates everything to b
+// and, while the delegation is still visiting shards, takes X again, whose
+// lock has already moved. The relock appends a new entry to a's list, and
+// the delegation's removal of the moved entries, one per moved object, must
+// take the old one and leave the new: a ends up listing exactly X, which its
+// release then frees. X sits in the shard the delegation visits first, and
+// 4,096 other objects in later shards hold the window open.
+func TestOwnershipDelegatorRelocksDuringDelegation(t *testing.T) {
+	m := newTest(Options{})
+	var X xid.OID
+	others := make([]xid.OID, 0, 4096)
+	for oid := xid.OID(1); len(others) < cap(others); oid++ {
+		switch {
+		case m.shardIndexOf(oid) != 0:
+			others = append(others, oid)
+		case X.IsNil():
+			X = oid
+		}
+	}
+	rounds, inWindow := 20, 0
+	for r := 0; r < rounds; r++ {
+		a, b := xid.TID(2*r+1), xid.TID(2*r+2)
+		mustLock(t, m, a, X, xid.OpRead)
+		for _, oid := range others {
+			mustLock(t, m, a, oid, xid.OpWrite)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			m.Delegate(a, b, nil)
+		}()
+		for !m.Holds(b, X, xid.OpRead) {
+		}
+		mustLock(t, m, a, X, xid.OpRead)
+		select {
+		case <-done:
+		default:
+			inWindow++
+			<-done
+		}
+		if got := m.HeldObjects(a); len(got) != 1 || got[0] != X {
+			t.Fatalf("round %d: a lists %d objects (%v...), want exactly %v", r, len(got), got[:min(len(got), 4)], X)
+		}
+		if !m.Holds(a, X, xid.OpRead) || !m.Holds(b, X, xid.OpRead) {
+			t.Fatalf("round %d: a holds X %v, b holds X %v; want both", r, m.Holds(a, X, xid.OpRead), m.Holds(b, X, xid.OpRead))
+		}
+		wantClean(t, m, "after the delegation")
+		m.ReleaseAll(a)
+		if m.Holds(a, X, xid.OpRead) {
+			t.Fatalf("round %d: a's release left its relock of X behind", r)
+		}
+		m.ReleaseAll(b)
+	}
+	t.Logf("%d of %d relocks landed while the delegation was visiting shards", inWindow, rounds)
+	wantEmpty(t, m, "relock during delegation")
+}

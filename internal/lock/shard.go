@@ -23,14 +23,16 @@ const (
 	maxFreeReqs = 256  // per shard
 	maxFreePDs  = 64   // per shard
 	maxFreeTxns = 1024 // per manager
-	// ODs are nearly twice an LRD's size, and a shard needs spares only for
-	// the objects that are released together: 64 per shard is 4,096 across
-	// the default table, 0.7 MB at most. A bulk load that locks more than
-	// that in one transaction gives the excess back to the collector.
+	// An OD (288 B, its first holder's LRD inside) is nearly four times an
+	// LRD's size, and a shard needs spares only for the objects that are
+	// released together: 64 per shard is 4,096 across the default table,
+	// about 1.1 MB at most. A bulk load that locks more than that in one
+	// transaction gives the excess back to the collector.
 	maxFreeODs = 64 // per shard
-	// A recycled txnState keeps its (emptied) index maps; one that grew
-	// past this many entries is dropped instead, so a single huge
-	// transaction does not leave a huge map behind for small ones to clear.
+	// A recycled txnState keeps its (emptied) lock list and reservation
+	// map; one that grew past this many entries is dropped instead, so a
+	// single huge transaction does not leave a huge index behind for small
+	// ones to carry or clear.
 	maxKeptIndex = 64
 	// A recycled OD keeps the (emptied) backing arrays of its pending queue
 	// and PD list up to this capacity, so an object that was once a hot spot
@@ -253,11 +255,17 @@ func (od *objDesc) ownerReq(tid xid.TID) *lockReq {
 }
 
 // dropGranted removes gl from od's granted chain by identity and retires
-// it. Caller holds the shard latch.
+// it: the OD's own first LRD is zeroed, which frees it for the next holder,
+// and any other goes back on the shard's free list. Caller holds the shard
+// latch.
 func (od *objDesc) dropGranted(gl *lockReq) {
 	if i := slices.Index(od.granted, gl); i >= 0 {
 		od.granted = slices.Delete(od.granted, i, i+1) // clears the vacated slot
-		od.home.freeReq(gl)
+		if gl == &od.first {
+			od.first = lockReq{}
+		} else {
+			od.home.freeReq(gl)
+		}
 	}
 }
 
@@ -272,6 +280,13 @@ func (od *objDesc) dropPermit(p *permit) {
 		od.permits = slices.Delete(od.permits, i, i+1) // clears the vacated slot
 	}
 	od.home.unrefPermit(p)
+}
+
+// held is one entry of a transaction's lock list: an object it was granted
+// a lock on and the OD that lock lives on.
+type held struct {
+	oid xid.OID
+	od  *objDesc
 }
 
 // txnState is the per-transaction side of the lock table: the objects the
@@ -302,10 +317,14 @@ type txnState struct {
 	lat  latch.Latch
 	tid  xid.TID
 	dead bool // retired (or not yet handed out); registrations must not land here
-	// locks indexes the objects tid holds a granted LRD on. Kept in step
-	// with the OD chains: installGrant adds, delegation moves, ReleaseAll
-	// walks.
-	locks map[xid.OID]*objDesc
+	// locks lists the objects tid holds a granted LRD on, in acquisition
+	// order, one entry per LRD: installGrant appends, a delegation appends
+	// to the delegatee's list under the shard latch that retags the LRD and
+	// takes the moved entries out of the delegator's in one pass after its
+	// shard visits, ReleaseAll walks it in order. Between those two steps of
+	// a delegation an entry may name an OD that no longer carries tid's LRD;
+	// every consumer finds the LRD on the chain under the shard latch.
+	locks []held
 	// waits holds the objects of the transaction's parked requests (one
 	// entry per request), so CancelWaits and victim marking touch exactly
 	// the shards involved instead of scanning the whole table.
@@ -334,9 +353,6 @@ func (m *Manager) newTxnState() *txnState {
 	ts := m.free.Pop()
 	if ts == nil {
 		ts = &txnState{dead: true}
-	}
-	if ts.locks == nil {
-		ts.locks = make(map[xid.OID]*objDesc)
 	}
 	return ts
 }

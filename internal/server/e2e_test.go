@@ -339,6 +339,43 @@ func TestWaitAcrossSessions(t *testing.T) {
 	f.quiesce()
 }
 
+// TestWaitOnExpiredTxnKeepsOwnSession: a wait on a transaction that another
+// session's lease expiry aborted answers with the abort reason, which
+// carries ErrLeaseExpired. That names the other session's death, not the
+// waiter's: the waiter's session must stay live, so 300 ms later the server
+// counts one live session and the one expired.
+func TestWaitOnExpiredTxnKeepsOwnSession(t *testing.T) {
+	f := newFixture(t, core.Config{}, server.Config{LeaseTTL: 40 * time.Millisecond})
+	mute := f.dial(client.Options{HeartbeatEvery: time.Hour})
+	waiter := f.dial(client.Options{})
+	ctx := context.Background()
+
+	tid, err := mute.Initiate(ctx)
+	if err != nil {
+		t.Fatalf("Initiate: %v", err)
+	}
+	if err := mute.Begin(ctx, tid); err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	err = waiter.Wait(wctx, tid)
+	if !errors.Is(err, core.ErrAborted) || !errors.Is(err, core.ErrLeaseExpired) {
+		t.Fatalf("Wait on the expired session's transaction = %v, want its abort for lease expiry", err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	if live, expired := f.srv.SessionCounts(); live != 1 || expired != 1 {
+		t.Fatalf("sessions live %d, expired %d; want 1 and 1 (only the mute client's lease lapsed)", live, expired)
+	}
+	if err := waiter.Run(wctx, core.RunOptions{}, func(context.Context, *client.Tx) error { return nil }); err != nil {
+		t.Fatalf("Run on the waiter's session: %v", err)
+	}
+	if live, expired := f.srv.SessionCounts(); live != 1 || expired != 1 {
+		t.Fatalf("after a Run, sessions live %d, expired %d; want 1 and 1", live, expired)
+	}
+	f.quiesce()
+}
+
 // TestManagerCloseFailsRemoteWaiters is the Manager.Close satellite: a
 // client blocked in a remote wait must promptly observe ErrClosed when
 // the manager shuts down — never hang.
