@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/wal"
@@ -30,58 +31,65 @@ func main() {
 		fmt.Fprintf(os.Stderr, "walinspect: %s is not a directory\n", dir)
 		os.Exit(2)
 	}
-	var count int
+	if err := run(os.Stdout, dir, *verbose); err != nil {
+		fmt.Fprintf(os.Stderr, "walinspect: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run writes one line per record of the chain in dir to w, then the state
+// the chain recovers to. With verbose, images are printed rather than
+// their sizes.
+func run(w io.Writer, dir string, verbose bool) error {
+	var count, committed int
 	rp := wal.NewReplayer()
 	err := wal.ScanChain(dir, func(r *wal.Record) error {
 		count++
 		switch r.Type {
 		case wal.TBegin, wal.TAbort:
-			fmt.Printf("%6d  %-10s %v\n", r.LSN, r.Type, r.TID)
-		case wal.TUpdate:
-			if *verbose {
-				fmt.Printf("%6d  %-10s %v %v %v before=%q after=%q\n",
-					r.LSN, r.Type, r.TID, r.OID, r.Kind, r.Before, r.After)
+			fmt.Fprintf(w, "%6d  %-10s %v\n", r.LSN, r.Type, r.TID)
+		case wal.TUpdate, wal.TUndo:
+			if verbose {
+				fmt.Fprintf(w, "%6d  %-10s %v %v %v %q\n", r.LSN, r.Type, r.TID, r.OID, r.Kind, r.After)
 			} else {
-				fmt.Printf("%6d  %-10s %v %v %v (%dB -> %dB)\n",
-					r.LSN, r.Type, r.TID, r.OID, r.Kind, len(r.Before), len(r.After))
+				fmt.Fprintf(w, "%6d  %-10s %v %v %v (%dB)\n", r.LSN, r.Type, r.TID, r.OID, r.Kind, len(r.After))
 			}
-		case wal.TUndo:
-			fmt.Printf("%6d  %-10s %v %v %v (%dB)\n", r.LSN, r.Type, r.TID, r.OID, r.Kind, len(r.After))
 		case wal.TDelegate:
 			scope := "all objects"
 			if r.OIDs != nil {
 				scope = fmt.Sprintf("%d object(s)", len(r.OIDs))
 			}
-			fmt.Printf("%6d  %-10s %v -> %v (%s)\n", r.LSN, r.Type, r.TID, r.TID2, scope)
+			fmt.Fprintf(w, "%6d  %-10s %v -> %v (%s)\n", r.LSN, r.Type, r.TID, r.TID2, scope)
 		case wal.TCommit:
-			fmt.Printf("%6d  %-10s group=%v\n", r.LSN, r.Type, r.TIDs)
+			committed += len(r.TIDs)
+			fmt.Fprintf(w, "%6d  %-10s group=%v\n", r.LSN, r.Type, r.TIDs)
 		case wal.TPrepare:
-			fmt.Printf("%6d  %-10s gid=%d group=%v\n", r.LSN, r.Type, r.GID, r.TIDs)
+			fmt.Fprintf(w, "%6d  %-10s gid=%d group=%v\n", r.LSN, r.Type, r.GID, r.TIDs)
 		case wal.TDecide:
 			verdict := "abort"
 			if r.Commit {
 				verdict = "commit"
 			}
-			fmt.Printf("%6d  %-10s gid=%d verdict=%s\n", r.LSN, r.Type, r.GID, verdict)
+			fmt.Fprintf(w, "%6d  %-10s gid=%d verdict=%s\n", r.LSN, r.Type, r.GID, verdict)
 		case wal.TImage:
-			if *verbose {
-				fmt.Printf("%6d  %-10s %v %q\n", r.LSN, r.Type, r.OID, r.After)
+			if verbose {
+				fmt.Fprintf(w, "%6d  %-10s %v %q\n", r.LSN, r.Type, r.OID, r.After)
 			} else {
-				fmt.Printf("%6d  %-10s %v (%dB)\n", r.LSN, r.Type, r.OID, len(r.After))
+				fmt.Fprintf(w, "%6d  %-10s %v (%dB)\n", r.LSN, r.Type, r.OID, len(r.After))
 			}
 		case wal.TCheckpoint:
-			fmt.Printf("%6d  %-10s\n", r.LSN, r.Type)
+			fmt.Fprintf(w, "%6d  %-10s\n", r.LSN, r.Type)
 		}
 		return rp.Apply(r)
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "walinspect: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	st := rp.Finish()
-	fmt.Printf("\n%d records; recovery: %d committed txn(s), %d loser(s), %d in-doubt group(s), %d object(s), next LSN %d\n",
-		count, len(st.Committed), len(st.Losers), len(st.InDoubt), len(st.Objects), st.NextLSN)
+	fmt.Fprintf(w, "\n%d records; recovery: %d committed txn(s), %d in-doubt group(s), %d object(s), next LSN %d\n",
+		count, committed, len(st.InDoubt), len(st.Objects), st.NextLSN)
 	for gid, tids := range st.InDoubt {
-		fmt.Printf("in doubt: gid=%d group=%v (awaiting coordinator verdict)\n", gid, tids)
+		fmt.Fprintf(w, "in doubt: gid=%d group=%v (awaiting coordinator verdict)\n", gid, tids)
 	}
+	return nil
 }

@@ -523,12 +523,19 @@ func (m *Manager) Checkpoint() error {
 	return m.log.Truncate(m.snapshotLocked)
 }
 
-// snapshotLocked streams a TImage record of every cached object into
-// emit through the manager's reused record: a quiescent cache holds
-// exactly the committed state. The order is ascending oid, so a run
-// writes the same bytes in the same file operations every time, which
-// CrashSim's sweeps rely on. Caller holds m.mu.
+// snapshotLocked streams into emit, through the manager's reused record,
+// a TBegin naming the last tid issued and then a TImage record of every
+// cached object: a quiescent cache holds exactly the committed state. The
+// TBegin is the snapshot's tid floor, since the images name no tid and
+// replay would otherwise issue the chain's tids afresh. The order is
+// ascending oid, so a run writes the same bytes in the same file
+// operations every time, which CrashSim's sweeps rely on. Caller holds
+// m.mu.
 func (m *Manager) snapshotLocked(emit func(*wal.Record) error) error {
+	m.rec = wal.Record{Type: wal.TBegin, TID: xid.TID(m.nextTID.Load())}
+	if err := emit(&m.rec); err != nil {
+		return err
+	}
 	var err error
 	m.cache.ForEach(func(oid xid.OID, data []byte) bool {
 		m.rec = wal.Record{Type: wal.TImage, OID: oid, After: data}

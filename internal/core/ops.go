@@ -179,34 +179,28 @@ func (tx *Tx) Update(oid xid.OID, fn func([]byte) []byte) error {
 	return m.modifyLocked(t, oid, obj, fn(append([]byte(nil), obj.Data()...)))
 }
 
-// modifyLocked logs a modify of obj to data and applies it. When data has
+// modifyLocked logs a modify of obj to data and applies it. The log
+// record carries only the after image, which is all redo reads; the
+// before image lives in the undo record, which abort reads. When data has
 // the object's length, the old bytes are copied into t's image buffer for
-// the log record and the undo record, and data overwrites the object's
-// buffer in place: a write allocates nothing once the descriptor's buffer
-// has grown. Otherwise the object gets a copy of data, and the replaced
-// buffer goes to the undo record, since nothing else holds it (see
-// addInPlace). Nothing keeps data itself. Caller holds m.mu and obj.Lat in
-// X mode.
+// the undo record, and data overwrites the object's buffer in place: a
+// write allocates nothing once the descriptor's buffer has grown.
+// Otherwise the object gets a copy of data, and the replaced buffer goes
+// to the undo record, since nothing else holds it (see addInPlace).
+// Nothing keeps data itself. Caller holds m.mu and obj.Lat in X mode.
 func (m *Manager) modifyLocked(t *txn, oid xid.OID, obj *storage.Object, data []byte) error {
 	cur := obj.Data()
 	if len(data) == len(cur) {
-		before := t.keepImage(cur)
-		seq, err := m.appendLocked(wal.Record{
-			Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
-			Before: before, After: data,
-		})
+		seq, err := m.appendLocked(wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify, After: data})
 		if err != nil {
 			return err
 		}
-		t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindModify, kept: true, before: before})
+		t.undo = append(t.undo, undoRec{seq: seq, oid: oid, kind: wal.KindModify, kept: true, before: t.keepImage(cur)})
 		copy(cur, data)
 		return nil
 	}
 	data = append([]byte(nil), data...)
-	seq, err := m.appendLocked(wal.Record{
-		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify,
-		Before: cur, After: data,
-	})
+	seq, err := m.appendLocked(wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify, After: data})
 	if err != nil {
 		return err
 	}
@@ -397,9 +391,7 @@ func (tx *Tx) Delete(oid xid.OID) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNoObject, oid)
 	}
-	seq, err := m.appendLocked(wal.Record{
-		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelete, Before: before,
-	})
+	seq, err := m.appendLocked(wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelete})
 	if err != nil {
 		return err
 	}

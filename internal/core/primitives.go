@@ -217,11 +217,13 @@ func (m *Manager) BeginInteractive(ctx context.Context, id xid.TID) (*Tx, error)
 }
 
 // beginOne takes an initiated transaction to running — status check, context
-// binding, begin-dependency gates, admission, begin record, context watcher
-// — and hands it back for the caller to run its body, or, interactive, to
-// drive it without one. A body's descriptor comes back with a reference for
-// the body, which the caller drops once the body has returned and its
-// outcome has been read.
+// binding, begin-dependency gates, admission, context watcher — and hands it
+// back for the caller to run its body, or, interactive, to drive it without
+// one. A body's descriptor comes back with a reference for the body, which
+// the caller drops once the body has returned and its outcome has been read.
+// Nothing is logged: replay needs a tid only once it has an update or an
+// outcome. The status turns running under m.mu, which Checkpoint holds to
+// keep the manager quiescent.
 func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (_ *txn, err error) {
 	m.mu.Lock()
 	t, o, err := m.lookup(id)
@@ -321,13 +323,6 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (_
 		}
 	}
 	t.setSt(xid.StatusRunning)
-	// The begin record goes through the manager's reused record, hence
-	// under the mutex; a body that has not started cannot append ahead of it.
-	if _, err := m.appendLocked(wal.Record{Type: wal.TBegin, TID: id}); err != nil {
-		m.abortLocked(t, err)
-		m.mu.Unlock()
-		return nil, err
-	}
 	m.mu.Unlock()
 	if ctxDone != nil && t.ctx != nil {
 		t.pin() // the watcher's reference, dropped when it exits

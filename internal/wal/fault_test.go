@@ -123,7 +123,7 @@ func TestScanOverFaultInjectedFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(st.Objects[7]) != "x" || len(st.Committed) != 1 {
+	if string(st.Objects[7]) != "x" || st.NextLSN != 4 {
 		t.Fatalf("recovered %+v", st)
 	}
 	// A crash image in DropUnsynced mode keeps the synced records.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/xid"
@@ -93,9 +92,17 @@ func TestSegmentedFixtureReopensByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffStates(t, ref, st)
-	if !reflect.DeepEqual(st.InDoubt, ref.InDoubt) || !reflect.DeepEqual(st.InDoubtOps, ref.InDoubtOps) {
-		t.Errorf("in-doubt state diverges: %v %v, ref %v %v", st.InDoubt, st.InDoubtOps, ref.InDoubt, ref.InDoubtOps)
+	// The bytes the engine no longer writes were never read: the same
+	// history without its TBegin records and before images, each record
+	// at its LSN, replays to the same state.
+	var redo []*Record
+	for _, r := range recs {
+		if r.Type != TBegin {
+			r.Before = nil
+			redo = append(redo, r)
+		}
 	}
+	diffStates(t, RecoverRecords(redo), st)
 	// The replay itself, pinned: the undo restored TEN, the delta folded
 	// into the counter, the delegated create was deleted by the delegate-
 	// all's receiver, the loser and the in-doubt create stay out.

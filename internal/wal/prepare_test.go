@@ -38,7 +38,7 @@ func TestPrepareDecideRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoverInDoubt: a prepared-but-undecided group is neither a loser nor
+// TestRecoverInDoubt: a prepared-but-undecided group is neither dropped nor
 // committed — its updates are withheld as InDoubtOps for the opener.
 func TestRecoverInDoubt(t *testing.T) {
 	st := RecoverRecords([]*Record{
@@ -50,9 +50,6 @@ func TestRecoverInDoubt(t *testing.T) {
 	})
 	if len(st.Objects) != 0 {
 		t.Fatalf("in-doubt updates leaked into Objects: %v", st.Objects)
-	}
-	if len(st.Losers) != 0 {
-		t.Fatalf("prepared transactions classified as losers: %v", st.Losers)
 	}
 	if got := st.InDoubt[77]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("InDoubt[77] = %v, want [t1 t2]", got)
@@ -83,8 +80,7 @@ func TestRecoverPreparedThenDecided(t *testing.T) {
 	abort := append(append([]*Record(nil), base...),
 		&Record{LSN: 4, Type: TAbort, TID: 1})
 	st = RecoverRecords(abort)
-	if len(st.InDoubt) != 0 || len(st.Objects) != 0 || len(st.Losers) != 0 {
-		t.Fatalf("aborted prepared txn left state: indoubt=%v objects=%v losers=%v",
-			st.InDoubt, st.Objects, st.Losers)
+	if len(st.InDoubt) != 0 || len(st.Objects) != 0 {
+		t.Fatalf("aborted prepared txn left state: indoubt=%v objects=%v", st.InDoubt, st.Objects)
 	}
 }

@@ -1,17 +1,18 @@
-// Package wal implements ASSET's write-ahead log. Per §4.2 of the paper,
-// every write logs the before image and the after image of the object, a
-// commit places a commit record (one record for a whole group commit), and
-// abort installs before images — which this implementation also logs, as
-// redo-able undo records, so that recovery reproduces exactly the state a
-// crash-free run would have reached (including the paper's caveat that an
-// abort can overwrite later updates by permitted cooperating transactions).
-//
-// The recovery policy is no-steal / redo-only: uncommitted data never
-// reaches the persistent store, a commit forces the log, and recovery
-// replays committed after-images (and undo installations) in log order.
-// Delegation transfers undo/redo responsibility between transactions and is
-// therefore logged too, so recovery attributes each update to the
-// transaction that was responsible for it at commit time.
+// Package wal implements ASSET's write-ahead log. The paper's §4.2 log
+// holds a before and an after image for every write, because its recovery
+// undoes from the log. This log is redo-only, and holds only what replay
+// reads. The recovery policy is no-steal: uncommitted data never reaches
+// the persistent store, a commit forces the log, and recovery replays
+// committed after-images (and undo installations) in log order. An update
+// record therefore carries the after image alone. The before image lives
+// in the transaction descriptor, and abort installs it from there; the
+// installation is logged as a redo-able undo record, so that recovery
+// reproduces exactly the state a crash-free run would have reached
+// (including the paper's caveat that an abort can overwrite later updates
+// by permitted cooperating transactions). Delegation transfers undo/redo
+// responsibility between transactions and is therefore logged too, so
+// recovery attributes each update to the transaction that was
+// responsible for it at commit time.
 package wal
 
 import (
@@ -26,8 +27,8 @@ type Type uint8
 
 // Log record types.
 const (
-	TBegin      Type = iota + 1 // a transaction began executing
-	TUpdate                     // before/after image of one object
+	TBegin      Type = iota + 1 // a tid that was issued (a checkpoint's tid floor)
+	TUpdate                     // after image of one object
 	TDelegate                   // responsibility transfer between tids
 	TCommit                     // commit record for one tid or a GC group
 	TAbort                      // a transaction aborted (its updates are void)
@@ -109,11 +110,14 @@ func (k UpdateKind) String() string {
 
 // Record is one log record. Only the fields relevant to Type are set:
 //
-//	TBegin:      TID
-//	TUpdate:     TID, OID, Kind, Before, After
+//	TBegin:      TID (a tid that was issued: a checkpoint writes one;
+//	             older logs wrote one per begin)
+//	TUpdate:     TID, OID, Kind, After (Before is empty from the engine;
+//	             older logs carry one, which replay never reads)
 //	TDelegate:   TID (from), TID2 (to), OIDs (nil = all objects)
 //	TCommit:     TIDs (the committed group; a single txn is a group of one)
-//	TAbort:      TID
+//	TAbort:      TID (replay drops its pending updates; a prepared
+//	             transaction's abort also ends its doubt)
 //	TUndo:       TID (the aborter), OID, Kind (KindModify/KindCreate install
 //	             After; KindDelete removes the object), After
 //	TCheckpoint: nothing

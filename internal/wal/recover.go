@@ -18,16 +18,12 @@ type State struct {
 	// MaxTID is the largest transaction id seen, so a resuming manager can
 	// continue the tid sequence without reuse.
 	MaxTID xid.TID
-	// Committed lists the transactions whose commit records were found.
-	Committed []xid.TID
-	// Losers lists transactions that had begun but neither committed nor
-	// aborted by the end of the log (they lose: their updates are dropped).
-	Losers []xid.TID
 	// InDoubt maps each distributed-commit group id whose prepare record
 	// was found without a matching commit or abort to its prepared local
-	// members. These transactions are NOT losers: the participant voted
-	// yes, so their fate belongs to the coordinator, and the opener must
-	// hold their updates (InDoubtOps) and locks until the verdict arrives.
+	// members. Unlike a transaction that ends the log with neither, whose
+	// updates are dropped, these voted yes: their fate belongs to the
+	// coordinator, and the opener must hold their updates (InDoubtOps) and
+	// locks until the verdict arrives.
 	InDoubt map[uint64][]xid.TID
 	// InDoubtOps maps each in-doubt transaction to its pending redo
 	// operations in LSN order, to be installed if the verdict is commit
@@ -57,7 +53,6 @@ type pendingOp struct {
 // pass that reads it.
 type Replayer struct {
 	pending map[xid.TID][]pendingOp
-	began   map[xid.TID]bool
 	// prepared tracks TPrepare records awaiting their verdict: group id →
 	// members, and the member → group reverse index. A TCommit or TAbort
 	// covering a member resolves the whole group.
@@ -80,7 +75,6 @@ func RecoverRecords(recs []*Record) *State {
 func NewReplayer() *Replayer {
 	return &Replayer{
 		pending:    make(map[xid.TID][]pendingOp),
-		began:      make(map[xid.TID]bool),
 		prepared:   make(map[uint64][]xid.TID),
 		preparedBy: make(map[xid.TID]uint64),
 		st: &State{
@@ -103,7 +97,7 @@ func (rp *Replayer) Apply(r *Record) error {
 	}
 	switch r.Type {
 	case TBegin:
-		rp.began[r.TID] = true
+		// A tid that was issued: the bump above is all it carries.
 	case TUpdate:
 		rp.pending[r.TID] = append(rp.pending[r.TID], pendingOp{
 			lsn: r.LSN, oid: r.OID, kind: r.Kind, after: r.After,
@@ -117,8 +111,6 @@ func (rp *Replayer) Apply(r *Record) error {
 		for _, t := range r.TIDs {
 			ops = append(ops, rp.pending[t]...)
 			delete(rp.pending, t)
-			delete(rp.began, t)
-			rp.st.Committed = append(rp.st.Committed, t)
 		}
 		sortOps(ops)
 		for _, op := range ops {
@@ -129,7 +121,6 @@ func (rp *Replayer) Apply(r *Record) error {
 		}
 	case TAbort:
 		delete(rp.pending, r.TID)
-		delete(rp.began, r.TID)
 		rp.resolvePrepared(r.TID)
 	case TUndo:
 		// Physical undo installations change live (possibly committed)
@@ -258,9 +249,11 @@ func DecodeCounter(b []byte) uint64 {
 }
 
 // Finish ends the replay and returns the state; the replayer is spent.
+// The pending updates of a transaction that neither committed nor
+// prepared are dropped with it.
 func (rp *Replayer) Finish() *State {
-	// Prepared-but-undecided transactions are in doubt, not losers: carry
-	// their withheld updates out for the opener to hold until the verdict.
+	// Prepared-but-undecided transactions are in doubt: carry their
+	// withheld updates out for the opener to hold until the verdict.
 	if len(rp.prepared) > 0 {
 		rp.st.InDoubt = make(map[uint64][]xid.TID, len(rp.prepared))
 		rp.st.InDoubtOps = make(map[xid.TID][]RedoOp)
@@ -276,21 +269,9 @@ func (rp *Replayer) Finish() *State {
 					redo = append(redo, RedoOp{LSN: op.lsn, OID: op.oid, Kind: op.kind, After: op.after})
 				}
 				rp.st.InDoubtOps[t] = redo
-				delete(rp.pending, t)
-				delete(rp.began, t)
 			}
 		}
 	}
-	for t := range rp.began {
-		rp.st.Losers = append(rp.st.Losers, t)
-	}
-	for t := range rp.pending {
-		if !rp.began[t] {
-			rp.st.Losers = append(rp.st.Losers, t)
-		}
-	}
-	sortTIDs(rp.st.Losers)
-	sortTIDs(rp.st.Committed)
 	return rp.st
 }
 

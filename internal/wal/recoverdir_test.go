@@ -184,10 +184,7 @@ func diffStates(t *testing.T, ref, got *State) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(got.Committed, ref.Committed) {
-		t.Errorf("Committed diverge: got %v, ref %v", got.Committed, ref.Committed)
-	}
-	if !reflect.DeepEqual(got.Losers, ref.Losers) {
-		t.Errorf("Losers diverge: got %v, ref %v", got.Losers, ref.Losers)
+	if !reflect.DeepEqual(got.InDoubt, ref.InDoubt) || !reflect.DeepEqual(got.InDoubtOps, ref.InDoubtOps) {
+		t.Errorf("in-doubt state diverges: %v %v, ref %v %v", got.InDoubt, got.InDoubtOps, ref.InDoubt, ref.InDoubtOps)
 	}
 }

@@ -151,9 +151,6 @@ func TestRecoverCommittedOnly(t *testing.T) {
 	if _, ok := st.Objects[20]; ok {
 		t.Fatal("loser's object recovered")
 	}
-	if len(st.Losers) != 1 || st.Losers[0] != 2 {
-		t.Fatalf("losers = %v, want [2]", st.Losers)
-	}
 	if st.MaxTID != 2 || st.NextLSN != 6 {
 		t.Fatalf("MaxTID=%d NextLSN=%d", st.MaxTID, st.NextLSN)
 	}
@@ -166,7 +163,7 @@ func TestRecoverAbortDiscards(t *testing.T) {
 		{LSN: 3, Type: TAbort, TID: 1},
 	}
 	st := RecoverRecords(recs)
-	if len(st.Objects) != 0 || len(st.Losers) != 0 {
+	if len(st.Objects) != 0 {
 		t.Fatalf("abort not clean: %+v", st)
 	}
 }
@@ -332,8 +329,8 @@ func TestAppendersKeepNothing(t *testing.T) {
 		if got := DecodeCounter(st.Objects[5]); got != 50 {
 			t.Errorf("%s: object 5 recovered as %d, want 50", name, got)
 		}
-		if len(st.Committed) != 50 {
-			t.Errorf("%s: %d committed transactions, want 50", name, len(st.Committed))
+		if st.NextLSN != 101 {
+			t.Errorf("%s: NextLSN %d, want 101 after 100 records", name, st.NextLSN)
 		}
 	}
 	st, err := RecoverDir(dir, RecoverOptions{})
@@ -380,7 +377,8 @@ func TestDecodeCounterShortImages(t *testing.T) {
 
 func TestRecoverLoserWithDelegatedInOps(t *testing.T) {
 	// A transaction that never began but received delegated ops and never
-	// terminated is a loser; its delegated ops are dropped.
+	// terminated is a loser; its delegated ops are dropped, and its tid is
+	// still one the resuming manager must not issue.
 	recs := []*Record{
 		{LSN: 1, Type: TBegin, TID: 1},
 		{LSN: 2, Type: TUpdate, TID: 1, OID: 5, Kind: KindCreate, After: []byte("x")},
@@ -388,16 +386,7 @@ func TestRecoverLoserWithDelegatedInOps(t *testing.T) {
 		{LSN: 4, Type: TAbort, TID: 1},
 	}
 	st := RecoverRecords(recs)
-	if len(st.Objects) != 0 {
-		t.Fatalf("objects = %v", st.Objects)
-	}
-	found := false
-	for _, l := range st.Losers {
-		if l == 9 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("losers = %v, want t9 included", st.Losers)
+	if len(st.Objects) != 0 || st.MaxTID != 9 {
+		t.Fatalf("objects = %v, MaxTID %d", st.Objects, st.MaxTID)
 	}
 }
