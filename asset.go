@@ -68,17 +68,19 @@ type (
 	// WALSegmentBytes; every commit takes one path: append, release the
 	// manager mutex, park on the log's force. A lock wait ends when it is
 	// granted, chosen as a deadlock victim, or aborted; TxnDeadline and a
-	// TxnOptions context or deadline bound it by aborting the transaction.
+	// context bound to the transaction bound it by aborting the
+	// transaction.
 	Config = core.Config
 	// Stats are cumulative manager counters.
 	Stats = core.Stats
 	// TxnInfo describes one live transaction in (*Manager).Transactions.
 	TxnInfo = core.TxnInfo
-	// TxnOptions carries per-transaction resilience settings (context
-	// binding, deadline override) for (*Manager).InitiateWith.
+	// TxnOptions carries the context (*Manager).InitiateWith binds to a
+	// transaction.
 	TxnOptions = core.TxnOptions
 	// RunOptions configures the Run retry engine (attempt budget, backoff,
-	// per-attempt deadline, extra retryable classification).
+	// extra retryable classification, server backoff hint). Each attempt's
+	// transaction has Config.TxnDeadline and Run's context as its bounds.
 	RunOptions = core.RunOptions
 
 	// TID identifies a transaction; the zero value is the null tid.
@@ -187,8 +189,8 @@ var (
 	// ErrOverload reports a transaction shed by admission control
 	// (Config.MaxLive).
 	ErrOverload = core.ErrOverload
-	// ErrTxnDeadline reports an abort by the watchdog reaper
-	// (Config.TxnDeadline or a TxnOptions override).
+	// ErrTxnDeadline reports an abort by the watchdog reaper: the
+	// transaction outlived Config.TxnDeadline.
 	ErrTxnDeadline = core.ErrTxnDeadline
 	// ErrRetryable tags failures a fresh attempt may not hit again; Run
 	// retries errors matching errors.Is(err, ErrRetryable) and the other
@@ -205,7 +207,8 @@ func Open(cfg Config) (*Manager, error) { return core.Open(cfg) }
 // retryable failures — deadlock victimhood, watchdog reaps, admission
 // sheds — with capped exponential backoff plus jitter under an
 // attempt budget. It is the convenience form of (*Manager).Run; ctx bounds
-// the whole engagement.
+// the whole engagement. It is the one retry engine: saga steps and every
+// compensation (models.Compensate) run on it.
 func Run(ctx context.Context, m *Manager, opts RunOptions, fn TxnFunc) error {
 	return m.Run(ctx, opts, fn)
 }

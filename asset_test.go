@@ -107,7 +107,7 @@ func TestMoneyConservation(t *testing.T) {
 				}
 				amount := uint64(rng.Intn(50) + 1)
 				abortIt := rng.Intn(4) == 0
-				err := models.AtomicRetry(m, 20, func(tx *asset.Tx) error {
+				err := asset.Run(context.Background(), m, asset.RunOptions{MaxAttempts: 20}, func(tx *asset.Tx) error {
 					fb, err := tx.Read(from)
 					if err != nil {
 						return err
@@ -337,7 +337,7 @@ func TestQuickSerializableHistories(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				idx := int(op.Obj) % nObjs
-				err := models.AtomicRetry(m, 50, func(tx *asset.Tx) error {
+				err := asset.Run(context.Background(), m, asset.RunOptions{MaxAttempts: 50}, func(tx *asset.Tx) error {
 					b, err := tx.Read(oids[idx])
 					if err != nil {
 						return err

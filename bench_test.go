@@ -1001,7 +1001,7 @@ func BenchmarkCommutativity(b *testing.B) {
 								return nil
 							})
 						}
-						return models.AtomicRetry(m, 10, func(tx *asset.Tx) error {
+						return asset.Run(context.Background(), m, asset.RunOptions{MaxAttempts: 10}, func(tx *asset.Tx) error {
 							for _, k := range keys {
 								if err := tx.Update(oids[k], func(v []byte) []byte {
 									return wal.EncodeCounter(wal.DecodeCounter(v) + uint64(delta))
@@ -1162,8 +1162,9 @@ func BenchmarkHtab(b *testing.B) {
 	})
 }
 
-// BenchmarkDeadlock — A4. transfer: models.AtomicRetry transactions that
-// write two of 16 objects in no fixed order, so some lose a deadlock;
+// BenchmarkDeadlock — A4. transfer: asset.Run transactions (5 attempts,
+// with backoff) that write two of 16 objects in no fixed order, so some
+// lose a deadlock;
 // failed/op counts the ones that ran out of retries, victims/op the
 // victims. two-object and one-object: raw lock-manager transactions that
 // lock two objects in order (contention, no deadlock) or one; the gap
@@ -1174,7 +1175,7 @@ func BenchmarkDeadlock(b *testing.B) {
 		oids := benchSeed(b, m, 16, 8)
 		closedLoop(b, 1, func(w, i int) error {
 			a, c := oids[(w+i)%len(oids)], oids[((w+i)*7+3)%len(oids)]
-			return models.AtomicRetry(m, 5, func(tx *asset.Tx) error {
+			return asset.Run(context.Background(), m, asset.RunOptions{MaxAttempts: 5}, func(tx *asset.Tx) error {
 				if err := tx.Write(a, []byte("x")); err != nil {
 					return err
 				}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -98,7 +99,7 @@ func main() {
 
 	// Check a book out (typed read-modify-write + escrow loan counter).
 	checkout := func(title string) error {
-		return models.AtomicRetry(m, 10, func(tx *asset.Tx) error {
+		return asset.Run(context.Background(), m, asset.RunOptions{MaxAttempts: 10}, func(tx *asset.Tx) error {
 			bt, err := db.BTree(tx, "titles", 8)
 			if err != nil {
 				return err

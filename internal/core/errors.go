@@ -45,8 +45,7 @@ var (
 	// aborted; re-initiate to retry (Run does this automatically).
 	ErrOverload = errors.New("core: overloaded, transaction shed by admission control")
 	// ErrTxnDeadline is the abort reason used by the watchdog reaper when a
-	// transaction exceeds its deadline (Config.TxnDeadline or the per-txn
-	// override in TxnOptions).
+	// transaction outlives Config.TxnDeadline.
 	ErrTxnDeadline = errors.New("core: transaction deadline exceeded")
 	// ErrRetryable classifies failures that a fresh attempt may not hit
 	// again (deadlock victims, overload sheds, reaped deadlines). Run

@@ -68,14 +68,18 @@ func TestEscrowReaperFreesReservation(t *testing.T) {
 	<-reserved
 
 	// Bounds-blocked: 0 + 10 in flight + 1 > 10. Admittable only once the
-	// hog's reservation goes — which the reaper must arrange. A generous
-	// deadline override keeps this transaction out of the reaper's reach
-	// while it waits for the hog's.
+	// hog's reservation goes — which the reaper must arrange. Clearing its
+	// descriptor's deadline keeps this transaction out of the reaper's
+	// reach while it waits for the hog's.
 	done := make(chan error, 1)
-	add, err := m.InitiateWith(func(tx *Tx) error { return tx.Add(oid, 1) },
-		TxnOptions{Deadline: 10 * time.Second})
+	add, err := m.Initiate(func(tx *Tx) error { return tx.Add(oid, 1) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d, ok := m.txns.Get(uint64(add)); ok {
+		d.deadline.Store(0)
+	} else {
+		t.Fatal("adder reaped before its deadline could be cleared")
 	}
 	if err := m.Begin(add); err != nil {
 		t.Fatal(err)

@@ -55,8 +55,9 @@ type Config struct {
 	LockShards int
 	// TxnDeadline bounds the lifetime of every transaction: the watchdog
 	// reaper aborts (with ErrTxnDeadline) any transaction still live that
-	// long after initiation. 0 disables the watchdog unless individual
-	// transactions set deadlines via TxnOptions.
+	// long after initiation. 0 disables the watchdog. A context bound to
+	// one transaction (TxnOptions.Ctx, BeginCtx, Run's ctx) bounds it more
+	// tightly.
 	TxnDeadline time.Duration
 	// MaxLive bounds transactions admitted past begin — the running set
 	// that actually holds locks. When the gate is full, begin queues

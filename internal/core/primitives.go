@@ -12,17 +12,14 @@ import (
 	"repro/internal/xid"
 )
 
-// TxnOptions carries per-transaction resilience settings for InitiateWith.
+// TxnOptions carries per-transaction settings for InitiateWith.
 type TxnOptions struct {
 	// Ctx binds a context to the transaction: its cancellation or deadline
 	// expiry aborts the transaction, waking any wait it is parked in
 	// (locks, begin/commit dependencies). Nil means no binding (BeginCtx
-	// can still bind one later).
+	// can still bind one later). A context deadline is how one transaction
+	// gets a tighter bound than Config.TxnDeadline.
 	Ctx context.Context
-	// Deadline overrides Config.TxnDeadline for this transaction: >0 sets
-	// a tighter/looser reap point, <0 disables the watchdog for it, 0
-	// inherits the config.
-	Deadline time.Duration
 }
 
 // Initiate registers a new top-level transaction that will execute fn. The
@@ -34,7 +31,7 @@ func (m *Manager) Initiate(fn TxnFunc) (xid.TID, error) {
 	return m.initiate(fn, xid.NilTID)
 }
 
-// InitiateWith is Initiate with a context binding and a deadline override.
+// InitiateWith is Initiate with a context binding.
 func (m *Manager) InitiateWith(fn TxnFunc, opts TxnOptions) (xid.TID, error) {
 	return m.initiateWith(fn, xid.NilTID, opts)
 }
@@ -88,11 +85,7 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*tx
 	if opts.Ctx != nil {
 		t.ctx = opts.Ctx
 	}
-	d := opts.Deadline
-	if d == 0 {
-		d = m.cfg.TxnDeadline
-	}
-	if d > 0 {
+	if d := m.cfg.TxnDeadline; d > 0 {
 		t.deadline.Store(time.Now().Add(d).UnixNano())
 		m.ensureWatchdog()
 	}

@@ -171,9 +171,6 @@ type RunOptions struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the backoff; <=0 means 64ms.
 	MaxBackoff time.Duration
-	// Deadline is the per-attempt transaction deadline (TxnOptions
-	// semantics: 0 inherits Config.TxnDeadline, <0 disables).
-	Deadline time.Duration
 	// Retryable, when non-nil, extends the default classification: an
 	// error is retried when Retryable(err) OR the package-level Retryable
 	// reports true.
@@ -207,7 +204,7 @@ func Retryable(err error) bool {
 // exhausting the budget returns the last error wrapped with ErrRetryable.
 func (m *Manager) Run(ctx context.Context, opts RunOptions, fn TxnFunc) error {
 	return Retry(ctx, opts, func() { m.stats.retries.Add(1) }, func(ctx context.Context) error {
-		return m.runOnce(ctx, opts, fn)
+		return m.runOnce(ctx, fn)
 	})
 }
 
@@ -278,8 +275,8 @@ func Retry(ctx context.Context, opts RunOptions, onRetry func(), attempt func(co
 
 // runOnce performs a single initiate/execute/commit attempt: Run only waits
 // for the body, so the body runs here.
-func (m *Manager) runOnce(ctx context.Context, opts RunOptions, fn TxnFunc) error {
-	id, err := m.InitiateWith(fn, TxnOptions{Ctx: ctx, Deadline: opts.Deadline})
+func (m *Manager) runOnce(ctx context.Context, fn TxnFunc) error {
+	id, err := m.InitiateWith(fn, TxnOptions{Ctx: ctx})
 	if err != nil {
 		return err
 	}

@@ -94,28 +94,6 @@ func TestWatchdogReapsDeadline(t *testing.T) {
 	}
 }
 
-// TestTxnOptionsDeadlineOverride: a per-transaction deadline works without
-// any Config.TxnDeadline, and a negative override disables the config one.
-func TestTxnOptionsDeadlineOverride(t *testing.T) {
-	m, err := Open(Config{TxnDeadline: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	// Deadline < 0 disables the watchdog for this transaction: it
-	// outlives the config deadline comfortably.
-	id, _ := m.InitiateWith(func(tx *Tx) error {
-		time.Sleep(80 * time.Millisecond)
-		return nil
-	}, TxnOptions{Deadline: -1})
-	if err := m.Begin(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(id); err != nil {
-		t.Fatalf("deadline-exempt txn aborted: %v", err)
-	}
-}
-
 // TestBeginCtxCancelWhileBlockedOnLock is the core acceptance path:
 // cancelling the bound context while the transaction is blocked on a lock
 // returns within 100ms with the transaction aborted, its locks released,
@@ -548,5 +526,57 @@ func TestWaitCtxSemantics(t *testing.T) {
 	close(release)
 	if err := m.Commit(slow); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLockCtxAbandonPicksNoVictim: transactions that keep abandoning a
+// wait on one object under short per-call contexts (Tx.LockCtx, which
+// leaves the transaction alive) and asking again wait only on the holder
+// and on requests ahead of them, which cannot form a cycle. No transaction
+// may be chosen as a deadlock victim: a waiter's edge to an abandoned
+// request goes with the request.
+func TestLockCtxAbandonPicksNoVictim(t *testing.T) {
+	m, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	oid := mustCreate(t, m, []byte{0})
+	body := func(tx *Tx) error {
+		for i := 0; ; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(100+100*(i%3))*time.Microsecond)
+			err := tx.LockCtx(ctx, oid, xid.OpWrite)
+			cancel()
+			if err == nil {
+				time.Sleep(100 * time.Microsecond) // hold it while others abandon
+				return nil
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				return err
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 40; round++ {
+				id, err := m.Initiate(body)
+				if err == nil {
+					if err = m.Execute(id); err == nil {
+						err = m.Commit(id)
+					}
+				}
+				if err != nil {
+					t.Errorf("round %d: %v", round, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if d := m.Stats().Deadlocks; d != 0 {
+		t.Fatalf("%d deadlock victims where no cycle can form", d)
 	}
 }

@@ -168,11 +168,11 @@ func TestTimeoutDuringDelegateMerge(t *testing.T) {
 			var wg sync.WaitGroup
 			stop := make(chan struct{})
 			// Waiters: a steady stream of requests under 1 ms and 2 ms
-			// deadlines against the contested object. Each request is a
-			// transaction of its own that ends, granted or not, before the
-			// next: a tid whose abandoned request left other waiters' edges
-			// pointing at it would otherwise re-request into a cycle that
-			// exists only in those stale edges.
+			// deadlines against the contested object, each waiter asking
+			// under one tid throughout and releasing only what it was
+			// granted. An abandoned request takes the edges waiters behind
+			// it held toward its tid, so the re-request closes no cycle
+			// and the only way out of a wait is the deadline or a grant.
 			for w := 0; w < 4; w++ {
 				wg.Add(1)
 				go func(tid xid.TID) {
@@ -188,7 +188,9 @@ func TestTimeoutDuringDelegateMerge(t *testing.T) {
 						ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+i%2)*time.Millisecond)
 						err := m.LockCtx(ctx, tid, oid, xid.OpWrite)
 						cancel()
-						m.ReleaseAll(tid)
+						if err == nil {
+							m.ReleaseAll(tid)
+						}
 						switch {
 						case err == nil,
 							errors.Is(err, ErrContext),
@@ -219,6 +221,109 @@ func TestTimeoutDuringDelegateMerge(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAbandonedRequestLeavesNoStaleEdge: a waiter's edge to a request
+// ahead of it in the queue goes when that request is abandoned, not when
+// the waiter next runs. W waits on a behind X's request; H holds a. W is
+// kept from running again: its wait closes a real cycle with H (H waits
+// on e, which W holds), and W stalls marking H, the younger, as the
+// victim, because the test holds e's shard latch. X abandons its request
+// at its context's end and asks for a again, now behind W. A stale edge
+// W -> X would close the cycle X -> W -> X and kill X for a deadlock that
+// does not exist; X must wait behind W instead.
+func TestAbandonedRequestLeavesNoStaleEdge(t *testing.T) {
+	graph := waitgraph.New()
+	m := New(graph, Options{EagerClosure: true})
+	w, x, h := xid.TID(1), xid.TID(2), xid.TID(3)
+	a, e := xid.OID(1), xid.OID(2)
+	for m.shardOf(e) == m.shardOf(a) {
+		e++
+	}
+	if err := m.Lock(h, a, xid.OpWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Lock(w, e, xid.OpWrite); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	xFirst := make(chan error, 1)
+	go func() { xFirst <- m.LockCtx(ctx, x, a, xid.OpWrite) }()
+	waitForWaiters(t, graph, 1)
+	hRes := make(chan error, 1)
+	go func() { hRes <- m.Lock(h, e, xid.OpWrite) }()
+	waitForWaiters(t, graph, 2)
+
+	se := m.shardOf(e)
+	se.lat.Lock()
+	wRes := make(chan error, 1)
+	go func() { wRes <- m.Lock(w, a, xid.OpWrite) }()
+	deadline := time.Now().Add(2 * time.Second)
+	for !graph.Doomed(h) {
+		if time.Now().After(deadline) {
+			se.lat.Unlock()
+			t.Fatal("W's wait never chose H as the victim")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-xFirst; !errors.Is(err, ErrContext) {
+		se.lat.Unlock()
+		t.Fatalf("abandoned request = %v, want ErrContext", err)
+	}
+	xAgain := make(chan error, 1)
+	go func() { xAgain <- m.Lock(x, a, xid.OpWrite) }()
+	for !pendingOn(m, a, x) {
+		select {
+		case err := <-xAgain:
+			se.lat.Unlock()
+			t.Fatalf("re-request = %v, want it to wait behind W", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			se.lat.Unlock()
+			t.Fatal("re-request neither waited nor returned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	se.lat.Unlock()
+
+	// H dies for the real cycle; a goes to W once H lets go, then to X.
+	if err := <-hRes; !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("H = %v, want ErrDeadlock", err)
+	}
+	m.ReleaseAll(h)
+	if err := <-wRes; err != nil {
+		t.Fatalf("W = %v", err)
+	}
+	m.ReleaseAll(w)
+	if err := <-xAgain; err != nil {
+		t.Fatalf("re-request = %v", err)
+	}
+	m.ReleaseAll(x)
+	if ws := graph.Waiters(); len(ws) != 0 {
+		t.Fatalf("wait-graph edges left behind: %v", ws)
+	}
+	if bad := m.CheckInvariants(); len(bad) != 0 {
+		t.Fatalf("invariants violated: %v", bad)
+	}
+}
+
+// pendingOn reports whether tid has a request on oid's pending queue: one
+// that is parked, since a request decided in one pass is never seen there
+// by another holder of the shard latch.
+func pendingOn(m *Manager, oid xid.OID, tid xid.TID) bool {
+	s := m.shardOf(oid)
+	s.lat.Lock()
+	defer s.lat.Unlock()
+	if od := s.lookup(oid); od != nil {
+		for _, p := range od.pending {
+			if p.tid == tid {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // waitForWaiters spins until the wait graph records n waiters.

@@ -98,7 +98,18 @@ type lockReq struct {
 	escrow    bool // request carries an escrow reservation of delta
 	escNever  bool // escrow test concluded the reservation can never be admitted
 
+	waits *waitEdges // what the request registered while parked; kept across recycling
+
 	pool.Link[lockReq]
+}
+
+// waitEdges are the waits-for edges a parked request registered, one per
+// blocker tryGrant reported. Those from queued on are for requests ahead
+// of it in the queue, which removePending takes back when such a request
+// leaves.
+type waitEdges struct {
+	tids   []xid.TID
+	queued int
 }
 
 // objDesc is the object descriptor (OD) of Figure 1: granted and pending
@@ -175,10 +186,10 @@ type Options struct {
 	// selects a transaction other than the requester as the victim; the
 	// transaction system should abort it. May be nil.
 	OnVictim func(xid.TID)
-	// EagerClosure controls permit transitivity. When true (the default
-	// used by New), implied permits are materialized at insertion. When
-	// false they are discovered by walking grantor chains at lock time
-	// (ablation A2).
+	// EagerClosure controls permit transitivity. When true, implied
+	// permits are materialized at insertion; core's Open sets it. When
+	// false, as in the zero Options, they are discovered by walking
+	// grantor chains at lock time (ablation A2).
 	EagerClosure bool
 	// Shards is the lock-table shard count, rounded up to a power of two;
 	// <= 0 selects the default (64). 1 reproduces the legacy fully-serial
@@ -288,7 +299,7 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 	// that is: exactly where it would be appended.
 	var blockBuf [4]xid.TID
 	var permitBuf [4]*lockReq
-	blockers, permitted := m.tryGrant(&probe, blockBuf[:0], permitBuf[:0])
+	blockers, _, permitted := m.tryGrant(&probe, blockBuf[:0], permitBuf[:0])
 	if len(blockers) > 0 {
 		// Nothing of this request is on od yet, so once the latch is gone od
 		// may be retired and handed to another oid: park is given the oid and
@@ -365,7 +376,12 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 		probe.status = statusUpgrading
 	}
 	req := s.newReq()
+	waits := req.waits
+	if waits == nil {
+		waits = new(waitEdges)
+	}
 	*req = probe
+	req.waits = waits
 	od.pending = append(od.pending, req)
 	ts.registerWait(tid, oid)
 
@@ -379,12 +395,11 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 	// Wait-for edges registered for the current blocker set. Always cleared
 	// while the shard latch is still held, so an observer holding every
 	// shard latch sees edges if and only if the pending request is present.
-	var waitedOn []xid.TID
 	clearEdges := func() {
-		for _, h := range waitedOn {
+		for _, h := range waits.tids {
 			m.wg.Remove(tid, h)
 		}
-		waitedOn = nil
+		waits.tids = waits.tids[:0]
 	}
 	// leave takes the request off the queue, under the shard latch. The
 	// LRD goes back on the free list only if the ctx watcher cannot still be
@@ -412,7 +427,7 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 	var blockBuf [4]xid.TID
 	var permitBuf [4]*lockReq
 	for {
-		blockers, permitted := m.tryGrant(req, blockBuf[:0], permitBuf[:0])
+		blockers, queued, permitted := m.tryGrant(req, blockBuf[:0], permitBuf[:0])
 		if req.cancelled {
 			return exit(ErrCancelled)
 		}
@@ -442,7 +457,8 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 		// Re-register wait edges against the current blocker set.
 		clearEdges()
 		victim, _ := m.wg.Add(tid, blockers...)
-		waitedOn = append(waitedOn, blockers...)
+		waits.tids = append(waits.tids, blockers...)
+		waits.queued = queued
 		if !victim.IsNil() {
 			if victim == tid {
 				return exit(ErrDeadlock)
@@ -473,7 +489,8 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 }
 
 // tryGrant evaluates §4.2 steps 1a/1b for req. It returns the transactions
-// that block the request (empty means grantable) and the conflicting
+// that block the request (empty means grantable), the index in them from
+// which they are requests ahead of it in the queue, and the conflicting
 // granted locks whose holders permit the requester (to be suspended on
 // grant). The requester's own granted LRD, if any, is recognized by tid on
 // the OD chain — never by a caller-held pointer, which delegation can
@@ -481,7 +498,7 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 //
 // The results are appended to blockers and permitted, buffers of the
 // caller's, which a request that is decided in one pass keeps in its frame.
-func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockReq) ([]xid.TID, []*lockReq) {
+func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockReq) ([]xid.TID, int, []*lockReq) {
 	od := req.od
 	for _, gl := range od.granted {
 		if gl.tid == req.tid {
@@ -502,6 +519,7 @@ func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockRe
 	}
 	// FIFO fairness: an ordinary pending request also waits behind earlier
 	// conflicting pending requests; upgrades jump the queue.
+	queued := len(blockers)
 	if req.status != statusUpgrading {
 		for _, p := range od.pending {
 			if p == req {
@@ -514,7 +532,7 @@ func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockRe
 		}
 	}
 	if len(blockers) > 0 {
-		return blockers, nil
+		return blockers, queued, nil
 	}
 	// Mode-compatible escrow request: run the bounds-admission test. A
 	// failing test blocks on the other reservation holders — any of their
@@ -526,12 +544,12 @@ func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockRe
 		if !ok {
 			if never {
 				req.escNever = true
-				return nil, nil
+				return nil, 0, nil
 			}
-			return holders, nil
+			return holders, len(holders), nil
 		}
 	}
-	return nil, permitted
+	return nil, 0, permitted
 }
 
 // installGrant merges the granted mode into the requester's LRD on the OD
@@ -591,11 +609,21 @@ func (ts *txnState) indexEscrow(od *objDesc) {
 }
 
 // removePending drops req from its OD's pending queue (by identity) and
-// wakes later waiters, whose queue position improved. Caller holds the
-// shard latch.
+// wakes later waiters, whose queue position improved. A later waiter that
+// counted req as a request ahead of it loses that edge here, not when it
+// next runs: req's transaction may request again first, and the stale
+// edge would close a cycle that does not exist and kill an innocent
+// victim. Caller holds the shard latch.
 func (m *Manager) removePending(od *objDesc, req *lockReq) {
 	if i := slices.Index(od.pending, req); i >= 0 {
 		od.pending = slices.Delete(od.pending, i, i+1) // clears the vacated slot
+		for _, p := range od.pending[i:] {
+			w := p.waits
+			if j := slices.Index(w.tids[w.queued:], req.tid); j >= 0 {
+				w.tids = slices.Delete(w.tids, w.queued+j, w.queued+j+1)
+				m.wg.Remove(p.tid, req.tid)
+			}
+		}
 	}
 	od.cond.Broadcast()
 }

@@ -212,10 +212,11 @@ func (s *lockShard) newReq() *lockReq {
 	return &lockReq{}
 }
 
-// freeReq retires an LRD that was just unlinked from its OD chain. Caller
-// holds s.lat, under which the unlinking happened.
+// freeReq retires an LRD that was just unlinked from its OD chain, keeping
+// its emptied edge list for the next wait. Caller holds s.lat, under which
+// the unlinking happened.
 func (s *lockShard) freeReq(r *lockReq) {
-	*r = lockReq{}
+	*r = lockReq{waits: r.waits}
 	s.reqPool.Push(r, maxFreeReqs)
 }
 

@@ -421,7 +421,7 @@ func TestManagerCloseFailsRemoteWaiters(t *testing.T) {
 // honors the floor.
 func TestOverloadHintFloorsBackoff(t *testing.T) {
 	const hint = 60 * time.Millisecond
-	f := newFixture(t, core.Config{MaxLive: 1}, server.Config{RetryAfter: hint})
+	f := newFixture(t, core.Config{MaxLive: 1}, server.Config{LeaseTTL: 4 * hint})
 	cli := f.dial(client.Options{})
 	ctx := context.Background()
 
@@ -1254,4 +1254,63 @@ func readReq(c net.Conn) (*rpc.Request, error) {
 
 func writeResp(c net.Conn, resp *rpc.Response) error {
 	return rpc.WriteFrame(c, rpc.EncodeResponse(resp))
+}
+
+// TestCancelledLockWaitsPickNoVictim: client transactions that keep
+// abandoning a lock wait on one object (a call under a short deadline,
+// which the server hears as OpCancel and which leaves the transaction
+// alive) and asking again wait only on the holder and on requests ahead
+// of them, which cannot form a cycle. No transaction may be chosen as a
+// deadlock victim.
+func TestCancelledLockWaitsPickNoVictim(t *testing.T) {
+	f := newFixture(t, core.Config{}, server.Config{})
+	cli := f.dial(client.Options{})
+	ctx := context.Background()
+	var oid xid.OID
+	if err := cli.Run(ctx, core.RunOptions{}, func(ctx context.Context, tx *client.Tx) error {
+		var err error
+		oid, err = tx.Create(ctx, []byte{0})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var abandoned atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 25; round++ {
+				tid, err := cli.Initiate(ctx)
+				if err == nil {
+					err = cli.Begin(ctx, tid)
+				}
+				for i := 0; err == nil; i++ {
+					lctx, cancel := context.WithTimeout(ctx, time.Duration(200+200*(i%3))*time.Microsecond)
+					err = cli.Tx(tid).Lock(lctx, oid, xid.OpWrite)
+					cancel()
+					if err == nil {
+						time.Sleep(300 * time.Microsecond) // hold it while others abandon
+						break
+					}
+					if errors.Is(err, context.DeadlineExceeded) {
+						abandoned.Add(1)
+						err = nil
+					}
+				}
+				if err == nil {
+					err = cli.Commit(ctx, tid)
+				}
+				if err != nil {
+					t.Errorf("round %d: %v", round, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	t.Logf("%d lock waits abandoned", abandoned.Load())
+	if d := f.m.Stats().Deadlocks; d != 0 {
+		t.Fatalf("%d deadlock victims where no cycle can form", d)
+	}
 }

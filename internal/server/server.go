@@ -92,11 +92,9 @@ import (
 // Config tunes a server.
 type Config struct {
 	// LeaseTTL is how long a session survives without a heartbeat;
-	// 0 means 2s. Tests compress this to tens of milliseconds.
+	// 0 means 2s. Tests compress this to tens of milliseconds. A quarter
+	// of it is the backoff hint attached to ErrOverload responses.
 	LeaseTTL time.Duration
-	// RetryAfter is the backoff hint attached to ErrOverload responses;
-	// 0 means LeaseTTL/4.
-	RetryAfter time.Duration
 	// Verdicts, when non-nil, makes this server answer OpVerdictQuery: it
 	// is co-located with a distributed-commit coordinator whose durable
 	// decision log can resolve — or, for an undecided group, force — the
@@ -116,7 +114,7 @@ type Server struct {
 	m        *core.Manager
 	lis      net.Listener
 	ttl      time.Duration
-	hint     time.Duration
+	hint     time.Duration // the ErrOverload backoff hint: ttl/4
 	epoch    uint64
 	verdicts VerdictResolver
 
@@ -152,15 +150,11 @@ func Serve(m *core.Manager, lis net.Listener, cfg Config) *Server {
 	if ttl <= 0 {
 		ttl = 2 * time.Second
 	}
-	hint := cfg.RetryAfter
-	if hint <= 0 {
-		hint = ttl / 4
-	}
 	s := &Server{
 		m:        m,
 		lis:      lis,
 		ttl:      ttl,
-		hint:     hint,
+		hint:     ttl / 4,
 		epoch:    rand.Uint64() | 1, // nonzero: 0 means "no epoch known"
 		verdicts: cfg.Verdicts,
 		sessions: make(map[uint64]*session),

@@ -390,8 +390,6 @@ func TestDistCoordCrashAfterDecision(t *testing.T) {
 	defer cancel()
 	gid := w.coord.NewGID()
 	// Real prepares over the wire; delivery is lost (the crash eats it).
-	w.coord.DeliverAttempts = 1
-	w.coord.DeliverBackoff = time.Millisecond
 	ok, err := w.coord.CommitGroup(ctx, gid, lostDecide(w.members(tr)))
 	if err != nil || !ok {
 		t.Fatalf("CommitGroup = %v, %v", ok, err)
@@ -420,8 +418,6 @@ func TestDistPartitionedParticipantDecide(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	gid := w.coord.NewGID()
-	w.coord.DeliverAttempts = 1
-	w.coord.DeliverBackoff = time.Millisecond
 	ms := w.members(tr)
 	// Node b's delivery hits a partition that never heals on its own: the
 	// fabric cuts the connection at the next message and the decide call
@@ -533,8 +529,6 @@ func TestDistParticipantCrashRestart(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	gid := w.coord.NewGID()
-	w.coord.DeliverAttempts = 1
-	w.coord.DeliverBackoff = time.Millisecond
 	// Votes collected over the real wire; the verdict is durable at the
 	// coordinator but reaches nobody.
 	ok, err := w.coord.CommitGroup(ctx, gid, lostDecide(w.members(tr)))

@@ -57,12 +57,6 @@ type Coordinator struct {
 	decided map[uint64]bool
 	retired int // decisions forgotten since the last compaction
 
-	// DeliverAttempts is how many times CommitGroup tries to deliver the
-	// verdict to each participant before leaving it to recovery-time
-	// Resolve. Zero means 3.
-	DeliverAttempts int
-	// DeliverBackoff spaces delivery retries; zero means 10ms.
-	DeliverBackoff time.Duration
 	// RetireAcked makes CommitGroup forget a decision once every member
 	// acknowledged its delivery, bounding the decided map (Compact bounds
 	// the log). Standard presumed-abort garbage collection: with all acks
@@ -72,11 +66,19 @@ type Coordinator struct {
 	// participant prepared out-of-band still relies on Resolve, and
 	// resolving a forgotten commit re-answers presumed abort.
 	RetireAcked bool
-	// CompactEvery triggers an automatic log compaction after that many
-	// retired decisions. 0 means 1024; negative disables auto-compaction
-	// (explicit Compact still works).
-	CompactEvery int
 }
+
+const (
+	// deliverAttempts is how many times CommitGroup tries to deliver the
+	// verdict to each participant before leaving it to recovery-time
+	// Resolve; deliverBackoff is the pause before the second try, doubled
+	// before each later one.
+	deliverAttempts = 3
+	deliverBackoff  = 10 * time.Millisecond
+	// compactEvery is how many retired decisions trigger an automatic log
+	// compaction; Compact runs one at any time.
+	compactEvery = 1024
+)
 
 // Open opens (creating if needed) the decision log in dir: a segment
 // chain in dir/decisions, so that a database sharing dir keeps a chain
@@ -194,11 +196,7 @@ func (c *Coordinator) retire(gid uint64) {
 	}
 	delete(c.decided, gid)
 	c.retired++
-	every := c.CompactEvery
-	if every == 0 {
-		every = 1024
-	}
-	if every > 0 && c.retired >= every {
+	if c.retired >= compactEvery {
 		// Best-effort: a failed auto-compaction leaves the live decisions
 		// on disk and the log reopened; the next retirement tries again.
 		if err := c.compactLocked(); err == nil {
@@ -350,14 +348,6 @@ func (c *Coordinator) CommitGroup(ctx context.Context, gid uint64, members []Mem
 	}
 	// Phase 3: deliver the verdict, best-effort with bounded retries.
 	r.verdict = verdict
-	r.attempts = c.DeliverAttempts
-	if r.attempts <= 0 {
-		r.attempts = 3
-	}
-	r.backoff = c.DeliverBackoff
-	if r.backoff <= 0 {
-		r.backoff = 10 * time.Millisecond
-	}
 	r.wg.Add(len(members))
 	for i, mb := range members {
 		if i < last {
@@ -386,14 +376,12 @@ func (c *Coordinator) CommitGroup(ctx context.Context, gid uint64, members []Mem
 // arguments, not in the round, so the caller's slice of them does not
 // escape.
 type round struct {
-	wg       sync.WaitGroup
-	ctx      context.Context
-	gid      uint64
-	votes    []error
-	acked    []bool
-	verdict  bool
-	attempts int
-	backoff  time.Duration
+	wg      sync.WaitGroup
+	ctx     context.Context
+	gid     uint64
+	votes   []error
+	acked   []bool
+	verdict bool
 }
 
 var rounds = sync.Pool{New: func() any { return new(round) }}
@@ -437,7 +425,7 @@ func (r *round) deliver(i int, mb Member) {
 			wait.Stop()
 		}
 	}()
-	for try := 0; try < r.attempts; try++ {
+	for try := 0; try < deliverAttempts; try++ {
 		err := mb.Decide(r.ctx, r.gid, r.verdict)
 		if err == nil || errors.Is(err, core.ErrUnknownGroup) {
 			// ErrUnknownGroup is an ack, not a failure: nothing is
@@ -452,9 +440,9 @@ func (r *round) deliver(i int, mb Member) {
 			return
 		}
 		if wait == nil {
-			wait = time.NewTimer(r.backoff << uint(try))
+			wait = time.NewTimer(deliverBackoff << uint(try))
 		} else {
-			wait.Reset(r.backoff << uint(try))
+			wait.Reset(deliverBackoff << uint(try))
 		}
 		select {
 		case <-wait.C:

@@ -147,8 +147,6 @@ func TestCommitGroupVoting(t *testing.T) {
 func TestDeliveryRetries(t *testing.T) {
 	mfs := faultfs.NewMem()
 	c := openCoord(t, mfs)
-	c.DeliverAttempts = 3
-	c.DeliverBackoff = 1 // nanosecond — keep the test fast
 	flaky := &fakeMember{failFirst: 2}
 	if ok, err := c.CommitGroup(context.Background(), 13, []Member{flaky.member("flaky")}); err != nil || !ok {
 		t.Fatalf("round = %v, %v", ok, err)
@@ -164,8 +162,6 @@ func TestDeliveryRetries(t *testing.T) {
 // to decide there), not a failure to retry through the backoff schedule.
 func TestNoVoterDeliveryShortCircuit(t *testing.T) {
 	c := openCoord(t, faultfs.NewMem())
-	c.DeliverAttempts = 5
-	c.DeliverBackoff = time.Hour // a retry would hang the test
 	m := memManager(t)
 	id := done(t, m, func(tx *core.Tx) error {
 		_, err := tx.Create([]byte("doomed"))
@@ -199,9 +195,6 @@ func TestRetireAckedCompactsLog(t *testing.T) {
 	mfs := faultfs.NewMem()
 	c := openCoord(t, mfs)
 	c.RetireAcked = true
-	c.CompactEvery = 1 // compact on every retirement
-	c.DeliverAttempts = 1
-	c.DeliverBackoff = 1
 
 	acker := &fakeMember{}
 	if ok, err := c.CommitGroup(context.Background(), 31, []Member{acker.member("acker")}); err != nil || !ok {
@@ -221,6 +214,9 @@ func TestRetireAckedCompactsLog(t *testing.T) {
 
 	// The compacted log is the durable truth: the retired decision is
 	// gone after a restart, the unacknowledged one intact.
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +225,38 @@ func TestRetireAckedCompactsLog(t *testing.T) {
 		t.Fatal("retired decision resurrected from the compacted log")
 	}
 	if commit, decided := c2.Verdict(32); !decided || !commit {
+		t.Fatalf("live decision lost by compaction: commit=%v decided=%v", commit, decided)
+	}
+}
+
+// TestRetireAckedAutoCompacts: compactEvery retirements compact the
+// decision log on their own, with no call to Compact. After a restart
+// every retired decision is gone and the unacknowledged one is intact.
+func TestRetireAckedAutoCompacts(t *testing.T) {
+	mfs := faultfs.NewMem()
+	c := openCoord(t, mfs)
+	c.RetireAcked = true
+	ctx := context.Background()
+	deaf := &fakeMember{failFirst: 1 << 30} // never acks
+	if ok, err := c.CommitGroup(ctx, 1, []Member{deaf.member("deaf")}); err != nil || !ok {
+		t.Fatalf("unacked round = %v, %v", ok, err)
+	}
+	acker := &fakeMember{}
+	for gid := uint64(2); gid < 2+compactEvery; gid++ {
+		if ok, err := c.CommitGroup(ctx, gid, []Member{acker.member("acker")}); err != nil || !ok {
+			t.Fatalf("acked round %d = %v, %v", gid, ok, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2 := openCoord(t, mfs)
+	for gid := uint64(2); gid < 2+compactEvery; gid++ {
+		if _, decided := c2.Verdict(gid); decided {
+			t.Fatalf("retired decision %d survived: no automatic compaction after %d retirements", gid, compactEvery)
+		}
+	}
+	if commit, decided := c2.Verdict(1); !decided || !commit {
 		t.Fatalf("live decision lost by compaction: commit=%v decided=%v", commit, decided)
 	}
 }
@@ -360,8 +388,8 @@ func TestOpenRefusesRetiredCoordLog(t *testing.T) {
 
 // compactWorld opens a coordinator on a fresh filesystem holding live
 // decisions (unacknowledged rounds and forced aborts) and retired ones
-// (fully acknowledged rounds, commit and abort), with auto-compaction
-// off so the caller's Compact is the only one.
+// (fully acknowledged rounds, commit and abort), too few to trigger an
+// automatic compaction, so the caller's Compact is the only one.
 func compactWorld(t *testing.T) (mfs *faultfs.MemFS, c *Coordinator, live, retired map[uint64]bool) {
 	t.Helper()
 	mfs = faultfs.NewMem()
@@ -370,9 +398,6 @@ func compactWorld(t *testing.T) (mfs *faultfs.MemFS, c *Coordinator, live, retir
 		t.Fatal(err)
 	}
 	c.RetireAcked = true
-	c.CompactEvery = -1
-	c.DeliverAttempts = 1
-	c.DeliverBackoff = 1
 	live, retired = make(map[uint64]bool), make(map[uint64]bool)
 	ctx := context.Background()
 	for gid := uint64(1); gid <= 12; gid++ {

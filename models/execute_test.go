@@ -157,11 +157,14 @@ func TestDistributedBeginFailureAbortsAll(t *testing.T) {
 // component, the goroutine's closure: 1 (2 while its commit made a channel
 // to park on until that body was done, which it now borrows from the
 // manager's free list; 5 with the two descriptors and a slice for the
-// component tids).
+// component tids). A two-step saga whose second step fails, so that the
+// first is compensated, allocates 7, the same under the hand-written
+// compensation loop that Compensate replaced.
 const (
-	atomicAllocBudget      = 0
-	saga3AllocBudget       = 3
-	distributedAllocBudget = 1
+	atomicAllocBudget          = 0
+	saga3AllocBudget           = 3
+	sagaCompensatedAllocBudget = 7
+	distributedAllocBudget     = 1
 )
 
 func TestModelAllocBudget(t *testing.T) {
@@ -170,6 +173,8 @@ func TestModelAllocBudget(t *testing.T) {
 	}
 	m := newMem(t)
 	noop := func(*asset.Tx) error { return nil }
+	errFail := errors.New("step failed")
+	failed := func(*asset.Tx) error { return errFail }
 	for _, tc := range []struct {
 		name   string
 		run    func()
@@ -186,6 +191,12 @@ func TestModelAllocBudget(t *testing.T) {
 				t.Fatal(res, err)
 			}
 		}, saga3AllocBudget},
+		{"compensated two-step Saga.Run", func() {
+			res, err := NewSaga(m).Step("a", noop, noop).Step("b", failed, nil).Run()
+			if err != nil || len(res.Compensated) != 1 {
+				t.Fatal(res, err)
+			}
+		}, sagaCompensatedAllocBudget},
 		{"two-component Distributed", func() {
 			if err := Distributed(m, noop, noop); err != nil {
 				t.Fatal(err)

@@ -2,22 +2,18 @@
 // paper out of the transaction primitives, playing the role of the code an
 // O++ compiler would generate:
 //
-//   - Atomic (§3.1.1) and AtomicRetry — flat ACID transactions;
+//   - Atomic (§3.1.1) — a flat ACID transaction (asset.Run adds retries);
 //   - Distributed (§3.1.2) — parallel components with group commit;
 //   - Contingent (§3.1.3) — at most one of an ordered list commits;
 //   - Nested (§3.1.4) — subtransactions via permit + delegate;
 //   - Split/Join (§3.1.5) — delegation-based transaction restructuring;
-//   - Saga (§3.1.6) — a sequence of ACID steps with compensations;
+//   - Saga (§3.1.6) — a sequence of ACID steps with compensations, each
+//     run by Compensate, which workflows share;
 //   - Cooperate (§3.2.1) — permit ping-pong under commit dependencies;
 //   - Cursor stability (§3.2.2) — post-read write permits during scans.
 package models
 
-import (
-	"errors"
-	"fmt"
-
-	asset "repro"
-)
+import asset "repro"
 
 // Atomic runs fn as one flat transaction — the paper's §3.1.1 translation
 // (initiate; begin; commit), with the body run on the caller, who would only
@@ -32,29 +28,6 @@ func Atomic(m *asset.Manager, fn asset.TxnFunc) error {
 		return err
 	}
 	return m.Commit(t)
-}
-
-// AtomicRetry runs fn as an atomic transaction, retrying up to attempts
-// times when the transaction is chosen as a deadlock victim. Application
-// errors abort without retry.
-func AtomicRetry(m *asset.Manager, attempts int, fn asset.TxnFunc) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = Atomic(m, fn)
-		if err == nil {
-			return nil
-		}
-		// Commit reports the abort reason; retry only deadlock victims
-		// (whether the body saw ErrDeadlock or the victim callback struck).
-		if errors.Is(err, asset.ErrDeadlock) {
-			continue
-		}
-		return err
-	}
-	return fmt.Errorf("models: transaction failed after %d deadlock retries: %w", attempts, err)
 }
 
 // Distributed runs the component functions in parallel with pairwise group

@@ -69,18 +69,6 @@ func TestAtomicAbortRollsBack(t *testing.T) {
 	}
 }
 
-func TestAtomicRetryGivesUpOnAppError(t *testing.T) {
-	m := newMem(t)
-	calls := 0
-	err := AtomicRetry(m, 5, func(tx *asset.Tx) error {
-		calls++
-		return errors.New("app error")
-	})
-	if err == nil || calls != 1 {
-		t.Fatalf("err=%v calls=%d; app errors must not retry", err, calls)
-	}
-}
-
 func TestDistributedCommitsAll(t *testing.T) {
 	m := newMem(t)
 	var oids [3]asset.OID

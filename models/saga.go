@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	asset "repro"
 )
@@ -19,21 +18,14 @@ type SagaStep struct {
 	Compensate asset.TxnFunc
 }
 
-// SagaOptions configures retry behaviour for a saga's components and
-// compensations.
+// SagaOptions configures retry behaviour for a saga's components.
 type SagaOptions struct {
 	// StepAttempts is the attempt budget per component transaction:
 	// transient failures (deadlock victims, overload sheds, anything
-	// tagged asset.ErrRetryable) are retried with backoff
+	// tagged asset.ErrRetryable) are retried with the Run engine's backoff
 	// that many times before the saga gives up on the step and
 	// compensates. <=0 means 3.
 	StepAttempts int
-	// Backoff is the delay before a step's second attempt, doubling per
-	// attempt (with jitter) up to MaxBackoff; it also paces compensation
-	// retries. <=0 means 1ms.
-	Backoff time.Duration
-	// MaxBackoff caps the backoff; <=0 means 64ms.
-	MaxBackoff time.Duration
 }
 
 // Saga is the §3.1.6 model: a sequence of component transactions that
@@ -46,12 +38,8 @@ type Saga struct {
 	// stepBuf backs steps for a saga's first four steps, which is all most
 	// sagas have: building one costs the Saga and nothing per step.
 	stepBuf [4]SagaStep
-	// CompensationRetries bounds the retry loop for a compensating
-	// transaction ("a compensating transaction must be retried until it
-	// finally commits"); 0 means the default of 100.
-	CompensationRetries int
-	// Options shapes step retry and backoff; the zero value gives each
-	// component 3 attempts with 1ms..64ms backoff.
+	// Options shapes step retry; the zero value gives each component 3
+	// attempts.
 	Options SagaOptions
 }
 
@@ -76,11 +64,7 @@ func (s *Saga) runStep(fn asset.TxnFunc) error {
 	if attempts <= 0 {
 		attempts = 3
 	}
-	return asset.Run(context.Background(), s.m, asset.RunOptions{
-		MaxAttempts: attempts,
-		BaseBackoff: s.Options.Backoff,
-		MaxBackoff:  s.Options.MaxBackoff,
-	}, fn)
+	return asset.Run(context.Background(), s.m, asset.RunOptions{MaxAttempts: attempts}, fn)
 }
 
 // stepAborted reports whether a step's error means the component
@@ -94,23 +78,41 @@ func stepAborted(err error) bool {
 		asset.Retryable(err)
 }
 
-// compensationPause sleeps before compensation attempt n (n>=1), pacing
-// the "retry until it finally commits" loop so it does not spin against a
-// transient conflict.
-func (s *Saga) compensationPause(n int) {
-	base := s.Options.Backoff
-	if base <= 0 {
-		base = time.Millisecond
+// compensateOptions is the compensation policy: a compensating
+// transaction "must be retried until it finally commits" (§3.1.6), so
+// every error is retried, under a budget that stops a compensation that
+// can never commit from spinning for good.
+var compensateOptions = asset.RunOptions{
+	MaxAttempts: 100,
+	Retryable:   func(error) bool { return true },
+}
+
+// Compensate runs fn, the compensating transaction of the step called
+// name, retrying every failure with the Run engine's backoff until it
+// commits. Sagas and workflows compensate through it. It returns an error
+// only when the attempt budget ran out.
+func Compensate(m *asset.Manager, name string, fn asset.TxnFunc) error {
+	if err := asset.Run(context.Background(), m, compensateOptions, fn); err != nil {
+		return fmt.Errorf("models: compensation %q did not commit: %w", name, err)
 	}
-	maxB := s.Options.MaxBackoff
-	if maxB <= 0 {
-		maxB = 64 * time.Millisecond
+	return nil
+}
+
+// compensate runs, in reverse order, the compensations of the steps below
+// n that committed — every one of them when errs is nil, else those whose
+// error in errs is nil — and records each in res.
+func (s *Saga) compensate(res *SagaResult, n int, errs []error) error {
+	for i := n - 1; i >= 0; i-- {
+		step := &s.steps[i]
+		if step.Compensate == nil || (errs != nil && errs[i] != nil) {
+			continue
+		}
+		if err := Compensate(s.m, step.Name, step.Compensate); err != nil {
+			return err
+		}
+		res.Compensated = append(res.Compensated, step.Name)
 	}
-	d := base << uint(min(n-1, 20))
-	if d <= 0 || d > maxB {
-		d = maxB
-	}
-	time.Sleep(d)
+	return nil
 }
 
 // Step appends a component transaction with its compensation and returns
@@ -178,32 +180,7 @@ func (s *Saga) RunParallel() (*SagaResult, error) {
 	if failed < 0 {
 		return res, nil
 	}
-	retries := s.CompensationRetries
-	if retries <= 0 {
-		retries = 100
-	}
-	for i := len(s.steps) - 1; i >= 0; i-- {
-		if errs[i] != nil || s.steps[i].Compensate == nil {
-			continue
-		}
-		var lastErr error
-		done := false
-		for attempt := 0; attempt < retries; attempt++ {
-			if attempt > 0 {
-				s.compensationPause(attempt)
-			}
-			if lastErr = Atomic(s.m, s.steps[i].Compensate); lastErr == nil {
-				done = true
-				break
-			}
-		}
-		if !done {
-			return res, fmt.Errorf("models: compensation %q did not commit after %d attempts: %w",
-				s.steps[i].Name, retries, lastErr)
-		}
-		res.Compensated = append(res.Compensated, s.steps[i].Name)
-	}
-	return res, nil
+	return res, s.compensate(res, len(s.steps), errs)
 }
 
 // Run executes the saga per the paper's translation: each component runs
@@ -229,31 +206,5 @@ func (s *Saga) Run() (*SagaResult, error) {
 		return res, nil
 	}
 	// Compensate committed components in reverse order of commitment.
-	retries := s.CompensationRetries
-	if retries <= 0 {
-		retries = 100
-	}
-	for i := failed - 1; i >= 0; i-- {
-		step := s.steps[i]
-		if step.Compensate == nil {
-			continue
-		}
-		var lastErr error
-		committed := false
-		for attempt := 0; attempt < retries; attempt++ {
-			if attempt > 0 {
-				s.compensationPause(attempt)
-			}
-			if lastErr = Atomic(s.m, step.Compensate); lastErr == nil {
-				committed = true
-				break
-			}
-		}
-		if !committed {
-			return res, fmt.Errorf("models: compensation %q did not commit after %d attempts: %w",
-				step.Name, retries, lastErr)
-		}
-		res.Compensated = append(res.Compensated, step.Name)
-	}
-	return res, nil
+	return res, s.compensate(res, failed, nil)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	asset "repro"
 )
@@ -19,7 +18,7 @@ func TestSagaRetriesTransientStepFailure(t *testing.T) {
 	b := seed(t, m, []byte("b0"))
 	var tries atomic.Int32
 	var compensated atomic.Int32
-	s := NewSaga(m).WithOptions(SagaOptions{StepAttempts: 5, Backoff: time.Microsecond}).
+	s := NewSaga(m).WithOptions(SagaOptions{StepAttempts: 5}).
 		Step("a", func(tx *asset.Tx) error { return tx.Write(a, []byte("a1")) },
 			func(tx *asset.Tx) error { compensated.Add(1); return tx.Write(a, []byte("a0")) }).
 		Step("flaky", func(tx *asset.Tx) error {
@@ -51,7 +50,7 @@ func TestSagaCompensatesAfterRetryBudgetExhausted(t *testing.T) {
 	a := seed(t, m, []byte("a0"))
 	b := seed(t, m, []byte("b0"))
 	var tries atomic.Int32
-	s := NewSaga(m).WithOptions(SagaOptions{StepAttempts: 4, Backoff: time.Microsecond}).
+	s := NewSaga(m).WithOptions(SagaOptions{StepAttempts: 4}).
 		Step("a", func(tx *asset.Tx) error { return tx.Write(a, []byte("a1")) },
 			func(tx *asset.Tx) error { return tx.Write(a, []byte("a0")) }).
 		Step("b", func(tx *asset.Tx) error { return tx.Write(b, []byte("b1")) },
@@ -85,7 +84,7 @@ func TestSagaTerminalErrorNotRetried(t *testing.T) {
 	m := newMem(t)
 	a := seed(t, m, []byte("a0"))
 	var tries atomic.Int32
-	s := NewSaga(m).WithOptions(SagaOptions{StepAttempts: 5, Backoff: time.Microsecond}).
+	s := NewSaga(m).WithOptions(SagaOptions{StepAttempts: 5}).
 		Step("a", func(tx *asset.Tx) error { return tx.Write(a, []byte("a1")) },
 			func(tx *asset.Tx) error { return tx.Write(a, []byte("a0")) }).
 		Step("boom", func(tx *asset.Tx) error {
@@ -116,7 +115,7 @@ func TestParallelSagaRetriesTransientSteps(t *testing.T) {
 		oids[i] = seed(t, m, []byte("-"))
 	}
 	var tries [3]atomic.Int32
-	s := NewSaga(m).WithOptions(SagaOptions{StepAttempts: 5, Backoff: time.Microsecond})
+	s := NewSaga(m).WithOptions(SagaOptions{StepAttempts: 5})
 	for i := range oids {
 		i := i
 		oid := oids[i]

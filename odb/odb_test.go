@@ -1,6 +1,7 @@
 package odb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -185,7 +186,7 @@ func TestIndexBucketsReduceConflicts(t *testing.T) {
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			errs <- models.AtomicRetry(m, 10, func(tx *asset.Tx) error {
+			errs <- asset.Run(context.Background(), m, asset.RunOptions{MaxAttempts: 10}, func(tx *asset.Tx) error {
 				ix, err := db.Index(tx, "ix", 64)
 				if err != nil {
 					return err

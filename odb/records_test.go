@@ -1,6 +1,7 @@
 package odb
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestModifyReadModifyWrite(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := 0; i < raises; i++ {
-				err := models.AtomicRetry(m, 20, func(tx *asset.Tx) error {
+				err := asset.Run(context.Background(), m, asset.RunOptions{MaxAttempts: 20}, func(tx *asset.Tx) error {
 					return Modify(tx, oid, func(e *employee) error {
 						e.Salary++
 						return nil

@@ -91,7 +91,7 @@ func tortureMixedModels(t *testing.T, cfg asset.Config, seedBase int64) {
 				var err error
 				switch rng.Intn(3) {
 				case 0: // flat transfer
-					err = models.AtomicRetry(m, 25, func(tx *asset.Tx) error {
+					err = asset.Run(context.Background(), m, asset.RunOptions{MaxAttempts: 25}, func(tx *asset.Tx) error {
 						if err := debit(tx, from, amount); err != nil {
 							return err
 						}
@@ -104,7 +104,7 @@ func tortureMixedModels(t *testing.T, cfg asset.Config, seedBase int64) {
 						return nil
 					})
 				case 1: // nested: each leg is a subtransaction
-					err = models.AtomicRetry(m, 25, func(tx *asset.Tx) error {
+					err = asset.Run(context.Background(), m, asset.RunOptions{MaxAttempts: 25}, func(tx *asset.Tx) error {
 						if err := models.Sub(tx, func(c *asset.Tx) error {
 							return debit(c, from, amount)
 						}); err != nil {
@@ -170,8 +170,8 @@ func tortureMixedModels(t *testing.T, cfg asset.Config, seedBase int64) {
 // TestTortureCancellation storms the resilience layer: concurrent hotspot
 // transfers where contexts are cancelled at random moments (sometimes while
 // the transaction is blocked on a lock or parked in the commit protocol),
-// per-transaction deadlines expire under the watchdog, and the Run engine
-// retries the victims. After the storm the manager must be quiescent — no
+// bodies outlive the manager's TxnDeadline under the watchdog, and the Run
+// engine retries the victims. After the storm the manager must be quiescent — no
 // leaked transactions, an empty waits-for graph, clean lock-table
 // invariants — and money conserved.
 func TestTortureCancellation(t *testing.T) {
@@ -179,11 +179,16 @@ func TestTortureCancellation(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			tortureCancellation(t,
-				asset.Config{LockShards: shards},
+				asset.Config{LockShards: shards, TxnDeadline: tortureTxnDeadline},
 				int64(shards)*7919)
 		})
 	}
 }
+
+// tortureTxnDeadline is the cancellation storm's Config.TxnDeadline: well
+// above an ordinary transfer's life, so the watchdog reaps mostly the
+// bodies that sleep past it on purpose and those queued behind them.
+const tortureTxnDeadline = 10 * time.Millisecond
 
 func tortureCancellation(t *testing.T, cfg asset.Config, seedBase int64) {
 	m, err := asset.Open(cfg)
@@ -278,14 +283,13 @@ func tortureCancellation(t *testing.T, cfg asset.Config, seedBase int64) {
 						cancel()
 					}(time.Duration(rng.Intn(2000)) * time.Microsecond)
 					err = asset.Run(ctx, m, opts, fn)
-				case 3: // per-transaction deadline enforced by the watchdog
+				case 3: // the manager's deadline enforced by the watchdog
 					o := opts
 					o.MaxAttempts = 2
-					o.Deadline = time.Duration(rng.Intn(2000)+100) * time.Microsecond
 					if rng.Intn(4) == 0 {
 						// Outlive the deadline for sure: the watchdog
 						// (10ms tick) must reap this one mid-body.
-						fn = transfer(from, to, amount, 12*time.Millisecond)
+						fn = transfer(from, to, amount, tortureTxnDeadline+15*time.Millisecond)
 					}
 					err = asset.Run(context.Background(), m, o, fn)
 				}

@@ -276,24 +276,14 @@ func abortAll(m *asset.Manager, tids []asset.TID) {
 	}
 }
 
-// compensate runs the undo stack in reverse order, retrying each
-// compensating transaction until it commits.
+// compensate runs the undo stack in reverse order, each compensating
+// transaction under models.Compensate, retried until it commits.
 func compensate(m *asset.Manager, undo []Task, res *Result) error {
-	const retries = 100
 	for i := len(undo) - 1; i >= 0; i-- {
-		task := undo[i]
-		var lastErr error
-		done := false
-		for attempt := 0; attempt < retries; attempt++ {
-			if lastErr = models.Atomic(m, task.Compensate); lastErr == nil {
-				done = true
-				break
-			}
+		if err := models.Compensate(m, undo[i].Name, undo[i].Compensate); err != nil {
+			return err
 		}
-		if !done {
-			return fmt.Errorf("workflow: compensation %q stuck: %w", task.Name, lastErr)
-		}
-		res.Compensated = append(res.Compensated, task.Name)
+		res.Compensated = append(res.Compensated, undo[i].Name)
 	}
 	return nil
 }
