@@ -91,7 +91,7 @@ func TestAnnotationRegistry(t *testing.T) {
 		"commit.go", "commit.go", // core.examineGroupLocked (commits and votes), commitLocked (local and verdict commits)
 		"dedup.go",             // server.dedup.admit
 		"frame.go", "frame.go", // rpc.BeginFrame, FinishFrame
-		"groupcommit.go",
+		"groupcommit.go", "groupcommit.go", // wal.SegmentedLog.Append, appendHeld
 		"lock.go", "lock.go", "lock.go", // lock.acquire, installGrant, ReleaseAll
 		"ops.go", "ops.go", "ops.go",
 		"primitives.go",          // core.initiateOpts (the descriptor comes off the free list)

@@ -379,7 +379,7 @@ func errExcludedByCommitted() error {
 //asset:durable before=ReleaseAll,EscrowCommit
 //asset:noalloc
 func (m *Manager) commitLocked(group []*txn) error {
-	if _, err := m.appendLocked(wal.Record{Type: wal.TCommit, TIDs: m.committingLocked(group)}); err != nil {
+	if _, err := m.appendLocked(&wal.Record{Type: wal.TCommit, TIDs: m.committingLocked(group)}); err != nil {
 		return errCommitLog("record append", err)
 	}
 	if err := m.forceLocked(); err != nil {
@@ -398,7 +398,7 @@ func (m *Manager) commitLocked(group []*txn) error {
 			}
 			member.redo = nil
 		}
-		member.undo = nil
+		member.dropUndo()
 		member.setSt(xid.StatusCommitted)
 		m.deps.RemoveNode(member.id)
 		// Fold the member's escrow reservations into their ledgers before
@@ -613,7 +613,7 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 				rec undoRec
 			}{u.id, rec})
 		}
-		u.undo = nil
+		u.dropUndo()
 		// An aborted in-doubt member's withheld images simply vanish; there
 		// is nothing in the cache to roll back.
 		u.redo = nil
@@ -625,31 +625,31 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 		case wal.KindDelta:
 			// Logical undo: add the negated delta, leaving concurrent
 			// committed increments intact.
-			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelta, After: m.deltaImage(-rec.delta)})
+			m.appendLocked(&wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelta, After: m.deltaImage(-rec.delta)})
 			if obj := m.cache.Object(rec.oid); obj != nil {
 				obj.Lat.Lock()
 				addInPlace(obj, -rec.delta)
 				obj.Lat.Unlock()
 			}
 		case wal.KindCreate:
-			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelete})
+			m.appendLocked(&wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindDelete})
 			m.cache.Delete(rec.oid)
 			// The object never existed; any escrow bounds declared for it
 			// (a rolled-back bounded-counter creation) go with it.
 			m.locks.DropEscrow(rec.oid)
 		case wal.KindDelete:
-			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindCreate, After: rec.before})
+			m.appendLocked(&wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindCreate, After: rec.before})
 			m.cache.Install(rec.oid, rec.before)
 		default: // modify
 			// Copied back, never installed: an in-place write's image lives
 			// in a descriptor buffer the next transaction reuses.
-			m.appendLocked(wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindModify, After: rec.before})
+			m.appendLocked(&wal.Record{Type: wal.TUndo, TID: ur.tid, OID: rec.oid, Kind: wal.KindModify, After: rec.before})
 			m.cache.Restore(rec.oid, rec.before)
 		}
 	}
 	// Phase 3: cleanup and final statuses.
 	for _, u := range set {
-		m.appendLocked(wal.Record{Type: wal.TAbort, TID: u.id})
+		m.appendLocked(&wal.Record{Type: wal.TAbort, TID: u.id})
 		m.deps.RemoveNode(u.id)
 		m.locks.ReleaseAll(u.id)
 		m.waits.RemoveNode(u.id)

@@ -159,10 +159,11 @@ type Manager struct {
 
 	// log is the durable log; nil for a manager opened without Dir. seq
 	// numbers every append, so undo records keep log order without the
-	// log's LSNs. rec is the one log record the manager builds its appends
-	// in, and tidBuf and ctr what a commit record's tid list and a delta
-	// record's image point into: the log keeps no record or slice past
-	// Append, so under mu they can be overwritten by the next append.
+	// log's LSNs. rec is the record a checkpoint's snapshot streams its
+	// records through (an append builds its record on its own stack), and
+	// tidBuf and ctr what a commit record's tid list and a delta record's
+	// image point into: the log keeps no record or slice past Append, so
+	// under mu they can be overwritten by the next append.
 	log    *wal.SegmentedLog
 	seq    uint64
 	rec    wal.Record
@@ -418,16 +419,16 @@ func (m *Manager) Active() []xid.TID {
 	return out
 }
 
-// appendLocked appends r to the log through the manager's reused record
-// and returns its place in the manager's append sequence. Caller holds
-// m.mu, which is what makes the reuse safe and the sequence log order.
-func (m *Manager) appendLocked(r wal.Record) (uint64, error) {
+// appendLocked appends *r to the log and returns its place in the
+// manager's append sequence. The log keeps nothing of r, so a caller
+// builds it on its stack, and nothing copies it. Caller holds m.mu, which
+// makes the sequence log order.
+func (m *Manager) appendLocked(r *wal.Record) (uint64, error) {
 	m.seq++
 	if m.log == nil {
 		return m.seq, nil
 	}
-	m.rec = r
-	_, err := m.log.Append(&m.rec)
+	_, err := m.log.Append(r)
 	return m.seq, err
 }
 
@@ -538,8 +539,9 @@ func (m *Manager) snapshotLocked(emit func(*wal.Record) error) error {
 		return err
 	}
 	var err error
+	m.rec = wal.Record{Type: wal.TImage}
 	m.cache.ForEach(func(oid xid.OID, data []byte) bool {
-		m.rec = wal.Record{Type: wal.TImage, OID: oid, After: data}
+		m.rec.OID, m.rec.After = oid, data
 		err = emit(&m.rec)
 		return err == nil
 	})

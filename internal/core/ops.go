@@ -191,7 +191,7 @@ func (tx *Tx) Update(oid xid.OID, fn func([]byte) []byte) error {
 func (m *Manager) modifyLocked(t *txn, oid xid.OID, obj *storage.Object, data []byte) error {
 	cur := obj.Data()
 	if len(data) == len(cur) {
-		seq, err := m.appendLocked(wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify, After: data})
+		seq, err := m.appendLocked(&wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify, After: data})
 		if err != nil {
 			return err
 		}
@@ -200,7 +200,7 @@ func (m *Manager) modifyLocked(t *txn, oid xid.OID, obj *storage.Object, data []
 		return nil
 	}
 	data = append([]byte(nil), data...)
-	seq, err := m.appendLocked(wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify, After: data})
+	seq, err := m.appendLocked(&wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindModify, After: data})
 	if err != nil {
 		return err
 	}
@@ -242,9 +242,7 @@ func (tx *Tx) CreateAt(oid xid.OID, data []byte) error {
 	if !m.cache.Create(oid, data) {
 		return fmt.Errorf("%w: %v", ErrObjectExists, oid)
 	}
-	seq, err := m.appendLocked(wal.Record{
-		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindCreate, After: data,
-	})
+	seq, err := m.appendLocked(&wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindCreate, After: data})
 	if err != nil {
 		m.cache.Delete(oid)
 		return err
@@ -303,9 +301,7 @@ func (tx *Tx) AddCtx(ctx context.Context, oid xid.OID, delta int64) error {
 		m.locks.EscrowUnreserve(t.id, oid, delta)
 		return fmt.Errorf("core: Add on %v: object is %d bytes, want an 8-byte counter", oid, len(obj.Data()))
 	}
-	seq, err := m.appendLocked(wal.Record{
-		Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelta, After: m.deltaImage(delta),
-	})
+	seq, err := m.appendLocked(&wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelta, After: m.deltaImage(delta)})
 	if err != nil {
 		m.locks.EscrowUnreserve(t.id, oid, delta)
 		return err
@@ -391,7 +387,7 @@ func (tx *Tx) Delete(oid xid.OID) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNoObject, oid)
 	}
-	seq, err := m.appendLocked(wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelete})
+	seq, err := m.appendLocked(&wal.Record{Type: wal.TUpdate, TID: t.id, OID: oid, Kind: wal.KindDelete})
 	if err != nil {
 		return err
 	}

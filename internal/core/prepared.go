@@ -104,7 +104,7 @@ func (m *Manager) PrepareCtx(ctx context.Context, gid uint64, ids ...xid.TID) er
 			member.setSt(xid.StatusPrepared)
 		}
 		m.preparing[gid] = nil
-		if _, err := m.appendLocked(wal.Record{Type: wal.TPrepare, GID: gid, TIDs: tids}); err != nil {
+		if _, err := m.appendLocked(&wal.Record{Type: wal.TPrepare, GID: gid, TIDs: tids}); err != nil {
 			err = fmt.Errorf("core: prepare record append failed: %w", err)
 			m.failPrepareLocked(gid, tids, group, err)
 			m.mu.Unlock()

@@ -546,7 +546,7 @@ func (m *Manager) Delegate(from, to xid.TID, oids ...xid.OID) error {
 	m.moveUndoLocked(ft, tt, oidSet)
 	var moved [8]xid.OID // unused: the undo records are moved by oid above
 	m.locks.AppendDelegate(moved[:0], from, to, oidSet)
-	_, err = m.appendLocked(wal.Record{Type: wal.TDelegate, TID: from, TID2: to, OIDs: oidSet})
+	_, err = m.appendLocked(&wal.Record{Type: wal.TDelegate, TID: from, TID2: to, OIDs: oidSet})
 	m.mu.Unlock()
 	return err
 }

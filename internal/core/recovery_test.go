@@ -313,7 +313,7 @@ func TestQuickRecoveryMatchesLiveState(t *testing.T) {
 		// Snapshot live state.
 		want := map[xid.OID][]byte{}
 		m.Cache().ForEach(func(oid xid.OID, data []byte) bool {
-			want[oid] = data
+			want[oid] = append([]byte(nil), data...)
 			return true
 		})
 		m.Close()

@@ -371,18 +371,33 @@ func overUnpinned(t *txn) {
 
 // reset empties a descriptor nothing holds any more, so that the free list
 // keeps no body, context, error, image or channel alive. The handle (tx)
-// stays bound to the descriptor, undo restarts on undoBuf, and imgs keeps
-// its array for the next transaction's before images.
+// stays bound to the descriptor, undo keeps the (empty) array the
+// transaction's commit or abort left it (see dropUndo), and imgs keeps its
+// array for the next transaction's before images.
 func (t *txn) reset() {
 	t.id, t.parent, t.fn = xid.NilTID, xid.NilTID, nil
 	t.abErr, t.ctx = nil, nil
 	t.deadline.Store(0)
 	t.done, t.term, t.aborting = event{}, event{}, event{}
 	t.tokHeld, t.tok = false, nil
-	clear(t.undoBuf[:])
-	t.undo = t.undoBuf[:0]
 	t.imgs = keptImages(t.imgs)
 	t.redo = nil
+}
+
+// dropUndo empties t's undo list once nothing can roll it back, at its
+// commit or abort. The array goes back to undoBuf unless t needed more
+// than maxKeptUndo records: a run of bulk transactions on one descriptor
+// then reuses one array instead of regrowing it from nothing every time,
+// and the first transaction within maxKeptUndo that gets the descriptor
+// lets it go. Caller holds m.mu.
+func (t *txn) dropUndo() {
+	clear(t.undo)
+	clear(t.undoBuf[:]) // stale copies once undo outgrew it
+	if len(t.undo) > maxKeptUndo {
+		t.undo = t.undo[:0]
+	} else {
+		t.undo = t.undoBuf[:0]
+	}
 }
 
 // keptImages returns an image buffer emptied for reuse, or nil if it grew
@@ -407,6 +422,10 @@ func (t *txn) keepImage(b []byte) []byte {
 // maxFreeTxns bounds the descriptor free list; what a burst retires beyond
 // it goes back to the collector.
 const maxFreeTxns = 256
+
+// maxKeptUndo is the most undo records a transaction may make and still
+// leave its descriptor an undo array no larger than undoBuf (dropUndo).
+const maxKeptUndo = 64
 
 // maxKeptImages bounds the image buffer a recycled descriptor keeps: a
 // transaction whose before images outgrew it gives the buffer back to the

@@ -172,7 +172,7 @@ func (m *Manager) delegateOneLocked(from, to xid.TID, fromTS, toTS *txnState, s 
 	}
 	// Blocked requests were waiting on `from`; their blocker is now `to`
 	// (or gone, and the lock with it).
-	od.cond.Broadcast()
+	od.wake()
 	s.retireIfIdle(od)
 	return true
 }
@@ -282,7 +282,7 @@ func (m *Manager) reassignGrantor(to xid.TID, pds []*permit) {
 				m.insertPD(od, to, p.grantee, p.ops)
 				od.dropPermit(p)
 			}
-			od.cond.Broadcast()
+			od.wake()
 			s.retireIfIdle(od)
 		}
 		s.unrefPermit(p)

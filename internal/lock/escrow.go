@@ -179,11 +179,11 @@ func (m *Manager) DeclareEscrow(oid xid.OID, val, lo, hi uint64) error {
 	if od.esc != nil && len(od.esc.holders) > 0 {
 		return errors.New("lock: escrow declaration with reservations in flight")
 	}
-	od.esc = &escrowState{
+	od.ownSide().esc = &escrowState{
 		bounded: true, lo: lo, hi: hi, val: val,
 		holders: make(map[xid.TID]escrowRes),
 	}
-	od.cond.Broadcast()
+	od.wake()
 	return nil
 }
 
@@ -197,7 +197,7 @@ func (m *Manager) DropEscrow(oid xid.OID) {
 	s.lat.Lock()
 	if od := s.lookup(oid); od != nil && od.esc != nil {
 		od.esc = nil
-		od.cond.Broadcast()
+		od.wake()
 		s.retireIfIdle(od)
 	}
 	s.lat.Unlock()
@@ -263,7 +263,7 @@ func (m *Manager) EscrowUnreserve(tid xid.TID, oid xid.OID, delta int64) {
 			ts.lat.Unlock()
 		}
 	}
-	od.cond.Broadcast()
+	od.wake()
 }
 
 // EscrowCommit folds every in-flight reservation of tid into its object's
@@ -298,7 +298,7 @@ func (m *Manager) settleEscrows(tid xid.TID, commit bool) {
 		s.lat.Lock()
 		if od.is(oid) && od.esc != nil {
 			od.esc.settle(tid, commit)
-			od.cond.Broadcast()
+			od.wake()
 		}
 		s.lat.Unlock()
 	}

@@ -154,11 +154,13 @@ func TestDelegateAllBulkReleasesClean(t *testing.T) {
 }
 
 // TestODSizeClass: an OD with its first holder's LRD inside stays in the
-// 288-byte size class; one class more and a first-holder lock would cost
-// what an OD and a separate LRD did.
+// 144-byte size class. What only a contended, permitted or escrow-declared
+// object needs is in its side record and what only a parked request needs
+// in the LRD's parked record, so each byte here is paid by every locked
+// object.
 func TestODSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(objDesc{}); got > 288 {
-		t.Errorf("objDesc is %d bytes, want at most 288", got)
+	if got := unsafe.Sizeof(objDesc{}); got > 144 {
+		t.Errorf("objDesc is %d bytes, want at most 144", got)
 	}
 }
 

@@ -51,7 +51,10 @@ import (
 //     list is unmapped, empty and in its own shard; no transaction index and
 //     no live PD points at an OD that is not mapped under the oid it is
 //     known by; the mapped-OD count agrees with the chains, and every free
-//     list passes the pool's audit.
+//     list passes the pool's audit. A side record is owned by at most one
+//     mapped OD and never also on a free list; a free-listed OD points at
+//     noSide, a free-listed side record has empty lists and no ledger, and
+//     noSide is empty.
 //
 // The intended use is at quiescent points of a concurrent workload (no
 // Lock/Delegate/Permit/ReleaseAll in flight); it is safe, but noisier, to
@@ -94,6 +97,11 @@ func (m *Manager) CheckInvariants() []string {
 	// retired OD carry anything into its next life.
 	retiredReqs := make(map[*lockReq]bool)
 	retiredODs := make(map[*objDesc]bool)
+	retiredSides := make(map[*odSide]bool)
+	sideOwner := make(map[*odSide]xid.OID) // mapped ODs' own side records
+	if len(noSide.pending)+len(noSide.permits) != 0 || noSide.esc != nil {
+		report("noSide holds %d pending LRDs, %d PDs and ledger %v", len(noSide.pending), len(noSide.permits), noSide.esc)
+	}
 	for si := range m.shards {
 		s := &m.shards[si]
 		if err := s.reqPool.Audit(func(r *lockReq) { retiredReqs[r] = true }); err != nil {
@@ -101,11 +109,19 @@ func (m *Manager) CheckInvariants() []string {
 		}
 		if err := s.odPool.Audit(func(od *objDesc) {
 			retiredODs[od] = true
-			if od.mapped || od.home != s || !od.idle() {
-				report("shard %d: retired OD (last oid %v) is not empty, unmapped and at home", si, od.oid)
+			if od.mapped || od.home != s || !od.idle() || od.odSide != &noSide {
+				report("shard %d: retired OD (last oid %v) is not empty, unmapped, at home and without a side record", si, od.oid)
 			}
 		}); err != nil {
 			report("shard %d: OD free list: %v", si, err)
+		}
+		if err := s.sidePool.Audit(func(sd *odSide) {
+			retiredSides[sd] = true
+			if len(sd.pending)+len(sd.permits) != 0 || sd.esc != nil || sd.cond.L != &s.lat {
+				report("shard %d: retired side record is not empty and bound to its shard", si)
+			}
+		}); err != nil {
+			report("shard %d: side record free list: %v", si, err)
 		}
 	}
 	if err := m.free.Audit(nil); err != nil {
@@ -162,6 +178,17 @@ func (m *Manager) CheckInvariants() []string {
 			}
 			if od.idle() {
 				report("od %v: mapped with no lock, waiter, permit or ledger", oid)
+			}
+			if sd := od.odSide; sd == nil {
+				report("od %v: no side record, not even noSide", oid)
+			} else if sd != &noSide {
+				if retiredSides[sd] {
+					report("od %v: side record is on a free list", oid)
+				}
+				if other, dup := sideOwner[sd]; dup {
+					report("od %v: side record shared with od %v", oid, other)
+				}
+				sideOwner[sd] = oid
 			}
 			if inUse := od.first.od != nil; inUse != slices.Contains(od.granted, &od.first) {
 				report("od %v: first LRD in use %v, on the granted chain %v", oid, inUse, !inUse)

@@ -85,31 +85,37 @@ const (
 // owning shard's latch. An LRD is linked into exactly one chain of its OD
 // and is recycled through the shard's free list the moment it is unlinked
 // (see lockShard).
+//
+// A granted LRD uses tid, od, mode and suspended; delta and escrow are the
+// terms of a request that is still to be decided. What only a parked
+// request needs — its wake-up flags and its waits-for edges — is in wait,
+// which a pending LRD gets on its first park and keeps across recycling, so
+// the LRD an OD embeds (objDesc.first), which is only ever granted, carries
+// a nil pointer for it.
 type lockReq struct {
 	tid       xid.TID
 	od        *objDesc
-	ctxErr    error // waiter's context was cancelled or expired
 	delta     int64 // reserved delta (meaningful when escrow)
 	mode      xid.OpSet
 	status    reqStatus
 	suspended bool // granted lock suspended by a permitted conflicting grant
-	cancelled bool // waiter was aborted; it must give up
-	victim    bool // waiter was chosen as deadlock victim
 	escrow    bool // request carries an escrow reservation of delta
-	escNever  bool // escrow test concluded the reservation can never be admitted
-
-	waits *waitEdges // what the request registered while parked; kept across recycling
+	wait      *parked
 
 	pool.Link[lockReq]
 }
 
-// waitEdges are the waits-for edges a parked request registered, one per
-// blocker tryGrant reported. Those from queued on are for requests ahead
-// of it in the queue, which removePending takes back when such a request
-// leaves.
-type waitEdges struct {
-	tids   []xid.TID
-	queued int
+// parked is the part of a pending LRD that only a parked request needs:
+// how its wait was ended from outside, and the waits-for edges it
+// registered, one per blocker tryGrant reported. Those from queued on are
+// for requests ahead of it in the queue, which removePending takes back
+// when such a request leaves. Guarded by the shard latch, like its LRD.
+type parked struct {
+	ctxErr    error // waiter's context was cancelled or expired
+	cancelled bool  // waiter was aborted; it must give up
+	victim    bool  // waiter was chosen as deadlock victim
+	tids      []xid.TID
+	queued    int
 }
 
 // objDesc is the object descriptor (OD) of Figure 1: granted and pending
@@ -126,22 +132,64 @@ type waitEdges struct {
 // on granted exactly while it is in use, is never on a free list, and is
 // zeroed when it leaves granted (dropGranted). Pending LRDs always come from
 // the free list.
+//
+// What only a contended, permitted or escrow-declared object needs — the
+// pending queue, the PD list, the escrow ledger and the cond waiters park
+// on — is in a side record (odSide), which the OD takes off its shard's
+// free list when it first queues a request, lists a PD or declares a
+// ledger (ownSide) and gives back when it retires. Until then it points at
+// noSide, which is empty and never written, so reading od.pending,
+// od.permits or od.esc needs no check.
 type objDesc struct {
 	oid     xid.OID
 	home    *lockShard
 	next    *objDesc // bucket chain while mapped
 	mapped  bool
 	granted []*lockReq
-	pending []*lockReq // FIFO
-	permits []*permit
-	esc     *escrowState // bounded escrow ledger; nil when not declared
-	cond    sync.Cond    // on the shard latch; signalled on release/suspension change
+	*odSide
 	// grantedBuf backs granted until a second holder arrives: most objects
 	// never have one.
 	grantedBuf [1]*lockReq
 	first      lockReq // the LRD of a holder that found it free
 
 	pool.Link[objDesc]
+}
+
+// odSide is an OD's side record: its FIFO queue of pending LRDs, its PD
+// list, its escrow ledger, and the cond its waiters park on, bound to the
+// shard latch for good (a side record, like an OD, never leaves its
+// shard). It is owned by one OD from ownSide until retireIfIdle, and
+// otherwise sits on the shard's free list with both lists empty and no
+// ledger.
+type odSide struct {
+	pending []*lockReq // FIFO
+	permits []*permit
+	esc     *escrowState // bounded escrow ledger; nil when not declared
+	cond    sync.Cond    // on the shard latch; signalled on release/suspension change
+
+	pool.Link[odSide]
+}
+
+// noSide is the side record of every OD that has no own: both lists empty,
+// no ledger. Nothing ever writes to it, parks on it or signals it.
+var noSide odSide
+
+// ownSide returns od's own side record, taking one off the shard's free
+// list, or making one, if od still points at noSide. Caller holds the
+// shard latch.
+func (od *objDesc) ownSide() *odSide {
+	if od.odSide == &noSide {
+		od.odSide = od.home.newSide()
+	}
+	return od.odSide
+}
+
+// wake wakes the requests parked on od, which re-evaluate. An OD with no
+// side record of its own has none. Caller holds the shard latch.
+func (od *objDesc) wake() {
+	if od.odSide != &noSide {
+		od.cond.Broadcast()
+	}
 }
 
 // permit is the permit descriptor (PD): grantor allows grantee (NilTID =
@@ -299,7 +347,7 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 	// that is: exactly where it would be appended.
 	var blockBuf [4]xid.TID
 	var permitBuf [4]*lockReq
-	blockers, _, permitted := m.tryGrant(&probe, blockBuf[:0], permitBuf[:0])
+	blockers, _, permitted, never := m.tryGrant(&probe, blockBuf[:0], permitBuf[:0])
 	if len(blockers) > 0 {
 		// Nothing of this request is on od yet, so once the latch is gone od
 		// may be retired and handed to another oid: park is given the oid and
@@ -308,7 +356,7 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 		return m.park(ctx, ts, s, oid, probe)
 	}
 	var err error
-	if probe.escNever {
+	if never {
 		err = ErrEscrow
 	} else {
 		err = m.grant(ts, &probe, permitted)
@@ -348,16 +396,17 @@ func (m *Manager) grant(ts *txnState, req *lockReq, permitted []*lockReq) error 
 		gl.suspended = true
 	}
 	if len(permitted) > 0 {
-		req.od.cond.Broadcast() // suspension may unblock re-checkers
+		req.od.wake() // suspension may unblock re-checkers
 	}
 	return nil
 }
 
 // park is acquire's slow path: the request had blockers on its first pass.
-// It enqueues a pending LRD, registers it with the transaction so
-// cancel/victim marking can find it without a table scan, and waits on the
-// object's cond until the request is granted or given up — which may be at
-// once, the table having moved on since acquire let go of the shard latch.
+// It enqueues a pending LRD on the OD's side record (taking one for the OD
+// if it has none), registers it with the transaction so cancel/victim
+// marking can find it without a table scan, and waits on the side record's
+// cond until the request is granted or given up — which may be at once,
+// the table having moved on since acquire let go of the shard latch.
 // It wakes on a grant, a victim marking, an abort (CancelWaits) or its
 // context's AfterFunc, which is armed only here, just before the first
 // Wait. The OD acquire evaluated the probe on is not trusted: it is looked
@@ -376,30 +425,31 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 		probe.status = statusUpgrading
 	}
 	req := s.newReq()
-	waits := req.waits
-	if waits == nil {
-		waits = new(waitEdges)
+	w := req.wait
+	if w == nil {
+		w = new(parked)
 	}
 	*req = probe
-	req.waits = waits
-	od.pending = append(od.pending, req)
+	req.wait = w
+	side := od.ownSide()
+	side.pending = append(side.pending, req)
 	ts.registerWait(tid, oid)
 
-	// The ctx watcher flags req under the shard latch. It may fire after the
-	// request is already resolved (the stop and the firing race); leave
-	// accounts for that before it lets req be recycled. It cannot fire unseen
-	// before a Wait: it needs the shard latch, which this goroutine holds
-	// until Wait releases it.
+	// The ctx watcher flags req's parked record under the shard latch. It
+	// may fire after the request is already resolved (the stop and the
+	// firing race); leave accounts for that before it lets req be recycled.
+	// It cannot fire unseen before a Wait: it needs the shard latch, which
+	// this goroutine holds until Wait releases it.
 	var stopWatch func() bool
 
 	// Wait-for edges registered for the current blocker set. Always cleared
 	// while the shard latch is still held, so an observer holding every
 	// shard latch sees edges if and only if the pending request is present.
 	clearEdges := func() {
-		for _, h := range waits.tids {
+		for _, h := range w.tids {
 			m.wg.Remove(tid, h)
 		}
-		waits.tids = waits.tids[:0]
+		w.tids = w.tids[:0]
 	}
 	// leave takes the request off the queue, under the shard latch. The
 	// LRD goes back on the free list only if the ctx watcher cannot still be
@@ -427,20 +477,20 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 	var blockBuf [4]xid.TID
 	var permitBuf [4]*lockReq
 	for {
-		blockers, queued, permitted := m.tryGrant(req, blockBuf[:0], permitBuf[:0])
-		if req.cancelled {
+		blockers, queued, permitted, never := m.tryGrant(req, blockBuf[:0], permitBuf[:0])
+		if w.cancelled {
 			return exit(ErrCancelled)
 		}
-		if req.victim {
+		if w.victim {
 			return exit(ErrDeadlock)
 		}
-		if req.ctxErr != nil {
+		if w.ctxErr != nil {
 			// Context death abandons the request even when it became
 			// grantable in the same wake-up: the caller is tearing the
 			// transaction down and must not pick up new grants.
-			return exit(fmt.Errorf("%w: %w", ErrContext, req.ctxErr))
+			return exit(fmt.Errorf("%w: %w", ErrContext, w.ctxErr))
 		}
-		if req.escNever {
+		if never {
 			// The escrow test proved no resolution of the other holders'
 			// reservations can admit this delta within the declared bounds.
 			return exit(ErrEscrow)
@@ -457,8 +507,8 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 		// Re-register wait edges against the current blocker set.
 		clearEdges()
 		victim, _ := m.wg.Add(tid, blockers...)
-		waits.tids = append(waits.tids, blockers...)
-		waits.queued = queued
+		w.tids = append(w.tids, blockers...)
+		w.queued = queued
 		if !victim.IsNil() {
 			if victim == tid {
 				return exit(ErrDeadlock)
@@ -479,26 +529,27 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 				// Cause, not Err: a session teardown cancelling the request
 				// carries its reason (e.g. lease expiry) as the cause, and
 				// that reason must survive into the returned error.
-				req.ctxErr = context.Cause(ctx)
-				od.cond.Broadcast()
+				w.ctxErr = context.Cause(ctx)
+				side.cond.Broadcast()
 				s.lat.Unlock()
 			})
 		}
-		od.cond.Wait()
+		side.cond.Wait()
 	}
 }
 
 // tryGrant evaluates §4.2 steps 1a/1b for req. It returns the transactions
 // that block the request (empty means grantable), the index in them from
-// which they are requests ahead of it in the queue, and the conflicting
+// which they are requests ahead of it in the queue, the conflicting
 // granted locks whose holders permit the requester (to be suspended on
-// grant). The requester's own granted LRD, if any, is recognized by tid on
+// grant), and never when req is an escrow request the bounds can never
+// admit. The requester's own granted LRD, if any, is recognized by tid on
 // the OD chain — never by a caller-held pointer, which delegation can
 // stale. Caller holds the shard latch.
 //
 // The results are appended to blockers and permitted, buffers of the
 // caller's, which a request that is decided in one pass keeps in its frame.
-func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockReq) ([]xid.TID, int, []*lockReq) {
+func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockReq) (_ []xid.TID, queued int, _ []*lockReq, never bool) {
 	od := req.od
 	for _, gl := range od.granted {
 		if gl.tid == req.tid {
@@ -519,37 +570,36 @@ func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockRe
 	}
 	// FIFO fairness: an ordinary pending request also waits behind earlier
 	// conflicting pending requests; upgrades jump the queue.
-	queued := len(blockers)
+	queued = len(blockers)
 	if req.status != statusUpgrading {
 		for _, p := range od.pending {
 			if p == req {
 				break
 			}
-			if p.tid != req.tid && p.mode.Conflicts(req.mode) &&
-				!p.victim && !p.cancelled && p.ctxErr == nil {
+			if w := p.wait; p.tid != req.tid && p.mode.Conflicts(req.mode) &&
+				!w.victim && !w.cancelled && w.ctxErr == nil {
 				blockers = append(blockers, p.tid)
 			}
 		}
 	}
 	if len(blockers) > 0 {
-		return blockers, queued, nil
+		return blockers, queued, nil, false
 	}
 	// Mode-compatible escrow request: run the bounds-admission test. A
 	// failing test blocks on the other reservation holders — any of their
 	// terminations (commit of a helpful delta, abort of a competing one)
 	// frees headroom and broadcasts the cond — unless no resolution of
-	// theirs could ever admit the delta, which fails fast via escNever.
+	// theirs could ever admit the delta, which fails fast via never.
 	if req.escrow && od.esc != nil {
 		ok, never, holders := od.esc.admit(req.tid, req.delta)
 		if !ok {
 			if never {
-				req.escNever = true
-				return nil, 0, nil
+				return nil, 0, nil, true
 			}
-			return holders, len(holders), nil
+			return holders, len(holders), nil, false
 		}
 	}
-	return nil, 0, permitted
+	return nil, 0, permitted, false
 }
 
 // installGrant merges the granted mode into the requester's LRD on the OD
@@ -585,7 +635,7 @@ func (m *Manager) installGrant(ts *txnState, od *objDesc, tid xid.TID, mode xid.
 		if gl.od != nil {
 			gl = od.home.newReq()
 		}
-		gl.tid, gl.od, gl.mode, gl.status = tid, od, mode, statusGranted
+		gl.tid, gl.od, gl.mode = tid, od, mode
 		od.granted = append(od.granted, gl)
 		ts.locks = append(ts.locks, held{od.oid, od})
 	}
@@ -618,14 +668,14 @@ func (m *Manager) removePending(od *objDesc, req *lockReq) {
 	if i := slices.Index(od.pending, req); i >= 0 {
 		od.pending = slices.Delete(od.pending, i, i+1) // clears the vacated slot
 		for _, p := range od.pending[i:] {
-			w := p.waits
+			w := p.wait
 			if j := slices.Index(w.tids[w.queued:], req.tid); j >= 0 {
 				w.tids = slices.Delete(w.tids, w.queued+j, w.queued+j+1)
 				m.wg.Remove(p.tid, req.tid)
 			}
 		}
 	}
-	od.cond.Broadcast()
+	od.wake()
 }
 
 // killVictim marks the victim's pending requests and notifies the
@@ -663,12 +713,12 @@ func (m *Manager) flagWaits(tid xid.TID, victim bool) {
 					continue
 				}
 				if victim {
-					p.victim = true
+					p.wait.victim = true
 				} else {
-					p.cancelled = true
+					p.wait.cancelled = true
 				}
 			}
-			od.cond.Broadcast()
+			od.wake()
 		}
 		s.lat.Unlock()
 	}
@@ -730,7 +780,7 @@ func (m *Manager) ReleaseAll(tid xid.TID) {
 			s.lat.Lock()
 			if od.is(oid) && od.esc != nil {
 				od.esc.settle(tid, false)
-				od.cond.Broadcast()
+				od.wake()
 			}
 			s.lat.Unlock()
 		}
@@ -744,7 +794,7 @@ func (m *Manager) ReleaseAll(tid xid.TID) {
 			if od.is(h.oid) {
 				if gl := od.ownerReq(tid); gl != nil {
 					od.dropGranted(gl)
-					od.cond.Broadcast()
+					od.wake()
 					s.retireIfIdle(od)
 				}
 			}
@@ -768,7 +818,7 @@ func releasePermits(pds []*permit) {
 		if !p.isDead() {
 			od := p.od
 			od.dropPermit(p)
-			od.cond.Broadcast()
+			od.wake()
 			s.retireIfIdle(od)
 		}
 		s.unrefPermit(p)
@@ -803,12 +853,7 @@ func (m *Manager) retire(tid xid.TID) *txnState {
 func (m *Manager) recycle(ts *txnState) {
 	ts.lat.Lock()
 	ts.tid = xid.NilTID
-	if cap(ts.locks) > maxKeptIndex {
-		ts.locks = nil
-	} else {
-		clear(ts.locks)
-		ts.locks = ts.locks[:0]
-	}
+	ts.locks = keptLocks(ts.locks)
 	ts.escrows = emptied(ts.escrows)
 	clear(ts.byGrantor)
 	ts.byGrantor = ts.byGrantor[:0]
@@ -816,6 +861,20 @@ func (m *Manager) recycle(ts *txnState) {
 	ts.byGrantee = ts.byGrantee[:0]
 	ts.lat.Unlock()
 	m.free.Push(ts, maxFreeTxns)
+}
+
+// keptLocks empties a retired state's lock list for the state's next
+// transaction. A list that grew past maxKeptIndex is kept only while the
+// transaction that just used it needed it: a run of bulk transactions
+// reuses one array instead of regrowing it from nothing every time, and
+// the first transaction within maxKeptIndex lets it go, so at most the
+// states of bulk transactions that ran at once hold one each.
+func keptLocks(locks []held) []held {
+	if cap(locks) > maxKeptIndex && len(locks) <= maxKeptIndex {
+		return nil
+	}
+	clear(locks)
+	return locks[:0]
 }
 
 // emptied clears an index map for reuse, or drops one that grew large.

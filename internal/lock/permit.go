@@ -112,7 +112,7 @@ func (m *Manager) permitOneLocked(grantor, grantee xid.TID, od *objDesc, ops xid
 			}
 		}
 	}
-	od.cond.Broadcast() // new permission may unblock waiters
+	od.wake() // new permission may unblock waiters
 }
 
 // insertPD adds or widens the PD (grantor→grantee, ops) on od and reports
@@ -147,7 +147,8 @@ func (m *Manager) insertPD(od *objDesc, grantor, grantee xid.TID, ops xid.OpSet)
 	p.refs.Store(2) // the grantor's index and od's list
 	grantorTS.byGrantor = append(grantorTS.byGrantor, p)
 	grantorTS.lat.Unlock()
-	od.permits = append(od.permits, p)
+	side := od.ownSide()
+	side.permits = append(side.permits, p)
 	if !grantee.IsNil() {
 		alive := false
 		if granteeTS := m.stateOf(grantee); granteeTS != nil {

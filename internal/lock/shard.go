@@ -20,23 +20,26 @@ const defaultShards = 64
 // collector. Descriptors on a list hold no object data and no pointers
 // into the table.
 const (
-	maxFreeReqs = 256  // per shard
-	maxFreePDs  = 64   // per shard
-	maxFreeTxns = 1024 // per manager
-	// An OD (288 B, its first holder's LRD inside) is nearly four times an
+	maxFreeReqs  = 256  // per shard
+	maxFreePDs   = 64   // per shard
+	maxFreeSides = 64   // per shard
+	maxFreeTxns  = 1024 // per manager
+	// An OD (144 B, its first holder's LRD inside) is nearly three times an
 	// LRD's size, and a shard needs spares only for the objects that are
 	// released together: 64 per shard is 4,096 across the default table,
-	// about 1.1 MB at most. A bulk load that locks more than that in one
+	// about 0.6 MB at most. A bulk load that locks more than that in one
 	// transaction gives the excess back to the collector.
 	maxFreeODs = 64 // per shard
 	// A recycled txnState keeps its (emptied) lock list and reservation
-	// map; one that grew past this many entries is dropped instead, so a
-	// single huge transaction does not leave a huge index behind for small
-	// ones to carry or clear.
+	// map. A lock list that grew past this many entries is kept only while
+	// the transaction that just used it needed it (see keptLocks); a
+	// reservation map past it is dropped, so a single huge transaction does
+	// not leave a huge index behind for small ones to carry or clear.
 	maxKeptIndex = 64
-	// A recycled OD keeps the (emptied) backing arrays of its pending queue
-	// and PD list up to this capacity, so an object that was once a hot spot
-	// does not park a long array on the free list.
+	// A recycled OD keeps the (emptied) backing array of its granted chain,
+	// and a recycled side record those of its pending queue and PD list, up
+	// to this capacity, so an object that was once a hot spot does not park
+	// a long array on a free list.
 	maxKeptChain = 8
 	// minBuckets is a shard's initial OD bucket count; the array doubles
 	// when the mapped ODs outnumber the buckets and never shrinks (8 bytes
@@ -48,7 +51,7 @@ const (
 // whose oid hashes to it — the OD's granted/pending LRD chains and PD list —
 // all guarded by the shard latch, mirroring the paper's §4.1 use of EOS
 // test-and-set latches on the OD hash chains. Condition variables (one per
-// OD, built on the shard latch) park blocked requests.
+// side record, built on the shard latch) park blocked requests.
 //
 // ODs hang off the bucket array in chains linked through objDesc.next, the
 // paper's own structure: mapping and unmapping one is a few pointer writes
@@ -59,23 +62,25 @@ const (
 // takes the last of those away (retireIfIdle), so the table is sized by the
 // locks in force, not by the objects ever locked.
 //
-// The shard also owns the free list of the LRDs its ODs retire. An LRD is
+// The shard also owns the free lists of the side records its ODs retire
+// with, and of the LRDs its ODs retire. An LRD is
 // reachable only from one OD's granted or pending chain (plus, while
 // pending, the stack of the acquire call that parked it), always under
 // this latch — the transaction side indexes ODs, never LRDs — so the moment
 // it is unlinked from its chain under the latch nobody else can hold it,
 // and it goes straight back on the list.
+//
+// The fields fill exactly one cache line, so adjacent shards' latch words
+// don't false-share.
 type lockShard struct {
 	//asset:latch order=20 spin
-	lat     latch.Latch
-	buckets []*objDesc                    // OD hash chains; len is a power of two
-	reqPool pool.Stack[lockReq, *lockReq] // retired LRDs
-	odPool  pool.Stack[objDesc, *objDesc] // retired ODs
-	pdPool  pool.Stack[permit, *permit]   // retired PDs
-	nods    int32                         // mapped ODs
-	// Pad to exactly one cache line, so adjacent shards' latch words don't
-	// false-share.
-	_ [4]byte
+	lat      latch.Latch
+	nods     int32                         // mapped ODs
+	buckets  []*objDesc                    // OD hash chains; len is a power of two
+	reqPool  pool.Stack[lockReq, *lockReq] // retired LRDs
+	odPool   pool.Stack[objDesc, *objDesc] // retired ODs
+	sidePool pool.Stack[odSide, *odSide]   // retired side records
+	pdPool   pool.Stack[permit, *permit]   // retired PDs
 }
 
 // shardIndexOf returns the index of the shard owning oid.
@@ -118,15 +123,14 @@ func (s *lockShard) od(oid xid.OID) *objDesc {
 // mapOD is od's miss path: it takes a descriptor off the shard's free list,
 // or makes one, and links it under oid. Outlined so the make-one path is
 // charged here and not to the //asset:noalloc callers od is inlined into.
-// The descriptor carries its cond and room for its first holder, so a new
-// one is a single heap object.
+// The descriptor carries room for its first holder, so a new one is a
+// single heap object.
 //
 //go:noinline
 func (s *lockShard) mapOD(oid xid.OID) *objDesc {
 	od := s.odPool.Pop()
 	if od == nil {
-		od = &objDesc{home: s}
-		od.cond.L = &s.lat
+		od = &objDesc{home: s, odSide: &noSide}
 		od.granted = od.grantedBuf[:0]
 	}
 	if int(s.nods) >= len(s.buckets) {
@@ -162,15 +166,16 @@ func (s *lockShard) grow() {
 // reservations, so a declared counter keeps its OD until DropEscrow). It is
 // the last thing a latch hold does with od — every site that shrinks a chain,
 // or that mapped od and installed nothing, ends with it — because from here
-// on the descriptor may be handed to another oid of this shard. With pending
-// empty nobody is parked on od.cond; a wake-up callback that had already
-// started may still Broadcast on it, which after reuse is a spurious wake-up
-// of the new object's waiters, and every wait loop re-evaluates on wake-up.
+// on the descriptor may be handed to another oid of this shard. Its side
+// record, if it took one, goes back on the shard's free list. With pending
+// empty nobody is parked on that record's cond; a wake-up callback that had
+// already started may still Broadcast on it, which after reuse is a spurious
+// wake-up of another object's waiters, and every wait loop re-evaluates on
+// wake-up.
 //
-// The cond is never reset (it is bound to this shard's latch for good, and an
-// OD never changes shard), and the other fields are reset one by one: the
-// descriptor must not be overwritten as a whole, it embeds a sync.Cond.
-// Caller holds s.lat; od is mapped.
+// The reset is field by field: home is read without the latch (an OD never
+// changes shard), so it is never written again, and first is zero already
+// (dropGranted). Caller holds s.lat; od is mapped.
 func (s *lockShard) retireIfIdle(od *objDesc) {
 	if !od.idle() {
 		return
@@ -186,9 +191,35 @@ func (s *lockShard) retireIfIdle(od *objDesc) {
 	if od.granted = keptChain(od.granted); od.granted == nil {
 		od.granted = od.grantedBuf[:0]
 	}
-	od.pending = keptChain(od.pending)
-	od.permits = keptChain(od.permits)
+	if od.odSide != &noSide {
+		s.freeSide(od.odSide)
+		od.odSide = &noSide
+	}
 	s.odPool.Push(od, maxFreeODs)
+}
+
+// newSide takes a side record off the shard's free list, or makes one
+// whose cond is bound to the shard latch. Caller holds s.lat. Not inlined,
+// as newReq.
+//
+//go:noinline
+func (s *lockShard) newSide() *odSide {
+	if sd := s.sidePool.Pop(); sd != nil {
+		return sd
+	}
+	sd := &odSide{}
+	sd.cond.L = &s.lat
+	return sd
+}
+
+// freeSide retires the side record of an OD that is retiring, keeping the
+// emptied arrays of its lists unless they grew large. The cond is never
+// reset: it is bound to this shard's latch for good. The record embeds a
+// sync.Cond, so it is reset field by field. Caller holds s.lat.
+func (s *lockShard) freeSide(sd *odSide) {
+	sd.pending = keptChain(sd.pending)
+	sd.permits = keptChain(sd.permits)
+	s.sidePool.Push(sd, maxFreeSides)
 }
 
 // keptChain returns an emptied chain's backing array for reuse, or nil if it
@@ -213,10 +244,14 @@ func (s *lockShard) newReq() *lockReq {
 }
 
 // freeReq retires an LRD that was just unlinked from its OD chain, keeping
-// its emptied edge list for the next wait. Caller holds s.lat, under which
-// the unlinking happened.
+// its parked record, emptied, for the next wait. Caller holds s.lat, under
+// which the unlinking happened.
 func (s *lockShard) freeReq(r *lockReq) {
-	*r = lockReq{waits: r.waits}
+	w := r.wait
+	if w != nil {
+		*w = parked{tids: w.tids[:0]}
+	}
+	*r = lockReq{wait: w}
 	s.reqPool.Push(r, maxFreeReqs)
 }
 

@@ -308,8 +308,10 @@ func (c *Cache) Len() int {
 }
 
 // ForEach calls fn with a copy of every object's contents, in ascending
-// oid order. Objects created or deleted during the iteration may or may
-// not be visited; an object present throughout is visited once.
+// oid order. The copy is valid only until fn returns: the walk copies
+// every object into one buffer, so fn copies what it keeps. Objects
+// created or deleted during the iteration may or may not be visited; an
+// object present throughout is visited once.
 func (c *Cache) ForEach(fn func(oid xid.OID, data []byte) bool) {
 	type entry struct {
 		key uint64
@@ -322,13 +324,15 @@ func (c *Cache) ForEach(fn func(oid xid.OID, data []byte) bool) {
 	}
 	c.lat.RUnlock()
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].key < blocks[j].key })
+	var buf []byte
 	for _, e := range blocks {
 		for live := e.b.live.Load(); live != 0; live &= live - 1 {
 			slot := bits.TrailingZeros64(live)
-			data, ok := e.b.appendSlot(nil, slot, 1<<slot)
+			data, ok := e.b.appendSlot(buf[:0], slot, 1<<slot)
 			if !ok {
 				continue
 			}
+			buf = data
 			if !fn(xid.OID(e.key*blockSlots+uint64(slot)), data) {
 				return
 			}

@@ -208,7 +208,15 @@ func createSegment(fsys faultfs.FS, dir string, seq, firstLSN uint64) (faultfs.F
 //asset:noalloc
 func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	l.appendMu.Lock()
-	defer l.appendMu.Unlock()
+	lsn, err := l.appendHeld(r)
+	l.appendMu.Unlock()
+	return lsn, err
+}
+
+// appendHeld is Append's body, for a caller that holds appendMu.
+//
+//asset:noalloc
+func (l *SegmentedLog) appendHeld(r *Record) (uint64, error) {
 	if l.closed.Load() {
 		return 0, errAppendClosed
 	}
@@ -533,11 +541,13 @@ func (l *SegmentedLog) startSegment(seq, firstLSN uint64, keep Records) (f fault
 	}
 	if keep != nil {
 		err = keep(func(r *Record) error {
-			if _, err := l.Append(r); err != nil {
+			// One latch hold appends the record and reads the batch's size.
+			l.appendMu.Lock()
+			_, err := l.appendHeld(r)
+			pending := len(l.slab)
+			l.appendMu.Unlock()
+			if err != nil || pending < truncateChunk {
 				return err
-			}
-			if l.pendingBytes() < truncateChunk {
-				return nil
 			}
 			return drain()
 		})
@@ -561,13 +571,6 @@ func (l *SegmentedLog) unlinkSegment(seq uint64) {
 	if l.fsys.Remove(segmentPath(l.dir, seq)) == nil {
 		_ = l.fsys.SyncDir(l.dir) // best effort: the cause is what the caller reports
 	}
-}
-
-// pendingBytes reports the size of the batch the next drain takes.
-func (l *SegmentedLog) pendingBytes() int {
-	l.appendMu.Lock()
-	defer l.appendMu.Unlock()
-	return len(l.slab)
 }
 
 // Close drains the pending batch and closes the chain.
