@@ -391,12 +391,12 @@ func (m *Manager) commitLocked(group []*txn) error {
 	forcedAborts := m.forcedAbortsLocked(group, abortBuf[:0])
 	for _, member := range group {
 		// A member recovered in doubt installs the images it withheld
-		// since recovery; redo is nil for every other member.
-		if member.redo != nil {
-			for _, op := range *member.redo {
+		// since recovery; no other member has any.
+		if ops, ok := m.inDoubtRedo[member.id]; ok {
+			for _, op := range ops {
 				m.installRedoLocked(op)
 			}
-			member.redo = nil
+			delete(m.inDoubtRedo, member.id)
 		}
 		member.dropUndo()
 		member.setSt(xid.StatusCommitted)
@@ -616,7 +616,7 @@ func (m *Manager) abortCascadeLocked(t *txn, reason error, includePrepared bool)
 		u.dropUndo()
 		// An aborted in-doubt member's withheld images simply vanish; there
 		// is nothing in the cache to roll back.
-		u.redo = nil
+		delete(m.inDoubtRedo, u.id)
 	}
 	sort.Slice(undos, func(i, j int) bool { return undos[i].rec.seq > undos[j].rec.seq })
 	for _, ur := range undos {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -150,7 +151,11 @@ type Manager struct {
 	free    pool.Shared[txn, *txn]     // recycled TDs
 	wakers  pool.Shared[waker, *waker] // wake channels between waits (await)
 	nextTID atomic.Uint64
-	live    atomic.Int64 // non-terminated transactions, for Checkpoint's quiescence
+	// tidFloor is the durable tid floor (see setTIDFloorLocked): no tid at
+	// or above it is handed out before a higher floor is durable. Written
+	// under mu; MaxUint64 for a manager with no log.
+	tidFloor atomic.Uint64
+	live     atomic.Int64 // non-terminated transactions, for Checkpoint's quiescence
 
 	locks *lock.Manager
 	deps  *dep.Graph
@@ -178,12 +183,17 @@ type Manager struct {
 	// order bounding it to retention; preparing gates the window in which
 	// a vote's TPrepare force or a verdict's TCommit force has released
 	// mu — duplicate votes and verdicts wait it out on a channel the first
-	// of them makes (awaitGateLocked).
+	// of them makes (awaitGateLocked). inDoubtRedo holds the withheld
+	// after-images of each transaction recovered in doubt (prepared in the
+	// WAL, verdict unknown): installed on a commit verdict, discarded on
+	// abort. Ordinary transactions have none: their updates live in the
+	// cache and roll back via undo.
 	prepared      map[uint64][]xid.TID
 	spareTIDLists [][]xid.TID
 	verdicts      map[uint64]bool
 	verdictOrder  []uint64
 	preparing     map[uint64]chan struct{}
+	inDoubtRedo   map[xid.TID][]wal.RedoOp
 
 	closed atomic.Bool
 	// closeCh closes when Close begins, waking admission queuers and
@@ -215,6 +225,7 @@ func Open(cfg Config) (*Manager, error) {
 		cache:        storage.NewCache(),
 		txns:         htab.New[*txn](0),
 		prepared:     make(map[uint64][]xid.TID),
+		inDoubtRedo:  make(map[xid.TID][]wal.RedoOp),
 		verdicts:     make(map[uint64]bool),
 		preparing:    make(map[uint64]chan struct{}),
 		closeCh:      make(chan struct{}),
@@ -236,6 +247,7 @@ func Open(cfg Config) (*Manager, error) {
 	})
 
 	if cfg.Dir == "" {
+		m.tidFloor.Store(math.MaxUint64)
 		return m, nil
 	}
 
@@ -285,7 +297,51 @@ func Open(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m.log = log
+	m.mu.Lock()
+	err = m.setTIDFloorLocked(st.MaxTID + tidBlock)
+	m.mu.Unlock()
+	if err != nil {
+		log.Close()
+		return nil, err
+	}
 	return m, nil
+}
+
+// tidBlock is how far each durable tid floor reaches past the tids issued
+// before it: a manager forces one floor record when it opens and one more
+// every tidBlock tids.
+const tidBlock = 1 << 20
+
+// setTIDFloorLocked makes floor the durable tid floor: a TBegin naming it,
+// forced. A tid that reached no durable record before a crash — an
+// initiated transaction, a reader, a writer whose records were not yet
+// forced — is below the floor, and recovery, which continues from the
+// largest tid any record names, never issues it again. Caller holds m.mu.
+func (m *Manager) setTIDFloorLocked(floor xid.TID) error {
+	rec := wal.Record{Type: wal.TBegin, TID: floor}
+	if _, err := m.log.Append(&rec); err != nil {
+		return err
+	}
+	if err := m.log.Sync(); err != nil {
+		return err
+	}
+	m.tidFloor.Store(uint64(floor))
+	return nil
+}
+
+// raiseTIDFloor is initiateOpts's slow path: id reached the durable floor,
+// so a new floor a block past it is forced before id is handed out. Once
+// every tidBlock tids; an initiator that finds the floor raised meanwhile
+// has nothing to do.
+//
+//go:noinline
+func (m *Manager) raiseTIDFloor(id xid.TID) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if uint64(id) < m.tidFloor.Load() {
+		return nil
+	}
+	return m.setTIDFloorLocked(id + tidBlock)
 }
 
 // Close shuts the manager down gracefully: every live transaction is
@@ -526,15 +582,15 @@ func (m *Manager) Checkpoint() error {
 }
 
 // snapshotLocked streams into emit, through the manager's reused record,
-// a TBegin naming the last tid issued and then a TImage record of every
+// a TBegin naming the durable tid floor and then a TImage record of every
 // cached object: a quiescent cache holds exactly the committed state. The
-// TBegin is the snapshot's tid floor, since the images name no tid and
-// replay would otherwise issue the chain's tids afresh. The order is
+// TBegin carries the floor into the new chain, since the images name no
+// tid and replay would otherwise issue the chain's tids afresh. The order is
 // ascending oid, so a run writes the same bytes in the same file
 // operations every time, which CrashSim's sweeps rely on. Caller holds
 // m.mu.
 func (m *Manager) snapshotLocked(emit func(*wal.Record) error) error {
-	m.rec = wal.Record{Type: wal.TBegin, TID: xid.TID(m.nextTID.Load())}
+	m.rec = wal.Record{Type: wal.TBegin, TID: xid.TID(m.tidFloor.Load())}
 	if err := emit(&m.rec); err != nil {
 		return err
 	}

@@ -78,7 +78,7 @@ func (tx *Tx) LockCtx(ctx context.Context, oid xid.OID, ops xid.OpSet) error {
 	if ctx == nil {
 		ctx = t.lockCtx()
 	}
-	if err := m.locks.LockCtx(ctx, t.id, oid, ops); err != nil {
+	if err := m.locks.LockAs(ctx, t.lk, t.id, oid, ops); err != nil {
 		return mapLockErr(err)
 	}
 	if err := t.checkRunning(); err != nil {
@@ -106,7 +106,7 @@ func (tx *Tx) AppendRead(dst []byte, oid xid.OID) ([]byte, error) {
 	if err := t.checkRunning(); err != nil {
 		return dst, err
 	}
-	if err := m.locks.LockCtx(t.lockCtx(), t.id, oid, xid.OpRead); err != nil {
+	if err := m.locks.LockAs(t.lockCtx(), t.lk, t.id, oid, xid.OpRead); err != nil {
 		return dst, mapLockErr(err)
 	}
 	if err := t.checkRunning(); err != nil {
@@ -138,7 +138,7 @@ func errNoObject(oid xid.OID) error {
 // frame buffer.
 func (tx *Tx) Write(oid xid.OID, data []byte) error {
 	m, t := tx.m, tx.t
-	if err := m.locks.LockCtx(t.lockCtx(), t.id, oid, xid.OpWrite); err != nil {
+	if err := m.locks.LockAs(t.lockCtx(), t.lk, t.id, oid, xid.OpWrite); err != nil {
 		return mapLockErr(err)
 	}
 	m.mu.Lock()
@@ -161,7 +161,7 @@ func (tx *Tx) Write(oid xid.OID, data []byte) error {
 // copy of its own, which it may change, keep and return.
 func (tx *Tx) Update(oid xid.OID, fn func([]byte) []byte) error {
 	m, t := tx.m, tx.t
-	if err := m.locks.LockCtx(t.lockCtx(), t.id, oid, xid.OpWrite); err != nil {
+	if err := m.locks.LockAs(t.lockCtx(), t.lk, t.id, oid, xid.OpWrite); err != nil {
 		return mapLockErr(err)
 	}
 	m.mu.Lock()
@@ -229,7 +229,7 @@ func (tx *Tx) CreateAt(oid xid.OID, data []byte) error {
 		return fmt.Errorf("core: CreateAt with null oid")
 	}
 	m.cache.SetNextOID(oid) // keep the allocator ahead of explicit oids
-	if err := m.locks.LockCtx(t.lockCtx(), t.id, oid, xid.OpWrite); err != nil {
+	if err := m.locks.LockAs(t.lockCtx(), t.lk, t.id, oid, xid.OpWrite); err != nil {
 		return mapLockErr(err)
 	}
 	m.mu.Lock()
@@ -277,7 +277,7 @@ func (tx *Tx) AddCtx(ctx context.Context, oid xid.OID, delta int64) error {
 	if ctx == nil {
 		ctx = t.lockCtx()
 	}
-	if err := m.locks.EscrowReserveCtx(ctx, t.id, oid, delta); err != nil {
+	if err := m.locks.EscrowReserveAs(ctx, t.lk, t.id, oid, delta); err != nil {
 		return mapLockErr(err)
 	}
 	m.mu.Lock()
@@ -341,7 +341,7 @@ func addInPlace(obj *storage.Object, delta int64) {
 // Deleting the object (or rolling back its creation) clears them.
 func (tx *Tx) DeclareEscrow(oid xid.OID, lo, hi uint64) error {
 	m, t := tx.m, tx.t
-	if err := m.locks.LockCtx(t.lockCtx(), t.id, oid, xid.OpWrite); err != nil {
+	if err := m.locks.LockAs(t.lockCtx(), t.lk, t.id, oid, xid.OpWrite); err != nil {
 		return mapLockErr(err)
 	}
 	m.mu.Lock()
@@ -374,7 +374,7 @@ func (tx *Tx) ReadCounter(oid xid.OID) (uint64, error) {
 // reinstates it.
 func (tx *Tx) Delete(oid xid.OID) error {
 	m, t := tx.m, tx.t
-	if err := m.locks.LockCtx(t.lockCtx(), t.id, oid, xid.OpWrite); err != nil {
+	if err := m.locks.LockAs(t.lockCtx(), t.lk, t.id, oid, xid.OpWrite); err != nil {
 		return mapLockErr(err)
 	}
 	m.mu.Lock()

@@ -350,7 +350,7 @@ func (m *Manager) installInDoubt(st *wal.State) error {
 		for _, id := range tids {
 			t := m.newTxn(id, xid.NilTID, nil, 1) // the table's reference only: nobody drives it
 			ops := st.InDoubtOps[id]
-			t.redo = &ops
+			m.inDoubtRedo[id] = ops
 			t.setSt(xid.StatusPrepared)
 			t.closeDone() // the body finished before the vote, by definition
 			m.txns.Put(uint64(id), t)

@@ -77,6 +77,12 @@ func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*tx
 	}
 	m.live.Add(1)
 	id := xid.TID(m.nextTID.Add(1))
+	if uint64(id) >= m.tidFloor.Load() {
+		if err := m.raiseTIDFloor(id); err != nil {
+			m.live.Add(-1)
+			return nil, xid.NilTID, err
+		}
+	}
 	refs := int32(1)
 	if fn == nil {
 		refs = 2
@@ -315,6 +321,7 @@ func (m *Manager) beginOne(ctx context.Context, id xid.TID, interactive bool) (_
 			return nil, abortedErr(t.abErr)
 		}
 	}
+	t.lk = m.locks.Holder(id)
 	t.setSt(xid.StatusRunning)
 	m.mu.Unlock()
 	if ctxDone != nil && t.ctx != nil {

@@ -150,7 +150,8 @@ func TestCheckpointAndRestart(t *testing.T) {
 // every record before it, and the log reopened after it numbers on from
 // there. A delta logged after a reopen is applied once over the
 // snapshot's value — not lost, not doubled — through checkpoint →
-// reopen → add → reopen cycles, and LSNs only ever rise.
+// reopen → add → reopen cycles, and LSNs only ever rise. Each open
+// appends one record, the tid floor.
 func TestCountersSurviveCheckpointCycles(t *testing.T) {
 	dir := t.TempDir()
 	m := openDurable(t, dir)
@@ -167,8 +168,8 @@ func TestCountersSurviveCheckpointCycles(t *testing.T) {
 	m.Close()
 	for i, want := range []uint64{105, 110, 115} {
 		m = openDurable(t, dir)
-		if got := lastLSN(); got != last {
-			t.Fatalf("reopen %d: the log resumes after LSN %d, want %d", i, got, last)
+		if got := lastLSN(); got != last+1 {
+			t.Fatalf("reopen %d: the log resumes after LSN %d, want %d (the tid floor after %d)", i, got, last+1, last)
 		}
 		runTxn(t, m, func(tx *Tx) error { return tx.Add(oid, 5) })
 		if got := lastLSN(); got <= last {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lock"
 	"repro/internal/race"
 	"repro/internal/xid"
 )
@@ -462,7 +463,7 @@ func (m *Manager) checkDescriptors(held ...*Tx) []string {
 		if r := d.refs.Load(); r != 0 {
 			bad = append(bad, fmt.Sprintf("free descriptor with %d references", r))
 		}
-		if d.fn != nil || d.ctx != nil || d.abErr != nil || len(d.undo) != 0 || d.redo != nil {
+		if d.fn != nil || d.ctx != nil || d.abErr != nil || len(d.undo) != 0 || d.lk != (lock.Holder{}) {
 			bad = append(bad, "free descriptor not reset")
 		}
 	}); err != nil {

@@ -12,8 +12,9 @@ import (
 
 // TestLogHoldsOnlyRedo: the engine logs what replay reads and nothing
 // else. A workload of every kind of update, an abort, a delegation and a
-// prepared group leaves a log with no begin record and no before image in
-// any update, and the log still reopens to exactly the live cache.
+// prepared group leaves a log with no per-transaction begin record (the one
+// begin record is the tid floor Open forces) and no before image in any
+// update, and the log still reopens to exactly the live cache.
 func TestLogHoldsOnlyRedo(t *testing.T) {
 	mfs := faultfs.NewMem()
 	cfg := Config{Dir: "/db", FS: mfs, SyncCommits: true}
@@ -91,8 +92,8 @@ func TestLogHoldsOnlyRedo(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n := types[wal.TBegin]; n != 0 {
-		t.Errorf("the log holds %d begin records, want none", n)
+	if n := types[wal.TBegin]; n != 1 {
+		t.Errorf("the log holds %d begin records, want the one tid floor Open forced", n)
 	}
 	for _, typ := range []wal.Type{wal.TUndo, wal.TAbort, wal.TDelegate, wal.TPrepare, wal.TCommit} {
 		if types[typ] == 0 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lock"
 	"repro/internal/pool"
 	"repro/internal/wal"
 	"repro/internal/xid"
@@ -111,11 +112,10 @@ type txn struct {
 	// mutex, like undo; emptied, not dropped, when the descriptor is
 	// recycled, unless it grew past maxKeptImages.
 	imgs []byte
-	// redo holds the withheld after-images of a transaction recovered in
-	// doubt (prepared in the WAL, verdict unknown): installed on a commit
-	// verdict, discarded on abort. Nil for ordinary transactions, whose
-	// updates live in the cache and roll back via undo.
-	redo *[]wal.RedoOp
+	// lk is the transaction's state in the lock table, resolved by tid when
+	// it begins (before the status turns running, which every lock request
+	// checks first), so that its locks skip the lookup by tid.
+	lk lock.Holder
 
 	pool.Link[txn]
 }
@@ -381,7 +381,7 @@ func (t *txn) reset() {
 	t.done, t.term, t.aborting = event{}, event{}, event{}
 	t.tokHeld, t.tok = false, nil
 	t.imgs = keptImages(t.imgs)
-	t.redo = nil
+	t.lk = lock.Holder{}
 }
 
 // dropUndo empties t's undo list once nothing can roll it back, at its

@@ -60,9 +60,9 @@ func (m *Manager) AppendDelegate(moved []xid.OID, from, to xid.TID, oids []xid.O
 		}
 		return slices.Contains(oids, oid)
 	}
-	for _, h := range fromTS.locks {
-		if named(h.oid) {
-			candidates = append(candidates, h.oid)
+	for _, oid := range fromTS.locks {
+		if named(oid) {
+			candidates = append(candidates, oid)
 		}
 	}
 	for _, p := range fromTS.byGrantor {
@@ -106,8 +106,10 @@ func (m *Manager) AppendDelegate(moved []xid.OID, from, to xid.TID, oids []xid.O
 	return moved
 }
 
-// delegateOneLocked moves from's LRD on oid into to's lock list, merging
-// with any lock to already holds there, and reports whether a lock moved.
+// delegateOneLocked moves from's lock on oid into to's lock list, merging
+// with any lock to already holds there, and reports whether a lock moved. A
+// lone lock is retagged in its entry: it has no waiter to wake, no PD and no
+// ledger, and the delegatee cannot hold the object too.
 // Any escrow reservation from holds on the object moves with the lock —
 // the delegatee inherits the in-flight delta along with the undo
 // responsibility the caller transfers — unless the delegatee is dead, in
@@ -117,10 +119,31 @@ func (m *Manager) AppendDelegate(moved []xid.OID, from, to xid.TID, oids []xid.O
 // a retired delegatee gets nothing. Caller holds s.lat; the txnState latches
 // nest inside it, taken one at a time.
 func (m *Manager) delegateOneLocked(from, to xid.TID, fromTS, toTS *txnState, s *lockShard, oid xid.OID) bool {
-	od := s.lookup(oid)
-	if od == nil {
+	i, ok := s.find(oid)
+	if !ok {
 		return false
 	}
+	if e := &s.table[i]; e.od == nil {
+		if e.tid != from {
+			return false // released or already delegated since the snapshot
+		}
+		fromTS.lat.Lock()
+		live := fromTS.is(from)
+		fromTS.lat.Unlock()
+		if !live {
+			return false // from is being released; the lock goes with it
+		}
+		toTS.lat.Lock()
+		if toTS.is(to) {
+			e.tid = to
+			toTS.locks = append(toTS.locks, oid)
+		} else {
+			s.remove(i) // the delegatee terminated: the lock goes with it
+		}
+		toTS.lat.Unlock()
+		return true
+	}
+	od := s.table[i].od
 	gl := od.ownerReq(from)
 	if gl == nil {
 		return false // released or already delegated since the snapshot
@@ -165,7 +188,7 @@ func (m *Manager) delegateOneLocked(from, to xid.TID, fromTS, toTS *txnState, s 
 			}
 		} else {
 			gl.tid = to
-			toTS.locks = append(toTS.locks, held{oid, od})
+			toTS.locks = append(toTS.locks, oid)
 			toTS.lat.Unlock()
 			m.moveReservationLocked(od, from, to, toTS)
 		}
@@ -218,9 +241,9 @@ func (ts *txnState) dropMoved(tid xid.TID, moved []xid.OID) {
 		return
 	}
 	kept := ts.locks[:0]
-	for _, h := range ts.locks {
-		if !take(h.oid) {
-			kept = append(kept, h)
+	for _, oid := range ts.locks {
+		if !take(oid) {
+			kept = append(kept, oid)
 		}
 	}
 	clear(ts.locks[len(kept):])
@@ -253,7 +276,7 @@ func (m *Manager) moveReservationLocked(od *objDesc, from, to xid.TID, toTS *txn
 	tr.pos += r.pos
 	tr.neg += r.neg
 	od.esc.holders[to] = tr
-	toTS.indexEscrow(od)
+	toTS.indexEscrow(od.oid)
 	toTS.lat.Unlock()
 }
 
@@ -265,7 +288,7 @@ const maxScannedOIDs = 16
 // working from the snapshot taken by AppendDelegate, whose references it
 // drops. Each PD is re-validated under its own shard latch: one found dead
 // is skipped without looking at its od, which may have been reused; one
-// found live is on its OD's list, which keeps that OD mapped.
+// found live is on its OD's list, which keeps that OD in its entry.
 func (m *Manager) reassignGrantor(to xid.TID, pds []*permit) {
 	for _, p := range pds {
 		s := p.od.home

@@ -163,8 +163,9 @@ func (e *escrowState) settle(tid xid.TID, commit bool) {
 // in-flight delta would make it ambiguous; the lock-side value is
 // authoritative from then on, maintained purely from committed escrow
 // deltas, so it stays in step with a cache updated by the same deltas. The
-// ledger is state of the object, not of a lock: it keeps the object's OD
-// mapped, locked or not, until DropEscrow.
+// ledger lives on the object's OD, inflating a lone lock's entry, and is
+// state of the object, not of a lock: it keeps the OD in its entry, locked
+// or not, until DropEscrow.
 func (m *Manager) DeclareEscrow(oid xid.OID, val, lo, hi uint64) error {
 	if lo > hi {
 		return errors.New("lock: escrow bounds inverted (lo > hi)")
@@ -191,7 +192,7 @@ func (m *Manager) DeclareEscrow(oid xid.OID, val, lo, hi uint64) error {
 // its creation rolled back). Outstanding reservations are discarded with
 // it; callers ensure quiescence the same way deletion does, by holding a
 // conflicting write lock. The ledger was what kept an otherwise idle OD
-// mapped, so dropping it may retire the OD.
+// in its entry, so dropping it may retire the OD.
 func (m *Manager) DropEscrow(oid xid.OID) {
 	s := m.shardOf(oid)
 	s.lat.Lock()
@@ -232,11 +233,17 @@ func (m *Manager) EscrowReserve(tid xid.TID, oid xid.OID, delta int64) error {
 // EscrowReserveCtx is EscrowReserve bounded by a context, with LockCtx's
 // abandonment semantics.
 func (m *Manager) EscrowReserveCtx(ctx context.Context, tid xid.TID, oid xid.OID, delta int64) error {
+	return m.EscrowReserveAs(ctx, Holder{}, tid, oid, delta)
+}
+
+// EscrowReserveAs is EscrowReserveCtx for the transaction h is the Holder
+// of; the zero Holder resolves tid.
+func (m *Manager) EscrowReserveAs(ctx context.Context, h Holder, tid xid.TID, oid xid.OID, delta int64) error {
 	mode := xid.OpIncr
 	if delta < 0 {
 		mode = xid.OpDecr
 	}
-	return m.acquire(ctx, tid, oid, mode, delta, true)
+	return m.acquire(ctx, h.ts, tid, oid, mode, delta, true)
 }
 
 // EscrowUnreserve backs out one reserved delta whose operation failed
@@ -293,10 +300,10 @@ func (m *Manager) settleEscrows(tid xid.TID, commit bool) {
 	}
 	ts.escrows = nil
 	ts.lat.Unlock()
-	for oid, od := range ods {
-		s := od.home
+	for oid := range ods {
+		s := m.shardOf(oid)
 		s.lat.Lock()
-		if od.is(oid) && od.esc != nil {
+		if od := s.lookup(oid); od != nil && od.esc != nil {
 			od.esc.settle(tid, commit)
 			od.wake()
 		}

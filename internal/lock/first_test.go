@@ -8,19 +8,29 @@ import (
 	"repro/internal/xid"
 )
 
-// The OD carries its first holder's LRD (objDesc.first), so an uncontended
-// lock is one descriptor, and a transaction's locks are a list in
-// acquisition order. These tests follow first through every path that
-// takes it, hands it on or gives it back, and the lock list through a bulk
-// delegation.
+// A lone lock is its entry in the shard's table; the OD an entry inflates
+// into carries the lone holder on as its first LRD (objDesc.first), so a
+// second holder costs one LRD off the free list. A transaction's locks are
+// a list of oids in acquisition order. These tests follow the holder kept
+// without an LRD through every path that takes it, hands it on or gives it
+// back, and the lock list through a bulk delegation.
 
-// firstHolder returns the tid on oid's first LRD and whether it is in use.
+// firstHolder returns the holder the table keeps without an LRD off the
+// free list — a lone lock's, in its entry, or the OD's first LRD's — and
+// whether there is one.
 func firstHolder(m *Manager, oid xid.OID) (xid.TID, bool) {
 	s := m.shardOf(oid)
 	s.lat.Lock()
 	defer s.lat.Unlock()
-	od := s.lookup(oid)
-	if od == nil || od.first.od == nil {
+	i, ok := s.find(oid)
+	if !ok {
+		return xid.NilTID, false
+	}
+	if e := &s.table[i]; e.od == nil {
+		return e.tid, true
+	}
+	od := s.table[i].od
+	if od.first.od == nil {
 		return xid.NilTID, false
 	}
 	return od.first.tid, true
@@ -154,23 +164,25 @@ func TestDelegateAllBulkReleasesClean(t *testing.T) {
 }
 
 // TestODSizeClass: an OD with its first holder's LRD inside stays in the
-// 144-byte size class. What only a contended, permitted or escrow-declared
+// 128-byte size class. What only a contended, permitted or escrow-declared
 // object needs is in its side record and what only a parked request needs
-// in the LRD's parked record, so each byte here is paid by every locked
-// object.
+// in the LRD's parked record, so each byte here is paid by every object
+// with more than a lone lock.
 func TestODSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(objDesc{}); got > 144 {
-		t.Errorf("objDesc is %d bytes, want at most 144", got)
+	if got := unsafe.Sizeof(objDesc{}); got > 128 {
+		t.Errorf("objDesc is %d bytes, want at most 128", got)
 	}
 }
 
 // TestInvariantsCatchLockListDrift plants each drift between the lock lists,
-// the chains and the free lists that the audit must report: a duplicate
-// entry, a missing one, an OD's free first LRD pushed on the LRD free list,
-// and a retired OD whose first LRD was not zeroed. a held X on first and
-// released it, so b holds X on an LRD off the free list and first is free.
+// the table, the chains and the free lists that the audit must report: a
+// duplicate entry, a missing one, a lone lock whose holder's list lacks it,
+// an OD's free first LRD pushed on the LRD free list, and a retired OD whose
+// first LRD was not zeroed. a held X on first and released it, so b holds X
+// on an LRD off the free list and first is free; b also holds Y, a lone
+// lock, which b's list names after X.
 func TestInvariantsCatchLockListDrift(t *testing.T) {
-	const X = xid.OID(1)
+	const X, Y = xid.OID(1), xid.OID(2)
 	const a, b = xid.TID(1), xid.TID(2)
 	// Each plant runs under the shard latch and b's state latch, except the
 	// last, which releases b first.
@@ -185,6 +197,9 @@ func TestInvariantsCatchLockListDrift(t *testing.T) {
 		{"missing entry", false, func(ts *txnState, od *objDesc) {
 			ts.locks = ts.locks[:0]
 		}},
+		{"lone lock missing from its holder's list", false, func(ts *txnState, od *objDesc) {
+			ts.locks = ts.locks[:1]
+		}},
 		{"free first LRD on the free list", false, func(ts *txnState, od *objDesc) {
 			od.home.reqPool.Push(&od.first, maxFreeReqs)
 		}},
@@ -195,7 +210,11 @@ func TestInvariantsCatchLockListDrift(t *testing.T) {
 		m := newTest(Options{Shards: 1})
 		mustLock(t, m, a, X, xid.OpRead)
 		mustLock(t, m, b, X, xid.OpRead)
+		mustLock(t, m, b, Y, xid.OpWrite)
 		m.ReleaseAll(a)
+		if f := m.Footprint(); f.Entries != 2 || f.ODs != 1 {
+			t.Fatalf("%s: %d entries, %d ODs; the plant needs X inflated and Y lone", tc.name, f.Entries, f.ODs)
+		}
 		wantClean(t, m, tc.name+", before the plant")
 		ts, od := m.stateOf(b), odOf(m, X)
 		if tc.release {

@@ -20,11 +20,11 @@ import (
 //  1. Mutual exclusion: no two unsuspended granted LRDs with conflicting
 //     modes coexist on one object (suspension is the only sanctioned form
 //     of conflicting co-grant, per the permit semantics of §2.2).
-//  2. Index agreement: every granted LRD belongs to a live transaction
-//     whose lock list has exactly one entry for the LRD's object, naming
-//     the LRD's OD, and every entry names a mapped OD that carries a
-//     granted LRD of that transaction — so no grant is held by a
-//     terminated (released) transaction, and ReleaseAll can always find
+//  2. Index agreement: every lone lock and every granted LRD belongs to a
+//     live transaction whose lock list has exactly one entry for the
+//     object, and every list entry names an object the transaction holds
+//     (its lone lock, or a granted LRD on its OD) — so no grant is held by
+//     a terminated (released) transaction, and ReleaseAll can always find
 //     what it must free. No LRD in use is on a free list. An OD's own first
 //     LRD is in use exactly while it is on the OD's granted chain, is never
 //     on a free list, and is zero on every free-listed OD.
@@ -46,15 +46,18 @@ import (
 //     holds a granted increment/decrement-mode lock on the object and
 //     indexes the reservation, and vice versa.
 //  7. Descriptor lifetime: the table holds exactly the locks in force. Every
-//     mapped OD is on the chain its oid hashes to and has something on it (a
-//     granted or pending LRD, a PD, a declared ledger); every OD on a free
-//     list is unmapped, empty and in its own shard; no transaction index and
-//     no live PD points at an OD that is not mapped under the oid it is
-//     known by; the mapped-OD count agrees with the chains, and every free
-//     list passes the pool's audit. A side record is owned by at most one
-//     mapped OD and never also on a free list; a free-listed OD points at
-//     noSide, a free-listed side record has empty lists and no ledger, and
-//     noSide is empty.
+//     entry is in the shard its oid hashes to and is found by its oid's
+//     probe; a lone lock's entry has a holder and a mode, an inflated one
+//     neither, and its OD describes the entry's oid, belongs to no other
+//     entry and has something on it (a granted or pending LRD, a PD, a
+//     declared ledger); every OD on a free list is in no entry, empty and
+//     in its own shard; every transaction index names objects by oid, and
+//     no live PD points at an OD that is not in its oid's entry; the
+//     entry count agrees with the table, and every free list passes the
+//     pool's audit. A side record is owned by at most one OD in an entry
+//     and never also on a free list; a free-listed OD points at noSide, a
+//     free-listed side record has empty lists and no ledger, and noSide is
+//     empty.
 //
 // The intended use is at quiescent points of a concurrent workload (no
 // Lock/Delegate/Permit/ReleaseAll in flight); it is safe, but noisier, to
@@ -98,7 +101,7 @@ func (m *Manager) CheckInvariants() []string {
 	retiredReqs := make(map[*lockReq]bool)
 	retiredODs := make(map[*objDesc]bool)
 	retiredSides := make(map[*odSide]bool)
-	sideOwner := make(map[*odSide]xid.OID) // mapped ODs' own side records
+	sideOwner := make(map[*odSide]xid.OID) // the own side records of ODs in entries
 	if len(noSide.pending)+len(noSide.permits) != 0 || noSide.esc != nil {
 		report("noSide holds %d pending LRDs, %d PDs and ledger %v", len(noSide.pending), len(noSide.permits), noSide.esc)
 	}
@@ -109,8 +112,8 @@ func (m *Manager) CheckInvariants() []string {
 		}
 		if err := s.odPool.Audit(func(od *objDesc) {
 			retiredODs[od] = true
-			if od.mapped || od.home != s || !od.idle() || od.odSide != &noSide {
-				report("shard %d: retired OD (last oid %v) is not empty, unmapped, at home and without a side record", si, od.oid)
+			if od.home != s || !od.idle() || od.odSide != &noSide {
+				report("shard %d: retired OD (last oid %v) is not empty, at home and without a side record", si, od.oid)
 			}
 		}); err != nil {
 			report("shard %d: OD free list: %v", si, err)
@@ -136,48 +139,75 @@ func (m *Manager) CheckInvariants() []string {
 		}
 	}
 
-	// The live states' lock lists, counted once per (transaction, object),
-	// so the object-side walk checks each grant against them in constant
-	// time.
-	type listed struct {
-		od *objDesc // the entry's OD (the first one, if there are several)
-		n  int      // entries for this object
-	}
-	lockEntries := make(map[waitKey]listed)
+	// The live states' lock lists, counted per (transaction, object), so the
+	// object-side walk checks each grant against them in constant time.
+	lockEntries := make(map[waitKey]int)
 	m.txns.Range(func(_ uint64, ts *txnState) bool {
 		ts.lat.Lock()
 		if !ts.dead {
-			for _, h := range ts.locks {
-				k := waitKey{ts.tid, h.oid}
-				e := lockEntries[k]
-				if e.n == 0 {
-					e.od = h.od
-				}
-				e.n++
-				lockEntries[k] = e
+			for _, oid := range ts.locks {
+				lockEntries[waitKey{ts.tid, oid}]++
 			}
 		}
 		ts.lat.Unlock()
 		return true
 	})
+	// listedHolder checks that tid, holding a lock on oid, is live and lists
+	// the object exactly once.
+	listedHolder := func(tid xid.TID, oid xid.OID) {
+		ts := tsOf(tid)
+		if ts == nil {
+			report("object %v: grant held by terminated txn %v", oid, tid)
+			return
+		}
+		ts.lat.Lock()
+		live := ts.is(tid)
+		ts.lat.Unlock()
+		if !live {
+			report("object %v: grant held by dead txn %v", oid, tid)
+		} else if n := lockEntries[waitKey{tid, oid}]; n != 1 {
+			report("object %v: txn %v lock list has %d entries for its grant, want 1", oid, tid, n)
+		}
+	}
 
 	// Object-side walk: shards own the ground truth.
+	odOwner := make(map[*objDesc]xid.OID) // the ODs in entries
 	for si := range m.shards {
 		s := &m.shards[si]
-		mapped := s.mappedODs()
-		if len(mapped) != int(s.nods) {
-			report("shard %d: %d ODs mapped, count says %d", si, len(mapped), s.nods)
-		}
-		for _, od := range mapped {
-			oid := od.oid
-			if !od.mapped || od.home != s || m.shardOf(oid) != s || s.lookup(oid) != od {
-				report("od %v: misfiled (shard %d, mapped %v)", oid, si, od.mapped)
+		used := 0
+		for slot := range s.table {
+			e := &s.table[slot]
+			if e.empty() {
+				continue
 			}
+			used++
+			oid := e.oid
+			if i, found := s.find(oid); m.shardOf(oid) != s || !found || i != slot {
+				report("object %v: entry misfiled (shard %d, slot %d, its probe finds %d/%v)", oid, si, slot, i, found)
+			}
+			if e.od == nil {
+				if e.tid.IsNil() {
+					report("object %v: lone lock with no holder", oid)
+				}
+				listedHolder(e.tid, oid)
+				continue
+			}
+			od := e.od
+			if !e.tid.IsNil() || e.mode != 0 {
+				report("object %v: inflated entry keeps lone holder %v (%v)", oid, e.tid, e.mode)
+			}
+			if od.oid != oid || od.home != s {
+				report("od %v: in the entry of %v in shard %d (home %p)", od.oid, oid, si, od.home)
+			}
+			if other, dup := odOwner[od]; dup {
+				report("od %v: in the entries of %v and %v", od.oid, other, oid)
+			}
+			odOwner[od] = oid
 			if retiredODs[od] {
-				report("od %v: mapped and on the free list", oid)
+				report("od %v: in an entry and on the free list", oid)
 			}
 			if od.idle() {
-				report("od %v: mapped with no lock, waiter, permit or ledger", oid)
+				report("od %v: in an entry with no lock, waiter, permit or ledger", oid)
 			}
 			if sd := od.odSide; sd == nil {
 				report("od %v: no side record, not even noSide", oid)
@@ -208,22 +238,7 @@ func (m *Manager) CheckInvariants() []string {
 					report("object %v: duplicate granted LRD for txn %v", oid, gl.tid)
 				}
 				seen[gl.tid] = true
-				ts := tsOf(gl.tid)
-				if ts == nil {
-					report("object %v: grant held by terminated txn %v", oid, gl.tid)
-					continue
-				}
-				ts.lat.Lock()
-				live := ts.is(gl.tid)
-				ts.lat.Unlock()
-				switch e := lockEntries[waitKey{gl.tid, oid}]; {
-				case !live:
-					report("object %v: grant held by dead txn %v", oid, gl.tid)
-				case e.n != 1:
-					report("object %v: txn %v lock list has %d entries for its granted LRD, want 1", oid, gl.tid, e.n)
-				case e.od != od:
-					report("object %v: txn %v LRD index disagrees with OD chain", oid, gl.tid)
-				}
+				listedHolder(gl.tid, oid)
 				// Mutual exclusion among unsuspended grants.
 				if !gl.suspended {
 					for _, other := range od.granted {
@@ -263,7 +278,8 @@ func (m *Manager) CheckInvariants() []string {
 						report("object %v: escrow reservation by %v without an incr/decr grant", oid, tid)
 					}
 					ts.lat.Lock()
-					indexed := ts.is(tid) && ts.escrows[oid] == od
+					_, indexed := ts.escrows[oid]
+					indexed = indexed && ts.is(tid)
 					ts.lat.Unlock()
 					if !indexed {
 						report("object %v: escrow reservation by %v missing from its index", oid, tid)
@@ -311,6 +327,9 @@ func (m *Manager) CheckInvariants() []string {
 				}
 			}
 		}
+		if used != int(s.n) {
+			report("shard %d: %d entries in the table, count says %d", si, used, s.n)
+		}
 	}
 
 	// Transaction-side walk: indexes must not point at anything the OD
@@ -322,13 +341,18 @@ func (m *Manager) CheckInvariants() []string {
 			report("txn %v: dead state still mapped", ts.tid)
 			return true
 		}
-		for _, h := range ts.locks {
-			if !h.od.is(h.oid) {
-				report("txn %v: lock index entry for %v points at an OD not mapped under it (oid %v)", ts.tid, h.oid, h.od.oid)
-				continue
-			}
-			if h.od.ownerReq(ts.tid) == nil {
-				report("txn %v: indexed LRD on %v absent from OD chain", ts.tid, h.oid)
+		for _, oid := range ts.locks {
+			s := m.shardOf(oid)
+			i, ok := s.find(oid)
+			switch {
+			case !ok:
+				report("txn %v: lock list names %v, which has no entry", ts.tid, oid)
+			case s.table[i].od == nil:
+				if s.table[i].tid != ts.tid {
+					report("txn %v: lock list names %v, a lone lock of %v", ts.tid, oid, s.table[i].tid)
+				}
+			case s.table[i].od.ownerReq(ts.tid) == nil:
+				report("txn %v: indexed LRD on %v absent from OD chain", ts.tid, oid)
 			}
 		}
 		for _, oid := range ts.waits {
@@ -339,9 +363,10 @@ func (m *Manager) CheckInvariants() []string {
 			}
 			pendingOn[k]--
 		}
-		for oid, od := range ts.escrows {
-			if !od.is(oid) {
-				report("txn %v: escrow index entry for %v points at an OD not mapped under it (oid %v)", ts.tid, oid, od.oid)
+		for oid := range ts.escrows {
+			od := m.shardOf(oid).lookup(oid)
+			if od == nil {
+				report("txn %v: escrow index entry for %v, which has no OD", ts.tid, oid)
 				continue
 			}
 			if od.esc == nil {
@@ -390,17 +415,6 @@ func (m *Manager) CheckInvariants() []string {
 	return bad
 }
 
-// mappedODs lists the ODs on the shard's chains. Caller holds s.lat.
-func (s *lockShard) mappedODs() []*objDesc {
-	var out []*objDesc
-	for _, head := range s.buckets {
-		for od := head; od != nil; od = od.next {
-			out = append(out, od)
-		}
-	}
-	return out
-}
-
 // permitIndexed reports whether p appears in ts's grantor (or grantee)
 // index. Takes ts.lat; caller holds shard latches only.
 func permitIndexed(ts *txnState, p *permit, asGrantor bool) bool {
@@ -421,10 +435,10 @@ func permitIndexed(ts *txnState, p *permit, asGrantor bool) bool {
 	return false
 }
 
-// permitChained reports whether p is on the PD chain of the OD mapped under
-// its oid. Caller holds all shard latches.
+// permitChained reports whether p is on the PD chain of the OD in its oid's
+// entry. Caller holds all shard latches.
 func permitChained(p *permit) bool {
-	if !p.od.is(p.oid) {
+	if p.od.home.lookup(p.oid) != p.od {
 		return false
 	}
 	for _, q := range p.od.permits {
@@ -435,11 +449,13 @@ func permitChained(p *permit) bool {
 	return false
 }
 
-// Footprint is what the lock table holds at one instant: the ODs mapped —
-// the objects with a lock, a waiter, a permit or a declared ledger — and the
-// descriptors parked on the shards' free lists. A diagnostic, not a setting.
+// Footprint is what the lock table holds at one instant: its entries — the
+// objects with a lock, a waiter, a permit or a declared ledger — the ODs of
+// those that have more than a lone lock, and the descriptors parked on the
+// shards' free lists. A diagnostic, not a setting.
 type Footprint struct {
-	ODs      int // mapped object descriptors
+	Entries  int // objects in the table
+	ODs      int // of those, inflated into an object descriptor
 	FreeODs  int // retired ODs awaiting reuse
 	FreeLRDs int // retired LRDs awaiting reuse
 }
@@ -451,7 +467,12 @@ func (m *Manager) Footprint() Footprint {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.lat.Lock()
-		f.ODs += int(s.nods)
+		f.Entries += int(s.n)
+		for i := range s.table {
+			if s.table[i].od != nil {
+				f.ODs++
+			}
+		}
 		f.FreeODs += s.odPool.Len()
 		f.FreeLRDs += s.reqPool.Len()
 		s.lat.Unlock()

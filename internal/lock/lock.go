@@ -24,9 +24,12 @@
 // # Sharding and latch order
 //
 // The lock table is sharded: oids hash onto Options.Shards lockShards, each
-// owning its ODs' LRD/PD chains under one short-term latch, the way §4.1
-// latches the OD hash chains in EOS. Lock traffic on objects in different
-// shards never serializes. Transaction-side state (lock list, wait set,
+// owning an open-addressing array of entries, one per object with a lock,
+// under one short-term latch, the way §4.1 latches the OD hash chains in
+// EOS. A lone lock is its entry alone; an object that is contended,
+// permitted or escrow-declared has its entry point at an OD with the
+// LRD/PD chains. Lock traffic on objects in different shards never
+// serializes. Transaction-side state (lock list, wait set,
 // permit indexes) lives in per-transaction txnState records in a sharded
 // hash table. Latches nest in one global order (see DESIGN.md §8):
 //
@@ -120,15 +123,18 @@ type parked struct {
 
 // objDesc is the object descriptor (OD) of Figure 1: granted and pending
 // LRD lists and the object's permit list, guarded by the home shard's latch
-// (home itself never changes: an OD is recycled only within its shard). An OD
-// is mapped in its shard exactly while one of its lists is non-empty or an
-// escrow ledger is declared on it; lockShard.retireIfIdle unmaps and recycles
-// it otherwise, so a pointer kept across an unlatched window is believed only
-// after is(oid) has confirmed it under the latch.
+// (home itself never changes: an OD is recycled only within its shard). Only
+// an object with more than a lone lock has one: its entry in the shard's
+// table is inflated (lockShard.od) by a second holder, a waiter, a PD or a
+// declared escrow ledger, and points at it exactly while one of its lists is
+// non-empty or a ledger is declared; lockShard.retireIfIdle deletes the
+// entry and recycles the OD otherwise. Nothing outside the shard keeps a
+// pointer to an OD, except a live PD, whose presence on the PD list keeps
+// the OD in its entry.
 //
-// The OD carries one granted LRD of its own, first: a grant takes it while
-// it is free (first.od == nil) and an LRD off the shard's free list only
-// beside another holder, so an uncontended lock is one descriptor. first is
+// The OD carries one granted LRD of its own, first: inflation moves the
+// lone holder into it, a grant takes it while it is free (first.od == nil)
+// and an LRD off the shard's free list only beside another holder. first is
 // on granted exactly while it is in use, is never on a free list, and is
 // zeroed when it leaves granted (dropGranted). Pending LRDs always come from
 // the free list.
@@ -143,8 +149,6 @@ type parked struct {
 type objDesc struct {
 	oid     xid.OID
 	home    *lockShard
-	next    *objDesc // bucket chain while mapped
-	mapped  bool
 	granted []*lockReq
 	*odSide
 	// grantedBuf backs granted until a second holder arrives: most objects
@@ -218,10 +222,6 @@ type permit struct {
 
 func (p *permit) isDead() bool { return p.dead.Load() }
 
-// is reports whether od is the descriptor mapped under oid, i.e. still the
-// one its holder knew by that oid. Caller holds od.home.lat.
-func (od *objDesc) is(oid xid.OID) bool { return od.mapped && od.oid == oid }
-
 // idle reports whether od has nothing left to describe: no granted or
 // pending LRD, no PD, no declared escrow ledger. Caller holds od.home.lat.
 func (od *objDesc) idle() bool {
@@ -277,7 +277,7 @@ func New(wg *waitgraph.Graph, opts Options) *Manager {
 		wg:        wg,
 	}
 	for i := range m.shards {
-		m.shards[i].buckets = make([]*objDesc, minBuckets)
+		m.shards[i].table = make([]entry, minBuckets)
 	}
 	return m
 }
@@ -302,32 +302,70 @@ func (m *Manager) Lock(tid xid.TID, oid xid.OID, mode xid.OpSet) error {
 // bounds a wait. A background (or never-cancellable) context adds no
 // overhead over Lock.
 func (m *Manager) LockCtx(ctx context.Context, tid xid.TID, oid xid.OID, mode xid.OpSet) error {
-	return m.acquire(ctx, tid, oid, mode, 0, false)
+	return m.LockAs(ctx, Holder{}, tid, oid, mode)
 }
 
-// acquire is the shared body of LockCtx and EscrowReserveCtx. An escrow
-// request additionally runs the bounds-admission test at grant time and
-// records its reservation atomically with the grant; it can fail with
-// ErrEscrow when the test proves the reservation can never be admitted.
+// Holder is a transaction's state in the lock table, resolved once by tid
+// (Manager.Holder), so that a transaction that takes many locks skips the
+// lookup by tid on each (LockAs, EscrowReserveAs). It is tid's until tid's
+// ReleaseAll retires it: a request through a Holder kept past that is
+// refused with ErrCancelled, as a request racing a release is.
+type Holder struct{ ts *txnState }
+
+// Holder returns tid's Holder, creating tid's state if it has none.
+func (m *Manager) Holder(tid xid.TID) Holder { return Holder{m.txnOf(tid)} }
+
+// LockAs is LockCtx for the transaction h is the Holder of; the zero Holder
+// resolves tid.
+func (m *Manager) LockAs(ctx context.Context, h Holder, tid xid.TID, oid xid.OID, mode xid.OpSet) error {
+	return m.acquire(ctx, h.ts, tid, oid, mode, 0, false)
+}
+
+// acquire is the shared body of LockAs and EscrowReserveAs, which pass tid's
+// state as ts; a nil ts, the zero Holder's, is resolved by tid.
+// An escrow request additionally runs the bounds-admission test at grant
+// time and records its reservation atomically with the grant; it can fail
+// with ErrEscrow when the test proves the reservation can never be
+// admitted.
 //
-// The first pass evaluates the request from a descriptor on the stack: a
-// request that is granted without waiting — every uncontended lock — never
-// has a pending LRD, a wait registration or a ctx watcher, and
-// costs at most the one granted LRD installGrant takes off the shard's free
-// list. Only a request that has to wait goes through park.
+// An object with no entry, or with a lone lock of the requester's own, is
+// decided on the entry: a new lone lock fills an empty slot, and the holder's
+// own request is covered or an upgrade nothing can block (a lone lock has no
+// waiter, no PD and no ledger). Anything else inflates the entry and
+// evaluates the request from a descriptor on the stack: a request that is
+// granted without waiting never has a pending LRD, a wait registration or a
+// ctx watcher, and costs at most the one granted LRD installGrant takes off
+// the shard's free list. Only a request that has to wait goes through park.
 //
 //asset:noalloc
-func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xid.OpSet, delta int64, escrow bool) error {
+func (m *Manager) acquire(ctx context.Context, ts *txnState, tid xid.TID, oid xid.OID, mode xid.OpSet, delta int64, escrow bool) error {
 	if mode == 0 {
 		return errEmptyMode(oid)
 	}
 	if ctx.Err() != nil {
 		return errCtxDead(ctx)
 	}
-	ts := m.txnOf(tid)
+	if ts == nil {
+		ts = m.txnOf(tid)
+	}
 	s := m.shardOf(oid)
 	s.lat.Lock()
-	od := s.od(oid)
+	i, found := s.find(oid)
+	e := &s.table[i]
+	switch {
+	case !found:
+		err := m.grantEntry(ts, s, i, tid, oid, mode)
+		s.lat.Unlock()
+		return err
+	case e.od == nil && e.tid == tid:
+		e.mode = e.mode.Union(mode)
+		s.lat.Unlock()
+		return nil
+	}
+	od := e.od
+	if od == nil {
+		od = s.inflate(i, true, oid)
+	}
 
 	own := od.ownerReq(tid)
 	// Fast path: own unsuspended covering lock (§4.2 step 1a). An escrow
@@ -362,7 +400,7 @@ func (m *Manager) acquire(ctx context.Context, tid xid.TID, oid xid.OID, mode xi
 		err = m.grant(ts, &probe, permitted)
 	}
 	if err != nil {
-		s.retireIfIdle(od) // nothing was installed; od may have been mapped for this request alone
+		s.retireIfIdle(od) // nothing was installed; od may have been inflated for this request alone
 	}
 	s.lat.Unlock()
 	return err
@@ -376,6 +414,21 @@ func errEmptyMode(oid xid.OID) error {
 //go:noinline
 func errCtxDead(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrContext, context.Cause(ctx))
+}
+
+// grantEntry grants tid a lone lock on oid, an object with no entry, in the
+// empty slot i. Like installGrant it refuses, installing nothing, if ts is
+// no longer tid's state. Caller holds s.lat.
+func (m *Manager) grantEntry(ts *txnState, s *lockShard, i int, tid xid.TID, oid xid.OID, mode xid.OpSet) error {
+	ts.lat.Lock()
+	if !ts.is(tid) {
+		ts.lat.Unlock()
+		return ErrCancelled
+	}
+	ts.locks = append(ts.locks, oid)
+	ts.lat.Unlock()
+	s.put(i, entry{oid: oid, tid: tid, mode: mode})
+	return nil
 }
 
 // grant installs a request that tryGrant found grantable, then suspends
@@ -410,9 +463,9 @@ func (m *Manager) grant(ts *txnState, req *lockReq, permitted []*lockReq) error 
 // It wakes on a grant, a victim marking, an abort (CancelWaits) or its
 // context's AfterFunc, which is armed only here, just before the first
 // Wait. The OD acquire evaluated the probe on is not trusted: it is looked
-// up again by oid, and mapped again if it was retired in between. From the
-// enqueue to leave the pending LRD keeps it mapped. Called with no latches
-// held.
+// up again by oid, and the entry inflated again if the OD was retired in
+// between. From the enqueue to leave the pending LRD keeps the OD in its
+// entry. Called with no latches held.
 //
 //go:noinline
 func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.OID, probe lockReq) error {
@@ -433,7 +486,7 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 	req.wait = w
 	side := od.ownSide()
 	side.pending = append(side.pending, req)
-	ts.registerWait(tid, oid)
+	registered := ts.registerWait(tid, oid)
 
 	// The ctx watcher flags req's parked record under the shard latch. It
 	// may fire after the request is already resolved (the stop and the
@@ -471,6 +524,11 @@ func (m *Manager) park(ctx context.Context, ts *txnState, s *lockShard, oid xid.
 		s.retireIfIdle(od)
 		s.lat.Unlock()
 		return err
+	}
+	if !registered {
+		// ts is no longer tid's: its release has begun, and no grant could
+		// land. Nobody can cancel a wait it does not know of.
+		return exit(ErrCancelled)
 	}
 
 	var lastKilled xid.TID
@@ -637,25 +695,25 @@ func (m *Manager) installGrant(ts *txnState, od *objDesc, tid xid.TID, mode xid.
 		}
 		gl.tid, gl.od, gl.mode = tid, od, mode
 		od.granted = append(od.granted, gl)
-		ts.locks = append(ts.locks, held{od.oid, od})
+		ts.locks = append(ts.locks, od.oid)
 	}
 	if reserve {
 		od.esc.reserve(tid, delta)
-		ts.indexEscrow(od)
+		ts.indexEscrow(od.oid)
 	}
 	ts.lat.Unlock()
 	return true
 }
 
-// indexEscrow records od in the reservation index, which most transactions
-// never need and so make on first use. Caller holds ts.lat.
+// indexEscrow records oid in the reservation index, which most
+// transactions never need and so make on first use. Caller holds ts.lat.
 //
 //go:noinline
-func (ts *txnState) indexEscrow(od *objDesc) {
+func (ts *txnState) indexEscrow(oid xid.OID) {
 	if ts.escrows == nil {
-		ts.escrows = make(map[xid.OID]*objDesc)
+		ts.escrows = make(map[xid.OID]struct{})
 	}
-	ts.escrows[od.oid] = od
+	ts.escrows[oid] = struct{}{}
 }
 
 // removePending drops req from its OD's pending queue (by identity) and
@@ -730,11 +788,15 @@ func (m *Manager) Holds(tid xid.TID, oid xid.OID, mode xid.OpSet) bool {
 	s := m.shardOf(oid)
 	s.lat.Lock()
 	defer s.lat.Unlock()
-	od := s.lookup(oid)
-	if od == nil {
+	i, ok := s.find(oid)
+	if !ok {
 		return false
 	}
-	gl := od.ownerReq(tid)
+	e := &s.table[i]
+	if e.od == nil {
+		return e.tid == tid && e.mode.Has(mode)
+	}
+	gl := e.od.ownerReq(tid)
 	return gl != nil && !gl.suspended && gl.mode.Has(mode)
 }
 
@@ -750,11 +812,7 @@ func (m *Manager) HeldObjects(tid xid.TID) []xid.OID {
 	if !ts.is(tid) {
 		return nil
 	}
-	out := make([]xid.OID, 0, len(ts.locks))
-	for _, h := range ts.locks {
-		out = append(out, h.oid)
-	}
-	return out
+	return slices.Clone(ts.locks)
 }
 
 // ReleaseAll implements §4.2 commit step 6 / abort step 3: drop every lock
@@ -766,33 +824,36 @@ func (m *Manager) HeldObjects(tid xid.TID) []xid.OID {
 // visited in turn — at most one shard latch held at a time — straight from
 // the retired indexes, which nobody else may touch any more; then the
 // emptied state is recycled. The lock list is walked in acquisition order.
-// An entry's OD carries tid's lock, and hence is mapped under the entry's
-// oid, except while a delegation that moved the lock has yet to take the
-// entry out (it does so after its shard visits); the walk confirms is(oid)
-// and finds tid's LRD on the chain under the shard latch, so such an entry
-// drops nothing.
+// Each object's holder is found in the table under the shard latch: tid
+// holds every object its list names, except while a delegation that moved
+// the lock has yet to take the list entry out (it does so after its shard
+// visits), and such an entry drops nothing.
 //
 //asset:noalloc
 func (m *Manager) ReleaseAll(tid xid.TID) {
 	if ts := m.retire(tid); ts != nil {
-		for oid, od := range ts.escrows {
-			s := od.home
+		for oid := range ts.escrows {
+			s := m.shardOf(oid)
 			s.lat.Lock()
-			if od.is(oid) && od.esc != nil {
+			if od := s.lookup(oid); od != nil && od.esc != nil {
 				od.esc.settle(tid, false)
 				od.wake()
 			}
 			s.lat.Unlock()
 		}
-		for _, h := range ts.locks {
-			od := h.od
-			s := od.home
+		for _, oid := range ts.locks {
+			s := m.shardOf(oid)
 			s.lat.Lock()
-			// The chain decides, under the latch: a racing delegation may
-			// have retagged the LRD to another transaction, whose lock must
+			// The table decides, under the latch: a racing delegation may
+			// have retagged the lock to another transaction, whose lock must
 			// survive.
-			if od.is(h.oid) {
-				if gl := od.ownerReq(tid); gl != nil {
+			if i, ok := s.find(oid); ok {
+				if e := &s.table[i]; e.od == nil {
+					if e.tid == tid {
+						s.remove(i)
+					}
+				} else if gl := e.od.ownerReq(tid); gl != nil {
+					od := e.od
 					od.dropGranted(gl)
 					od.wake()
 					s.retireIfIdle(od)
@@ -810,7 +871,7 @@ func (m *Manager) ReleaseAll(tid xid.TID) {
 // releasePermits drops the PDs of a retired state that are still live, and
 // the index's reference on every one. A dead PD's od may have been retired
 // and reused since: only home is read from it, and a PD found live under
-// the latch is on its OD's list, which keeps that OD mapped.
+// the latch is on its OD's list, which keeps that OD in its entry.
 func releasePermits(pds []*permit) {
 	for _, p := range pds {
 		s := p.od.home
@@ -869,7 +930,7 @@ func (m *Manager) recycle(ts *txnState) {
 // reuses one array instead of regrowing it from nothing every time, and
 // the first transaction within maxKeptIndex lets it go, so at most the
 // states of bulk transactions that ran at once hold one each.
-func keptLocks(locks []held) []held {
+func keptLocks(locks []xid.OID) []xid.OID {
 	if cap(locks) > maxKeptIndex && len(locks) <= maxKeptIndex {
 		return nil
 	}
@@ -878,7 +939,7 @@ func keptLocks(locks []held) []held {
 }
 
 // emptied clears an index map for reuse, or drops one that grew large.
-func emptied(idx map[xid.OID]*objDesc) map[xid.OID]*objDesc {
+func emptied(idx map[xid.OID]struct{}) map[xid.OID]struct{} {
 	if len(idx) > maxKeptIndex {
 		return nil
 	}

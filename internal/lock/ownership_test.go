@@ -13,9 +13,10 @@ import (
 // The ownership tests race the paths that retire a descriptor against the
 // paths that could still be holding one. The rule under test (DESIGN.md §8):
 // an LRD is reachable only from its OD's chains under the shard latch, a
-// txnState is used only after is(tid) under its own latch, an OD is believed
-// only while mapped under the oid its holder knows it by, and each goes on a
-// free list only once it is unlinked under the latch that guards the link.
+// txnState is used only after is(tid) under its own latch, an OD is reached
+// only through its oid's entry in the table (or a live PD) under the shard
+// latch, and each goes on a free list only once it is unlinked under the
+// latch that guards the link.
 // Each test loops a few thousand rounds on fresh tids, so every round reuses
 // what the round before retired, and ends with the table audited and empty.
 // Run them under -race, repeated.
@@ -23,15 +24,25 @@ import (
 const ownershipRounds = 3000
 
 // wantEmpty asserts the audit is clean and that nothing is granted, pending,
-// permitted, reserved or mapped any more: no lock outlives its (terminated)
-// holder, and the only ODs left are those of declared ledgers.
+// permitted, reserved or in the table any more: no lock outlives its
+// (terminated) holder, and the only entries left are the ODs of declared
+// ledgers.
 func wantEmpty(t *testing.T, m *Manager, ctx string) {
 	t.Helper()
 	wantClean(t, m, ctx)
 	for si := range m.shards {
 		s := &m.shards[si]
 		s.lat.Lock()
-		for _, od := range s.mappedODs() {
+		for i := range s.table {
+			e := &s.table[i]
+			if e.empty() {
+				continue
+			}
+			od := e.od
+			if od == nil {
+				t.Errorf("%s: object %v still has a lone lock of %v", ctx, e.oid, e.tid)
+				continue
+			}
 			if len(od.granted)+len(od.pending)+len(od.permits) > 0 {
 				t.Errorf("%s: object %v still has %d granted, %d pending, %d permits", ctx, od.oid,
 					len(od.granted), len(od.pending), len(od.permits))
@@ -296,8 +307,11 @@ func TestOwnershipLateWakeupKeepsLRD(t *testing.T) {
 	wantEmpty(t, m, "late wake-up, fired")
 
 	// Granted with the watcher armed but far from firing: it is stopped and
-	// the pending LRD is recycled. The release retires 1's granted LRD (+1),
-	// 3's pending LRD goes back (+1) and its granted one comes off (-1).
+	// the pending LRD is recycled. 1's lock is a lone entry until 3 parks,
+	// which inflates it into an OD with 1 on the OD's first LRD; 3's pending
+	// LRD is made, the free list being empty. 1's release zeroes first and
+	// touches no list, 3's pending LRD goes back (+1) and its grant takes
+	// first, not an LRD off the list.
 	m = newTest(Options{})
 	mustLock(t, m, 1, oid, xid.OpWrite)
 	before = free(m)
@@ -317,12 +331,17 @@ func TestOwnershipLateWakeupKeepsLRD(t *testing.T) {
 	wantEmpty(t, m, "late wake-up, quiet")
 }
 
-// odOf returns the OD mapped under oid, or nil.
+// odOf returns oid's OD, inflating the entry of a lone lock into one so
+// that the tests below can follow a descriptor through retirement and
+// reuse, or nil if the object has no entry.
 func odOf(m *Manager, oid xid.OID) *objDesc {
 	s := m.shardOf(oid)
 	s.lat.Lock()
 	defer s.lat.Unlock()
-	return s.lookup(oid)
+	if _, ok := s.find(oid); !ok {
+		return nil
+	}
+	return s.od(oid)
 }
 
 // TestOwnershipParkRacesRetirement: c's request on A finds a holding it,
@@ -485,7 +504,7 @@ func TestOwnershipStaleIndexEntryRefusedByRelease(t *testing.T) {
 	mustLock(t, m, T, A, xid.OpWrite)
 	s := m.shardOf(A)
 	s.lat.Lock()
-	stale := s.lookup(A)
+	stale := s.od(A)
 	stale.dropGranted(stale.ownerReq(T)) // as an earlier release under T's tid would have
 	s.retireIfIdle(stale)
 	s.lat.Unlock()

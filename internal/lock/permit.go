@@ -62,10 +62,10 @@ func (m *Manager) accessible(grantor xid.TID) []xid.OID {
 	}
 	seen := make(map[xid.OID]bool)
 	var out []xid.OID
-	for _, h := range ts.locks {
-		if !seen[h.oid] {
-			seen[h.oid] = true
-			out = append(out, h.oid)
+	for _, oid := range ts.locks {
+		if !seen[oid] {
+			seen[oid] = true
+			out = append(out, oid)
 		}
 	}
 	for _, p := range ts.byGrantee {

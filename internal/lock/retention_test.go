@@ -14,7 +14,7 @@ import (
 // bulkLocks has tid write-lock n objects from *next on and release them.
 // It returns the state the transaction ran on and the array its lock list
 // filled.
-func bulkLocks(t *testing.T, m *Manager, tid xid.TID, n int, next *xid.OID) (*txnState, *held) {
+func bulkLocks(t *testing.T, m *Manager, tid xid.TID, n int, next *xid.OID) (*txnState, *xid.OID) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		mustLock(t, m, tid, *next, xid.OpWrite)

@@ -24,11 +24,12 @@ const (
 	maxFreePDs   = 64   // per shard
 	maxFreeSides = 64   // per shard
 	maxFreeTxns  = 1024 // per manager
-	// An OD (144 B, its first holder's LRD inside) is nearly three times an
-	// LRD's size, and a shard needs spares only for the objects that are
-	// released together: 64 per shard is 4,096 across the default table,
-	// about 0.6 MB at most. A bulk load that locks more than that in one
-	// transaction gives the excess back to the collector.
+	// An OD (128 B, its first holder's LRD inside) is made only for an
+	// object that is contended, permitted or escrow-declared: a lone lock
+	// is an entry of its shard's table and no descriptor at all, so even a
+	// bulk load that locks thousands of objects in one transaction retires
+	// none. 64 spares per shard, 4,096 across the default table, cover the
+	// objects that are contended at once.
 	maxFreeODs = 64 // per shard
 	// A recycled txnState keeps its (emptied) lock list and reservation
 	// map. A lock list that grew past this many entries is kept only while
@@ -41,42 +42,61 @@ const (
 	// to this capacity, so an object that was once a hot spot does not park
 	// a long array on a free list.
 	maxKeptChain = 8
-	// minBuckets is a shard's initial OD bucket count; the array doubles
-	// when the mapped ODs outnumber the buckets and never shrinks (8 bytes
-	// per object of the largest set ever locked at once).
+	// minBuckets is a shard's initial table size in entries. The table
+	// doubles when an insert takes it past half full and never shrinks: 32
+	// bytes a slot, two to four slots per object of the largest set ever
+	// locked at once.
 	minBuckets = 8
 )
 
-// lockShard is one slice of the lock table. It owns every object descriptor
-// whose oid hashes to it — the OD's granted/pending LRD chains and PD list —
-// all guarded by the shard latch, mirroring the paper's §4.1 use of EOS
-// test-and-set latches on the OD hash chains. Condition variables (one per
-// side record, built on the shard latch) park blocked requests.
+// entry is one slot of a shard's table: an object with a lock, a waiter, a
+// permit or a declared ledger. A lone lock — one holder, unsuspended, no
+// waiter, no PD, no ledger, the lock of nearly every object — is the entry
+// itself: od is nil and tid and mode are the holder's. Anything more inflates
+// the entry: its od points at the object's descriptor, which carries the
+// lone holder on as its first LRD, and tid and mode are zero. A slot is
+// empty when it has neither a descriptor nor a mode (a lock has a mode).
+type entry struct {
+	oid  xid.OID
+	tid  xid.TID
+	od   *objDesc
+	mode xid.OpSet
+}
+
+func (e *entry) empty() bool { return e.od == nil && e.mode == 0 }
+
+// lockShard is one slice of the lock table. It owns every object whose oid
+// hashes to it: the object's entry in its table and, for an object that has
+// one, its OD — the granted/pending LRD chains and PD list — all guarded by
+// the shard latch, the way the paper's §4.1 guards the OD hash chains with
+// EOS test-and-set latches. Condition variables (one per side record, built
+// on the shard latch) park blocked requests.
 //
-// ODs hang off the bucket array in chains linked through objDesc.next, the
-// paper's own structure: mapping and unmapping one is a few pointer writes
-// and never allocates, which matters now that both are on the path of every
-// lock on an idle object. An OD is mapped exactly while it has something to
-// describe — a granted or pending LRD, a PD, a declared escrow ledger — and
-// is unmapped and pushed on the shard's free list in the latch hold that
-// takes the last of those away (retireIfIdle), so the table is sized by the
+// The table is an open-addressing array: linear probing from the slot the
+// oid's hash names, backward-shift deletion, so there are no tombstones and
+// a lookup stops at the first empty slot. A lone lock is its entry alone;
+// taking and releasing it writes one slot and never touches a descriptor.
+// An object is in the table exactly while it has something to describe — a
+// lock, and for an inflated entry also a pending LRD, a PD or a declared
+// escrow ledger — and its entry is deleted in the latch hold that takes the
+// last of those away (for an OD, retireIfIdle), so the table is sized by the
 // locks in force, not by the objects ever locked.
 //
-// The shard also owns the free lists of the side records its ODs retire
-// with, and of the LRDs its ODs retire. An LRD is
-// reachable only from one OD's granted or pending chain (plus, while
-// pending, the stack of the acquire call that parked it), always under
-// this latch — the transaction side indexes ODs, never LRDs — so the moment
-// it is unlinked from its chain under the latch nobody else can hold it,
-// and it goes straight back on the list.
+// The shard also owns the free lists of its ODs, of the side records they
+// retire with and of the LRDs its ODs retire. An LRD is reachable only from
+// one OD's granted or pending chain (plus, while pending, the stack of the
+// acquire call that parked it), always under this latch — the transaction
+// side lists oids, never LRDs or ODs — so the moment it is unlinked from its
+// chain under the latch nobody else can hold it, and it goes straight back
+// on the list.
 //
 // The fields fill exactly one cache line, so adjacent shards' latch words
 // don't false-share.
 type lockShard struct {
 	//asset:latch order=20 spin
 	lat      latch.Latch
-	nods     int32                         // mapped ODs
-	buckets  []*objDesc                    // OD hash chains; len is a power of two
+	n        int32                         // entries in use
+	table    []entry                       // len is a power of two, at most half full
 	reqPool  pool.Stack[lockReq, *lockReq] // retired LRDs
 	odPool   pool.Stack[objDesc, *objDesc] // retired ODs
 	sidePool pool.Stack[odSide, *odSide]   // retired side records
@@ -93,101 +113,143 @@ func (m *Manager) shardOf(oid xid.OID) *lockShard {
 	return &m.shards[m.shardIndexOf(oid)]
 }
 
-// bucket returns the head of the chain oid hashes to. The shard index took
-// the hash's low bits; the chains use the high ones.
-func (s *lockShard) bucket(oid xid.OID) **objDesc {
-	return &s.buckets[(htab.Hash(uint64(oid))>>32)&uint64(len(s.buckets)-1)]
+// slot returns the slot oid's probe starts at. The shard index took the
+// hash's low bits; the table uses the high ones.
+func (s *lockShard) slot(oid xid.OID) int {
+	return int((htab.Hash(uint64(oid)) >> 32) & uint64(len(s.table)-1))
 }
 
-// lookup returns oid's object descriptor, or nil when the object has no
-// lock, waiter, permit or ledger. Caller holds s.lat.
-func (s *lockShard) lookup(oid xid.OID) *objDesc {
-	for od := *s.bucket(oid); od != nil; od = od.next {
-		if od.oid == oid {
-			return od
+// find returns the index of oid's entry and true, or the index of the empty
+// slot an entry for oid would take and false. An index is good until the
+// table next changes. Caller holds s.lat.
+func (s *lockShard) find(oid xid.OID) (int, bool) {
+	mask := len(s.table) - 1
+	for i := s.slot(oid); ; i = (i + 1) & mask {
+		e := &s.table[i]
+		if e.empty() {
+			return i, false
 		}
+		if e.oid == oid {
+			return i, true
+		}
+	}
+}
+
+// put fills the empty slot i, which find returned for e.oid, and grows the
+// table once that takes it past half full. Caller holds s.lat.
+func (s *lockShard) put(i int, e entry) {
+	s.table[i] = e
+	s.n++
+	if 2*int(s.n) > len(s.table) {
+		s.grow()
+	}
+}
+
+// remove empties slot i and shifts back the entries of the probe run after
+// it that the hole would otherwise cut off from their home slots. Caller
+// holds s.lat.
+func (s *lockShard) remove(i int) {
+	mask := len(s.table) - 1
+	for j := (i + 1) & mask; !s.table[j].empty(); j = (j + 1) & mask {
+		// The entry at j may fill the hole at i if its probe passes i on the
+		// way from its home slot to j.
+		if home := s.slot(s.table[j].oid); (j-home)&mask >= (j-i)&mask {
+			s.table[i] = s.table[j]
+			i = j
+		}
+	}
+	s.table[i] = entry{}
+	s.n--
+}
+
+// grow doubles the table and reinserts its entries. Not inlined, so the
+// make is charged here and not to the //asset:noalloc callers put is
+// inlined into. Caller holds s.lat.
+//
+//go:noinline
+func (s *lockShard) grow() {
+	old := s.table
+	s.table = make([]entry, 2*len(old))
+	for k := range old {
+		if !old[k].empty() {
+			i, _ := s.find(old[k].oid)
+			s.table[i] = old[k]
+		}
+	}
+}
+
+// lookup returns oid's object descriptor, or nil when the object has none:
+// no entry, or a lone lock's. Caller holds s.lat.
+func (s *lockShard) lookup(oid xid.OID) *objDesc {
+	if i, ok := s.find(oid); ok {
+		return s.table[i].od
 	}
 	return nil
 }
 
-// od returns oid's object descriptor, mapping one if absent. Whoever maps an
-// OD and then installs nothing on it calls retireIfIdle before letting go of
-// the latch. Caller holds s.lat in X mode.
+// od returns oid's object descriptor, inflating its entry or mapping a new
+// one if it has none. Whoever calls it and then installs nothing on the OD
+// calls retireIfIdle before letting go of the latch. Caller holds s.lat.
 func (s *lockShard) od(oid xid.OID) *objDesc {
-	if od := s.lookup(oid); od != nil {
-		return od
+	i, ok := s.find(oid)
+	if ok && s.table[i].od != nil {
+		return s.table[i].od
 	}
-	return s.mapOD(oid)
+	return s.inflate(i, ok, oid)
 }
 
-// mapOD is od's miss path: it takes a descriptor off the shard's free list,
-// or makes one, and links it under oid. Outlined so the make-one path is
-// charged here and not to the //asset:noalloc callers od is inlined into.
-// The descriptor carries room for its first holder, so a new one is a
-// single heap object.
+// inflate is od's miss path: it takes a descriptor off the shard's free
+// list, or makes one, and puts it in oid's entry: in the lone lock's entry
+// at i if found, its holder moving into the OD's first LRD, or in a new
+// entry in the empty slot i. Outlined so the make-one path is charged here
+// and not to the //asset:noalloc callers od is inlined into.
 //
 //go:noinline
-func (s *lockShard) mapOD(oid xid.OID) *objDesc {
+func (s *lockShard) inflate(i int, found bool, oid xid.OID) *objDesc {
 	od := s.odPool.Pop()
 	if od == nil {
 		od = &objDesc{home: s, odSide: &noSide}
 		od.granted = od.grantedBuf[:0]
 	}
-	if int(s.nods) >= len(s.buckets) {
-		s.grow()
+	od.oid = oid
+	if !found {
+		s.put(i, entry{oid: oid, od: od})
+		return od
 	}
-	od.oid, od.mapped = oid, true
-	b := s.bucket(oid)
-	od.next = *b
-	*b = od
-	s.nods++
+	e := &s.table[i]
+	od.first = lockReq{tid: e.tid, od: od, mode: e.mode}
+	od.granted = append(od.granted, &od.first)
+	*e = entry{oid: oid, od: od}
 	return od
 }
 
-// grow doubles the bucket array and rechains the mapped ODs. Caller holds
-// s.lat.
-func (s *lockShard) grow() {
-	old := s.buckets
-	s.buckets = make([]*objDesc, 2*len(old))
-	for _, od := range old {
-		for od != nil {
-			next := od.next
-			b := s.bucket(od.oid)
-			od.next = *b
-			*b = od
-			od = next
-		}
-	}
-}
-
-// retireIfIdle unmaps od and puts it on the shard's free list if nothing is
-// left on it: no granted or pending LRD, no PD, no declared escrow ledger (a
-// ledger is state of the object, not of a lock: its bounds must outlive its
-// reservations, so a declared counter keeps its OD until DropEscrow). It is
-// the last thing a latch hold does with od — every site that shrinks a chain,
-// or that mapped od and installed nothing, ends with it — because from here
-// on the descriptor may be handed to another oid of this shard. Its side
-// record, if it took one, goes back on the shard's free list. With pending
-// empty nobody is parked on that record's cond; a wake-up callback that had
-// already started may still Broadcast on it, which after reuse is a spurious
-// wake-up of another object's waiters, and every wait loop re-evaluates on
-// wake-up.
+// retireIfIdle deletes od's entry and puts od on the shard's free list if
+// nothing is left on it: no granted or pending LRD, no PD, no declared
+// escrow ledger (a ledger is state of the object, not of a lock: its bounds
+// must outlive its reservations, so a declared counter keeps its OD until
+// DropEscrow). It is the last thing a latch hold does with od — every site
+// that shrinks a chain, or that inflated od and installed nothing, ends with
+// it — because from here on the descriptor may be handed to another oid of
+// this shard. Its side record, if it took one, goes back on the shard's free
+// list. With pending empty nobody is parked on that record's cond; a wake-up
+// callback that had already started may still Broadcast on it, which after
+// reuse is a spurious wake-up of another object's waiters, and every wait
+// loop re-evaluates on wake-up.
 //
 // The reset is field by field: home is read without the latch (an OD never
 // changes shard), so it is never written again, and first is zero already
-// (dropGranted). Caller holds s.lat; od is mapped.
+// (dropGranted); oid stays, for whoever reports a stale pointer. An OD
+// that is no longer in its entry is left alone. Caller holds s.lat.
 func (s *lockShard) retireIfIdle(od *objDesc) {
 	if !od.idle() {
 		return
 	}
-	p := s.bucket(od.oid)
-	for *p != od {
-		p = &(*p).next
+	i, ok := s.find(od.oid)
+	if !ok || s.table[i].od != od {
+		return
 	}
-	*p = od.next
-	s.nods--
-	od.mapped, od.next = false, nil // oid stays, for whoever reports a stale pointer
-	od.grantedBuf[0] = nil          // a stale copy if granted outgrew the buffer
+	s.remove(i)
+	od.grantedBuf[0] = nil // a stale copy if granted outgrew the buffer
 	if od.granted = keptChain(od.granted); od.granted == nil {
 		od.granted = od.grantedBuf[:0]
 	}
@@ -318,23 +380,14 @@ func (od *objDesc) dropPermit(p *permit) {
 	od.home.unrefPermit(p)
 }
 
-// held is one entry of a transaction's lock list: an object it was granted
-// a lock on and the OD that lock lives on.
-type held struct {
-	oid xid.OID
-	od  *objDesc
-}
-
 // txnState is the per-transaction side of the lock table: the objects the
-// transaction holds granted LRDs on ("list of t's lock requests" in the
-// paper's TD), the objects it has pending requests on, and its permit
-// descriptors by grantor/grantee role. It never indexes LRDs: every consumer
-// goes from the OD to the LRD under the OD's shard latch. Parked requests are
-// indexed by oid and resolved under the shard latch. Granted locks and
-// reservations are indexed by OD pointer, which is good for as long as the
-// lock or the ledger it stands for keeps the OD mapped; ODs are recycled too,
-// so a consumer confirms od.is(oid) under od.home's latch before it believes
-// the pointer (an OD never changes shard, so home is safe to read).
+// transaction holds granted locks on ("list of t's lock requests" in the
+// paper's TD), the objects it has pending requests on, the objects it holds
+// escrow reservations on, and its permit descriptors by grantor/grantee
+// role. Every object is listed by oid and resolved, under its shard latch,
+// through the shard's table: the transaction side holds no pointer to an
+// entry, an OD or an LRD, so nothing it lists can go stale when the table
+// moves an entry, inflates one or recycles a descriptor.
 //
 // All fields are guarded by lat, which in the latch order comes AFTER shard
 // latches: it is only ever acquired with at most one shard latch held, or
@@ -353,14 +406,14 @@ type txnState struct {
 	lat  latch.Latch
 	tid  xid.TID
 	dead bool // retired (or not yet handed out); registrations must not land here
-	// locks lists the objects tid holds a granted LRD on, in acquisition
-	// order, one entry per LRD: installGrant appends, a delegation appends
-	// to the delegatee's list under the shard latch that retags the LRD and
+	// locks lists the objects tid holds a granted lock on, in acquisition
+	// order, one entry per lock: a grant appends, a delegation appends to
+	// the delegatee's list under the shard latch that retags the lock and
 	// takes the moved entries out of the delegator's in one pass after its
 	// shard visits, ReleaseAll walks it in order. Between those two steps of
-	// a delegation an entry may name an OD that no longer carries tid's LRD;
-	// every consumer finds the LRD on the chain under the shard latch.
-	locks []held
+	// a delegation an entry may name an object tid no longer holds; every
+	// consumer finds the holder in the table under the shard latch.
+	locks []xid.OID
 	// waits holds the objects of the transaction's parked requests (one
 	// entry per request), so CancelWaits and victim marking touch exactly
 	// the shards involved instead of scanning the whole table.
@@ -369,7 +422,7 @@ type txnState struct {
 	// reservations on (lazily allocated), so settlement at termination
 	// touches exactly the shards involved. Kept in step with the OD
 	// ledgers: installGrant adds, delegation moves, settlement clears.
-	escrows map[xid.OID]*objDesc
+	escrows map[xid.OID]struct{}
 	// Permit descriptors naming this transaction as grantor / grantee.
 	// Dead descriptors linger and are skipped; ReleaseAll drops them all.
 	byGrantor []*permit
@@ -434,16 +487,18 @@ func (m *Manager) stateOf(tid xid.TID) *txnState {
 	return ts
 }
 
-// registerWait records that tid parked a request on oid. Caller holds oid's
-// shard latch; ts.lat nests inside it. Registration into a state that is no
-// longer tid's is skipped: the release already emptied the wait set, and the
-// waiter's own grant path detects the retired state and gives up.
-func (ts *txnState) registerWait(tid xid.TID, oid xid.OID) {
+// registerWait records that tid parked a request on oid and reports
+// whether it did. Caller holds oid's shard latch; ts.lat nests inside it.
+// Registration into a state that is no longer tid's is refused: the release
+// already emptied the wait set, and the waiter gives up.
+func (ts *txnState) registerWait(tid xid.TID, oid xid.OID) bool {
 	ts.lat.Lock()
-	if ts.is(tid) {
+	live := ts.is(tid)
+	if live {
 		ts.waits = append(ts.waits, oid)
 	}
 	ts.lat.Unlock()
+	return live
 }
 
 // unregisterWait removes one parked request on oid from the wait set.

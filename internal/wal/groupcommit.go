@@ -335,6 +335,34 @@ func (l *SegmentedLog) Flush() error {
 	}
 }
 
+// Sync is Flush for a record that must be on disk whatever the Sync policy
+// (core's tid floor): it drains the pending batch and fsyncs the current
+// segment even in buffered mode. Every earlier segment was sealed with an
+// fsync when the chain rotated past it.
+func (l *SegmentedLog) Sync() error {
+	l.acquireWriter()
+	if l.closed.Load() {
+		l.releaseWriter(nil, 0)
+		return errAppendClosed
+	}
+	var err error
+	var high uint64
+	if l.poisoned.Load() {
+		err = l.perr
+	} else {
+		var batch []byte
+		var first uint64
+		batch, first, _, high = l.takeBatch()
+		err = l.writeBatch(batch, first)
+		l.recycleBatch(batch)
+		if err == nil && !l.syncOn {
+			err = l.cur.Sync()
+		}
+	}
+	l.releaseWriter(err, high)
+	return err
+}
+
 // poisonLocked records the first failure; later calls keep the original
 // cause. Caller holds stateMu.
 func (l *SegmentedLog) poisonLocked(cause error) {
