@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	assetlint [-json] [-checkers latchorder,errcmp] [packages]
+//	assetlint [-checkers latchorder,errcmp] [packages]
 //
 // Package patterns are module-relative: "./..." (the default) analyzes
 // everything; "./internal/lock" or "internal/lock" restricts output to that
@@ -24,7 +24,6 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	checkers := flag.String("checkers", "", "comma-separated checkers to run (default: all of "+strings.Join(analysis.CheckerNames, ",")+")")
 	flag.Parse()
 
@@ -55,14 +54,7 @@ func main() {
 	}
 	diags := r.Run(pkgs...)
 
-	if *jsonOut {
-		if err := analysis.WriteJSON(os.Stdout, mod.Root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "assetlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		analysis.WriteText(os.Stdout, mod.Root, diags)
-	}
+	analysis.WriteText(os.Stdout, mod.Root, diags)
 	if len(diags) > 0 {
 		os.Exit(1)
 	}

@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"io"
 	"regexp"
 	"sort"
@@ -29,13 +27,11 @@ var CheckerNames = []string{
 	"latchorder",
 	"leakedlatch",
 	"holdblock",
-	"atomicmix",
 	"ctxflow",
 	"errcmp",
 	"goroleak",
 	"forceorder",
 	"rpcsymmetry",
-	"noalloc",
 }
 
 // Runner runs checkers over a loaded module (plus any fixture packages).
@@ -47,10 +43,6 @@ type Runner struct {
 	effects  map[funcKey]*effects
 	diags    []Diagnostic
 	packages []*Package
-
-	// atomicmix caches, valid for one Run invocation.
-	atomicF  map[*types.Var]bool
-	atomicOK map[*ast.SelectorExpr]bool
 }
 
 // NewRunner prepares a runner for the module with the given checkers
@@ -100,7 +92,6 @@ func (r *Runner) Run(pkgs ...*Package) []Diagnostic {
 	}
 	r.packages = pkgs
 	r.diags = nil
-	r.atomicF, r.atomicOK = nil, nil
 
 	// The latch registry and function summaries span the whole module: a
 	// fixture package may reference annotated module types, and transitive
@@ -112,14 +103,12 @@ func (r *Runner) Run(pkgs ...*Package) []Diagnostic {
 
 	for _, p := range pkgs {
 		r.runFlow(p) // latchorder + leakedlatch + holdblock
-		r.atomicmix(p, all)
 		r.ctxflow(p)
 		r.errcmp(p)
 		r.goroleak(p)
 		r.forceorder(p)
 	}
 	r.rpcsymmetry() // whole-module registry symmetry
-	r.noalloc()     // escape-analysis gate over annotated hot paths
 
 	kept := suppress(r.Mod.Fset, pkgs, r.diags)
 	sort.Slice(kept, func(i, j int) bool {
@@ -203,30 +192,6 @@ func WriteText(w io.Writer, root string, diags []Diagnostic) {
 		}
 		fmt.Fprintf(w, "%s:%d:%d: [%s] %s\n", name, d.Pos.Line, d.Pos.Column, d.Checker, d.Message)
 	}
-}
-
-// WriteJSON prints diagnostics as a JSON array of objects.
-func WriteJSON(w io.Writer, root string, diags []Diagnostic) error {
-	type jsonDiag struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Col     int    `json:"col"`
-		Checker string `json:"checker"`
-		Message string `json:"message"`
-	}
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		name := d.Pos.Filename
-		if root != "" {
-			if rel, err := relPath(root, name); err == nil {
-				name = rel
-			}
-		}
-		out = append(out, jsonDiag{name, d.Pos.Line, d.Pos.Column, d.Checker, d.Message})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 func relPath(root, name string) (string, error) {

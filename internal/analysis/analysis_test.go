@@ -344,8 +344,7 @@ func TestUnknownChecker(t *testing.T) {
 	}
 }
 
-// TestReporters: text output is root-relative file:line:col, JSON round-trips
-// the same fields.
+// TestReporters: text output is root-relative file:line:col.
 func TestReporters(t *testing.T) {
 	diags := []Diagnostic{{Checker: "errcmp", Message: "m"}}
 	diags[0].Pos.Filename = "/r/pkg/f.go"
@@ -355,15 +354,6 @@ func TestReporters(t *testing.T) {
 	WriteText(&text, "/r", diags)
 	if got, want := text.String(), "pkg/f.go:3:7: [errcmp] m\n"; got != want {
 		t.Errorf("WriteText = %q, want %q", got, want)
-	}
-	var js strings.Builder
-	if err := WriteJSON(&js, "/r", diags); err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{`"file": "pkg/f.go"`, `"line": 3`, `"checker": "errcmp"`} {
-		if !strings.Contains(js.String(), frag) {
-			t.Errorf("WriteJSON output missing %s:\n%s", frag, js.String())
-		}
 	}
 }
 

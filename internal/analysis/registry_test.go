@@ -12,18 +12,18 @@ import (
 
 // TestAnnotationRegistry pins the //asset: annotation grammar and the
 // tree's annotated-site inventory. Every annotation kind in the module
-// must be one the analyzer parses, and every durability or hot-path
-// claim is a recorded decision: adding a //asset:durable or
-// //asset:noalloc site (or a new goroutine join) means updating this
-// table, the same discipline TestLatchRegistry applies to latches.
+// must be one the analyzer parses, and every durability claim is a
+// recorded decision: adding a //asset:durable site (or a new goroutine
+// join) means updating this table, the same discipline TestLatchRegistry
+// applies to latches.
 func TestAnnotationRegistry(t *testing.T) {
 	m := repoModule(t)
 	kindRe := regexp.MustCompile(`^//\s*asset:(\w+)`)
-	known := map[string]bool{"latch": true, "goroutine": true, "durable": true, "noalloc": true}
+	known := map[string]bool{"latch": true, "goroutine": true, "durable": true}
 
 	latches := 0
 	mechs := make(map[string]int)
-	var durable, noalloc []string
+	var durable []string
 	for _, p := range m.Packages {
 		for _, f := range p.Files {
 			for _, cg := range f.Comments {
@@ -53,8 +53,6 @@ func TestAnnotationRegistry(t *testing.T) {
 					case "durable":
 						dm := durableRe.FindStringSubmatch(c.Text)
 						durable = append(durable, base+" "+strings.TrimSpace(dm[1]))
-					case "noalloc":
-						noalloc = append(noalloc, base)
 					}
 				}
 			}
@@ -85,24 +83,6 @@ func TestAnnotationRegistry(t *testing.T) {
 	if fmt.Sprint(durable) != fmt.Sprint(wantDurable) {
 		t.Errorf("durable sites:\n got %v\nwant %v", durable, wantDurable)
 	}
-
-	sort.Strings(noalloc)
-	wantNoalloc := []string{
-		"commit.go", "commit.go", // core.examineGroupLocked (commits and votes), commitLocked (local and verdict commits)
-		"dedup.go",             // server.dedup.admit
-		"frame.go", "frame.go", // rpc.BeginFrame, FinishFrame
-		"groupcommit.go", "groupcommit.go", // wal.SegmentedLog.Append, appendHeld
-		"lock.go", "lock.go", "lock.go", // lock.acquire, installGrant, ReleaseAll
-		"ops.go", "ops.go", "ops.go",
-		"primitives.go",          // core.initiateOpts (the descriptor comes off the free list)
-		"server.go", "server.go", // server.worker.run, session.dispatch
-		"shard.go",                      // lock.txnOf
-		"wire.go", "wire.go", "wire.go", // rpc.Append{Request,Response,TIDs}
-		"wire.go", "wire.go", "wire.go", // rpc.Decode{Request,Response,TIDs}Into
-	}
-	if fmt.Sprint(noalloc) != fmt.Sprint(wantNoalloc) {
-		t.Errorf("noalloc sites:\n got %v\nwant %v", noalloc, wantNoalloc)
-	}
 }
 
 func sortedKeys(m map[string]bool) []string {
@@ -124,8 +104,8 @@ func sortedCounts(m map[string]int) []string {
 }
 
 // writeModule lays out a throwaway on-disk module and loads it — the
-// registry and escape checkers need real buildable packages, not
-// type-checked fixtures.
+// registry checker needs real buildable packages, not type-checked
+// fixtures.
 func writeModule(t *testing.T, files map[string]string) *Module {
 	t.Helper()
 	dir := t.TempDir()
@@ -147,8 +127,7 @@ func writeModule(t *testing.T, files map[string]string) *Module {
 
 // rpcSeedFiles is a minimal wire registry in the shape rpcsymmetry
 // expects: an rpc package with Op/opNames/Sentinels, a core package with
-// an exported sentinel, server dispatch, client encoding, and an
-// exhaustive round-trip test.
+// an exported sentinel, and an exhaustive round-trip test.
 func rpcSeedFiles() map[string]string {
 	return map[string]string{
 		"go.mod": "module seedrpc\n\ngo 1.22\n",
@@ -184,32 +163,6 @@ func (o Op) String() string {
 
 var Sentinels = []error{core.ErrBusy}
 `,
-		"server/server.go": `package server
-
-import "seedrpc/rpc"
-
-func Dispatch(op rpc.Op) bool {
-	switch op {
-	case rpc.OpHello:
-		return true
-	case rpc.OpPut:
-		return true
-	}
-	return false
-}
-`,
-		"client/client.go": `package client
-
-import "seedrpc/rpc"
-
-func Encode(op rpc.Op) byte {
-	switch op {
-	case rpc.OpHello, rpc.OpPut:
-		return byte(op)
-	}
-	return 0
-}
-`,
 		"rpc/rpc_test.go": `package rpc
 
 import "testing"
@@ -226,8 +179,8 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestRPCSymmetrySeeded drifts each leg of the wire registry in turn —
-// dropped dispatch case, dropped name, dropped sentinel, dropped test
-// coverage — and requires rpcsymmetry to catch exactly that drift.
+// dropped sentinel, dropped test coverage — and requires rpcsymmetry to
+// catch exactly that drift.
 func TestRPCSymmetrySeeded(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -235,51 +188,6 @@ func TestRPCSymmetrySeeded(t *testing.T) {
 		wantMsg  string // "" = expect a clean run
 	}{
 		{name: "clean"},
-		{
-			name: "dropped-dispatch",
-			override: map[string]string{"server/server.go": `package server
-
-import "seedrpc/rpc"
-
-func Dispatch(op rpc.Op) bool {
-	switch op {
-	case rpc.OpHello:
-		return true
-	}
-	return false
-}
-`},
-			wantMsg: "OpPut has no server dispatch case",
-		},
-		{
-			name: "dropped-opname",
-			override: map[string]string{"rpc/wire.go": `package rpc
-
-import "seedrpc/core"
-
-type Op uint8
-
-const (
-	OpHello Op = 1 + iota
-	OpPut
-	opMax
-)
-
-var opNames = [...]string{
-	OpHello: "Hello",
-}
-
-func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
-	}
-	return "op?"
-}
-
-var Sentinels = []error{core.ErrBusy}
-`},
-			wantMsg: "OpPut has no opNames entry",
-		},
 		{
 			name: "dropped-sentinel",
 			override: map[string]string{"rpc/wire.go": `package rpc
@@ -351,51 +259,5 @@ func TestHello(t *testing.T) {
 				t.Fatalf("seeded drift not detected: want %q in %v", tc.wantMsg, diags)
 			}
 		})
-	}
-}
-
-// TestNoallocSeeded verifies the escape gate end to end against the real
-// compiler: an annotated function that heap-allocates is flagged, and
-// one that stays in registers is not.
-func TestNoallocSeeded(t *testing.T) {
-	m := writeModule(t, map[string]string{
-		"go.mod": "module seednoalloc\n\ngo 1.22\n",
-		"pkg/pkg.go": `// Package pkg exercises the noalloc escape gate.
-package pkg
-
-// Box is returned by pointer, so its literal escapes.
-type Box struct{ N [4]int64 }
-
-// Escapes heap-allocates inside an annotated function.
-//
-//asset:noalloc
-func Escapes() *Box {
-	return &Box{}
-}
-
-// Clean stays in registers.
-//
-//asset:noalloc
-func Clean(x int) int {
-	return x*2 + 1
-}
-`,
-	})
-	r, err := NewRunner(m, []string{"noalloc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := r.Run()
-	if len(diags) == 0 {
-		t.Fatal("seeded heap escape not detected")
-	}
-	for _, d := range diags {
-		if d.Checker != "noalloc" || !strings.Contains(d.Message, "Escapes") ||
-			!strings.Contains(d.Message, "heap-allocates") {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-		if strings.Contains(d.Message, "Clean") {
-			t.Errorf("clean function flagged: %s", d)
-		}
 	}
 }

@@ -2,37 +2,31 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 )
 
-// rpcsymmetry: registry-consistency checks over the wire protocol. The
-// protocol lives in three places that must agree — the Op constants and
-// opNames table in the rpc package, the server's dispatch switch, and
-// the client's encoders — plus the Sentinels table that gives errors a
-// wire identity. PR 9 added three ops by hand; drift between these
-// registries is silent until a chaos cell trips over an op the server
-// does not dispatch or an error that loses its identity crossing the
-// wire. The checker makes the symmetry structural:
+// rpcsymmetry: the wire registry's two rules that no test can stand in
+// for. The server's dispatch, the client's encoders and the opNames table
+// are each pinned by tests that exercise every op (DESIGN.md §15); what
+// is left is what a test cannot see:
 //
-//   - every Op* constant has a non-empty opNames entry,
-//   - every Op* constant is referenced by a package named "server"
-//     (a dispatch case) and by a package named "client" (an encoder),
-//   - every Op* constant is exercised by the rpc package's tests —
-//     by name, or via an exhaustive `opMax` loop,
-//   - every exported Err* sentinel in the core package appears in the
-//     rpc package's Sentinels table, with no duplicates and at most 63
-//     entries (the wire bitmask is a uint64 with bit 0 reserved).
+//   - every exported Op* constant is exercised by the rpc package's tests,
+//     by name or via an exhaustive `opMax` loop (a missing test is not a
+//     failing one),
+//   - every exported Err* sentinel in the core package appears in the rpc
+//     package's Sentinels table, with no duplicates and at most 63
+//     entries (the wire bitmask is a uint64 with bit 0 reserved). A new
+//     sentinel with no row loses its identity on the wire, and
+//     TestSentinelTableStable pins only the rows that exist.
 //
 // The checker runs only when the analyzed packages include an rpc-style
-// package (one declaring type Op, var opNames, and var Sentinels), so
-// fixture runs and partial loads are unaffected.
+// package (one declaring type Op and var Sentinels), so fixture runs and
+// partial loads are unaffected.
 
 // rpcsymmetry runs the registry checks over the analyzed packages.
 func (r *Runner) rpcsymmetry() {
@@ -47,8 +41,6 @@ func (r *Runner) rpcsymmetry() {
 	if len(ops) == 0 {
 		return
 	}
-	r.checkOpNames(rpcPkg, ops)
-	r.checkOpUses(rpcPkg, ops)
 	r.checkOpTests(rpcPkg, ops)
 	r.checkSentinels(rpcPkg)
 }
@@ -60,126 +52,35 @@ func findRPCPackage(pkgs []*Package) *Package {
 			continue
 		}
 		scope := p.Pkg.Scope()
-		if tn, ok := scope.Lookup("Op").(*types.TypeName); ok && tn != nil &&
-			scope.Lookup("opNames") != nil && scope.Lookup("Sentinels") != nil {
+		if tn, ok := scope.Lookup("Op").(*types.TypeName); ok && tn != nil && scope.Lookup("Sentinels") != nil {
 			return p
 		}
 	}
 	return nil
 }
 
-// opConst is one Op* protocol constant.
-type opConst struct {
-	obj   *types.Const
-	value int64
-	pos   token.Pos
-}
-
 // collectOps gathers the exported Op* constants of the rpc package's Op
 // type (opMax, the unexported bound, is excluded by the prefix rule).
-func collectOps(p *Package) []opConst {
-	var ops []opConst
+func collectOps(p *Package) []*types.Const {
+	var ops []*types.Const
 	scope := p.Pkg.Scope()
 	for _, name := range scope.Names() {
 		c, ok := scope.Lookup(name).(*types.Const)
 		if !ok || !strings.HasPrefix(name, "Op") || !c.Exported() {
 			continue
 		}
-		named, ok := c.Type().(*types.Named)
-		if !ok || named.Obj().Name() != "Op" {
-			continue
+		if named, ok := c.Type().(*types.Named); ok && named.Obj().Name() == "Op" {
+			ops = append(ops, c)
 		}
-		v, ok := constant.Int64Val(c.Val())
-		if !ok {
-			continue
-		}
-		ops = append(ops, opConst{obj: c, value: v, pos: c.Pos()})
 	}
 	return ops
 }
-
-// checkOpNames requires a non-empty opNames entry per op, read from the
-// keyed composite literal.
-func (r *Runner) checkOpNames(p *Package, ops []opConst) {
-	lit := findVarLiteral(p, "opNames")
-	if lit == nil {
-		r.report(p.Files[0].Pos(), "rpcsymmetry", "cannot find the opNames composite literal")
-		return
-	}
-	named := make(map[int64]bool)
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		tv, ok := p.Info.Types[kv.Key]
-		if !ok || tv.Value == nil {
-			continue
-		}
-		idx, ok := constant.Int64Val(tv.Value)
-		if !ok {
-			continue
-		}
-		if s, ok := kv.Value.(*ast.BasicLit); ok && s.Kind == token.STRING && len(s.Value) > 2 {
-			named[idx] = true
-		}
-	}
-	for _, op := range ops {
-		if !named[op.value] {
-			r.report(op.pos, "rpcsymmetry", "%s has no opNames entry (its String() would print op(%d))",
-				op.obj.Name(), op.value)
-		}
-	}
-}
-
-// checkOpUses requires each op to be referenced by the server package (a
-// dispatch case) and the client package (an encoder).
-func (r *Runner) checkOpUses(rpcPkg *Package, ops []opConst) {
-	have := make(map[string]bool)
-	for _, p := range r.packages {
-		have[p.Pkg.Name()] = true
-	}
-	if !have["server"] || !have["client"] {
-		return // partial load (assetlint on a sub-pattern): nothing to compare
-	}
-	usedBy := make(map[*types.Const]map[string]bool)
-	for _, op := range ops {
-		usedBy[op.obj] = make(map[string]bool)
-	}
-	for _, p := range r.packages {
-		if p == rpcPkg {
-			continue
-		}
-		for _, obj := range p.Info.Uses {
-			c, ok := obj.(*types.Const)
-			if !ok {
-				continue
-			}
-			if m := usedBy[c]; m != nil {
-				m[p.Pkg.Name()] = true
-			}
-		}
-	}
-	for _, op := range ops {
-		if !usedBy[op.obj]["server"] {
-			r.report(op.pos, "rpcsymmetry", "%s has no server dispatch case (not referenced by any package named server)",
-				op.obj.Name())
-		}
-		if !usedBy[op.obj]["client"] {
-			r.report(op.pos, "rpcsymmetry", "%s has no client encoder (not referenced by any package named client)",
-				op.obj.Name())
-		}
-	}
-}
-
-// opTestIdentRe extracts identifiers from the rpc test corpus.
-var opTestIdentRe = regexp.MustCompile(`\b\w+\b`)
 
 // checkOpTests requires round-trip codec coverage: the rpc package's own
 // _test.go files must reference each op by name, or range exhaustively
 // via opMax. Test files are outside the type-checked load, so this is a
 // parse-level scan of the package directory.
-func (r *Runner) checkOpTests(p *Package, ops []opConst) {
+func (r *Runner) checkOpTests(p *Package, ops []*types.Const) {
 	entries, err := os.ReadDir(p.Dir)
 	if err != nil {
 		r.report(p.Files[0].Pos(), "rpcsymmetry", "cannot scan %s for test files: %v", p.Dir, err)
@@ -212,9 +113,8 @@ func (r *Runner) checkOpTests(p *Package, ops []opConst) {
 		return // an exhaustive loop over the op range covers every op
 	}
 	for _, op := range ops {
-		if !idents[op.obj.Name()] {
-			r.report(op.pos, "rpcsymmetry", "%s has no round-trip coverage in the rpc package tests",
-				op.obj.Name())
+		if !idents[op.Name()] {
+			r.report(op.Pos(), "rpcsymmetry", "%s has no round-trip coverage in the rpc package tests", op.Name())
 		}
 	}
 }

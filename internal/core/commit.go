@@ -140,8 +140,6 @@ type obstacle struct {
 // component and the edges it walks are read through buffers in its own
 // frame, so an ungrouped transaction with no dependencies is examined
 // without touching the heap. Caller holds m.mu.
-//
-//asset:noalloc
 func (m *Manager) examineGroupLocked(roots []xid.TID, group []*txn, vote bool) ([]*txn, obstacle, error) {
 	var compBuf [4]xid.TID
 	var edgeBuf [4]dep.Edge
@@ -339,8 +337,9 @@ func (m *Manager) doomLocked(roots []xid.TID, id xid.TID) error {
 	return err
 }
 
-// The abort reasons of the group paths, built off the //asset:noalloc
-// functions that use them.
+// The abort reasons of the group paths, built off the commit and vote
+// paths that use them, whose warmed passes TestLocalTxnAllocBudget and
+// TestPrepareDecideAllocBudget hold to their allocation budgets.
 
 //go:noinline
 func errMemberAborted(id xid.TID) error {
@@ -377,7 +376,6 @@ func errExcludedByCommitted() error {
 // force must dominate them on every path (decide-before-release, §11).
 //
 //asset:durable before=ReleaseAll,EscrowCommit
-//asset:noalloc
 func (m *Manager) commitLocked(group []*txn) error {
 	if _, err := m.appendLocked(&wal.Record{Type: wal.TCommit, TIDs: m.committingLocked(group)}); err != nil {
 		return errCommitLog("record append", err)

@@ -55,8 +55,6 @@ func (m *Manager) dropStrayLocks(t *txn) {
 // lock/read traffic of unrelated transactions shares nothing but its
 // object shards. The mutex appears only on the failure path, to serialize
 // stray-grant release with an in-flight abort.
-//
-//asset:noalloc
 func (tx *Tx) Lock(oid xid.OID, ops xid.OpSet) error {
 	return tx.LockCtx(tx.t.lockCtx(), oid, ops)
 }
@@ -68,8 +66,6 @@ func (tx *Tx) Lock(oid xid.OID, ops xid.OpSet) error {
 // context's error. The transaction itself stays alive: an abandoned
 // acquisition is the caller's to handle (unlike cancellation of the
 // transaction's bound context, which aborts it via the watcher).
-//
-//asset:noalloc
 func (tx *Tx) LockCtx(ctx context.Context, oid xid.OID, ops xid.OpSet) error {
 	m, t := tx.m, tx.t
 	if err := t.checkRunning(); err != nil {
@@ -99,8 +95,6 @@ func (tx *Tx) Read(oid xid.OID) ([]byte, error) {
 // are appended to dst (a nil dst gets a fresh slice) and the extended slice
 // returned. Mutex-free like Lock. Error construction on the miss path is
 // outlined into errNoObject so the fast path stays allocation-free.
-//
-//asset:noalloc
 func (tx *Tx) AppendRead(dst []byte, oid xid.OID) ([]byte, error) {
 	m, t := tx.m, tx.t
 	if err := t.checkRunning(); err != nil {
@@ -121,8 +115,9 @@ func (tx *Tx) AppendRead(dst []byte, oid xid.OID) ([]byte, error) {
 }
 
 // errNoObject builds the miss error off the Read fast path. Outlined and
-// kept out of inlining so its allocations are accounted to this cold
-// helper, not to the //asset:noalloc fast path that calls it.
+// kept out of inlining so its allocations stay in this cold helper, out
+// of the fast path that calls it, which TestLocalTxnAllocBudget holds to
+// its allocation budget.
 //
 //go:noinline
 func errNoObject(oid xid.OID) error {

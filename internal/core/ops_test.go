@@ -316,9 +316,8 @@ func TestAbortRacingOperationDoesNotLeakLocks(t *testing.T) {
 
 // TestLockFastPathAllocs: re-acquiring a held lock is allocation-free.
 // The unbound-context fast path must not materialize a fresh
-// context.Background() per call — the lockCtx escape fixed in the
-// //asset:noalloc burn-down (the compile-time gate proves the frame
-// clean; this pins the whole call chain at runtime).
+// context.Background() per call (the lockCtx escape this pins across
+// the whole call chain).
 func TestLockFastPathAllocs(t *testing.T) {
 	m := newMem(t)
 	oid := seedObject(t, m, []byte("v"))

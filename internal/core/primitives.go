@@ -69,8 +69,6 @@ func (m *Manager) initiateWith(fn TxnFunc, parent xid.TID, opts TxnOptions) (xid
 // recycle the moment it is published, so it learns the tid from the second
 // result and touches the descriptor only if it is interactive; by tid, a
 // reaped transaction still answers from the outcome ring.
-//
-//asset:noalloc
 func (m *Manager) initiateOpts(fn TxnFunc, parent xid.TID, opts TxnOptions) (*txn, xid.TID, error) {
 	if m.closed.Load() {
 		return nil, xid.NilTID, ErrClosed

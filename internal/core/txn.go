@@ -331,7 +331,8 @@ func (t *txn) lockCtx() context.Context {
 
 // newTxn hands out a descriptor for transaction id, initiated, from the
 // free list when it has one, holding refs references. Not inlined: the
-// make-one path must not be charged to //asset:noalloc callers.
+// make-one path stays out of its callers' frames, whose recycled-descriptor
+// passes TestLocalTxnAllocBudget holds to their allocation budgets.
 //
 //go:noinline
 func (m *Manager) newTxn(id, parent xid.TID, fn TxnFunc, refs int32) *txn {

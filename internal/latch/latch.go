@@ -143,8 +143,9 @@ func (l *Latch) Upgrade() bool {
 
 // panicNotHeld reports an unlock of a latch that is not held, always a
 // programming error. Outlined so the message's conversion to an interface
-// value is not charged, by escape analysis, to every function an unlock is
-// inlined into (the //asset:noalloc gate reads those diagnostics).
+// value stays out of every function an unlock is inlined into, whose
+// warmed paths TestAcquireReleaseAllocBudget and TestLocalTxnAllocBudget
+// hold to their allocation budgets.
 //
 //go:noinline
 func panicNotHeld(msg string) { panic(msg) }

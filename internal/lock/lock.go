@@ -336,8 +336,6 @@ func (m *Manager) LockAs(ctx context.Context, h Holder, tid xid.TID, oid xid.OID
 // granted without waiting never has a pending LRD, a wait registration or a
 // ctx watcher, and costs at most the one granted LRD installGrant takes off
 // the shard's free list. Only a request that has to wait goes through park.
-//
-//asset:noalloc
 func (m *Manager) acquire(ctx context.Context, ts *txnState, tid xid.TID, oid xid.OID, mode xid.OpSet, delta int64, escrow bool) error {
 	if mode == 0 {
 		return errEmptyMode(oid)
@@ -669,8 +667,6 @@ func (m *Manager) tryGrant(req *lockReq, blockers []xid.TID, permitted []*lockRe
 // grant and the reservation or neither. It reports false — installing
 // nothing — if ts is no longer tid's state (a concurrent ReleaseAll retired
 // it), in which case a new grant would leak. Caller holds the shard latch.
-//
-//asset:noalloc
 func (m *Manager) installGrant(ts *txnState, od *objDesc, tid xid.TID, mode xid.OpSet, delta int64, escrow bool) bool {
 	reserve := escrow && od.esc != nil
 	// Look on the chain rather than trusting any earlier lookup: a
@@ -828,8 +824,6 @@ func (m *Manager) HeldObjects(tid xid.TID) []xid.OID {
 // holds every object its list names, except while a delegation that moved
 // the lock has yet to take the list entry out (it does so after its shard
 // visits), and such an entry drops nothing.
-//
-//asset:noalloc
 func (m *Manager) ReleaseAll(tid xid.TID) {
 	if ts := m.retire(tid); ts != nil {
 		for oid := range ts.escrows {

@@ -163,8 +163,9 @@ func (s *lockShard) remove(i int) {
 }
 
 // grow doubles the table and reinserts its entries. Not inlined, so the
-// make is charged here and not to the //asset:noalloc callers put is
-// inlined into. Caller holds s.lat.
+// make stays here and out of the frames put is inlined into, whose warmed
+// passages TestAcquireReleaseAllocBudget holds at zero allocations.
+// Caller holds s.lat.
 //
 //go:noinline
 func (s *lockShard) grow() {
@@ -201,8 +202,9 @@ func (s *lockShard) od(oid xid.OID) *objDesc {
 // inflate is od's miss path: it takes a descriptor off the shard's free
 // list, or makes one, and puts it in oid's entry: in the lone lock's entry
 // at i if found, its holder moving into the OD's first LRD, or in a new
-// entry in the empty slot i. Outlined so the make-one path is charged here
-// and not to the //asset:noalloc callers od is inlined into.
+// entry in the empty slot i. Outlined so the make-one path stays here and
+// out of the frames od is inlined into, whose warmed passages
+// TestAcquireReleaseAllocBudget holds at zero allocations.
 //
 //go:noinline
 func (s *lockShard) inflate(i int, found bool, oid xid.OID) *objDesc {
@@ -294,8 +296,9 @@ func keptChain[T any](chain []*T) []*T {
 }
 
 // newReq takes an LRD off the shard's free list, or makes one. Caller holds
-// s.lat. Not inlined: the make-one path must not be charged to
-// //asset:noalloc callers.
+// s.lat. Not inlined: the make-one path stays out of its callers' frames,
+// whose warmed passages TestAcquireReleaseAllocBudget holds at zero
+// allocations.
 //
 //go:noinline
 func (s *lockShard) newReq() *lockReq {
@@ -450,8 +453,6 @@ func (m *Manager) newTxnState() *txnState {
 // ReleaseAll is tearing the state down (dead set, htab entry not yet gone),
 // it waits out the teardown and starts fresh — a grant must never register
 // into a state whose release has already begun.
-//
-//asset:noalloc
 func (m *Manager) txnOf(tid xid.TID) *txnState {
 	for {
 		if ts, ok := m.txns.Get(uint64(tid)); ok {

@@ -75,8 +75,6 @@ func (b *Buffer) Release() {
 // BeginFrame starts a frame in dst's storage: it returns dst emptied and
 // extended by the header's bytes, for the payload to be appended after.
 // FinishFrame completes it.
-//
-//asset:noalloc
 func BeginFrame(dst []byte) []byte {
 	var hdr [frameHdrLen]byte
 	return append(dst[:0], hdr[:]...)
@@ -86,8 +84,6 @@ func BeginFrame(dst []byte) []byte {
 // payload is everything after the header. The frame then goes out in a
 // single Write call, the contract that makes message-granularity fault
 // injection meaningful.
-//
-//asset:noalloc
 func FinishFrame(frame []byte) {
 	payload := frame[frameHdrLen:]
 	frame[0] = frameMagic

@@ -152,8 +152,6 @@ type Response struct {
 }
 
 // AppendRequest appends r's encoding to dst.
-//
-//asset:noalloc
 func AppendRequest(dst []byte, r *Request) []byte {
 	b := binary.AppendUvarint(dst, r.ReqID)
 	b = binary.AppendUvarint(b, r.Ack)
@@ -176,8 +174,6 @@ func EncodeRequest(r *Request) []byte {
 
 // DecodeRequestInto parses a request payload into r, overwriting every
 // field. r.Data aliases b.
-//
-//asset:noalloc
 func DecodeRequestInto(r *Request, b []byte) error {
 	d := decoder{b: b}
 	*r = Request{
@@ -212,8 +208,6 @@ func DecodeRequest(b []byte) (*Request, error) {
 }
 
 // AppendResponse appends r's encoding to dst.
-//
-//asset:noalloc
 func AppendResponse(dst []byte, r *Response) []byte {
 	b := binary.AppendUvarint(dst, r.ReqID)
 	b = binary.AppendUvarint(b, r.Bits)
@@ -236,8 +230,6 @@ func EncodeResponse(r *Response) []byte {
 
 // DecodeResponseInto parses a response payload into r, overwriting every
 // field. r.Data aliases b; r.Msg, present only on errors, is a copy.
-//
-//asset:noalloc
 func DecodeResponseInto(r *Response, b []byte) error {
 	d := decoder{b: b}
 	*r = Response{
@@ -287,8 +279,6 @@ func appendBytes(b, p []byte) []byte {
 
 // AppendTIDs appends a transaction-id list, encoded for an OpPrepare Data
 // field, to dst: the count, then each id, as uvarints.
-//
-//asset:noalloc
 func AppendTIDs(dst []byte, tids []xid.TID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(tids)))
 	for _, t := range tids {
@@ -305,8 +295,6 @@ var (
 // DecodeTIDsInto unpacks an AppendTIDs list into dst's storage,
 // overwriting what it held, and returns the list. A truncated or corrupt
 // list returns ErrBadFrame — never a silently shortened decode.
-//
-//asset:noalloc
 func DecodeTIDsInto(dst []xid.TID, b []byte) ([]xid.TID, error) {
 	dst = dst[:0]
 	d := decoder{b: b}

@@ -90,8 +90,6 @@ func (d *dedup) ack(to uint64) {
 // marked executing and the caller names the worker in it; on admitReplay
 // it holds the response to send. The slot pointer is valid only until the
 // session latch is released.
-//
-//asset:noalloc
 func (d *dedup) admit(id uint64, dead bool) (admission, *reqSlot) {
 	floor := d.win.Floor()
 	if id <= floor {

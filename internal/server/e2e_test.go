@@ -270,6 +270,103 @@ func TestEndToEndEscrowCounter(t *testing.T) {
 	f.quiesce()
 }
 
+// TestEndToEndDelegatePermitDelete drives the three primitives no other
+// wire test reaches: a committed delete, a write delegated away from a
+// transaction that then aborts, and a permit that lets a second
+// transaction read the first's uncommitted write.
+func TestEndToEndDelegatePermitDelete(t *testing.T) {
+	f := newFixture(t, core.Config{}, server.Config{})
+	cli := f.dial(client.Options{})
+	ctx := context.Background()
+
+	create := func(data string) xid.OID {
+		t.Helper()
+		var oid xid.OID
+		if err := cli.Run(ctx, core.RunOptions{}, func(ctx context.Context, tx *client.Tx) error {
+			id, err := tx.Create(ctx, []byte(data))
+			oid = id
+			return err
+		}); err != nil {
+			t.Fatalf("create %q: %v", data, err)
+		}
+		return oid
+	}
+	begin := func() xid.TID {
+		t.Helper()
+		tid, err := cli.Initiate(ctx)
+		if err != nil {
+			t.Fatalf("Initiate: %v", err)
+		}
+		if err := cli.Begin(ctx, tid); err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+		return tid
+	}
+	read := func(oid xid.OID) (string, error) {
+		var got []byte
+		err := cli.Run(ctx, core.RunOptions{}, func(ctx context.Context, tx *client.Tx) error {
+			data, err := tx.Read(ctx, oid)
+			got = data
+			return err
+		})
+		return string(got), err
+	}
+
+	// A committed delete: a later read finds no object.
+	gone := create("doomed")
+	if err := cli.Run(ctx, core.RunOptions{}, func(ctx context.Context, tx *client.Tx) error {
+		return tx.Delete(ctx, gone)
+	}); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	if _, err := read(gone); !errors.Is(err, core.ErrNoObject) {
+		t.Fatalf("read after delete = %v, want ErrNoObject", err)
+	}
+
+	// A delegated write survives its writer's abort: t2 answers for it.
+	kept := create("before")
+	t1, t2 := begin(), begin()
+	if err := cli.Tx(t1).Write(ctx, kept, []byte("delegated")); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if err := cli.Delegate(ctx, t1, t2, kept); err != nil {
+		t.Fatalf("Delegate: %v", err)
+	}
+	if err := cli.Abort(ctx, t1); err != nil {
+		t.Fatalf("Abort(t1): %v", err)
+	}
+	if err := cli.Commit(ctx, t2); err != nil {
+		t.Fatalf("Commit(t2): %v", err)
+	}
+	if got, err := read(kept); err != nil || got != "delegated" {
+		t.Fatalf("after delegation = %q, %v; want %q", got, err, "delegated")
+	}
+
+	// A read permit: t2 reads t1's uncommitted write without waiting for
+	// t1 to terminate.
+	shared := create("committed")
+	t1, t2 = begin(), begin()
+	if err := cli.Tx(t1).Write(ctx, shared, []byte("dirty")); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if err := cli.Permit(ctx, t1, t2, shared, xid.OpRead); err != nil {
+		t.Fatalf("Permit: %v", err)
+	}
+	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	got, err := cli.Tx(t2).Read(rctx, shared)
+	cancel()
+	if err != nil || string(got) != "dirty" {
+		t.Fatalf("permitted read = %q, %v; want %q", got, err, "dirty")
+	}
+	if err := cli.Abort(ctx, t2); err != nil {
+		t.Fatalf("Abort(t2): %v", err)
+	}
+	if err := cli.Abort(ctx, t1); err != nil {
+		t.Fatalf("Abort(t1): %v", err)
+	}
+	f.quiesce()
+}
+
 // TestWireErrorIdentity pins that core sentinel errors survive the wire:
 // errors.Is works on client-side errors exactly as it does locally.
 func TestWireErrorIdentity(t *testing.T) {

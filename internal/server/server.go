@@ -546,8 +546,6 @@ func (sess *session) getWorker() *worker {
 }
 
 // run serves the requests handed to w until retire closes w.in.
-//
-//asset:noalloc
 func (w *worker) run() {
 	defer w.sess.srv.workers.Done()
 	for in := range w.in {
@@ -652,8 +650,6 @@ func (sess *session) cancelRequest(reqID uint64) {
 // stays deduplicated, and only a genuinely new request executes — on a
 // worker of the session, under that worker's context, which OpCancel (or
 // session death) can cancel.
-//
-//asset:noalloc
 func (sess *session) dispatch(conn *srvConn, in *inbound) {
 	req, resp := &in.req, &in.resp
 	sess.mu.Lock()

@@ -202,10 +202,7 @@ func createSegment(fsys faultfs.FS, dir string, seq, firstLSN uint64) (faultfs.F
 // record becomes durable when a force covering its LSN completes. It
 // keeps neither r nor the slices r points to, so the caller may reuse
 // them as soon as the call is over. Allocation-free once the slab has
-// warmed to the batch working set — verified by the compiler on every
-// lint run, not just by the AllocsPerRun benchmark.
-//
-//asset:noalloc
+// warmed to the batch working set (TestSegmentedAppendAllocFree).
 func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 	l.appendMu.Lock()
 	lsn, err := l.appendHeld(r)
@@ -214,8 +211,6 @@ func (l *SegmentedLog) Append(r *Record) (uint64, error) {
 }
 
 // appendHeld is Append's body, for a caller that holds appendMu.
-//
-//asset:noalloc
 func (l *SegmentedLog) appendHeld(r *Record) (uint64, error) {
 	if l.closed.Load() {
 		return 0, errAppendClosed

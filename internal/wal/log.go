@@ -24,7 +24,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var ErrPoisoned = errors.New("wal: log poisoned by an earlier write/sync failure")
 
 // errAppendClosed is a package sentinel so the Append fast path's
-// closed-log check stays allocation-free (//asset:noalloc).
+// closed-log check stays allocation-free (TestSegmentedAppendAllocFree).
 var errAppendClosed = errors.New("wal: append to closed log")
 
 // appendFrame appends the on-disk frame for r — with r.LSN already
